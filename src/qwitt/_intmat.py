@@ -49,13 +49,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_mat(v: Sequence[int], a: Sequence[Sequence[int]]) -> List[int]:
-    m, n = shape(a)
-    if m != len(v):
-        raise ValueError("dimension mismatch")
-    return [sum(v[i] * a[i][j] for i in range(m)) for j in range(n)]
-
-
 def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
     return shape(a) == shape(b) and all(
         list(ra) == list(rb) for ra, rb in zip(a, b)
@@ -244,16 +237,6 @@ def solve(
         if c[i] != 0:
             return None
     return mat_vec(s.v, z)
-
-
-def lattice_contains(
-    basis_cols: Sequence[Sequence[int]], vec: Sequence[int]
-) -> bool:
-    """Whether vec lies in the lattice spanned by the given column vectors."""
-    if not basis_cols:
-        return not any(vec)
-    mat = transpose(basis_cols)
-    return solve(mat, vec) is not None
 
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:

@@ -27,7 +27,6 @@ __all__ = [
     "Z",
     "Z2",
     "TRIVIAL",
-    "snf",
     "cokernel_presentation",
     "kernel",
     "image",
@@ -406,11 +405,6 @@ class Splitting:
             raise ValueError("the two summands intersect non-trivially")
         if not joint.is_surjective():
             raise ValueError("the summands do not generate the group")
-
-
-def snf(mat: Sequence[Sequence[int]]):
-    """Smith normal form (U, D, V) with U @ mat @ V = D, d1 | d2 | ..."""
-    return _intmat.smith_normal_form(mat)
 
 
 def _presentation_from_relations(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from . import _intmat, search
 from .abelian import AbHom, FinAbGroup, GroupElement
@@ -46,6 +46,8 @@ __all__ = [
 
 DEFAULT_BOUND = 3
 DEFAULT_NODE_BUDGET = 4_000_000
+
+_W = TypeVar("_W")
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,12 @@ def _rank_of(mat: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Three-valued verdict of a bounded search."""
+    """Three-valued verdict of a bounded search.
+
+    `nodes` counts the kernel's search-tree nodes.  No kernel call is made
+    after the node budget is spent, so it is at most node_budget + 1, and
+    "node budget exhausted" is the reason when a call stopped early.
+    """
 
     status: str  # "found" | "no" | "unknown"
     witness: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -402,66 +409,79 @@ def _lambda_square_constraint(f: QForm, value: int):
     return [] if value == 0 else None
 
 
-def _lambda_pair_constraint(f: QForm, fixed: Sequence[int], value: int):
-    # lambda(fixed, x) = value: linear with l = M^t fixed
-    mt = _intmat.transpose([list(r) for r in f.lambda_matrix])
-    l = _intmat.mat_vec(mt, list(fixed))
-    return ([[0] * f.rank for _ in range(f.rank)], l, -value, 0)
-
-
 def _column_search(
     target: QForm,
-    source: QForm,
+    lam: Sequence[Sequence[int]],
+    mus: Sequence[GroupElement],
     bound: int,
     node_budget: int,
-    *,
-    collect_all: bool = False,
-) -> Tuple[Optional[List[List[int]]], int, bool]:
-    """Backtracking search for a matrix B with B^t M B = M_source and
-    mu_target(B e_i) = mu_source(e_i); columns bounded by `bound`."""
-    n, k = target.rank, source.rank
+    leaf: Callable[[List[List[int]]], Optional[_W]],
+    keep: Optional[Callable[[Tuple[int, ...], List[List[int]]], bool]] = None,
+    normalize: bool = False,
+) -> Tuple[Optional[_W], int, bool]:
+    """The backtracking driver behind every bounded search.
+
+    Looks for columns c_0, ..., c_{k-1} of target with entries within
+    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i], in the
+    kernel's enumeration order; `keep` filters the candidates for a column,
+    and `normalize` is passed to the kernel.  The first complete tuple that
+    `leaf` turns into a witness (anything but None) ends the search.
+
+    The square and mu constraints of each depth are built once, and the
+    pair row M^t c of a column once, when the next column is searched for.
+
+    Budget rule: each kernel call gets the nodes left of `node_budget`,
+    and once a call reports that it stopped early no further call is made.
+    The vectors that call did return are still tried, so a witness among
+    them still reaches `leaf`, and the node count stays at most
+    node_budget + 1.
+
+    Returns (witness or None, nodes, whether every call ran to the end).
+    """
+    n, k = target.rank, len(mus)
+    mt = _intmat.transpose(target.lambda_matrix)
+    zero = [[0] * n for _ in range(n)]
+    fixed = []
+    for d in range(k):
+        square = _lambda_square_constraint(target, lam[d][d])
+        fixed.append(
+            None if square is None
+            else square + _mu_constraints(target, mus[d])
+        )
     cols: List[List[int]] = []
-    nodes_total = 0
-    exhausted_all = True
-    found: Optional[List[List[int]]] = None
+    rows: List[List[int]] = []
+    nodes = 0
+    exhausted = True
 
-    def rec(depth: int) -> bool:
-        nonlocal nodes_total, exhausted_all, found
+    def rec(depth: int) -> Optional[_W]:
+        nonlocal nodes, exhausted
         if depth == k:
-            found = [list(c) for c in cols]
-            return False
-        cons = _lambda_square_constraint(
-            target, source.lambda_matrix[depth][depth]
+            return leaf(cols)
+        if fixed[depth] is None:
+            return None
+        if depth:
+            rows[depth - 1:] = [_intmat.mat_vec(mt, cols[-1])]
+        constraints = fixed[depth] + [
+            (zero, row, -lam[j][depth], 0) for j, row in enumerate(rows)
+        ]
+        results, used, done = search.search_vectors(
+            n, constraints, bound, 1 << 30, node_budget - nodes, normalize
         )
-        if cons is None:
-            return True
-        constraints = list(cons)
-        for j, c in enumerate(cols):
-            constraints.append(
-                _lambda_pair_constraint(
-                    target, c, source.lambda_matrix[j][depth]
-                )
-            )
-        constraints.extend(
-            _mu_constraints(target, source.mu_basis[depth])
-        )
-        budget = max(1, node_budget - nodes_total)
-        results, nodes, exhausted = search.search_vectors(
-            n, constraints, bound, 1 << 30, budget
-        )
-        nodes_total += nodes
-        if not exhausted:
-            exhausted_all = False
+        nodes += used
+        exhausted = exhausted and done
         for vec in results:
+            if not exhausted and depth + 1 < k:
+                break  # the budget is spent: no deeper kernel call
+            if keep is not None and not keep(vec, cols):
+                continue
             cols.append(list(vec))
-            if not rec(depth + 1):
-                cols.pop()
-                return False
+            witness = rec(depth + 1)
             cols.pop()
-        return True
+            if witness is not None:
+                return witness
+        return None
 
-    rec(0)
-    return found, nodes_total, exhausted_all
+    return rec(0), nodes, exhausted
 
 
 def isometry_verify(f: QForm, g: QForm, b: Sequence[Sequence[int]]) -> bool:
@@ -497,49 +517,16 @@ def isometry_search(
         f.lambda_matrix
     ) != signature_of_matrix(g.lambda_matrix):
         return SearchOutcome("no", reason="different signatures")
-    n, k = g.rank, f.rank
-    cols: List[List[int]] = []
-    nodes_total = 0
-    exhausted_all = True
-    witness: Optional[Tuple[Tuple[int, ...], ...]] = None
 
-    def rec(depth: int) -> bool:
-        nonlocal nodes_total, exhausted_all, witness
-        if depth == k:
-            mat = _intmat.transpose(cols)
-            if _intmat.determinant(mat) in (1, -1):
-                witness = tuple(tuple(r) for r in mat)
-                return False
-            return True
-        constraints = list(
-            _lambda_square_constraint(g, f.lambda_matrix[depth][depth]) or []
-        )
-        if (
-            not g.parameter.is_symmetric
-            and f.lambda_matrix[depth][depth] != 0
-        ):
-            return True
-        for j, c in enumerate(cols):
-            constraints.append(
-                _lambda_pair_constraint(g, c, f.lambda_matrix[j][depth])
-            )
-        constraints.extend(_mu_constraints(g, f.mu_basis[depth]))
-        budget = max(1, node_budget - nodes_total)
-        results, nodes, exhausted = search.search_vectors(
-            n, constraints, bound, 1 << 30, budget
-        )
-        nodes_total += nodes
-        if not exhausted:
-            exhausted_all = False
-        for vec in results:
-            cols.append(list(vec))
-            if not rec(depth + 1):
-                cols.pop()
-                return False
-            cols.pop()
-        return True
+    def unimodular(cols):
+        mat = _intmat.transpose(cols)
+        if _intmat.determinant(mat) in (1, -1):
+            return tuple(tuple(r) for r in mat)
+        return None
 
-    rec(0)
+    witness, nodes_total, exhausted_all = _column_search(
+        g, f.lambda_matrix, f.mu_basis, bound, node_budget, unimodular
+    )
     if witness is not None:
         assert isometry_verify(f, g, witness)
         return SearchOutcome(
@@ -575,45 +562,21 @@ def metabolic_search(
         if obstruction:
             return SearchOutcome("no", reason=obstruction, bound=bound)
     k = f.rank // 2
-    basis: List[List[int]] = []
-    nodes_total = 0
-    exhausted_all = True
-    found: Optional[List[List[int]]] = None
-    zero_mu = f.parameter.carrier.zero()
 
-    def rec(depth: int) -> bool:
-        nonlocal nodes_total, exhausted_all, found
-        if depth == k:
-            cand = _saturate_if_needed(f, basis)
-            if cand is not None:
-                found = cand
-                return False
-            return True
-        constraints = list(_lambda_square_constraint(f, 0) or [])
-        for c in basis:
-            constraints.append(_lambda_pair_constraint(f, c, 0))
-        constraints.extend(_mu_constraints(f, zero_mu))
-        budget = max(1, node_budget - nodes_total)
-        results, nodes, exhausted = search.search_vectors(
-            f.rank, constraints, bound, 1 << 30, budget, True
-        )
-        nodes_total += nodes
-        if not exhausted:
-            exhausted_all = False
-        prev = basis[-1] if basis else None
-        for vec in results:
-            if not any(vec):
-                continue
-            if prev is not None and list(vec) <= prev:
-                continue  # enforce lexicographically increasing bases
-            basis.append(list(vec))
-            if not rec(depth + 1):
-                basis.pop()
-                return False
-            basis.pop()
-        return True
+    def increasing(vec, basis):
+        # non-zero, and lexicographically increasing bases only
+        return any(vec) and (not basis or list(vec) > basis[-1])
 
-    rec(0)
+    found, nodes_total, exhausted_all = _column_search(
+        f,
+        [[0] * k for _ in range(k)],
+        [f.parameter.carrier.zero()] * k,
+        bound,
+        node_budget,
+        lambda basis: _saturate_if_needed(f, basis),
+        increasing,
+        normalize=True,
+    )
     if found is not None:
         assert lagrangian_verify(f, found)
         return SearchOutcome(
@@ -706,7 +669,12 @@ def embedding_search(
     if eta.parameter != target.parameter:
         return SearchOutcome("no", reason="different form parameters")
     found, nodes, exhausted = _column_search(
-        target, eta, bound, node_budget
+        target,
+        eta.lambda_matrix,
+        eta.mu_basis,
+        bound,
+        node_budget,
+        lambda cols: [list(c) for c in cols],
     )
     if found is not None:
         mat = _intmat.transpose(found)
@@ -832,11 +800,11 @@ def _primitive_isotropic(
     f: QForm, bound: int, node_budget: int
 ) -> Optional[List[int]]:
     """First primitive x with lambda(x, x) = 0 in the bounded box."""
+    cons = _lambda_square_constraint(f, 0) or []
     b = bound
     while b <= max(bound, 6):
-        cons = _lambda_square_constraint(f, 0)
         results, _, exhausted = search.search_vectors(
-            f.rank, cons or [], b, 1 << 30, node_budget, True
+            f.rank, cons, b, 1 << 30, node_budget, True
         )
         for vec in results:
             if any(vec) and _intmat.vec_gcd(list(vec)) == 1:

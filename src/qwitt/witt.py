@@ -184,15 +184,16 @@ def _symplectic_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[List[int], Lis
                 wi - a * ei + b * fi for wi, ei, fi in zip(w, e, fvec)
             ]
 
+        # the projections span the orthogonal complement of (e, f) in the
+        # block; keep a Z-basis of that span (a rank-independent subset of
+        # them can span a sublattice of index > 1, on which the form is
+        # singular): U C V = D gives the basis d_j * (column j of U^-1)
         cands = [project(w) for w in rem[1:]]
-        new_rem: List[List[int]] = []
-        for w in cands:
-            if not any(w):
-                continue
-            trial = new_rem + [w]
-            if _intmat.SNF([[v[i] for v in trial] for i in range(n)]).rank == len(trial):
-                new_rem.append(w)
-        rem = new_rem
+        s = _intmat.SNF([[w[i] for w in cands] for i in range(n)])
+        uinv = _intmat.unimodular_inverse(s.u)
+        rem = [
+            [s.d[j][j] * uinv[i][j] for i in range(n)] for j in range(s.rank)
+        ]
     return pairs
 
 

@@ -146,3 +146,17 @@ def test_console_entry_point():
         "height": 0,
         "symmetry": 1,
     }
+
+
+def test_only_verify_suite_imports_acceptance(monkeypatch, capsys):
+    probe = "import sys, qwitt.cli; print('qwitt.acceptance' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.stdout.strip() == "False", proc.stderr
+
+    from qwitt import acceptance
+
+    seeds = []
+    monkeypatch.setattr(acceptance, "run_all", lambda seed, verbose: seeds.append(seed) or {})
+    run_json(capsys, "verify-suite")
+    run_json(capsys, "verify-suite", "--seed", "7")
+    assert seeds == [acceptance.DEFAULT_SEED, 7]

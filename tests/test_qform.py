@@ -352,3 +352,120 @@ def test_embedding_search():
     definite = qf.direct_sum(unit_form(1), unit_form(1))
     out = qf.embedding_search(eta, definite, bound=3)
     assert out.status == "unknown" and "within the bound" in out.reason
+
+
+# -- the search driver -----------------------------------------------------------
+
+
+def test_search_stops_at_node_budget(monkeypatch):
+    from qwitt import search
+
+    calls = []  # (nodes, exhausted) of every kernel call
+    kernel = search.search_vectors
+
+    def counted(*args):
+        out = kernel(*args)
+        calls.append(out[1:])
+        return out
+
+    monkeypatch.setattr(search, "search_vectors", counted)
+    budget = 50
+    h4 = qf.hyperbolic(QP, 2)
+    scrambled = qf.pullback(h4, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    eta = qf.QForm(QP, [[0, 1], [1, 0]], [QP.carrier.zero()] * 2)
+    definite = qf.direct_sum(unit_form(1), unit_form(1))
+    runs = [
+        lambda: qf.metabolic_search(h4, bound=3, node_budget=budget, use_obstructions=False),
+        lambda: qf.metabolic_search(scrambled, bound=3, node_budget=budget, use_obstructions=False),
+        lambda: qf.isometry_search(h4, scrambled, bound=3, node_budget=budget),
+        lambda: qf.embedding_search(eta, qf.direct_sum(h4, h4), bound=3, node_budget=budget),
+        lambda: qf.embedding_search(eta, qf.direct_sum(definite, definite), bound=3, node_budget=budget),
+    ]
+    stopped = 0
+    for run in runs:
+        calls.clear()
+        out = run()
+        assert out.nodes == sum(nodes for nodes, _ in calls)
+        assert out.nodes <= budget + 1
+        for i, (_, exhausted) in enumerate(calls):
+            if not exhausted:
+                assert i == len(calls) - 1, "kernel called after the budget ran out"
+                assert out.found or out.reason == "node budget exhausted"
+                stopped += 1
+    assert stopped >= 3
+
+
+def _pinned_queries():
+    """Seeded searches over the criterion-10 parameters, small bounds and
+    budgets: every outcome kind, including budget-limited ones."""
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+    ]
+    rng = random.Random(2404)
+    for i in range(42):
+        p = params[i % len(params)]
+        f = random_nonsingular_form(rng, p, max_rank=4)
+        budget = rng.choice([100, 1000, 20000])
+        kind = i % 3
+        if kind == 0:
+            yield qf.metabolic_search(f, bound=2, node_budget=budget)
+        elif kind == 1:
+            g = qf.pullback(f, random_unimodular(rng, f.rank, ops=5))
+            yield qf.isometry_search(f, g, bound=2, node_budget=budget)
+        else:
+            q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
+            eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+            yield qf.embedding_search(eta, f, bound=2, node_budget=budget)
+
+
+# (status, reason, witness) of each _pinned_queries() search, recorded with
+# the per-search recursive drivers that the single driver replaced
+PINNED = [
+    ('no', 'odd rank', None),
+    ('found', '', ((-2, 1), (-1, 1))),
+    ('unknown', 'node budget exhausted', None),
+    ('no', 'non-zero Witt class', None),
+    ('found', '', ((-1, -2), (-1, -1))),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((0, 0, 0, 1), (0, 2, 1, -2))),
+    ('unknown', 'node budget exhausted', None),
+    ('unknown', 'no embedding with coordinates within the bound', None),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, 1, 1), (0, 1, 0), (-1, 1, 1))),
+    ('unknown', 'node budget exhausted', None),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, 0, 1, 2), (-2, 1, 0, 0), (-1, 0, 0, 0), (0, 1, -1, -1))),
+    ('unknown', 'node budget exhausted', None),
+    ('no', 'odd rank', None),
+    ('found', '', ((-2, 1), (-1, 1))),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((0, 1),)),
+    ('unknown', 'node budget exhausted', None),
+    ('unknown', 'no embedding with coordinates within the bound', None),
+    ('found', '', ((0, 0, 1, -2), (1, -2, -1, 2))),
+    ('found', '', ((-1, -1), (-2, -1))),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((0, 1),)),
+    ('unknown', 'node budget exhausted', None),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((0, 1, -2, 0), (1, -2, 2, 0))),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, -1), (-1, -1))),
+    ('no', 'odd rank', None),
+    ('unknown', 'node budget exhausted', None),
+    ('unknown', 'no embedding with coordinates within the bound', None),
+    ('no', 'non-zero Witt class', None),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, -2), (-1, 0), (2, 1), (-2, 0))),
+    ('unknown', 'node budget exhausted', None),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, -2), (-2, 1), (-2, -1), (-1, -1))),
+    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-1, -1), (0, 1))),
+    ('unknown', 'node budget exhausted', None),
+]
+
+
+def test_pinned_search_outcomes():
+    got = [(o.status, o.reason, o.witness) for o in _pinned_queries()]
+    assert got == PINNED

@@ -96,6 +96,31 @@ def test_arf():
         assert witt.arf(f) == democratic(f)
 
 
+def test_witt_class_scrambled_arf_block():
+    # the symplectic basis once kept a rank-independent subset of the
+    # projections, which spans an index-3 sublattice here, and raised
+    # "form is singular on the remaining block" on this nonsingular form
+    p = split_sum(QM, FinAbGroup((3,)))
+    lam = [[0, -3, 2, 0], [3, 0, -2, -1], [-2, 2, 0, 1], [0, 1, -1, 0]]
+    f = qf.QForm(p, lam, [p.carrier.element(c) for c in ((1, 0), (0, 0), (1, 0), (1, 0))])
+    cls = witt.witt_class(f)
+    assert cls.is_zero
+    assert witt.gw_class(f).witt == cls
+    # a zero Witt class leaves no certified "no"
+    assert qf.metabolic_search(f, bound=3, node_budget=2000).status != "no"
+
+
+def test_witt_class_invariant_under_base_change():
+    rng = random.Random(605)
+    for p in (QM, split_sum(QM, FinAbGroup((3,)))):
+        for _ in range(30):
+            f = random_nonsingular_form(rng, p, max_rank=6)
+            a = witt.witt_class(f)
+            for _ in range(3):
+                u = random_unimodular(rng, f.rank, ops=12)
+                assert witt.witt_class(qf.pullback(f, u)) == a
+
+
 def test_witt_group_descriptions():
     d = witt.witt_group(standard("ZP_3"))
     assert d.names == ("sigma*", "rho_3*")
