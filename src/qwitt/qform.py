@@ -668,23 +668,19 @@ def embedding_search(
     """Bounded search for a morphism of Q-forms eta -> target."""
     if eta.parameter != target.parameter:
         return SearchOutcome("no", reason="different form parameters")
-    found, nodes, exhausted = _column_search(
-        target,
-        eta.lambda_matrix,
-        eta.mu_basis,
-        bound,
-        node_budget,
-        lambda cols: [list(c) for c in cols],
-    )
-    if found is not None:
-        mat = _intmat.transpose(found)
+
+    def injective(cols):
+        # a rank-deficient tuple is no embedding: the search goes on
+        mat = _intmat.transpose(cols)
         if _rank_of(mat) == eta.rank:
-            return SearchOutcome(
-                "found",
-                witness=tuple(tuple(r) for r in mat),
-                bound=bound,
-                nodes=nodes,
-            )
+            return tuple(tuple(r) for r in mat)
+        return None
+
+    witness, nodes, exhausted = _column_search(
+        target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, injective
+    )
+    if witness is not None:
+        return SearchOutcome("found", witness=witness, bound=bound, nodes=nodes)
     reason = (
         "no embedding with coordinates within the bound"
         if exhausted

@@ -354,6 +354,16 @@ def test_embedding_search():
     assert out.status == "unknown" and "within the bound" in out.reason
 
 
+def test_embedding_search_passes_rank_deficient_tuples():
+    # the search meets (c, c) first, c = (-1, -1, -1, 1); independent
+    # columns such as e1, e2 come later and embed the zero form
+    zero = qf.QForm(QP, [[0, 0], [0, 0]], [QP.carrier.zero()] * 2)
+    target = qf.hyperbolic(QP, 2)
+    out = qf.embedding_search(zero, target, bound=1)
+    assert out.found
+    qf.Embedding(zero, target, out.witness)
+
+
 # -- the search driver -----------------------------------------------------------
 
 
