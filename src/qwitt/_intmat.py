@@ -85,11 +85,11 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
 class SNF:
     """Smith normal form with transforms: U @ A @ V == D.
 
-    U, V are unimodular; D is diagonal with d1 | d2 | ... >= 0.  Uinv and
-    Vinv are maintained alongside so presentations can be lifted back.
+    U, V are unimodular; D is diagonal with d1 | d2 | ... >= 0.  Uinv is
+    maintained alongside so presentations can be lifted back.
     """
 
-    __slots__ = ("d", "u", "v", "uinv", "vinv", "rank")
+    __slots__ = ("d", "u", "v", "uinv", "rank")
 
     def __init__(self, mat: Sequence[Sequence[int]]):
         a = copy(mat)
@@ -97,7 +97,6 @@ class SNF:
         self.u = identity(m)
         self.uinv = identity(m)
         self.v = identity(n)
-        self.vinv = identity(n)
         self._reduce(a, m, n)
         self.d = a
         self.rank = sum(1 for i in range(min(m, n)) if a[i][i] != 0)
@@ -115,7 +114,6 @@ class SNF:
             row[i], row[j] = row[j], row[i]
         for row in self.v:
             row[i], row[j] = row[j], row[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
     def _add_row(self, a: Matrix, src: int, dst: int, c: int) -> None:
         # row_dst += c * row_src
@@ -129,9 +127,6 @@ class SNF:
             row[dst] += c * row[src]
         for row in self.v:
             row[dst] += c * row[src]
-        self.vinv[src] = [
-            x - c * y for x, y in zip(self.vinv[src], self.vinv[dst])
-        ]
 
     def _negate_row(self, a: Matrix, i: int) -> None:
         a[i] = [-x for x in a[i]]

@@ -28,6 +28,8 @@ __all__ = [
     "Z2",
     "TRIVIAL",
     "cokernel_presentation",
+    "hom_from_images",
+    "is_kernel",
     "kernel",
     "image",
     "subgroup",
@@ -332,12 +334,7 @@ class AbHom:
         """Some x with self(x) == y, or None."""
         if y.group != self.target:
             raise ValueError("element not in the target group")
-        mat = [list(r) for r in self.matrix]
-        rel = self.target.relation_columns()
-        aug = [
-            mat[i] + [col[i] for col in rel]
-            for i in range(self.target.ngens)
-        ]
+        aug = _with_relations(self.target, self.matrix)
         if self.target.ngens == 0:
             return self.source.zero()
         sol = _intmat.solve(aug, list(y.coords))
@@ -407,6 +404,13 @@ class Splitting:
             raise ValueError("the summands do not generate the group")
 
 
+def _with_relations(group: FinAbGroup, mat: Sequence[Sequence[int]]) -> Matrix:
+    """mat (one row per generator of group) with the defining relations of
+    group appended as columns."""
+    rel = group.relation_columns()
+    return [list(mat[i]) + [c[i] for c in rel] for i in range(group.ngens)]
+
+
 def _presentation_from_relations(
     ngens: int, rel_cols: Sequence[Sequence[int]]
 ) -> Tuple[FinAbGroup, Matrix, Matrix]:
@@ -458,21 +462,16 @@ def cokernel_presentation(
 
     The projection is surjective and kills exactly the relation span.
     """
-    cols = [list(r.coords) for r in relations]
-    for r in relations:
-        if r.group != ambient:
-            raise ValueError("relation outside the ambient group")
-    cols += ambient.relation_columns()
-    group, proj, _ = _presentation_from_relations(ambient.ngens, cols)
-    if ambient.ngens == 0:
-        return group, AbHom(ambient, group, [])
-    return group, AbHom(ambient, group, proj, check=False)
+    return quotient_with_lift(relations, ambient)[:2]
 
 
 def quotient_with_lift(
     relations: Sequence[GroupElement], ambient: FinAbGroup
 ) -> Tuple[FinAbGroup, AbHom, Matrix]:
     """cokernel_presentation plus an integer lift of each quotient generator."""
+    for r in relations:
+        if r.group != ambient:
+            raise ValueError("relation outside the ambient group")
     cols = [list(r.coords) for r in relations] + ambient.relation_columns()
     group, proj, lift = _presentation_from_relations(ambient.ngens, cols)
     hom = AbHom(ambient, group, proj, check=False)
@@ -484,12 +483,15 @@ def kernel(f: AbHom) -> Tuple[FinAbGroup, AbHom]:
     a, b = f.source, f.target
     if b.ngens == 0 or f.is_zero():
         return a.canonical(), _canonical_iso(a)[1]
-    mat = [list(r) for r in f.matrix]
-    rel = b.relation_columns()
-    aug = [mat[i] + [col[i] for col in rel] for i in range(b.ngens)]
-    ker = _intmat.kernel_basis(aug)
+    ker = _intmat.kernel_basis(_with_relations(b, f.matrix))
     gens = [a.element(v[: a.ngens]) for v in ker]
     return subgroup(a, gens)
+
+
+def is_kernel(f: AbHom, gens: Sequence[GroupElement]) -> bool:
+    """Whether gens generate Ker(f) inside the source of f."""
+    _, incl = kernel(f)
+    return subgroup_equal(f.source, gens, incl.columns())
 
 
 def image(f: AbHom) -> Tuple[FinAbGroup, AbHom]:
@@ -508,9 +510,7 @@ def subgroup(
             raise ValueError("generator outside the ambient group")
     s = len(gens)
     gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
-    rel = ambient.relation_columns()
-    aug = [gmat[i] + [c[i] for c in rel] for i in range(ambient.ngens)]
-    lat = _intmat.kernel_basis(aug)
+    lat = _intmat.kernel_basis(_with_relations(ambient, gmat))
     rel_cols = [v[:s] for v in lat]
     grp, _, lift = _presentation_from_relations(s, rel_cols)
     # inclusion: generator i of grp = sum_j lift[j][i] * gens[j]
@@ -531,10 +531,30 @@ def member_coords(
     if s == 0:
         return [] if x.is_zero else None
     gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
-    rel = ambient.relation_columns()
-    aug = [gmat[i] + [c[i] for c in rel] for i in range(ambient.ngens)]
-    sol = _intmat.solve(aug, list(x.coords))
+    sol = _intmat.solve(_with_relations(ambient, gmat), list(x.coords))
     return None if sol is None else sol[:s]
+
+
+def hom_from_images(
+    source: FinAbGroup,
+    gens: Sequence[GroupElement],
+    images: Sequence[GroupElement],
+    target: FinAbGroup,
+) -> AbHom:
+    """The homomorphism source -> target sending gens[k] to images[k].
+
+    gens must generate source (AssertionError otherwise); the images are
+    trusted to satisfy every relation among gens.
+    """
+    cols = []
+    for t in source.gens():
+        coeff = member_coords(source, gens, t)
+        assert coeff is not None, "the family does not generate the source"
+        acc = target.zero()
+        for c, img in zip(coeff, images):
+            acc = acc + c * img
+        cols.append(acc)
+    return AbHom.from_columns(source, target, cols)
 
 
 def subgroup_contains(

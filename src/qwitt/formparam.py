@@ -24,6 +24,7 @@ from .abelian import (
     FinAbGroup,
     GroupElement,
     cokernel_presentation,
+    hom_from_images,
     split_off_cyclic,
     split_off_free,
     split_off_hom_summand,
@@ -381,17 +382,9 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
         comp, incl = subgroup(sp, rest)
         comp_gens = incl.columns()
         # slice iso f: SP -> SQ0 + comp in the basis (g0, comp_gens)
-        basis = [g0] + comp_gens
         sq0, _ = linearisation(q0)
         tgt = FinAbGroup(sq0.orders + comp.orders)
-        slice_cols = []
-        from .abelian import member_coords
-
-        for gen in sp.gens():
-            coeff = member_coords(sp, basis, gen)
-            assert coeff is not None
-            slice_cols.append(tgt.element(coeff))
-        f = AbHom.from_columns(sp, tgt, slice_cols)
+        f = hom_from_images(sp, [g0] + comp_gens, tgt.gens(), tgt)
         target = split_sum(q0, comp)
         glue = _glue_linearisation(q0, comp, target)
         iso = morphism_from_slice(p, target, glue.compose(f))
@@ -455,16 +448,11 @@ def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
         kind, k = "ZL_k", order.bit_length() - 1
         q0 = standard("ZL_k", k)
     comp, incl = subgroup(a, rest)
-    basis = [h0] + incl.columns()
     target = split_sum(q0, comp)
-    from .abelian import member_coords
-
-    cols = []
-    for gen in a.gens():
-        coeff = member_coords(a, basis, gen)
-        assert coeff is not None
-        cols.append(target.carrier.element(coeff))
-    iso = FPMorphism(p, target, AbHom.from_columns(a, target.carrier, cols))
+    carrier_map = hom_from_images(
+        a, [h0] + incl.columns(), target.carrier.gens(), target.carrier
+    )
+    iso = FPMorphism(p, target, carrier_map)
     return MaximalSplitting(kind, k, q0, comp, iso)
 
 
@@ -523,12 +511,7 @@ def eql(p: FormParameter) -> FPMorphism:
 
 def initial_morphism(q: FormParameter) -> FPMorphism:
     """The unique morphism from Q_eps (eps = symmetry of q)."""
-    if q.is_symmetric:
-        src = standard("Q+")
-        return FPMorphism(
-            src, q, AbHom.from_columns(src.carrier, q.carrier, [q.p_one])
-        )
-    src = standard("Q-")
+    src = standard("Q+" if q.is_symmetric else "Q-")
     return FPMorphism(
         src, q, AbHom.from_columns(src.carrier, q.carrier, [q.p_one])
     )

@@ -650,9 +650,8 @@ def _saturate_if_needed(
         return None
     if all(s.d[i][i] == 1 for i in range(len(vecs))):
         return vecs
-    uinv = _intmat.unimodular_inverse(s.u)
     sat = [
-        [uinv[i][j] for i in range(f.rank)] for j in range(len(vecs))
+        [s.uinv[i][j] for i in range(f.rank)] for j in range(len(vecs))
     ]
     if all(mu_eval(f, v).is_zero for v in sat) and lagrangian_verify(f, sat):
         return sat

@@ -23,9 +23,9 @@ from .abelian import (
     FinAbGroup,
     GroupElement,
     direct_sum,
-    kernel,
+    hom_from_images,
+    is_kernel,
     quotient_with_lift,
-    subgroup_equal,
     tensor_with_generators,
 )
 from .formparam import FormParameter, FPMorphism, linearisation
@@ -88,6 +88,18 @@ class TensorPresentation:
         for idx, c in coeffs.items():
             acc = acc + c * self.basis_map[idx]
         return TensorElement(self, acc)
+
+    def hom(self, images: Sequence[GroupElement], target: FinAbGroup) -> AbHom:
+        """The homomorphism group -> target sending abstract symbol a to
+        images[a]; the images are trusted to satisfy the relations."""
+        cols = []
+        for t in range(self.group.ngens):
+            acc = target.zero()
+            for a, c in enumerate(self.section[t]):
+                if c:
+                    acc = acc + c * images[a]
+            cols.append(acc)
+        return AbHom.from_columns(self.group, target, cols)
 
     def lift(self, value: "TensorElement") -> List[int]:
         """An integer combination of abstract symbols mapping to value."""
@@ -284,16 +296,9 @@ def induced_map(f: AbHom, alpha: FPMorphism) -> AbHom:
     pres = present(f.source, alpha.source)
     pres2 = present(f.target, alpha.target)
     sym_images = [
-        _image_of_symbol(pres, pres2, f, alpha, s) for s in pres.symbols
+        _image_of_symbol(pres, pres2, f, alpha, s).value for s in pres.symbols
     ]
-    cols = []
-    for t in range(pres.group.ngens):
-        acc = pres2.group.zero()
-        for a, c in enumerate(pres.section[t]):
-            if c:
-                acc = acc + c * sym_images[a].value
-        cols.append(acc)
-    return AbHom.from_columns(pres.group, pres2.group, cols)
+    return pres.hom(sym_images, pres2.group)
 
 
 # -- exact sequence / square checks ------------------------------------------
@@ -305,20 +310,13 @@ def _plain_tensor_map(
     """f (x) g between ordinary tensor products with generator bookkeeping."""
     (src_grp, src_gen) = src_pair
     (dst_grp, dst_gen) = dst_pair
-    cols = {}
-    a, b = f.source, g.source
-    out_cols = []
-    for t in range(src_grp.ngens):
-        out_cols.append(None)
-    # express each canonical generator of the source tensor via pair symbols
-    # by construction, pair symbols generate; build images of pair symbols
-    img_of_pair = [
-        [None] * g.source.ngens for _ in range(f.source.ngens)
-    ]
-    for i in range(f.source.ngens):
-        fi = f(a.gen(i))
-        for j in range(g.source.ngens):
-            gj = g(b.gen(j))
+    # the pair symbols a_i (x) b_j generate the source; map each to f (x) g
+    flat_syms = []
+    flat_imgs = []
+    for i, a_i in enumerate(f.source.gens()):
+        fi = f(a_i)
+        for j, b_j in enumerate(g.source.gens()):
+            gj = g(b_j)
             acc = dst_grp.zero()
             for i2, c1 in enumerate(fi.coords):
                 if not c1:
@@ -327,28 +325,9 @@ def _plain_tensor_map(
                     if not c2:
                         continue
                     acc = acc + (c1 * c2) * dst_gen[i2][j2]
-            img_of_pair[i][j] = acc
-    from .abelian import member_coords
-
-    flat_syms = [
-        src_gen[i][j]
-        for i in range(f.source.ngens)
-        for j in range(g.source.ngens)
-    ]
-    flat_imgs = [
-        img_of_pair[i][j]
-        for i in range(f.source.ngens)
-        for j in range(g.source.ngens)
-    ]
-    cols = []
-    for t in src_grp.gens():
-        coeff = member_coords(src_grp, flat_syms, t)
-        assert coeff is not None
-        acc = dst_grp.zero()
-        for c, img in zip(coeff, flat_imgs):
-            acc = acc + c * img
-        cols.append(acc)
-    return AbHom.from_columns(src_grp, dst_grp, cols)
+            flat_syms.append(src_gen[i][j])
+            flat_imgs.append(acc)
+    return hom_from_images(src_grp, flat_syms, flat_imgs, dst_grp)
 
 
 def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
@@ -365,60 +344,35 @@ def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
             for t, c in enumerate(pi_e.coords):
                 acc = acc + c * sq_gen[i][t]
             sym_images.append(acc)
-    cols = []
-    for t in range(pres.group.ngens):
-        acc = sq_grp.zero()
-        for a, c in enumerate(pres.section[t]):
-            acc = acc + c * sym_images[a]
-        cols.append(acc)
-    return AbHom.from_columns(pres.group, sq_grp, cols)
+    return pres.hom(sym_images, sq_grp)
 
 
 def _from_plain_tensor(pair, pres: TensorPresentation) -> AbHom:
     """G (x) Q_e -> G (x) Q on the simple symbols."""
     grp, gen = pair
-    from .abelian import member_coords
-
     flat_syms = []
     flat_imgs = []
     for i in range(pres.g.ngens):
         for j in range(pres.q.carrier.ngens):
             flat_syms.append(gen[i][j])
             flat_imgs.append(pres.basis_map[pres.index("s", i, j)])
-    cols = []
-    for t in grp.gens():
-        coeff = member_coords(grp, flat_syms, t)
-        assert coeff is not None
-        acc = pres.group.zero()
-        for c, img in zip(coeff, flat_imgs):
-            acc = acc + c * img
-        cols.append(acc)
-    return AbHom.from_columns(grp, pres.group, cols)
+    return hom_from_images(grp, flat_syms, flat_imgs, pres.group)
 
 
-def _hom_pair_into_sum(f1: AbHom, f2: AbHom):
+def _hom_pair_into_sum(f1: AbHom, f2: AbHom) -> AbHom:
     """(x -> (f1(x), f2(x))) into the direct sum of the targets."""
     tgt = direct_sum(f1.target, f2.target)
     rows = [list(r) for r in f1.matrix] + [list(r) for r in f2.matrix]
-    return AbHom(f1.source, tgt, rows, check=False), tgt
+    return AbHom(f1.source, tgt, rows, check=False)
 
 
-def _sum_of_homs(f1: AbHom, f2: AbHom):
+def _sum_of_homs(f1: AbHom, f2: AbHom) -> AbHom:
     """((x, y) -> f1(x) + f2(y)) out of the direct sum of the sources."""
     src = direct_sum(f1.source, f2.source)
     rows = [
         list(r1) + list(r2) for r1, r2 in zip(f1.matrix, f2.matrix)
     ]
-    return AbHom(src, f1.target, rows, check=False), src
-
-
-def _exact_at(fin: AbHom, fout: AbHom) -> bool:
-    """Whether image(fin) equals kernel(fout) inside the middle group."""
-    if fin.target != fout.source:
-        raise ValueError("maps are not composable at the middle group")
-    img = fin.columns()
-    _, kincl = kernel(fout)
-    return subgroup_equal(fin.target, img, kincl.columns())
+    return AbHom(src, f1.target, rows, check=False)
 
 
 def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
@@ -440,7 +394,6 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
     pres = present(g, q)
     report = {"symmetric": q.is_symmetric, "group": pres.group.orders}
     if q.is_symmetric:
-        s2 = present(g, standard("Q+"))
         gamma_pres = present(g, standard("Q^+"))
         sq, _ = linearisation(q)
         gsq = tensor_with_generators(g, sq)
@@ -448,7 +401,7 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
         j1 = induced_map(AbHom.identity(g), initial_morphism(q))
         pi1 = _to_linear_tensor(pres, gsq)
         report["row_exact_left"] = j1.is_injective()
-        report["row_exact_middle"] = _exact_at(j1, pi1)
+        report["row_exact_middle"] = is_kernel(pi1, j1.columns())
         report["row_exact_right"] = pi1.is_surjective()
         # comparison square
         to_gamma = induced_map(AbHom.identity(g), terminal_morphism(q))
@@ -458,21 +411,19 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
         comm = sq_to_z2.compose(pi1).matrix == pi2.compose(to_gamma).matrix
         report["square_commutes"] = comm
         # pullback: (to_gamma, pi1) is injective onto the fiber product
-        cmp_map, prod = _hom_pair_into_sum(to_gamma, pi1)
-        diff, _ = _sum_of_homs(pi2, _negate_hom(sq_to_z2))
-        _, fib_incl = kernel(diff)
-        report["square_pullback"] = cmp_map.is_injective() and subgroup_equal(
-            prod, cmp_map.columns(), fib_incl.columns()
+        cmp_map = _hom_pair_into_sum(to_gamma, pi1)
+        diff = _sum_of_homs(pi2, _negate_hom(sq_to_z2))
+        report["square_pullback"] = cmp_map.is_injective() and is_kernel(
+            diff, cmp_map.columns()
         )
     else:
         qe_pair = tensor_with_generators(g, q.carrier)
-        lam_pres = present(g, standard("Q^-"))
         lam1_pres = present(g, standard("Q-"))
         gz2 = tensor_with_generators(g, FinAbGroup((2,)))
         inc = _from_plain_tensor(qe_pair, pres)
         to_lam = induced_map(AbHom.identity(g), terminal_morphism(q))
         report["row_exact_left"] = inc.is_injective()
-        report["row_exact_middle"] = _exact_at(inc, to_lam)
+        report["row_exact_middle"] = is_kernel(to_lam, inc.columns())
         report["row_exact_right"] = to_lam.is_surjective()
         # pushout square: G(x)Z2 -> Lambda1(G), G(x)Z2 -> G(x)Q_e
         top = _from_plain_tensor(
@@ -487,10 +438,10 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
             right.compose(top).matrix == inc.compose(left).matrix
         )
         report["square_commutes"] = comm
-        push, src = _sum_of_homs(right, inc)
-        glue, _ = _hom_pair_into_sum(top, _negate_hom(left))
-        report["square_pushout"] = push.is_surjective() and _exact_at(
-            glue, push
+        push = _sum_of_homs(right, inc)
+        glue = _hom_pair_into_sum(top, _negate_hom(left))
+        report["square_pushout"] = push.is_surjective() and is_kernel(
+            push, glue.columns()
         )
     report["ok"] = all(
         bool(v) for k, v in report.items() if k.startswith(("row", "square"))

@@ -24,9 +24,11 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
+    _torsion_elements,
     cokernel_presentation,
+    hom_from_images,
+    is_kernel,
     kernel,
-    member_coords,
     subgroup,
     subgroup_contains,
     subgroup_equal,
@@ -190,9 +192,8 @@ def _symplectic_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[List[int], Lis
         # singular): U C V = D gives the basis d_j * (column j of U^-1)
         cands = [project(w) for w in rem[1:]]
         s = _intmat.SNF([[w[i] for w in cands] for i in range(n)])
-        uinv = _intmat.unimodular_inverse(s.u)
         rem = [
-            [s.d[j][j] * uinv[i][j] for i in range(n)] for j in range(s.rank)
+            [s.d[j][j] * s.uinv[i][j] for i in range(n)] for j in range(s.rank)
         ]
     return pairs
 
@@ -730,35 +731,13 @@ def _slice_kind(v: SliceHom) -> Tuple[str, int]:
         return "0", 0
     torsion = [
         x
-        for x in _small_torsion_elements(v.domain)
+        for x in _torsion_elements(v.domain)
         if v(x) == 1
     ]
     if torsion:
         m = min(x.order() for x in torsion)
         return "1_k", m.bit_length() - 1
     return "1_inf", 0
-
-
-def _small_torsion_elements(a: FinAbGroup):
-    idx = [i for i, n in enumerate(a.orders) if n]
-    total = 1
-    for i in idx:
-        total *= a.orders[i]
-    if total > 1 << 20:
-        raise ValueError("torsion subgroup too large")
-    out = []
-    coords = [0] * len(idx)
-    for _ in range(total):
-        full = [0] * a.ngens
-        for pos, i in enumerate(idx):
-            full[i] = coords[pos]
-        out.append(a.element(full))
-        for pos in range(len(idx)):
-            coords[pos] += 1
-            if coords[pos] < a.orders[idx[pos]]:
-                break
-            coords[pos] = 0
-    return out
 
 
 def sigma_diagram(v: SliceHom) -> dict:
@@ -820,24 +799,17 @@ def sigma_diagram(v: SliceHom) -> dict:
             out = out + az2_gen[j][0]
         return out
 
-    u_cols = []
-    for t in range(gam.ngens):
-        acc = az2.zero()
-        for idx, c in enumerate(pres.section[t]):
-            if c:
-                acc = acc + c * u_sym(pres.symbols[idx])
-        u_cols.append(acc)
-    u_v = AbHom.from_columns(gam, az2, u_cols)
+    u_images = [u_sym(sym) for sym in pres.symbols]
+    u_v = pres.hom(u_images, az2)
     report["u_well_defined"] = all(
-        u_v(pres.basis_map[idx]) == u_sym(pres.symbols[idx])
-        for idx in range(len(pres.symbols))
+        u_v(x) == img for x, img in zip(pres.basis_map, u_images)
     )
 
     # v_2 and its kernel
     v2 = _v2_hom(v, az2, az2_gen)
     ker_v2, ker_v2_incl = kernel(v2)
 
-    report["phi_is_kernel_of_u"] = _subgroup_is_kernel(gam, phi_gens, u_v)
+    report["phi_is_kernel_of_u"] = is_kernel(u_v, phi_gens)
     report["u_image_is_ker_v2"] = subgroup_equal(
         az2, u_v.columns(), ker_v2_incl.columns()
     )
@@ -882,9 +854,8 @@ def sigma_diagram(v: SliceHom) -> dict:
 
     cols = [iota_img] + [-qbar(gam.gen(t)) for t in range(gam.ngens)]
     row2 = AbHom.from_columns(amb, ups, cols)
-    _, row2_ker_incl = kernel(row2)
-    report["row2_exact"] = row2.is_surjective() and subgroup_equal(
-        amb, list(sig.generators), row2_ker_incl.columns()
+    report["row2_exact"] = row2.is_surjective() and is_kernel(
+        row2, sig.generators
     )
 
     # row 1: the same with Phi(v) in place of Gamma(A)
@@ -915,9 +886,8 @@ def sigma_diagram(v: SliceHom) -> dict:
         )
     report["sigma_inside_z_phi"] = ok_inside
     if ok_inside:
-        _, row1_ker_incl = kernel(row1)
-        report["row1_exact"] = row1.is_surjective() and subgroup_equal(
-            zphi, sigma_in_zphi, row1_ker_incl.columns()
+        report["row1_exact"] = row1.is_surjective() and is_kernel(
+            row1, sigma_in_zphi
         )
     else:
         report["row1_exact"] = False
@@ -965,20 +935,9 @@ def sigma_diagram(v: SliceHom) -> dict:
 def _v2_hom(v: SliceHom, az2: FinAbGroup, az2_gen) -> AbHom:
     """v (x) Id_Z2 : A (x) Z2 -> Z2 via the generator bookkeeping."""
     a = v.domain
-    z2 = FinAbGroup((2,))
     flat_syms = [az2_gen[i][0] for i in range(a.ngens)]
-    cols = []
-    for t in az2.gens():
-        coeff = member_coords(az2, flat_syms, t)
-        assert coeff is not None
-        val = sum(c * v(a.gen(i)) for i, c in enumerate(coeff))
-        cols.append(z2.element((val,)))
-    return AbHom.from_columns(az2, z2, cols)
-
-
-def _subgroup_is_kernel(amb: FinAbGroup, gens, hom: AbHom) -> bool:
-    _, kincl = kernel(hom)
-    return subgroup_equal(amb, list(gens), kincl.columns())
+    images = [v.v(x) for x in a.gens()]
+    return hom_from_images(az2, flat_syms, images, v.v.target)
 
 
 def _any_preimage(proj: AbHom, x: GroupElement) -> GroupElement:
@@ -995,9 +954,7 @@ def _exact_three(fin: AbHom, fmid: AbHom, right_incl: AbHom) -> bool:
     """0 -> A -> B -> C -> 0 exactness where C arrives as a subgroup."""
     if not fin.is_injective():
         return False
-    img = fin.columns()
-    _, kincl = kernel(fmid)
-    if not subgroup_equal(fin.target, img, kincl.columns()):
+    if not is_kernel(fmid, fin.columns()):
         return False
     return subgroup_equal(
         fmid.target, fmid.columns(), right_incl.columns()
@@ -1028,9 +985,8 @@ def lambda_diagram(v: CosliceHom) -> dict:
     xi, xi_proj = cokernel_presentation(l_gens, pres.group)
 
     # middle row is exact by construction; verify anyway
-    _, k_incl_t = kernel(lq.projection)
-    report["row_mid_exact"] = lq.projection.is_surjective() and subgroup_equal(
-        amb, list(lq.k_generators), k_incl_t.columns()
+    report["row_mid_exact"] = lq.projection.is_surjective() and is_kernel(
+        lq.projection, lq.k_generators
     )
 
     # bottom row: Z2 -> Z2 + Xi -> Lambda(v')
@@ -1046,9 +1002,8 @@ def lambda_diagram(v: CosliceHom) -> dict:
             lq.projection(amb.element((0,) + tuple(pre.coords)))
         )
     bot = AbHom.from_columns(z2xi, lq.group, bot_cols)
-    _, bot_ker = kernel(bot)
-    report["row_bot_exact"] = bot.is_surjective() and subgroup_equal(
-        z2xi, iota.columns(), bot_ker.columns()
+    report["row_bot_exact"] = bot.is_surjective() and is_kernel(
+        bot, iota.columns()
     )
 
     # left column: Coker(v'_2) -> K(v') -> Z2
@@ -1057,18 +1012,15 @@ def lambda_diagram(v: CosliceHom) -> dict:
     for i, c in enumerate(v1.coords):
         v2_img = v2_img + c * az2_gen[i][0]
     cok, cok_proj = cokernel_presentation([v2_img], az2)
-    uprime_cols = []
-    for t in range(cok.ngens):
-        pre = _any_preimage(cok_proj, cok.gen(t))
-        acc = pres.group.zero()
-        coeff = member_coords(
-            az2, [az2_gen[i][0] for i in range(a.ngens)], pre
-        )
-        assert coeff is not None
-        for i, c in enumerate(coeff):
-            acc = acc + c * e_of(a.gen(i))
-        uprime_cols.append(amb.element((0,) + tuple(acc.coords)))
-    uprime = AbHom.from_columns(cok, amb, uprime_cols)
+    e_hom = hom_from_images(
+        az2,
+        [az2_gen[i][0] for i in range(a.ngens)],
+        [amb.element((0,) + tuple(e_of(x).coords)) for x in a.gens()],
+        amb,
+    )
+    uprime = AbHom.from_columns(
+        cok, amb, [e_hom(x) for x in _preimages(cok_proj, cok)]
+    )
     # r: K -> Z2, first coordinate; build on K's canonical generators
     kgrp, kincl = subgroup(amb, list(lq.k_generators))
     z2 = FinAbGroup((2,))
@@ -1090,7 +1042,7 @@ def lambda_diagram(v: CosliceHom) -> dict:
         uk = AbHom.from_columns(cok, kgrp, uprime_in_k)
         report["col_left_exact"] = (
             uk.is_injective()
-            and _subgroup_is_kernel(kgrp, uk.columns(), r)
+            and is_kernel(r, uk.columns())
             and r.is_surjective()
         )
     else:

@@ -8,6 +8,8 @@ from qwitt.abelian import (
     AbHom,
     FinAbGroup,
     cokernel_presentation,
+    hom_from_images,
+    is_kernel,
     kernel,
     member_coords,
     split_off_cyclic,
@@ -193,6 +195,29 @@ def test_subgroup_membership():
     assert subgroup_equal(
         amb, gens, [amb.element((2, 1)), amb.element((4, 2))]
     )
+
+
+def test_hom_from_images():
+    z4, z8 = FinAbGroup((4,)), FinAbGroup((8,))
+    # 3 generates Z4; 3 -> 6 forces 1 = 3 * 3 -> 18 = 2
+    f = hom_from_images(z4, [z4.element((3,))], [z8.element((6,))], z8)
+    assert f.matrix == ((2,),)
+    # an overcomplete family: 1 = 3 - 2 in Z, so 2 -> 4, 3 -> 6 is x2
+    two, three = Z.element((2,)), Z.element((3,))
+    f = hom_from_images(Z, [two, three], [2 * two, 2 * three], Z)
+    assert f.matrix == ((2,),)
+    with pytest.raises(AssertionError):
+        hom_from_images(z4, [z4.element((2,))], [z8.element((4,))], z8)
+
+
+def test_is_kernel():
+    z4 = FinAbGroup((4,))
+    f = AbHom(z4, Z2, [[1]])
+    assert is_kernel(f, [z4.element((2,))])
+    assert is_kernel(f, [z4.element((2,)), z4.element((0,))])
+    assert not is_kernel(f, [z4.element((1,))])
+    assert not is_kernel(f, [])
+    assert is_kernel(AbHom.identity(z4), [])
 
 
 def test_split_off_hom_summand_examples():

@@ -284,6 +284,25 @@ def test_induced_map_examples():
     assert f.matrix == AbHom.identity(f.source).matrix
 
 
+def test_presentation_hom_of_symbol_images():
+    g, h = FinAbGroup((4, 0)), FinAbGroup((2, 0))
+    f = AbHom(g, h, [[1, 1], [0, 3]])
+    alpha = standard_morphism("ZP_3", "ZP_2", 1)
+    pres, pres2 = present(g, alpha.source), present(h, alpha.target)
+    images = []
+    for kind, i, j in pres.symbols:
+        if kind == "s":
+            sym = Simple(f(g.gen(i)), alpha(alpha.source.carrier.gen(j)))
+        else:
+            sym = Bracket(f(g.gen(i)), f(g.gen(j)), 1)
+        images.append(reduce_symbol(pres2, sym).value)
+    hom = pres.hom(images, pres2.group)
+    assert hom == induced_map(f, alpha)
+    assert all(hom(x) == y for x, y in zip(pres.basis_map, images))
+    ident = pres.hom(list(pres.basis_map), pres.group)
+    assert ident == AbHom.identity(pres.group)
+
+
 def test_induced_map_functorial():
     rng = random.Random(33)
     g = FinAbGroup((4,))
