@@ -29,9 +29,11 @@ __all__ = [
     "TRIVIAL",
     "cokernel_presentation",
     "hom_from_images",
+    "hom_pair",
+    "hom_sum",
     "is_kernel",
     "kernel",
-    "image",
+    "kernel_generators",
     "subgroup",
     "subgroup_equal",
     "tensor",
@@ -120,13 +122,6 @@ class FinAbGroup:
             factors.append(d)
         factors.sort()
         return tuple(factors) + (0,) * self.free_rank
-
-    def canonical(self) -> "FinAbGroup":
-        return FinAbGroup(self.canonical_orders())
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.orders == self.canonical_orders()
 
     def is_isomorphic(self, other: "FinAbGroup") -> bool:
         return self.canonical_orders() == other.canonical_orders()
@@ -350,8 +345,7 @@ class AbHom:
         return g.is_trivial
 
     def is_injective(self) -> bool:
-        k, _ = kernel(self)
-        return k.is_trivial
+        return all(k.is_zero for k in kernel_generators(self))
 
     def is_isomorphism(self) -> bool:
         return self.is_surjective() and self.is_injective()
@@ -368,6 +362,14 @@ class AbHom:
             if inv(self(g)) != g:
                 raise ValueError("not invertible")
         return inv
+
+    def __neg__(self) -> "AbHom":
+        return AbHom(
+            self.source,
+            self.target,
+            [[-x for x in r] for r in self.matrix],
+            check=False,
+        )
 
     def __repr__(self) -> str:
         return f"AbHom({self.source} -> {self.target}, {list(map(list, self.matrix))})"
@@ -387,17 +389,9 @@ class Splitting:
     def __post_init__(self):
         object.__setattr__(self, "summand_a", tuple(self.summand_a))
         object.__setattr__(self, "summand_b", tuple(self.summand_b))
-        ka, incl_a = subgroup(self.group, list(self.summand_a))
-        kb, incl_b = subgroup(self.group, list(self.summand_b))
-        joint = AbHom(
-            direct_sum(ka, kb),
-            self.group,
-            [
-                list(ra) + list(rb)
-                for ra, rb in zip(incl_a.matrix, incl_b.matrix)
-            ],
-            check=False,
-        )
+        _, incl_a = subgroup(self.group, list(self.summand_a))
+        _, incl_b = subgroup(self.group, list(self.summand_b))
+        joint = hom_sum(incl_a, incl_b)
         if not joint.is_injective():
             raise ValueError("the two summands intersect non-trivially")
         if not joint.is_surjective():
@@ -467,35 +461,40 @@ def cokernel_presentation(
 
 def quotient_with_lift(
     relations: Sequence[GroupElement], ambient: FinAbGroup
-) -> Tuple[FinAbGroup, AbHom, Matrix]:
-    """cokernel_presentation plus an integer lift of each quotient generator."""
+) -> Tuple[FinAbGroup, AbHom, List[GroupElement]]:
+    """cokernel_presentation plus a preimage in ambient of each quotient
+    generator."""
     for r in relations:
         if r.group != ambient:
             raise ValueError("relation outside the ambient group")
     cols = [list(r.coords) for r in relations] + ambient.relation_columns()
     group, proj, lift = _presentation_from_relations(ambient.ngens, cols)
     hom = AbHom(ambient, group, proj, check=False)
-    return group, hom, lift
+    lifts = [
+        ambient.element([row[t] for row in lift]) for t in range(group.ngens)
+    ]
+    return group, hom, lifts
+
+
+def kernel_generators(f: AbHom) -> List[GroupElement]:
+    """Generators of Ker(f), read off one kernel-basis SNF."""
+    a, b = f.source, f.target
+    if b.ngens == 0 or f.is_zero():
+        return a.gens()
+    ker = _intmat.kernel_basis(_with_relations(b, f.matrix))
+    return [a.element(v[: a.ngens]) for v in ker]
 
 
 def kernel(f: AbHom) -> Tuple[FinAbGroup, AbHom]:
-    """Kernel subgroup with its inclusion into the source."""
-    a, b = f.source, f.target
-    if b.ngens == 0 or f.is_zero():
-        return a.canonical(), _canonical_iso(a)[1]
-    ker = _intmat.kernel_basis(_with_relations(b, f.matrix))
-    gens = [a.element(v[: a.ngens]) for v in ker]
-    return subgroup(a, gens)
+    """Kernel subgroup in canonical form with its inclusion into the source."""
+    return subgroup(f.source, kernel_generators(f))
 
 
 def is_kernel(f: AbHom, gens: Sequence[GroupElement]) -> bool:
     """Whether gens generate Ker(f) inside the source of f."""
-    _, incl = kernel(f)
-    return subgroup_equal(f.source, gens, incl.columns())
-
-
-def image(f: AbHom) -> Tuple[FinAbGroup, AbHom]:
-    return subgroup(f.target, f.columns())
+    return all(f(g).is_zero for g in gens) and all(
+        subgroup_contains(f.source, gens, k) for k in kernel_generators(f)
+    )
 
 
 def subgroup(
@@ -557,6 +556,18 @@ def hom_from_images(
     return AbHom.from_columns(source, target, cols)
 
 
+def hom_pair(f1: AbHom, f2: AbHom) -> AbHom:
+    """x -> (f1(x), f2(x)) into the direct sum of the targets."""
+    rows = list(f1.matrix) + list(f2.matrix)
+    return AbHom(f1.source, direct_sum(f1.target, f2.target), rows, check=False)
+
+
+def hom_sum(f1: AbHom, f2: AbHom) -> AbHom:
+    """(x, y) -> f1(x) + f2(y) out of the direct sum of the sources."""
+    rows = [r1 + r2 for r1, r2 in zip(f1.matrix, f2.matrix)]
+    return AbHom(direct_sum(f1.source, f2.source), f1.target, rows, check=False)
+
+
 def subgroup_contains(
     ambient: FinAbGroup, gens: Sequence[GroupElement], x: GroupElement
 ) -> bool:
@@ -571,11 +582,6 @@ def subgroup_equal(
     return all(subgroup_contains(ambient, gens_b, g) for g in gens_a) and all(
         subgroup_contains(ambient, gens_a, g) for g in gens_b
     )
-
-
-def _canonical_iso(group: FinAbGroup) -> Tuple[FinAbGroup, AbHom]:
-    """The canonical-form copy of group together with an iso from it."""
-    return subgroup(group, group.gens())
 
 
 def direct_sum(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
@@ -604,7 +610,7 @@ def tensor_with_generators(
             pairs.append((i, j))
     keep = [k for k, o in enumerate(orders) if o != 1]
     raw = FinAbGroup([orders[k] for k in keep])
-    canon, iso = _canonical_iso(raw)
+    canon, iso = subgroup(raw, raw.gens())
     to_canon = iso.inverse() if not raw.is_trivial else AbHom(raw, canon, [])
     genmap: List[List[GroupElement]] = [
         [canon.zero()] * h.ngens for _ in range(g.ngens)
@@ -673,11 +679,9 @@ def split_off_hom_summand(
     g = min(
         (x for x in candidates if x.order() == a), key=lambda x: x.coords
     )
-    quot, proj, lift = quotient_with_lift([g], group)
+    quot, _, lifts = quotient_with_lift([g], group)
     comp: List[GroupElement] = []
-    for i in range(quot.ngens):
-        r = quot.orders[i]
-        z = group.element([lift[j][i] for j in range(group.ngens)])
+    for r, z in zip(quot.orders, lifts):
         if r == 0:
             y = z if f(z).coords[0] == 0 else z + g
         else:
@@ -751,11 +755,9 @@ def split_off_cyclic(
         a += 1
         h = cand
     order_h = p ** (a + 1)
-    quot, proj, lift = quotient_with_lift([h], group)
+    quot, _, lifts = quotient_with_lift([h], group)
     comp: List[GroupElement] = []
-    for i in range(quot.ngens):
-        r = quot.orders[i]
-        z = group.element([lift[j][i] for j in range(group.ngens)])
+    for r, z in zip(quot.orders, lifts):
         if r:
             rz = r * z
             m = _dlog_in_cyclic(h, order_h, rz)

@@ -58,8 +58,6 @@ __all__ = [
     "standard_name",
 ]
 
-STANDARD_NAMES = ("Q+", "Q^+", "Q-", "Q^-", "ZP", "ZP_k", "ZL_k")
-
 
 @dataclass(frozen=True)
 class FormParameter:

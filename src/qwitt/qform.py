@@ -484,6 +484,23 @@ def _column_search(
     return rec(0), nodes, exhausted
 
 
+def _search_outcome(
+    witness: Optional[Tuple[Tuple[int, ...], ...]],
+    nodes: int,
+    exhausted: bool,
+    bound: int,
+    what: str,
+) -> SearchOutcome:
+    """The verdict of a _column_search: "found" with the witness, else
+    "unknown" because the whole box held no `what` or the budget ran out."""
+    if witness is not None:
+        return SearchOutcome("found", witness=witness, bound=bound, nodes=nodes)
+    reason = (
+        f"no {what} within the bound" if exhausted else "node budget exhausted"
+    )
+    return SearchOutcome("unknown", reason=reason, bound=bound, nodes=nodes)
+
+
 def isometry_verify(f: QForm, g: QForm, b: Sequence[Sequence[int]]) -> bool:
     """Whether b (columns = images of f's basis) is an isometry f -> g."""
     if f.parameter != g.parameter or f.rank != g.rank:
@@ -524,21 +541,13 @@ def isometry_search(
             return tuple(tuple(r) for r in mat)
         return None
 
-    witness, nodes_total, exhausted_all = _column_search(
+    witness, nodes, exhausted = _column_search(
         g, f.lambda_matrix, f.mu_basis, bound, node_budget, unimodular
     )
-    if witness is not None:
-        assert isometry_verify(f, g, witness)
-        return SearchOutcome(
-            "found", witness=witness, bound=bound, nodes=nodes_total
-        )
-    status = "unknown"
-    reason = (
-        "no isometry with matrix entries within the bound"
-        if exhausted_all
-        else "node budget exhausted"
+    assert witness is None or isometry_verify(f, g, witness)
+    return _search_outcome(
+        witness, nodes, exhausted, bound, "isometry with matrix entries"
     )
-    return SearchOutcome(status, reason=reason, bound=bound, nodes=nodes_total)
 
 
 def metabolic_search(
@@ -567,7 +576,7 @@ def metabolic_search(
         # non-zero, and lexicographically increasing bases only
         return any(vec) and (not basis or list(vec) > basis[-1])
 
-    found, nodes_total, exhausted_all = _column_search(
+    found, nodes, exhausted = _column_search(
         f,
         [[0] * k for _ in range(k)],
         [f.parameter.carrier.zero()] * k,
@@ -577,20 +586,11 @@ def metabolic_search(
         increasing,
         normalize=True,
     )
-    if found is not None:
-        assert lagrangian_verify(f, found)
-        return SearchOutcome(
-            "found",
-            witness=tuple(tuple(v) for v in found),
-            bound=bound,
-            nodes=nodes_total,
-        )
-    reason = (
-        "no lagrangian with coordinates within the bound"
-        if exhausted_all
-        else "node budget exhausted"
+    assert found is None or lagrangian_verify(f, found)
+    witness = None if found is None else tuple(tuple(v) for v in found)
+    return _search_outcome(
+        witness, nodes, exhausted, bound, "lagrangian with coordinates"
     )
-    return SearchOutcome("unknown", reason=reason, bound=bound, nodes=nodes_total)
 
 
 def _metabolic_obstruction(f: QForm) -> str:
@@ -678,14 +678,9 @@ def embedding_search(
     witness, nodes, exhausted = _column_search(
         target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, injective
     )
-    if witness is not None:
-        return SearchOutcome("found", witness=witness, bound=bound, nodes=nodes)
-    reason = (
-        "no embedding with coordinates within the bound"
-        if exhausted
-        else "node budget exhausted"
+    return _search_outcome(
+        witness, nodes, exhausted, bound, "embedding with coordinates"
     )
-    return SearchOutcome("unknown", reason=reason, bound=bound, nodes=nodes)
 
 
 def full_metabolic(q: FormParameter) -> QForm:

@@ -22,13 +22,22 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
-    direct_sum,
     hom_from_images,
+    hom_pair,
+    hom_sum,
     is_kernel,
     quotient_with_lift,
     tensor_with_generators,
 )
-from .formparam import FormParameter, FPMorphism, linearisation
+from .formparam import (
+    FormParameter,
+    FPMorphism,
+    initial_morphism,
+    linearisation,
+    quasi_wu,
+    standard,
+    terminal_morphism,
+)
 
 __all__ = [
     "TensorPresentation",
@@ -193,11 +202,9 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
             c[sym_index[("s", i, j)]] -= q.p_one.coords[j]
         rels.append(free.element(c))
 
-    group, proj, lift = quotient_with_lift(rels, free)
+    group, proj, lifts = quotient_with_lift(rels, free)
     basis_map = tuple(proj(free.gen(a)) for a in range(n_abs))
-    section = tuple(
-        tuple(lift[a][t] for a in range(n_abs)) for t in range(group.ngens)
-    )
+    section = tuple(z.coords for z in lifts)
     return TensorPresentation(
         g, q, group, tuple(symbols), basis_map, section
     )
@@ -359,22 +366,6 @@ def _from_plain_tensor(pair, pres: TensorPresentation) -> AbHom:
     return hom_from_images(grp, flat_syms, flat_imgs, pres.group)
 
 
-def _hom_pair_into_sum(f1: AbHom, f2: AbHom) -> AbHom:
-    """(x -> (f1(x), f2(x))) into the direct sum of the targets."""
-    tgt = direct_sum(f1.target, f2.target)
-    rows = [list(r) for r in f1.matrix] + [list(r) for r in f2.matrix]
-    return AbHom(f1.source, tgt, rows, check=False)
-
-
-def _sum_of_homs(f1: AbHom, f2: AbHom) -> AbHom:
-    """((x, y) -> f1(x) + f2(y)) out of the direct sum of the sources."""
-    src = direct_sum(f1.source, f2.source)
-    rows = [
-        list(r1) + list(r2) for r1, r2 in zip(f1.matrix, f2.matrix)
-    ]
-    return AbHom(src, f1.target, rows, check=False)
-
-
 def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
     """Verify the defining exact sequence and square for G (x) Q.
 
@@ -385,12 +376,6 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
 
     Any failure is a library bug; the report carries a witness key.
     """
-    from .formparam import (
-        initial_morphism,
-        standard,
-        terminal_morphism,
-    )
-
     pres = present(g, q)
     report = {"symmetric": q.is_symmetric, "group": pres.group.orders}
     if q.is_symmetric:
@@ -406,13 +391,14 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
         # comparison square
         to_gamma = induced_map(AbHom.identity(g), terminal_morphism(q))
         pi2 = _to_linear_tensor(gamma_pres, gz2)
-        v = quasi_wu_as_hom(q)
-        sq_to_z2 = _plain_tensor_map(gsq, gz2, AbHom.identity(g), v)
+        sq_to_z2 = _plain_tensor_map(
+            gsq, gz2, AbHom.identity(g), quasi_wu(q).v
+        )
         comm = sq_to_z2.compose(pi1).matrix == pi2.compose(to_gamma).matrix
         report["square_commutes"] = comm
         # pullback: (to_gamma, pi1) is injective onto the fiber product
-        cmp_map = _hom_pair_into_sum(to_gamma, pi1)
-        diff = _sum_of_homs(pi2, _negate_hom(sq_to_z2))
+        cmp_map = hom_pair(to_gamma, pi1)
+        diff = hom_sum(pi2, -sq_to_z2)
         report["square_pullback"] = cmp_map.is_injective() and is_kernel(
             diff, cmp_map.columns()
         )
@@ -438,8 +424,8 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
             right.compose(top).matrix == inc.compose(left).matrix
         )
         report["square_commutes"] = comm
-        push = _sum_of_homs(right, inc)
-        glue = _hom_pair_into_sum(top, _negate_hom(left))
+        push = hom_sum(right, inc)
+        glue = hom_pair(top, -left)
         report["square_pushout"] = push.is_surjective() and is_kernel(
             push, glue.columns()
         )
@@ -453,17 +439,3 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
             if k.startswith(("row", "square")) and not v
         }
     return report
-
-
-def _negate_hom(f: AbHom) -> AbHom:
-    return AbHom(
-        f.source, f.target, [[-x for x in r] for r in f.matrix], check=False
-    )
-
-
-def quasi_wu_as_hom(q: FormParameter) -> AbHom:
-    """v_Q as an AbHom SQ -> Z2 (symmetric parameters)."""
-    from .formparam import quasi_wu
-
-    v = quasi_wu(q)
-    return v.v

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import _intmat
 from .abelian import (
+    Z2,
     AbHom,
     FinAbGroup,
     GroupElement,
@@ -29,6 +30,8 @@ from .abelian import (
     hom_from_images,
     is_kernel,
     kernel,
+    kernel_generators,
+    quotient_with_lift,
     subgroup,
     subgroup_contains,
     subgroup_equal,
@@ -513,13 +516,20 @@ def witt_class(f: QForm) -> WittClass:
 
 @dataclass(frozen=True)
 class SigmaSubgroup:
-    """Sigma(v) inside Z + Gamma(A), with generators and canonical form."""
+    """Sigma(v) inside Z + Gamma(A), with generators and canonical form.
+
+    `base` is x0 (x) 1 in Gamma(A) for the chosen x0 with v(x0) = 1 (None
+    when v = 0) and `psi` generates Psi(v) inside Gamma(A); the generators
+    are (8, 0), (1, base) and (0, w) for w in psi.
+    """
 
     v: SliceHom
     ambient: FinAbGroup
     pres: TensorPresentation
     generators: Tuple[GroupElement, ...]
     group: FinAbGroup
+    base: Optional[GroupElement]
+    psi: Tuple[GroupElement, ...]
 
     def contains(self, x: GroupElement) -> bool:
         return subgroup_contains(self.ambient, list(self.generators), x)
@@ -543,31 +553,31 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
     def emb(n: int, t: GroupElement) -> GroupElement:
         return ambient.element((n,) + tuple(t.coords))
 
-    gens = [emb(8, pres.group.zero())]
-    ker, incl = kernel(v.v)
-    kgens = incl.columns()
     if v.is_zero:
-        for i, k1 in enumerate(a.gens()):
-            for k2 in a.gens()[i:]:
-                gens.append(
-                    emb(0, reduce_symbol(pres, Bracket(k1, k2, 1)).value)
-                )
+        base = None
+        kgens = a.gens()
+        psi = []
     else:
+        kgens = kernel(v.v)[1].columns()
         x0 = v.v.solve(v.v.target.element((1,)))
         assert x0 is not None
         one = pres.q.carrier.element((1,))
         base = reduce_symbol(pres, Simple(x0, one)).value
+        psi = [
+            reduce_symbol(pres, Simple(x0 + kg, one)).value - base
+            for kg in kgens
+        ]
+    for i, k1 in enumerate(kgens):
+        for k2 in kgens[i:]:
+            psi.append(reduce_symbol(pres, Bracket(k1, k2, 1)).value)
+    gens = [emb(8, pres.group.zero())]
+    if base is not None:
         gens.append(emb(1, base))
-        for kg in kgens:
-            shifted = reduce_symbol(pres, Simple(x0 + kg, one)).value
-            gens.append(emb(0, shifted - base))
-        for i, k1 in enumerate(kgens):
-            for k2 in kgens[i:]:
-                gens.append(
-                    emb(0, reduce_symbol(pres, Bracket(k1, k2, 1)).value)
-                )
+    gens += [emb(0, w) for w in psi]
     grp, _ = subgroup(ambient, gens)
-    return SigmaSubgroup(v, ambient, pres, tuple(gens), grp)
+    return SigmaSubgroup(
+        v, ambient, pres, tuple(gens), grp, base, tuple(psi)
+    )
 
 
 @dataclass(frozen=True)
@@ -579,11 +589,14 @@ class LambdaQuotient:
     pres: TensorPresentation
     k_generators: Tuple[GroupElement, ...]
     k_group: FinAbGroup
+    k_inclusion: AbHom
     group: FinAbGroup
     projection: AbHom
 
 
 def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
+    """Generators of K(v'): (1, [v'(1), v'(1)]) and (0, [x, x] + [x, v'(1)])
+    over the generators x of A."""
     a = v.codomain
     pres = _lambda1_presentation(a)
     ambient = FinAbGroup((2,) + pres.group.orders)
@@ -599,10 +612,10 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
             + reduce_symbol(pres, Bracket(x, v1, 1)).value
         )
         kgens.append(emb(0, e_x))
-    kgrp, _ = subgroup(ambient, kgens)
+    kgrp, kincl = subgroup(ambient, kgens)
     lam, proj = cokernel_presentation(kgens, ambient)
     return LambdaQuotient(
-        v, ambient, pres, tuple(kgens), kgrp, lam, proj
+        v, ambient, pres, tuple(kgens), kgrp, kincl, lam, proj
     )
 
 
@@ -750,38 +763,18 @@ def sigma_diagram(v: SliceHom) -> dict:
     of order two, else Z8.
     """
     a = v.domain
-    pres = _gamma_presentation(a)
+    sig = sigma_subgroup(v)
+    pres = sig.pres
     gam = pres.group
-    one = pres.q.carrier.element((1,))
-    ker, kincl = kernel(v.v)
-    kgens = kincl.columns()
-    x0 = None if v.is_zero else v.v.solve(v.v.target.element((1,)))
-
-    def sym_simple(x):
-        return reduce_symbol(pres, Simple(x, one)).value
-
-    def sym_bracket(x, y):
-        return reduce_symbol(pres, Bracket(x, y, 1)).value
-
-    phi_gens: List[GroupElement] = []
-    psi_gens: List[GroupElement] = []
-    if x0 is not None:
-        phi_gens.append(sym_simple(x0))
-        for kg in kgens:
-            val = sym_bracket(kg, x0) + sym_simple(kg)
-            phi_gens.append(val)
-            psi_gens.append(val)
-    for i, k1 in enumerate(kgens):
-        for k2 in kgens[i:]:
-            val = sym_bracket(k1, k2)
-            phi_gens.append(val)
-            psi_gens.append(val)
+    amb = sig.ambient
+    psi_gens = list(sig.psi)
+    phi_gens = psi_gens if v.is_zero else [sig.base] + psi_gens
 
     phi_grp, phi_incl = subgroup(gam, phi_gens)
     report: dict = {"v_zero": v.is_zero}
 
     # u_v on abstract symbols, then transported to canonical coordinates
-    az2, az2_gen = tensor_with_generators(a, FinAbGroup((2,)))
+    az2, az2_gen = tensor_with_generators(a, Z2)
 
     def u_sym(sym) -> GroupElement:
         kind, i, j = sym
@@ -806,37 +799,29 @@ def sigma_diagram(v: SliceHom) -> dict:
     )
 
     # v_2 and its kernel
-    v2 = _v2_hom(v, az2, az2_gen)
-    ker_v2, ker_v2_incl = kernel(v2)
+    ker_v2 = kernel_generators(_v2_hom(v, az2, az2_gen))
 
     report["phi_is_kernel_of_u"] = is_kernel(u_v, phi_gens)
-    report["u_image_is_ker_v2"] = subgroup_equal(
-        az2, u_v.columns(), ker_v2_incl.columns()
-    )
+    report["u_image_is_ker_v2"] = subgroup_equal(az2, u_v.columns(), ker_v2)
 
-    # C(v) and Upsilon(v)
+    # C(v) and Upsilon(v), with a preimage of each of their generators
     if v.is_zero:
         c_grp = FinAbGroup((8,))
-        ups_quot, ups_proj = cokernel_presentation(psi_gens, gam)
+        ups_quot, ups_proj, ups_lifts = quotient_with_lift(psi_gens, gam)
         ups = FinAbGroup((8,) + ups_quot.orders)
-        report["c_orders"] = c_grp.canonical_orders()
     else:
         psi_in_phi = []
         for w in psi_gens:
             coords = phi_incl.solve(w)
             assert coords is not None
             psi_in_phi.append(coords)
-        c_grp, c_proj = cokernel_presentation(psi_in_phi, phi_grp)
-        ups, ups_proj = cokernel_presentation(psi_gens, gam)
-        report["c_orders"] = c_grp.canonical_orders()
+        c_grp, c_proj, c_lifts = quotient_with_lift(psi_in_phi, phi_grp)
+        ups, ups_proj, ups_lifts = quotient_with_lift(psi_gens, gam)
+    report["c_orders"] = c_grp.canonical_orders()
     kind, kk = _slice_kind(v)
     report["slice_kind"] = f"{kind}{kk if kind == '1_k' else ''}"
     expected_c = (4,) if (kind == "1_k" and kk == 1) else (8,)
     report["c_matches_classification"] = report["c_orders"] == expected_c
-
-    # rows
-    sig = sigma_subgroup(v)
-    amb = sig.ambient
 
     # row 2: kernel of (iota - qbar): Z + Gamma -> Upsilon equals Sigma(v)
     if v.is_zero:
@@ -847,10 +832,8 @@ def sigma_diagram(v: SliceHom) -> dict:
             return ups.element((0,) + tuple(img.coords))
 
     else:
-        iota_img = ups_proj(sym_simple(x0))
-
-        def qbar(x: GroupElement) -> GroupElement:
-            return ups_proj(x)
+        iota_img = ups_proj(sig.base)
+        qbar = ups_proj
 
     cols = [iota_img] + [-qbar(gam.gen(t)) for t in range(gam.ngens)]
     row2 = AbHom.from_columns(amb, ups, cols)
@@ -864,10 +847,8 @@ def sigma_diagram(v: SliceHom) -> dict:
         c_of = lambda x: c_grp.element((0,))
         iota_c = c_grp.element((1,))
     else:
-        iota_c = c_proj(phi_incl.solve(sym_simple(x0)))
-
-        def c_of(x: GroupElement) -> GroupElement:
-            return c_proj(x)
+        iota_c = c_proj(phi_incl.solve(sig.base))
+        c_of = c_proj
 
     cols = [iota_c] + [
         -c_of(phi_grp.gen(t)) for t in range(phi_grp.ngens)
@@ -894,26 +875,14 @@ def sigma_diagram(v: SliceHom) -> dict:
 
     # right column: C(v) -> Upsilon(v) -> Ker(v_2) exact
     if v.is_zero:
-        c_to_ups_cols = [ups.element((1,) + (0,) * ups_quot.ngens)]
-        ut_cols = [az2.zero()] + [
-            u_v(_any_preimage(ups_proj, ups_quot.gen(t)))
-            for t in range(ups_quot.ngens)
-        ]
-        ut = AbHom.from_columns(ups, az2, ut_cols)
+        c_to_ups_cols = [iota_img]
+        ut_cols = [az2.zero()] + [u_v(z) for z in ups_lifts]
     else:
-        c_to_ups_cols = [
-            ups_proj(phi_incl(c_pre))
-            for c_pre in _preimages(c_proj, c_grp)
-        ]
-        ut_cols = [
-            u_v(_any_preimage(ups_proj, ups.gen(t)))
-            for t in range(ups.ngens)
-        ]
-        ut = AbHom.from_columns(ups, az2, ut_cols)
+        c_to_ups_cols = [ups_proj(phi_incl(z)) for z in c_lifts]
+        ut_cols = [u_v(z) for z in ups_lifts]
+    ut = AbHom.from_columns(ups, az2, ut_cols)
     c_to_ups = AbHom.from_columns(c_grp, ups, c_to_ups_cols)
-    report["col_right_exact"] = _exact_three(
-        c_to_ups, ut, ker_v2_incl
-    )
+    report["col_right_exact"] = _exact_three(c_to_ups, ut, ker_v2)
     report["ok"] = all(
         bool(val)
         for key, val in report.items()
@@ -940,25 +909,16 @@ def _v2_hom(v: SliceHom, az2: FinAbGroup, az2_gen) -> AbHom:
     return hom_from_images(az2, flat_syms, images, v.v.target)
 
 
-def _any_preimage(proj: AbHom, x: GroupElement) -> GroupElement:
-    pre = proj.solve(x)
-    assert pre is not None
-    return pre
-
-
-def _preimages(proj: AbHom, grp: FinAbGroup):
-    return [_any_preimage(proj, grp.gen(t)) for t in range(grp.ngens)]
-
-
-def _exact_three(fin: AbHom, fmid: AbHom, right_incl: AbHom) -> bool:
-    """0 -> A -> B -> C -> 0 exactness where C arrives as a subgroup."""
+def _exact_three(
+    fin: AbHom, fmid: AbHom, right_gens: Sequence[GroupElement]
+) -> bool:
+    """0 -> A -> B -> C -> 0 exactness where C arrives as generators of a
+    subgroup of the target of fmid."""
     if not fin.is_injective():
         return False
     if not is_kernel(fmid, fin.columns()):
         return False
-    return subgroup_equal(
-        fmid.target, fmid.columns(), right_incl.columns()
-    )
+    return subgroup_equal(fmid.target, fmid.columns(), right_gens)
 
 
 def lambda_diagram(v: CosliceHom) -> dict:
@@ -972,17 +932,14 @@ def lambda_diagram(v: CosliceHom) -> dict:
     lq = lambda_quotient(v)
     pres = lq.pres
     amb = lq.ambient
-    v1 = v.v_one
     report: dict = {"v_zero": v.is_zero}
 
-    def e_of(x: GroupElement) -> GroupElement:
-        return (
-            reduce_symbol(pres, Bracket(x, x, 1)).value
-            + reduce_symbol(pres, Bracket(x, v1, 1)).value
-        )
-
-    l_gens = [e_of(x) for x in a.gens()]
-    xi, xi_proj = cokernel_presentation(l_gens, pres.group)
+    # K(v') is generated by (1, [v'(1), v'(1)]) and the (0, e(x)) of
+    # lambda_quotient; Xi(v') = Lambda1(A) / <e(x)>
+    vv = pres.group.element(lq.k_generators[0].coords[1:])
+    e_gens = lq.k_generators[1:]
+    l_gens = [pres.group.element(k.coords[1:]) for k in e_gens]
+    xi, xi_proj, xi_lifts = quotient_with_lift(l_gens, pres.group)
 
     # middle row is exact by construction; verify anyway
     report["row_mid_exact"] = lq.projection.is_surjective() and is_kernel(
@@ -991,52 +948,35 @@ def lambda_diagram(v: CosliceHom) -> dict:
 
     # bottom row: Z2 -> Z2 + Xi -> Lambda(v')
     z2xi = FinAbGroup((2,) + xi.orders)
-    iota_img = z2xi.element(
-        (1,) + tuple(xi_proj(reduce_symbol(pres, Bracket(v1, v1, 1)).value).coords)
-    )
-    iota = AbHom.from_columns(FinAbGroup((2,)), z2xi, [iota_img])
+    iota_img = z2xi.element((1,) + tuple(xi_proj(vv).coords))
+    iota = AbHom.from_columns(Z2, z2xi, [iota_img])
     bot_cols = [lq.projection(amb.element((1,) + (0,) * pres.group.ngens))]
-    for t in range(xi.ngens):
-        pre = _any_preimage(xi_proj, xi.gen(t))
-        bot_cols.append(
-            lq.projection(amb.element((0,) + tuple(pre.coords)))
-        )
+    for z in xi_lifts:
+        bot_cols.append(lq.projection(amb.element((0,) + z.coords)))
     bot = AbHom.from_columns(z2xi, lq.group, bot_cols)
     report["row_bot_exact"] = bot.is_surjective() and is_kernel(
         bot, iota.columns()
     )
 
     # left column: Coker(v'_2) -> K(v') -> Z2
-    az2, az2_gen = tensor_with_generators(a, FinAbGroup((2,)))
+    az2, az2_gen = tensor_with_generators(a, Z2)
     v2_img = az2.zero()
-    for i, c in enumerate(v1.coords):
+    for i, c in enumerate(v.v_one.coords):
         v2_img = v2_img + c * az2_gen[i][0]
-    cok, cok_proj = cokernel_presentation([v2_img], az2)
+    cok, _, cok_lifts = quotient_with_lift([v2_img], az2)
     e_hom = hom_from_images(
-        az2,
-        [az2_gen[i][0] for i in range(a.ngens)],
-        [amb.element((0,) + tuple(e_of(x).coords)) for x in a.gens()],
-        amb,
+        az2, [az2_gen[i][0] for i in range(a.ngens)], e_gens, amb
     )
-    uprime = AbHom.from_columns(
-        cok, amb, [e_hom(x) for x in _preimages(cok_proj, cok)]
-    )
+    uprime = AbHom.from_columns(cok, amb, [e_hom(x) for x in cok_lifts])
     # r: K -> Z2, first coordinate; build on K's canonical generators
-    kgrp, kincl = subgroup(amb, list(lq.k_generators))
-    z2 = FinAbGroup((2,))
+    kgrp, kincl = lq.k_group, lq.k_inclusion
     r = AbHom.from_columns(
         kgrp,
-        z2,
-        [z2.element((kincl(g).coords[0],)) for g in kgrp.gens()],
+        Z2,
+        [Z2.element((kincl(g).coords[0],)) for g in kgrp.gens()],
     )
-    uprime_in_k = []
-    ok_inside = True
-    for t in range(cok.ngens):
-        val = kincl.solve(uprime(cok.gen(t)))
-        if val is None:
-            ok_inside = False
-            break
-        uprime_in_k.append(val)
+    uprime_in_k = [kincl.solve(x) for x in uprime.columns()]
+    ok_inside = all(x is not None for x in uprime_in_k)
     report["uprime_lands_in_k"] = ok_inside
     if ok_inside:
         uk = AbHom.from_columns(cok, kgrp, uprime_in_k)

@@ -11,6 +11,7 @@ from qwitt.abelian import (
     hom_from_images,
     is_kernel,
     kernel,
+    kernel_generators,
     member_coords,
     split_off_cyclic,
     split_off_free,
@@ -167,6 +168,9 @@ def test_kernel_cokernel_vs_enumeration():
         got = brute_subgroup_elements(a, incl.columns())
         assert got == expect
         assert (k.order() or 0) == len(expect)
+        assert brute_subgroup_elements(a, kernel_generators(f)) == expect
+        assert f.is_injective() == (len(expect) == 1)
+        assert is_kernel(f, incl.columns())
         # cokernel order check
         q, proj = cokernel_presentation(f.columns(), b)
         img = brute_subgroup_elements(b, f.columns())
@@ -350,6 +354,9 @@ def test_kernel_cokernel_enumeration_sweep():
             expect = brute_kernel_elements(f)
             assert (k.order() or 0) == len(expect)
             assert brute_subgroup_elements(g, incl.columns()) == expect
+            assert brute_subgroup_elements(g, kernel_generators(f)) == expect
+            assert f.is_injective() == (len(expect) == 1)
+            assert is_kernel(f, incl.columns())
             q, proj = cokernel_presentation(f.columns(), b)
             img = brute_subgroup_elements(b, f.columns())
             assert q.order() * len(img) == b.order()

@@ -1,0 +1,44 @@
+"""Static checks on the library sources."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qwitt"
+
+
+def unused_imports(source: str):
+    """(line, name) for each name a module imports but never reads; a name
+    listed in `__all__` counts as read."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+def test_unused_imports_detected():
+    src = "from a import b, c\nimport d.e\nb = 1\n__all__ = ['c']\n"
+    assert unused_imports(src) == [(1, "b"), (2, "d")]
+
+
+def test_no_unused_imports_in_library():
+    found = {
+        path.name: unused
+        for path in sorted(SRC.glob("*.py"))
+        if (unused := unused_imports(path.read_text()))
+    }
+    assert not found, found

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwitt.abelian import TRIVIAL, Z, AbHom, FinAbGroup, subgroup
 from qwitt.formparam import (
+    FormParameter,
     FPMorphism,
     linearisation,
     standard,
@@ -20,6 +21,7 @@ from qwitt.qtensor import (
     present,
     reduce_symbol,
 )
+from qwitt.sampling import random_form_parameter, random_group
 
 STANDARD = (
     [standard(n) for n in ("Q+", "Q^+", "Q-", "Q^-", "ZP")]
@@ -322,6 +324,25 @@ def test_check_sequences():
         for q in STANDARD:
             rep = check_sequences(g, q)
             assert rep["ok"], (orders, q, rep)
+
+
+def test_check_sequences_large_kernel():
+    # the kernel check of the middle row once took minutes in SNF
+    carrier = FinAbGroup((0, 2, 5, 0))
+    q = FormParameter(
+        carrier, AbHom(carrier, Z, [[1, 0, 0, 0]]), carrier.element((2, 1, 0, 0))
+    )
+    rep = check_sequences(FinAbGroup((4, 0)), q)
+    assert rep["ok"], rep
+
+
+def test_check_sequences_random_sweep():
+    rng = random.Random(0)
+    for _ in range(100):
+        g = random_group(rng, max_torsion=8, max_free=1)
+        q = random_form_parameter(rng, max_torsion=16, max_free=2)
+        rep = check_sequences(g, q)
+        assert rep["ok"], (g, q, rep)
 
 
 def all_canonical_orders(n):
