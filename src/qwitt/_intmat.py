@@ -101,6 +101,27 @@ class SNF:
         self.d = a
         self.rank = sum(1 for i in range(min(m, n)) if a[i][i] != 0)
 
+    def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
+        """One integer solution x of A @ x == rhs, or None, A being the
+        matrix this SNF was built from: one factorisation answers every
+        right-hand side."""
+        m, n = len(self.u), len(self.v)
+        if len(rhs) != m:
+            raise ValueError("dimension mismatch")
+        c = mat_vec(self.u, list(rhs))
+        z = [0] * n
+        for i in range(min(m, n)):
+            d = self.d[i][i]
+            if d == 0:
+                break
+            if c[i] % d:
+                return None
+            z[i] = c[i] // d
+        for i in range(self.rank, m):
+            if c[i] != 0:
+                return None
+        return mat_vec(self.v, z)
+
     # -- elementary operations, mirrored into the transforms ---------------
 
     def _swap_rows(self, a: Matrix, i: int, j: int) -> None:
@@ -215,23 +236,7 @@ def solve(
     mat: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[List[int]]:
     """One integer solution x of mat @ x == rhs, or None."""
-    m, n = shape(mat)
-    if len(rhs) != m:
-        raise ValueError("dimension mismatch")
-    s = SNF(mat)
-    c = mat_vec(s.u, list(rhs))
-    z = [0] * n
-    for i in range(min(m, n)):
-        d = s.d[i][i]
-        if d == 0:
-            break
-        if c[i] % d:
-            return None
-        z[i] = c[i] // d
-    for i in range(s.rank, m):
-        if c[i] != 0:
-            return None
-    return mat_vec(s.v, z)
+    return SNF(mat).solve(rhs)
 
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import _intmat
 from ._intmat import Matrix
@@ -327,15 +327,23 @@ class AbHom:
 
     def solve(self, y: GroupElement) -> Optional[GroupElement]:
         """Some x with self(x) == y, or None."""
-        if y.group != self.target:
-            raise ValueError("element not in the target group")
-        aug = _with_relations(self.target, self.matrix)
-        if self.target.ngens == 0:
-            return self.source.zero()
-        sol = _intmat.solve(aug, list(y.coords))
-        if sol is None:
-            return None
-        return self.source.element(sol[: self.source.ngens])
+        return self.solver()(y)
+
+    def solver(self) -> Callable[[GroupElement], Optional[GroupElement]]:
+        """`solve` for many right-hand sides, from one SNF."""
+        coords = _relation_solver(self.target, self.matrix)
+
+        def solve(y: GroupElement) -> Optional[GroupElement]:
+            if y.group != self.target:
+                raise ValueError("element not in the target group")
+            if self.target.ngens == 0:
+                return self.source.zero()
+            sol = coords(y.coords)
+            if sol is None:
+                return None
+            return self.source.element(sol[: self.source.ngens])
+
+        return solve
 
     def is_zero(self) -> bool:
         return all(not any(r) for r in self.matrix)
@@ -352,8 +360,9 @@ class AbHom:
 
     def inverse(self) -> "AbHom":
         cols = []
+        solve = self.solver()
         for t in self.target.gens():
-            x = self.solve(t)
+            x = solve(t)
             if x is None:
                 raise ValueError("not invertible")
             cols.append(x)
@@ -403,6 +412,23 @@ def _with_relations(group: FinAbGroup, mat: Sequence[Sequence[int]]) -> Matrix:
     group appended as columns."""
     rel = group.relation_columns()
     return [list(mat[i]) + [c[i] for c in rel] for i in range(group.ngens)]
+
+
+def _relation_solver(
+    group: FinAbGroup, mat: Sequence[Sequence[int]]
+) -> Callable[[Sequence[int]], Optional[List[int]]]:
+    """Coordinates y -> one integer x with _with_relations(group, mat) x == y,
+    or None.  The SNF is built at the first call and answers every later
+    one."""
+    snf = None
+
+    def solve(y: Sequence[int]) -> Optional[List[int]]:
+        nonlocal snf
+        if snf is None:
+            snf = _intmat.SNF(_with_relations(group, mat))
+        return snf.solve(y)
+
+    return solve
 
 
 def _presentation_from_relations(
@@ -492,9 +518,10 @@ def kernel(f: AbHom) -> Tuple[FinAbGroup, AbHom]:
 
 def is_kernel(f: AbHom, gens: Sequence[GroupElement]) -> bool:
     """Whether gens generate Ker(f) inside the source of f."""
-    return all(f(g).is_zero for g in gens) and all(
-        subgroup_contains(f.source, gens, k) for k in kernel_generators(f)
-    )
+    if not all(f(g).is_zero for g in gens):
+        return False
+    coords = member_solver(f.source, gens)
+    return all(coords(k) is not None for k in kernel_generators(f))
 
 
 def subgroup(
@@ -522,16 +549,29 @@ def subgroup(
     return grp, AbHom.from_columns(grp, ambient, cols)
 
 
+def member_solver(
+    ambient: FinAbGroup, gens: Sequence[GroupElement]
+) -> Callable[[GroupElement], Optional[List[int]]]:
+    """x -> coefficients expressing x in terms of gens inside ambient, or
+    None; one SNF answers every x."""
+    s = len(gens)
+    if s == 0:
+        return lambda x: [] if x.is_zero else None
+    gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
+    coords = _relation_solver(ambient, gmat)
+
+    def member(x: GroupElement) -> Optional[List[int]]:
+        sol = coords(x.coords)
+        return None if sol is None else sol[:s]
+
+    return member
+
+
 def member_coords(
     ambient: FinAbGroup, gens: Sequence[GroupElement], x: GroupElement
 ) -> Optional[List[int]]:
     """Coefficients expressing x in terms of gens inside ambient, or None."""
-    s = len(gens)
-    if s == 0:
-        return [] if x.is_zero else None
-    gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
-    sol = _intmat.solve(_with_relations(ambient, gmat), list(x.coords))
-    return None if sol is None else sol[:s]
+    return member_solver(ambient, gens)(x)
 
 
 def hom_from_images(
@@ -546,8 +586,9 @@ def hom_from_images(
     trusted to satisfy every relation among gens.
     """
     cols = []
+    coords = member_solver(source, gens)
     for t in source.gens():
-        coeff = member_coords(source, gens, t)
+        coeff = coords(t)
         assert coeff is not None, "the family does not generate the source"
         acc = target.zero()
         for c, img in zip(coeff, images):
@@ -579,8 +620,9 @@ def subgroup_equal(
     gens_a: Sequence[GroupElement],
     gens_b: Sequence[GroupElement],
 ) -> bool:
-    return all(subgroup_contains(ambient, gens_b, g) for g in gens_a) and all(
-        subgroup_contains(ambient, gens_a, g) for g in gens_b
+    in_b, in_a = member_solver(ambient, gens_b), member_solver(ambient, gens_a)
+    return all(in_b(g) is not None for g in gens_a) and all(
+        in_a(g) is not None for g in gens_b
     )
 
 

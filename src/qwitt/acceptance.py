@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 from math import gcd
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import qform as qf
 from . import witt
@@ -389,43 +389,45 @@ def _battery(p) -> List[qf.QForm]:
 
 def absorbing_oracle(
     f: qf.QForm, bound: int = 3, max_copies: int = 3, node_budget: int = 1_500_000
-) -> bool:
+) -> Optional[bool]:
     """Brute-force absorption test: every rank-2 metabolic battery form
     must embed into at most max_copies orthogonal copies of f, with all
     embedding coefficients bounded.
 
     A verified witness from the direct (x, -x, 0) construction counts when
     its entries respect the bound and it uses at most max_copies copies;
-    otherwise the bounded column search decides (budget-limited, so a
-    "no" is only as exhaustive as the node budget allows).
+    otherwise the bounded column searches decide.  Three-valued: True when
+    every battery form embeds; False when one does not, every search for
+    it having ended in a certified "no" or a complete box search; None when
+    neither holds because a search ran out of its node budget.
     """
+    limited = False
     for eta in _battery(f.parameter):
-        embedded = False
-        out = qf.embedding_search(eta, f, bound, node_budget)
-        if out.found:
-            embedded = True
-        if not embedded and max_copies >= 3:
+        outs = [qf.embedding_search(eta, f, bound, node_budget)]
+        if not outs[0].found and max_copies >= 3:
             emb = qf.try_rank2_embedding(f, eta, bound, node_budget)
             if emb is not None and all(
                 abs(x) <= bound for row in emb.matrix for x in row
             ):
-                embedded = True
-        if not embedded:
-            target = f
-            for _ in range(max_copies - 1):
-                target = qf.direct_sum(target, f)
-                out = qf.embedding_search(eta, target, bound, node_budget)
-                if out.found:
-                    embedded = True
-                    break
-        if not embedded:
+                continue
+        target = f
+        while not outs[-1].found and len(outs) < max_copies:
+            target = qf.direct_sum(target, f)
+            outs.append(qf.embedding_search(eta, target, bound, node_budget))
+        if outs[-1].found:
+            continue
+        if any(o.reason == qf.BUDGET_EXHAUSTED for o in outs):
+            limited = True
+        else:
             return False
-    return True
+    return None if limited else True
 
 
 def criterion_10_absorbing(rng) -> Tuple[bool, str]:
     """is_absorbing against the bounded brute-force embedding oracle, and
-    verified constructive embeddings for the absorbing forms."""
+    verified constructive embeddings for the absorbing forms.  A form the
+    oracle leaves budget-limited is counted apart and fails the criterion:
+    it never counts as agreement."""
     params = [
         standard("Q^+"),
         standard("Q-"),
@@ -434,19 +436,22 @@ def criterion_10_absorbing(rng) -> Tuple[bool, str]:
         standard("ZL_2"),
     ]
     bad = []
-    agreements = 0
+    forms = 0
+    limited = 0
     embeddings = 0
     i = 0
-    while agreements < 30:
+    while forms < 30:
         p = params[i % len(params)]
         i += 1
         f = random_nonsingular_form(rng, p, max_rank=4, scramble=False)
         if f.rank == 0:
             continue
+        forms += 1
         predicted = qf.is_absorbing(f)
         oracle = absorbing_oracle(f)
-        agreements += 1
-        if predicted != oracle:
+        if oracle is None:
+            limited += 1
+        elif predicted != oracle:
             bad.append(
                 f"disagreement on rank-{f.rank} form over {p.carrier}: "
                 f"predicate={predicted}, oracle={oracle}"
@@ -458,10 +463,13 @@ def criterion_10_absorbing(rng) -> Tuple[bool, str]:
                 if not qf.isometry_verify(eta, pulled, [[1, 0], [0, 1]]):
                     bad.append("absorb_embed pullback failed isometry_verify")
                 embeddings += 1
+    if limited:
+        bad.append(f"{limited} of {forms} forms left budget-limited by the oracle")
     return (
         not bad,
         "; ".join(bad[:3])
-        or f"30 forms agree with the oracle, {embeddings} embeddings verified",
+        or f"{forms} forms agree with the oracle (0 budget-limited), "
+        f"{embeddings} embeddings verified",
     )
 
 

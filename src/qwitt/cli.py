@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON (or plain table) out.
 
 Subcommands: classify, split, witt-class, witt-group, gw-group, tensor,
-induced-map, metabolic, isometric, absorbing, embed, verify-suite.
+induced-map, metabolic, isometric, absorbing, embed, embed-search,
+verify-suite.
 
 Exit codes: 0 success; 2 validation failure (the violated axiom is named);
 3 malformed payload; 4 internal invariant breach.
@@ -194,6 +195,17 @@ def cmd_embed(payload, args) -> dict:
     }
 
 
+def cmd_embed_search(payload, args) -> dict:
+    p = _param_of(payload)
+    f = parse_form(p, _require(payload, "form"))
+    eta = parse_form(p, _require(payload, "eta"))
+    out = qform.embedding_search(eta, f, bound=args.bound)
+    res = {"status": out.status, "reason": out.reason, "bound": args.bound}
+    if out.found:
+        res["matrix"] = [list(r) for r in out.witness]
+    return res
+
+
 def cmd_verify_suite(payload, args) -> dict:
     # imported here: the acceptance suite (and its samplers) is the one
     # verb that needs them, and the other verbs should not pay for them
@@ -223,6 +235,7 @@ COMMANDS = {
     "isometric": cmd_isometric,
     "absorbing": cmd_absorbing,
     "embed": cmd_embed,
+    "embed-search": cmd_embed_search,
     "verify-suite": cmd_verify_suite,
 }
 

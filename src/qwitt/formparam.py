@@ -276,8 +276,9 @@ def quasi_wu(q: FormParameter) -> Union[SliceHom, CosliceHom]:
     if q.is_symmetric:
         sq, proj = linearisation(q)
         cols = []
+        solve = proj.solver()
         for gen in sq.gens():
-            lift = proj.solve(gen)
+            lift = solve(gen)
             assert lift is not None
             cols.append(Z2.element((q.h_of(lift),)))
         return SliceHom(sq, AbHom.from_columns(sq, Z2, cols))
@@ -289,8 +290,9 @@ def S_of(alpha: FPMorphism) -> AbHom:
     sp, proj_p = linearisation(alpha.source)
     sq, proj_q = linearisation(alpha.target)
     cols = []
+    solve = proj_p.solver()
     for gen in sp.gens():
-        lift = proj_p.solve(gen)
+        lift = solve(gen)
         assert lift is not None
         cols.append(proj_q(alpha(lift)))
     return AbHom.from_columns(sp, sq, cols)
@@ -411,8 +413,9 @@ def _glue_linearisation(
     s_tgt, proj_t = linearisation(target)
     src = FinAbGroup(sq0.orders + comp.orders)
     cols = []
+    solve = proj0.solver()
     for gen in sq0.gens():
-        lift = proj0.solve(gen)
+        lift = solve(gen)
         assert lift is not None
         cols.append(
             proj_t(target.carrier.element(

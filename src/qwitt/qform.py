@@ -46,6 +46,8 @@ __all__ = [
 
 DEFAULT_BOUND = 3
 DEFAULT_NODE_BUDGET = 4_000_000
+# the reason of an "unknown" whose search stopped at its node budget
+BUDGET_EXHAUSTED = "node budget exhausted"
 
 _W = TypeVar("_W")
 
@@ -154,9 +156,14 @@ def _rank_of(mat: Sequence[Sequence[int]]) -> int:
 class SearchOutcome:
     """Three-valued verdict of a bounded search.
 
-    `nodes` counts the kernel's search-tree nodes.  No kernel call is made
-    after the node budget is spent, so it is at most node_budget + 1, and
-    "node budget exhausted" is the reason when a call stopped early.
+    A "no" always carries its certificate as the reason: an invariant
+    obstruction, or a column constraint that no integer vector satisfies
+    (found at the root, before any kernel call, so it costs 0 nodes).
+
+    `nodes` counts the kernel's search-tree nodes, one per value tried for
+    one coordinate.  No kernel call is made after the node budget is
+    spent, so it is at most node_budget + 1, and "node budget exhausted"
+    is the reason when a call stopped early.
     """
 
     status: str  # "found" | "no" | "unknown"
@@ -418,7 +425,7 @@ def _column_search(
     leaf: Callable[[List[List[int]]], Optional[_W]],
     keep: Optional[Callable[[Tuple[int, ...], List[List[int]]], bool]] = None,
     normalize: bool = False,
-) -> Tuple[Optional[_W], int, bool]:
+) -> Tuple[Optional[_W], int, bool, str]:
     """The backtracking driver behind every bounded search.
 
     Looks for columns c_0, ..., c_{k-1} of target with entries within
@@ -430,13 +437,20 @@ def _column_search(
     The square and mu constraints of each depth are built once, and the
     pair row M^t c of a column once, when the next column is searched for.
 
+    Root certificate: before any kernel call, each depth's own constraints
+    (lambda(x, x) and mu(x)) go through `search.unsolvable`, and a
+    non-zero lambda(x, x) on an alternating target is refused outright.
+    A depth that fails has no integer column at any bound, so the search
+    ends at 0 nodes with the reason, naming the depth and the constraint.
+
     Budget rule: each kernel call gets the nodes left of `node_budget`,
     and once a call reports that it stopped early no further call is made.
     The vectors that call did return are still tried, so a witness among
     them still reaches `leaf`, and the node count stays at most
     node_budget + 1.
 
-    Returns (witness or None, nodes, whether every call ran to the end).
+    Returns (witness or None, nodes, whether every call ran to the end,
+    the root certificate or "").
     """
     n, k = target.rank, len(mus)
     mt = _intmat.transpose(target.lambda_matrix)
@@ -444,10 +458,20 @@ def _column_search(
     fixed = []
     for d in range(k):
         square = _lambda_square_constraint(target, lam[d][d])
-        fixed.append(
-            None if square is None
-            else square + _mu_constraints(target, mus[d])
-        )
+        if square is None:
+            return None, 0, True, (
+                f"column {d}: lambda(x, x) = {lam[d][d]} has no solution on an "
+                "alternating form"
+            )
+        mu = _mu_constraints(target, mus[d])
+        for what, value, cons in (
+            ("lambda(x, x)", lam[d][d], square), ("mu(x)", mus[d], mu)
+        ):
+            if any(search.unsolvable(c) for c in cons):
+                return None, 0, True, (
+                    f"column {d}: {what} = {value} has no integer solution"
+                )
+        fixed.append(square + mu)
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
@@ -457,8 +481,6 @@ def _column_search(
         nonlocal nodes, exhausted
         if depth == k:
             return leaf(cols)
-        if fixed[depth] is None:
-            return None
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, cols[-1])]
         constraints = fixed[depth] + [
@@ -481,23 +503,27 @@ def _column_search(
                 return witness
         return None
 
-    return rec(0), nodes, exhausted
+    witness = rec(0)
+    rec = None  # break the closure's cycle: its lists go now, not at a gc
+    return witness, nodes, exhausted, ""
 
 
 def _search_outcome(
     witness: Optional[Tuple[Tuple[int, ...], ...]],
     nodes: int,
     exhausted: bool,
+    certificate: str,
     bound: int,
     what: str,
 ) -> SearchOutcome:
-    """The verdict of a _column_search: "found" with the witness, else
-    "unknown" because the whole box held no `what` or the budget ran out."""
+    """The verdict of a _column_search: "found" with the witness, "no" with
+    its root certificate, else "unknown" because the whole box held no
+    `what` or the budget ran out."""
     if witness is not None:
         return SearchOutcome("found", witness=witness, bound=bound, nodes=nodes)
-    reason = (
-        f"no {what} within the bound" if exhausted else "node budget exhausted"
-    )
+    if certificate:
+        return SearchOutcome("no", reason=certificate, bound=bound, nodes=nodes)
+    reason = f"no {what} within the bound" if exhausted else BUDGET_EXHAUSTED
     return SearchOutcome("unknown", reason=reason, bound=bound, nodes=nodes)
 
 
@@ -541,12 +567,13 @@ def isometry_search(
             return tuple(tuple(r) for r in mat)
         return None
 
-    witness, nodes, exhausted = _column_search(
+    witness, nodes, exhausted, certificate = _column_search(
         g, f.lambda_matrix, f.mu_basis, bound, node_budget, unimodular
     )
     assert witness is None or isometry_verify(f, g, witness)
     return _search_outcome(
-        witness, nodes, exhausted, bound, "isometry with matrix entries"
+        witness, nodes, exhausted, certificate, bound,
+        "isometry with matrix entries",
     )
 
 
@@ -576,7 +603,7 @@ def metabolic_search(
         # non-zero, and lexicographically increasing bases only
         return any(vec) and (not basis or list(vec) > basis[-1])
 
-    found, nodes, exhausted = _column_search(
+    found, nodes, exhausted, certificate = _column_search(
         f,
         [[0] * k for _ in range(k)],
         [f.parameter.carrier.zero()] * k,
@@ -589,7 +616,8 @@ def metabolic_search(
     assert found is None or lagrangian_verify(f, found)
     witness = None if found is None else tuple(tuple(v) for v in found)
     return _search_outcome(
-        witness, nodes, exhausted, bound, "lagrangian with coordinates"
+        witness, nodes, exhausted, certificate, bound,
+        "lagrangian with coordinates",
     )
 
 
@@ -675,11 +703,12 @@ def embedding_search(
             return tuple(tuple(r) for r in mat)
         return None
 
-    witness, nodes, exhausted = _column_search(
+    witness, nodes, exhausted, certificate = _column_search(
         target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, injective
     )
     return _search_outcome(
-        witness, nodes, exhausted, bound, "embedding with coordinates"
+        witness, nodes, exhausted, certificate, bound,
+        "embedding with coordinates",
     )
 
 

@@ -699,13 +699,14 @@ def induced_witt_map(alpha: FPMorphism) -> AbHom:
         e2 = es_witt_hom(p2)
         t_map = induced_map(S_of(alpha), FPMorphism.identity(standard("Q^+")))
         cols = []
+        solve = e2.solver()
         for j in range(d1.group.ngens):
             vec = e1(d1.group.gen(j))
             mapped = t_map(
                 t_map.source.element(vec.coords[1:])
             )
             target_vec = e2.target.element((vec.coords[0],) + mapped.coords)
-            w = e2.solve(target_vec)
+            w = solve(target_vec)
             if w is None:
                 raise AssertionError(
                     "image does not lie in the image of the symmetrisation"
@@ -716,8 +717,9 @@ def induced_witt_map(alpha: FPMorphism) -> AbHom:
     n2 = eql_witt_hom(p2)
     l_map = induced_map(alpha.map, FPMorphism.identity(standard("Q-")))
     cols = []
+    solve = n1.solver()
     for j in range(d1.group.ngens):
-        t = n1.solve(n1.target.element(d1.group.gen(j).coords))
+        t = solve(n1.target.element(d1.group.gen(j).coords))
         assert t is not None, "extended quadratic lift must be surjective"
         mapped = l_map(l_map.source.element(t.coords[1:]))
         t2 = n2.source.element((t.coords[0],) + mapped.coords)
@@ -771,6 +773,7 @@ def sigma_diagram(v: SliceHom) -> dict:
     phi_gens = psi_gens if v.is_zero else [sig.base] + psi_gens
 
     phi_grp, phi_incl = subgroup(gam, phi_gens)
+    in_phi = phi_incl.solver()
     report: dict = {"v_zero": v.is_zero}
 
     # u_v on abstract symbols, then transported to canonical coordinates
@@ -812,7 +815,7 @@ def sigma_diagram(v: SliceHom) -> dict:
     else:
         psi_in_phi = []
         for w in psi_gens:
-            coords = phi_incl.solve(w)
+            coords = in_phi(w)
             assert coords is not None
             psi_in_phi.append(coords)
         c_grp, c_proj, c_lifts = quotient_with_lift(psi_in_phi, phi_grp)
@@ -847,7 +850,7 @@ def sigma_diagram(v: SliceHom) -> dict:
         c_of = lambda x: c_grp.element((0,))
         iota_c = c_grp.element((1,))
     else:
-        iota_c = c_proj(phi_incl.solve(sig.base))
+        iota_c = c_proj(in_phi(sig.base))
         c_of = c_proj
 
     cols = [iota_c] + [
@@ -858,7 +861,7 @@ def sigma_diagram(v: SliceHom) -> dict:
     ok_inside = True
     for gen in sig.generators:
         gpart = gam.element(gen.coords[1:])
-        coords = phi_incl.solve(gpart)
+        coords = in_phi(gpart)
         if coords is None:
             ok_inside = False
             break
@@ -975,7 +978,8 @@ def lambda_diagram(v: CosliceHom) -> dict:
         Z2,
         [Z2.element((kincl(g).coords[0],)) for g in kgrp.gens()],
     )
-    uprime_in_k = [kincl.solve(x) for x in uprime.columns()]
+    in_k = kincl.solver()
+    uprime_in_k = [in_k(x) for x in uprime.columns()]
     ok_inside = all(x is not None for x in uprime_in_k)
     report["uprime_lands_in_k"] = ok_inside
     if ok_inside:

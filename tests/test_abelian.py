@@ -214,6 +214,30 @@ def test_hom_from_images():
         hom_from_images(z4, [z4.element((2,))], [z8.element((4,))], z8)
 
 
+def test_one_snf_per_matrix(monkeypatch):
+    from qwitt import _intmat
+
+    built = []
+    snf = _intmat.SNF
+
+    def counted(mat):
+        built.append(mat)
+        return snf(mat)
+
+    monkeypatch.setattr(_intmat, "SNF", counted)
+    g = FinAbGroup((4, 2, 0))
+    gens = [g.element((1, 1, 0)), g.element((0, 1, 0)), g.element((0, 0, 1)), g.element((2, 0, 3))]
+    hom_from_images(g, gens, gens, g)
+    assert len(built) == 1  # one SNF answers the three generators of g
+    built.clear()
+    AbHom.identity(g).inverse()
+    assert len(built) == 1
+    built.clear()
+    f = AbHom(FinAbGroup((4, 4)), Z2, [[1, 1]])
+    assert is_kernel(f, [f.source.element((1, 3)), f.source.element((2, 0))])
+    assert len(built) == 2  # the kernel basis, then one for every membership
+
+
 def test_is_kernel():
     z4 = FinAbGroup((4,))
     f = AbHom(z4, Z2, [[1]])

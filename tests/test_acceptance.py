@@ -17,7 +17,7 @@ BUDGETS = {
     "1 indecomposable Witt groups": 1.0,
     "2 quadratic tensor table": 10.0,
     "5 natural description": 60.0,
-    "10 absorbing forms": 300.0,
+    "10 absorbing forms": 30.0,
 }
 DEFAULT_BUDGET = 120.0
 
@@ -35,3 +35,19 @@ def test_criterion(name, fn, capsys):
     assert ok, f"criterion {name} failed: {detail}"
     budget = BUDGETS.get(name, DEFAULT_BUDGET)
     assert dt < budget, f"criterion {name} took {dt:.1f}s > {budget}s"
+
+
+def test_absorbing_oracle_is_three_valued():
+    import qwitt.qform as qf
+    from qwitt.acceptance import absorbing_oracle
+    from qwitt.formparam import standard
+
+    qp = standard("Q^+")
+    unit = qf.QForm(qp, [[1]], [qp.carrier.element((1,))])
+    # definite: no isotropic vector in up to three copies, by a complete
+    # box search; a budget that stops that search decides nothing
+    assert absorbing_oracle(unit) is False
+    assert absorbing_oracle(unit, node_budget=10) is None
+    indefinite = qf.direct_sum(unit, qf.negate(unit))
+    assert absorbing_oracle(indefinite) is True
+    assert absorbing_oracle(indefinite, node_budget=1) is None

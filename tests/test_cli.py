@@ -106,6 +106,23 @@ def test_embed(capsys):
     assert len(got["matrix"]) == 6 and got["copies"] == 3
 
 
+def test_embed_search(capsys):
+    payload = {
+        "param": {"name": "Q-", "sum": [3]},
+        "form": {"lambda": [[0, 1], [-1, 0]], "mu": [[0, 0], [0, 0]]},
+        "eta": {"lambda": [[0, 1], [-1, 0]], "mu": [[0, 0], [0, 1]]},
+    }
+    got = run_json(capsys, "embed-search", json.dumps(payload))
+    assert got == {
+        "status": "no",
+        "reason": "column 1: mu(x) = (0, 1) has no integer solution",
+        "bound": 3,
+    }
+    payload["eta"]["mu"] = [[0, 0], [0, 0]]
+    got = run_json(capsys, "embed-search", json.dumps(payload), "--bound", "1")
+    assert got["status"] == "found" and len(got["matrix"]) == 2
+
+
 def test_induced_map(capsys):
     payload = json.dumps(
         {

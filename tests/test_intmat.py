@@ -90,6 +90,21 @@ def test_solve_and_kernel():
             assert mat_vec(a, col) == [0] * m
 
 
+def test_one_snf_solves_many_right_hand_sides():
+    rng = random.Random(12)
+    for _ in range(40):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, m, n, -4, 4)
+        s = SNF(a)
+        for _ in range(5):
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            b = mat_vec(a, x)
+            assert s.solve(b) == solve(a, b)
+            assert mat_vec(a, s.solve(b)) == b
+            odd = [e + rng.randint(0, 2) for e in b]
+            assert s.solve(odd) == solve(a, odd)
+
+
 def test_solve_unsolvable():
     assert solve([[2]], [1]) is None
     assert solve([[2, 0], [0, 2]], [1, 0]) is None

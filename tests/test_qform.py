@@ -364,6 +364,38 @@ def test_embedding_search_passes_rank_deficient_tuples():
     qf.Embedding(zero, target, out.witness)
 
 
+def test_embedding_search_root_certificate():
+    # mu takes values in Z3 only through the summand's generator, which no
+    # vector of the hyperbolic target (mu = 0 on its basis) reaches
+    p = split_sum(QM, FinAbGroup((3,)))
+    target = qf.hyperbolic(p, 1)
+    eta = qf.QForm(p, [[0, 1], [-1, 0]], [p.carrier.zero(), p.carrier.element((0, 1))])
+    out = qf.embedding_search(eta, target, bound=3)
+    assert out.status == "no" and out.nodes == 0
+    assert out.reason == "column 1: mu(x) = (0, 1) has no integer solution"
+    # an odd square in an even lattice: lambda(x, x) = 1 fails mod 2
+    odd = qf.QForm(QP, [[0, 1], [1, 1]], [QP.carrier.zero(), QP.carrier.element((1,))])
+    out = qf.embedding_search(odd, qf.hyperbolic(QP, 2), bound=3)
+    assert out.status == "no" and out.nodes == 0
+    assert out.reason == "column 1: lambda(x, x) = 1 has no integer solution"
+    # the certificate holds at any bound: a larger box costs no node either
+    big = qf.embedding_search(odd, qf.hyperbolic(QP, 2), bound=50)
+    assert (big.status, big.reason, big.nodes) == (out.status, out.reason, 0)
+
+
+def test_root_certificate_alternating_square():
+    # lambda(x, x) = 2 asked of an alternating target: no vector at all
+    target = qf.hyperbolic(QM, 1)
+    found = qf._column_search(
+        target, [[2]], [QM.carrier.zero()], 3, 1000, lambda cols: cols
+    )
+    assert found == (
+        None, 0, True, "column 0: lambda(x, x) = 2 has no solution on an alternating form"
+    )
+    out = qf._search_outcome(None, 0, True, found[3], 3, "embedding")
+    assert out.status == "no" and out.reason == found[3] and out.nodes == 0
+
+
 # -- the search driver -----------------------------------------------------------
 
 
@@ -429,14 +461,16 @@ def _pinned_queries():
 
 
 # (status, reason, witness) of each _pinned_queries() search, recorded with
-# the per-search recursive drivers that the single driver replaced
+# the per-search recursive drivers that the single driver replaced; rows 5,
+# 17, 23, 26, 39 and 41 ("node budget exhausted" then) re-recorded when the
+# kernel began to prune congruences and the driver to certify "no" at the root
 PINNED = [
     ('no', 'odd rank', None),
     ('found', '', ((-2, 1), (-1, 1))),
     ('unknown', 'node budget exhausted', None),
     ('no', 'non-zero Witt class', None),
     ('found', '', ((-1, -2), (-1, -1))),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, -2), (-2, -2), (-1, -1), (0, -1))),
     ('found', '', ((0, 0, 0, 1), (0, 2, 1, -2))),
     ('unknown', 'node budget exhausted', None),
     ('unknown', 'no embedding with coordinates within the bound', None),
@@ -448,16 +482,16 @@ PINNED = [
     ('unknown', 'node budget exhausted', None),
     ('no', 'odd rank', None),
     ('found', '', ((-2, 1), (-1, 1))),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, -1), (1, 0), (-2, -1), (-2, -2))),
     ('found', '', ((0, 1),)),
     ('unknown', 'node budget exhausted', None),
     ('unknown', 'no embedding with coordinates within the bound', None),
     ('found', '', ((0, 0, 1, -2), (1, -2, -1, 2))),
     ('found', '', ((-1, -1), (-2, -1))),
-    ('unknown', 'node budget exhausted', None),
+    ('no', 'column 1: mu(x) = (0, 1) has no integer solution', None),
     ('found', '', ((0, 1),)),
     ('unknown', 'node budget exhausted', None),
-    ('unknown', 'node budget exhausted', None),
+    ('unknown', 'no embedding with coordinates within the bound', None),
     ('found', '', ((0, 1, -2, 0), (1, -2, 2, 0))),
     ('unknown', 'node budget exhausted', None),
     ('found', '', ((-2, -1), (-1, -1))),
@@ -470,9 +504,9 @@ PINNED = [
     ('unknown', 'node budget exhausted', None),
     ('unknown', 'node budget exhausted', None),
     ('found', '', ((-2, -2), (-2, 1), (-2, -1), (-1, -1))),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((0, 0, 1, 0), (1, 0, -2, 1))),
     ('found', '', ((-1, -1), (0, 1))),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-2, -1), (-1, -2), (-2, -1), (-1, -1))),
 ]
 
 

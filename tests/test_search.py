@@ -1,6 +1,6 @@
 import random
 
-from qwitt.search import search_vectors
+from qwitt.search import search_vectors, unsolvable
 
 
 def brute(n, constraints, bound, norm):
@@ -82,3 +82,74 @@ def test_zero_dimensional():
     # constant 1 != 0 means no solutions even in dimension zero
     assert search_vectors(0, [([], [], 1, 0)], 3, 10, 10, False)[0] == []
     assert search_vectors(0, [([], [], 4, 2)], 3, 10, 10, False)[0] == [()]
+
+
+def mu_style_constraint(rng, n):
+    """mu(x) == q over a cyclic carrier of order m, as the searches build it:
+    doubled to clear the binomial denominators, so the modulus is 2m."""
+    eps = rng.choice([1, -1])
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        mat[i][i] = rng.randint(-2, 2) if eps == 1 else 0
+        for j in range(i + 1, n):
+            mat[i][j] = rng.randint(-2, 2)
+            mat[j][i] = eps * mat[i][j]
+    m = rng.choice([0, 2, 3, 4])
+    pc = rng.randint(1, 3)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = pc * mat[i][i]
+        for j in range(i + 1, n):
+            a[i][j] = 2 * pc * mat[i][j]
+    l = [2 * rng.randint(-3, 3) - pc * mat[i][i] for i in range(n)]
+    return a, l, -2 * rng.randint(-3, 3), 2 * m
+
+
+def test_congruence_pruning_vs_brute_force():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cons = [mu_style_constraint(rng, n) for _ in range(rng.randint(1, 2))]
+        cons += random_constraints(rng, n)[:1]
+        b = rng.randint(1, 3 if n < 4 else 2)
+        norm = rng.random() < 0.5
+        got, _, exhausted = search_vectors(n, cons, b, 10**6, 10**7, norm)
+        assert exhausted
+        assert got == brute(n, cons, b, norm)
+
+
+def test_budget_limited_results_are_a_prefix():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        cons = [mu_style_constraint(rng, n)] + random_constraints(rng, n)
+        norm = rng.random() < 0.5
+        full, nodes, _ = search_vectors(n, cons, 2, 10**6, 10**7, norm)
+        for budget in (1, 5, 20, nodes // 2, nodes - 1):
+            got, used, exhausted = search_vectors(n, cons, 2, 10**6, budget, norm)
+            assert got == full[: len(got)]
+            assert used <= budget + 1
+            assert not exhausted or got == full
+
+
+def test_unsolvable_has_no_solution_in_a_box():
+    rng = random.Random(8)
+    rejected = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        a, l, c, m = rng.choice([mu_style_constraint(rng, n)] + random_constraints(rng, n, 1))
+        if rng.random() < 0.5:
+            # a common factor of every coefficient but the constant
+            k = rng.choice([2, 3])
+            a, l, m = [[k * e for e in r] for r in a], [k * e for e in l], k * m
+        con = (a, l, c, m)
+        if unsolvable(con):
+            rejected += 1
+            assert brute(n, [con], 4, False) == []
+            # the kernel ends such a search at the root
+            assert search_vectors(n, [con], 4, 10**6, 10**7) == ([], 0, True)
+    assert rejected >= 100
+    # 2x^2 + 4xy + 6y = 3 has no integer solution: the gcd is 2
+    assert unsolvable(([[2, 1], [3, 0]], [0, 6], -3, 0))
+    # but x^2 - 2 = 0 only fails by size, which the gcd rule cannot see
+    assert not unsolvable(([[1]], [0], -2, 0))
