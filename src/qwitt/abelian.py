@@ -23,7 +23,6 @@ __all__ = [
     "FinAbGroup",
     "GroupElement",
     "AbHom",
-    "Splitting",
     "Z",
     "Z2",
     "TRIVIAL",
@@ -300,7 +299,7 @@ class AbHom:
         if x.group != self.source:
             raise ValueError("element not in the source group")
         return self.target.element(
-            _intmat.mat_vec([list(r) for r in self.matrix], list(x.coords))
+            _intmat.mat_vec(self.matrix, x.coords)
         )
 
     def compose(self, other: "AbHom") -> "AbHom":
@@ -314,9 +313,7 @@ class AbHom:
         ):
             # empty matrices drop their dimensions; rebuild the zero map
             return AbHom.zero(other.source, self.target)
-        prod = _intmat.mat_mul(
-            [list(r) for r in self.matrix], [list(r) for r in other.matrix]
-        )
+        prod = _intmat.mat_mul(self.matrix, other.matrix)
         return AbHom(other.source, self.target, prod, check=False)
 
     def columns(self) -> List[GroupElement]:
@@ -382,29 +379,6 @@ class AbHom:
 
     def __repr__(self) -> str:
         return f"AbHom({self.source} -> {self.target}, {list(map(list, self.matrix))})"
-
-
-@dataclass(frozen=True)
-class Splitting:
-    """A direct-sum decomposition of a group into two generating families.
-
-    On construction it is verified that the union generates and that the
-    two spans meet trivially (rank/order bookkeeping through SNF)."""
-
-    group: FinAbGroup
-    summand_a: Tuple[GroupElement, ...]
-    summand_b: Tuple[GroupElement, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "summand_a", tuple(self.summand_a))
-        object.__setattr__(self, "summand_b", tuple(self.summand_b))
-        _, incl_a = subgroup(self.group, list(self.summand_a))
-        _, incl_b = subgroup(self.group, list(self.summand_b))
-        joint = hom_sum(incl_a, incl_b)
-        if not joint.is_injective():
-            raise ValueError("the two summands intersect non-trivially")
-        if not joint.is_surjective():
-            raise ValueError("the summands do not generate the group")
 
 
 def _with_relations(group: FinAbGroup, mat: Sequence[Sequence[int]]) -> Matrix:
@@ -609,12 +583,6 @@ def hom_sum(f1: AbHom, f2: AbHom) -> AbHom:
     return AbHom(direct_sum(f1.source, f2.source), f1.target, rows, check=False)
 
 
-def subgroup_contains(
-    ambient: FinAbGroup, gens: Sequence[GroupElement], x: GroupElement
-) -> bool:
-    return member_coords(ambient, gens, x) is not None
-
-
 def subgroup_equal(
     ambient: FinAbGroup,
     gens_a: Sequence[GroupElement],
@@ -633,7 +601,7 @@ def direct_sum(a: FinAbGroup, b: FinAbGroup) -> FinAbGroup:
 def tensor(g: FinAbGroup, h: FinAbGroup) -> FinAbGroup:
     """Canonical form of the (ordinary) tensor product."""
     grp, _ = tensor_with_generators(g, h)
-    return grp
+    return FinAbGroup(grp.canonical_orders())
 
 
 def tensor_with_generators(
@@ -642,25 +610,17 @@ def tensor_with_generators(
     """G (x) H plus the image of each generator pair g_i (x) h_j.
 
     The pair g_i (x) h_j spans a cyclic factor of order gcd(n_i, m_j); the
-    result is the canonical form of the direct sum of those factors.
+    group is the direct sum of the non-trivial factors in pair order, and
+    genmap[i][j] is the generator of its factor (zero for a trivial one).
     """
-    orders = []
-    pairs = []
-    for i, n in enumerate(g.orders):
-        for j, m in enumerate(h.orders):
-            orders.append(gcd(n, m))
-            pairs.append((i, j))
-    keep = [k for k, o in enumerate(orders) if o != 1]
-    raw = FinAbGroup([orders[k] for k in keep])
-    canon, iso = subgroup(raw, raw.gens())
-    to_canon = iso.inverse() if not raw.is_trivial else AbHom(raw, canon, [])
-    genmap: List[List[GroupElement]] = [
-        [canon.zero()] * h.ngens for _ in range(g.ngens)
+    orders = [gcd(n, m) for n in g.orders for m in h.orders]
+    grp = FinAbGroup([o for o in orders if o != 1])
+    gens = iter(grp.gens())
+    genmap = [
+        [next(gens) if gcd(n, m) != 1 else grp.zero() for m in h.orders]
+        for n in g.orders
     ]
-    for pos, k in enumerate(keep):
-        i, j = pairs[k]
-        genmap[i][j] = to_canon(raw.gen(pos))
-    return canon, genmap
+    return grp, genmap
 
 
 # -- summand splitting -------------------------------------------------------

@@ -388,14 +388,14 @@ def _battery(p) -> List[qf.QForm]:
 
 
 def absorbing_oracle(
-    f: qf.QForm, bound: int = 3, max_copies: int = 3, node_budget: int = 1_500_000
+    f: qf.QForm, bound: int = 3, node_budget: int = 1_500_000
 ) -> Optional[bool]:
     """Brute-force absorption test: every rank-2 metabolic battery form
-    must embed into at most max_copies orthogonal copies of f, with all
+    must embed into at most three orthogonal copies of f, with all
     embedding coefficients bounded.
 
-    A verified witness from the direct (x, -x, 0) construction counts when
-    its entries respect the bound and it uses at most max_copies copies;
+    A verified witness from the direct (x, -x, 0) construction, which uses
+    three copies, counts when its entries respect the bound;
     otherwise the bounded column searches decide.  Three-valued: True when
     every battery form embeds; False when one does not, every search for
     it having ended in a certified "no" or a complete box search; None when
@@ -404,14 +404,14 @@ def absorbing_oracle(
     limited = False
     for eta in _battery(f.parameter):
         outs = [qf.embedding_search(eta, f, bound, node_budget)]
-        if not outs[0].found and max_copies >= 3:
+        if not outs[0].found:
             emb = qf.try_rank2_embedding(f, eta, bound, node_budget)
             if emb is not None and all(
                 abs(x) <= bound for row in emb.matrix for x in row
             ):
                 continue
         target = f
-        while not outs[-1].found and len(outs) < max_copies:
+        while not outs[-1].found and len(outs) < 3:
             target = qf.direct_sum(target, f)
             outs.append(qf.embedding_search(eta, target, bound, node_budget))
         if outs[-1].found:
@@ -459,7 +459,7 @@ def criterion_10_absorbing(rng) -> Tuple[bool, str]:
         if predicted:
             for eta in _battery(p):
                 emb = qf.absorb_embed(f, eta)  # validates the pullback
-                pulled = qf.pullback(emb.target, [list(r) for r in emb.matrix])
+                pulled = qf.pullback(emb.target, emb.matrix)
                 if not qf.isometry_verify(eta, pulled, [[1, 0], [0, 1]]):
                     bad.append("absorb_embed pullback failed isometry_verify")
                 embeddings += 1

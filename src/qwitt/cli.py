@@ -35,10 +35,24 @@ class SchemaError(Exception):
     pass
 
 
-def _require(payload: dict, key: str):
+def _require(payload, key: str):
+    if not isinstance(payload, dict):
+        raise SchemaError(f"expected an object with key {key!r}")
     if key not in payload:
         raise SchemaError(f"missing key {key!r}")
     return payload[key]
+
+
+def _ints(data, what: str) -> list:
+    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+        raise SchemaError(f"{what} must be a list of integers")
+    return data
+
+
+def _int_rows(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise SchemaError(f"{what} must be a list of integer rows")
+    return [_ints(row, f"each row of {what}") for row in data]
 
 
 def parse_group(data) -> FinAbGroup:
@@ -55,31 +69,34 @@ def parse_parameter(data) -> FormParameter:
     if not isinstance(data, dict):
         raise SchemaError("parameter must be a name or an object")
     if "name" in data:
+        if not isinstance(data["name"], str):
+            raise SchemaError("a parameter name must be a string")
         kind, k = parse_name(data["name"])
         p = standard(kind, k)
         if data.get("sum"):
             p = split_sum(p, parse_group(data["sum"]))
         return p
     carrier = parse_group(_require(data, "carrier"))
-    hrow = _require(data, "h")
-    pone = _require(data, "pOne")
-    h = AbHom(carrier, FinAbGroup((0,)), [list(hrow)])
+    hrow = _ints(_require(data, "h"), "'h'")
+    pone = _ints(_require(data, "pOne"), "'pOne'")
+    h = AbHom(carrier, FinAbGroup((0,)), [hrow])
     return FormParameter(carrier, h, carrier.element(pone))
 
 
 def parse_form(param: FormParameter, data) -> qform.QForm:
     if not isinstance(data, dict):
         raise SchemaError("form must be an object with 'lambda' and 'mu'")
-    lam = _require(data, "lambda")
-    mu = _require(data, "mu")
+    lam = _int_rows(_require(data, "lambda"), "'lambda'")
+    mu = _int_rows(_require(data, "mu"), "'mu'")
     mus = [param.carrier.element(c) for c in mu]
     return qform.QForm(param, lam, mus)
 
 
-def _param_of(payload: dict) -> FormParameter:
-    for key in ("param", "parameter", "Q"):
-        if key in payload:
-            return parse_parameter(payload[key])
+def _param_of(payload) -> FormParameter:
+    if isinstance(payload, dict):
+        for key in ("param", "parameter", "Q"):
+            if key in payload:
+                return parse_parameter(payload[key])
     return parse_parameter(payload)
 
 
@@ -142,7 +159,7 @@ def cmd_tensor(payload, args) -> dict:
 def cmd_induced_map(payload, args) -> dict:
     src = parse_parameter(_require(payload, "source"))
     dst = parse_parameter(_require(payload, "target"))
-    mat = _require(payload, "matrix")
+    mat = _int_rows(_require(payload, "matrix"), "'matrix'")
     alpha = FPMorphism(src, dst, AbHom(src.carrier, dst.carrier, mat))
     m = witt.induced_witt_map(alpha)
     return {

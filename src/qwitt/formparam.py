@@ -438,7 +438,7 @@ def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
         iso = FPMorphism(
             p,
             target,
-            AbHom(a, target.carrier, [list(r) for r in incl.inverse().matrix], check=False),
+            AbHom(a, target.carrier, incl.inverse().matrix, check=False),
         )
         return MaximalSplitting("Q^-", None, q0, comp, iso)
     h0, rest = split_off_cyclic(a, p.p_one)
@@ -495,7 +495,7 @@ def es(p: FormParameter) -> FPMorphism:
         raise ValueError("extended symmetrisation needs a symmetric parameter")
     sp, proj = linearisation(p)
     target = split_sum(standard("Q^+"), sp)
-    rows = [list(p.h.matrix[0])] + [list(r) for r in proj.matrix]
+    rows = [p.h.matrix[0], *proj.matrix]
     return FPMorphism(p, target, AbHom(p.carrier, target.carrier, rows))
 
 

@@ -100,7 +100,7 @@ class QForm:
         return mu_eval(self, x)
 
     def det(self) -> int:
-        return _intmat.determinant([list(r) for r in self.lambda_matrix])
+        return _intmat.determinant(self.lambda_matrix)
 
     def s_mu(self) -> AbHom:
         """The linearisation X -> SQ of mu (a homomorphism)."""
@@ -124,32 +124,30 @@ class Embedding:
     matrix: Tuple[Tuple[int, ...], ...]  # target.rank x source.rank
 
     def __post_init__(self):
-        mat = [list(r) for r in self.matrix]
-        if len(mat) != self.target.rank or any(
-            len(r) != self.source.rank for r in mat
+        if len(self.matrix) != self.target.rank or any(
+            len(r) != self.source.rank for r in self.matrix
         ):
             raise ValueError("embedding matrix has the wrong shape")
-        pulled = pullback(self.target, mat)
+        pulled = pullback(self.target, self.matrix)
         if pulled.lambda_matrix != self.source.lambda_matrix or any(
             a != b for a, b in zip(pulled.mu_basis, self.source.mu_basis)
         ):
             raise ValueError("matrix does not pull the form back exactly")
-        if _rank_of(mat) != self.source.rank:
+        if _rank_of(self.matrix) != self.source.rank:
             raise ValueError("embedding is not injective")
 
     @property
     def is_primitive(self) -> bool:
-        cols = [list(r) for r in self.matrix]
         if self.source.rank == 0:
             return True
-        s = _intmat.SNF(cols)
+        s = _intmat.SNF(self.matrix)
         return all(s.d[i][i] == 1 for i in range(self.source.rank))
 
 
 def _rank_of(mat: Sequence[Sequence[int]]) -> int:
     if not mat or not mat[0]:
         return 0
-    return _intmat.SNF([list(r) for r in mat]).rank
+    return _intmat.SNF(mat).rank
 
 
 @dataclass(frozen=True)
@@ -388,7 +386,7 @@ def _mu_constraints(
     the binomial denominators."""
     q = f.parameter
     out = []
-    m = [list(r) for r in f.lambda_matrix]
+    m = f.lambda_matrix
     n = f.rank
     for cidx in range(q.carrier.ngens):
         pc = q.p_one.coords[cidx]
@@ -531,12 +529,11 @@ def isometry_verify(f: QForm, g: QForm, b: Sequence[Sequence[int]]) -> bool:
     """Whether b (columns = images of f's basis) is an isometry f -> g."""
     if f.parameter != g.parameter or f.rank != g.rank:
         return False
-    mat = [list(r) for r in b]
     if f.rank == 0:
         return True
-    if _intmat.determinant(mat) not in (1, -1):
+    if _intmat.determinant(b) not in (1, -1):
         return False
-    pulled = pullback(g, mat)
+    pulled = pullback(g, b)
     return (
         pulled.lambda_matrix == f.lambda_matrix
         and all(a == c for a, c in zip(pulled.mu_basis, f.mu_basis))
@@ -784,7 +781,7 @@ def try_rank2_embedding(
         return None
     # dual vector: lambda(x, y) = 1 solvable since x is primitive and
     # lambda is unimodular
-    mt = _intmat.transpose([list(r) for r in f.lambda_matrix])
+    mt = _intmat.transpose(f.lambda_matrix)
     row = _intmat.mat_vec(mt, x)
     y = _solve_unit_combination(row)
     sq, proj = linearisation(q)

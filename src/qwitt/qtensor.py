@@ -22,7 +22,6 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
-    hom_from_images,
     hom_pair,
     hom_sum,
     is_kernel,
@@ -41,7 +40,6 @@ from .formparam import (
 
 __all__ = [
     "TensorPresentation",
-    "TensorElement",
     "Simple",
     "Bracket",
     "present",
@@ -86,66 +84,25 @@ class TensorPresentation:
     def index(self, kind: str, i: int, j: int) -> int:
         return self.symbols.index((kind, i, j))
 
-    def element(self, coords: Sequence[int]) -> "TensorElement":
-        return TensorElement(self, self.group.element(coords))
-
-    def zero(self) -> "TensorElement":
-        return TensorElement(self, self.group.zero())
-
-    def from_abstract(self, coeffs: Dict[int, int]) -> "TensorElement":
-        acc = self.group.zero()
-        for idx, c in coeffs.items():
-            acc = acc + c * self.basis_map[idx]
-        return TensorElement(self, acc)
-
     def hom(self, images: Sequence[GroupElement], target: FinAbGroup) -> AbHom:
         """The homomorphism group -> target sending abstract symbol a to
         images[a]; the images are trusted to satisfy the relations."""
-        cols = []
-        for t in range(self.group.ngens):
-            acc = target.zero()
-            for a, c in enumerate(self.section[t]):
-                if c:
-                    acc = acc + c * images[a]
-            cols.append(acc)
-        return AbHom.from_columns(self.group, target, cols)
+        rows = [[im.coords[r] for im in images] for r in range(target.ngens)]
+        return AbHom(
+            self.group,
+            target,
+            [
+                [sum(x * y for x, y in zip(row, sec)) for sec in self.section]
+                for row in rows
+            ],
+        )
 
-    def lift(self, value: "TensorElement") -> List[int]:
+    def lift(self, value: GroupElement) -> List[int]:
         """An integer combination of abstract symbols mapping to value."""
-        out = [0] * len(self.symbols)
-        for t, c in enumerate(value.coords):
-            for a in range(len(self.symbols)):
-                out[a] += c * self.section[t][a]
-        return out
-
-
-@dataclass(frozen=True)
-class TensorElement:
-    presentation: TensorPresentation
-    value: GroupElement
-
-    @property
-    def coords(self) -> Tuple[int, ...]:
-        return self.value.coords
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.presentation is not other.presentation:
-            if self.presentation != other.presentation:
-                raise ValueError("elements of different presentations")
-        return TensorElement(self.presentation, self.value + other.value)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.presentation, -self.value)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def __rmul__(self, n: int) -> "TensorElement":
-        return TensorElement(self.presentation, n * self.value)
+        return [
+            sum(c * sec[a] for c, sec in zip(value.coords, self.section))
+            for a in range(len(self.symbols))
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -265,19 +222,22 @@ def _bump(d: Dict[int, int], key: int, c: int) -> None:
 
 def reduce_symbol(
     pres: TensorPresentation, symbol: Union[Simple, Bracket]
-) -> TensorElement:
+) -> GroupElement:
     """Rewrite a symbol into the presented group."""
     if isinstance(symbol, Simple):
         if symbol.x.group != pres.g or symbol.q.group != pres.q.carrier:
             raise ValueError("symbol does not match the presentation")
-        return pres.from_abstract(_expand_simple(pres, symbol.x, symbol.q))
-    if isinstance(symbol, Bracket):
+        coeffs = _expand_simple(pres, symbol.x, symbol.q)
+    elif isinstance(symbol, Bracket):
         if symbol.x.group != pres.g or symbol.y.group != pres.g:
             raise ValueError("symbol does not match the presentation")
-        return pres.from_abstract(
-            _expand_bracket(pres, symbol.x, symbol.y, symbol.a)
-        )
-    raise TypeError(f"not a tensor symbol: {symbol!r}")
+        coeffs = _expand_bracket(pres, symbol.x, symbol.y, symbol.a)
+    else:
+        raise TypeError(f"not a tensor symbol: {symbol!r}")
+    acc = pres.group.zero()
+    for a, c in coeffs.items():
+        acc = acc + c * pres.basis_map[a]
+    return acc
 
 
 def _image_of_symbol(
@@ -286,7 +246,7 @@ def _image_of_symbol(
     f: AbHom,
     alpha: FPMorphism,
     symbol: Tuple[str, int, int],
-) -> TensorElement:
+) -> GroupElement:
     kind, i, j = symbol
     if kind == "s":
         return reduce_symbol(
@@ -303,7 +263,7 @@ def induced_map(f: AbHom, alpha: FPMorphism) -> AbHom:
     pres = present(f.source, alpha.source)
     pres2 = present(f.target, alpha.target)
     sym_images = [
-        _image_of_symbol(pres, pres2, f, alpha, s).value for s in pres.symbols
+        _image_of_symbol(pres, pres2, f, alpha, s) for s in pres.symbols
     ]
     return pres.hom(sym_images, pres2.group)
 
@@ -317,12 +277,13 @@ def _plain_tensor_map(
     """f (x) g between ordinary tensor products with generator bookkeeping."""
     (src_grp, src_gen) = src_pair
     (dst_grp, dst_gen) = dst_pair
-    # the pair symbols a_i (x) b_j generate the source; map each to f (x) g
-    flat_syms = []
-    flat_imgs = []
+    # the generator of the source factor a_i (x) b_j goes to f(a_i) (x) g(b_j)
+    cols = []
     for i, a_i in enumerate(f.source.gens()):
         fi = f(a_i)
         for j, b_j in enumerate(g.source.gens()):
+            if src_gen[i][j].is_zero:
+                continue
             gj = g(b_j)
             acc = dst_grp.zero()
             for i2, c1 in enumerate(fi.coords):
@@ -332,9 +293,8 @@ def _plain_tensor_map(
                     if not c2:
                         continue
                     acc = acc + (c1 * c2) * dst_gen[i2][j2]
-            flat_syms.append(src_gen[i][j])
-            flat_imgs.append(acc)
-    return hom_from_images(src_grp, flat_syms, flat_imgs, dst_grp)
+            cols.append(acc)
+    return AbHom.from_columns(src_grp, dst_grp, cols)
 
 
 def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
@@ -357,13 +317,13 @@ def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
 def _from_plain_tensor(pair, pres: TensorPresentation) -> AbHom:
     """G (x) Q_e -> G (x) Q on the simple symbols."""
     grp, gen = pair
-    flat_syms = []
-    flat_imgs = []
-    for i in range(pres.g.ngens):
-        for j in range(pres.q.carrier.ngens):
-            flat_syms.append(gen[i][j])
-            flat_imgs.append(pres.basis_map[pres.index("s", i, j)])
-    return hom_from_images(grp, flat_syms, flat_imgs, pres.group)
+    cols = [
+        pres.basis_map[pres.index("s", i, j)]
+        for i in range(pres.g.ngens)
+        for j in range(pres.q.carrier.ngens)
+        if not gen[i][j].is_zero
+    ]
+    return AbHom.from_columns(grp, pres.group, cols)
 
 
 def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:

@@ -221,9 +221,7 @@ def random_zp_form(
 
 
 def random_tensor_element(rng: random.Random, pres):
-    from .qtensor import TensorElement
-
     coords = []
     for o in pres.group.orders:
         coords.append(rng.randrange(o) if o else rng.randint(-3, 3))
-    return TensorElement(pres, pres.group.element(coords))
+    return pres.group.element(coords)

@@ -27,13 +27,12 @@ from .abelian import (
     GroupElement,
     _torsion_elements,
     cokernel_presentation,
-    hom_from_images,
     is_kernel,
     kernel,
     kernel_generators,
+    member_solver,
     quotient_with_lift,
     subgroup,
-    subgroup_contains,
     subgroup_equal,
     tensor_with_generators,
 )
@@ -43,6 +42,7 @@ from .formparam import (
     FPMorphism,
     MaximalSplitting,
     SliceHom,
+    _recognise_standard,
     eql,
     es,
     linearisation,
@@ -62,7 +62,6 @@ from .qform import (
 from .qtensor import (
     Bracket,
     Simple,
-    TensorElement,
     TensorPresentation,
     induced_map,
     present,
@@ -104,18 +103,6 @@ def signature(f: QForm) -> int:
     return signature_of_matrix(f.lambda_matrix)
 
 
-def _zp_level(q: FormParameter) -> Optional[int]:
-    """0 for the infinite member of the ZP family, k for ZP_k, else None."""
-    if q.carrier.orders == (0, 0) and q == standard("ZP"):
-        return 0
-    n = q.carrier.orders
-    if len(n) == 2 and n[0] == 0 and n[1] >= 2:
-        k = n[1].bit_length() - 1
-        if 2**k == n[1] and q == standard("ZP_k", k):
-            return k
-    return None
-
-
 def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
     """(sigma, omega-hat squared, level k) for a form over the ZP family.
 
@@ -124,9 +111,13 @@ def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
     invariant once this unit is fixed, so the generic canonical quotient
     is not used here.
     """
-    k = _zp_level(f.parameter)
-    if k is None:
+    try:
+        kind, k = _recognise_standard(f.parameter)
+    except ValueError:
+        kind = None
+    if kind not in ("ZP", "ZP_k"):
         raise ValueError("rho is defined over the ZP family only")
+    k = k or 0
     if not is_nonsingular(f):
         raise ValueError("rho of a singular form")
     omega = [m.coords[0] + 2 * m.coords[1] for m in f.mu_basis]
@@ -135,8 +126,7 @@ def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
     if shift is not None:
         step = 2 ** (k + 1) if k else 0
         omega = [w + step * s for w, s in zip(omega, shift)]
-    mat = [list(r) for r in f.lambda_matrix]
-    omega_hat = _intmat.solve(mat, omega)
+    omega_hat = _intmat.solve(f.lambda_matrix, omega)
     assert omega_hat is not None
     osq = sum(a * b for a, b in zip(omega_hat, omega))
     sig = signature_of_matrix(f.lambda_matrix)
@@ -232,7 +222,7 @@ def _split_mu_parts(
 
 def tensor_invariant(
     f: QForm, q0: FormParameter, pres: TensorPresentation
-) -> TensorElement:
+) -> GroupElement:
     """The reduced-part invariant of a nonsingular form over Q0 + G.
 
     With (y_i) the basis dual to the chosen one, this is
@@ -246,10 +236,9 @@ def tensor_invariant(
     if f.parameter.carrier.orders[:nq] != q0.carrier.orders:
         raise ValueError("form is not over the expected split parameter")
     n = f.rank
-    mat = [list(r) for r in f.lambda_matrix]
     if n == 0:
-        return pres.zero()
-    minv = _intmat.unimodular_inverse(mat)
+        return pres.group.zero()
+    minv = _intmat.unimodular_inverse(f.lambda_matrix)
     ys = [[minv[i][j] for i in range(n)] for j in range(n)]
     mug = [
         _split_mu_parts(f.parameter, nq, m)[1] for m in f.mu_basis
@@ -257,7 +246,7 @@ def tensor_invariant(
     muq_y = [
         _split_mu_parts(f.parameter, nq, mu_eval(f, y))[0] for y in ys
     ]
-    acc = pres.zero()
+    acc = pres.group.zero()
     for i in range(n):
         for j in range(i + 1, n):
             lam = f.lam(ys[i], ys[j])
@@ -273,7 +262,7 @@ def form_from_tensor(
     q0: FormParameter,
     comp: FinAbGroup,
     pres: TensorPresentation,
-    t: TensorElement,
+    t: GroupElement,
 ) -> QForm:
     """A nonsingular form over Q0 + G whose reduced invariant is t.
 
@@ -448,8 +437,9 @@ def witt_group(p: FormParameter) -> WittGroupDescription:
     for t in range(pres.group.ngens):
         names.append(f"t{t + 1}")
         orders.append(pres.group.orders[t])
-        gen = TensorElement(pres, pres.group.gen(t))
-        form = form_from_tensor(ms.standard, ms.complement, pres, gen)
+        form = form_from_tensor(
+            ms.standard, ms.complement, pres, pres.group.gen(t)
+        )
         reps.append(pushforward(form, back))
     return WittGroupDescription(
         p,
@@ -532,7 +522,7 @@ class SigmaSubgroup:
     psi: Tuple[GroupElement, ...]
 
     def contains(self, x: GroupElement) -> bool:
-        return subgroup_contains(self.ambient, list(self.generators), x)
+        return member_solver(self.ambient, self.generators)(x) is not None
 
 
 def _gamma_presentation(a: FinAbGroup) -> TensorPresentation:
@@ -562,14 +552,14 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
         x0 = v.v.solve(v.v.target.element((1,)))
         assert x0 is not None
         one = pres.q.carrier.element((1,))
-        base = reduce_symbol(pres, Simple(x0, one)).value
+        base = reduce_symbol(pres, Simple(x0, one))
         psi = [
-            reduce_symbol(pres, Simple(x0 + kg, one)).value - base
+            reduce_symbol(pres, Simple(x0 + kg, one)) - base
             for kg in kgens
         ]
     for i, k1 in enumerate(kgens):
         for k2 in kgens[i:]:
-            psi.append(reduce_symbol(pres, Bracket(k1, k2, 1)).value)
+            psi.append(reduce_symbol(pres, Bracket(k1, k2, 1)))
     gens = [emb(8, pres.group.zero())]
     if base is not None:
         gens.append(emb(1, base))
@@ -605,11 +595,10 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
         return ambient.element((n,) + tuple(t.coords))
 
     v1 = v.v_one
-    kgens = [emb(1, reduce_symbol(pres, Bracket(v1, v1, 1)).value)]
+    kgens = [emb(1, reduce_symbol(pres, Bracket(v1, v1, 1)))]
     for x in a.gens():
-        e_x = (
-            reduce_symbol(pres, Bracket(x, x, 1)).value
-            + reduce_symbol(pres, Bracket(x, v1, 1)).value
+        e_x = reduce_symbol(pres, Bracket(x, x, 1)) + reduce_symbol(
+            pres, Bracket(x, v1, 1)
         )
         kgens.append(emb(0, e_x))
     kgrp, kincl = subgroup(ambient, kgens)
@@ -619,7 +608,7 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
     )
 
 
-def es_witt(f: QForm) -> Tuple[int, TensorElement]:
+def es_witt(f: QForm) -> Tuple[int, GroupElement]:
     """(signature, reduced invariant of the extended symmetrisation)."""
     p = f.parameter
     if not p.is_symmetric:
@@ -633,17 +622,17 @@ def es_witt(f: QForm) -> Tuple[int, TensorElement]:
 
 def es_witt_vector(f: QForm) -> GroupElement:
     sig, t = es_witt(f)
-    amb = FinAbGroup((0,) + t.presentation.group.orders)
+    amb = FinAbGroup((0,) + t.group.orders)
     return amb.element((sig,) + tuple(t.coords))
 
 
-def eql_witt(p: FormParameter, c: int, t: TensorElement) -> WittClass:
+def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
     """Witt class of the lift of (c, t) along the extended quadratic lift."""
     if p.is_symmetric:
         raise ValueError("extended quadratic lift needs an anti-symmetric parameter")
     qminus = standard("Q-")
     pres = _lambda1_presentation(p.carrier)
-    if t.presentation != pres:
+    if t.group != pres.group:
         raise ValueError("tensor element is not in Lambda1 of the carrier")
     split = split_sum(qminus, p.carrier)
     form = form_from_tensor(qminus, p.carrier, pres, t)
@@ -665,10 +654,8 @@ def eql_witt_hom(p: FormParameter) -> AbHom:
     domain = FinAbGroup((2,) + pres.group.orders)
     desc = witt_group(p)
     cols = []
-    zero_t = TensorElement(pres, pres.group.zero())
-    cols.append(desc.group.element(eql_witt(p, 1, zero_t).coords))
-    for t in range(pres.group.ngens):
-        gen = TensorElement(pres, pres.group.gen(t))
+    cols.append(desc.group.element(eql_witt(p, 1, pres.group.zero()).coords))
+    for gen in pres.group.gens():
         cols.append(desc.group.element(eql_witt(p, 0, gen).coords))
     return AbHom.from_columns(domain, desc.group, cols)
 
@@ -906,10 +893,10 @@ def sigma_diagram(v: SliceHom) -> dict:
 
 def _v2_hom(v: SliceHom, az2: FinAbGroup, az2_gen) -> AbHom:
     """v (x) Id_Z2 : A (x) Z2 -> Z2 via the generator bookkeeping."""
-    a = v.domain
-    flat_syms = [az2_gen[i][0] for i in range(a.ngens)]
-    images = [v.v(x) for x in a.gens()]
-    return hom_from_images(az2, flat_syms, images, v.v.target)
+    cols = [
+        v.v(x) for x, gen in zip(v.domain.gens(), az2_gen) if not gen[0].is_zero
+    ]
+    return AbHom.from_columns(az2, v.v.target, cols)
 
 
 def _exact_three(
@@ -967,8 +954,8 @@ def lambda_diagram(v: CosliceHom) -> dict:
     for i, c in enumerate(v.v_one.coords):
         v2_img = v2_img + c * az2_gen[i][0]
     cok, _, cok_lifts = quotient_with_lift([v2_img], az2)
-    e_hom = hom_from_images(
-        az2, [az2_gen[i][0] for i in range(a.ngens)], e_gens, amb
+    e_hom = AbHom.from_columns(
+        az2, amb, [e for e, gen in zip(e_gens, az2_gen) if not gen[0].is_zero]
     )
     uprime = AbHom.from_columns(cok, amb, [e_hom(x) for x in cok_lifts])
     # r: K -> Z2, first coordinate; build on K's canonical generators

@@ -178,11 +178,26 @@ def test_kernel_cokernel_vs_enumeration():
         assert proj.is_surjective()
 
 
-def test_tensor():
+def test_tensor(monkeypatch):
+    from qwitt import _intmat
+
     assert tensor(FinAbGroup((4,)), FinAbGroup((6,))).orders == (2,)
     assert tensor(Z, FinAbGroup((5, 0))).canonical_orders() == (5, 0)
     assert tensor(FinAbGroup((2,)), FinAbGroup((3,))).is_trivial
+    assert tensor(FinAbGroup((0, 4)), FinAbGroup((6,))).orders == (2, 6)
+    built = []
+    snf = _intmat.SNF
+
+    def counted(mat):
+        built.append(mat)
+        return snf(mat)
+
+    monkeypatch.setattr(_intmat, "SNF", counted)
     grp, genmap = tensor_with_generators(FinAbGroup((4, 0)), FinAbGroup((6,)))
+    assert not built  # the factors gcd(n_i, m_j) are read off, not reduced
+    monkeypatch.undo()
+    assert grp.orders == (2, 6)  # Z4 (x) Z6, then Z (x) Z6, in pair order
+    assert genmap == [[grp.gen(0)], [grp.gen(1)]]
     assert grp.canonical_orders() == (2, 6)
     # generator images generate
     flat = [genmap[i][j] for i in range(2) for j in range(1)]
@@ -318,17 +333,6 @@ def test_split_off_cyclic_rejects_non_prime():
         split_off_cyclic(g, g.element((2,)))  # order 4
     with pytest.raises(ValueError):
         split_off_cyclic(FinAbGroup((0,)), FinAbGroup((0,)).element((1,)))
-
-
-def test_splitting_type_validates():
-    from qwitt.abelian import Splitting
-
-    g = FinAbGroup((2, 4))
-    Splitting(g, (g.element((1, 0)),), (g.element((0, 1)),))
-    with pytest.raises(ValueError):
-        Splitting(g, (g.element((1, 0)),), (g.element((1, 0)),))
-    with pytest.raises(ValueError):
-        Splitting(g, (g.element((1, 0)),), (g.element((0, 2)),))
 
 
 def all_canonical_groups_of_order_at_most(n):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qwitt.cli import main
 
 
@@ -143,6 +145,28 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "classify", '{"carrier":{"orders":[0]},"h":[1],"pOne":[1]}')
     assert code == 2
     assert "h(p(1))" in err  # the violated axiom is named
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("witt-class", '{"param":"Q-","form":{"lambda":5,"mu":[]}}'),
+        ("witt-class", '{"param":"Q-","form":{"lambda":5,"mu":5}}'),
+        ("witt-class", '{"param":"Q-","form":{"lambda":[[0,1],[-1,0]],"mu":5}}'),
+        ("induced-map", '{"source":"Q+","target":"ZP","matrix":5}'),
+        ("classify", '{"param":{"carrier":{"orders":[2]},"h":5,"pOne":[1]}}'),
+        ("classify", '{"param":{"carrier":{"orders":[2]},"h":[0],"pOne":5}}'),
+        ("split", '{"name":5}'),
+        ("classify", "5"),
+        ("witt-class", "null"),
+        ("tensor", "5"),
+    ],
+)
+def test_malformed_payload_is_a_schema_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_output_deterministic(capsys):

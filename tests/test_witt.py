@@ -13,7 +13,7 @@ from qwitt.formparam import (
     standard,
     standard_morphism,
 )
-from qwitt.qtensor import TensorElement, present
+from qwitt.qtensor import present
 from qwitt.sampling import (
     random_form_parameter,
     random_morphism,
@@ -272,10 +272,10 @@ def _assert_split_block_formula(aq, al):
     pres2 = present(g2, aq.target)
     tmap = induced_map(al, aq)
     for t in range(pres1.group.ngens):
-        gen = TensorElement(pres1, pres1.group.gen(t))
+        gen = pres1.group.gen(t)
         f1 = witt.form_from_tensor(aq.source, g1, pres1, gen)
         lhs = witt.witt_class(qf.pushforward(f1, alpha))
-        mapped = TensorElement(pres2, tmap(pres1.group.gen(t)))
+        mapped = tmap(gen)
         f2 = witt.form_from_tensor(aq.target, g2, pres2, mapped)
         rhs = witt.witt_class(f2)
         assert lhs.coords == rhs.coords
@@ -361,7 +361,7 @@ def test_es_witt_matches_zp_matrix():
 def test_eql_witt():
     p = standard("ZL_2")
     pres = present(p.carrier, QM)
-    zero_t = TensorElement(pres, pres.group.zero())
+    zero_t = pres.group.zero()
     assert witt.eql_witt(p, 0, zero_t).is_zero
     # the kernel generator (1, v'(1) wedge v'(1)) dies
     from qwitt.qtensor import Bracket, reduce_symbol
@@ -372,8 +372,11 @@ def test_eql_witt():
     # over the rank-one anti-symmetric parameter, (1, 0) is the Arf class
     pm = QM
     pres_m = present(pm.carrier, QM)
-    zt = TensorElement(pres_m, pres_m.group.zero())
+    zt = pres_m.group.zero()
     assert witt.eql_witt(pm, 1, zt).coords == (1,)
+    # an element outside Lambda1 of the carrier is refused
+    with pytest.raises(ValueError):
+        witt.eql_witt(p, 0, FinAbGroup((5,)).zero())
 
 
 def test_diagram_reports():
