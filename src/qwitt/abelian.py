@@ -38,6 +38,7 @@ __all__ = [
     "tensor",
     "tensor_with_generators",
     "direct_sum",
+    "least_preimage_of_one",
     "split_off_hom_summand",
     "split_off_free",
     "split_off_cyclic",
@@ -541,13 +542,6 @@ def member_solver(
     return member
 
 
-def member_coords(
-    ambient: FinAbGroup, gens: Sequence[GroupElement], x: GroupElement
-) -> Optional[List[int]]:
-    """Coefficients expressing x in terms of gens inside ambient, or None."""
-    return member_solver(ambient, gens)(x)
-
-
 def hom_from_images(
     source: FinAbGroup,
     gens: Sequence[GroupElement],
@@ -626,27 +620,6 @@ def tensor_with_generators(
 # -- summand splitting -------------------------------------------------------
 
 
-def _torsion_elements(group: FinAbGroup) -> Iterator[GroupElement]:
-    idx = [i for i, n in enumerate(group.orders) if n]
-    sizes = [group.orders[i] for i in idx]
-    total = 1
-    for n in sizes:
-        total *= n
-    if total > 1 << 22:
-        raise ValueError("torsion subgroup too large to enumerate")
-    coords = [0] * len(idx)
-    for _ in range(total):
-        full = [0] * group.ngens
-        for pos, i in enumerate(idx):
-            full[i] = coords[pos]
-        yield group.element(full)
-        for pos in range(len(idx)):
-            coords[pos] += 1
-            if coords[pos] < sizes[pos]:
-                break
-            coords[pos] = 0
-
-
 def _verify_direct_sum(
     group: FinAbGroup, g: GroupElement, comp: Sequence[GroupElement]
 ) -> None:
@@ -658,29 +631,47 @@ def _verify_direct_sum(
         raise AssertionError("claimed summand decomposition is not direct")
 
 
+def least_preimage_of_one(f: AbHom) -> Optional[GroupElement]:
+    """For f: G -> Z2, the lexicographically least element of least order
+    among the torsion elements x with f(x) = 1; None if f vanishes on the
+    torsion subgroup.
+
+    Such an x is odd on some finite factor j where f is odd, so its order is
+    at least the 2-part a_j of n_j; (n_j / a_j) * e_j has exactly that order.
+    Among the factors of least a_j the last one leaves the most leading
+    zeros, which makes its element the least.
+    """
+    group = f.source
+    best: Optional[Tuple[int, int]] = None
+    for j, n in enumerate(group.orders):
+        if n and f.matrix[0][j]:
+            a = n & -n
+            if best is None or a <= best[1]:
+                best = (j, a)
+    if best is None:
+        return None
+    j, a = best
+    coords = [0] * group.ngens
+    coords[j] = group.orders[j] // a
+    return group.element(coords)
+
+
 def split_off_hom_summand(
     group: FinAbGroup, f: AbHom
 ) -> Tuple[GroupElement, List[GroupElement]]:
-    """Split G = <g> + <H> with f(g) = 1, H inside Ker(f), g of minimal
-    2-power order among torsion elements mapping to 1.
+    """Split G = <g> + <H> with f(g) = 1, H inside Ker(f), and
+    g = least_preimage_of_one(f) of minimal 2-power order.
 
     f must be a homomorphism to Z2 that is non-zero on the torsion subgroup.
     """
     if f.target.orders != (2,):
         raise ValueError("expected a homomorphism to Z2")
-    candidates = [
-        x
-        for x in _torsion_elements(group)
-        if f(x).coords[0] == 1
-    ]
-    if not candidates:
+    g = least_preimage_of_one(f)
+    if g is None:
         raise ValueError("homomorphism vanishes on the torsion subgroup")
-    a = min(x.order() for x in candidates)
+    a = g.order()
     if a & (a - 1):
         raise AssertionError(f"minimal order {a} is not a power of 2")
-    g = min(
-        (x for x in candidates if x.order() == a), key=lambda x: x.coords
-    )
     quot, _, lifts = quotient_with_lift([g], group)
     comp: List[GroupElement] = []
     for r, z in zip(quot.orders, lifts):
@@ -700,16 +691,34 @@ def split_off_hom_summand(
 
 
 def _dlog_in_cyclic(g: GroupElement, order: int, x: GroupElement) -> int:
-    for s in range(order):
-        if (s * g) == x:
-            return s
+    """The s in [0, order) with s*g == x, for g of prime-power order.
+
+    On a finite factor where g has the full order, g_i = c * w with
+    c = n_i/order and w a unit mod order, so s = (x_i / c) * w^-1 mod order.
+    """
+    for gi, xi, n in zip(g.coords, x.coords, g.group.orders):
+        if n and n // gcd(n, gi) == order:
+            c = n // order
+            s = xi // c * pow(gi // c, -1, order) % order
+            if s * g == x:
+                return s
+            break
     raise AssertionError("element not in the cyclic subgroup")
 
 
 def _solve_two_congruences(r: int, s: int, a: int, parity: int) -> int:
-    for t in range(2 * a):
-        if (r * t - s) % a == 0 and t % 2 == parity:
-            return t
+    """The least t >= 0 with r*t = s (mod a) and t = parity (mod 2).
+
+    The first congruence has the solutions t0 + k*(a/d), d = gcd(r, a); the
+    least with the right parity is t0 or t0 + a/d, if there is one.
+    """
+    d, u, _ = _intmat.xgcd(r, a)
+    if s % d == 0:
+        step = a // d
+        t0 = u * (s // d) % step
+        for t in (t0, t0 + step):
+            if t % 2 == parity:
+                return t
     raise AssertionError(
         f"no t with {r}*t = {s} (mod {a}) and t = {parity} (mod 2)"
     )
@@ -778,21 +787,18 @@ def split_off_cyclic(
 def _divide_by(
     group: FinAbGroup, g: GroupElement, n: int
 ) -> Optional[GroupElement]:
-    """Some x with n*x == g, minimised lexicographically when cheap."""
-    mul = AbHom(
-        group,
-        group,
-        [[n if i == j else 0 for j in range(group.ngens)] for i in range(group.ngens)],
-        check=False,
-    )
-    x = mul.solve(g)
-    if x is None:
-        return None
-    size = group.order()
-    if size is not None and size <= 4096:
-        best = min(
-            (y for y in group.elements() if (n * y) == g),
-            key=lambda y: y.coords,
+    """The x with n*x == g whose every coordinate is least, or None.
+
+    Multiplication by n acts factor by factor: on Z_m, n*x = g_i has a
+    solution iff d = gcd(n, m) divides g_i, and the least one is
+    (g_i/d) * (n/d)^-1 mod m/d; on Z it is g_i / n.
+    """
+    coords = []
+    for gi, m in zip(g.coords, group.orders):
+        d = gcd(n, m)
+        if gi % d:
+            return None
+        coords.append(
+            gi // d * pow(n // d, -1, m // d) % (m // d) if m else gi // n
         )
-        return best
-    return x
+    return group.element(coords)

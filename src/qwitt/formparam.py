@@ -558,12 +558,12 @@ def _recognise_standard(q: FormParameter) -> Tuple[str, Optional[int]]:
     for kind in ("Q+", "Q^+", "Q-", "Q^-", "ZP"):
         if q == standard(kind):
             return kind, None
-    for k in range(1, 64):
-        if q.carrier.orders == (0, 2**k) and q == standard("ZP_k", k):
-            return "ZP_k", k
-    for k in range(2, 64):
-        if q.carrier.orders == (2**k,) and q == standard("ZL_k", k):
-            return "ZL_k", k
+    # the level is read off the last carrier order: (0, 2^k) or (2^k,)
+    orders = q.carrier.orders
+    k = max(orders[-1].bit_length() - 1, 0) if orders else 0
+    for kind, shape, low in (("ZP_k", (0, 2**k), 1), ("ZL_k", (2**k,), 2)):
+        if k >= low and orders == shape and q == standard(kind, k):
+            return kind, k
     raise ValueError("not a standard indecomposable parameter")
 
 

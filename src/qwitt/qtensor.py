@@ -37,6 +37,7 @@ from .formparam import (
     standard,
     terminal_morphism,
 )
+from .qform import _binom2
 
 __all__ = [
     "TensorPresentation",
@@ -64,10 +65,6 @@ class Bracket:
     x: GroupElement
     y: GroupElement
     a: int
-
-
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
-    _torsion_elements,
     cokernel_presentation,
     is_kernel,
     kernel,
     kernel_generators,
+    least_preimage_of_one,
     member_solver,
     quotient_with_lift,
     subgroup,
@@ -731,14 +731,9 @@ def _slice_kind(v: SliceHom) -> Tuple[str, int]:
     """Indecomposable type of v: ("0", 0), ("1_k", k) or ("1_inf", 0)."""
     if v.is_zero:
         return "0", 0
-    torsion = [
-        x
-        for x in _torsion_elements(v.domain)
-        if v(x) == 1
-    ]
-    if torsion:
-        m = min(x.order() for x in torsion)
-        return "1_k", m.bit_length() - 1
+    g = least_preimage_of_one(v.v)
+    if g is not None:
+        return "1_k", g.order().bit_length() - 1
     return "1_inf", 0
 
 

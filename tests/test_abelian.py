@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from qwitt import _intmat
 from qwitt.abelian import (
+    _divide_by,
+    _solve_two_congruences,
     Z,
     Z2,
     AbHom,
@@ -12,7 +15,9 @@ from qwitt.abelian import (
     is_kernel,
     kernel,
     kernel_generators,
-    member_coords,
+    least_preimage_of_one,
+    member_solver,
+    quotient_with_lift,
     split_off_cyclic,
     split_off_free,
     split_off_hom_summand,
@@ -209,8 +214,8 @@ def test_subgroup_membership():
     gens = [amb.element((2, 1))]
     grp, incl = subgroup(amb, gens)
     assert grp.canonical_orders() == (0,)
-    assert member_coords(amb, gens, amb.element((4, 2))) is not None
-    assert member_coords(amb, gens, amb.element((1, 0))) is None
+    assert member_solver(amb, gens)(amb.element((4, 2))) is not None
+    assert member_solver(amb, gens)(amb.element((1, 0))) is None
     assert subgroup_equal(
         amb, gens, [amb.element((2, 1)), amb.element((4, 2))]
     )
@@ -414,3 +419,129 @@ def test_split_random_direct_sums():
         assert f(gg).coords[0] == 1
         for c in comp:
             assert f(c).is_zero
+
+
+# -- brute-force references for summand splitting ----------------------------
+
+
+def brute_torsion_elements(group):
+    idx = [i for i, n in enumerate(group.orders) if n]
+    for x in FinAbGroup([group.orders[i] for i in idx]).elements():
+        full = [0] * group.ngens
+        for i, c in zip(idx, x.coords):
+            full[i] = c
+        yield group.element(full)
+
+
+def brute_least_preimage_of_one(f):
+    cands = [x for x in brute_torsion_elements(f.source) if f(x).coords[0]]
+    return min(cands, key=lambda x: (x.order(), x.coords), default=None)
+
+
+def brute_dlog(g, order, x):
+    return next(s for s in range(order) if s * g == x)
+
+
+def brute_two_congruences(r, s, a, parity):
+    return next(
+        (t for t in range(2 * a) if (r * t - s) % a == 0 and t % 2 == parity),
+        None,
+    )
+
+
+def brute_divide_by(group, g, n):
+    # n*x = g forces x to be torsion when g is
+    sols = [y for y in brute_torsion_elements(group) if n * y == g]
+    return min(sols, key=lambda y: y.coords, default=None)
+
+
+def brute_split_off_hom_summand(group, f):
+    g = brute_least_preimage_of_one(f)
+    a = g.order()
+    quot, _, lifts = quotient_with_lift([g], group)
+    comp = []
+    for r, z in zip(quot.orders, lifts):
+        if r == 0:
+            comp.append(z if f(z).coords[0] == 0 else z + g)
+        else:
+            s = brute_dlog(g, a, r * z)
+            comp.append(z - brute_two_congruences(r, s, a, f(z).coords[0]) * g)
+    return g, comp
+
+
+def brute_split_off_cyclic(group, g):
+    p, a, h = g.order(), 0, g
+    while (cand := brute_divide_by(group, g, p ** (a + 1))) is not None:
+        a, h = a + 1, cand
+    order_h = p ** (a + 1)
+    quot, _, lifts = quotient_with_lift([h], group)
+    comp = []
+    for r, z in zip(quot.orders, lifts):
+        if r:
+            m = brute_dlog(h, order_h, r * z)
+            gg, t0, _ = _intmat.xgcd(r, order_h)
+            z = z - (t0 * (m // gg)) % order_h * h
+        comp.append(z)
+    return h, comp
+
+
+SPLIT_POOL = [
+    (2,), (4,), (8,), (2, 2), (2, 4), (4, 2), (4, 4), (8, 2), (2, 4, 8),
+    (6,), (12, 2), (3, 9), (0, 2), (0, 4, 2), (4, 0, 6), (0, 0, 8),
+    (16, 8), (2, 12, 4), (9, 27), (5, 25), (18, 6, 0),
+]
+
+
+def random_element(rng, group):
+    return group.element(
+        [rng.randrange(n) if n else rng.randint(-3, 3) for n in group.orders]
+    )
+
+
+def test_split_lemmas_match_brute_force_references():
+    rng = random.Random(2024)
+    for _ in range(300):
+        g = FinAbGroup(rng.choice(SPLIT_POOL))
+        row = [rng.randint(0, 1) if n % 2 == 0 else 0 for n in g.orders]
+        f = AbHom(g, Z2, [row])
+        ref = brute_least_preimage_of_one(f)
+        assert least_preimage_of_one(f) == ref
+        if ref is not None:
+            assert split_off_hom_summand(g, f) == brute_split_off_hom_summand(g, f)
+
+        x = random_element(rng, g)
+        m = x.order()
+        if m > 1:
+            p = min(d for d in range(2, m + 1) if m % d == 0)
+            y = (m // p) * x
+            assert split_off_cyclic(g, y) == brute_split_off_cyclic(g, y)
+        tors = g.element([c if n else 0 for c, n in zip(x.coords, g.orders)])
+        for n in (2, 3, 4, 6, 8, 9):
+            for t in (tors, n * tors):
+                assert _divide_by(g, t, n) == brute_divide_by(g, t, n)
+
+
+def test_solve_two_congruences_matches_range_2a():
+    rng = random.Random(5)
+    for _ in range(20000):
+        a = rng.choice([1, 2, 4, 8, 16, 32, 64, 3, 6, 12, 40])
+        r, s = rng.randrange(1, 2 * a + 1), rng.randrange(a)
+        parity = rng.randint(0, 1)
+        ref = brute_two_congruences(r, s, a, parity)
+        if ref is None:
+            with pytest.raises(AssertionError):
+                _solve_two_congruences(r, s, a, parity)
+        else:
+            assert _solve_two_congruences(r, s, a, parity) == ref
+
+
+def test_split_off_at_high_level():
+    # a 2^70 factor is never enumerated
+    g = FinAbGroup((0, 2**70, 4))
+    f = AbHom(g, Z2, [[0, 1, 0]])
+    h, comp = split_off_hom_summand(g, f)
+    assert h.coords == (0, 1, 0) and h.order() == 2**70
+    x = g.element((0, 2**69, 0))
+    h, comp = split_off_cyclic(g, x)
+    assert h.coords == (0, 1, 0)
+    assert _divide_by(g, x, 2**69) == h

@@ -26,6 +26,8 @@ def test_classify(capsys):
     assert got["height"] == "inf"
     got = run_json(capsys, "classify", '{"name":"Q-","sum":[5]}')
     assert got == {"symmetry": -1, "height": 1, "complement": [5]}
+    code, out, _ = run_cli(capsys, "classify", '{"name":"ZP_22"}')
+    assert (code, out) == (0, '{"complement":[],"height":23,"symmetry":1}\n')
 
 
 def test_witt_group(capsys):
@@ -34,6 +36,8 @@ def test_witt_group(capsys):
     got = run_json(capsys, "witt-group", '{"name":"ZP_3"}')
     assert got["group"] == [4, 0]
     assert got["generators"] == ["sigma*", "rho_3*"]
+    got = run_json(capsys, "witt-group", '{"name":"ZP_30"}')
+    assert got["group"] == [2**29, 0]
 
 
 def test_tensor(capsys):

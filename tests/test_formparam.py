@@ -169,6 +169,9 @@ def test_classify_examples():
     assert (c.symmetry, c.height, c.complement) == (-1, 0, ())
 
     assert classify(standard("ZP")).height == inf
+    # high levels are split by coordinate arithmetic, not by enumeration
+    c = classify(standard("ZP_k", 40))
+    assert (c.symmetry, c.height, c.complement) == (1, 41, ())
 
 
 def test_classification_complete_on_standards():
@@ -479,6 +482,14 @@ def test_aut_generators():
     auts = aut_generators(standard("ZP_2"))
     assert [a.map.matrix for a in auts] == [
         ((1, 0), (3, 3)),
+        ((1, 0), (1, 3)),
+    ]
+
+    # the level is read off the carrier, with no cap
+    n = 2**70
+    auts = aut_generators(standard("ZP_k", 70))
+    assert [a.map.matrix for a in auts] == [
+        ((1, 0), (n - 1, n - 1)),
         ((1, 0), (1, 3)),
     ]
 

@@ -42,3 +42,29 @@ def test_no_unused_imports_in_library():
         if (unused := unused_imports(path.read_text()))
     }
     assert not found, found
+
+
+def element_enumerations(source: str):
+    """Lines that call `.elements()`, which walks a whole group."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "elements"
+    )
+
+
+def test_element_enumerations_detected():
+    src = "x = g.elements()\nfor y in h.elements():\n    pass\nz = g.elements\n"
+    assert element_enumerations(src) == [1, 2]
+
+
+def test_library_never_enumerates_a_group():
+    # the tests may enumerate small groups as references; the library may not
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := element_enumerations(path.read_text()))
+    }
+    assert not found, found

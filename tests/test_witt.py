@@ -129,6 +129,12 @@ def test_witt_group_descriptions():
     assert d.canonical_orders() == (8, 0)
     d = witt.witt_group(split_sum(standard("ZL_2"), FinAbGroup((2,))))
     assert d.canonical_orders() == (2,)
+    zp70 = standard("ZP_k", 70)
+    d = witt.witt_group(zp70)
+    assert d.names == ("sigma*", "rho_70*")
+    assert d.orders == (0, 2**69)
+    sig_star = qf.QForm(zp70, [[1]], [zp70.carrier.element((1, 0))])
+    assert witt.witt_class(sig_star).coords == (1, 0)
 
 
 def test_witt_class_zero_iff_metabolic_sum():
