@@ -105,23 +105,18 @@ class FinAbGroup:
         return lcm(*self.torsion_orders) if self.torsion_orders else 1
 
     def canonical_orders(self) -> Tuple[int, ...]:
-        """Ascending invariant factors, then zeros for the free part."""
-        primes: dict = {}
-        for n in self.torsion_orders:
-            for p, e in _factorint(n).items():
-                primes.setdefault(p, []).append(e)
-        depth = max((len(es) for es in primes.values()), default=0)
-        factors = []
-        for i in range(depth):
-            # i-th largest power of each prime recombine into one factor
-            d = 1
-            for p, es in sorted(primes.items()):
-                chain = sorted(es, reverse=True)
-                if i < len(chain):
-                    d *= p ** chain[i]
-            factors.append(d)
-        factors.sort()
-        return tuple(factors) + (0,) * self.free_rank
+        """Ascending invariant factors, then zeros for the free part.
+
+        Z_a + Z_b = Z_gcd(a, b) + Z_lcm(a, b), so replacing every pair of
+        torsion orders (i < j) by (gcd, lcm) leaves each order dividing
+        every later one; nothing is factored, so a large prime costs no
+        more than a small one.
+        """
+        d = list(self.torsion_orders)
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+        return tuple(n for n in d if n != 1) + (0,) * self.free_rank
 
     def is_isomorphic(self, other: "FinAbGroup") -> bool:
         return self.canonical_orders() == other.canonical_orders()

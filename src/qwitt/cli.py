@@ -282,7 +282,10 @@ def main(argv: Optional[list] = None) -> int:
         default="{}",
         help="JSON payload (defaults to an empty object)",
     )
-    parser.add_argument("--bound", type=int, default=3, help="search coefficient bound")
+    parser.add_argument(
+        "--bound", type=int, default=3,
+        help="search coefficient bound B: the searches try bounds 1..B in turn",
+    )
     parser.add_argument(
         "--format", choices=["json", "pretty"], default="json"
     )
@@ -291,6 +294,9 @@ def main(argv: Optional[list] = None) -> int:
         help="seed for randomized verification runs",
     )
     args = parser.parse_args(argv)
+    if args.bound < 0:
+        print("error: --bound must be non-negative", file=sys.stderr)
+        return 3
 
     try:
         payload = json.loads(args.payload)

@@ -159,9 +159,12 @@ class SearchOutcome:
     (found at the root, before any kernel call, so it costs 0 nodes).
 
     `nodes` counts the kernel's search-tree nodes, one per value tried for
-    one coordinate.  No kernel call is made after the node budget is
-    spent, so it is at most node_budget + 1, and "node budget exhausted"
-    is the reason when a call stopped early.
+    one coordinate, summed over the passes of the search (one per box
+    |x_i| <= b, b = 1 .. bound; see `_column_search`).  No kernel call is
+    made after the node budget is spent, so it is at most node_budget + 1,
+    and "node budget exhausted" is the reason when a call stopped early.
+    A witness comes from the first pass that finds one, so no box of a
+    smaller bound holds a witness.
     """
 
     status: str  # "found" | "no" | "unknown"
@@ -427,10 +430,18 @@ def _column_search(
     """The backtracking driver behind every bounded search.
 
     Looks for columns c_0, ..., c_{k-1} of target with entries within
-    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i], in the
-    kernel's enumeration order; `keep` filters the candidates for a column,
-    and `normalize` is passed to the kernel.  The first complete tuple that
-    `leaf` turns into a witness (anything but None) ends the search.
+    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i]; `keep`
+    filters the candidates for a column, and `normalize` is passed to the
+    kernel.  The first complete tuple that `leaf` turns into a witness
+    (anything but None) ends the search.
+
+    Iterative deepening: the column recursion runs once per box
+    |x_i| <= b, for b = 1, 2, ..., bound (bound 0 or a rank-0 target: one
+    pass at `bound`), each pass in the kernel's enumeration order.  Pass b
+    runs only after pass b - 1 ran to the end without a witness, so a
+    found tuple has the least entry bound of any tuple that `leaf`
+    accepts: none exists in box b - 1.  Only a complete pass at `bound`
+    itself ends with "nothing in the box".
 
     The square and mu constraints of each depth are built once, and the
     pair row M^t c of a column once, when the next column is searched for.
@@ -441,8 +452,9 @@ def _column_search(
     A depth that fails has no integer column at any bound, so the search
     ends at 0 nodes with the reason, naming the depth and the constraint.
 
-    Budget rule: each kernel call gets the nodes left of `node_budget`,
-    and once a call reports that it stopped early no further call is made.
+    Budget rule: the passes share one node count.  Each kernel call gets
+    the nodes left of `node_budget`, and once a call reports that it
+    stopped early no further call is made, in that pass or a later one.
     The vectors that call did return are still tried, so a witness among
     them still reaches `leaf`, and the node count stays at most
     node_budget + 1.
@@ -450,6 +462,8 @@ def _column_search(
     Returns (witness or None, nodes, whether every call ran to the end,
     the root certificate or "").
     """
+    if bound < 0:
+        raise ValueError(f"search bound {bound} is negative")
     n, k = target.rank, len(mus)
     mt = _intmat.transpose(target.lambda_matrix)
     zero = [[0] * n for _ in range(n)]
@@ -475,17 +489,19 @@ def _column_search(
     nodes = 0
     exhausted = True
 
-    def rec(depth: int) -> Optional[_W]:
+    def rec(depth: int, box: int) -> Optional[_W]:
         nonlocal nodes, exhausted
         if depth == k:
             return leaf(cols)
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, cols[-1])]
+        else:
+            rows.clear()  # a new pass: no column is chosen yet
         constraints = fixed[depth] + [
             (zero, row, -lam[j][depth], 0) for j, row in enumerate(rows)
         ]
         results, used, done = search.search_vectors(
-            n, constraints, bound, 1 << 30, node_budget - nodes, normalize
+            n, constraints, box, 1 << 30, node_budget - nodes, normalize
         )
         nodes += used
         exhausted = exhausted and done
@@ -495,13 +511,17 @@ def _column_search(
             if keep is not None and not keep(vec, cols):
                 continue
             cols.append(list(vec))
-            witness = rec(depth + 1)
+            witness = rec(depth + 1, box)
             cols.pop()
             if witness is not None:
                 return witness
         return None
 
-    witness = rec(0)
+    # a rank-0 target has one box, {()}, at every bound: one pass
+    for box in range(min(bound, 1) if n else bound, bound + 1):
+        witness = rec(0, box)
+        if witness is not None or not exhausted:
+            break
     rec = None  # break the closure's cycle: its lists go now, not at a gc
     return witness, nodes, exhausted, ""
 

@@ -5,6 +5,7 @@ import pytest
 from qwitt import _intmat
 from qwitt.abelian import (
     _divide_by,
+    _factorint,
     _solve_two_congruences,
     Z,
     Z2,
@@ -36,6 +37,38 @@ def test_canonical_orders():
     assert FinAbGroup(()).canonical_orders() == ()
     assert FinAbGroup((2, 3)).is_isomorphic(FinAbGroup((6,)))
     assert not FinAbGroup((2, 4)).is_isomorphic(FinAbGroup((8,)))
+    # a large prime is not factored
+    p = 1000000000000000003
+    assert FinAbGroup((p, 0, 2 * p)).canonical_orders() == (p, 2 * p, 0)
+
+
+def factoring_canonical_orders(group):
+    """Reference: the invariant factors from the prime factorisation of
+    every torsion order, the i-th largest power of each prime recombined
+    into the i-th largest factor."""
+    primes: dict = {}
+    for n in group.torsion_orders:
+        for p, e in _factorint(n).items():
+            primes.setdefault(p, []).append(e)
+    depth = max((len(es) for es in primes.values()), default=0)
+    factors = []
+    for i in range(depth):
+        d = 1
+        for p, es in sorted(primes.items()):
+            chain = sorted(es, reverse=True)
+            if i < len(chain):
+                d *= p ** chain[i]
+        factors.append(d)
+    factors.sort()
+    return tuple(factors) + (0,) * group.free_rank
+
+
+def test_canonical_orders_match_factoring_reference():
+    rng = random.Random(31)
+    for _ in range(3000):
+        orders = [rng.choice([0, rng.randint(2, 400)]) for _ in range(rng.randint(0, 6))]
+        group = FinAbGroup(orders)
+        assert group.canonical_orders() == factoring_canonical_orders(group), orders
 
 
 def test_order_one_factor_rejected():

@@ -28,6 +28,9 @@ def test_classify(capsys):
     assert got == {"symmetry": -1, "height": 1, "complement": [5]}
     code, out, _ = run_cli(capsys, "classify", '{"name":"ZP_22"}')
     assert (code, out) == (0, '{"complement":[],"height":23,"symmetry":1}\n')
+    # a large prime summand: its order is never factored
+    got = run_json(capsys, "classify", '{"name":"Q-","sum":[1000000000000000003]}')
+    assert got == {"symmetry": -1, "height": 1, "complement": [1000000000000000003]}
 
 
 def test_witt_group(capsys):
@@ -149,6 +152,12 @@ def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "classify", '{"carrier":{"orders":[0]},"h":[1],"pOne":[1]}')
     assert code == 2
     assert "h(p(1))" in err  # the violated axiom is named
+
+
+@pytest.mark.parametrize("verb", ["metabolic", "classify"])
+def test_negative_bound_is_refused_before_the_payload(capsys, verb):
+    code, out, err = run_cli(capsys, verb, "not json", "--bound", "-1")
+    assert (code, out, err) == (3, "", "error: --bound must be non-negative\n")
 
 
 @pytest.mark.parametrize(

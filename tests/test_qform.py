@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -399,42 +400,158 @@ def test_root_certificate_alternating_square():
 # -- the search driver -----------------------------------------------------------
 
 
-def test_search_stops_at_node_budget(monkeypatch):
+def _record_kernel_calls(monkeypatch) -> list:
+    """(box bound, nodes, exhausted) of every kernel call from now on."""
     from qwitt import search
 
-    calls = []  # (nodes, exhausted) of every kernel call
+    calls = []
     kernel = search.search_vectors
 
     def counted(*args):
         out = kernel(*args)
-        calls.append(out[1:])
+        calls.append((args[2],) + out[1:])
         return out
 
     monkeypatch.setattr(search, "search_vectors", counted)
-    budget = 50
+    return calls
+
+
+def test_search_stops_at_node_budget(monkeypatch):
     h4 = qf.hyperbolic(QP, 2)
     scrambled = qf.pullback(h4, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
     eta = qf.QForm(QP, [[0, 1], [1, 0]], [QP.carrier.zero()] * 2)
     definite = qf.direct_sum(unit_form(1), unit_form(1))
+    definite4 = qf.direct_sum(definite, definite)
+    zero = qf.QForm(QP, [[0]], [QP.carrier.zero()])
+    # a budget that the pass at bound 1 leaves a few nodes of, so the
+    # pass at bound 2 is the one that runs out
+    pass1 = qf.embedding_search(eta, definite4, bound=1).nodes
+    calls = _record_kernel_calls(monkeypatch)
+    budget = 50
     runs = [
-        lambda: qf.metabolic_search(h4, bound=3, node_budget=budget, use_obstructions=False),
-        lambda: qf.metabolic_search(scrambled, bound=3, node_budget=budget, use_obstructions=False),
-        lambda: qf.isometry_search(h4, scrambled, bound=3, node_budget=budget),
-        lambda: qf.embedding_search(eta, qf.direct_sum(h4, h4), bound=3, node_budget=budget),
-        lambda: qf.embedding_search(eta, qf.direct_sum(definite, definite), bound=3, node_budget=budget),
+        (budget, lambda: qf.metabolic_search(h4, bound=3, node_budget=budget, use_obstructions=False)),
+        (budget, lambda: qf.metabolic_search(scrambled, bound=3, node_budget=budget, use_obstructions=False)),
+        (budget, lambda: qf.isometry_search(h4, scrambled, bound=3, node_budget=budget)),
+        (budget, lambda: qf.embedding_search(eta, qf.direct_sum(h4, h4), bound=3, node_budget=budget)),
+        (budget, lambda: qf.embedding_search(eta, definite4, bound=3, node_budget=budget)),
+        # a rank-0 target: every box is the same one point, searched once
+        (0, lambda: qf.embedding_search(zero, qf.QForm(QP, [], []), bound=3, node_budget=0)),
+        (pass1 + 3, lambda: qf.embedding_search(eta, definite4, bound=3, node_budget=pass1 + 3)),
     ]
     stopped = 0
-    for run in runs:
+    for limit, run in runs:
         calls.clear()
         out = run()
-        assert out.nodes == sum(nodes for nodes, _ in calls)
-        assert out.nodes <= budget + 1
-        for i, (_, exhausted) in enumerate(calls):
+        assert out.nodes == sum(nodes for _, nodes, _ in calls)
+        assert out.nodes <= limit + 1
+        for i, (_, _, exhausted) in enumerate(calls):
             if not exhausted:
                 assert i == len(calls) - 1, "kernel called after the budget ran out"
                 assert out.found or out.reason == "node budget exhausted"
                 stopped += 1
-    assert stopped >= 3
+    assert stopped >= 4
+    # the last run: pass 1 complete, pass 2 budget-limited, no pass 3
+    assert [(b, done) for b, _, done in calls] == [(1, True)] * (len(calls) - 1) + [(2, False)]
+    assert sum(nodes for _, nodes, _ in calls[:-1]) == pass1
+    assert out.reason == "node budget exhausted"
+
+
+def test_bound_zero_is_one_pass(monkeypatch):
+    calls = _record_kernel_calls(monkeypatch)
+    h2 = qf.hyperbolic(QP, 1)
+    out = qf.metabolic_search(h2, bound=0, use_obstructions=False)
+    assert (out.status, out.reason) == ("unknown", "no lagrangian with coordinates within the bound")
+    assert [b for b, _, _ in calls] == [0]
+    # the zero vector embeds the zero form, but not injectively
+    zero = qf.QForm(QP, [[0]], [QP.carrier.zero()])
+    assert qf.embedding_search(zero, h2, bound=0).reason == (
+        "no embedding with coordinates within the bound"
+    )
+    assert qf.embedding_search(zero, h2, bound=1).found
+
+
+def test_negative_bound_is_refused():
+    h2 = qf.hyperbolic(QP, 1)
+    with pytest.raises(ValueError, match="negative"):
+        qf.metabolic_search(h2, bound=-1, use_obstructions=False)
+    with pytest.raises(ValueError, match="negative"):
+        qf.isometry_search(h2, h2, bound=-1)
+    with pytest.raises(ValueError, match="negative"):
+        qf.embedding_search(h2, h2, bound=-1)
+
+
+def _brute_least_entry(target, lam, mus, accept, bound):
+    """Least max |entry| over the column tuples of the box |x_i| <= bound
+    that meet lambda(c_i, c_j) = lam[i][j], mu(c_i) = mus[i] and `accept`,
+    or None when there is none."""
+    box = list(itertools.product(range(-bound, bound + 1), repeat=target.rank))
+    cands = [
+        [v for v in box if target.lam(v, v) == lam[d][d] and target.mu(v) == m]
+        for d, m in enumerate(mus)
+    ]
+    best = None
+    for cols in itertools.product(*cands):
+        if all(
+            target.lam(cols[i], cols[j]) == lam[i][j]
+            for i in range(len(cols)) for j in range(i + 1, len(cols))
+        ) and accept(cols):
+            entry = _entry_bound(cols)
+            best = entry if best is None else min(best, entry)
+    return best
+
+
+def _entry_bound(vectors) -> int:
+    return max((abs(x) for v in vectors for x in v), default=0)
+
+
+def test_found_witness_has_least_entry_bound():
+    """The search contract against brute force at bound 2: a found witness
+    has the least entry bound of every witness in the box, and the whole
+    box holds none exactly when the search says so."""
+    params = [QP, QM, split_sum(QP, FinAbGroup((2,))), standard("ZL_2")]
+    rng = random.Random(913)
+    bound, budget = 2, 10**6
+    seen = set()
+    for i in range(40):
+        p = params[i % len(params)]
+        f = random_nonsingular_form(rng, p, max_rank=3)
+        kind = i % 3
+        if kind == 0 and f.rank == 2:
+            out = qf.metabolic_search(f, bound=bound, node_budget=budget)
+            best = _brute_least_entry(
+                f, [[0]], [p.carrier.zero()],
+                lambda cols: qf.lagrangian_verify(f, cols), bound,
+            )
+        elif kind == 1 and f.rank <= 2:
+            g = qf.pullback(f, random_unimodular(rng, f.rank, ops=3))
+            out = qf.isometry_search(f, g, bound=bound, node_budget=budget)
+            best = _brute_least_entry(
+                g, f.lambda_matrix, f.mu_basis,
+                lambda cols: _intmat.determinant(_intmat.transpose(cols)) in (1, -1),
+                bound,
+            )
+        else:
+            k = rng.choice([1, 2])
+            if rng.random() < 0.5:
+                # a pullback of f, so often (not always) an embedding
+                m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(f.rank)]
+                eta = qf.pullback(f, m)
+            else:
+                q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
+                eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+            out = qf.embedding_search(eta, f, bound=bound, node_budget=budget)
+            best = _brute_least_entry(
+                f, eta.lambda_matrix, eta.mu_basis,
+                lambda cols: qf._rank_of(_intmat.transpose(cols)) == eta.rank,
+                bound,
+            )
+        assert out.reason != qf.BUDGET_EXHAUSTED
+        if out.found:
+            assert _entry_bound(out.witness) == best, (i, out)
+        else:
+            assert best is None, (i, out)
+        seen.add((out.status, best))
+    assert {("found", 1), ("found", 2), ("no", None), ("unknown", None)} <= seen, seen
 
 
 def _pinned_queries():
@@ -463,50 +580,53 @@ def _pinned_queries():
 # (status, reason, witness) of each _pinned_queries() search, recorded with
 # the per-search recursive drivers that the single driver replaced; rows 5,
 # 17, 23, 26, 39 and 41 ("node budget exhausted" then) re-recorded when the
-# kernel began to prune congruences and the driver to certify "no" at the root
+# kernel began to prune congruences and the driver to certify "no" at the
+# root; rows 7, 9, 11, 12, 25 and 36 (then "node budget exhausted") and 15
+# found rows (then with larger entries) re-recorded when the driver began
+# to search the boxes of bound 1, 2, ... in turn
 PINNED = [
     ('no', 'odd rank', None),
-    ('found', '', ((-2, 1), (-1, 1))),
+    ('found', '', ((-1, -1), (0, 1))),
     ('unknown', 'node budget exhausted', None),
     ('no', 'non-zero Witt class', None),
-    ('found', '', ((-1, -2), (-1, -1))),
-    ('found', '', ((-2, -2), (-2, -2), (-1, -1), (0, -1))),
-    ('found', '', ((0, 0, 0, 1), (0, 2, 1, -2))),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-1, -1), (-1, 0))),
+    ('found', '', ((-1, -1), (-1, -1), (-1, -1), (0, -1))),
+    ('found', '', ((0, 0, 0, 1), (1, -1, 0, -1))),
+    ('found', '', ((-1, 0, 0, 0), (0, -1, 0, -1), (0, 0, -1, 0), (0, -1, 1, 0))),
     ('unknown', 'no embedding with coordinates within the bound', None),
-    ('unknown', 'node budget exhausted', None),
-    ('found', '', ((-2, 1, 1), (0, 1, 0), (-1, 1, 1))),
-    ('unknown', 'node budget exhausted', None),
-    ('unknown', 'node budget exhausted', None),
-    ('found', '', ((-2, 0, 1, 2), (-2, 1, 0, 0), (-1, 0, 0, 0), (0, 1, -1, -1))),
+    ('found', '', ((0, 0, 0, 1), (0, 1, 0, -1))),
+    ('found', '', ((-1, -1, -1), (0, -1, 0), (0, -1, -1))),
+    ('found', '', ((-1, -1), (0, 1), (-1, -1), (0, -1))),
+    ('found', '', ((0, 1, 0, 0), (1, -1, -1, 0))),
+    ('found', '', ((-1, 0, 0, 1), (-1, 1, -1, -1), (0, 0, -1, -1), (0, 1, -1, -1))),
     ('unknown', 'node budget exhausted', None),
     ('no', 'odd rank', None),
-    ('found', '', ((-2, 1), (-1, 1))),
-    ('found', '', ((-2, -1), (1, 0), (-2, -1), (-2, -2))),
+    ('found', '', ((-1, -1), (0, 1))),
+    ('found', '', ((-1, 0), (0, -1), (0, -1), (0, 0))),
     ('found', '', ((0, 1),)),
     ('unknown', 'node budget exhausted', None),
     ('unknown', 'no embedding with coordinates within the bound', None),
-    ('found', '', ((0, 0, 1, -2), (1, -2, -1, 2))),
+    ('found', '', ((0, 0, 1, -1), (1, -1, -1, 1))),
     ('found', '', ((-1, -1), (-2, -1))),
     ('no', 'column 1: mu(x) = (0, 1) has no integer solution', None),
     ('found', '', ((0, 1),)),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-1, 0, 0, 0), (-1, -1, 0, 1), (-1, 0, 1, 0), (0, 0, 0, -1))),
     ('unknown', 'no embedding with coordinates within the bound', None),
-    ('found', '', ((0, 1, -2, 0), (1, -2, 2, 0))),
+    ('found', '', ((0, 1, 0, 0), (1, -1, 0, 0))),
     ('unknown', 'node budget exhausted', None),
-    ('found', '', ((-2, -1), (-1, -1))),
+    ('found', '', ((-1, -1), (0, -1))),
     ('no', 'odd rank', None),
     ('unknown', 'node budget exhausted', None),
     ('unknown', 'no embedding with coordinates within the bound', None),
     ('no', 'non-zero Witt class', None),
     ('unknown', 'node budget exhausted', None),
-    ('found', '', ((-2, -2), (-1, 0), (2, 1), (-2, 0))),
+    ('found', '', ((-1, 1), (0, -1), (0, -1), (0, 0))),
+    ('found', '', ((0, 0, 0, 1), (1, -1, 0, -1))),
     ('unknown', 'node budget exhausted', None),
-    ('unknown', 'node budget exhausted', None),
-    ('found', '', ((-2, -2), (-2, 1), (-2, -1), (-1, -1))),
-    ('found', '', ((0, 0, 1, 0), (1, 0, -2, 1))),
+    ('found', '', ((-1, 0), (-1, -1), (-1, -1), (1, 1))),
+    ('found', '', ((0, 0, 1, 0), (1, 0, -1, 1))),
     ('found', '', ((-1, -1), (0, 1))),
-    ('found', '', ((-2, -1), (-1, -2), (-2, -1), (-1, -1))),
+    ('found', '', ((-1, 0), (-1, 0), (-1, 0), (-1, -1))),
 ]
 
 
