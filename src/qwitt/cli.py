@@ -204,7 +204,10 @@ def cmd_embed(payload, args) -> dict:
     p = _param_of(payload)
     f = parse_form(p, _require(payload, "form"))
     eta = parse_form(p, _require(payload, "eta"))
-    emb = qform.absorb_embed(f, eta, bound=args.bound)
+    try:
+        emb = qform.absorb_embed(f, eta, bound=args.bound)
+    except qform.IsotropicVectorNotFound as exc:
+        return {"status": "unknown", "reason": str(exc), "bound": args.bound}
     return {
         "matrix": [list(r) for r in emb.matrix],
         "copies": 3,

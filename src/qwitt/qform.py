@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat, search
 from .abelian import AbHom, FinAbGroup, GroupElement
-from .formparam import FormParameter, FPMorphism, linearisation
+from .formparam import (
+    FormParameter, FPMorphism, linearisation, terminal_morphism
+)
 
 __all__ = [
     "QForm",
@@ -42,15 +44,13 @@ __all__ = [
     "full_metabolic",
     "is_absorbing",
     "absorb_embed",
+    "IsotropicVectorNotFound",
 ]
 
 DEFAULT_BOUND = 3
 DEFAULT_NODE_BUDGET = 4_000_000
 # the reason of an "unknown" whose search stopped at its node budget
 BUDGET_EXHAUSTED = "node budget exhausted"
-
-_W = TypeVar("_W")
-
 
 @dataclass(frozen=True)
 class QForm:
@@ -423,17 +423,18 @@ def _column_search(
     mus: Sequence[GroupElement],
     bound: int,
     node_budget: int,
-    leaf: Callable[[List[List[int]]], Optional[_W]],
+    leaf: Callable[[List[List[int]]], Optional[Tuple[Tuple[int, ...], ...]]],
+    what: str,
     keep: Optional[Callable[[Tuple[int, ...], List[List[int]]], bool]] = None,
     normalize: bool = False,
-) -> Tuple[Optional[_W], int, bool, str]:
+) -> SearchOutcome:
     """The backtracking driver behind every bounded search.
 
     Looks for columns c_0, ..., c_{k-1} of target with entries within
     `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i]; `keep`
     filters the candidates for a column, and `normalize` is passed to the
     kernel.  The first complete tuple that `leaf` turns into a witness
-    (anything but None) ends the search.
+    (anything but None) ends the search with "found".
 
     Iterative deepening: the column recursion runs once per box
     |x_i| <= b, for b = 1, 2, ..., bound (bound 0 or a rank-0 target: one
@@ -449,8 +450,8 @@ def _column_search(
     Root certificate: before any kernel call, each depth's own constraints
     (lambda(x, x) and mu(x)) go through `search.unsolvable`, and a
     non-zero lambda(x, x) on an alternating target is refused outright.
-    A depth that fails has no integer column at any bound, so the search
-    ends at 0 nodes with the reason, naming the depth and the constraint.
+    A depth that fails has no integer column at any bound, so the verdict
+    is "no" at 0 nodes, its reason naming the depth and the constraint.
 
     Budget rule: the passes share one node count.  Each kernel call gets
     the nodes left of `node_budget`, and once a call reports that it
@@ -459,8 +460,9 @@ def _column_search(
     them still reaches `leaf`, and the node count stays at most
     node_budget + 1.
 
-    Returns (witness or None, nodes, whether every call ran to the end,
-    the root certificate or "").
+    Otherwise the verdict is "unknown", with the reason "no `what` within
+    the bound" when every call ran to the end, else "node budget
+    exhausted".
     """
     if bound < 0:
         raise ValueError(f"search bound {bound} is negative")
@@ -471,25 +473,25 @@ def _column_search(
     for d in range(k):
         square = _lambda_square_constraint(target, lam[d][d])
         if square is None:
-            return None, 0, True, (
+            return SearchOutcome("no", bound=bound, reason=(
                 f"column {d}: lambda(x, x) = {lam[d][d]} has no solution on an "
                 "alternating form"
-            )
+            ))
         mu = _mu_constraints(target, mus[d])
-        for what, value, cons in (
+        for name, value, cons in (
             ("lambda(x, x)", lam[d][d], square), ("mu(x)", mus[d], mu)
         ):
             if any(search.unsolvable(c) for c in cons):
-                return None, 0, True, (
-                    f"column {d}: {what} = {value} has no integer solution"
-                )
+                return SearchOutcome("no", bound=bound, reason=(
+                    f"column {d}: {name} = {value} has no integer solution"
+                ))
         fixed.append(square + mu)
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
     exhausted = True
 
-    def rec(depth: int, box: int) -> Optional[_W]:
+    def rec(depth: int, box: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
         nonlocal nodes, exhausted
         if depth == k:
             return leaf(cols)
@@ -523,24 +525,8 @@ def _column_search(
         if witness is not None or not exhausted:
             break
     rec = None  # break the closure's cycle: its lists go now, not at a gc
-    return witness, nodes, exhausted, ""
-
-
-def _search_outcome(
-    witness: Optional[Tuple[Tuple[int, ...], ...]],
-    nodes: int,
-    exhausted: bool,
-    certificate: str,
-    bound: int,
-    what: str,
-) -> SearchOutcome:
-    """The verdict of a _column_search: "found" with the witness, "no" with
-    its root certificate, else "unknown" because the whole box held no
-    `what` or the budget ran out."""
     if witness is not None:
         return SearchOutcome("found", witness=witness, bound=bound, nodes=nodes)
-    if certificate:
-        return SearchOutcome("no", reason=certificate, bound=bound, nodes=nodes)
     reason = f"no {what} within the bound" if exhausted else BUDGET_EXHAUSTED
     return SearchOutcome("unknown", reason=reason, bound=bound, nodes=nodes)
 
@@ -584,14 +570,12 @@ def isometry_search(
             return tuple(tuple(r) for r in mat)
         return None
 
-    witness, nodes, exhausted, certificate = _column_search(
-        g, f.lambda_matrix, f.mu_basis, bound, node_budget, unimodular
-    )
-    assert witness is None or isometry_verify(f, g, witness)
-    return _search_outcome(
-        witness, nodes, exhausted, certificate, bound,
+    out = _column_search(
+        g, f.lambda_matrix, f.mu_basis, bound, node_budget, unimodular,
         "isometry with matrix entries",
     )
+    assert not out.found or isometry_verify(f, g, out.witness)
+    return out
 
 
 def metabolic_search(
@@ -620,22 +604,19 @@ def metabolic_search(
         # non-zero, and lexicographically increasing bases only
         return any(vec) and (not basis or list(vec) > basis[-1])
 
-    found, nodes, exhausted, certificate = _column_search(
+    out = _column_search(
         f,
         [[0] * k for _ in range(k)],
         [f.parameter.carrier.zero()] * k,
         bound,
         node_budget,
         lambda basis: _saturate_if_needed(f, basis),
+        "lagrangian with coordinates",
         increasing,
         normalize=True,
     )
-    assert found is None or lagrangian_verify(f, found)
-    witness = None if found is None else tuple(tuple(v) for v in found)
-    return _search_outcome(
-        witness, nodes, exhausted, certificate, bound,
-        "lagrangian with coordinates",
-    )
+    assert not out.found or lagrangian_verify(f, out.witness)
+    return out
 
 
 def _metabolic_obstruction(f: QForm) -> str:
@@ -686,18 +667,18 @@ def _arf_lift_obstruction(f: QForm) -> str:
 
 def _saturate_if_needed(
     f: QForm, basis: Sequence[Sequence[int]]
-) -> Optional[List[List[int]]]:
+) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """Upgrade an isotropic sublattice to a lagrangian when possible."""
-    vecs = [list(v) for v in basis]
+    vecs = [tuple(v) for v in basis]
     cols = [[v[i] for v in vecs] for i in range(f.rank)]
     s = _intmat.SNF(cols)
     if s.rank != len(vecs):
         return None
     if all(s.d[i][i] == 1 for i in range(len(vecs))):
-        return vecs
-    sat = [
-        [s.uinv[i][j] for i in range(f.rank)] for j in range(len(vecs))
-    ]
+        return tuple(vecs)
+    sat = tuple(
+        tuple(s.uinv[i][j] for i in range(f.rank)) for j in range(len(vecs))
+    )
     if all(mu_eval(f, v).is_zero for v in sat) and lagrangian_verify(f, sat):
         return sat
     return None
@@ -720,11 +701,8 @@ def embedding_search(
             return tuple(tuple(r) for r in mat)
         return None
 
-    witness, nodes, exhausted, certificate = _column_search(
-        target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, injective
-    )
-    return _search_outcome(
-        witness, nodes, exhausted, certificate, bound,
+    return _column_search(
+        target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, injective,
         "embedding with coordinates",
     )
 
@@ -757,6 +735,11 @@ def is_absorbing(f: QForm) -> bool:
     return is_indefinite(f) and is_full(f)
 
 
+class IsotropicVectorNotFound(RuntimeError):
+    """absorb_embed found no primitive isotropic vector within its bound and
+    node budget; one may still exist beyond them."""
+
+
 def absorb_embed(
     f: QForm,
     eta: QForm,
@@ -768,7 +751,9 @@ def absorb_embed(
 
     Construction: a primitive isotropic x, a dual y with lambda(x, y) = 1,
     z with S(mu)(z) = [q] - S(mu)(y), and a correction delta, giving
-    i(e) = (x, -x, 0) and i(f) = (y + delta x, -delta x, z).
+    i(e) = (x, -x, 0) and i(f) = (y + delta x, -delta x, z).  x is
+    searched like every bounded search, within `bound` and `node_budget`;
+    IsotropicVectorNotFound is raised when that search finds none.
     """
     eps = f.parameter.symmetry
     if eta.rank != 2 or eta.lambda_matrix[0] != (0, 1) or eta.lambda_matrix[1][0] != eps:
@@ -779,8 +764,11 @@ def absorb_embed(
         raise ValueError("f is not absorbing")
     emb = try_rank2_embedding(f, eta, bound, node_budget)
     if emb is None:
-        raise RuntimeError(
-            "no primitive isotropic vector within the coefficient bound"
+        # f is full, so the linearisation meets every class: only the
+        # bounded search for x can have come back empty
+        raise IsotropicVectorNotFound(
+            "no primitive isotropic vector found within the bound and the "
+            "node budget"
         )
     return emb
 
@@ -835,20 +823,20 @@ def try_rank2_embedding(
 def _primitive_isotropic(
     f: QForm, bound: int, node_budget: int
 ) -> Optional[List[int]]:
-    """First primitive x with lambda(x, x) = 0 in the bounded box."""
-    cons = _lambda_square_constraint(f, 0) or []
-    b = bound
-    while b <= max(bound, 6):
-        results, _, exhausted = search.search_vectors(
-            f.rank, cons, b, 1 << 30, node_budget, True
-        )
-        for vec in results:
-            if any(vec) and _intmat.vec_gcd(list(vec)) == 1:
-                return list(vec)
-        if not exhausted:
-            break
-        b += 1
-    return None
+    """A primitive x with lambda(x, x) = 0, of least entry bound, found
+    within `bound` and `node_budget`, or None.
+
+    Over the terminal parameter mu(x) is lambda(x, x) (Q^+) or 0 (Q^-),
+    so it is the one-column search for lambda = [[0]] and mu = 0.
+    """
+    g = pushforward(f, terminal_morphism(f.parameter))
+    out = _column_search(
+        g, [[0]], [g.parameter.carrier.zero()], bound, node_budget,
+        lambda cols: (tuple(cols[0]),) if _intmat.vec_gcd(cols[0]) == 1 else None,
+        "primitive isotropic vector",
+        normalize=True,
+    )
+    return list(out.witness[0]) if out.found else None
 
 
 def _solve_unit_combination(row: Sequence[int]) -> List[int]:

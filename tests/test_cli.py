@@ -115,6 +115,34 @@ def test_embed(capsys):
     assert len(got["matrix"]) == 6 and got["copies"] == 3
 
 
+def test_embed_bounded_miss_is_unknown(capsys):
+    unknown = {
+        "status": "unknown",
+        "reason": "no primitive isotropic vector found within the bound and the node budget",
+    }
+    payload = json.dumps(
+        {
+            "param": "Q-",
+            "form": {"lambda": [[0, 1], [-1, 0]], "mu": [[0], [0]]},
+            "eta": {"lambda": [[0, 1], [-1, 0]], "mu": [[0], [1]]},
+        }
+    )
+    assert run_json(capsys, "embed", payload, "--bound", "0") == {**unknown, "bound": 0}
+    # lambda = (x + 6y)(x + 8y): the least primitive isotropic vector is (6, -1)
+    payload = json.dumps(
+        {
+            "param": "Q^+",
+            "form": {"lambda": [[1, 7], [7, 48]], "mu": [[1], [48]]},
+            "eta": {"lambda": [[0, 1], [1, 0]], "mu": [[0], [0]]},
+        }
+    )
+    assert run_json(capsys, "embed", payload, "--bound", "1") == {**unknown, "bound": 1}
+    code, out, _ = run_cli(capsys, "embed", payload, "--bound", "6")
+    assert (code, out) == (
+        0, '{"copies":3,"matrix":[[6,-7],[-1,1],[-6,6],[1,-1],[0,1],[0,0]],"primitive":true}\n'
+    )
+
+
 def test_embed_search(capsys):
     payload = {
         "param": {"name": "Q-", "sum": [3]},

@@ -68,3 +68,50 @@ def test_library_never_enumerates_a_group():
         if (lines := element_enumerations(path.read_text()))
     }
     assert not found, found
+
+
+def kernel_references(source: str):
+    """(line, outermost enclosing function) of each reference to
+    `search_vectors` outside its own definition; "" for module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name != "search_vectors":
+                    visit(child, scope or child.name)
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name == "search_vectors":
+                found.append((child.lineno, scope))
+            elif isinstance(child, ast.alias) and child.name == "search_vectors":
+                found.append((node.lineno, scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_kernel_references_detected():
+    src = (
+        "from .search import search_vectors\n"
+        "def search_vectors():\n    return 1\n"
+        "def _column_search():\n    def rec():\n        search.search_vectors()\n"
+        "def _other():\n    x = search_vectors\n"
+    )
+    assert kernel_references(src) == [(1, ""), (6, "_column_search"), (8, "_other")]
+
+
+def test_one_caller_of_the_kernel():
+    # every bounded search goes through qform._column_search, the one driver
+    # that keeps the node budget and the deepening; search.py defines the
+    # kernel and lists it as its one backend
+    found = {
+        path.name: refs
+        for path in sorted(SRC.glob("*.py"))
+        if (refs := [
+            r for r in kernel_references(path.read_text())
+            if (path.name, r[1]) not in {("qform.py", "_column_search"), ("search.py", "available_backends")}
+        ])
+    }
+    assert not found, found

@@ -340,6 +340,10 @@ def test_absorb_embed_cases():
 
     with pytest.raises(ValueError):
         qf.absorb_embed(unit_form(), eta)  # not absorbing
+    # a bounded miss: a RuntimeError, as before, that claims no non-existence
+    with pytest.raises(RuntimeError, match="found within the bound") as miss:
+        qf.absorb_embed(f3, eta0, bound=0)
+    assert isinstance(miss.value, qf.IsotropicVectorNotFound)
 
 
 def test_embedding_search():
@@ -387,14 +391,12 @@ def test_embedding_search_root_certificate():
 def test_root_certificate_alternating_square():
     # lambda(x, x) = 2 asked of an alternating target: no vector at all
     target = qf.hyperbolic(QM, 1)
-    found = qf._column_search(
-        target, [[2]], [QM.carrier.zero()], 3, 1000, lambda cols: cols
+    out = qf._column_search(
+        target, [[2]], [QM.carrier.zero()], 3, 1000, lambda cols: cols, "embedding"
     )
-    assert found == (
-        None, 0, True, "column 0: lambda(x, x) = 2 has no solution on an alternating form"
+    assert (out.status, out.reason, out.nodes) == (
+        "no", "column 0: lambda(x, x) = 2 has no solution on an alternating form", 0
     )
-    out = qf._search_outcome(None, 0, True, found[3], 3, "embedding")
-    assert out.status == "no" and out.reason == found[3] and out.nodes == 0
 
 
 # -- the search driver -----------------------------------------------------------
@@ -552,6 +554,54 @@ def test_found_witness_has_least_entry_bound():
             assert best is None, (i, out)
         seen.add((out.status, best))
     assert {("found", 1), ("found", 2), ("no", None), ("unknown", None)} <= seen, seen
+
+
+def _found_form():
+    """lambda = [[1, 7], [7, 48]] = (x + 6y)(x + 8y): its primitive
+    isotropic vectors are ±(6, -1) and ±(8, -1), none in a box below 6."""
+    return qf.pullback(qf.direct_sum(unit_form(1), unit_form(-1)), [[1, 7], [0, 1]])
+
+
+def test_primitive_isotropic_has_least_entry_bound():
+    """Against brute force at bound 2: the vector is primitive, isotropic
+    and of least entry bound, and None comes exactly when the box holds no
+    such vector."""
+    params = [QP, QM, split_sum(QP, FinAbGroup((2,))), standard("ZL_2"), standard("ZP")]
+    rng = random.Random(917)
+    forms = [random_nonsingular_form(rng, params[i % len(params)], max_rank=3) for i in range(40)]
+    forms += [_found_form(), qf.direct_sum(unit_form(1), qf.direct_sum(unit_form(1), unit_form(1)))]
+    seen = set()
+    for f in forms:
+        box = itertools.product(range(-2, 3), repeat=f.rank)
+        best = min(
+            (_entry_bound([v]) for v in box if f.lam(v, v) == 0 and _intmat.vec_gcd(v) == 1),
+            default=None,
+        )
+        x = qf._primitive_isotropic(f, 2, 10**6)
+        if x is None:
+            assert best is None, f
+        else:
+            assert f.lam(x, x) == 0 and _intmat.vec_gcd(x) == 1
+            assert _entry_bound([x]) == best, (f, x)
+        seen.add((f.rank, best))
+    assert {(2, None), (3, None), (2, 1), (3, 1), (3, 2)} <= seen, seen
+
+
+def test_primitive_isotropic_keeps_bound_and_budget(monkeypatch):
+    f = _found_form()
+    calls = _record_kernel_calls(monkeypatch)
+    # one call at box 1, and no box above the requested bound
+    assert qf._primitive_isotropic(f, 1, 50) is None
+    assert calls == [(1, 4, True)]
+    # the budget runs out in box 4, before box 6 holds (6, -1)
+    calls.clear()
+    assert qf._primitive_isotropic(f, 6, 50) is None
+    assert sum(nodes for _, nodes, _ in calls) <= 51
+    assert [done for _, _, done in calls] == [True] * (len(calls) - 1) + [False]
+    assert max(b for b, _, _ in calls) <= 6
+    calls.clear()
+    assert qf._primitive_isotropic(f, 6, 10**6) == [6, -1]
+    assert [b for b, _, _ in calls] == [1, 2, 3, 4, 5, 6]
 
 
 def _pinned_queries():
