@@ -11,6 +11,7 @@ addition and scalar rules, never cached, so equality stays structural.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -160,11 +161,13 @@ class SearchOutcome:
 
     `nodes` counts the kernel's search-tree nodes, one per value tried for
     one coordinate, summed over the passes of the search (one per box
-    |x_i| <= b, b = 1 .. bound; see `_column_search`).  No kernel call is
-    made after the node budget is spent, so it is at most node_budget + 1,
-    and "node budget exhausted" is the reason when a call stopped early.
-    A witness comes from the first pass that finds one, so no box of a
-    smaller bound holds a witness.
+    |x_i| <= b, b = 1 .. bound; see `_column_search`) and, within a pass,
+    over the target's distinct orthogonal blocks, searched before the
+    whole target.  No kernel call is made after the node budget is spent,
+    so it is at most node_budget + 1, and "node budget exhausted" is the
+    reason when a call stopped early.  A witness comes from the first pass
+    that finds one, so no box of a smaller bound holds a witness; one
+    found in a block is zero outside it.
     """
 
     status: str  # "found" | "no" | "unknown"
@@ -417,6 +420,54 @@ def _lambda_square_constraint(f: QForm, value: int):
     return [] if value == 0 else None
 
 
+def _column_constraints(
+    target: QForm, lam: Sequence[Sequence[int]], mus: Sequence[GroupElement]
+) -> Tuple[List[list], str]:
+    """Each depth's own constraints on target (lambda(x, x) and mu(x)), and
+    "" or the certificate that a depth has no integer column at any bound:
+    a constraint that `search.unsolvable` rejects, or a non-zero
+    lambda(x, x) on an alternating target."""
+    fixed = []
+    for d in range(len(mus)):
+        square = _lambda_square_constraint(target, lam[d][d])
+        if square is None:
+            return [], (
+                f"column {d}: lambda(x, x) = {lam[d][d]} has no solution on an "
+                "alternating form"
+            )
+        mu = _mu_constraints(target, mus[d])
+        for name, value, cons in (
+            ("lambda(x, x)", lam[d][d], square), ("mu(x)", mus[d], mu)
+        ):
+            if any(search.unsolvable(c) for c in cons):
+                return [], f"column {d}: {name} = {value} has no integer solution"
+        fixed.append(square + mu)
+    return fixed, ""
+
+
+def _orthogonal_blocks(mat: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The basis indices of each orthogonal block of the form with matrix
+    `mat`: the connected components of the graph with an edge i - j
+    wherever mat[i][j] != 0, each ascending, in order of least index."""
+    n = len(mat)
+    blocks: List[List[int]] = []
+    seen = set()
+    for first in range(n):
+        if first in seen:
+            continue
+        seen.add(first)
+        block, todo = [], [first]
+        while todo:
+            i = todo.pop()
+            block.append(i)
+            for j in range(n):
+                if mat[i][j] and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
 def _column_search(
     target: QForm,
     lam: Sequence[Sequence[int]],
@@ -425,7 +476,7 @@ def _column_search(
     node_budget: int,
     leaf: Callable[[List[List[int]]], Optional[Tuple[Tuple[int, ...], ...]]],
     what: str,
-    keep: Optional[Callable[[Tuple[int, ...], List[List[int]]], bool]] = None,
+    keep: Optional[Callable[[List[int], List[List[int]]], bool]] = None,
     normalize: bool = False,
 ) -> SearchOutcome:
     """The backtracking driver behind every bounded search.
@@ -444,21 +495,37 @@ def _column_search(
     accepts: none exists in box b - 1.  Only a complete pass at `bound`
     itself ends with "nothing in the box".
 
-    The square and mu constraints of each depth are built once, and the
-    pair row M^t c of a column once, when the next column is searched for.
+    Orthogonal blocks first: the target's basis splits into orthogonal
+    blocks, the connected components of the graph of non-zero
+    lambda_ij (mu of an orthogonal sum is the sum of the mus, so lambda
+    alone decides them).  Pass b first searches each block of rank r,
+    k <= r < n, as a form of its own, in order of its least basis index,
+    and then the whole target.  Columns found in a block are extended by
+    zeros before `keep` and `leaf` see them: an embedding into one summand
+    is one into the whole form.  Each distinct block is searched once: a
+    block with the same lambda submatrix and mu values as an earlier one
+    gives the same answers.  A block whose own column constraints are
+    unsolvable (below) is skipped.  Box b - 1 of the whole target was
+    searched before any block at b, so a witness still has the least
+    entry bound.
+
+    The square and mu constraints of each depth are built once per block
+    and for the whole target, and the pair row M^t c of a column once,
+    when the next column is searched for.
 
     Root certificate: before any kernel call, each depth's own constraints
-    (lambda(x, x) and mu(x)) go through `search.unsolvable`, and a
-    non-zero lambda(x, x) on an alternating target is refused outright.
-    A depth that fails has no integer column at any bound, so the verdict
-    is "no" at 0 nodes, its reason naming the depth and the constraint.
+    (lambda(x, x) and mu(x)) on the whole target go through
+    `search.unsolvable`, and a non-zero lambda(x, x) on an alternating
+    target is refused outright.  A depth that fails has no integer column
+    at any bound, so the verdict is "no" at 0 nodes, its reason naming the
+    depth and the constraint.
 
-    Budget rule: the passes share one node count.  Each kernel call gets
-    the nodes left of `node_budget`, and once a call reports that it
-    stopped early no further call is made, in that pass or a later one.
-    The vectors that call did return are still tried, so a witness among
-    them still reaches `leaf`, and the node count stays at most
-    node_budget + 1.
+    Budget rule: the passes, blocks included, share one node count.  Each
+    kernel call gets the nodes left of `node_budget`, and once a call
+    reports that it stopped early no further call is made, in that pass or
+    a later one.  The vectors that call did return are still tried, so a
+    witness among them still reaches `leaf`, and the node count stays at
+    most node_budget + 1.
 
     Otherwise the verdict is "unknown", with the reason "no `what` within
     the bound" when every call ran to the end, else "node budget
@@ -467,61 +534,72 @@ def _column_search(
     if bound < 0:
         raise ValueError(f"search bound {bound} is negative")
     n, k = target.rank, len(mus)
-    mt = _intmat.transpose(target.lambda_matrix)
-    zero = [[0] * n for _ in range(n)]
-    fixed = []
-    for d in range(k):
-        square = _lambda_square_constraint(target, lam[d][d])
-        if square is None:
-            return SearchOutcome("no", bound=bound, reason=(
-                f"column {d}: lambda(x, x) = {lam[d][d]} has no solution on an "
-                "alternating form"
-            ))
-        mu = _mu_constraints(target, mus[d])
-        for name, value, cons in (
-            ("lambda(x, x)", lam[d][d], square), ("mu(x)", mus[d], mu)
-        ):
-            if any(search.unsolvable(c) for c in cons):
-                return SearchOutcome("no", bound=bound, reason=(
-                    f"column {d}: {name} = {value} has no integer solution"
-                ))
-        fixed.append(square + mu)
+    fixed, certificate = _column_constraints(target, lam, mus)
+    if certificate:
+        return SearchOutcome("no", bound=bound, reason=certificate)
+    # what each pass searches, in turn: every distinct block, then the whole
+    # target, as (basis indices, lambda transposed, each depth's constraints)
+    plans = []
+    seen = set()
+    for idx in _orthogonal_blocks(target.lambda_matrix):
+        if not k <= len(idx) < n:
+            continue
+        block = QForm(
+            target.parameter,
+            [[target.lambda_matrix[i][j] for j in idx] for i in idx],
+            [target.mu_basis[i] for i in idx],
+        )
+        key = (block.lambda_matrix, block.mu_basis)
+        if key in seen:
+            continue
+        seen.add(key)
+        block_fixed, unsolvable = _column_constraints(block, lam, mus)
+        if not unsolvable:
+            plans.append((idx, _intmat.transpose(block.lambda_matrix), block_fixed))
+    plans.append((range(n), _intmat.transpose(target.lambda_matrix), fixed))
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
     exhausted = True
 
-    def rec(depth: int, box: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    def rec(plan, depth: int, box: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
         nonlocal nodes, exhausted
         if depth == k:
             return leaf(cols)
+        idx, mt, fixed = plan
+        r = len(idx)
         if depth:
-            rows[depth - 1:] = [_intmat.mat_vec(mt, cols[-1])]
+            rows[depth - 1:] = [_intmat.mat_vec(mt, [cols[-1][i] for i in idx])]
         else:
             rows.clear()  # a new pass: no column is chosen yet
+        zero = [[0] * r for _ in range(r)]
         constraints = fixed[depth] + [
             (zero, row, -lam[j][depth], 0) for j, row in enumerate(rows)
         ]
         results, used, done = search.search_vectors(
-            n, constraints, box, 1 << 30, node_budget - nodes, normalize
+            r, constraints, box, 1 << 30, node_budget - nodes, normalize
         )
         nodes += used
         exhausted = exhausted and done
         for vec in results:
             if not exhausted and depth + 1 < k:
                 break  # the budget is spent: no deeper kernel call
-            if keep is not None and not keep(vec, cols):
+            col = [0] * n  # a block's vector, extended by zeros
+            for i, x in zip(idx, vec):
+                col[i] = x
+            if keep is not None and not keep(col, cols):
                 continue
-            cols.append(list(vec))
-            witness = rec(depth + 1, box)
+            cols.append(col)
+            witness = rec(plan, depth + 1, box)
             cols.pop()
             if witness is not None:
                 return witness
         return None
 
     # a rank-0 target has one box, {()}, at every bound: one pass
-    for box in range(min(bound, 1) if n else bound, bound + 1):
-        witness = rec(0, box)
+    boxes = range(min(bound, 1) if n else bound, bound + 1)
+    for box, plan in itertools.product(boxes, plans):
+        witness = rec(plan, 0, box)
         if witness is not None or not exhausted:
             break
     rec = None  # break the closure's cycle: its lists go now, not at a gc
@@ -690,9 +768,18 @@ def embedding_search(
     bound: int = DEFAULT_BOUND,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SearchOutcome:
-    """Bounded search for a morphism of Q-forms eta -> target."""
+    """Bounded search for a morphism of Q-forms eta -> target.
+
+    Certified "no" outcomes besides the driver's root certificates:
+    different form parameters, and a source of larger rank than the target
+    (an embedding is injective), both before any kernel call.
+    """
     if eta.parameter != target.parameter:
         return SearchOutcome("no", reason="different form parameters")
+    if eta.rank > target.rank:
+        return SearchOutcome(
+            "no", bound=bound, reason="source rank exceeds target rank"
+        )
 
     def injective(cols):
         # a rank-deficient tuple is no embedding: the search goes on

@@ -158,6 +158,12 @@ def test_embed_search(capsys):
     payload["eta"]["mu"] = [[0, 0], [0, 0]]
     got = run_json(capsys, "embed-search", json.dumps(payload), "--bound", "1")
     assert got["status"] == "found" and len(got["matrix"]) == 2
+    # a rank-2 eta into a rank-1 form: certified, not a bounded miss
+    payload = '{"param":"Q^+","form":{"lambda":[[1]],"mu":[[1]]},"eta":{"lambda":[[0,1],[1,0]],"mu":[[0],[0]]}}'
+    code, out, _ = run_cli(capsys, "embed-search", payload, "--bound", "2")
+    assert (code, out) == (
+        0, '{"bound":2,"reason":"source rank exceeds target rank","status":"no"}\n'
+    )
 
 
 def test_induced_map(capsys):

@@ -359,6 +359,21 @@ def test_embedding_search():
     assert out.status == "unknown" and "within the bound" in out.reason
 
 
+def test_embedding_search_rank_certificate(monkeypatch):
+    # an embedding is injective: a source of larger rank is a certified
+    # "no" before any kernel call, at any bound
+    calls = _record_kernel_calls(monkeypatch)
+    eta = qf.QForm(QP, [[0, 1], [1, 0]], [QP.carrier.zero()] * 2)
+    for bound in (0, 3, 50):
+        out = qf.embedding_search(eta, unit_form(1), bound=bound)
+        assert (out.status, out.reason, out.bound, out.nodes) == (
+            "no", "source rank exceeds target rank", bound, 0
+        )
+    assert calls == []
+    # equal ranks are no certificate
+    assert qf.embedding_search(eta, qf.hyperbolic(QP, 1), bound=1).found
+
+
 def test_embedding_search_passes_rank_deficient_tuples():
     # the search meets (c, c) first, c = (-1, -1, -1, 1); independent
     # columns such as e1, e2 come later and embed the zero form
@@ -402,8 +417,15 @@ def test_root_certificate_alternating_square():
 # -- the search driver -----------------------------------------------------------
 
 
+class _KernelCall(tuple):
+    """(box bound, nodes, exhausted) of one kernel call; `n` is the rank of
+    the form it searched."""
+
+    n: int
+
+
 def _record_kernel_calls(monkeypatch) -> list:
-    """(box bound, nodes, exhausted) of every kernel call from now on."""
+    """The _KernelCall of every kernel call from now on."""
     from qwitt import search
 
     calls = []
@@ -411,7 +433,9 @@ def _record_kernel_calls(monkeypatch) -> list:
 
     def counted(*args):
         out = kernel(*args)
-        calls.append((args[2],) + out[1:])
+        call = _KernelCall((args[2],) + out[1:])
+        call.n = args[0]
+        calls.append(call)
         return out
 
     monkeypatch.setattr(search, "search_vectors", counted)
@@ -456,6 +480,32 @@ def test_search_stops_at_node_budget(monkeypatch):
     assert [(b, done) for b, _, done in calls] == [(1, True)] * (len(calls) - 1) + [(2, False)]
     assert sum(nodes for _, nodes, _ in calls[:-1]) == pass1
     assert out.reason == "node budget exhausted"
+
+
+def _a2():
+    """The definite rank-2 form 2(x^2 + xy + y^2), which no basis splits."""
+    return qf.QForm(QP, [[2, 1], [1, 2]], [QP.carrier.element((2,))] * 2)
+
+
+def test_search_takes_each_distinct_block_first(monkeypatch):
+    # lambda(x, x) = 14 on A2 + A2: x^2 + xy + y^2 = 7 in one block, at
+    # (2, 1) and no smaller; two blocks at box 1 reach at most 3 + 3
+    target = qf.direct_sum(_a2(), _a2())
+    eta = qf.QForm(QP, [[14]], [QP.carrier.element((14,))])
+    calls = _record_kernel_calls(monkeypatch)
+    out = qf.embedding_search(eta, target, bound=3)
+    assert out.witness == ((-2,), (-1,), (0,), (0,))
+    # box 1: the one distinct block (not both copies), then the whole
+    # target; box 2: the block holds the witness
+    assert [(c.n, c[0], c[2]) for c in calls] == [(2, 1, True), (4, 1, True), (2, 2, True)]
+    assert out.nodes == sum(nodes for _, nodes, _ in calls)
+    # a budget that runs out in the block pass of box 2: no call follows
+    box1 = sum(nodes for b, nodes, _ in calls if b == 1)
+    calls.clear()
+    out = qf.embedding_search(eta, target, bound=3, node_budget=box1 + 2)
+    assert [(c.n, c[0], c[2]) for c in calls] == [(2, 1, True), (4, 1, True), (2, 2, False)]
+    assert (out.status, out.reason) == ("unknown", qf.BUDGET_EXHAUSTED)
+    assert out.nodes == sum(nodes for _, nodes, _ in calls) == box1 + 3
 
 
 def test_bound_zero_is_one_pass(monkeypatch):
@@ -556,6 +606,65 @@ def test_found_witness_has_least_entry_bound():
     assert {("found", 1), ("found", 2), ("no", None), ("unknown", None)} <= seen, seen
 
 
+def _blocks_met(target, witness):
+    """The orthogonal blocks of target on which the witness is not zero."""
+    return [
+        idx for idx in qf._orthogonal_blocks(target.lambda_matrix)
+        if any(any(witness[i]) for i in idx)
+    ]
+
+
+def test_found_witness_on_orthogonal_sums_has_least_entry_bound():
+    """The contract of test_found_witness_has_least_entry_bound on targets
+    f + g and f + f, whose blocks the search takes before the whole target."""
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+    ]
+    rng = random.Random(929)
+    bound, budget = 2, 10**6
+    one = unit_form(1)
+    # lambda(x, x) = 2 on <1> + <1> is (±1, ±1) only: it fits no block
+    cases = [(qf.QForm(QP, [[2]], [QP.carrier.element((2,))]), qf.direct_sum(one, one))]
+    for i in range(30):
+        p = params[i % len(params)]
+        f = random_nonsingular_form(rng, p, max_rank=2)
+        g = f if i % 2 else random_nonsingular_form(rng, p, max_rank=2)
+        target = qf.direct_sum(f, g)
+        if rng.random() < 0.5:
+            m = [[rng.randint(-2, 2) for _ in range(rng.choice([1, 2]))] for _ in range(target.rank)]
+            eta = qf.pullback(target, m)
+        else:
+            q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
+            eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+        cases.append((eta, target))
+    seen = set()
+    for i, (eta, target) in enumerate(cases):
+        def least(b):
+            return _brute_least_entry(
+                target, eta.lambda_matrix, eta.mu_basis,
+                lambda cols: qf._rank_of(_intmat.transpose(cols)) == eta.rank,
+                b,
+            )
+
+        # box 1 first, as it is small: a witness there is the least of box 2
+        best = least(1)
+        if best is None:
+            best = least(bound)
+        out = qf.embedding_search(eta, target, bound=bound, node_budget=budget)
+        assert out.reason != qf.BUDGET_EXHAUSTED
+        if out.found:
+            qf.Embedding(eta, target, out.witness)  # a block's columns, extended
+            assert _entry_bound(out.witness) == best, (i, out)
+            met = len(_blocks_met(target, out.witness))
+        else:
+            # "no", or "unknown" after the whole box: the box holds none
+            assert best is None, (i, out)
+            met = None
+        assert i or met == 2, "the first witness meets both blocks"
+        seen.add((out.status, best, met))
+    assert {("found", 1, 1), ("found", 2, 1), ("found", 1, 2), ("unknown", None, None)} <= seen, seen
+
+
 def _found_form():
     """lambda = [[1, 7], [7, 48]] = (x + 6y)(x + 8y): its primitive
     isotropic vectors are ±(6, -1) and ±(8, -1), none in a box below 6."""
@@ -633,14 +742,16 @@ def _pinned_queries():
 # kernel began to prune congruences and the driver to certify "no" at the
 # root; rows 7, 9, 11, 12, 25 and 36 (then "node budget exhausted") and 15
 # found rows (then with larger entries) re-recorded when the driver began
-# to search the boxes of bound 1, 2, ... in turn
+# to search the boxes of bound 1, 2, ... in turn; rows 5 and 38 (found
+# then too, with entry bound 1) re-recorded when the driver began to search
+# the target's orthogonal blocks first: each witness now lies in one block
 PINNED = [
     ('no', 'odd rank', None),
     ('found', '', ((-1, -1), (0, 1))),
     ('unknown', 'node budget exhausted', None),
     ('no', 'non-zero Witt class', None),
     ('found', '', ((-1, -1), (-1, 0))),
-    ('found', '', ((-1, -1), (-1, -1), (-1, -1), (0, -1))),
+    ('found', '', ((0, 0), (0, 0), (-1, -1), (0, -1))),
     ('found', '', ((0, 0, 0, 1), (1, -1, 0, -1))),
     ('found', '', ((-1, 0, 0, 0), (0, -1, 0, -1), (0, 0, -1, 0), (0, -1, 1, 0))),
     ('unknown', 'no embedding with coordinates within the bound', None),
@@ -673,7 +784,7 @@ PINNED = [
     ('found', '', ((-1, 1), (0, -1), (0, -1), (0, 0))),
     ('found', '', ((0, 0, 0, 1), (1, -1, 0, -1))),
     ('unknown', 'node budget exhausted', None),
-    ('found', '', ((-1, 0), (-1, -1), (-1, -1), (1, 1))),
+    ('found', '', ((-1, 0), (0, 0), (-1, -1), (0, 0))),
     ('found', '', ((0, 0, 1, 0), (1, 0, -1, 1))),
     ('found', '', ((-1, -1), (0, 1))),
     ('found', '', ((-1, 0), (-1, 0), (-1, 0), (-1, -1))),
