@@ -82,6 +82,31 @@ def determinant(mat: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def rank(mat: Sequence[Sequence[int]]) -> int:
+    """Rank by fraction-free (Bareiss) row echelon elimination.
+
+    Each entry stays a minor of `mat`, so entries grow no faster than a
+    determinant; a column with no pivot left is passed over.
+    """
+    a = copy(mat)
+    m, n = shape(mat)
+    r, prev = 0, 1
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        for i in range(r + 1, m):
+            row, q = a[i], a[i][c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - q * a[r][j]) // prev
+            row[c] = 0
+        prev = p
+        r += 1
+    return r
+
+
 class SNF:
     """Smith normal form with transforms: U @ A @ V == D.
 

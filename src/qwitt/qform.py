@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat, search
@@ -35,6 +34,7 @@ __all__ = [
     "is_nonsingular",
     "is_full",
     "is_indefinite",
+    "inertia",
     "signature_of_matrix",
     "characteristic_check",
     "lagrangian_verify",
@@ -134,7 +134,7 @@ class Embedding:
             a != b for a, b in zip(pulled.mu_basis, self.source.mu_basis)
         ):
             raise ValueError("matrix does not pull the form back exactly")
-        if _rank_of(self.matrix) != self.source.rank:
+        if _intmat.rank(self.matrix) != self.source.rank:
             raise ValueError("embedding is not injective")
 
     @property
@@ -145,19 +145,15 @@ class Embedding:
         return all(s.d[i][i] == 1 for i in range(self.source.rank))
 
 
-def _rank_of(mat: Sequence[Sequence[int]]) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return _intmat.SNF(mat).rank
-
-
 @dataclass(frozen=True)
 class SearchOutcome:
     """Three-valued verdict of a bounded search.
 
     A "no" always carries its certificate as the reason: an invariant
-    obstruction, or a column constraint that no integer vector satisfies
-    (found at the root, before any kernel call, so it costs 0 nodes).
+    obstruction (see each search: for an embedding, rank, inertia, and at
+    equal ranks a singular target or another Witt class), or a column
+    constraint that no integer vector satisfies (found at the root).
+    Every one is checked before any kernel call, so it costs 0 nodes.
 
     `nodes` counts the kernel's search-tree nodes, one per value tried for
     one coordinate, summed over the passes of the search (one per box
@@ -268,51 +264,71 @@ def is_full(f: QForm) -> bool:
     return f.s_mu().is_surjective()
 
 
+def inertia(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(n+, n-) of a symmetric integer matrix: the numbers of positive and
+    negative squares of a diagonal form congruent to it over Q.
+
+    Fraction-free symmetric (Bareiss) elimination: after each pivot the
+    remaining block is `prev` times the Schur complement, `prev` being the
+    last pivot, so by the Jacobi rule a pivot d adds a positive square
+    when d and `prev` have the same sign.  A remaining block with a zero
+    diagonal and a non-zero a_ij first takes the congruence e_i -> e_i +
+    e_j, which makes a_ii = 2 a_ij.  An all-zero block ends the
+    elimination: its rank is the nullity.
+    """
+    a = [[int(x) for x in row] for row in mat]
+    n = len(a)
+    if any(len(row) != n for row in a) or any(
+        a[i][j] != a[j][i] for i in range(n) for j in range(i)
+    ):
+        raise ValueError("inertia needs a symmetric matrix")
+    pos = neg = 0
+    prev = 1
+    while a:
+        p = next((i for i, row in enumerate(a) if row[i]), None)
+        if p is None:
+            i, j = next(
+                ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
+                (None, None),
+            )
+            if i is None:
+                break
+            for row in a:
+                row[i] += row[j]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            p = i
+        d = a[p][p]
+        if (d > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        piv = a[p]
+        a = [
+            [(d * x - row[p] * y) // prev for j, (x, y) in enumerate(zip(row, piv)) if j != p]
+            for i, row in enumerate(a)
+            if i != p
+        ]
+        prev = d
+    return pos, neg
+
+
 def signature_of_matrix(mat: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric matrix by exact congruence diagonalization."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    sig = 0
-    rows = list(range(n))
-    while rows:
-        piv = next((i for i in rows if a[i][i] != 0), None)
-        if piv is None:
-            off = [
-                (i, j)
-                for i in rows
-                for j in rows
-                if i != j and a[i][j] != 0
-            ]
-            if not off:
-                break  # remaining block is zero
-            i, j = off[0]
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            continue
-        rows.remove(piv)
-        d = a[piv][piv]
-        sig += 1 if d > 0 else -1
-        for i in list(rows):
-            c = a[i][piv] / d
-            if c:
-                for t in range(n):
-                    a[i][t] -= c * a[piv][t]
-                for t in range(n):
-                    a[t][i] -= c * a[t][piv]
-    return sig
+    """Signature n+ - n- of a symmetric matrix (see `inertia`)."""
+    pos, neg = inertia(mat)
+    return pos - neg
 
 
 def is_indefinite(f: QForm) -> bool:
     """Indefiniteness of the underlying bilinear form.
 
-    For alternating nonsingular forms every vector is isotropic, so any
-    form of positive rank counts as indefinite; rank >= 2 is required so
-    that a primitive isotropic vector with a dual partner exists.
+    Over a symmetric parameter: both a positive and a negative square
+    (n+ >= 1 and n- >= 1).  For alternating nonsingular forms every vector
+    is isotropic, so any form of positive rank counts as indefinite; rank
+    >= 2 is required so that a primitive isotropic vector with a dual
+    partner exists.
     """
     if f.parameter.is_symmetric:
-        return abs(signature_of_matrix(f.lambda_matrix)) < f.rank
+        return min(inertia(f.lambda_matrix)) >= 1
     return f.rank >= 2
 
 
@@ -485,7 +501,11 @@ def _column_search(
     `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i]; `keep`
     filters the candidates for a column, and `normalize` is passed to the
     kernel.  The first complete tuple that `leaf` turns into a witness
-    (anything but None) ends the search with "found".
+    (anything but None) ends the search with "found".  `leaf` accepts
+    only linearly independent columns (every caller's does: `injective`,
+    `unimodular`, `_saturate_if_needed`'s rank check, and the primitive,
+    so non-zero, vector of `_primitive_isotropic`); the block rule below
+    rests on it.
 
     Iterative deepening: the column recursion runs once per box
     |x_i| <= b, for b = 1, 2, ..., bound (bound 0 or a rank-0 target: one
@@ -505,9 +525,13 @@ def _column_search(
     is one into the whole form.  Each distinct block is searched once: a
     block with the same lambda submatrix and mu values as an earlier one
     gives the same answers.  A block whose own column constraints are
-    unsolvable (below) is skipped.  Box b - 1 of the whole target was
-    searched before any block at b, so a witness still has the least
-    entry bound.
+    unsolvable (below) is skipped, and so is a nondegenerate block (det !=
+    0) of rank r < 2k - rank(lam): k independent columns whose Gram matrix
+    lam has rank rho span a space whose radical, of dimension k - rho, is
+    isotropic, and the columns lie in its orthogonal complement, of
+    dimension r - (k - rho), so r >= 2k - rho.  Box b - 1 of the whole
+    target was searched before any block at b, so a witness still has the
+    least entry bound.
 
     The square and mu constraints of each depth are built once per block
     and for the whole target, and the pair row M^t c of a column once,
@@ -541,6 +565,7 @@ def _column_search(
     # target, as (basis indices, lambda transposed, each depth's constraints)
     plans = []
     seen = set()
+    least = 2 * k - _intmat.rank(lam)  # no nondegenerate block of lower rank fits
     for idx in _orthogonal_blocks(target.lambda_matrix):
         if not k <= len(idx) < n:
             continue
@@ -553,6 +578,8 @@ def _column_search(
         if key in seen:
             continue
         seen.add(key)
+        if len(idx) < least and block.det():
+            continue
         block_fixed, unsolvable = _column_constraints(block, lam, mus)
         if not unsolvable:
             plans.append((idx, _intmat.transpose(block.lambda_matrix), block_fixed))
@@ -770,9 +797,19 @@ def embedding_search(
 ) -> SearchOutcome:
     """Bounded search for a morphism of Q-forms eta -> target.
 
-    Certified "no" outcomes besides the driver's root certificates:
-    different form parameters, and a source of larger rank than the target
-    (an embedding is injective), both before any kernel call.
+    Certified "no" outcomes besides the driver's root certificates, all
+    before any kernel call:
+    - different form parameters;
+    - a source of larger rank than the target (an embedding is injective);
+    - over a symmetric parameter, fewer positive or negative squares in
+      the target than in eta: the image of a subspace on which eta is
+      positive (negative) definite is one of the same dimension on which
+      the target is, so inertia can only grow along a morphism;
+    - for a nonsingular eta of the target's rank, where an embedding is an
+      isometry (det(B)^2 det(target) = det(eta) = +-1): a singular target,
+      or a target of another Witt class.
+    A Witt class that `witt.witt_class` cannot compute gives no
+    certificate: the search runs.
     """
     if eta.parameter != target.parameter:
         return SearchOutcome("no", reason="different form parameters")
@@ -780,11 +817,14 @@ def embedding_search(
         return SearchOutcome(
             "no", bound=bound, reason="source rank exceeds target rank"
         )
+    obstruction = _embedding_obstruction(eta, target)
+    if obstruction:
+        return SearchOutcome("no", bound=bound, reason=obstruction)
 
     def injective(cols):
         # a rank-deficient tuple is no embedding: the search goes on
         mat = _intmat.transpose(cols)
-        if _rank_of(mat) == eta.rank:
+        if _intmat.rank(mat) == eta.rank:
             return tuple(tuple(r) for r in mat)
         return None
 
@@ -792,6 +832,27 @@ def embedding_search(
         target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, injective,
         "embedding with coordinates",
     )
+
+
+def _embedding_obstruction(eta: QForm, target: QForm) -> str:
+    """An invariant that rules out every morphism eta -> target (same
+    parameter, eta.rank <= target.rank), or ''; see `embedding_search`."""
+    from . import witt
+
+    if eta.parameter.is_symmetric:
+        have, need = inertia(target.lambda_matrix), inertia(eta.lambda_matrix)
+        if have[0] < need[0] or have[1] < need[1]:
+            return f"target inertia {have} lacks the source's {need}"
+    if eta.rank < target.rank or not is_nonsingular(eta):
+        return ""
+    if not is_nonsingular(target):
+        return "equal ranks, singular target"
+    try:
+        if witt.witt_class(target) != witt.witt_class(eta):
+            return "equal ranks, different Witt classes"
+    except ValueError:
+        pass  # no class computed (a form singular on a remaining block)
+    return ""
 
 
 def full_metabolic(q: FormParameter) -> QForm:

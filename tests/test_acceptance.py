@@ -44,10 +44,15 @@ def test_absorbing_oracle_is_three_valued():
 
     qp = standard("Q^+")
     unit = qf.QForm(qp, [[1]], [qp.carrier.element((1,))])
-    # definite: no isotropic vector in up to three copies, by a complete
-    # box search; a budget that stops that search decides nothing
+    # definite: no hyperbolic plane in up to three copies, certified by
+    # inertia at 0 nodes, so at any budget
     assert absorbing_oracle(unit) is False
-    assert absorbing_oracle(unit, node_budget=10) is None
+    assert absorbing_oracle(unit, node_budget=10) is False
     indefinite = qf.direct_sum(unit, qf.negate(unit))
     assert absorbing_oracle(indefinite) is True
     assert absorbing_oracle(indefinite, node_budget=1) is None
+    # a budget that stops a search decides nothing
+    minus3 = qf.direct_sum(qf.negate(unit), qf.direct_sum(qf.negate(unit), qf.negate(unit)))
+    wide = qf.direct_sum(unit, minus3)
+    assert absorbing_oracle(wide) is True
+    assert absorbing_oracle(wide, node_budget=10) is None

@@ -164,6 +164,12 @@ def test_embed_search(capsys):
     assert (code, out) == (
         0, '{"bound":2,"reason":"source rank exceeds target rank","status":"no"}\n'
     )
+    # a hyperbolic plane into a definite form: certified by inertia
+    payload = '{"param":"Q^+","form":{"lambda":[[1,0],[0,1]],"mu":[[1],[1]]},"eta":{"lambda":[[0,1],[1,0]],"mu":[[0],[0]]}}'
+    code, out, _ = run_cli(capsys, "embed-search", payload)
+    assert (code, out) == (
+        0, '{"bound":3,"reason":"target inertia (2, 0) lacks the source\'s (1, 1)","status":"no"}\n'
+    )
 
 
 def test_induced_map(capsys):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from qwitt._intmat import (
     SNF,
@@ -8,6 +9,7 @@ from qwitt._intmat import (
     mat_eq,
     mat_mul,
     mat_vec,
+    rank,
     smith_normal_form,
     solve,
     unimodular_inverse,
@@ -74,6 +76,52 @@ def test_determinant():
         a = random_matrix(rng, n, n)
         b = random_matrix(rng, n, n)
         assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
+
+
+def _fraction_rank(mat):
+    """Rank by Gaussian elimination over Fraction (the reference)."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, len(a)):
+            q = a[i][c] / a[r][c]
+            a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def test_rank():
+    assert rank([]) == rank([[]]) == rank([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[0, 0, 3], [0, 0, 6], [1, 0, 0]]) == 2
+    # SNF's coefficients blow up on this symmetric matrix (no answer within
+    # a minute); fraction-free elimination keeps every entry a minor
+    stall = [
+        [-3, 5, 5, -1, 0, 2, 5, -1], [5, 5, -1, 2, 1, 5, 0, -3],
+        [5, -1, 2, 0, 0, 0, 2, 0], [-1, 2, 0, 1, -3, 0, 5, -1],
+        [0, 1, 0, -3, 1, 0, 0, 0], [2, 5, 0, 0, 0, 2, -1, 0],
+        [5, 0, 2, 5, 0, -1, -3, 0], [-1, -3, 0, -1, 0, 0, 0, 0],
+    ]
+    assert rank(stall) == 8 and determinant(stall) == 34350
+    rng = random.Random(6)
+    deficient = 0
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(m, n))
+        # a product through k dimensions (rank <= k), or sparse entries
+        a = [[0] * n for _ in range(m)]
+        if k:
+            a = mat_mul(random_matrix(rng, m, k, -3, 3), random_matrix(rng, k, n, -3, 3))
+        if rng.random() < 0.3:
+            a = [[rng.choice([0, 0, 0, 1, -2]) for _ in range(n)] for _ in range(m)]
+        r = rank(a)
+        assert r == _fraction_rank(a), a
+        deficient += r < min(m, n)
+    assert deficient >= 50
 
 
 def test_solve_and_kernel():

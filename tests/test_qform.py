@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,10 @@ def test_nonsingular_full_indefinite():
 
     singular = qf.QForm(QP, [[2]], [QP.carrier.element((2,))])
     assert not qf.is_nonsingular(singular)
+    # semidefinite: |signature| 1 is below the rank 2, but no negative square
+    semi = qf.QForm(QP, [[1, 0], [0, 0]], [QP.carrier.element((1,)), QP.carrier.zero()])
+    assert not qf.is_indefinite(semi)
+    assert qf.is_indefinite(qf.direct_sum(semi, unit_form(-1)))
     with pytest.raises(ValueError):
         qf.is_absorbing(singular)
 
@@ -182,6 +187,87 @@ def test_signature():
     e8 = _e8_matrix()
     assert _intmat.determinant(e8) == 1
     assert qf.signature_of_matrix(e8) == 8
+    assert qf.inertia(e8) == (8, 0)
+    # singular: the zero block counts in neither
+    assert qf.inertia([[1, 0], [0, 0]]) == (1, 0)
+    assert qf.inertia([[0, 0], [0, 0]]) == (0, 0)
+    assert qf.inertia([]) == (0, 0)
+    # a zero diagonal first takes a congruence step
+    assert qf.inertia([[0, 1, 0], [1, 0, 0], [0, 0, -2]]) == (1, 2)
+    # on an alternating matrix the congruence step would never end: the
+    # new diagonal a_ii + a_ij + a_ji + a_jj stays 0
+    for bad in ([[0, 1], [-1, 0]], [[1, 2], [3, 4]], [[1, 2]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            qf.inertia(bad)
+        with pytest.raises(ValueError, match="symmetric"):
+            qf.signature_of_matrix(bad)
+
+
+def _fraction_inertia(mat):
+    """(n+, n-) by congruence diagonalization over Fraction, the reference
+    for the fraction-free qf.inertia."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    pos = neg = 0
+    rows = list(range(n))
+    while rows:
+        piv = next((i for i in rows if a[i][i] != 0), None)
+        if piv is None:
+            off = [(i, j) for i in rows for j in rows if i != j and a[i][j] != 0]
+            if not off:
+                break  # remaining block is zero
+            i, j = off[0]
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            continue
+        rows.remove(piv)
+        d = a[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in list(rows):
+            c = a[i][piv] / d
+            if c:
+                for t in range(n):
+                    a[i][t] -= c * a[piv][t]
+                for t in range(n):
+                    a[t][i] -= c * a[t][piv]
+    return pos, neg
+
+
+def test_inertia_matches_fraction_elimination():
+    from qwitt.witt import _e8_matrix
+
+    rng = random.Random(1201)
+    mats = [_e8_matrix()]
+    kinds = set()
+    for i in range(300):
+        n = rng.randint(1, 7)
+        if i % 3 == 0:
+            # B^t D B with fewer rows than n: singular
+            k = rng.randint(0, n - 1)
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            d = [rng.choice([-2, -1, 1, 3]) for _ in range(k)]
+            mat = [[sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+        else:
+            mat = [[0] * n for _ in range(n)]
+            for r in range(n):
+                # a zero diagonal one time in three: the congruence step
+                mat[r][r] = 0 if i % 3 == 1 else rng.randint(-4, 4)
+                for c in range(r + 1, n):
+                    mat[r][c] = mat[c][r] = rng.choice([0, 0, 1, -1, 2, -5])
+        mats.append(mat)
+    for mat in mats:
+        pos, neg = qf.inertia(mat)
+        assert (pos, neg) == _fraction_inertia(mat), mat
+        assert qf.signature_of_matrix(mat) == pos - neg
+        assert pos + neg == _intmat.rank(mat)
+        kinds.add((pos + neg < len(mat), all(mat[i][i] == 0 for i in range(len(mat)))))
+    # singular and nonsingular, with and without a zero diagonal
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}, kinds
 
 
 def test_characteristic_check():
@@ -353,9 +439,16 @@ def test_embedding_search():
     eta = qf.QForm(QP, [[0, 1], [1, 0]], [QP.carrier.zero(), QP.carrier.zero()])
     out = qf.embedding_search(eta, base, bound=2)
     assert out.found
-    # definite target admits no isotropic image
+    # a definite target admits no isotropic image: inertia certifies it
     definite = qf.direct_sum(unit_form(1), unit_form(1))
     out = qf.embedding_search(eta, definite, bound=3)
+    assert (out.status, out.reason, out.nodes) == (
+        "no", "target inertia (2, 0) lacks the source's (1, 1)", 0
+    )
+    # x^2 + y^2 = 3 z^2 has no non-zero solution (descent mod 3), so no
+    # hyperbolic plane fits in <1, 1, -3>; no invariant here says so
+    anisotropic = qf.direct_sum(definite, unit_form(-3))
+    out = qf.embedding_search(eta, anisotropic, bound=3)
     assert out.status == "unknown" and "within the bound" in out.reason
 
 
@@ -372,6 +465,119 @@ def test_embedding_search_rank_certificate(monkeypatch):
     assert calls == []
     # equal ranks are no certificate
     assert qf.embedding_search(eta, qf.hyperbolic(QP, 1), bound=1).found
+
+
+def _invariant_reason(reason):
+    """The invariant behind an embedding_search certificate, or None."""
+    for kind in ("target inertia", "equal ranks, singular target", "equal ranks, different Witt classes"):
+        if reason.startswith(kind):
+            return kind
+    return None
+
+
+def test_invariant_certificates_are_sound():
+    """Every "no" that an invariant certifies, against brute force: the box
+    of bound 2 holds no embedding (injective columns with the source's
+    lambda and mu).  Targets: nonsingular forms of rank <= 3 and singular
+    pullbacks of them; sources: battery forms, nonsingular forms and
+    pullbacks of another form."""
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))),
+        standard("ZL_2"), standard("ZP"),
+    ]
+    rng = random.Random(1207)
+    certified = {}
+    for i in range(480):
+        p = params[i % len(params)]
+        target = random_nonsingular_form(rng, p, max_rank=3)
+        if target.rank == 0:
+            continue
+        if i % 2:
+            m = [[rng.randint(-2, 2) for _ in range(target.rank)] for _ in range(target.rank)]
+            target = qf.pullback(target, m)  # often singular
+        pick = i % 3
+        if pick == 0:
+            q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
+            eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+        elif pick == 1:
+            eta = random_nonsingular_form(rng, p, max_rank=target.rank)
+        else:
+            other = random_nonsingular_form(rng, p, max_rank=3)
+            k = rng.randint(1, 2)
+            eta = qf.pullback(other, [[rng.randint(-1, 1) for _ in range(k)] for _ in range(other.rank)])
+        out = qf.embedding_search(eta, target, bound=2, node_budget=10**5)
+        kind = _invariant_reason(out.reason)
+        if out.status != "no" or kind is None:
+            continue
+        assert out.nodes == 0
+        best = _brute_least_entry(
+            target, eta.lambda_matrix, eta.mu_basis,
+            lambda cols: _intmat.rank(_intmat.transpose(cols)) == eta.rank,
+            2,
+        )
+        assert best is None, (i, out)
+        certified[kind] = certified.get(kind, 0) + 1
+    assert len(certified) == 3 and min(certified.values()) >= 10, certified
+
+
+def test_witt_class_failure_gives_no_certificate(monkeypatch):
+    from qwitt import witt
+
+    # Arf 1 against the hyperbolic plane: another Witt class at equal rank
+    eta = qf.hyperbolic(QM, 1)
+    out = qf.embedding_search(eta, arf1(), bound=2)
+    assert (out.status, out.reason, out.nodes) == ("no", "equal ranks, different Witt classes", 0)
+
+    def refuse(f):
+        raise ValueError("form is singular on the remaining block")
+
+    # a class that cannot be computed certifies nothing: the search runs
+    monkeypatch.setattr(witt, "witt_class", refuse)
+    out = qf.embedding_search(eta, arf1(), bound=2)
+    assert (out.status, out.reason) == ("unknown", "no embedding with coordinates within the bound")
+    assert out.nodes > 0
+
+
+def test_found_into_f_rules_out_no_into_f_plus_f():
+    """Paired queries: an embedding into f is one into f + f (extended by
+    zeros), so a found witness into f rules out a "no" into f + f."""
+    from qwitt.acceptance import _battery
+
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+    ]
+    rng = random.Random(1213)
+    pairs = set()
+    for i in range(40):
+        p = params[i % len(params)]
+        f = random_nonsingular_form(rng, p, max_rank=3)
+        for eta in _battery(p):
+            one = qf.embedding_search(eta, f, bound=2, node_budget=1000)
+            two = qf.embedding_search(eta, qf.direct_sum(f, f), bound=2, node_budget=1000)
+            assert not (one.found and two.status == "no"), (f, eta, two.reason)
+            pairs.add((one.status, two.status))
+    assert {("found", "found"), ("no", "found"), ("no", "no")} <= pairs, pairs
+
+
+def test_search_skips_blocks_too_small_for_independent_columns(monkeypatch):
+    calls = _record_kernel_calls(monkeypatch)
+    # a lagrangian of H + H is two independent isotropic columns, which no
+    # nonsingular rank-2 block holds: only the whole target is searched
+    h = qf.hyperbolic(QP, 1)
+    assert qf.metabolic_search(qf.direct_sum(h, h), bound=1, use_obstructions=False).found
+    assert {c.n for c in calls} == {4}
+    # no <1> or <-1> block holds a non-zero isotropic vector
+    calls.clear()
+    f = qf.direct_sum(unit_form(1), qf.direct_sum(unit_form(1), unit_form(-1)))
+    assert qf._primitive_isotropic(f, 1, 1000) is not None
+    assert {c.n for c in calls} == {3}
+    # a degenerate block is still searched: <0> holds the zero form
+    calls.clear()
+    zero = qf.QForm(QP, [[0]], [QP.carrier.zero()])
+    target = qf.direct_sum(zero, h)
+    out = qf.embedding_search(zero, target, bound=1)
+    assert out.found and _blocks_met(target, out.witness) == [[0]]
+    assert [c.n for c in calls] == [1]
 
 
 def test_embedding_search_passes_rank_deficient_tuples():
@@ -448,10 +654,13 @@ def test_search_stops_at_node_budget(monkeypatch):
     eta = qf.QForm(QP, [[0, 1], [1, 0]], [QP.carrier.zero()] * 2)
     definite = qf.direct_sum(unit_form(1), unit_form(1))
     definite4 = qf.direct_sum(definite, definite)
+    # a sum of four squares equal to 7 needs an entry 2: the inertia of
+    # <7> fits the definite target, so only the search decides
+    seven = qf.QForm(QP, [[7]], [QP.carrier.element((7,))])
     zero = qf.QForm(QP, [[0]], [QP.carrier.zero()])
     # a budget that the pass at bound 1 leaves a few nodes of, so the
     # pass at bound 2 is the one that runs out
-    pass1 = qf.embedding_search(eta, definite4, bound=1).nodes
+    pass1 = qf.embedding_search(seven, definite4, bound=1).nodes
     calls = _record_kernel_calls(monkeypatch)
     budget = 50
     runs = [
@@ -459,10 +668,10 @@ def test_search_stops_at_node_budget(monkeypatch):
         (budget, lambda: qf.metabolic_search(scrambled, bound=3, node_budget=budget, use_obstructions=False)),
         (budget, lambda: qf.isometry_search(h4, scrambled, bound=3, node_budget=budget)),
         (budget, lambda: qf.embedding_search(eta, qf.direct_sum(h4, h4), bound=3, node_budget=budget)),
-        (budget, lambda: qf.embedding_search(eta, definite4, bound=3, node_budget=budget)),
+        (budget, lambda: qf.embedding_search(seven, definite4, bound=3, node_budget=budget)),
         # a rank-0 target: every box is the same one point, searched once
         (0, lambda: qf.embedding_search(zero, qf.QForm(QP, [], []), bound=3, node_budget=0)),
-        (pass1 + 3, lambda: qf.embedding_search(eta, definite4, bound=3, node_budget=pass1 + 3)),
+        (pass1 + 3, lambda: qf.embedding_search(seven, definite4, bound=3, node_budget=pass1 + 3)),
     ]
     stopped = 0
     for limit, run in runs:
@@ -477,8 +686,9 @@ def test_search_stops_at_node_budget(monkeypatch):
                 stopped += 1
     assert stopped >= 4
     # the last run: pass 1 complete, pass 2 budget-limited, no pass 3
-    assert [(b, done) for b, _, done in calls] == [(1, True)] * (len(calls) - 1) + [(2, False)]
-    assert sum(nodes for _, nodes, _ in calls[:-1]) == pass1
+    # (each pass searches the <1> block, then the whole target)
+    assert [(b, done) for b, _, done in calls] == [(1, True)] * 2 + [(2, True), (2, False)]
+    assert sum(nodes for b, nodes, _ in calls if b == 1) == pass1
     assert out.reason == "node budget exhausted"
 
 
@@ -594,7 +804,7 @@ def test_found_witness_has_least_entry_bound():
             out = qf.embedding_search(eta, f, bound=bound, node_budget=budget)
             best = _brute_least_entry(
                 f, eta.lambda_matrix, eta.mu_basis,
-                lambda cols: qf._rank_of(_intmat.transpose(cols)) == eta.rank,
+                lambda cols: _intmat.rank(_intmat.transpose(cols)) == eta.rank,
                 bound,
             )
         assert out.reason != qf.BUDGET_EXHAUSTED
@@ -642,7 +852,7 @@ def test_found_witness_on_orthogonal_sums_has_least_entry_bound():
         def least(b):
             return _brute_least_entry(
                 target, eta.lambda_matrix, eta.mu_basis,
-                lambda cols: qf._rank_of(_intmat.transpose(cols)) == eta.rank,
+                lambda cols: _intmat.rank(_intmat.transpose(cols)) == eta.rank,
                 b,
             )
 
@@ -744,7 +954,10 @@ def _pinned_queries():
 # found rows (then with larger entries) re-recorded when the driver began
 # to search the boxes of bound 1, 2, ... in turn; rows 5 and 38 (found
 # then too, with entry bound 1) re-recorded when the driver began to search
-# the target's orthogonal blocks first: each witness now lies in one block
+# the target's orthogonal blocks first: each witness now lies in one block;
+# rows 8, 20 and 26 ("no embedding ... within the bound" then) re-recorded
+# when embedding_search began to certify "no" by inertia and, at equal
+# ranks, by the Witt class
 PINNED = [
     ('no', 'odd rank', None),
     ('found', '', ((-1, -1), (0, 1))),
@@ -754,7 +967,7 @@ PINNED = [
     ('found', '', ((0, 0), (0, 0), (-1, -1), (0, -1))),
     ('found', '', ((0, 0, 0, 1), (1, -1, 0, -1))),
     ('found', '', ((-1, 0, 0, 0), (0, -1, 0, -1), (0, 0, -1, 0), (0, -1, 1, 0))),
-    ('unknown', 'no embedding with coordinates within the bound', None),
+    ('no', 'equal ranks, different Witt classes', None),
     ('found', '', ((0, 0, 0, 1), (0, 1, 0, -1))),
     ('found', '', ((-1, -1, -1), (0, -1, 0), (0, -1, -1))),
     ('found', '', ((-1, -1), (0, 1), (-1, -1), (0, -1))),
@@ -766,13 +979,13 @@ PINNED = [
     ('found', '', ((-1, 0), (0, -1), (0, -1), (0, 0))),
     ('found', '', ((0, 1),)),
     ('unknown', 'node budget exhausted', None),
-    ('unknown', 'no embedding with coordinates within the bound', None),
+    ('no', "target inertia (0, 2) lacks the source's (1, 1)", None),
     ('found', '', ((0, 0, 1, -1), (1, -1, -1, 1))),
     ('found', '', ((-1, -1), (-2, -1))),
     ('no', 'column 1: mu(x) = (0, 1) has no integer solution', None),
     ('found', '', ((0, 1),)),
     ('found', '', ((-1, 0, 0, 0), (-1, -1, 0, 1), (-1, 0, 1, 0), (0, 0, 0, -1))),
-    ('unknown', 'no embedding with coordinates within the bound', None),
+    ('no', 'equal ranks, different Witt classes', None),
     ('found', '', ((0, 1, 0, 0), (1, -1, 0, 0))),
     ('unknown', 'node budget exhausted', None),
     ('found', '', ((-1, -1), (0, -1))),
