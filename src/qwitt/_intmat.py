@@ -55,47 +55,25 @@ def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def determinant(mat: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    m, n = shape(mat)
-    if m != n:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = copy(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def rank(mat: Sequence[Sequence[int]]) -> int:
-    """Rank by fraction-free (Bareiss) row echelon elimination.
+def _bareiss(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(rank, sign * last pivot) by fraction-free (Bareiss) row echelon
+    elimination, sign being that of the row permutation.
 
     Each entry stays a minor of `mat`, so entries grow no faster than a
-    determinant; a column with no pivot left is passed over.
+    determinant; a column with no pivot left is passed over.  On a square
+    matrix of full rank no column is passed over, and the last pivot is the
+    determinant of the row-permuted matrix.
     """
     a = copy(mat)
     m, n = shape(mat)
-    r, prev = 0, 1
+    r, prev, sign = 0, 1, 1
     for c in range(n):
         piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         p = a[r][c]
         for i in range(r + 1, m):
             row, q = a[i], a[i][c]
@@ -104,7 +82,21 @@ def rank(mat: Sequence[Sequence[int]]) -> int:
             row[c] = 0
         prev = p
         r += 1
-    return r
+    return r, sign * prev
+
+
+def determinant(mat: Sequence[Sequence[int]]) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    m, n = shape(mat)
+    if m != n:
+        raise ValueError("determinant of a non-square matrix")
+    r, d = _bareiss(mat)
+    return d if r == n else 0
+
+
+def rank(mat: Sequence[Sequence[int]]) -> int:
+    """Rank by fraction-free (Bareiss) row echelon elimination."""
+    return _bareiss(mat)[0]
 
 
 class SNF:

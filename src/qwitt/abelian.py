@@ -137,6 +137,23 @@ class FinAbGroup:
     def gens(self) -> List["GroupElement"]:
         return [self.gen(i) for i in range(self.ngens)]
 
+    def combination(
+        self, coeffs: Sequence[int], elements: Sequence["GroupElement"]
+    ) -> "GroupElement":
+        """sum_i coeffs[i] * elements[i]: the coordinates are added as plain
+        integers and reduced once, so only the sum is built."""
+        if len(coeffs) != len(elements):
+            raise ValueError(
+                f"{len(coeffs)} coefficients for {len(elements)} elements"
+            )
+        acc = [0] * self.ngens
+        for c, x in zip(coeffs, elements):
+            if x.group != self:
+                raise ValueError("elements of different groups")
+            if c:
+                acc = [a + c * b for a, b in zip(acc, x.coords)]
+        return self.element(acc)
+
     def elements(self) -> Iterator["GroupElement"]:
         """All elements; only valid for finite groups."""
         if not self.is_finite:
@@ -510,12 +527,10 @@ def subgroup(
     rel_cols = [v[:s] for v in lat]
     grp, _, lift = _presentation_from_relations(s, rel_cols)
     # inclusion: generator i of grp = sum_j lift[j][i] * gens[j]
-    cols = []
-    for i in range(grp.ngens):
-        acc = ambient.zero()
-        for j in range(s):
-            acc = acc + lift[j][i] * gens[j]
-        cols.append(acc)
+    cols = [
+        ambient.combination([row[i] for row in lift], gens)
+        for i in range(grp.ngens)
+    ]
     return grp, AbHom.from_columns(grp, ambient, cols)
 
 
@@ -553,10 +568,7 @@ def hom_from_images(
     for t in source.gens():
         coeff = coords(t)
         assert coeff is not None, "the family does not generate the source"
-        acc = target.zero()
-        for c, img in zip(coeff, images):
-            acc = acc + c * img
-        cols.append(acc)
+        cols.append(target.combination(coeff, images))
     return AbHom.from_columns(source, target, cols)
 
 

@@ -182,24 +182,20 @@ def _binom2(n: int) -> int:
 
 
 def mu_eval(f: QForm, x: Sequence[int]) -> GroupElement:
-    """mu at an arbitrary vector, by the scalar and addition rules."""
+    """mu at an arbitrary vector, by the scalar and addition rules:
+    mu(sum_i x_i b_i) = sum_i x_i mu(b_i) + p(s), with
+    s = sum_i C(x_i, 2) lambda_ii + sum_{j<i} x_j x_i lambda_ji, since
+    p(n) = n p(1) collects every p term into one."""
     if len(x) != f.rank:
         raise ValueError("vector length does not match the rank")
+    m = f.lambda_matrix
+    s = sum(
+        _binom2(xi) * m[i][i] + xi * sum(x[j] * m[j][i] for j in range(i))
+        for i, xi in enumerate(x)
+        if xi
+    )
     q = f.parameter
-    acc = q.carrier.zero()
-    n = 0
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        # mu(xi * b_i), then the cross term with the accumulated prefix
-        term = xi * f.mu_basis[i] + q.p(
-            _binom2(xi) * f.lambda_matrix[i][i]
-        )
-        cross = sum(
-            x[j] * f.lambda_matrix[j][i] for j in range(i)
-        )
-        acc = acc + term + q.p(cross * xi)
-    return acc
+    return q.carrier.combination(x, f.mu_basis) + q.p(s)
 
 
 def direct_sum(f: QForm, g: QForm) -> QForm:
@@ -851,7 +847,7 @@ def _embedding_obstruction(eta: QForm, target: QForm) -> str:
         if witt.witt_class(target) != witt.witt_class(eta):
             return "equal ranks, different Witt classes"
     except ValueError:
-        pass  # no class computed (a form singular on a remaining block)
+        pass  # a class that cannot be computed certifies nothing
     return ""
 
 

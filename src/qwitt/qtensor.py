@@ -231,10 +231,9 @@ def reduce_symbol(
         coeffs = _expand_bracket(pres, symbol.x, symbol.y, symbol.a)
     else:
         raise TypeError(f"not a tensor symbol: {symbol!r}")
-    acc = pres.group.zero()
-    for a, c in coeffs.items():
-        acc = acc + c * pres.basis_map[a]
-    return acc
+    return pres.group.combination(
+        list(coeffs.values()), [pres.basis_map[a] for a in coeffs]
+    )
 
 
 def _image_of_symbol(
@@ -275,6 +274,7 @@ def _plain_tensor_map(
     (src_grp, src_gen) = src_pair
     (dst_grp, dst_gen) = dst_pair
     # the generator of the source factor a_i (x) b_j goes to f(a_i) (x) g(b_j)
+    pairs = [x for row in dst_gen for x in row]
     cols = []
     for i, a_i in enumerate(f.source.gens()):
         fi = f(a_i)
@@ -282,15 +282,9 @@ def _plain_tensor_map(
             if src_gen[i][j].is_zero:
                 continue
             gj = g(b_j)
-            acc = dst_grp.zero()
-            for i2, c1 in enumerate(fi.coords):
-                if not c1:
-                    continue
-                for j2, c2 in enumerate(gj.coords):
-                    if not c2:
-                        continue
-                    acc = acc + (c1 * c2) * dst_gen[i2][j2]
-            cols.append(acc)
+            cols.append(dst_grp.combination(
+                [c1 * c2 for c1 in fi.coords for c2 in gj.coords], pairs
+            ))
     return AbHom.from_columns(src_grp, dst_grp, cols)
 
 
@@ -304,10 +298,7 @@ def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
             sym_images.append(sq_grp.zero())
         else:
             pi_e = proj(pres.q.carrier.gen(j))
-            acc = sq_grp.zero()
-            for t, c in enumerate(pi_e.coords):
-                acc = acc + c * sq_gen[i][t]
-            sym_images.append(acc)
+            sym_images.append(sq_grp.combination(pi_e.coords, sq_gen[i]))
     return pres.hom(sym_images, sq_grp)
 
 

@@ -76,8 +76,6 @@ def search_vectors(
     if n == 0:
         ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in constraints)
         return ([()] if ok else []), 1, True
-    if any(unsolvable(con) for con in constraints):
-        return [], 0, True
 
     b2 = bound * bound
     # steps[d]: per constraint, what setting x_d needs: S_dd; the row S_dj,
@@ -94,6 +92,9 @@ def search_vectors(
             t = sum(map(abs, row)) * b2
             lo += min(sdd * b2, 0) - t
             hi += max(sdd * b2, 0) + t
+        g = gcd(g, *l)  # the root gcd rule, as `unsolvable` applies it
+        if c % g if g else c:
+            return [], 0, True
         values.append(c)
         # open linear coefficients, last coordinate first
         coefs.append(list(l)[::-1])

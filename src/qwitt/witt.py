@@ -150,56 +150,38 @@ def signature_defect(f: QForm, shift: Optional[Sequence[int]] = None) -> int:
     return val
 
 
-def _symplectic_basis(mat: Sequence[Sequence[int]]) -> List[Tuple[List[int], List[int]]]:
-    """Hyperbolic pairs (e_i, f_i) for a nonsingular alternating form."""
-    n = len(mat)
-
-    def lam(x, y):
-        return sum(
-            x[i] * mat[i][j] * y[j] for i in range(n) for j in range(n)
-        )
-
-    rem = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pairs = []
-    while rem:
-        e = rem[0]
-        row = [lam(e, w) for w in rem[1:]]
-        sol = _intmat.solve([row], [1])
-        if sol is None:
-            raise ValueError("form is singular on the remaining block")
-        fvec = [0] * n
-        for c, w in zip(sol, rem[1:]):
-            fvec = [a + c * b for a, b in zip(fvec, w)]
-        pairs.append((e, fvec))
-
-        def project(w):
-            a = lam(w, fvec)
-            b = lam(w, e)
-            return [
-                wi - a * ei + b * fi for wi, ei, fi in zip(w, e, fvec)
-            ]
-
-        # the projections span the orthogonal complement of (e, f) in the
-        # block; keep a Z-basis of that span (a rank-independent subset of
-        # them can span a sublattice of index > 1, on which the form is
-        # singular): U C V = D gives the basis d_j * (column j of U^-1)
-        cands = [project(w) for w in rem[1:]]
-        s = _intmat.SNF([[w[i] for w in cands] for i in range(n)])
-        rem = [
-            [s.d[j][j] * s.uinv[i][j] for i in range(n)] for j in range(s.rank)
-        ]
-    return pairs
-
-
 def arf(f: QForm) -> int:
-    """Arf invariant of a nonsingular form over the order-two parameter."""
+    """Arf invariant of a nonsingular form over the order-two parameter.
+
+    lambda mod 2 is nonsingular (det = +-1) and mu depends only on x mod 2
+    (mu(2y) = 2 mu(y) + p(lambda(y, y)) = 0 in Z2), so the Arf invariant is
+    sum_i mu(e_i) mu(f_i) over any symplectic basis of lambda over F2.  Each
+    pair takes the first remaining e and the first remaining f with
+    lambda(e, f) = 1, then projects the rest onto their complement,
+    w -> w + lambda(w, f) e + lambda(w, e) f (mod 2).
+    """
     if f.parameter != standard("Q-"):
         raise ValueError("Arf invariant lives over the rank-one anti-symmetric parameter")
     if not is_nonsingular(f):
         raise ValueError("Arf invariant of a singular form")
+
+    def times_m(v: Sequence[int]) -> List[int]:
+        return [x % 2 for x in _intmat.mat_vec(f.lambda_matrix, v)]
+
+    def dot(v: Sequence[int], w: Sequence[int]) -> int:
+        return sum(a * b for a, b in zip(v, w)) % 2
+
+    rem = _intmat.identity(f.rank)
     total = 0
-    for e, fv in _symplectic_basis(f.lambda_matrix):
+    while rem:
+        e = rem.pop(0)
+        me = times_m(e)
+        fv = rem.pop(next(i for i, w in enumerate(rem) if dot(w, me)))
+        mf = times_m(fv)
         total += mu_eval(f, e).coords[0] * mu_eval(f, fv).coords[0]
+        for w in rem:
+            a, b = dot(w, mf), dot(w, me)
+            w[:] = [(wi + a * ei + b * fi) % 2 for wi, ei, fi in zip(w, e, fv)]
     return total % 2
 
 
@@ -212,14 +194,6 @@ def _split_structure(p: FormParameter) -> Tuple[MaximalSplitting, TensorPresenta
     return ms, pres
 
 
-def _split_mu_parts(
-    split: FormParameter, nq: int, m: GroupElement
-) -> Tuple[GroupElement, GroupElement]:
-    qe = FinAbGroup(split.carrier.orders[:nq])
-    g = FinAbGroup(split.carrier.orders[nq:])
-    return qe.element(m.coords[:nq]), g.element(m.coords[nq:])
-
-
 def tensor_invariant(
     f: QForm, q0: FormParameter, pres: TensorPresentation
 ) -> GroupElement:
@@ -228,34 +202,29 @@ def tensor_invariant(
     With (y_i) the basis dual to the chosen one, this is
     sum_{i<j} [mu_G(x_i), mu_G(x_j)] (x) lambda(y_i, y_j)
     + sum_i mu_G(x_i) (x) mu_Q(y_i); it vanishes on metabolic forms and is
-    independent of the basis.
+    independent of the basis.  y_j is column j of M^-1, so the Gram matrix
+    of the y is M^-T and lambda(y_i, y_j) = M^-1[j][i].
     """
     if not is_nonsingular(f):
         raise ValueError("the invariant needs a nonsingular form")
     nq = q0.carrier.ngens
-    if f.parameter.carrier.orders[:nq] != q0.carrier.orders:
+    if f.parameter.carrier.orders != q0.carrier.orders + pres.g.orders:
         raise ValueError("form is not over the expected split parameter")
     n = f.rank
-    if n == 0:
-        return pres.group.zero()
-    minv = _intmat.unimodular_inverse(f.lambda_matrix)
-    ys = [[minv[i][j] for i in range(n)] for j in range(n)]
-    mug = [
-        _split_mu_parts(f.parameter, nq, m)[1] for m in f.mu_basis
+    minv = _intmat.unimodular_inverse(f.lambda_matrix) if n else []
+    mug = [pres.g.element(m.coords[nq:]) for m in f.mu_basis]
+    symbols = [
+        Bracket(mug[i], mug[j], minv[j][i])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if minv[j][i]
+    ] + [
+        Simple(mug[j], q0.carrier.element(mu_eval(f, y).coords[:nq]))
+        for j, y in enumerate(_intmat.transpose(minv))
     ]
-    muq_y = [
-        _split_mu_parts(f.parameter, nq, mu_eval(f, y))[0] for y in ys
-    ]
-    acc = pres.group.zero()
-    for i in range(n):
-        for j in range(i + 1, n):
-            lam = f.lam(ys[i], ys[j])
-            if lam:
-                acc = acc + reduce_symbol(
-                    pres, Bracket(mug[i], mug[j], lam)
-                )
-        acc = acc + reduce_symbol(pres, Simple(mug[i], muq_y[i]))
-    return acc
+    return pres.group.combination(
+        [1] * len(symbols), [reduce_symbol(pres, s) for s in symbols]
+    )
 
 
 def form_from_tensor(
@@ -945,9 +914,7 @@ def lambda_diagram(v: CosliceHom) -> dict:
 
     # left column: Coker(v'_2) -> K(v') -> Z2
     az2, az2_gen = tensor_with_generators(a, Z2)
-    v2_img = az2.zero()
-    for i, c in enumerate(v.v_one.coords):
-        v2_img = v2_img + c * az2_gen[i][0]
+    v2_img = az2.combination(v.v_one.coords, [gen[0] for gen in az2_gen])
     cok, _, cok_lifts = quotient_with_lift([v2_img], az2)
     e_hom = AbHom.from_columns(
         az2, amb, [e for e, gen in zip(e_gens, az2_gen) if not gen[0].is_zero]

@@ -93,6 +93,28 @@ def test_element_order():
     assert FinAbGroup((0,)).element((5,)).order() == 0
 
 
+def test_combination_matches_a_loop_of_additions():
+    from qwitt.sampling import random_group
+
+    rng = random.Random(13)
+    for _ in range(200):
+        orders = list(random_group(rng, max_torsion=32).orders) + [0, 12]
+        rng.shuffle(orders)
+        g = FinAbGroup(orders)
+        k = rng.randint(0, 5)
+        xs = [random_element(rng, g) for _ in range(k)]
+        cs = [rng.randint(-30, 30) for _ in range(k)]
+        acc = g.zero()
+        for c, x in zip(cs, xs):
+            acc = acc + c * x
+        assert g.combination(cs, xs) == acc
+    g, h = FinAbGroup((0, 4)), FinAbGroup((0, 2))
+    with pytest.raises(ValueError, match="different groups"):
+        g.combination([1, 1], [g.gen(0), h.gen(0)])
+    with pytest.raises(ValueError, match="coefficients"):
+        g.combination([1, 2], [g.gen(1)])
+
+
 def test_hom_well_defined():
     with pytest.raises(ValueError):
         AbHom(FinAbGroup((2,)), Z, [[1]])

@@ -115,3 +115,75 @@ def test_one_caller_of_the_kernel():
         ])
     }
     assert not found, found
+
+
+def accumulating_loops(source: str):
+    """Lines, inside a `for` loop, that re-bind a name set from `.zero()` to
+    itself plus something (`acc = acc + ...` or `acc += ...`): a sum built
+    one element at a time, which `FinAbGroup.combination` builds once."""
+    tree = ast.parse(source)
+    found = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+            continue
+        zeros = {
+            t.id
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "zero"
+            and not node.value.args
+            for t in node.targets
+            if isinstance(t, ast.Name)
+        }
+        for loop in ast.walk(scope):
+            if not isinstance(loop, ast.For):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                    target = first = node.target
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp):
+                    target, first = node.targets[0], node.value
+                    # the first term of a chain of additions
+                    while isinstance(first, ast.BinOp) and isinstance(first.op, ast.Add):
+                        first = first.left
+                else:
+                    continue
+                if (
+                    isinstance(target, ast.Name)
+                    and target.id in zeros
+                    and getattr(first, "id", None) == target.id
+                ):
+                    found.add(node.lineno)
+    return sorted(found)
+
+
+def test_accumulating_loops_detected():
+    src = (
+        "def f(g, xs):\n"
+        "    acc = g.zero()\n"
+        "    for x in xs:\n"
+        "        acc = acc + 2 * x + g.gen(0)\n"
+        "    tot = g.zero()\n"
+        "    for x in xs:\n"
+        "        tot += x\n"
+        "    once = g.zero()\n"
+        "    once = once + xs[0]\n"
+        "    n = 0\n"
+        "    for x in xs:\n"
+        "        n = n + 1\n"
+        "        other = acc + x\n"
+        "        acc = acc * 2\n"
+        "    return g.combination([1] * len(xs), xs)\n"
+    )
+    assert accumulating_loops(src) == [4, 7]
+
+
+def test_library_sums_with_combination():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := accumulating_loops(path.read_text()))
+    }
+    assert not found, found

@@ -70,6 +70,9 @@ def test_determinant():
     assert determinant([[2, 0], [0, 3]]) == 6
     assert determinant([[1, 2], [3, 4]]) == -2
     assert determinant([[0, 1], [1, 0]]) == -1
+    # singular, with a non-zero last pivot: rank and determinant share one
+    # elimination, and a rank below n must give 0
+    assert determinant([[1, 2], [2, 4]]) == determinant([[0, 0, 3], [0, 0, 6], [1, 0, 0]]) == 0
     rng = random.Random(3)
     for _ in range(50):
         n = rng.randint(1, 5)

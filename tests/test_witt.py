@@ -89,11 +89,15 @@ def test_arf():
         return 1 if sum(vals) > len(vals) // 2 else 0
 
     rng = random.Random(8)
-    for _ in range(25):
-        f = random_nonsingular_form(rng, QM, max_rank=4)
+    ranks = set()
+    for _ in range(40):
+        f = random_nonsingular_form(rng, QM, max_rank=8)
         if f.rank == 0:
             continue
+        f = qf.pullback(f, random_unimodular(rng, f.rank, ops=20))
+        ranks.add(f.rank)
         assert witt.arf(f) == democratic(f)
+    assert max(ranks) == 8
 
 
 def test_witt_class_scrambled_arf_block():
