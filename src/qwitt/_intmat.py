@@ -2,7 +2,8 @@
 
 Matrices are lists of row lists of Python ints.  Everything here is exact;
 sizes stay small (rank <= ~60 in practice), so no effort is spent on
-asymptotics beyond keeping SNF pivots small.
+asymptotics beyond keeping SNF entries small: its pivot, the least non-zero
+entry left, at least halves on each sweep that leaves a remainder (see SNF).
 """
 
 from __future__ import annotations
@@ -104,6 +105,14 @@ class SNF:
 
     U, V are unimodular; D is diagonal with d1 | d2 | ... >= 0.  Uinv is
     maintained alongside so presentations can be lifted back.
+
+    Step t moves the least non-zero |entry| of the remaining block to (t, t)
+    and sweeps its column and row once with nearest-integer quotients (a tie
+    takes the floor quotient), leaving remainders of at most half the pivot.
+    A remainder left is the next pivot, so the pivot at least halves each
+    round: the rounds are bounded by its bit length and multipliers stay
+    small.  A cleared pivot not dividing the rest of the block takes an
+    offending row into row t and goes round again.
     """
 
     __slots__ = ("d", "u", "v", "uinv", "rank")
@@ -187,49 +196,33 @@ class SNF:
 
     def _reduce(self, a: Matrix, m: int, n: int) -> None:
         t = 0
-        while True:
-            piv = self._pivot(a, t, m, n)
-            if piv is None:
-                break
+        while (piv := self._pivot(a, t, m, n)) is not None:
             i, j = piv
             if i != t:
                 self._swap_rows(a, t, i)
             if j != t:
                 self._swap_cols(a, t, j)
-            # clear row and column t; restart on any division remainder
-            dirty = True
-            while dirty:
-                dirty = False
-                p = a[t][t]
-                for i in range(t + 1, m):
-                    if a[i][t]:
-                        q = a[i][t] // p
-                        self._add_row(a, t, i, -q)
-                        if a[i][t]:
-                            self._swap_rows(a, t, i)
-                            dirty = True
-                            p = a[t][t]
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        q = a[t][j] // p
-                        self._add_col(a, t, j, -q)
-                        if a[t][j]:
-                            self._swap_cols(a, t, j)
-                            dirty = True
-                            p = a[t][t]
-            if a[t][t] < 0:
-                self._negate_row(a, t)
-            # force divisibility of the remaining block by the pivot
+            # one sweep with nearest-integer quotients, a tie going to the
+            # floor quotient: |remainder| <= |p|/2, for either sign of p
             p = a[t][t]
-            stained = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    self._add_row(a, t, i, (p - 2 * a[i][t]) // (2 * p))
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    self._add_col(a, t, j, (p - 2 * a[t][j]) // (2 * p))
+            if any(a[i][t] for i in range(t + 1, m)) or any(a[t][t + 1:]):
+                continue  # a remainder is the next, at least halved, pivot
+            if p < 0:
+                self._negate_row(a, t)
+                p = -p
+            # force divisibility of the remaining block by the pivot
             for i in range(t + 1, m):
                 if any(x % p for x in a[i][t + 1:]):
                     self._add_row(a, i, t, 1)
-                    stained = True
                     break
-            if stained:
-                continue
-            t += 1
+            else:
+                t += 1
 
 
 def smith_normal_form(

@@ -6,7 +6,8 @@ parameter splits as (standard indecomposable) + (abelian group); symmetry,
 height and complement classify parameters up to isomorphism.
 
 p is stored as the single element p(1); the full homomorphism n -> n*p(1)
-is reconstructed on demand.  The symmetry is always computed, never stored.
+is reconstructed on demand.  The symmetry h(p(1)) - 1 is computed once, when
+the parameter is built, and kept outside the dataclass fields.
 """
 
 from __future__ import annotations
@@ -79,10 +80,12 @@ class FormParameter:
         # h p h = 2h on generators: h(x) * (h(p(1)) - 2) = 0
         if hp == 0 and not self.h.is_zero():
             raise ValueError("anti-symmetric parameter must have h = 0")
+        # not a field: equality, hash and repr see only carrier, h and p(1)
+        object.__setattr__(self, "_symmetry", hp - 1)
 
     @property
     def symmetry(self) -> int:
-        return self.h(self.p_one).coords[0] - 1
+        return self._symmetry
 
     @property
     def is_symmetric(self) -> bool:
@@ -92,7 +95,9 @@ class FormParameter:
         return n * self.p_one
 
     def h_of(self, x: GroupElement) -> int:
-        return self.h(x).coords[0]
+        if x.group != self.carrier:
+            raise ValueError("element not in the source group")
+        return sum(a * b for a, b in zip(self.h.matrix[0], x.coords))
 
     def __repr__(self) -> str:
         return (

@@ -48,6 +48,10 @@ def test_tensor(capsys):
     assert got == {"group": [8]}
     got = run_json(capsys, "tensor", '{"G":[2,3],"Q":"Q-"}')
     assert got == {"group": [2]}
+    # a presentation an earlier SNF loop never finished
+    q = '{"carrier":{"orders":[0,8,8,0]},"h":[3,0,0,2],"pOne":[-2,7,2,4]}'
+    got = run_json(capsys, "tensor", '{"G":[2,4,0],"Q":%s}' % q)
+    assert got == {"group": [2, 2, 2, 2, 2, 4, 4, 4, 4, 8, 8, 8, 0, 0]}
 
 
 def test_gw_group(capsys):

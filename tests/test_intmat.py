@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from qwitt import _intmat
 from qwitt._intmat import (
     SNF,
     determinant,
@@ -81,6 +84,70 @@ def test_determinant():
         assert determinant(mat_mul(a, b)) == determinant(a) * determinant(b)
 
 
+# an earlier SNF loop stalled on both, its multipliers growing without bound
+STALL = [
+    [-3, 5, 5, -1, 0, 2, 5, -1], [5, 5, -1, 2, 1, 5, 0, -3],
+    [5, -1, 2, 0, 0, 0, 2, 0], [-1, 2, 0, 1, -3, 0, 5, -1],
+    [0, 1, 0, -3, 1, 0, 0, 0], [2, 5, 0, 0, 0, 2, -1, 0],
+    [5, 0, 2, 5, 0, -1, -3, 0], [-1, -3, 0, -1, 0, 0, 0, 0],
+]
+SIX_BY_FIVE = [
+    [1, -7, 12, 4, -28], [-14, -4, -13, 3, 3], [-18, -18, -18, 0, 8],
+    [6, 12, 1, 1, 9], [18, 8, -1, -8, -6], [-27, 10, -2, 20, -7],
+]
+
+
+class MultiplierTooLarge(Exception):
+    pass
+
+
+@pytest.fixture
+def guarded_snf(monkeypatch):
+    """Make every SNF raise at a row or column multiplier over 128 bits,
+    the way the benchmark's generator guards its SNFs."""
+    snf = _intmat.SNF
+
+    def check(c):
+        if abs(c).bit_length() > 128:
+            raise MultiplierTooLarge(c)
+
+    class Guarded(snf):
+        __slots__ = ()
+
+        def _add_row(self, a, src, dst, c):
+            check(c)
+            snf._add_row(self, a, src, dst, c)
+
+        def _add_col(self, a, src, dst, c):
+            check(c)
+            snf._add_col(self, a, src, dst, c)
+
+    monkeypatch.setattr(_intmat, "SNF", Guarded)
+    return Guarded
+
+
+def _check_guarded(snf, mat):
+    diag = check_snf(mat)
+    s = snf(mat)
+    assert mat_eq(mat_mul(s.u, s.uinv), identity(len(mat)))
+    return diag
+
+
+def test_snf_six_by_five_multipliers_stay_small(guarded_snf):
+    assert _check_guarded(guarded_snf, SIX_BY_FIVE) == [1, 1, 1, 1, 624]
+
+
+def test_snf_stall_multipliers_stay_small(guarded_snf):
+    assert _check_guarded(guarded_snf, STALL) == [1] * 7 + [34350]
+
+
+def test_snf_sweep_multipliers_stay_small(guarded_snf):
+    rng = random.Random(7)
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        _check_guarded(guarded_snf, random_matrix(rng, m, n, -100, 100))
+
+
 def _fraction_rank(mat):
     """Rank by Gaussian elimination over Fraction (the reference)."""
     a = [[Fraction(x) for x in row] for row in mat]
@@ -101,15 +168,9 @@ def test_rank():
     assert rank([]) == rank([[]]) == rank([[0, 0], [0, 0]]) == 0
     assert rank([[1, 2], [2, 4]]) == 1
     assert rank([[0, 0, 3], [0, 0, 6], [1, 0, 0]]) == 2
-    # SNF's coefficients blow up on this symmetric matrix (no answer within
-    # a minute); fraction-free elimination keeps every entry a minor
-    stall = [
-        [-3, 5, 5, -1, 0, 2, 5, -1], [5, 5, -1, 2, 1, 5, 0, -3],
-        [5, -1, 2, 0, 0, 0, 2, 0], [-1, 2, 0, 1, -3, 0, 5, -1],
-        [0, 1, 0, -3, 1, 0, 0, 0], [2, 5, 0, 0, 0, 2, -1, 0],
-        [5, 0, 2, 5, 0, -1, -3, 0], [-1, -3, 0, -1, 0, 0, 0, 0],
-    ]
-    assert rank(stall) == 8 and determinant(stall) == 34350
+    # fraction-free elimination keeps every entry a minor (for SNF on
+    # STALL, see test_snf_stall_multipliers_stay_small)
+    assert rank(STALL) == 8 and determinant(STALL) == 34350
     rng = random.Random(6)
     deficient = 0
     for _ in range(300):

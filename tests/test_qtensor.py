@@ -336,6 +336,27 @@ def test_check_sequences_large_kernel():
     assert rep["ok"], rep
 
 
+def test_seed_90_pair_returns():
+    # the pair random.Random(90) draws as in the random sweep below; an
+    # earlier SNF loop never returned on its presentation
+    from qwitt.abelian import tensor
+
+    carrier = FinAbGroup((0, 8, 8, 0))
+    q = FormParameter(
+        carrier, AbHom(carrier, Z, [[3, 0, 0, 2]]), carrier.element((-2, 7, 2, 4))
+    )
+    rep = check_sequences(FinAbGroup((2, 4, 0)), q)
+    assert rep["ok"], rep
+    g1, g2 = FinAbGroup((2,)), FinAbGroup((4, 0))
+    parts = (
+        present(g1, q).group.canonical_orders()
+        + present(g2, q).group.canonical_orders()
+        + tensor(g1, g2).canonical_orders()
+    )
+    expect = FinAbGroup(tuple(o for o in parts if o != 1)).canonical_orders()
+    assert present(FinAbGroup((2, 4, 0)), q).group.canonical_orders() == expect
+
+
 def test_check_sequences_random_sweep():
     rng = random.Random(0)
     for _ in range(100):
