@@ -43,8 +43,13 @@ def _require(payload, key: str):
     return payload[key]
 
 
+def _is_int_list(data) -> bool:
+    # a JSON boolean is a Python int, but not an integer of the payload
+    return isinstance(data, list) and all(type(x) is int for x in data)
+
+
 def _ints(data, what: str) -> list:
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not _is_int_list(data):
         raise SchemaError(f"{what} must be a list of integers")
     return data
 
@@ -58,7 +63,7 @@ def _int_rows(data, what: str) -> list:
 def parse_group(data) -> FinAbGroup:
     if isinstance(data, dict):
         data = _require(data, "orders")
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not _is_int_list(data):
         raise SchemaError("a group is a list of non-negative cyclic orders")
     return FinAbGroup([x for x in data if x != 1])
 

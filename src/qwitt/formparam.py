@@ -251,8 +251,9 @@ def parse_name(text: str) -> Tuple[str, Optional[int]]:
     if text in ("Q+", "Q^+", "Q-", "Q^-", "ZP"):
         return text, None
     for family in ("ZP", "ZL"):
-        if text.startswith(family + "_"):
-            return family + "_k", int(text[len(family) + 1 :])
+        level = text[len(family) + 1 :]
+        if text.startswith(family + "_") and level.isascii() and level.isdigit():
+            return family + "_k", int(level)
     raise ValueError(f"unknown parameter name {text!r}")
 
 

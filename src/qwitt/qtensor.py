@@ -10,13 +10,15 @@ it on the finite generator set {g_i (x) e_j, [g_i, g_j] (x) 1 (i <= j)}
 drawn from the fixed cyclic decompositions of G and Q_e; every symbol
 rewrites into that set by bilinear expansion, the addition rule and the
 scalar rule (n g) (x) q = n (g (x) q) + C(n,2) [g, g] (x) h(q).
+`TensorPresentation.simple(x, q)` and `TensorPresentation.bracket(x, y, a)`
+return the value of x (x) q and of [x, y] (x) a in the presented group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .abelian import (
     AbHom,
@@ -41,30 +43,10 @@ from .qform import _binom2
 
 __all__ = [
     "TensorPresentation",
-    "Simple",
-    "Bracket",
     "present",
-    "reduce_symbol",
     "induced_map",
     "check_sequences",
 ]
-
-
-@dataclass(frozen=True)
-class Simple:
-    """The symbol x (x) q."""
-
-    x: GroupElement
-    q: GroupElement
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """The symbol [x, y] (x) a."""
-
-    x: GroupElement
-    y: GroupElement
-    a: int
 
 
 @dataclass(frozen=True)
@@ -78,8 +60,47 @@ class TensorPresentation:
     # integer lift of each canonical generator over the abstract symbols
     section: Tuple[Tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # not a field: equality, hash and repr see only the fields above
+        object.__setattr__(
+            self, "_position", {s: a for a, s in enumerate(self.symbols)}
+        )
+
     def index(self, kind: str, i: int, j: int) -> int:
-        return self.symbols.index((kind, i, j))
+        return self._position[(kind, i, j)]
+
+    def simple(self, x: GroupElement, q: GroupElement) -> GroupElement:
+        """The value of the symbol x (x) q: bilinear in the q-slot, and the
+        addition and scalar rules in the x-slot."""
+        if x.group != self.g or q.group != self.q.carrier:
+            raise ValueError("symbol does not match the presentation")
+        hrow = self.q.h.matrix[0]
+        idxs = [i for i, xi in enumerate(x.coords) if xi]
+        c = [0] * len(self.symbols)
+        for j, qc in enumerate(q.coords):
+            if qc == 0:
+                continue
+            hj = hrow[j]
+            for a, i in enumerate(idxs):
+                xi = x.coords[i]
+                c[self.index("s", i, j)] += qc * xi
+                c[self.index("b", i, i)] += qc * _binom2(xi) * hj
+                for i2 in idxs[a + 1 :]:
+                    c[self.index("b", i, i2)] += qc * xi * x.coords[i2] * hj
+        return self.group.combination(c, self.basis_map)
+
+    def bracket(self, x: GroupElement, y: GroupElement, a: int) -> GroupElement:
+        """The value of the symbol [x, y] (x) a; [g_j, g_i] = eps [g_i, g_j]
+        for i < j, with eps the parameter's symmetry."""
+        if x.group != self.g or y.group != self.g:
+            raise ValueError("symbol does not match the presentation")
+        eps = self.q.symmetry
+        c = [0] * len(self.symbols)
+        for i, xi in enumerate(x.coords):
+            for j, yj in enumerate(y.coords):
+                sign = 1 if i <= j else eps
+                c[self.index("b", min(i, j), max(i, j))] += sign * a * xi * yj
+        return self.group.combination(c, self.basis_map)
 
     def hom(self, images: Sequence[GroupElement], target: FinAbGroup) -> AbHom:
         """The homomorphism group -> target sending abstract symbol a to
@@ -164,102 +185,15 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
     )
 
 
-def _expand_simple(
-    pres: TensorPresentation, x: GroupElement, qval: GroupElement
-) -> Dict[int, int]:
-    """Coefficients of x (x) q over the abstract symbols."""
-    g, q = pres.g, pres.q
-    out: Dict[int, int] = {}
-    for j, qc in enumerate(qval.coords):
-        if qc == 0:
-            continue
-        hj = q.h_of(q.carrier.gen(j))
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            _bump(out, pres.index("s", i, j), qc * xi)
-            _bump(out, pres.index("b", i, i), qc * _binom2(xi) * hj)
-        idxs = [i for i, xi in enumerate(x.coords) if xi]
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                i1, i2 = idxs[a], idxs[b]
-                _bump(
-                    out,
-                    pres.index("b", i1, i2),
-                    qc * x.coords[i1] * x.coords[i2] * hj,
-                )
-    return out
-
-
-def _expand_bracket(
-    pres: TensorPresentation, x: GroupElement, y: GroupElement, a: int
-) -> Dict[int, int]:
-    eps = pres.q.symmetry
-    out: Dict[int, int] = {}
-    if a == 0:
-        return out
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y.coords):
-            if yj == 0:
-                continue
-            coeff = a * xi * yj
-            if i <= j:
-                _bump(out, pres.index("b", i, j), coeff)
-            else:
-                _bump(out, pres.index("b", j, i), eps * coeff)
-    return out
-
-
-def _bump(d: Dict[int, int], key: int, c: int) -> None:
-    if c:
-        d[key] = d.get(key, 0) + c
-
-
-def reduce_symbol(
-    pres: TensorPresentation, symbol: Union[Simple, Bracket]
-) -> GroupElement:
-    """Rewrite a symbol into the presented group."""
-    if isinstance(symbol, Simple):
-        if symbol.x.group != pres.g or symbol.q.group != pres.q.carrier:
-            raise ValueError("symbol does not match the presentation")
-        coeffs = _expand_simple(pres, symbol.x, symbol.q)
-    elif isinstance(symbol, Bracket):
-        if symbol.x.group != pres.g or symbol.y.group != pres.g:
-            raise ValueError("symbol does not match the presentation")
-        coeffs = _expand_bracket(pres, symbol.x, symbol.y, symbol.a)
-    else:
-        raise TypeError(f"not a tensor symbol: {symbol!r}")
-    return pres.group.combination(
-        list(coeffs.values()), [pres.basis_map[a] for a in coeffs]
-    )
-
-
-def _image_of_symbol(
-    pres: TensorPresentation,
-    pres2: TensorPresentation,
-    f: AbHom,
-    alpha: FPMorphism,
-    symbol: Tuple[str, int, int],
-) -> GroupElement:
-    kind, i, j = symbol
-    if kind == "s":
-        return reduce_symbol(
-            pres2,
-            Simple(f(pres.g.gen(i)), alpha(pres.q.carrier.gen(j))),
-        )
-    return reduce_symbol(
-        pres2, Bracket(f(pres.g.gen(i)), f(pres.g.gen(j)), 1)
-    )
-
-
 def induced_map(f: AbHom, alpha: FPMorphism) -> AbHom:
     """The homomorphism G (x) Q -> H (x) Q' induced by (f, alpha)."""
     pres = present(f.source, alpha.source)
     pres2 = present(f.target, alpha.target)
+    fg = [f(x) for x in pres.g.gens()]
+    aq = [alpha(e) for e in pres.q.carrier.gens()]
     sym_images = [
-        _image_of_symbol(pres, pres2, f, alpha, s) for s in pres.symbols
+        pres2.simple(fg[i], aq[j]) if kind == "s" else pres2.bracket(fg[i], fg[j], 1)
+        for kind, i, j in pres.symbols
     ]
     return pres.hom(sym_images, pres2.group)
 

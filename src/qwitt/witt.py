@@ -59,14 +59,7 @@ from .qform import (
     pushforward,
     signature_of_matrix,
 )
-from .qtensor import (
-    Bracket,
-    Simple,
-    TensorPresentation,
-    induced_map,
-    present,
-    reduce_symbol,
-)
+from .qtensor import TensorPresentation, induced_map, present
 
 __all__ = [
     "WittClass",
@@ -213,18 +206,16 @@ def tensor_invariant(
     n = f.rank
     minv = _intmat.unimodular_inverse(f.lambda_matrix) if n else []
     mug = [pres.g.element(m.coords[nq:]) for m in f.mu_basis]
-    symbols = [
-        Bracket(mug[i], mug[j], minv[j][i])
+    values = [
+        pres.bracket(mug[i], mug[j], minv[j][i])
         for i in range(n)
         for j in range(i + 1, n)
         if minv[j][i]
     ] + [
-        Simple(mug[j], q0.carrier.element(mu_eval(f, y).coords[:nq]))
+        pres.simple(mug[j], q0.carrier.element(mu_eval(f, y).coords[:nq]))
         for j, y in enumerate(_intmat.transpose(minv))
     ]
-    return pres.group.combination(
-        [1] * len(symbols), [reduce_symbol(pres, s) for s in symbols]
-    )
+    return pres.group.combination([1] * len(values), values)
 
 
 def form_from_tensor(
@@ -521,14 +512,11 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
         x0 = v.v.solve(v.v.target.element((1,)))
         assert x0 is not None
         one = pres.q.carrier.element((1,))
-        base = reduce_symbol(pres, Simple(x0, one))
-        psi = [
-            reduce_symbol(pres, Simple(x0 + kg, one)) - base
-            for kg in kgens
-        ]
+        base = pres.simple(x0, one)
+        psi = [pres.simple(x0 + kg, one) - base for kg in kgens]
     for i, k1 in enumerate(kgens):
         for k2 in kgens[i:]:
-            psi.append(reduce_symbol(pres, Bracket(k1, k2, 1)))
+            psi.append(pres.bracket(k1, k2, 1))
     gens = [emb(8, pres.group.zero())]
     if base is not None:
         gens.append(emb(1, base))
@@ -564,12 +552,9 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
         return ambient.element((n,) + tuple(t.coords))
 
     v1 = v.v_one
-    kgens = [emb(1, reduce_symbol(pres, Bracket(v1, v1, 1)))]
+    kgens = [emb(1, pres.bracket(v1, v1, 1))]
     for x in a.gens():
-        e_x = reduce_symbol(pres, Bracket(x, x, 1)) + reduce_symbol(
-            pres, Bracket(x, v1, 1)
-        )
-        kgens.append(emb(0, e_x))
+        kgens.append(emb(0, pres.bracket(x, x, 1) + pres.bracket(x, v1, 1)))
     kgrp, kincl = subgroup(ambient, kgens)
     lam, proj = cokernel_presentation(kgens, ambient)
     return LambdaQuotient(
@@ -670,7 +655,6 @@ def induced_witt_map(alpha: FPMorphism) -> AbHom:
             cols.append(w)
         return AbHom.from_columns(d1.group, d2.group, cols)
     n1 = eql_witt_hom(p1)
-    n2 = eql_witt_hom(p2)
     l_map = induced_map(alpha.map, FPMorphism.identity(standard("Q-")))
     cols = []
     solve = n1.solver()
@@ -678,8 +662,7 @@ def induced_witt_map(alpha: FPMorphism) -> AbHom:
         t = solve(n1.target.element(d1.group.gen(j).coords))
         assert t is not None, "extended quadratic lift must be surjective"
         mapped = l_map(l_map.source.element(t.coords[1:]))
-        t2 = n2.source.element((t.coords[0],) + mapped.coords)
-        cols.append(n2(t2))
+        cols.append(d2.group.element(eql_witt(p2, t.coords[0], mapped).coords))
     return AbHom.from_columns(d1.group, d2.group, cols)
 
 

@@ -217,6 +217,10 @@ def test_negative_bound_is_refused_before_the_payload(capsys, verb):
         ("classify", "5"),
         ("witt-class", "null"),
         ("tensor", "5"),
+        # a JSON boolean is not an integer
+        ("classify", '{"name":"Q+","sum":[false]}'),
+        ("tensor", '{"G":[true,4],"Q":"Q+"}'),
+        ("witt-class", '{"param":"Q-","form":{"lambda":[[true]],"mu":[[1]]}}'),
     ],
 )
 def test_malformed_payload_is_a_schema_error(capsys, argv):
@@ -224,6 +228,13 @@ def test_malformed_payload_is_a_schema_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["foo", "ZP_x", "ZP_ 2", "ZL_-3", "ZP_"])
+def test_unknown_parameter_name(capsys, name):
+    # a level is ASCII digits only
+    code, out, err = run_cli(capsys, "classify", json.dumps({"name": name}))
+    assert (code, out, err) == (2, "", f"error: unknown parameter name {name!r}\n")
 
 
 def test_output_deterministic(capsys):

@@ -220,14 +220,19 @@ def all_antisymmetric_parameters(lo, hi):
 
 
 def span_size(group, gens):
-    seen = {group.zero().coords}
-    frontier = [group.zero()]
+    """Order of the subgroup of a finite group that gens span, by a walk over
+    coordinate tuples added mod the cyclic orders."""
+    orders = group.orders
+    steps = [g.coords for g in gens]
+    zero = (0,) * len(orders)
+    seen = {zero}
+    frontier = [zero]
     while frontier:
         x = frontier.pop()
-        for g in gens:
-            y = x + g
-            if y.coords not in seen:
-                seen.add(y.coords)
+        for s in steps:
+            y = tuple((a + b) % n for a, b, n in zip(x, s, orders))
+            if y not in seen:
+                seen.add(y)
                 frontier.append(y)
     return len(seen)
 

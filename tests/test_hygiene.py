@@ -44,6 +44,45 @@ def test_no_unused_imports_in_library():
     assert not found, found
 
 
+def undefined_exports(source: str):
+    """Names listed in a module's `__all__` that the module neither defines
+    nor imports at its top level."""
+    tree = ast.parse(source)
+    exported, defined = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(
+                a.asname or a.name.split(".")[0] for a in node.names
+            )
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            defined.update(names)
+    return [name for name in exported if name not in defined]
+
+
+def test_undefined_exports_detected():
+    src = (
+        "from a import b\nimport c.d\nx: int = 1\ny = 2\n"
+        "def f():\n    g = 3\nclass K:\n    pass\n"
+        "__all__ = ['b', 'c', 'x', 'y', 'f', 'K', 'g', 'gone']\n"
+    )
+    assert undefined_exports(src) == ["g", "gone"]
+
+
+def test_every_export_is_defined():
+    found = {
+        path.name: missing
+        for path in sorted(SRC.glob("*.py"))
+        if (missing := undefined_exports(path.read_text()))
+    }
+    assert not found, found
+
+
 def element_enumerations(source: str):
     """Lines that call `.elements()`, which walks a whole group."""
     return sorted(

@@ -13,14 +13,7 @@ from qwitt.formparam import (
     standard,
     standard_morphism,
 )
-from qwitt.qtensor import (
-    Bracket,
-    Simple,
-    check_sequences,
-    induced_map,
-    present,
-    reduce_symbol,
-)
+from qwitt.qtensor import check_sequences, induced_map, present
 from qwitt.sampling import random_form_parameter, random_group
 
 STANDARD = (
@@ -203,21 +196,27 @@ def test_reduce_symbol_examples():
     g = Z
     q = standard("Q^+")
     pres = present(g, q)
-    one = reduce_symbol(pres, Simple(g.element((1,)), q.carrier.element((1,))))
-    two = reduce_symbol(pres, Simple(g.element((2,)), q.carrier.element((1,))))
+    one = pres.simple(g.element((1,)), q.carrier.element((1,)))
+    two = pres.simple(g.element((2,)), q.carrier.element((1,)))
     assert two == 4 * one
 
     # zero symbol
-    assert reduce_symbol(pres, Simple(g.zero(), q.carrier.element((1,)))).is_zero
+    assert pres.simple(g.zero(), q.carrier.element((1,))).is_zero
 
     # anti-symmetry of brackets over anti-symmetric parameters
     q = standard("ZL_k", 2)
     g = FinAbGroup((4, 4))
     pres = present(g, q)
     x, y = g.gen(0), g.gen(1)
-    fwd = reduce_symbol(pres, Bracket(x, y, 3))
-    bwd = reduce_symbol(pres, Bracket(y, x, 3))
+    fwd = pres.bracket(x, y, 3)
+    bwd = pres.bracket(y, x, 3)
     assert (fwd + bwd).is_zero
+
+    # a symbol over other groups is refused
+    with pytest.raises(ValueError, match="does not match"):
+        pres.simple(Z.element((1,)), q.carrier.element((1,)))
+    with pytest.raises(ValueError, match="does not match"):
+        pres.bracket(x, Z.element((1,)), 1)
 
 
 def test_reduce_symbol_respects_relations():
@@ -240,27 +239,27 @@ def test_reduce_symbol_respects_relations():
         qa, qb = rnd_q(), rnd_q()
         a = rng.randint(-3, 3)
         # (x + y) (x) qa = x (x) qa + y (x) qa + [x, y] (x) h(qa)
-        lhs = reduce_symbol(pres, Simple(x + y, qa))
+        lhs = pres.simple(x + y, qa)
         rhs = (
-            reduce_symbol(pres, Simple(x, qa))
-            + reduce_symbol(pres, Simple(y, qa))
-            + reduce_symbol(pres, Bracket(x, y, q.h_of(qa)))
+            pres.simple(x, qa)
+            + pres.simple(y, qa)
+            + pres.bracket(x, y, q.h_of(qa))
         )
         assert lhs == rhs
         # [x, x] (x) a = x (x) p(a)
         assert (
-            reduce_symbol(pres, Bracket(x, x, a))
-            == reduce_symbol(pres, Simple(x, q.p(a)))
+            pres.bracket(x, x, a)
+            == pres.simple(x, q.p(a))
         )
         # linearity in q
         assert (
-            reduce_symbol(pres, Simple(x, qa + qb))
-            == reduce_symbol(pres, Simple(x, qa)) + reduce_symbol(pres, Simple(x, qb))
+            pres.simple(x, qa + qb)
+            == pres.simple(x, qa) + pres.simple(x, qb)
         )
         # bracket bilinearity
         assert (
-            reduce_symbol(pres, Bracket(x + y, x, a))
-            == reduce_symbol(pres, Bracket(x, x, a)) + reduce_symbol(pres, Bracket(y, x, a))
+            pres.bracket(x + y, x, a)
+            == pres.bracket(x, x, a) + pres.bracket(y, x, a)
         )
 
 
@@ -294,10 +293,9 @@ def test_presentation_hom_of_symbol_images():
     images = []
     for kind, i, j in pres.symbols:
         if kind == "s":
-            sym = Simple(f(g.gen(i)), alpha(alpha.source.carrier.gen(j)))
+            images.append(pres2.simple(f(g.gen(i)), alpha(alpha.source.carrier.gen(j))))
         else:
-            sym = Bracket(f(g.gen(i)), f(g.gen(j)), 1)
-        images.append(reduce_symbol(pres2, sym))
+            images.append(pres2.bracket(f(g.gen(i)), f(g.gen(j)), 1))
     hom = pres.hom(images, pres2.group)
     assert hom == induced_map(f, alpha)
     assert all(hom(x) == y for x, y in zip(pres.basis_map, images))
@@ -408,14 +406,14 @@ def test_defining_relations_hypothesis(data):
     )
     a = data.draw(st.integers(-3, 3))
     # bracket symmetry under the parameter's sign
-    fwd = reduce_symbol(pres, Bracket(x, y, a))
-    bwd = reduce_symbol(pres, Bracket(y, x, a))
+    fwd = pres.bracket(x, y, a)
+    bwd = pres.bracket(y, x, a)
     assert (bwd - q.symmetry * fwd).is_zero
     # scalar rule: (a x) (x) q = a (x (x) q) + C(a, 2) [x, x] (x) h(q)
-    lhs = reduce_symbol(pres, Simple(a * x, qa))
+    lhs = pres.simple(a * x, qa)
     rhs = (
-        a * reduce_symbol(pres, Simple(x, qa))
-        + reduce_symbol(pres, Bracket(x, x, a * (a - 1) // 2 * q.h_of(qa)))
+        a * pres.simple(x, qa)
+        + pres.bracket(x, x, a * (a - 1) // 2 * q.h_of(qa))
     )
     assert (lhs - rhs).is_zero
 

@@ -318,14 +318,12 @@ def test_split_morphism_formula():
 
 
 def test_sigma_subgroup_examples():
-    from qwitt.qtensor import Simple, reduce_symbol
-
     s = witt.sigma_subgroup(quasi_wu(standard("Q^+")))
     assert s.group.canonical_orders() == (0,)
     amb = s.ambient
     # (1, x0 (x) 1) generates; (1, 0) is outside; (8, 0) is inside
     x0 = s.pres.g.element((1,))
-    sym = reduce_symbol(s.pres, Simple(x0, s.pres.q.carrier.element((1,))))
+    sym = s.pres.simple(x0, s.pres.q.carrier.element((1,)))
     assert s.contains(amb.element((1,) + sym.coords))
     assert not s.contains(amb.element((1, 0)))
     assert s.contains(amb.element((8, 0)))
@@ -374,10 +372,8 @@ def test_eql_witt():
     zero_t = pres.group.zero()
     assert witt.eql_witt(p, 0, zero_t).is_zero
     # the kernel generator (1, v'(1) wedge v'(1)) dies
-    from qwitt.qtensor import Bracket, reduce_symbol
-
     v1 = p.p_one
-    t = reduce_symbol(pres, Bracket(v1, v1, 1))
+    t = pres.bracket(v1, v1, 1)
     assert witt.eql_witt(p, 1, t).is_zero
     # over the rank-one anti-symmetric parameter, (1, 0) is the Arf class
     pm = QM
