@@ -101,9 +101,6 @@ class FinAbGroup:
             out *= n
         return out
 
-    def exponent(self) -> int:
-        return lcm(*self.torsion_orders) if self.torsion_orders else 1
-
     def canonical_orders(self) -> Tuple[int, ...]:
         """Ascending invariant factors, then zeros for the free part.
 
@@ -258,7 +255,6 @@ class AbHom:
         source: FinAbGroup,
         target: FinAbGroup,
         matrix: Sequence[Sequence[int]],
-        check: bool = True,
     ):
         rows = tuple(tuple(int(x) for x in r) for r in matrix)
         if len(rows) != target.ngens or any(
@@ -266,25 +262,22 @@ class AbHom:
         ):
             raise ValueError("matrix shape does not match source/target")
         # reduce entries into target coordinates
-        red = []
-        for i, row in enumerate(rows):
-            n = target.orders[i]
-            red.append(tuple(x % n if n else x for x in row))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", tuple(red))
-        if check:
-            self._check_well_defined()
-
-    def _check_well_defined(self) -> None:
-        for j, n in enumerate(self.source.orders):
-            if n == 0:
-                continue
-            img = self.target.element([n * row[j] for row in self.matrix])
-            if not img.is_zero:
+        red = tuple(
+            tuple(x % m if m else x for x in row)
+            for row, m in zip(rows, target.orders)
+        )
+        # well-defined: n * (image of a generator of order n) is zero
+        for j, n in enumerate(source.orders):
+            if n and any(
+                n * row[j] % m if m else n * row[j]
+                for row, m in zip(red, target.orders)
+            ):
                 raise ValueError(
                     f"not a homomorphism: {n} * (image of generator {j}) != 0"
                 )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", red)
 
     @classmethod
     def from_columns(
@@ -327,7 +320,7 @@ class AbHom:
             # empty matrices drop their dimensions; rebuild the zero map
             return AbHom.zero(other.source, self.target)
         prod = _intmat.mat_mul(self.matrix, other.matrix)
-        return AbHom(other.source, self.target, prod, check=False)
+        return AbHom(other.source, self.target, prod)
 
     def columns(self) -> List[GroupElement]:
         return [
@@ -384,10 +377,7 @@ class AbHom:
 
     def __neg__(self) -> "AbHom":
         return AbHom(
-            self.source,
-            self.target,
-            [[-x for x in r] for r in self.matrix],
-            check=False,
+            self.source, self.target, [[-x for x in r] for r in self.matrix]
         )
 
     def __repr__(self) -> str:
@@ -474,7 +464,7 @@ def cokernel_presentation(
 
 def quotient_with_lift(
     relations: Sequence[GroupElement], ambient: FinAbGroup
-) -> Tuple[FinAbGroup, AbHom, List[GroupElement]]:
+) -> Tuple[FinAbGroup, AbHom, Tuple[GroupElement, ...]]:
     """cokernel_presentation plus a preimage in ambient of each quotient
     generator."""
     for r in relations:
@@ -482,10 +472,10 @@ def quotient_with_lift(
             raise ValueError("relation outside the ambient group")
     cols = [list(r.coords) for r in relations] + ambient.relation_columns()
     group, proj, lift = _presentation_from_relations(ambient.ngens, cols)
-    hom = AbHom(ambient, group, proj, check=False)
-    lifts = [
+    hom = AbHom(ambient, group, proj)
+    lifts = tuple(
         ambient.element([row[t] for row in lift]) for t in range(group.ngens)
-    ]
+    )
     return group, hom, lifts
 
 
@@ -575,13 +565,13 @@ def hom_from_images(
 def hom_pair(f1: AbHom, f2: AbHom) -> AbHom:
     """x -> (f1(x), f2(x)) into the direct sum of the targets."""
     rows = list(f1.matrix) + list(f2.matrix)
-    return AbHom(f1.source, direct_sum(f1.target, f2.target), rows, check=False)
+    return AbHom(f1.source, direct_sum(f1.target, f2.target), rows)
 
 
 def hom_sum(f1: AbHom, f2: AbHom) -> AbHom:
     """(x, y) -> f1(x) + f2(y) out of the direct sum of the sources."""
     rows = [r1 + r2 for r1, r2 in zip(f1.matrix, f2.matrix)]
-    return AbHom(direct_sum(f1.source, f2.source), f1.target, rows, check=False)
+    return AbHom(direct_sum(f1.source, f2.source), f1.target, rows)
 
 
 def subgroup_equal(

@@ -48,16 +48,22 @@ def _is_int_list(data) -> bool:
     return isinstance(data, list) and all(type(x) is int for x in data)
 
 
-def _ints(data, what: str) -> list:
+def _ints(data, what: str, length: Optional[int] = None) -> list:
     if not _is_int_list(data):
         raise SchemaError(f"{what} must be a list of integers")
+    if length is not None and len(data) != length:
+        raise SchemaError(f"{what} must have {length} entries, got {len(data)}")
     return data
 
 
-def _int_rows(data, what: str) -> list:
+def _int_rows(
+    data, what: str, nrows: Optional[int] = None, ncols: Optional[int] = None
+) -> list:
     if not isinstance(data, list):
         raise SchemaError(f"{what} must be a list of integer rows")
-    return [_ints(row, f"each row of {what}") for row in data]
+    if nrows is not None and len(data) != nrows:
+        raise SchemaError(f"{what} must have {nrows} rows, got {len(data)}")
+    return [_ints(row, f"each row of {what}", ncols) for row in data]
 
 
 def parse_group(data) -> FinAbGroup:
@@ -82,8 +88,8 @@ def parse_parameter(data) -> FormParameter:
             p = split_sum(p, parse_group(data["sum"]))
         return p
     carrier = parse_group(_require(data, "carrier"))
-    hrow = _ints(_require(data, "h"), "'h'")
-    pone = _ints(_require(data, "pOne"), "'pOne'")
+    hrow = _ints(_require(data, "h"), "'h'", carrier.ngens)
+    pone = _ints(_require(data, "pOne"), "'pOne'", carrier.ngens)
     h = AbHom(carrier, FinAbGroup((0,)), [hrow])
     return FormParameter(carrier, h, carrier.element(pone))
 
@@ -92,7 +98,9 @@ def parse_form(param: FormParameter, data) -> qform.QForm:
     if not isinstance(data, dict):
         raise SchemaError("form must be an object with 'lambda' and 'mu'")
     lam = _int_rows(_require(data, "lambda"), "'lambda'")
-    mu = _int_rows(_require(data, "mu"), "'mu'")
+    if any(len(row) != len(lam) for row in lam):
+        raise SchemaError("'lambda' must be a square matrix")
+    mu = _int_rows(_require(data, "mu"), "'mu'", len(lam), param.carrier.ngens)
     mus = [param.carrier.element(c) for c in mu]
     return qform.QForm(param, lam, mus)
 
@@ -164,7 +172,8 @@ def cmd_tensor(payload, args) -> dict:
 def cmd_induced_map(payload, args) -> dict:
     src = parse_parameter(_require(payload, "source"))
     dst = parse_parameter(_require(payload, "target"))
-    mat = _int_rows(_require(payload, "matrix"), "'matrix'")
+    shape = dst.carrier.ngens, src.carrier.ngens
+    mat = _int_rows(_require(payload, "matrix"), "'matrix'", *shape)
     alpha = FPMorphism(src, dst, AbHom(src.carrier, dst.carrier, mat))
     m = witt.induced_witt_map(alpha)
     return {
@@ -174,14 +183,19 @@ def cmd_induced_map(payload, args) -> dict:
     }
 
 
+def _search_result(out: qform.SearchOutcome, key: str, bound: int) -> dict:
+    """The verdict of a bounded search, with its witness under key."""
+    res = {"status": out.status, "reason": out.reason, "bound": bound}
+    if out.found:
+        res[key] = [list(v) for v in out.witness]
+    return res
+
+
 def cmd_metabolic(payload, args) -> dict:
     p = _param_of(payload)
     f = parse_form(p, _require(payload, "form"))
     out = qform.metabolic_search(f, bound=args.bound)
-    res = {"status": out.status, "reason": out.reason, "bound": args.bound}
-    if out.found:
-        res["lagrangian"] = [list(v) for v in out.witness]
-    return res
+    return _search_result(out, "lagrangian", args.bound)
 
 
 def cmd_isometric(payload, args) -> dict:
@@ -189,10 +203,7 @@ def cmd_isometric(payload, args) -> dict:
     f = parse_form(p, _require(payload, "form1"))
     g = parse_form(p, _require(payload, "form2"))
     out = qform.isometry_search(f, g, bound=args.bound)
-    res = {"status": out.status, "reason": out.reason, "bound": args.bound}
-    if out.found:
-        res["matrix"] = [list(r) for r in out.witness]
-    return res
+    return _search_result(out, "matrix", args.bound)
 
 
 def cmd_absorbing(payload, args) -> dict:
@@ -225,10 +236,7 @@ def cmd_embed_search(payload, args) -> dict:
     f = parse_form(p, _require(payload, "form"))
     eta = parse_form(p, _require(payload, "eta"))
     out = qform.embedding_search(eta, f, bound=args.bound)
-    res = {"status": out.status, "reason": out.reason, "bound": args.bound}
-    if out.found:
-        res["matrix"] = [list(r) for r in out.witness]
-    return res
+    return _search_result(out, "matrix", args.bound)
 
 
 def cmd_verify_suite(payload, args) -> dict:

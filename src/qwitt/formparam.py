@@ -24,8 +24,8 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
-    cokernel_presentation,
     hom_from_images,
+    quotient_with_lift,
     split_off_cyclic,
     split_off_free,
     split_off_hom_summand,
@@ -211,6 +211,7 @@ class MaximalSplitting:
         return self.iso.target
 
 
+@lru_cache(maxsize=None)
 def standard(name: str, k: Optional[int] = None) -> FormParameter:
     """Standard indecomposable parameters by name.
 
@@ -272,36 +273,29 @@ def split_sum(q: FormParameter, g: FinAbGroup) -> FormParameter:
 
 
 @lru_cache(maxsize=None)
-def linearisation(q: FormParameter) -> Tuple[FinAbGroup, AbHom]:
-    """SQ = Q_e / <p(1)> with the quotient projection."""
-    return cokernel_presentation([q.p_one], q.carrier)
+def linearisation(
+    q: FormParameter,
+) -> Tuple[FinAbGroup, AbHom, Tuple[GroupElement, ...]]:
+    """SQ = Q_e / <p(1)> with the quotient projection and a section: lifts[i]
+    is a preimage in Q_e of the i-th generator of SQ.  Two preimages differ
+    by a multiple of p(1), so every lift through SQ is read off the section."""
+    return quotient_with_lift([q.p_one], q.carrier)
 
 
 def quasi_wu(q: FormParameter) -> Union[SliceHom, CosliceHom]:
-    """v_Q: SQ -> Z2 induced by h (symmetric), or v'_Q: Z2 -> Q_e (anti)."""
+    """v_Q: SQ -> Z2 induced by h (symmetric), or v'_Q: Z2 -> Q_e (anti);
+    h(p(1)) = 2, so h mod 2 does not depend on the chosen lift."""
     if q.is_symmetric:
-        sq, proj = linearisation(q)
-        cols = []
-        solve = proj.solver()
-        for gen in sq.gens():
-            lift = solve(gen)
-            assert lift is not None
-            cols.append(Z2.element((q.h_of(lift),)))
-        return SliceHom(sq, AbHom.from_columns(sq, Z2, cols))
+        sq, _, lifts = linearisation(q)
+        return SliceHom(sq, AbHom(sq, Z2, [[q.h_of(x) for x in lifts]]))
     return CosliceHom(q.carrier, q.p_one)
 
 
 def S_of(alpha: FPMorphism) -> AbHom:
     """The induced homomorphism on linearisations."""
-    sp, proj_p = linearisation(alpha.source)
-    sq, proj_q = linearisation(alpha.target)
-    cols = []
-    solve = proj_p.solver()
-    for gen in sp.gens():
-        lift = solve(gen)
-        assert lift is not None
-        cols.append(proj_q(alpha(lift)))
-    return AbHom.from_columns(sp, sq, cols)
+    sp, _, lifts = linearisation(alpha.source)
+    sq, proj_q, _ = linearisation(alpha.target)
+    return AbHom.from_columns(sp, sq, [proj_q(alpha(x)) for x in lifts])
 
 
 def morphism_from_slice(
@@ -316,8 +310,8 @@ def morphism_from_slice(
     """
     if not (p.is_symmetric and q.is_symmetric):
         raise ValueError("slice lifting requires symmetric parameters")
-    sp, proj_p = linearisation(p)
-    sq, proj_q = linearisation(q)
+    sp, proj_p, _ = linearisation(p)
+    sq, _, lifts = linearisation(q)
     if f.source != sp or f.target != sq:
         raise ValueError("map does not connect the linearisations")
     vp, vq = quasi_wu(p), quasi_wu(q)
@@ -326,8 +320,7 @@ def morphism_from_slice(
             raise ValueError("map is not a morphism of quasi-Wu classes")
     cols = []
     for gen in p.carrier.gens():
-        u = proj_q.solve(f(proj_p(gen)))
-        assert u is not None
+        u = q.carrier.combination(f(proj_p(gen)).coords, lifts)
         d = p.h_of(gen) - q.h_of(u)
         if d % 2:
             raise AssertionError("parity broke in the pullback lift")
@@ -353,7 +346,7 @@ def maximal_splitting(p: FormParameter) -> MaximalSplitting:
 
 
 def _split_symmetric(p: FormParameter) -> MaximalSplitting:
-    sp, proj = linearisation(p)
+    sp, proj, _ = linearisation(p)
     v = quasi_wu(p)
     assert isinstance(v, SliceHom)
     if v.is_zero:
@@ -388,7 +381,7 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
         comp, incl = subgroup(sp, rest)
         comp_gens = incl.columns()
         # slice iso f: SP -> SQ0 + comp in the basis (g0, comp_gens)
-        sq0, _ = linearisation(q0)
+        sq0, _, _ = linearisation(q0)
         tgt = FinAbGroup(sq0.orders + comp.orders)
         f = hom_from_images(sp, [g0] + comp_gens, tgt.gens(), tgt)
         target = split_sum(q0, comp)
@@ -415,24 +408,14 @@ def _glue_linearisation(
     q0: FormParameter, comp: FinAbGroup, target: FormParameter
 ) -> AbHom:
     """The natural isomorphism SQ0 + G -> S(Q0 + G)."""
-    sq0, proj0 = linearisation(q0)
-    s_tgt, proj_t = linearisation(target)
-    src = FinAbGroup(sq0.orders + comp.orders)
-    cols = []
-    solve = proj0.solver()
-    for gen in sq0.gens():
-        lift = solve(gen)
-        assert lift is not None
-        cols.append(
-            proj_t(target.carrier.element(
-                tuple(lift.coords) + (0,) * comp.ngens
-            ))
-        )
-    for j in range(comp.ngens):
-        e = [0] * target.carrier.ngens
-        e[q0.carrier.ngens + j] = 1
-        cols.append(proj_t(target.carrier.element(e)))
-    return AbHom.from_columns(src, s_tgt, cols)
+    sq0, _, lifts = linearisation(q0)
+    s_tgt, proj_t, _ = linearisation(target)
+    pad = (0,) * comp.ngens
+    images = [target.carrier.element(x.coords + pad) for x in lifts]
+    images += target.carrier.gens()[q0.carrier.ngens :]
+    return AbHom.from_columns(
+        FinAbGroup(sq0.orders + comp.orders), s_tgt, [proj_t(y) for y in images]
+    )
 
 
 def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
@@ -441,11 +424,7 @@ def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
         comp, incl = subgroup(a, a.gens())
         q0 = standard("Q^-")
         target = split_sum(q0, comp)
-        iso = FPMorphism(
-            p,
-            target,
-            AbHom(a, target.carrier, incl.inverse().matrix, check=False),
-        )
+        iso = FPMorphism(p, target, AbHom(a, target.carrier, incl.inverse().matrix))
         return MaximalSplitting("Q^-", None, q0, comp, iso)
     h0, rest = split_off_cyclic(a, p.p_one)
     order = h0.order()  # 2^(l+1) with l the 2-divisibility exponent of p(1)
@@ -495,16 +474,18 @@ def is_isomorphic(p1: FormParameter, p2: FormParameter) -> bool:
     return classify(p1) == classify(p2)
 
 
+@lru_cache(maxsize=None)
 def es(p: FormParameter) -> FPMorphism:
     """Extended symmetrisation P -> Q^+ + SP, carrier map (h, pi)."""
     if not p.is_symmetric:
         raise ValueError("extended symmetrisation needs a symmetric parameter")
-    sp, proj = linearisation(p)
+    sp, proj, _ = linearisation(p)
     target = split_sum(standard("Q^+"), sp)
     rows = [p.h.matrix[0], *proj.matrix]
     return FPMorphism(p, target, AbHom(p.carrier, target.carrier, rows))
 
 
+@lru_cache(maxsize=None)
 def eql(p: FormParameter) -> FPMorphism:
     """Extended quadratic lift Q- + P_e -> P, carrier map v' + Id."""
     if p.is_symmetric:

@@ -105,7 +105,7 @@ class QForm:
 
     def s_mu(self) -> AbHom:
         """The linearisation X -> SQ of mu (a homomorphism)."""
-        sq, proj = linearisation(self.parameter)
+        sq, proj, _ = linearisation(self.parameter)
         free = FinAbGroup((0,) * self.rank)
         return AbHom.from_columns(
             free, sq, [proj(m) for m in self.mu_basis]
@@ -936,7 +936,7 @@ def try_rank2_embedding(
     mt = _intmat.transpose(f.lambda_matrix)
     row = _intmat.mat_vec(mt, x)
     y = _solve_unit_combination(row)
-    sq, proj = linearisation(q)
+    _, proj, _ = linearisation(q)
     smu = f.s_mu()
     rhs = proj(qval) - smu(smu.source.element(y))
     z_el = smu.solve(rhs)

@@ -178,7 +178,7 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
         rels.append(free.element(c))
 
     group, proj, lifts = quotient_with_lift(rels, free)
-    basis_map = tuple(proj(free.gen(a)) for a in range(n_abs))
+    basis_map = tuple(proj.columns())
     section = tuple(z.coords for z in lifts)
     return TensorPresentation(
         g, q, group, tuple(symbols), basis_map, section
@@ -225,7 +225,7 @@ def _plain_tensor_map(
 def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
     """G (x) Q -> G (x) SQ, killing brackets and projecting q-slots."""
     sq_grp, sq_gen = sq_pair
-    _, proj = linearisation(pres.q)
+    _, proj, _ = linearisation(pres.q)
     sym_images = []
     for kind, i, j in pres.symbols:
         if kind == "b":
@@ -262,7 +262,7 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
     report = {"symmetric": q.is_symmetric, "group": pres.group.orders}
     if q.is_symmetric:
         gamma_pres = present(g, standard("Q^+"))
-        sq, _ = linearisation(q)
+        sq, _, _ = linearisation(q)
         gsq = tensor_with_generators(g, sq)
         gz2 = tensor_with_generators(g, FinAbGroup((2,)))
         j1 = induced_map(AbHom.identity(g), initial_morphism(q))

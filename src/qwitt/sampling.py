@@ -71,7 +71,7 @@ def random_automorphism(rng: random.Random, group: FinAbGroup) -> AbHom:
             u = rng.choice([u for u in range(1, ni) if gcd(u, ni) == 1])
             for r in range(n):
                 mat[r][i] *= u
-    hom = AbHom(group, group, mat, check=False)
+    hom = AbHom(group, group, mat)
     if not hom.is_isomorphism():
         return AbHom.identity(group)
     return hom

@@ -139,7 +139,7 @@ def signature_defect(f: QForm, shift: Optional[Sequence[int]] = None) -> int:
     sig, osq, k = _omega_data(f, shift)
     val = (sig - osq) // 8
     if k:
-        val %= 2 ** (k - 1) if k >= 1 else 1
+        val %= 2 ** (k - 1)
     return val
 
 
@@ -415,7 +415,6 @@ def witt_group(p: FormParameter) -> WittGroupDescription:
 def _embed_standard_form(rep: QForm, ms: MaximalSplitting) -> QForm:
     """Regard a form over the standard parameter as one over Q + G."""
     split = ms.split_parameter
-    nq = ms.standard.carrier.ngens
     mus = [
         split.carrier.element(
             tuple(m.coords) + (0,) * ms.complement.ngens
@@ -568,7 +567,7 @@ def es_witt(f: QForm) -> Tuple[int, GroupElement]:
     if not p.is_symmetric:
         raise ValueError("extended symmetrisation needs a symmetric parameter")
     push = pushforward(f, es(p))
-    sp, _ = linearisation(p)
+    sp, _, _ = linearisation(p)
     pres = _gamma_presentation(sp)
     t = tensor_invariant(push, standard("Q^+"), pres)
     return signature(f), t
@@ -591,11 +590,8 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
     split = split_sum(qminus, p.carrier)
     form = form_from_tensor(qminus, p.carrier, pres, t)
     if c % 2:
-        nq = 1
         arf_mu = split.carrier.element((1,) + (0,) * p.carrier.ngens)
-        arf_block = QForm(
-            split, [[0, 1], [-1, 0]], [arf_mu, arf_mu]
-        )
+        arf_block = QForm(split, [[0, 1], [-1, 0]], [arf_mu, arf_mu])
         form = form_sum(arf_block, form)
     pushed = pushforward(form, eql(p))
     return witt_class(pushed)
@@ -617,7 +613,7 @@ def eql_witt_hom(p: FormParameter) -> AbHom:
 def es_witt_hom(p: FormParameter) -> AbHom:
     """W0(P) -> Z + Gamma(SP) on the canonical generators."""
     desc = witt_group(p)
-    sp, _ = linearisation(p)
+    sp, _, _ = linearisation(p)
     pres = _gamma_presentation(sp)
     ambient = FinAbGroup((0,) + pres.group.orders)
     cols = [es_witt_vector(rep) for rep in desc.representatives]

@@ -121,6 +121,13 @@ def test_hom_well_defined():
     AbHom(FinAbGroup((2,)), FinAbGroup((4,)), [[2]])
     with pytest.raises(ValueError):
         AbHom(FinAbGroup((2,)), FinAbGroup((4,)), [[1]])
+    # a target with a free and a finite row: each row is checked by its order
+    mixed = FinAbGroup((0, 4))
+    AbHom(FinAbGroup((2, 0)), mixed, [[0, 5], [2, 1]])
+    with pytest.raises(ValueError):
+        AbHom(FinAbGroup((2,)), mixed, [[1], [2]])
+    with pytest.raises(ValueError):
+        AbHom(FinAbGroup((2,)), mixed, [[0], [1]])
 
 
 def test_hom_compose_associative():

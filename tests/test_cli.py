@@ -221,6 +221,14 @@ def test_negative_bound_is_refused_before_the_payload(capsys, verb):
         ("classify", '{"name":"Q+","sum":[false]}'),
         ("tensor", '{"G":[true,4],"Q":"Q+"}'),
         ("witt-class", '{"param":"Q-","form":{"lambda":[[true]],"mu":[[1]]}}'),
+        # shapes: a mu row, lambda, h, pOne and a carrier matrix of the wrong size
+        ("witt-class", '{"param":"Q-","form":{"lambda":[[0,1],[-1,0]],"mu":[[1,0],[1]]}}'),
+        ("witt-class", '{"param":"Q-","form":{"lambda":[[0,1]],"mu":[[1]]}}'),
+        ("witt-class", '{"param":"Q-","form":{"lambda":[[0,1],[-1,0]],"mu":[[1]]}}'),
+        ("classify", '{"param":{"carrier":[0],"h":[2,0],"pOne":[1]}}'),
+        ("classify", '{"param":{"carrier":[0],"h":[2],"pOne":[]}}'),
+        ("induced-map", '{"source":"Q+","target":"ZP","matrix":[[2,0],[-1]]}'),
+        ("induced-map", '{"source":"Q+","target":"ZP","matrix":[[2]]}'),
     ],
 )
 def test_malformed_payload_is_a_schema_error(capsys, argv):

@@ -80,20 +80,29 @@ def test_split_sum():
 
 
 def test_linearisation():
-    sq, proj = linearisation(standard("ZP"))
+    sq, proj, _ = linearisation(standard("ZP"))
     assert sq.orders == (0,)
     assert proj.matrix == ((1, 2),)
 
-    sq, _ = linearisation(standard("Q+"))
+    sq, _, _ = linearisation(standard("Q+"))
     assert sq.is_trivial
 
     for k in (1, 2, 3):
-        sq, _ = linearisation(standard("ZP_k", k))
+        sq, _, _ = linearisation(standard("ZP_k", k))
         assert sq.canonical_orders() == (2 ** (k + 1),)
 
     assert linearisation(standard("Q^+"))[0].orders == (2,)
     assert linearisation(standard("Q-"))[0].is_trivial
     assert linearisation(standard("ZL_k", 3))[0].canonical_orders() == (4,)
+
+    # the section: lifts[i] projects onto the i-th generator of SQ
+    from qwitt.sampling import random_form_parameter
+
+    rng = random.Random(16)
+    for q in ALL_STANDARD + [random_form_parameter(rng) for _ in range(50)]:
+        sq, proj, lifts = linearisation(q)
+        assert isinstance(lifts, tuple) and len(lifts) == sq.ngens
+        assert all(proj(x) == sq.gen(i) for i, x in enumerate(lifts))
 
 
 def test_quasi_wu_of_standards():
@@ -122,7 +131,7 @@ def test_wu_pullback_square():
     for q in ALL_STANDARD:
         if not q.is_symmetric:
             continue
-        sq, proj = linearisation(q)
+        sq, proj, _ = linearisation(q)
         v = quasi_wu(q)
         amb = FinAbGroup((0,) + sq.orders)
         pairs = [
@@ -337,7 +346,7 @@ def test_morphism_validation_and_example():
 def test_morphism_from_slice():
     # odd multiplications on S(ZP) lift to the matrices [[1, 0], [n, 2n+1]]
     zp = standard("ZP")
-    szp, _ = linearisation(zp)
+    szp, _, _ = linearisation(zp)
     for n in (-2, -1, 0, 1, 2):
         f = AbHom(szp, szp, [[2 * n + 1]])
         alpha = morphism_from_slice(zp, zp, f)
@@ -346,7 +355,7 @@ def test_morphism_from_slice():
 
     # identity on v_{Q^+}
     qp = standard("Q^+")
-    sq, _ = linearisation(qp)
+    sq, _, _ = linearisation(qp)
     alpha = morphism_from_slice(qp, qp, AbHom.identity(sq))
     assert alpha.map.matrix == ((1,),)
 
@@ -357,8 +366,8 @@ def test_morphism_from_slice():
     alpha = morphism_from_slice(zp2, zp1, f)
     assert alpha.map.matrix == std.map.matrix
     # and any slice morphism lifts uniquely: S o lift = id on slice maps
-    s2, _ = linearisation(zp2)
-    s1, _ = linearisation(zp1)
+    s2, _, _ = linearisation(zp2)
+    s1, _, _ = linearisation(zp1)
     for c in (1, 3, 5, 7):
         g = AbHom(s2, s1, [[c]])
         try:
@@ -406,7 +415,7 @@ def test_wu_pullback_square_random_parameters():
     rng = random.Random(37)
     for _ in range(15):
         q = random_form_parameter(rng, symmetric=True, max_torsion=8, max_free=1)
-        sq, proj = linearisation(q)
+        sq, proj, _ = linearisation(q)
         v = quasi_wu(q)
         amb = FinAbGroup((0,) + sq.orders)
         pairs = [

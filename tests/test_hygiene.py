@@ -226,3 +226,23 @@ def test_library_sums_with_combination():
         if (lines := accumulating_loops(path.read_text()))
     }
     assert not found, found
+
+
+def solver_calls(source: str):
+    """Lines that read a `.solve` or `.solver` attribute: a preimage found by
+    a fresh SNF."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("solve", "solver")
+    )
+
+
+def test_solver_calls_detected():
+    src = "x = f.solve(y)\ns = f.solver()\nt = solve(y)\nu = f.solved\n"
+    assert solver_calls(src) == [1, 2]
+
+
+def test_formparam_reads_lifts_off_the_section():
+    # every preimage of an element of SQ comes from linearisation's lifts
+    assert solver_calls((SRC / "formparam.py").read_text()) == []

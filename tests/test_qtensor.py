@@ -424,7 +424,7 @@ def test_check_sequences_order_bookkeeping():
     q = standard("ZP_2")
     s2 = present(g, standard("Q+")).group.order()
     whole = present(g, q).group.order()
-    sq, _ = linearisation(q)
+    sq, _, _ = linearisation(q)
     from qwitt.abelian import tensor
 
     lin = tensor(g, sq).order()
