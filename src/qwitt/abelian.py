@@ -26,7 +26,6 @@ __all__ = [
     "Z",
     "Z2",
     "TRIVIAL",
-    "cokernel_presentation",
     "hom_from_images",
     "hom_pair",
     "hom_sum",
@@ -334,17 +333,13 @@ class AbHom:
 
     def solver(self) -> Callable[[GroupElement], Optional[GroupElement]]:
         """`solve` for many right-hand sides, from one SNF."""
-        coords = _relation_solver(self.target, self.matrix)
+        coeffs = member_solver(self.target, self.columns())
 
         def solve(y: GroupElement) -> Optional[GroupElement]:
             if y.group != self.target:
                 raise ValueError("element not in the target group")
-            if self.target.ngens == 0:
-                return self.source.zero()
-            sol = coords(y.coords)
-            if sol is None:
-                return None
-            return self.source.element(sol[: self.source.ngens])
+            sol = coeffs(y)
+            return None if sol is None else self.source.element(sol)
 
         return solve
 
@@ -352,8 +347,7 @@ class AbHom:
         return all(not any(r) for r in self.matrix)
 
     def is_surjective(self) -> bool:
-        g, _ = cokernel_presentation(self.columns(), self.target)
-        return g.is_trivial
+        return quotient_with_lift(self.columns(), self.target)[0].is_trivial
 
     def is_injective(self) -> bool:
         return all(k.is_zero for k in kernel_generators(self))
@@ -389,23 +383,6 @@ def _with_relations(group: FinAbGroup, mat: Sequence[Sequence[int]]) -> Matrix:
     group appended as columns."""
     rel = group.relation_columns()
     return [list(mat[i]) + [c[i] for c in rel] for i in range(group.ngens)]
-
-
-def _relation_solver(
-    group: FinAbGroup, mat: Sequence[Sequence[int]]
-) -> Callable[[Sequence[int]], Optional[List[int]]]:
-    """Coordinates y -> one integer x with _with_relations(group, mat) x == y,
-    or None.  The SNF is built at the first call and answers every later
-    one."""
-    snf = None
-
-    def solve(y: Sequence[int]) -> Optional[List[int]]:
-        nonlocal snf
-        if snf is None:
-            snf = _intmat.SNF(_with_relations(group, mat))
-        return snf.solve(y)
-
-    return solve
 
 
 def _presentation_from_relations(
@@ -452,21 +429,12 @@ def _presentation_from_relations(
     return group, proj, lift
 
 
-def cokernel_presentation(
-    relations: Sequence[GroupElement], ambient: FinAbGroup
-) -> Tuple[FinAbGroup, AbHom]:
-    """Quotient of ambient by the subgroup generated by the relations.
-
-    The projection is surjective and kills exactly the relation span.
-    """
-    return quotient_with_lift(relations, ambient)[:2]
-
-
 def quotient_with_lift(
     relations: Sequence[GroupElement], ambient: FinAbGroup
 ) -> Tuple[FinAbGroup, AbHom, Tuple[GroupElement, ...]]:
-    """cokernel_presentation plus a preimage in ambient of each quotient
-    generator."""
+    """Quotient of ambient by the subgroup generated by the relations: the
+    group, the projection (surjective, killing exactly the relation span)
+    and a preimage in ambient of each quotient generator."""
     for r in relations:
         if r.group != ambient:
             raise ValueError("relation outside the ambient group")
@@ -528,15 +496,18 @@ def member_solver(
     ambient: FinAbGroup, gens: Sequence[GroupElement]
 ) -> Callable[[GroupElement], Optional[List[int]]]:
     """x -> coefficients expressing x in terms of gens inside ambient, or
-    None; one SNF answers every x."""
+    None; one SNF, built at the first call, answers every x."""
     s = len(gens)
-    if s == 0:
-        return lambda x: [] if x.is_zero else None
+    if s == 0 or ambient.ngens == 0:
+        return lambda x: [0] * s if x.is_zero else None
     gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
-    coords = _relation_solver(ambient, gmat)
+    snf = None
 
     def member(x: GroupElement) -> Optional[List[int]]:
-        sol = coords(x.coords)
+        nonlocal snf
+        if snf is None:
+            snf = _intmat.SNF(_with_relations(ambient, gmat))
+        sol = snf.solve(x.coords)
         return None if sol is None else sol[:s]
 
     return member
@@ -669,22 +640,37 @@ def split_off_hom_summand(
     a = g.order()
     if a & (a - 1):
         raise AssertionError(f"minimal order {a} is not a power of 2")
+    comp = _complement(group, g, lambda z: f(z).coords[0])
+    if any(f(y).coords[0] for y in comp):
+        raise AssertionError("complement generator adjustment failed")
+    return g, comp
+
+
+def _complement(
+    group: FinAbGroup,
+    g: GroupElement,
+    parity: Callable[[GroupElement], Optional[int]],
+) -> List[GroupElement]:
+    """Generators of a complement to <g>, for g of prime-power order a.
+
+    A lift z of a generator of group/<g> of finite order r has r*z = s*g and
+    moves to z - t*g, t = _solve_two_congruences(r, s, a, parity(z)), which
+    kills r*z; a lift of a free generator moves to z + g if parity(z) is 1.
+    """
+    a = g.order()
     quot, _, lifts = quotient_with_lift([g], group)
     comp: List[GroupElement] = []
     for r, z in zip(quot.orders, lifts):
-        if r == 0:
-            y = z if f(z).coords[0] == 0 else z + g
-        else:
-            rz = r * z
-            s = _dlog_in_cyclic(g, a, rz)
-            # want y = z - t*g with r*t = s (mod a) and t = f(z) (mod 2)
-            t = _solve_two_congruences(r, s, a, f(z).coords[0])
-            y = z - t * g
-        if f(y).coords[0] != 0 or (r and not (r * y).is_zero):
-            raise AssertionError("complement generator adjustment failed")
-        comp.append(y)
+        if r:
+            s = _dlog_in_cyclic(g, a, r * z)
+            z = z - _solve_two_congruences(r, s, a, parity(z)) * g
+            if not (r * z).is_zero:
+                raise AssertionError("complement generator adjustment failed")
+        elif parity(z):
+            z = z + g
+        comp.append(z)
     _verify_direct_sum(group, g, comp)
-    return g, comp
+    return comp
 
 
 def _dlog_in_cyclic(g: GroupElement, order: int, x: GroupElement) -> int:
@@ -703,14 +689,17 @@ def _dlog_in_cyclic(g: GroupElement, order: int, x: GroupElement) -> int:
     raise AssertionError("element not in the cyclic subgroup")
 
 
-def _solve_two_congruences(r: int, s: int, a: int, parity: int) -> int:
-    """The least t >= 0 with r*t = s (mod a) and t = parity (mod 2).
+def _solve_two_congruences(r: int, s: int, a: int, parity: Optional[int]) -> int:
+    """A t >= 0 with r*t = s (mod a): the least with t = parity (mod 2), or
+    u*(s/d) mod a for parity None, where d = gcd(r, a) = u*r + w*a.
 
-    The first congruence has the solutions t0 + k*(a/d), d = gcd(r, a); the
-    least with the right parity is t0 or t0 + a/d, if there is one.
+    The congruence has the solutions t0 + k*(a/d); the least with the right
+    parity is t0 or t0 + a/d, if there is one.
     """
     d, u, _ = _intmat.xgcd(r, a)
     if s % d == 0:
+        if parity is None:
+            return u * (s // d) % a
         step = a // d
         t0 = u * (s // d) % step
         for t in (t0, t0 + step):
@@ -724,22 +713,22 @@ def _solve_two_congruences(r: int, s: int, a: int, parity: int) -> int:
 def split_off_free(
     group: FinAbGroup, f: AbHom
 ) -> Tuple[GroupElement, List[GroupElement]]:
-    """Split a free group as <g> + <H> with f(g) = 1, H in Ker(f)."""
-    if any(group.orders):
-        raise ValueError("group is not free")
+    """Split G = <g> + <H> with f(g) = 1, H in Ker(f), for f vanishing on
+    the torsion: g is the first free generator where f is odd, and H is
+    spanned by the other free generators, each plus g where f is odd, then
+    the torsion generators."""
     if f.target.orders != (2,):
         raise ValueError("expected a homomorphism to Z2")
-    vals = [f(x).coords[0] for x in group.gens()]
+    gens = group.gens()
+    vals = [f(x).coords[0] for x in gens]
+    if any(v and n for v, n in zip(vals, group.orders)):
+        raise ValueError("homomorphism is odd on a torsion factor")
     if not any(vals):
         raise ValueError("homomorphism is zero")
-    pivot = vals.index(1)
-    g = group.gen(pivot)
-    comp = []
-    for i, v in enumerate(vals):
-        if i == pivot:
-            continue
-        x = group.gen(i)
-        comp.append(x + g if v else x)
+    g = gens[vals.index(1)]
+    free = [(x, v) for x, v, n in zip(gens, vals, group.orders) if n == 0]
+    comp = [x + g if v else x for x, v in free if x != g]
+    comp += [x for x, n in zip(gens, group.orders) if n]
     _verify_direct_sum(group, g, comp)
     return g, comp
 
@@ -754,31 +743,10 @@ def split_off_cyclic(
     p = g.order()
     if p == 0 or _factorint(p) != {p: 1}:
         raise ValueError(f"element order {p} is not prime")
-    a = 0
-    h = g
-    while True:
-        cand = _divide_by(group, g, p ** (a + 1))
-        if cand is None:
-            break
-        a += 1
-        h = cand
-    order_h = p ** (a + 1)
-    quot, _, lifts = quotient_with_lift([h], group)
-    comp: List[GroupElement] = []
-    for r, z in zip(quot.orders, lifts):
-        if r:
-            rz = r * z
-            m = _dlog_in_cyclic(h, order_h, rz)
-            gg, t0, _ = _intmat.xgcd(r, order_h)
-            if m % gg:
-                raise AssertionError("summand correction is unsolvable")
-            t = (t0 * (m // gg)) % order_h
-            z = z - t * h
-            if not (r * z).is_zero:
-                raise AssertionError("complement generator adjustment failed")
-        comp.append(z)
-    _verify_direct_sum(group, h, comp)
-    return h, comp
+    h, q = g, p
+    while (cand := _divide_by(group, g, q)) is not None:
+        h, q = cand, q * p
+    return h, _complement(group, h, lambda z: None)
 
 
 def _divide_by(

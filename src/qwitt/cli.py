@@ -66,12 +66,17 @@ def _int_rows(
     return [_ints(row, f"each row of {what}", ncols) for row in data]
 
 
-def parse_group(data) -> FinAbGroup:
+def _orders(data) -> list:
     if isinstance(data, dict):
         data = _require(data, "orders")
     if not _is_int_list(data):
         raise SchemaError("a group is a list of non-negative cyclic orders")
-    return FinAbGroup([x for x in data if x != 1])
+    return data
+
+
+def parse_group(data) -> FinAbGroup:
+    # a G or sum list carries no coordinates: drop its order-1 factors
+    return FinAbGroup([x for x in _orders(data) if x != 1])
 
 
 def parse_parameter(data) -> FormParameter:
@@ -87,7 +92,10 @@ def parse_parameter(data) -> FormParameter:
         if data.get("sum"):
             p = split_sum(p, parse_group(data["sum"]))
         return p
-    carrier = parse_group(_require(data, "carrier"))
+    orders = _orders(_require(data, "carrier"))
+    if 1 in orders:
+        raise SchemaError(f"'carrier' factor {orders.index(1)} has order 1")
+    carrier = FinAbGroup(orders)
     hrow = _ints(_require(data, "h"), "'h'", carrier.ngens)
     pone = _ints(_require(data, "pOne"), "'pOne'", carrier.ngens)
     h = AbHom(carrier, FinAbGroup((0,)), [hrow])

@@ -353,31 +353,15 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
         comp = sp
         q0 = standard("Q+")
     else:
-        tor_gens = [g for g, n in zip(sp.gens(), sp.orders) if n]
-        if any(v(g) for g in tor_gens):
+        if any(v(g) for g, n in zip(sp.gens(), sp.orders) if n):
             g0, rest = split_off_hom_summand(sp, v.v)
             m = g0.order().bit_length() - 1  # order = 2^m
             kind, k = ("Q^+", None) if m == 1 else ("ZP_k", m - 1)
-            q0 = standard(kind, k)
         else:
             # v lives on the free part: split it there, keep torsion in G
-            free_idx = [i for i, n in enumerate(sp.orders) if n == 0]
-            free = FinAbGroup(tuple(0 for _ in free_idx))
-            vrow = [v.v.matrix[0][i] for i in free_idx]
-            gf, restf = split_off_free(free, AbHom(free, Z2, [vrow]))
-
-            def back(x):
-                full = [0] * sp.ngens
-                for pos, i in enumerate(free_idx):
-                    full[i] = x.coords[pos]
-                return sp.element(full)
-
-            g0 = back(gf)
-            rest = [back(x) for x in restf] + [
-                g for g, n in zip(sp.gens(), sp.orders) if n
-            ]
+            g0, rest = split_off_free(sp, v.v)
             kind, k = "ZP", None
-            q0 = standard("ZP")
+        q0 = standard(kind, k)
         comp, incl = subgroup(sp, rest)
         comp_gens = incl.columns()
         # slice iso f: SP -> SQ0 + comp in the basis (g0, comp_gens)

@@ -25,7 +25,6 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
-    cokernel_presentation,
     is_kernel,
     kernel,
     kernel_generators,
@@ -493,8 +492,8 @@ def _lambda1_presentation(a: FinAbGroup) -> TensorPresentation:
 
 
 def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
-    """Generators: (8, 0); (1, x0 (x) 1) for one x0 with v = 1 together
-    with its Ker(v)-translates; brackets over Ker(v) generator pairs."""
+    """Generators: (8, 0); (1, x0 (x) 1), x0 the first generator with v = 1,
+    and its Ker(v)-translates; brackets over Ker(v) generator pairs."""
     a = v.domain
     pres = _gamma_presentation(a)
     ambient = FinAbGroup((0,) + pres.group.orders)
@@ -508,8 +507,7 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
         psi = []
     else:
         kgens = kernel(v.v)[1].columns()
-        x0 = v.v.solve(v.v.target.element((1,)))
-        assert x0 is not None
+        x0 = a.gen(v.v.matrix[0].index(1))
         one = pres.q.carrier.element((1,))
         base = pres.simple(x0, one)
         psi = [pres.simple(x0 + kg, one) - base for kg in kgens]
@@ -555,7 +553,7 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
     for x in a.gens():
         kgens.append(emb(0, pres.bracket(x, x, 1) + pres.bracket(x, v1, 1)))
     kgrp, kincl = subgroup(ambient, kgens)
-    lam, proj = cokernel_presentation(kgens, ambient)
+    lam, proj, _ = quotient_with_lift(kgens, ambient)
     return LambdaQuotient(
         v, ambient, pres, tuple(kgens), kgrp, kincl, lam, proj
     )

@@ -7,11 +7,11 @@ from qwitt.abelian import (
     _divide_by,
     _factorint,
     _solve_two_congruences,
+    TRIVIAL,
     Z,
     Z2,
     AbHom,
     FinAbGroup,
-    cokernel_presentation,
     hom_from_images,
     is_kernel,
     kernel,
@@ -158,7 +158,7 @@ def test_hom_compose_associative():
 
 def test_cokernel_examples():
     # Z + Z / (2, -1) = Z with projection (a, b) -> a + 2b
-    g, proj = cokernel_presentation(
+    g, proj, _ = quotient_with_lift(
         [FinAbGroup((0, 0)).element((2, -1))], FinAbGroup((0, 0))
     )
     assert g.orders == (0,)
@@ -166,13 +166,13 @@ def test_cokernel_examples():
 
     # Z + Z3 / (2, 1) = Z6
     amb = FinAbGroup((0, 3))
-    g, proj = cokernel_presentation([amb.element((2, 1))], amb)
+    g, proj, _ = quotient_with_lift([amb.element((2, 1))], amb)
     assert g.canonical_orders() == (6,)
     assert proj.is_surjective()
     assert proj(amb.element((2, 1))).is_zero
 
     # Z with no relations
-    g, proj = cokernel_presentation([], Z)
+    g, proj, _ = quotient_with_lift([], Z)
     assert g.orders == (0,)
     assert proj.matrix == ((1,),)
 
@@ -239,7 +239,7 @@ def test_kernel_cokernel_vs_enumeration():
         assert f.is_injective() == (len(expect) == 1)
         assert is_kernel(f, incl.columns())
         # cokernel order check
-        q, proj = cokernel_presentation(f.columns(), b)
+        q, proj, _ = quotient_with_lift(f.columns(), b)
         img = brute_subgroup_elements(b, f.columns())
         assert q.order() * len(img) == b.order()
         assert proj.is_surjective()
@@ -281,6 +281,16 @@ def test_subgroup_membership():
     assert subgroup_equal(
         amb, gens, [amb.element((2, 1)), amb.element((4, 2))]
     )
+
+
+def test_member_solver_gives_one_coefficient_per_generator():
+    zero = TRIVIAL.zero()
+    assert member_solver(TRIVIAL, [zero, zero])(zero) == [0, 0]
+    assert member_solver(TRIVIAL, [])(zero) == []
+    # through AbHom.solver, a map into the trivial group
+    z4 = FinAbGroup((4,))
+    assert AbHom.zero(z4, TRIVIAL).solve(zero) == z4.zero()
+    assert AbHom.zero(TRIVIAL, z4).solve(z4.element((1,))) is None
 
 
 def test_hom_from_images():
@@ -378,6 +388,26 @@ def test_split_off_free_examples():
     assert [c.coords for c in comp] == [(1, 0, 0), (0, 0, 1)]
 
 
+def test_split_off_free_keeps_the_torsion_in_the_complement():
+    # the other free generators, adjusted by g where f is odd, then torsion
+    g3 = FinAbGroup((0, 4, 0))
+    g, comp = split_off_free(g3, AbHom(g3, Z2, [[1, 0, 1]]))
+    assert g.coords == (1, 0, 0)
+    assert [c.coords for c in comp] == [(1, 0, 1), (0, 1, 0)]
+    g2 = FinAbGroup((2, 0, 0))
+    g, comp = split_off_free(g2, AbHom(g2, Z2, [[0, 0, 1]]))
+    assert g.coords == (0, 0, 1)
+    assert [c.coords for c in comp] == [(0, 1, 0), (1, 0, 0)]
+
+
+def test_split_off_free_rejects_odd_on_torsion():
+    g = FinAbGroup((0, 4))
+    with pytest.raises(ValueError, match="torsion"):
+        split_off_free(g, AbHom(g, Z2, [[1, 1]]))
+    with pytest.raises(ValueError, match="zero"):
+        split_off_free(g, AbHom(g, Z2, [[0, 0]]))
+
+
 def test_split_off_cyclic_examples():
     z8 = FinAbGroup((8,))
     h, comp = split_off_cyclic(z8, z8.element((4,)))
@@ -452,7 +482,7 @@ def test_kernel_cokernel_enumeration_sweep():
             assert brute_subgroup_elements(g, kernel_generators(f)) == expect
             assert f.is_injective() == (len(expect) == 1)
             assert is_kernel(f, incl.columns())
-            q, proj = cokernel_presentation(f.columns(), b)
+            q, proj, _ = quotient_with_lift(f.columns(), b)
             img = brute_subgroup_elements(b, f.columns())
             assert q.order() * len(img) == b.order()
 
@@ -505,8 +535,13 @@ def brute_dlog(g, order, x):
 
 
 def brute_two_congruences(r, s, a, parity):
+    # parity None drops the second congruence
     return next(
-        (t for t in range(2 * a) if (r * t - s) % a == 0 and t % 2 == parity),
+        (
+            t
+            for t in range(2 * a)
+            if (r * t - s) % a == 0 and parity in (None, t % 2)
+        ),
         None,
     )
 
@@ -588,11 +623,15 @@ def test_solve_two_congruences_matches_range_2a():
     for _ in range(20000):
         a = rng.choice([1, 2, 4, 8, 16, 32, 64, 3, 6, 12, 40])
         r, s = rng.randrange(1, 2 * a + 1), rng.randrange(a)
-        parity = rng.randint(0, 1)
+        parity = rng.choice([0, 1, None])
         ref = brute_two_congruences(r, s, a, parity)
         if ref is None:
             with pytest.raises(AssertionError):
                 _solve_two_congruences(r, s, a, parity)
+        elif parity is None:
+            # the cyclic lemma's rule u*(s/d) mod a: some solution in [0, a)
+            t = _solve_two_congruences(r, s, a, parity)
+            assert 0 <= t < a and (r * t - s) % a == 0
         else:
             assert _solve_two_congruences(r, s, a, parity) == ref
 

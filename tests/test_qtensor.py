@@ -135,9 +135,9 @@ def brute_force_tensor(g, q):
                 rel([(b_idx(y, x + y2), 1), (b_idx(y, x), -1), (b_idx(y, y2), -1)])
     for x in gels:
         rel([(b_idx(x, x), 1), (s_idx(x, q.p_one), -1)])
-    from qwitt.abelian import cokernel_presentation
+    from qwitt.abelian import quotient_with_lift
 
-    grp, _ = cokernel_presentation(rels, free)
+    grp, _, _ = quotient_with_lift(rels, free)
     return grp.canonical_orders()
 
 
