@@ -346,12 +346,12 @@ def maximal_splitting(p: FormParameter) -> MaximalSplitting:
 
 
 def _split_symmetric(p: FormParameter) -> MaximalSplitting:
-    sp, proj, _ = linearisation(p)
+    sp, _, _ = linearisation(p)
     v = quasi_wu(p)
     assert isinstance(v, SliceHom)
     if v.is_zero:
-        comp = sp
-        q0 = standard("Q+")
+        # P = Q+ + SP: no head generator, SP is its own complement
+        kind, k, comp, basis = "Q+", None, sp, sp.gens()
     else:
         if any(v(g) for g, n in zip(sp.gens(), sp.orders) if n):
             g0, rest = split_off_hom_summand(sp, v.v)
@@ -361,31 +361,17 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
             # v lives on the free part: split it there, keep torsion in G
             g0, rest = split_off_free(sp, v.v)
             kind, k = "ZP", None
-        q0 = standard(kind, k)
         comp, incl = subgroup(sp, rest)
-        comp_gens = incl.columns()
-        # slice iso f: SP -> SQ0 + comp in the basis (g0, comp_gens)
-        sq0, _, _ = linearisation(q0)
-        tgt = FinAbGroup(sq0.orders + comp.orders)
-        f = hom_from_images(sp, [g0] + comp_gens, tgt.gens(), tgt)
-        target = split_sum(q0, comp)
-        glue = _glue_linearisation(q0, comp, target)
-        iso = morphism_from_slice(p, target, glue.compose(f))
-        return MaximalSplitting(kind, k, q0, comp, iso)
-    # v = 0 branch: P = Q+ + SP, carrier map (h/2, pi)
+        basis = [g0] + incl.columns()
+    q0 = standard(kind, k)
+    # slice iso f: SP -> SQ0 + comp sending the basis to the generators
+    sq0, _, _ = linearisation(q0)
+    tgt = FinAbGroup(sq0.orders + comp.orders)
+    f = hom_from_images(sp, basis, tgt.gens(), tgt)
     target = split_sum(q0, comp)
-    cols = []
-    for gen in p.carrier.gens():
-        hval = p.h_of(gen)
-        assert hval % 2 == 0
-        img = proj(gen)
-        cols.append(
-            target.carrier.element((hval // 2,) + tuple(img.coords))
-        )
-    iso = FPMorphism(
-        p, target, AbHom.from_columns(p.carrier, target.carrier, cols)
-    )
-    return MaximalSplitting("Q+", None, q0, comp, iso)
+    glue = _glue_linearisation(q0, comp, target)
+    iso = morphism_from_slice(p, target, glue.compose(f))
+    return MaximalSplitting(kind, k, q0, comp, iso)
 
 
 def _glue_linearisation(
@@ -405,22 +391,17 @@ def _glue_linearisation(
 def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
     a = p.carrier
     if p.p_one.is_zero:
-        comp, incl = subgroup(a, a.gens())
-        q0 = standard("Q^-")
-        target = split_sum(q0, comp)
-        iso = FPMorphism(p, target, AbHom(a, target.carrier, incl.inverse().matrix))
-        return MaximalSplitting("Q^-", None, q0, comp, iso)
-    h0, rest = split_off_cyclic(a, p.p_one)
-    order = h0.order()  # 2^(l+1) with l the 2-divisibility exponent of p(1)
-    if order == 2:
-        kind, k, q0 = "Q-", None, standard("Q-")
+        kind, k, head, rest = "Q^-", None, [], a.gens()
     else:
-        kind, k = "ZL_k", order.bit_length() - 1
-        q0 = standard("ZL_k", k)
+        h0, rest = split_off_cyclic(a, p.p_one)
+        head = [h0]
+        order = h0.order()  # 2^(l+1) with l the 2-divisibility exponent of p(1)
+        kind, k = ("Q-", None) if order == 2 else ("ZL_k", order.bit_length() - 1)
+    q0 = standard(kind, k)
     comp, incl = subgroup(a, rest)
     target = split_sum(q0, comp)
     carrier_map = hom_from_images(
-        a, [h0] + incl.columns(), target.carrier.gens(), target.carrier
+        a, head + incl.columns(), target.carrier.gens(), target.carrier
     )
     iso = FPMorphism(p, target, carrier_map)
     return MaximalSplitting(kind, k, q0, comp, iso)

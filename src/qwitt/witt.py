@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat
 from .abelian import (
@@ -116,6 +116,10 @@ def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
     if k:
         omega = [w % 2 ** (k + 1) for w in omega]
     if shift is not None:
+        if len(shift) != f.rank:
+            raise ValueError(
+                f"shift has {len(shift)} entries, the form has rank {f.rank}"
+            )
         step = 2 ** (k + 1) if k else 0
         omega = [w + step * s for w, s in zip(omega, shift)]
     omega_hat = _intmat.solve(f.lambda_matrix, omega)
@@ -178,12 +182,6 @@ def arf(f: QForm) -> int:
 
 
 # -- the F / gamma correspondence ---------------------------------------------
-
-
-def _split_structure(p: FormParameter) -> Tuple[MaximalSplitting, TensorPresentation]:
-    ms = maximal_splitting(p)
-    pres = present(ms.complement, ms.standard)
-    return ms, pres
 
 
 def tensor_invariant(
@@ -340,74 +338,69 @@ def _e8_matrix() -> List[List[int]]:
     return mat
 
 
-def _indec_generators(ms: MaximalSplitting) -> List[Tuple[str, int, QForm]]:
-    """(name, order, representative over the standard parameter)."""
-    q = ms.standard
-    kind, k = ms.standard_kind, ms.k
+def _sigma(f: QForm) -> int:
+    """The signature of a form known to be nonsingular."""
+    return signature_of_matrix(f.lambda_matrix)
+
+
+def _sigma_over_8(f: QForm) -> int:
+    sig = _sigma(f)
+    if sig % 8:
+        raise AssertionError("even symmetric form with signature not divisible by 8")
+    return sig // 8
+
+
+@lru_cache(maxsize=None)
+def _indecomposables(
+    kind: str, k: Optional[int]
+) -> Tuple[Tuple[str, int, QForm, Callable[[QForm], int]], ...]:
+    """The generators of W0 of standard(kind, k): (name, order,
+    representative over the standard parameter, invariant).  The invariant
+    of a form over the standard parameter is its coordinate on that
+    generator, so it maps the representatives to the unit vectors."""
+    q = standard(kind, k)
     c = q.carrier
     if kind == "Q+":
-        e8 = _e8_matrix()
-        mus = [c.element((1,)) for _ in range(8)]
-        return [("8sigma*", 0, QForm(q, e8, mus))]
+        e8 = QForm(q, _e8_matrix(), [c.element((1,))] * 8)
+        return (("8sigma*", 0, e8, _sigma_over_8),)
     if kind == "Q^+":
-        return [("sigma*", 0, QForm(q, [[1]], [c.element((1,))]))]
+        sig = QForm(q, [[1]], [c.element((1,))])
+        return (("sigma*", 0, sig, _sigma),)
     if kind in ("ZP", "ZP_k"):
-        sig = QForm(q, [[1]], [c.element((1, 0))])
-        out = [("sigma*", 0, sig)]
-        rho_star = QForm(
-            q,
-            [[0, 1], [1, 0]],
-            [c.element((0, 1)), c.element((0, -1))],
-        )
+        sig = ("sigma*", 0, QForm(q, [[1]], [c.element((1, 0))]), _sigma)
+        rho = QForm(q, [[0, 1], [1, 0]], [c.element((0, 1)), c.element((0, -1))])
         if kind == "ZP":
-            out.append(("rho_inf*", 0, rho_star))
-        elif k >= 2:
-            out.append((f"rho_{k}*", 2 ** (k - 1), rho_star))
-        return out
+            return sig, ("rho_inf*", 0, rho, signature_defect)
+        if k >= 2:
+            return sig, (f"rho_{k}*", 2 ** (k - 1), rho, signature_defect)
+        return (sig,)
     if kind == "Q-":
-        return [
-            (
-                "c*",
-                2,
-                QForm(
-                    q,
-                    [[0, 1], [-1, 0]],
-                    [c.element((1,)), c.element((1,))],
-                ),
-            )
-        ]
-    return []
+        c_star = QForm(q, [[0, 1], [-1, 0]], [c.element((1,))] * 2)
+        return (("c*", 2, c_star, arf),)
+    return ()
 
 
 @lru_cache(maxsize=None)
 def witt_group(p: FormParameter) -> WittGroupDescription:
     """The Witt group of P in canonical coordinates with named generators."""
-    ms, pres = _split_structure(p)
+    ms = maximal_splitting(p)
+    pres = present(ms.complement, ms.standard)
     back = ms.iso.inverse()
-    names: List[str] = []
-    orders: List[int] = []
-    reps: List[QForm] = []
-    for name, order, rep in _indec_generators(ms):
-        embedded = _embed_standard_form(rep, ms)
-        names.append(name)
-        orders.append(order)
-        reps.append(pushforward(embedded, back))
-    n_indec = len(names)
-    for t in range(pres.group.ngens):
-        names.append(f"t{t + 1}")
-        orders.append(pres.group.orders[t])
-        form = form_from_tensor(
-            ms.standard, ms.complement, pres, pres.group.gen(t)
-        )
-        reps.append(pushforward(form, back))
+    table = _indecomposables(ms.standard_kind, ms.k)
+    forms = [_embed_standard_form(rep, ms) for _, _, rep, _ in table]
+    forms += [
+        form_from_tensor(ms.standard, ms.complement, pres, t)
+        for t in pres.group.gens()
+    ]
     return WittGroupDescription(
         p,
         ms,
-        tuple(names),
-        tuple(orders),
-        tuple(reps),
+        tuple(name for name, _, _, _ in table)
+        + tuple(f"t{t + 1}" for t in range(pres.group.ngens)),
+        tuple(order for _, order, _, _ in table) + pres.group.orders,
+        tuple(pushforward(form, back) for form in forms),
         pres,
-        n_indec,
+        len(table),
     )
 
 
@@ -439,23 +432,9 @@ def witt_class(f: QForm) -> WittClass:
     ms = desc.splitting
     g = pushforward(f, ms.iso)
     q_part = _retract_to_standard(ms, g)
-    kind = ms.standard_kind
-    coords: List[int] = []
-    if kind == "Q+":
-        sig = signature_of_matrix(q_part.lambda_matrix)
-        if sig % 8:
-            raise AssertionError("even symmetric form with signature not divisible by 8")
-        coords.append(sig // 8)
-    elif kind == "Q^+":
-        coords.append(signature_of_matrix(q_part.lambda_matrix))
-    elif kind in ("ZP", "ZP_k"):
-        coords.append(signature_of_matrix(q_part.lambda_matrix))
-        if kind == "ZP" or ms.k >= 2:
-            coords.append(signature_defect(q_part))
-    elif kind == "Q-":
-        coords.append(arf(q_part))
-    t = tensor_invariant(g, ms.standard, desc.tensor_pres)
-    coords.extend(t.coords)
+    table = _indecomposables(ms.standard_kind, ms.k)
+    coords = [inv(q_part) for _, _, _, inv in table]
+    coords += tensor_invariant(g, ms.standard, desc.tensor_pres).coords
     return WittClass(desc, tuple(coords))
 
 
@@ -483,19 +462,11 @@ class SigmaSubgroup:
         return member_solver(self.ambient, self.generators)(x) is not None
 
 
-def _gamma_presentation(a: FinAbGroup) -> TensorPresentation:
-    return present(a, standard("Q^+"))
-
-
-def _lambda1_presentation(a: FinAbGroup) -> TensorPresentation:
-    return present(a, standard("Q-"))
-
-
 def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
     """Generators: (8, 0); (1, x0 (x) 1), x0 the first generator with v = 1,
     and its Ker(v)-translates; brackets over Ker(v) generator pairs."""
     a = v.domain
-    pres = _gamma_presentation(a)
+    pres = present(a, standard("Q^+"))
     ambient = FinAbGroup((0,) + pres.group.orders)
 
     def emb(n: int, t: GroupElement) -> GroupElement:
@@ -542,7 +513,7 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
     """Generators of K(v'): (1, [v'(1), v'(1)]) and (0, [x, x] + [x, v'(1)])
     over the generators x of A."""
     a = v.codomain
-    pres = _lambda1_presentation(a)
+    pres = present(a, standard("Q-"))
     ambient = FinAbGroup((2,) + pres.group.orders)
 
     def emb(n: int, t: GroupElement) -> GroupElement:
@@ -559,22 +530,18 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
     )
 
 
-def es_witt(f: QForm) -> Tuple[int, GroupElement]:
-    """(signature, reduced invariant of the extended symmetrisation)."""
+def es_witt(f: QForm) -> GroupElement:
+    """(signature, reduced invariant of the extended symmetrisation) as an
+    element of Z + Gamma(SP)."""
     p = f.parameter
     if not p.is_symmetric:
         raise ValueError("extended symmetrisation needs a symmetric parameter")
     push = pushforward(f, es(p))
     sp, _, _ = linearisation(p)
-    pres = _gamma_presentation(sp)
+    pres = present(sp, standard("Q^+"))
     t = tensor_invariant(push, standard("Q^+"), pres)
-    return signature(f), t
-
-
-def es_witt_vector(f: QForm) -> GroupElement:
-    sig, t = es_witt(f)
     amb = FinAbGroup((0,) + t.group.orders)
-    return amb.element((sig,) + tuple(t.coords))
+    return amb.element((signature(f),) + tuple(t.coords))
 
 
 def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
@@ -582,7 +549,7 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
     if p.is_symmetric:
         raise ValueError("extended quadratic lift needs an anti-symmetric parameter")
     qminus = standard("Q-")
-    pres = _lambda1_presentation(p.carrier)
+    pres = present(p.carrier, standard("Q-"))
     if t.group != pres.group:
         raise ValueError("tensor element is not in Lambda1 of the carrier")
     split = split_sum(qminus, p.carrier)
@@ -598,7 +565,7 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
 def eql_witt_hom(p: FormParameter) -> AbHom:
     """The extended quadratic lift as a homomorphism
     Z2 + Lambda1(P_e) -> W0(P) in canonical coordinates."""
-    pres = _lambda1_presentation(p.carrier)
+    pres = present(p.carrier, standard("Q-"))
     domain = FinAbGroup((2,) + pres.group.orders)
     desc = witt_group(p)
     cols = []
@@ -612,9 +579,9 @@ def es_witt_hom(p: FormParameter) -> AbHom:
     """W0(P) -> Z + Gamma(SP) on the canonical generators."""
     desc = witt_group(p)
     sp, _, _ = linearisation(p)
-    pres = _gamma_presentation(sp)
+    pres = present(sp, standard("Q^+"))
     ambient = FinAbGroup((0,) + pres.group.orders)
-    cols = [es_witt_vector(rep) for rep in desc.representatives]
+    cols = [es_witt(rep) for rep in desc.representatives]
     return AbHom.from_columns(desc.group, ambient, cols)
 
 
@@ -814,22 +781,15 @@ def sigma_diagram(v: SliceHom) -> dict:
     ut = AbHom.from_columns(ups, az2, ut_cols)
     c_to_ups = AbHom.from_columns(c_grp, ups, c_to_ups_cols)
     report["col_right_exact"] = _exact_three(c_to_ups, ut, ker_v2)
-    report["ok"] = all(
-        bool(val)
-        for key, val in report.items()
-        if key
-        in (
-            "u_well_defined",
-            "phi_is_kernel_of_u",
-            "u_image_is_ker_v2",
-            "c_matches_classification",
-            "row1_exact",
-            "row2_exact",
-            "sigma_inside_z_phi",
-            "col_right_exact",
-        )
-    )
+    report["ok"] = _all_checks_pass(report)
     return report
+
+
+def _all_checks_pass(report: dict) -> bool:
+    """Every boolean entry of a diagram report but "v_zero" is true."""
+    return all(
+        val for key, val in report.items() if isinstance(val, bool) and key != "v_zero"
+    )
 
 
 def _v2_hom(v: SliceHom, az2: FinAbGroup, az2_gen) -> AbHom:
@@ -931,18 +891,7 @@ def lambda_diagram(v: CosliceHom) -> dict:
             comm = False
     report["square_commutes"] = comm
     report["xi_orders"] = xi.canonical_orders()
-    report["ok"] = all(
-        bool(val)
-        for key, val in report.items()
-        if key
-        in (
-            "row_mid_exact",
-            "row_bot_exact",
-            "uprime_lands_in_k",
-            "col_left_exact",
-            "square_commutes",
-        )
-    )
+    report["ok"] = _all_checks_pass(report)
     return report
 
 

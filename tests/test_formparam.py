@@ -4,7 +4,7 @@ from math import inf
 
 import pytest
 
-from qwitt.abelian import TRIVIAL, Z, AbHom, FinAbGroup, subgroup_equal
+from qwitt.abelian import TRIVIAL, Z, AbHom, FinAbGroup, subgroup, subgroup_equal
 from qwitt.formparam import (
     CosliceHom,
     FormParameter,
@@ -24,6 +24,7 @@ from qwitt.formparam import (
     standard,
     standard_morphism,
 )
+from qwitt.sampling import random_automorphism, random_group
 
 
 ALL_STANDARD = (
@@ -534,3 +535,33 @@ def test_maximal_splitting_roundtrip_random():
         back = ms.iso.inverse()
         assert back.compose(ms.iso).map.matrix == AbHom.identity(p.carrier).matrix
         assert is_isomorphic(p, ms.split_parameter)
+
+
+def _scrambled(rng, name):
+    """standard(name) + a random group, conjugated by a random automorphism."""
+    p = split_sum(standard(name), random_group(rng))
+    theta = random_automorphism(rng, p.carrier)
+    return FormParameter(p.carrier, p.h.compose(theta.inverse()), theta(p.p_one))
+
+
+def test_splitting_of_height_zero_matches_the_direct_maps():
+    # Q+ + G and Q^- + G split along the maps that need no summand lemma:
+    # x -> (h(x)/2, pi(x)) onto Q+ + SP, and the inverse of the inclusion of
+    # the carrier in its canonical form onto Q^- + G
+    rng = random.Random(18)
+    groups = [(), (2,), (4,), (3,), (0,), (2, 4), (0, 6)]
+    for name in ("Q+", "Q^-"):
+        pool = [split_sum(standard(name), FinAbGroup(o)) for o in groups]
+        pool += [_scrambled(rng, name) for _ in range(25)]
+        for p in pool:
+            ms = maximal_splitting(p)
+            assert ms.standard_kind == name
+            if name == "Q+":
+                sp, proj, _ = linearisation(p)
+                assert ms.complement == sp
+                rows = [[x // 2 for x in p.h.matrix[0]], *proj.matrix]
+            else:
+                comp, incl = subgroup(p.carrier, p.carrier.gens())
+                assert ms.complement == comp
+                rows = incl.inverse().matrix
+            assert ms.iso.map == AbHom(p.carrier, ms.iso.target.carrier, rows), p

@@ -246,3 +246,80 @@ def test_solver_calls_detected():
 def test_formparam_reads_lifts_off_the_section():
     # every preimage of an element of SQ comes from linearisation's lifts
     assert solver_calls((SRC / "formparam.py").read_text()) == []
+
+
+def splitting_constructions(source: str):
+    """{top-level function: number of `MaximalSplitting(...)` calls in it}."""
+    return {
+        node.name: sum(
+            isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "MaximalSplitting"
+            for call in ast.walk(node)
+        )
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_splitting_constructions_detected():
+    src = (
+        "def a(p):\n    if p:\n        return MaximalSplitting(1)\n"
+        "    return MaximalSplitting(2)\n"
+        "def b(p):\n    return MaximalSplitting(p)\n"
+        "def c():\n    return MaximalSplitting\n"
+    )
+    assert splitting_constructions(src) == {"a": 2, "b": 1, "c": 0}
+
+
+def test_each_splitting_case_shares_one_tail():
+    # every case picks its kind, head generator and complement, then builds
+    # the splitting in one place
+    found = splitting_constructions((SRC / "formparam.py").read_text())
+    assert found["_split_symmetric"] == found["_split_antisymmetric"] == 1
+
+
+STANDARD_KINDS = {"Q+", "Q^+", "ZP", "ZP_k", "Q-", "Q^-", "ZL_k"}
+
+
+def kind_comparisons(source: str):
+    """(line, enclosing top-level definition) of each `==`, `!=`, `in` or
+    `not in` against a standard kind name, or a tuple, list or set holding
+    one; "" for module level."""
+
+    def literals(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {e.value for e in elts if isinstance(e, ast.Constant)}
+
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+                and any(literals(x) & STANDARD_KINDS for x in [node.left, *node.comparators])
+            ):
+                found.append((node.lineno, getattr(top, "name", "")))
+    return found
+
+
+def test_kind_comparisons_detected():
+    src = (
+        'def f(kind):\n    if kind == "Q+":\n        pass\n'
+        '    return kind in ("ZP", "ZP_k")\n'
+        'class K:\n'
+        '    def g(self, kind):\n'
+        '        return "ZL_k" != kind or kind not in ["Q-"] or kind == "Q+x" or kind < "ZP"\n'
+        'x = {"Q^-": 0}\ny = x == {"Q^+"}\n'
+    )
+    assert kind_comparisons(src) == [(2, "f"), (4, "f"), (7, "K"), (7, "K"), (9, "")]
+
+
+def test_witt_reads_the_kind_only_in_its_table():
+    # the per-kind Witt data live in witt._indecomposables; _omega_data
+    # checks that its form lies over the ZP family
+    found = [
+        r
+        for r in kind_comparisons((SRC / "witt.py").read_text())
+        if r[1] not in ("_indecomposables", "_omega_data")
+    ]
+    assert not found, found

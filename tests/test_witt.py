@@ -77,6 +77,16 @@ def test_rho_lift_independence():
         assert (sig - osq) % 8 == 0
 
 
+def test_signature_defect_refuses_a_shift_of_the_wrong_length():
+    zp3 = standard("ZP_3")
+    f = qf.QForm(zp3, [[1, 0], [0, -1]],
+                 [zp3.carrier.element((1, 0)), zp3.carrier.element((-1, 0))])
+    assert witt.signature_defect(f, shift=[1, 2]) == witt.signature_defect(f)
+    for shift in ([1, 2, 3, 4], [1]):
+        with pytest.raises(ValueError, match=f"{len(shift)} entries.*rank 2"):
+            witt.signature_defect(f, shift=shift)
+
+
 def test_arf():
     assert witt.arf(qf.hyperbolic(QM, 1)) == 0
     assert witt.arf(arf1()) == 1
@@ -139,6 +149,26 @@ def test_witt_group_descriptions():
     assert d.orders == (0, 2**69)
     sig_star = qf.QForm(zp70, [[1]], [zp70.carrier.element((1, 0))])
     assert witt.witt_class(sig_star).coords == (1, 0)
+
+
+def test_representatives_are_dual_to_the_invariants():
+    # the class of the i-th named representative is the i-th unit vector
+    standards = [standard(n) for n in ("Q+", "Q^+", "Q-", "Q^-", "ZP")]
+    standards += [standard("ZP_k", k) for k in range(1, 6)]
+    standards += [standard("ZL_k", k) for k in range(2, 5)]
+    pool = standards + [
+        split_sum(q, FinAbGroup(o))
+        for q in standards
+        for o in [(2,), (4,), (3,), (0,), (2, 4)]
+    ]
+    rng = random.Random(216)
+    pool += [random_form_parameter(rng) for _ in range(50)]
+    for p in pool:
+        desc = witt.witt_group(p)
+        n = len(desc.orders)
+        for i, rep in enumerate(desc.representatives):
+            unit = witt.WittClass(desc, tuple(int(j == i) for j in range(n)))
+            assert witt.witt_class(rep) == unit, (p, desc.names[i])
 
 
 def test_witt_class_zero_iff_metabolic_sum():
