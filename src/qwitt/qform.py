@@ -558,7 +558,8 @@ def _column_search(
     if certificate:
         return SearchOutcome("no", bound=bound, reason=certificate)
     # what each pass searches, in turn: every distinct block, then the whole
-    # target, as (basis indices, lambda transposed, each depth's constraints)
+    # target, as (basis indices, lambda transposed, each depth's constraints,
+    # the zero matrix that is the quadratic part of a pair row)
     plans = []
     seen = set()
     least = 2 * k - _intmat.rank(lam)  # no nondegenerate block of lower rank fits
@@ -580,6 +581,7 @@ def _column_search(
         if not unsolvable:
             plans.append((idx, _intmat.transpose(block.lambda_matrix), block_fixed))
     plans.append((range(n), _intmat.transpose(target.lambda_matrix), fixed))
+    plans = [(idx, mt, fx, [[0] * len(idx)] * len(idx)) for idx, mt, fx in plans]
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
@@ -589,18 +591,16 @@ def _column_search(
         nonlocal nodes, exhausted
         if depth == k:
             return leaf(cols)
-        idx, mt, fixed = plan
-        r = len(idx)
+        idx, mt, fixed, zero = plan
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, [cols[-1][i] for i in idx])]
         else:
             rows.clear()  # a new pass: no column is chosen yet
-        zero = [[0] * r for _ in range(r)]
         constraints = fixed[depth] + [
             (zero, row, -lam[j][depth], 0) for j, row in enumerate(rows)
         ]
         results, used, done = search.search_vectors(
-            r, constraints, box, 1 << 30, node_budget - nodes, normalize
+            len(idx), constraints, box, 1 << 30, node_budget - nodes, normalize
         )
         nodes += used
         exhausted = exhausted and done

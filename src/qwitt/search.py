@@ -14,10 +14,13 @@ size.
 Once x_0 .. x_{d-1} are set, what is left of a constraint is a polynomial
 in the open coordinates x_d .. x_{n-1}: the purely open quadratic part
 (fixed per depth) plus the linear coefficients l_j + sum_{i<d} S_ij x_i,
-S being A symmetrised.  The kernel keeps those coefficients up to date as
-coordinates are set, and precomputes per depth the gcd and the interval of
-the open quadratic part, so a node costs O(n) per constraint.  A node is
-pruned
+S being A symmetrised.  For a quadratic constraint (S != 0) the kernel
+keeps those coefficients up to date as coordinates are set, and
+precomputes per depth the gcd and the interval of the open quadratic part,
+so a node costs O(n) for it.  For a linear one (S == 0) the open
+coefficients are l_j at every node, so their gcd and their reach over the
+box are precomputed per depth (as Fincke and Pohst, Math. Comp. 44 (1985),
+precompute per depth), and a node costs O(1) for it.  A node is pruned
 
 - for every constraint, when g, the gcd of m, the open quadratic entries
   and the open linear coefficients, does not divide the value so far (or
@@ -78,30 +81,46 @@ def search_vectors(
         return ([()] if ok else []), 1, True
 
     b2 = bound * bound
-    # steps[d]: per constraint, what setting x_d needs: S_dd; the row S_dj,
-    # j > d, reversed; the gcd g (with m) and the interval lo..hi of the
-    # open quadratic part at depth d + 1; whether the constraint is exact
-    steps: List[list] = [[] for _ in range(n)]
-    values, coefs = [], []
+    # Per depth d, what setting x_d needs.  For a linear constraint
+    # (A symmetrised is zero; its open coefficients never change):
+    # lin_steps[d] holds l_d, g_d = gcd(m, l_j for j > d), t_d =
+    # bound * sum(|l_j| for j > d), the reach of the open part, and whether
+    # the constraint is exact.  For a quadratic one: quad_steps[d] holds
+    # S_dd; the row S_dj, j > d, reversed; the gcd g (with m) and the
+    # interval lo..hi of the open quadratic part at depth d + 1; whether the
+    # constraint is exact.
+    lin_steps: List[list] = [[] for _ in range(n)]
+    quad_steps: List[list] = [[] for _ in range(n)]
+    lin_values, quad_values, coefs = [], [], []
     for a, l, c, m in constraints:
-        g, lo, hi = m, 0, 0
-        for d in range(n - 1, -1, -1):
-            sdd, *row = _quadratic_entries(a, n, d)
-            steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
-            g = gcd(g, sdd, *row)
-            t = sum(map(abs, row)) * b2
-            lo += min(sdd * b2, 0) - t
-            hi += max(sdd * b2, 0) + t
-        g = gcd(g, *l)  # the root gcd rule, as `unsolvable` applies it
+        # A == 0 (a pair row) is linear at a glance; an antisymmetric A only
+        # once symmetrised
+        entries = [_quadratic_entries(a, n, d) for d in range(n)] if any(map(any, a)) else []
+        g, lo, hi, t = m, 0, 0, 0
+        if not any(map(any, entries)):
+            for d in range(n - 1, -1, -1):
+                lin_steps[d].append((l[d], g, t, m == 0))
+                g = gcd(g, l[d])
+                t += abs(l[d]) * bound
+            lin_values.append(c)
+        else:
+            for d in range(n - 1, -1, -1):
+                sdd, *row = entries[d]
+                quad_steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
+                g = gcd(g, sdd, *row)
+                t = sum(map(abs, row)) * b2
+                lo += min(sdd * b2, 0) - t
+                hi += max(sdd * b2, 0) + t
+            g = gcd(g, *l)
+            t = sum(map(abs, l)) * bound
+            quad_values.append(c)
+            # open linear coefficients, last coordinate first
+            coefs.append(list(l)[::-1])
+        # the root rules, the gcd one as `unsolvable` applies it
         if c % g if g else c:
             return [], 0, True
-        values.append(c)
-        # open linear coefficients, last coordinate first
-        coefs.append(list(l)[::-1])
-        if m == 0:
-            t = sum(map(abs, l)) * bound
-            if c + lo - t > 0 or c + hi + t < 0:
-                return [], 0, True
+        if m == 0 and (c + lo - t > 0 or c + hi + t < 0):
+            return [], 0, True
 
     results: List[Tuple[int, ...]] = []
     x = [0] * n
@@ -110,9 +129,10 @@ def search_vectors(
     last = n - 1
     # at the last coordinate the open part is empty: g == m, and the rule
     # is the constraint itself
-    last_step = [(sdd, g) for sdd, _, g, _, _, _ in steps[last]]
+    lin_last = [(ld, g) for ld, g, _, _ in lin_steps[last]]
+    quad_last = [(sdd, g) for sdd, _, g, _, _, _ in quad_steps[last]]
 
-    def rec(d: int, values: list, coefs: list, lead: bool) -> bool:
+    def rec(d: int, lin: list, quad: list, coefs: list, lead: bool) -> bool:
         # lead: x_0 .. x_{d-1} are all zero
         nonlocal nodes, exhausted
         first = 0 if lead and normalize_first_positive else -bound
@@ -122,43 +142,54 @@ def search_vectors(
                 if nodes > max_nodes:
                     exhausted = False
                     return False
-                for (sdd, m), v, cs in zip(last_step, values, coefs):
-                    v += (sdd * val + cs[0]) * val
+                for (ld, m), v in zip(lin_last, lin):
+                    v += ld * val
                     if v % m if m else v:
                         break
                 else:
-                    x[d] = val
-                    results.append(tuple(x))
-                    if len(results) >= max_results:
-                        exhausted = False
-                        return False
+                    for (sdd, m), v, cs in zip(quad_last, quad, coefs):
+                        v += (sdd * val + cs[0]) * val
+                        if v % m if m else v:
+                            break
+                    else:
+                        x[d] = val
+                        results.append(tuple(x))
+                        if len(results) >= max_results:
+                            exhausted = False
+                            return False
             return True
-        step = steps[d]
+        lin_step, quad_step = lin_steps[d], quad_steps[d]
         for val in range(first, bound + 1):
             nodes += 1
             if nodes > max_nodes:
                 exhausted = False
                 return False
             x[d] = val
-            child_values, child_coefs = [], []
-            for (sdd, row, g, lo, hi, exact), v, cs in zip(step, values, coefs):
-                v += (sdd * val + cs[-1]) * val
-                cs = [c + s * val for c, s in zip(cs, row)]
-                g = gcd(g, *cs)
-                if v % g if g else v:
+            child_lin, child_quad, child_coefs = [], [], []
+            for (ld, g, t, exact), v in zip(lin_step, lin):
+                v += ld * val
+                if (v % g if g else v) or exact and (v > t or v < -t):
                     break
-                if exact:
-                    t = sum(map(abs, cs)) * bound
-                    if v + lo - t > 0 or v + hi + t < 0:
-                        break
-                child_values.append(v)
-                child_coefs.append(cs)
+                child_lin.append(v)
             else:
-                if not rec(d + 1, child_values, child_coefs, lead and not val):
-                    return False
+                for (sdd, row, g, lo, hi, exact), v, cs in zip(quad_step, quad, coefs):
+                    v += (sdd * val + cs[-1]) * val
+                    cs = [c + s * val for c, s in zip(cs, row)]
+                    g = gcd(g, *cs)
+                    if v % g if g else v:
+                        break
+                    if exact:
+                        t = sum(map(abs, cs)) * bound
+                        if v + lo - t > 0 or v + hi + t < 0:
+                            break
+                    child_quad.append(v)
+                    child_coefs.append(cs)
+                else:
+                    if not rec(d + 1, child_lin, child_quad, child_coefs, lead and not val):
+                        return False
         return True
 
-    rec(0, values, coefs, True)
+    rec(0, lin_values, quad_values, coefs, True)
     rec = None  # break the closure's cycle: its lists go now, not at a gc
     return results, nodes, exhausted
 

@@ -312,6 +312,21 @@ class WittClass:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
+    @property
+    def signature(self) -> int:
+        """The signature of every form in the class (symmetric parameters):
+        each indecomposable coordinate times the signature of its
+        representative."""
+        if not self.parameter.is_symmetric:
+            raise ValueError("signature needs a symmetric parameter")
+        ms = self.description.splitting
+        return sum(
+            a * signature_of_matrix(rep.lambda_matrix)
+            for a, (_, _, rep, _) in zip(
+                self.coords, _indecomposables(ms.standard_kind, ms.k)
+            )
+        )
+
     def __add__(self, other: "WittClass") -> "WittClass":
         if self.description != other.description:
             raise ValueError("classes over different parameters")
@@ -904,16 +919,8 @@ class GWClass:
     witt: WittClass
 
     def __post_init__(self):
-        p = self.witt.parameter
-        if p.is_symmetric:
-            desc = self.witt.description
-            if desc.n_indec and desc.names[0] in ("sigma*",):
-                sig = self.witt.coords[0]
-            elif desc.n_indec and desc.names[0] == "8sigma*":
-                sig = 8 * self.witt.coords[0]
-            else:
-                sig = 0
-            if (self.rank - sig) % 2:
+        if self.witt.parameter.is_symmetric:
+            if (self.rank - self.witt.signature) % 2:
                 raise ValueError("rank and signature have different parities")
         elif self.rank % 2:
             raise ValueError("anti-symmetric forms have even rank")

@@ -153,3 +153,77 @@ def test_unsolvable_has_no_solution_in_a_box():
     assert unsolvable(([[2, 1], [3, 0]], [0, 6], -3, 0))
     # but x^2 - 2 = 0 only fails by size, which the gcd rule cannot see
     assert not unsolvable(([[1]], [0], -2, 0))
+
+
+def linear_constraint(rng, n):
+    """A constraint without a quadratic part: A = 0, or an antisymmetric A,
+    which symmetrises to zero (x^t A x vanishes identically)."""
+    a = [[0] * n for _ in range(n)]
+    if rng.random() < 0.5:
+        for i in range(n):
+            for j in range(i + 1, n):
+                a[i][j] = rng.randint(-2, 2)
+                a[j][i] = -a[i][j]
+    l = [rng.randint(-3, 3) for _ in range(n)]
+    return a, l, rng.randint(-4, 4), rng.choice([0, 0, 2, 3, 4])
+
+
+def mixed_case(rng, kind, max_n=4):
+    """(n, constraints, bound, normalize) with linear constraints
+    ("linear"), quadratic ones ("quadratic") or both ("mixed"), in a
+    random order."""
+    n = rng.randint(1, max_n)
+    cons = []
+    if kind != "quadratic":
+        cons += [linear_constraint(rng, n) for _ in range(rng.randint(1, 3))]
+    if kind != "linear":
+        cons += [mu_style_constraint(rng, n)] + random_constraints(rng, n)[:1]
+    rng.shuffle(cons)
+    return n, cons, rng.randint(1, 3 if n < 4 else 2), rng.random() < 0.5
+
+
+def test_linear_constraints_vs_brute_force():
+    rng = random.Random(29)
+    for i in range(300):
+        n, cons, b, norm = mixed_case(rng, ("linear", "mixed", "quadratic")[i % 3])
+        full, nodes, exhausted = search_vectors(n, cons, b, 10**6, 10**7, norm)
+        assert exhausted
+        assert full == brute(n, cons, b, norm)
+        for budget in (1, nodes // 3, nodes - 1):
+            got, used, exhausted = search_vectors(n, cons, b, 10**6, budget, norm)
+            assert got == full[: len(got)]
+            assert used <= budget + 1
+            assert not exhausted or got == full
+        if full:
+            got, _, exhausted = search_vectors(n, cons, b, 1, 10**7, norm)
+            assert got == full[:1] and not exhausted  # stopped on max_results
+
+
+# (len(results), nodes, exhausted) of 42 seeded kernel calls: node counts
+# are part of the budget contract, so a faster kernel must visit the same
+# nodes and stop at the same place.
+KERNEL_PINNED = [
+    (0, 301, False), (1, 10, True), (2, 124, False), (2, 21, False),
+    (1, 31, False), (0, 8, True), (7, 301, False), (2, 15, True),
+    (9, 260, True), (39, 155, True), (0, 4, True), (0, 6, True),
+    (0, 0, True), (10, 63, True), (0, 228, True), (11, 31, False),
+    (0, 18, True), (1, 301, False), (0, 0, True), (63, 6668, True),
+    (0, 36, True), (6, 42, True), (2, 177, True), (0, 0, True),
+    (7, 56, True), (200, 468, True), (1, 6, True), (37, 301, False),
+    (1, 60, True), (0, 4, True), (8, 94, True), (0, 4, True),
+    (0, 0, True), (2, 8, False), (2, 5, True), (0, 31, False),
+    (1, 15, True), (2, 7, False), (0, 6, True), (2, 67, False),
+    (2, 56, False), (0, 0, True),
+]
+
+
+def test_kernel_node_counts_are_pinned():
+    rng = random.Random(37)
+    got = []
+    for i in range(len(KERNEL_PINNED)):
+        n, cons, b, norm = mixed_case(rng, ("linear", "quadratic", "mixed")[i % 3], 6)
+        budget = rng.choice([10**7, 10**7, 30, 300])
+        cap = rng.choice([10**6, 10**6, 2])
+        res, nodes, exhausted = search_vectors(n, cons, b, cap, budget, norm)
+        got.append((len(res), nodes, exhausted))
+    assert got == KERNEL_PINNED

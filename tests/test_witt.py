@@ -440,3 +440,28 @@ def test_gw():
             p = random_form_parameter(rng, symmetric=symmetric, max_torsion=8, max_free=1)
             f = random_nonsingular_form(rng, p, max_rank=4)
             witt.gw_class(f)  # parity constraints hold by construction
+
+
+def test_gw_parity_reads_the_signature_off_the_witt_class():
+    """WittClass.signature, which GWClass checks the rank's parity
+    against, is the signature of the form's matrix."""
+    rng = random.Random(43)
+    cases = []
+    for _ in range(6):
+        cases.append(random_nonsingular_form(rng, standard("Q+"), max_rank=10))
+        cases.append(random_nonsingular_form(rng, standard("Q^+"), max_rank=4))
+        for k in (None, 1, 2, 3):
+            cases.append(random_zp_form(rng, k, max_rank=4))
+    e8 = witt.witt_group(standard("Q+")).representatives[0]
+    cases += [e8, qf.negate(e8)]
+    signatures = set()
+    for f in cases:
+        cls = witt.witt_class(f)
+        assert cls.signature == qf.signature_of_matrix(f.lambda_matrix)
+        assert witt.gw_class(f).rank == f.rank
+        signatures.add(cls.signature)
+        with pytest.raises(ValueError, match="parities"):
+            witt.GWClass(f.rank + 1, cls)
+    assert {8, -8, 1, -1} <= signatures
+    with pytest.raises(ValueError, match="symmetric"):
+        witt.witt_class(arf1()).signature
