@@ -18,7 +18,6 @@ from math import inf
 from typing import List, Optional, Tuple, Union
 
 from .abelian import (
-    TRIVIAL,
     Z,
     Z2,
     AbHom,
@@ -211,6 +210,34 @@ class MaximalSplitting:
         return self.iso.target
 
 
+def _kind_data(kind: str, k: Optional[int]):
+    """The standard indecomposable `kind` at level k: (carrier orders, h row,
+    p(1), height, matrices of the generators of Aut).  The level k belongs to
+    the ZP_k and ZL_k families and is None for every other kind."""
+    beta = [[1, 0], [-1, -1]]
+    fixed = {
+        "Q+": ((0,), (2,), (1,), 0, []),
+        "Q^+": ((0,), (1,), (2,), 1, []),
+        "Q-": ((2,), (0,), (1,), 1, []),
+        "Q^-": ((), (), (), 0, []),
+        "ZP": ((0, 0), (1, 0), (2, -1), inf, [beta]),
+    }
+    low = {"ZP_k": 1, "ZL_k": 2}
+    if kind in fixed:
+        if k is not None:
+            raise ValueError(f"{kind} takes no level, got k = {k}")
+        return fixed[kind]
+    if kind not in low:
+        raise ValueError(f"unknown standard parameter {kind!r}")
+    if k is None or k < low[kind]:
+        raise ValueError(f"{kind} requires k >= {low[kind]}")
+    if kind == "ZP_k":
+        gens = [beta] + ([[[1, 0], [1, 3]]] if k >= 2 else [])
+        return (0, 2**k), (1, 0), (2, -1), k + 1, gens
+    gens = [[[-1]]] + ([[[3]]] if k >= 3 else [])
+    return (2**k,), (0,), (2 ** (k - 1),), k, gens  # ht(ZL_k) = (k - 1) + 1
+
+
 @lru_cache(maxsize=None)
 def standard(name: str, k: Optional[int] = None) -> FormParameter:
     """Standard indecomposable parameters by name.
@@ -220,32 +247,9 @@ def standard(name: str, k: Optional[int] = None) -> FormParameter:
     """
     if k is None and "_" in name:
         name, k = parse_name(name)
-    if name == "Q+":
-        return FormParameter(Z, AbHom(Z, Z, [[2]]), Z.element((1,)))
-    if name == "Q^+":
-        return FormParameter(Z, AbHom(Z, Z, [[1]]), Z.element((2,)))
-    if name == "Q-":
-        return FormParameter(Z2, AbHom.zero(Z2, Z), Z2.element((1,)))
-    if name == "Q^-":
-        return FormParameter(
-            TRIVIAL, AbHom.zero(TRIVIAL, Z), TRIVIAL.zero()
-        )
-    if name == "ZP":
-        g = FinAbGroup((0, 0))
-        return FormParameter(g, AbHom(g, Z, [[1, 0]]), g.element((2, -1)))
-    if name == "ZP_k":
-        if k is None or k < 1:
-            raise ValueError("ZP_k requires k >= 1")
-        g = FinAbGroup((0, 2**k))
-        return FormParameter(g, AbHom(g, Z, [[1, 0]]), g.element((2, -1)))
-    if name == "ZL_k":
-        if k is None or k < 2:
-            raise ValueError("ZL_k requires k >= 2")
-        g = FinAbGroup((2**k,))
-        return FormParameter(
-            g, AbHom.zero(g, Z), g.element((2 ** (k - 1),))
-        )
-    raise ValueError(f"unknown standard parameter {name!r}")
+    orders, hrow, p1, _, _ = _kind_data(name, k)
+    g = FinAbGroup(orders)
+    return FormParameter(g, AbHom(g, Z, [hrow]), g.element(p1))
 
 
 def parse_name(text: str) -> Tuple[str, Optional[int]]:
@@ -259,9 +263,7 @@ def parse_name(text: str) -> Tuple[str, Optional[int]]:
 
 
 def standard_name(kind: str, k: Optional[int]) -> str:
-    if kind in ("ZP_k", "ZL_k"):
-        return f"{kind[:2]}_{k}"
-    return kind
+    return kind if k is None else f"{kind[:2]}_{k}"
 
 
 def split_sum(q: FormParameter, g: FinAbGroup) -> FormParameter:
@@ -407,23 +409,8 @@ def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
     return MaximalSplitting(kind, k, q0, comp, iso)
 
 
-_HEIGHTS = {
-    "Q+": 0,
-    "Q^-": 0,
-    "Q^+": 1,
-    "Q-": 1,
-    "ZP": inf,
-}
-
-
 def height_of(kind: str, k: Optional[int]) -> Height:
-    if kind in _HEIGHTS:
-        return _HEIGHTS[kind]
-    if kind == "ZP_k":
-        return k + 1
-    if kind == "ZL_k":
-        return k  # ht(ZL_k) = (k - 1) + 1
-    raise ValueError(kind)
+    return _kind_data(kind, k)[3]
 
 
 def classify(p: FormParameter) -> FPClassification:
@@ -483,27 +470,11 @@ def terminal_morphism(q: FormParameter) -> FPMorphism:
 
 def aut_generators(q: FormParameter) -> List[FPMorphism]:
     """Generators of Aut(Q) for a standard indecomposable parameter."""
-    kind, k = _recognise_standard(q)
     c = q.carrier
-
-    def from_matrix(m):
-        return FPMorphism(q, q, AbHom(c, c, m))
-
-    if kind in ("Q+", "Q^+", "Q-", "Q^-"):
-        return []
-    if kind == "ZP":
-        return [from_matrix([[1, 0], [-1, -1]])]
-    if kind == "ZP_k":
-        beta = from_matrix([[1, 0], [-1, -1]])
-        if k == 1:
-            return [beta]
-        return [beta, from_matrix([[1, 0], [1, 3]])]
-    if kind == "ZL_k":
-        gens = [from_matrix([[-1]])]
-        if k >= 3:
-            gens.append(from_matrix([[3]]))
-        return gens
-    raise ValueError(kind)
+    return [
+        FPMorphism(q, q, AbHom(c, c, m))
+        for m in _kind_data(*_recognise_standard(q))[4]
+    ]
 
 
 def _recognise_standard(q: FormParameter) -> Tuple[str, Optional[int]]:
@@ -537,9 +508,7 @@ def standard_morphism(
             src, dst, AbHom.from_columns(src.carrier, dst.carrier, [dst.p_one])
         )
     if dkind == "Q^+" and skind in ("ZP", "ZP_k"):
-        return FPMorphism(
-            src, dst, AbHom(src.carrier, dst.carrier, [[1, 0]])
-        )
+        return terminal_morphism(src)
     if skind in ("ZP", "ZP_k") and dkind in ("ZP", "ZP_k"):
         return FPMorphism(
             src,

@@ -202,16 +202,8 @@ def direct_sum(f: QForm, g: QForm) -> QForm:
     if f.parameter != g.parameter:
         raise ValueError("parameter mismatch")
     k, l = f.rank, g.rank
-    mat = [
-        [
-            f.lambda_matrix[i][j] if i < k and j < k else 0
-            for j in range(k)
-        ]
-        + [0] * l
-        for i in range(k)
-    ] + [
-        [0] * k + list(g.lambda_matrix[i])
-        for i in range(l)
+    mat = [list(r) + [0] * l for r in f.lambda_matrix] + [
+        [0] * k + list(r) for r in g.lambda_matrix
     ]
     return QForm(f.parameter, mat, list(f.mu_basis) + list(g.mu_basis))
 

@@ -14,6 +14,7 @@ from qwitt.formparam import (
     classify,
     eql,
     es,
+    height_of,
     is_isomorphic,
     linearisation,
     maximal_splitting,
@@ -23,6 +24,7 @@ from qwitt.formparam import (
     split_sum,
     standard,
     standard_morphism,
+    standard_name,
 )
 from qwitt.sampling import random_automorphism, random_group
 
@@ -66,6 +68,139 @@ def test_invalid_parameters_rejected():
         standard("ZL_k", 1)
     with pytest.raises(ValueError):
         standard("ZP_k", 0)
+
+
+def test_levels_are_checked_by_every_reader():
+    # standard and height_of read one table, with one set of level checks
+    cases = [
+        ("ZL_k", 1, "ZL_k requires k >= 2"),
+        ("ZL_k", None, "ZL_k requires k >= 2"),
+        ("ZP_k", None, "ZP_k requires k >= 1"),
+        ("ZP_k", 0, "ZP_k requires k >= 1"),
+        ("x", 3, "unknown standard parameter 'x'"),
+        ("x", None, "unknown standard parameter 'x'"),
+        ("ZP", 3, "ZP takes no level"),
+        ("Q+", 5, "Q\\+ takes no level"),
+    ]
+    for kind, k, message in cases:
+        with pytest.raises(ValueError, match=message):
+            height_of(kind, k)
+        # standard("ZL_k") parses "ZL_k" as a name first, and fails there
+        with pytest.raises(ValueError, match=None if k is None else message):
+            standard(kind, k)
+
+
+# (kind, level): carrier orders, h row, p(1), symmetry, height
+STANDARD_DATA = {
+    ("Q+", None): ((0,), (2,), (1,), 1, 0),
+    ("Q^+", None): ((0,), (1,), (2,), 1, 1),
+    ("Q-", None): ((2,), (0,), (1,), -1, 1),
+    ("Q^-", None): ((), (), (), -1, 0),
+    ("ZP", None): ((0, 0), (1, 0), (2, -1), 1, inf),
+    ("ZP_k", 1): ((0, 2), (1, 0), (2, 1), 1, 2),
+    ("ZP_k", 2): ((0, 4), (1, 0), (2, 3), 1, 3),
+    ("ZP_k", 3): ((0, 8), (1, 0), (2, 7), 1, 4),
+    ("ZP_k", 4): ((0, 16), (1, 0), (2, 15), 1, 5),
+    ("ZL_k", 2): ((4,), (0,), (2,), -1, 2),
+    ("ZL_k", 3): ((8,), (0,), (4,), -1, 3),
+    ("ZL_k", 4): ((16,), (0,), (8,), -1, 4),
+}
+
+# (kind, level): the matrices of aut_generators, in order
+AUT_MATRICES = {
+    ("ZP", None): [((1, 0), (-1, -1))],
+    ("ZP_k", 1): [((1, 0), (1, 1))],
+    ("ZP_k", 2): [((1, 0), (3, 3)), ((1, 0), (1, 3))],
+    ("ZP_k", 3): [((1, 0), (7, 7)), ((1, 0), (1, 3))],
+    ("ZP_k", 4): [((1, 0), (15, 15)), ((1, 0), (1, 3))],
+    ("ZP_k", 70): [((1, 0), (2**70 - 1, 2**70 - 1)), ((1, 0), (1, 3))],
+    ("ZL_k", 2): [((3,),)],
+    ("ZL_k", 3): [((7,),), ((3,),)],
+    ("ZL_k", 4): [((15,),), ((3,),)],
+}
+
+# (source, target): carrier matrix of standard_morphism(source, target)
+STANDARD_MORPHISMS = {
+    ("Q+", "Q+"): ((1,),),
+    ("Q+", "Q^+"): ((2,),),
+    ("Q+", "ZP"): ((2,), (-1,)),
+    ("Q+", "ZP_1"): ((2,), (1,)),
+    ("Q+", "ZP_2"): ((2,), (3,)),
+    ("Q+", "ZP_3"): ((2,), (7,)),
+    ("Q-", "Q-"): ((1,),),
+    ("Q-", "Q^-"): (),
+    ("Q-", "ZL_2"): ((2,),),
+    ("Q-", "ZL_3"): ((4,),),
+    ("Q-", "ZL_4"): ((8,),),
+    ("Q^-", "Q^-"): (),
+    ("ZP", "Q^+"): ((1, 0),),
+    ("ZP", "ZP"): ((1, 0), (0, 1)),
+    ("ZP", "ZP_1"): ((1, 0), (0, 1)),
+    ("ZP", "ZP_2"): ((1, 0), (0, 1)),
+    ("ZP", "ZP_3"): ((1, 0), (0, 1)),
+    ("ZP_1", "Q^+"): ((1, 0),),
+    ("ZP_1", "ZP_1"): ((1, 0), (0, 1)),
+    ("ZP_2", "Q^+"): ((1, 0),),
+    ("ZP_2", "ZP_1"): ((1, 0), (0, 1)),
+    ("ZP_2", "ZP_2"): ((1, 0), (0, 1)),
+    ("ZP_3", "Q^+"): ((1, 0),),
+    ("ZP_3", "ZP_1"): ((1, 0), (0, 1)),
+    ("ZP_3", "ZP_2"): ((1, 0), (0, 1)),
+    ("ZP_3", "ZP_3"): ((1, 0), (0, 1)),
+    ("ZL_2", "Q^-"): (),
+    ("ZL_2", "ZL_2"): ((1,),),
+    ("ZL_2", "ZL_3"): ((2,),),
+    ("ZL_2", "ZL_4"): ((4,),),
+    ("ZL_3", "Q^-"): (),
+    ("ZL_3", "ZL_3"): ((1,),),
+    ("ZL_3", "ZL_4"): ((2,),),
+    ("ZL_4", "Q^-"): (),
+    ("ZL_4", "ZL_4"): ((1,),),
+}
+
+# (source, target, n): carrier matrix [[1, 0], [n, 2n + 1]], reduced
+ZP_FAMILY_MORPHISMS = {
+    ("ZP", "ZP", -1): ((1, 0), (-1, -1)),
+    ("ZP", "ZP", 2): ((1, 0), (2, 5)),
+    ("ZP", "ZP_1", -1): ((1, 0), (1, 1)),
+    ("ZP", "ZP_1", 2): ((1, 0), (0, 1)),
+    ("ZP", "ZP_2", -1): ((1, 0), (3, 3)),
+    ("ZP", "ZP_2", 2): ((1, 0), (2, 1)),
+    ("ZP_3", "ZP_2", -1): ((1, 0), (3, 3)),
+    ("ZP_3", "ZP_3", 2): ((1, 0), (2, 5)),
+}
+
+
+def test_standard_kinds_reference():
+    for (kind, k), (orders, hrow, p1, sym, ht) in STANDARD_DATA.items():
+        q = standard(kind, k)
+        name = standard_name(kind, k)
+        assert standard(name) == q
+        assert q.carrier.orders == orders
+        assert q.h.matrix == (hrow,)
+        assert q.p_one == q.carrier.element(p1)
+        assert q.symmetry == sym
+        assert height_of(kind, k) == ht
+        assert [a.map.matrix for a in aut_generators(q)] == AUT_MATRICES.get((kind, k), [])
+    assert standard("ZP_k", 70).carrier.orders == (0, 2**70)
+    assert [a.map.matrix for a in aut_generators(standard("ZP_k", 70))] == AUT_MATRICES[("ZP_k", 70)]
+    assert [standard_name("ZP_k", 2), standard_name("ZL_k", 3), standard_name("Q^+", None)] == [
+        "ZP_2",
+        "ZL_3",
+        "Q^+",
+    ]
+
+
+def test_standard_morphisms_reference():
+    for (src, dst), matrix in STANDARD_MORPHISMS.items():
+        m = standard_morphism(src, dst)
+        assert (m.source, m.target, m.map.matrix) == (standard(src), standard(dst), matrix)
+    for (src, dst, n), matrix in ZP_FAMILY_MORPHISMS.items():
+        assert standard_morphism(src, dst, n).map.matrix == matrix
+    with pytest.raises(ValueError, match="h is not preserved on generator 0"):
+        standard_morphism("Q+", "Q-")
+    with pytest.raises(ValueError, match="no morphisms ZL_k -> ZL_l with l < k"):
+        standard_morphism("ZL_3", "ZL_2")
 
 
 def test_split_sum():

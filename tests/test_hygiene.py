@@ -1,6 +1,7 @@
 """Static checks on the library sources."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qwitt"
@@ -323,3 +324,126 @@ def test_witt_reads_the_kind_only_in_its_table():
         if r[1] not in ("_indecomposables", "_omega_data")
     ]
     assert not found, found
+
+
+def test_formparam_reads_the_kind_only_in_its_table():
+    # the per-kind data live in formparam._kind_data; parse_name reads a
+    # name and standard_morphism picks the arrow between two kinds
+    found = [
+        r
+        for r in kind_comparisons((SRC / "formparam.py").read_text())
+        if r[1] not in ("_kind_data", "parse_name", "standard_morphism")
+    ]
+    assert not found, found
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def qwitt_names(source: str):
+    """(line, dotted name) of each name a script takes from the qwitt
+    package: every `import qwitt...` and `from qwitt... import name`, and
+    every attribute read through a name bound to a qwitt object by such an
+    import or by an assignment like `m, n = qwitt.x, qwitt.y`."""
+    tree = ast.parse(source)
+    bound = {}
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute) and (base := dotted(node.value)):
+            return f"{base}.{node.attr}"
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "qwitt":
+                    found.append((node.lineno, a.name))
+                    bound[a.asname or "qwitt"] = a.name if a.asname else "qwitt"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] == "qwitt":
+                for a in node.names:
+                    found.append((node.lineno, f"{node.module}.{a.name}"))
+                    bound[a.asname or a.name] = f"{node.module}.{a.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and (name := dotted(v)):
+                        bound[t.id] = name
+    found += [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (name := dotted(node))
+    ]
+    return sorted(set(found))
+
+
+def test_qwitt_names_detected():
+    src = (
+        "import qwitt.cli\n"
+        "from qwitt.qform import QForm, _helper as h\n"
+        "def f():\n"
+        "    from qwitt import search\n"
+        "    import qwitt.witt as w\n"
+        "    a, b = qwitt.qform, 3\n"
+        "    return search.BACKEND, w.x.y, a.pullback, b.real, qwitt.cli.main\n"
+        "from os import path\n"
+    )
+    assert qwitt_names(src) == [
+        (1, "qwitt.cli"),
+        (2, "qwitt.qform.QForm"),
+        (2, "qwitt.qform._helper"),
+        (4, "qwitt.search"),
+        (5, "qwitt.witt"),
+        (6, "qwitt.qform"),
+        (7, "qwitt.cli"),
+        (7, "qwitt.cli.main"),
+        (7, "qwitt.qform.pullback"),
+        (7, "qwitt.search.BACKEND"),
+        (7, "qwitt.witt.x"),
+        (7, "qwitt.witt.x.y"),
+    ]
+
+
+def resolves(name: str) -> bool:
+    """Whether a dotted name is an importable module or an attribute of one."""
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            try:
+                # a submodule binds itself on its package when imported
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_benchmark_names_resolve():
+    # the benchmark under perfbench/ imports private helpers (_battery,
+    # _block_pool, _lambda_square_constraint), wraps the functions its tracer
+    # lists in TARGETS, and reads search.BACKEND and available_backends()
+    # from a code string in run.py's environment()
+    names = [
+        (path.name, line, name)
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for line, name in qwitt_names(path.read_text())
+    ]
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text())
+    (targets,) = [
+        node.value
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "TARGETS"
+    ]
+    names += [("tracer.py", "TARGETS", f"{m}.{a}") for _, m, a in ast.literal_eval(targets)]
+    names += [("run.py", "environment", f"qwitt.search.{a}") for a in ("BACKEND", "available_backends")]
+    assert len(names) > 50
+    missing = [n for n in names if not resolves(n[2])]
+    assert not missing, missing
