@@ -210,29 +210,33 @@ class MaximalSplitting:
         return self.iso.target
 
 
+_BETA = [[1, 0], [-1, -1]]
+# The one list of the standard kinds.  Each kind with no level maps to
+# (carrier orders, h row, p(1), height, matrices of the generators of Aut),
+# each family (ZP_k, ZL_k) to its lowest level.
+_FIXED_KINDS = {
+    "Q+": ((0,), (2,), (1,), 0, []),
+    "Q^+": ((0,), (1,), (2,), 1, []),
+    "Q-": ((2,), (0,), (1,), 1, []),
+    "Q^-": ((), (), (), 0, []),
+    "ZP": ((0, 0), (1, 0), (2, -1), inf, [_BETA]),
+}
+_FAMILIES = {"ZP_k": 1, "ZL_k": 2}
+
+
 def _kind_data(kind: str, k: Optional[int]):
-    """The standard indecomposable `kind` at level k: (carrier orders, h row,
-    p(1), height, matrices of the generators of Aut).  The level k belongs to
-    the ZP_k and ZL_k families and is None for every other kind."""
-    beta = [[1, 0], [-1, -1]]
-    fixed = {
-        "Q+": ((0,), (2,), (1,), 0, []),
-        "Q^+": ((0,), (1,), (2,), 1, []),
-        "Q-": ((2,), (0,), (1,), 1, []),
-        "Q^-": ((), (), (), 0, []),
-        "ZP": ((0, 0), (1, 0), (2, -1), inf, [beta]),
-    }
-    low = {"ZP_k": 1, "ZL_k": 2}
-    if kind in fixed:
+    """(carrier orders, h row, p(1), height, Aut generator matrices) of the
+    standard `kind` at level k; k is None for a kind with no level."""
+    if kind in _FIXED_KINDS:
         if k is not None:
             raise ValueError(f"{kind} takes no level, got k = {k}")
-        return fixed[kind]
-    if kind not in low:
+        return _FIXED_KINDS[kind]
+    if kind not in _FAMILIES:
         raise ValueError(f"unknown standard parameter {kind!r}")
-    if k is None or k < low[kind]:
-        raise ValueError(f"{kind} requires k >= {low[kind]}")
+    if k is None or k < _FAMILIES[kind]:
+        raise ValueError(f"{kind} requires k >= {_FAMILIES[kind]}")
     if kind == "ZP_k":
-        gens = [beta] + ([[[1, 0], [1, 3]]] if k >= 2 else [])
+        gens = [_BETA] + ([[[1, 0], [1, 3]]] if k >= 2 else [])
         return (0, 2**k), (1, 0), (2, -1), k + 1, gens
     gens = [[[-1]]] + ([[[3]]] if k >= 3 else [])
     return (2**k,), (0,), (2 ** (k - 1),), k, gens  # ht(ZL_k) = (k - 1) + 1
@@ -242,10 +246,11 @@ def _kind_data(kind: str, k: Optional[int]):
 def standard(name: str, k: Optional[int] = None) -> FormParameter:
     """Standard indecomposable parameters by name.
 
-    ZP_k requires k >= 1, ZL_k requires k >= 2; plain "ZP" is the infinite
-    member of the ZP family.  Composite names like "ZP_2" also parse.
+    ZP_k requires k >= 1 and ZL_k requires k >= 2, also when the family
+    name comes with no level; plain "ZP" is the infinite member of the ZP
+    family.  Composite names like "ZP_2" also parse.
     """
-    if k is None and "_" in name:
+    if k is None and "_" in name and name not in _FAMILIES:
         name, k = parse_name(name)
     orders, hrow, p1, _, _ = _kind_data(name, k)
     g = FinAbGroup(orders)
@@ -253,12 +258,11 @@ def standard(name: str, k: Optional[int] = None) -> FormParameter:
 
 
 def parse_name(text: str) -> Tuple[str, Optional[int]]:
-    if text in ("Q+", "Q^+", "Q-", "Q^-", "ZP"):
+    if text in _FIXED_KINDS:
         return text, None
-    for family in ("ZP", "ZL"):
-        level = text[len(family) + 1 :]
-        if text.startswith(family + "_") and level.isascii() and level.isdigit():
-            return family + "_k", int(level)
+    family, _, level = text.partition("_")
+    if family + "_k" in _FAMILIES and level.isascii() and level.isdigit():
+        return family + "_k", int(level)
     raise ValueError(f"unknown parameter name {text!r}")
 
 
@@ -459,13 +463,9 @@ def initial_morphism(q: FormParameter) -> FPMorphism:
 
 def terminal_morphism(q: FormParameter) -> FPMorphism:
     """The unique morphism to Q^eps."""
-    if q.is_symmetric:
-        tgt = standard("Q^+")
-        return FPMorphism(
-            q, tgt, AbHom(q.carrier, tgt.carrier, [list(q.h.matrix[0])])
-        )
-    tgt = standard("Q^-")
-    return FPMorphism(q, tgt, AbHom(q.carrier, tgt.carrier, []))
+    tgt = standard("Q^+" if q.is_symmetric else "Q^-")
+    rows = [list(q.h.matrix[0])] if q.is_symmetric else []
+    return FPMorphism(q, tgt, AbHom(q.carrier, tgt.carrier, rows))
 
 
 def aut_generators(q: FormParameter) -> List[FPMorphism]:
@@ -478,53 +478,38 @@ def aut_generators(q: FormParameter) -> List[FPMorphism]:
 
 
 def _recognise_standard(q: FormParameter) -> Tuple[str, Optional[int]]:
-    for kind in ("Q+", "Q^+", "Q-", "Q^-", "ZP"):
-        if q == standard(kind):
-            return kind, None
-    # the level is read off the last carrier order: (0, 2^k) or (2^k,)
-    orders = q.carrier.orders
-    k = max(orders[-1].bit_length() - 1, 0) if orders else 0
-    for kind, shape, low in (("ZP_k", (0, 2**k), 1), ("ZL_k", (2**k,), 2)):
-        if k >= low and orders == shape and q == standard(kind, k):
-            return kind, k
-    raise ValueError("not a standard indecomposable parameter")
+    """(kind, level) of a standard parameter, read off its maximal splitting."""
+    ms = maximal_splitting(q)
+    if not (ms.complement.is_trivial and ms.standard == q):
+        raise ValueError("not a standard indecomposable parameter")
+    return ms.standard_kind, ms.k
 
 
 def standard_morphism(
     src_name: str, dst_name: str, n: int = 0
 ) -> FPMorphism:
-    """Standard morphisms between indecomposables.
+    """The standard morphism between two standard indecomposables.
 
-    For ZP_k -> ZP_l (k >= l, with k = 0 meaning the infinite member) the
-    carrier map is [[1, 0], [n, 2n+1]]; the other arrows are the canonical
-    initial/terminal ones.
+    Q+ and Q- are initial and Q^+ and Q^- terminal (for their symmetry), so
+    an arrow out of the initial or into the terminal parameter is the
+    unique one.  Otherwise, ZP_k -> ZP_l (k >= l, with plain ZP the
+    infinite member) has carrier map [[1, 0], [n, 2n+1]], and ZL_k -> ZL_l
+    (k <= l) has [[2^(l-k)]].  Any other pair has no standard morphism.
     """
-    skind, sk = parse_name(src_name)
-    dkind, dk = parse_name(dst_name)
-    src = standard(skind, sk)
-    dst = standard(dkind, dk)
-    if skind == "Q+":
-        return FPMorphism(
-            src, dst, AbHom.from_columns(src.carrier, dst.carrier, [dst.p_one])
-        )
-    if dkind == "Q^+" and skind in ("ZP", "ZP_k"):
-        return terminal_morphism(src)
-    if skind in ("ZP", "ZP_k") and dkind in ("ZP", "ZP_k"):
-        return FPMorphism(
-            src,
-            dst,
-            AbHom(src.carrier, dst.carrier, [[1, 0], [n, 2 * n + 1]]),
-        )
-    if skind == "Q-":
-        return initial_morphism(dst)
-    if dkind == "Q^-":
-        return terminal_morphism(src)
-    if skind == "ZL_k" and dkind == "ZL_k":
+    src, dst = standard(src_name), standard(dst_name)
+    alpha = initial_morphism(dst)
+    if alpha.source == src:
+        return alpha
+    alpha = terminal_morphism(src)
+    if alpha.target == dst:
+        return alpha
+    (skind, sk), (dkind, dk) = parse_name(src_name), parse_name(dst_name)
+    if skind[:2] == dkind[:2] == "ZP":
+        matrix = [[1, 0], [n, 2 * n + 1]]
+    elif skind == dkind == "ZL_k":
         if dk < sk:
             raise ValueError("no morphisms ZL_k -> ZL_l with l < k")
-        return FPMorphism(
-            src,
-            dst,
-            AbHom(src.carrier, dst.carrier, [[2 ** (dk - sk)]]),
-        )
-    raise ValueError(f"no standard morphism {src_name} -> {dst_name}")
+        matrix = [[2 ** (dk - sk)]]
+    else:
+        raise ValueError(f"no standard morphism {src_name} -> {dst_name}")
+    return FPMorphism(src, dst, AbHom(src.carrier, dst.carrier, matrix))

@@ -5,9 +5,11 @@ A constraint is a quadruple (A, l, c, m) demanding
     sum_ij A[i][j] x_i x_j + sum_i l[i] x_i + c == 0      (m == 0)
     ... == 0 (mod m)                                      (m >  0)
 
-over the box |x_i| <= bound.  Enumeration is depth-first in coordinate order
-with values -bound..bound ascending, so results arrive in a fixed order and
-a call stopped by its node budget returns a prefix of the full results.
+over the box |x_i| <= bound.  A may be empty, (), for a linear constraint
+(every pair row of `qform._column_search` is one).  Enumeration is
+depth-first in coordinate order with values -bound..bound ascending, so
+results arrive in a fixed order and a call stopped by its node budget
+returns a prefix of the full results.
 All arithmetic is on Python integers, so it is exact at any coefficient
 size.
 
@@ -58,7 +60,7 @@ def unsolvable(constraint: Constraint) -> bool:
     symmetrised) does not divide c."""
     a, l, c, m = constraint
     n = len(l)
-    g = gcd(m, *l, *(e for i in range(n) for e in _quadratic_entries(a, n, i)))
+    g = gcd(m, *l, *(e for i in range(len(a)) for e in _quadratic_entries(a, n, i)))
     return c % g != 0 if g else c != 0
 
 
@@ -93,7 +95,7 @@ def search_vectors(
     quad_steps: List[list] = [[] for _ in range(n)]
     lin_values, quad_values, coefs = [], [], []
     for a, l, c, m in constraints:
-        # A == 0 (a pair row) is linear at a glance; an antisymmetric A only
+        # an empty or zero A is linear at a glance; an antisymmetric A only
         # once symmetrised
         entries = [_quadratic_entries(a, n, d) for d in range(n)] if any(map(any, a)) else []
         g, lo, hi, t = m, 0, 0, 0

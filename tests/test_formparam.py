@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from math import inf
 
@@ -6,6 +7,7 @@ import pytest
 
 from qwitt.abelian import TRIVIAL, Z, AbHom, FinAbGroup, subgroup, subgroup_equal
 from qwitt.formparam import (
+    _recognise_standard,
     CosliceHom,
     FormParameter,
     FPMorphism,
@@ -85,8 +87,7 @@ def test_levels_are_checked_by_every_reader():
     for kind, k, message in cases:
         with pytest.raises(ValueError, match=message):
             height_of(kind, k)
-        # standard("ZL_k") parses "ZL_k" as a name first, and fails there
-        with pytest.raises(ValueError, match=None if k is None else message):
+        with pytest.raises(ValueError, match=message):
             standard(kind, k)
 
 
@@ -156,7 +157,16 @@ STANDARD_MORPHISMS = {
     ("ZL_3", "ZL_4"): ((2,),),
     ("ZL_4", "Q^-"): (),
     ("ZL_4", "ZL_4"): ((1,),),
+    ("Q^+", "Q^+"): ((1,),),
 }
+
+# (source, target) with no standard morphism: the symmetric and the
+# antisymmetric parameters are not joined by any morphism
+NO_STANDARD_MORPHISM = [
+    *(("Q-", dst) for dst in ("Q+", "Q^+", "ZP", "ZP_1", "ZP_2", "ZP_3")),
+    *((src, "Q^-") for src in ("Q^+", "ZP", "ZP_1", "ZP_2", "ZP_3")),
+    ("Q+", "Q-"),
+]
 
 # (source, target, n): carrier matrix [[1, 0], [n, 2n + 1]], reduced
 ZP_FAMILY_MORPHISMS = {
@@ -197,10 +207,33 @@ def test_standard_morphisms_reference():
         assert (m.source, m.target, m.map.matrix) == (standard(src), standard(dst), matrix)
     for (src, dst, n), matrix in ZP_FAMILY_MORPHISMS.items():
         assert standard_morphism(src, dst, n).map.matrix == matrix
-    with pytest.raises(ValueError, match="h is not preserved on generator 0"):
-        standard_morphism("Q+", "Q-")
+    for src, dst in NO_STANDARD_MORPHISM:
+        with pytest.raises(ValueError, match=f"no standard morphism {re.escape(src)} -> {re.escape(dst)}"):
+            standard_morphism(src, dst)
     with pytest.raises(ValueError, match="no morphisms ZL_k -> ZL_l with l < k"):
         standard_morphism("ZL_3", "ZL_2")
+
+
+def test_standard_morphisms_join_the_named_parameters():
+    names = ["Q+", "Q^+", "Q-", "Q^-", "ZP", "ZP_1", "ZP_2", "ZP_3", "ZL_2", "ZL_3", "ZL_4"]
+    for src, dst, n in product(names, names, (-1, 0, 2)):
+        try:
+            m = standard_morphism(src, dst, n)
+        except ValueError:
+            continue
+        assert (m.source, m.target) == (standard(src), standard(dst)), (src, dst, n)
+
+
+def test_recognise_standard_reads_the_splitting():
+    for kind, k in STANDARD_DATA:
+        assert _recognise_standard(standard(kind, k)) == (kind, k)
+    zp2 = standard("ZP_2")
+    theta = random_automorphism(random.Random(1), zp2.carrier)
+    scrambled = FormParameter(zp2.carrier, zp2.h.compose(theta.inverse()), theta(zp2.p_one))
+    assert scrambled != zp2
+    for q in (split_sum(zp2, FinAbGroup((3,))), scrambled):
+        with pytest.raises(ValueError, match="not a standard indecomposable parameter"):
+            _recognise_standard(q)
 
 
 def test_split_sum():

@@ -327,12 +327,12 @@ def test_witt_reads_the_kind_only_in_its_table():
 
 
 def test_formparam_reads_the_kind_only_in_its_table():
-    # the per-kind data live in formparam._kind_data; parse_name reads a
-    # name and standard_morphism picks the arrow between two kinds
+    # the per-kind data live in formparam._kind_data and the tables it
+    # reads; standard_morphism picks the family map between two kinds
     found = [
         r
         for r in kind_comparisons((SRC / "formparam.py").read_text())
-        if r[1] not in ("_kind_data", "parse_name", "standard_morphism")
+        if r[1] not in ("_kind_data", "standard_morphism")
     ]
     assert not found, found
 
