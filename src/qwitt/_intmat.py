@@ -250,12 +250,34 @@ def solve(
 
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
-    """Inverse of a matrix with determinant +-1."""
-    s = SNF(mat)
-    m, n = shape(mat)
-    if m != n or s.rank != n or any(s.d[i][i] != 1 for i in range(n)):
+    """Inverse of a matrix with determinant +-1, by fraction-free (Bareiss)
+    Gauss-Jordan elimination on [mat | I].
+
+    Each column's pivot clears that column in every other row, above and
+    below, so every entry stays a minor of [mat | I] and each division by
+    the previous pivot is exact.  The left half ends as d * I, d being the
+    last pivot, +-det(mat), and the right half as d * mat^-1: at d = +-1
+    the inverse is d times the right half.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
         raise ValueError("matrix is not unimodular")
-    return mat_mul(s.v, s.u)
+    a = [list(row) + e for row, e in zip(mat, identity(n))]
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is not unimodular")
+        a[c], a[piv] = a[piv], a[c]
+        prow, p = a[c], a[c][c]
+        for i in range(n):
+            if i != c:
+                q = a[i][c]
+                a[i] = [(x * p - q * y) // prev for x, y in zip(a[i], prow)]
+        prev = p
+    if prev not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [[prev * x for x in row[n:]] for row in a]
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:

@@ -120,7 +120,7 @@ class FinAbGroup:
     # -- elements ------------------------------------------------------------
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, tuple(coords))
+        return GroupElement(self, coords)
 
     def zero(self) -> "GroupElement":
         return self.element((0,) * self.ngens)
@@ -182,9 +182,7 @@ class FinAbGroup:
             raise ValueError(
                 f"expected {self.ngens} coordinates, got {len(coords)}"
             )
-        return tuple(
-            c % n if n else c for c, n in zip(coords, self.orders)
-        )
+        return tuple([c % n if n else c for c, n in zip(coords, self.orders)])
 
     def __repr__(self) -> str:
         if not self.orders:

@@ -11,7 +11,9 @@ drawn from the fixed cyclic decompositions of G and Q_e; every symbol
 rewrites into that set by bilinear expansion, the addition rule and the
 scalar rule (n g) (x) q = n (g (x) q) + C(n,2) [g, g] (x) h(q).
 `TensorPresentation.simple(x, q)` and `TensorPresentation.bracket(x, y, a)`
-return the value of x (x) q and of [x, y] (x) a in the presented group.
+return the value of x (x) q and of [x, y] (x) a in the presented group;
+`add_simple` and `add_bracket` add a symbol's abstract coefficients into a
+caller's list instead, so that a sum of symbols is reduced once.
 """
 
 from __future__ import annotations
@@ -70,13 +72,24 @@ class TensorPresentation:
         return self._position[(kind, i, j)]
 
     def simple(self, x: GroupElement, q: GroupElement) -> GroupElement:
-        """The value of the symbol x (x) q: bilinear in the q-slot, and the
-        addition and scalar rules in the x-slot."""
+        """The value of the symbol x (x) q."""
+        c = [0] * len(self.symbols)
+        self.add_simple(c, x, q)
+        return self.group.combination(c, self.basis_map)
+
+    def bracket(self, x: GroupElement, y: GroupElement, a: int) -> GroupElement:
+        """The value of the symbol [x, y] (x) a."""
+        c = [0] * len(self.symbols)
+        self.add_bracket(c, x, y, a)
+        return self.group.combination(c, self.basis_map)
+
+    def add_simple(self, c: List[int], x: GroupElement, q: GroupElement) -> None:
+        """Add the abstract coefficients of x (x) q into c: bilinear in the
+        q-slot, and the addition and scalar rules in the x-slot."""
         if x.group != self.g or q.group != self.q.carrier:
             raise ValueError("symbol does not match the presentation")
         hrow = self.q.h.matrix[0]
         idxs = [i for i, xi in enumerate(x.coords) if xi]
-        c = [0] * len(self.symbols)
         for j, qc in enumerate(q.coords):
             if qc == 0:
                 continue
@@ -87,20 +100,20 @@ class TensorPresentation:
                 c[self.index("b", i, i)] += qc * _binom2(xi) * hj
                 for i2 in idxs[a + 1 :]:
                     c[self.index("b", i, i2)] += qc * xi * x.coords[i2] * hj
-        return self.group.combination(c, self.basis_map)
 
-    def bracket(self, x: GroupElement, y: GroupElement, a: int) -> GroupElement:
-        """The value of the symbol [x, y] (x) a; [g_j, g_i] = eps [g_i, g_j]
-        for i < j, with eps the parameter's symmetry."""
+    def add_bracket(
+        self, c: List[int], x: GroupElement, y: GroupElement, a: int
+    ) -> None:
+        """Add the abstract coefficients of [x, y] (x) a into c;
+        [g_j, g_i] = eps [g_i, g_j] for i < j, with eps the parameter's
+        symmetry."""
         if x.group != self.g or y.group != self.g:
             raise ValueError("symbol does not match the presentation")
         eps = self.q.symmetry
-        c = [0] * len(self.symbols)
         for i, xi in enumerate(x.coords):
             for j, yj in enumerate(y.coords):
                 sign = 1 if i <= j else eps
                 c[self.index("b", min(i, j), max(i, j))] += sign * a * xi * yj
-        return self.group.combination(c, self.basis_map)
 
     def hom(self, images: Sequence[GroupElement], target: FinAbGroup) -> AbHom:
         """The homomorphism group -> target sending abstract symbol a to

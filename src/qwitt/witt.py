@@ -201,18 +201,16 @@ def tensor_invariant(
     if f.parameter.carrier.orders != q0.carrier.orders + pres.g.orders:
         raise ValueError("form is not over the expected split parameter")
     n = f.rank
-    minv = _intmat.unimodular_inverse(f.lambda_matrix) if n else []
+    minv = _intmat.unimodular_inverse(f.lambda_matrix)
     mug = [pres.g.element(m.coords[nq:]) for m in f.mu_basis]
-    values = [
-        pres.bracket(mug[i], mug[j], minv[j][i])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if minv[j][i]
-    ] + [
-        pres.simple(mug[j], q0.carrier.element(mu_eval(f, y).coords[:nq]))
-        for j, y in enumerate(_intmat.transpose(minv))
-    ]
-    return pres.group.combination([1] * len(values), values)
+    c = [0] * len(pres.symbols)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if minv[j][i]:
+                pres.add_bracket(c, mug[i], mug[j], minv[j][i])
+    for j, y in enumerate(_intmat.transpose(minv)):
+        pres.add_simple(c, mug[j], q0.carrier.element(mu_eval(f, y).coords[:nq]))
+    return pres.group.combination(c, pres.basis_map)
 
 
 def form_from_tensor(

@@ -85,6 +85,24 @@ def test_element_reduction_idempotent():
     assert (x - x).is_zero
 
 
+def test_coordinates_are_counted_and_reduced():
+    g = FinAbGroup((3, 0, 8))
+    for bad in ((1, 2), (1, 2, 3, 4), ()):
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            g.reduce_coords(bad)
+        with pytest.raises(ValueError, match="expected 3 coordinates"):
+            g.element(bad)
+    # torsion coordinates go to [0, n), free ones stay as they are
+    assert g.reduce_coords([-1, -7, 17]) == (2, -7, 1)
+    assert g.reduce_coords((6, 10**20, -8)) == (0, 10**20, 0)
+    x = g.element([-4, 5, -9])
+    assert x.coords == (2, 5, 7) and type(x.coords) is tuple
+    assert x == g.element(x.coords)
+    assert TRIVIAL.element(()).coords == ()
+    h = FinAbGroup((3, 0, 4))
+    with pytest.raises(ValueError, match="different groups"):
+        g.combination([1, 1], [g.gen(0), h.gen(0)])
+
 def test_element_order():
     g = FinAbGroup((4, 6))
     assert g.element((2, 0)).order() == 2

@@ -223,6 +223,8 @@ def test_solve_unsolvable():
 
 
 def test_unimodular_inverse():
+    from qwitt.sampling import random_unimodular
+
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 5)
@@ -235,7 +237,46 @@ def test_unimodular_inverse():
                     mat[r][j] += c * mat[r][i]
         inv = unimodular_inverse(mat)
         assert mat_eq(mat_mul(mat, inv), identity(n))
+    rng = random.Random(22)
+    for t in range(3000):
+        n = t % 9
+        mat = random_unimodular(rng, n, ops=rng.randint(0, 4 * n))
+        inv = unimodular_inverse(mat)
+        assert mat_eq(mat_mul(mat, inv), identity(n))
+        assert mat_eq(mat_mul(inv, mat), identity(n))
+    assert unimodular_inverse([]) == []
 
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[1, 2], [2, 4]],  # singular
+        [[0, 0, 3], [0, 0, 6], [1, 0, 0]],  # singular, no pivot in column 1
+        [[2, 0], [0, 1]],  # det 2
+        [[1, 1], [-1, 1]],  # det 2
+        [[0, 1], [2, 0]],  # det -2
+        [[1, 0, 0], [0, 1, 0]],  # not square
+        [[1], [0]],  # not square
+        [[0]],
+    ],
+)
+def test_unimodular_inverse_refuses(mat):
+    with pytest.raises(ValueError, match="matrix is not unimodular"):
+        unimodular_inverse(mat)
+
+
+def test_unimodular_inverse_builds_no_snf(monkeypatch):
+    def no_snf(mat):
+        raise AssertionError("unimodular_inverse built an SNF")
+
+    monkeypatch.setattr(_intmat, "SNF", no_snf)
+    assert unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    # a zero leading entry takes a row swap; det -1
+    assert unimodular_inverse([[0, 1, 0], [1, 0, 0], [0, 3, 1]]) == [
+        [0, 1, 0],
+        [1, 0, 0],
+        [-3, 0, 1],
+    ]
 
 def test_xgcd():
     for a in range(-12, 13):

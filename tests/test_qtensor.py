@@ -263,6 +263,38 @@ def test_reduce_symbol_respects_relations():
         )
 
 
+def test_added_symbols_sum_to_the_separate_values():
+    rng = random.Random(23)
+    pool = [FinAbGroup(o) for o in [(2,), (4,), (3,), (0,), (2, 4), (0, 2)]]
+    for _ in range(60):
+        g = rng.choice(pool)
+        q = rng.choice(STANDARD)
+        pres = present(g, q)
+        c = [0] * len(pres.symbols)
+        total = pres.group.zero()
+        for _ in range(rng.randint(0, 5)):
+            x = g.element([rng.randint(-5, 5) for _ in range(g.ngens)])
+            if rng.random() < 0.5:
+                y = g.element([rng.randint(-5, 5) for _ in range(g.ngens)])
+                a = rng.randint(-4, 4)
+                pres.add_bracket(c, x, y, a)
+                total = total + pres.bracket(x, y, a)
+            else:
+                qv = q.carrier.element(
+                    [rng.randint(-5, 5) for _ in range(q.carrier.ngens)]
+                )
+                pres.add_simple(c, x, qv)
+                total = total + pres.simple(x, qv)
+        assert pres.group.combination(c, pres.basis_map) == total
+    # a symbol over other groups is refused before c is touched
+    pres = present(FinAbGroup((4,)), standard("Q^+"))
+    c = [0] * len(pres.symbols)
+    with pytest.raises(ValueError, match="does not match"):
+        pres.add_simple(c, Z.element((1,)), pres.q.carrier.element((1,)))
+    with pytest.raises(ValueError, match="does not match"):
+        pres.add_bracket(c, pres.g.gen(0), Z.element((1,)), 1)
+    assert not any(c)
+
 def test_induced_map_examples():
     g = Z
     # (id, Q- -> ZL_2) on G = Z: Z2 -> Z4 must send the generator to twice a generator

@@ -4,6 +4,7 @@ import pytest
 
 import qwitt.qform as qf
 from qwitt import witt
+from qwitt._intmat import identity, mat_mul, smith_normal_form
 from qwitt.abelian import FinAbGroup
 from qwitt.formparam import (
     FPMorphism,
@@ -207,6 +208,42 @@ def test_f_invariant_basis_independent():
         t2 = witt.tensor_invariant(qf.pullback(g, b), ms.standard, pres)
         assert t1.coords == t2.coords
 
+
+def symbolwise_tensor_invariant(f, q0, pres):
+    """The reduced-part invariant summed symbol by symbol from the public
+    values of `simple` and `bracket`, with M^-1 read off a Smith normal
+    form (D = I for a unimodular M, so M^-1 = V U)."""
+    n, nq = f.rank, q0.carrier.ngens
+    u, d, v = smith_normal_form(f.lambda_matrix)
+    assert d == identity(n)
+    minv = mat_mul(v, u)
+    mug = [pres.g.element(m.coords[nq:]) for m in f.mu_basis]
+    total = pres.group.zero()
+    for i in range(n):
+        for j in range(i + 1, n):
+            total = total + pres.bracket(mug[i], mug[j], minv[j][i])
+    for j in range(n):
+        y = [minv[r][j] for r in range(n)]
+        total = total + pres.simple(
+            mug[j], q0.carrier.element(qf.mu_eval(f, y).coords[:nq])
+        )
+    return total
+
+
+def test_tensor_invariant_is_the_sum_of_its_symbols():
+    rng = random.Random(24)
+    ranks = set()
+    for _ in range(60):
+        p = random_form_parameter(rng, max_torsion=8, max_free=1)
+        desc = witt.witt_group(p)
+        ms = desc.splitting
+        f = qf.pushforward(random_nonsingular_form(rng, p, max_rank=4), ms.iso)
+        for g in (f, qf.QForm(f.parameter, [], [])):
+            ranks.add(g.rank)
+            assert witt.tensor_invariant(
+                g, ms.standard, desc.tensor_pres
+            ) == symbolwise_tensor_invariant(g, ms.standard, desc.tensor_pres)
+    assert ranks == {0, 1, 2, 3, 4}
 
 def test_f_gamma_roundtrip_random():
     rng = random.Random(15)
