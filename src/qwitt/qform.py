@@ -129,10 +129,7 @@ class Embedding:
             len(r) != self.source.rank for r in self.matrix
         ):
             raise ValueError("embedding matrix has the wrong shape")
-        pulled = pullback(self.target, self.matrix)
-        if pulled.lambda_matrix != self.source.lambda_matrix or any(
-            a != b for a, b in zip(pulled.mu_basis, self.source.mu_basis)
-        ):
+        if pullback(self.target, self.matrix) != self.source:
             raise ValueError("matrix does not pull the form back exactly")
         if _intmat.rank(self.matrix) != self.source.rank:
             raise ValueError("embedding is not injective")
@@ -154,6 +151,7 @@ class SearchOutcome:
     equal ranks a singular target or another Witt class), or a column
     constraint that no integer vector satisfies (found at the root).
     Every one is checked before any kernel call, so it costs 0 nodes.
+    Every outcome carries the requested bound, which is never negative.
 
     `nodes` counts the kernel's search-tree nodes, one per value tried for
     one coordinate, summed over the passes of the search (one per box
@@ -171,6 +169,10 @@ class SearchOutcome:
     reason: str = ""
     bound: int = 0
     nodes: int = 0
+
+    def __post_init__(self):
+        if self.bound < 0:
+            raise ValueError(f"search bound {self.bound} is negative")
 
     @property
     def found(self) -> bool:
@@ -218,7 +220,9 @@ def negate(f: QForm) -> QForm:
 
 def pullback(f: QForm, basis: Sequence[Sequence[int]]) -> QForm:
     """Pull back along the map sending new basis vector j to column j."""
-    cols = [list(c) for c in zip(*basis)] if basis and basis[0] else []
+    if len(basis) != f.rank:
+        raise ValueError("basis needs one row per basis vector of the form")
+    cols = [list(c) for c in zip(*basis)]
     k = len(cols)
     mat = [
         [f.lam(cols[i], cols[j]) for j in range(k)] for i in range(k)
@@ -323,67 +327,46 @@ def is_indefinite(f: QForm) -> bool:
 def characteristic_check(f: QForm, c: AbHom) -> bool:
     """Whether c: X -> C (cyclic) is characteristic for lambda.
 
-    Checks lambda(x, x) = c(x) mod 2 on the basis and on pairwise sums
-    (the polarized identity), which suffices by bilinearity.
+    Checks lambda(x, x) = c(x) mod 2 on the basis, which suffices: both
+    sides are homomorphisms X -> Z2, as lambda(x + y, x + y) =
+    lambda(x, x) + lambda(y, y) + 2 lambda(x, y).
     """
     if not f.parameter.is_symmetric:
         raise ValueError("characteristic maps live over symmetric parameters")
     if c.target.ngens > 1:
         raise ValueError("target must be cyclic")
-
-    def c2(vec) -> int:
-        img = c(c.source.element(vec))
-        if c.target.ngens == 0:
-            return 0
-        n = c.target.orders[0]
-        if n % 2 == 1 and n != 0:
-            return 0  # odd cyclic: C/2C is trivial
-        return img.coords[0] % 2
-
+    # C/2C is Z2 for an even or infinite cyclic C, and trivial otherwise
+    even = c.target.ngens == 1 and c.target.orders[0] % 2 == 0
     k = f.rank
-    for i in range(k):
-        e = [0] * k
-        e[i] = 1
-        if f.lambda_matrix[i][i] % 2 != c2(e):
-            return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            e = [0] * k
-            e[i] = e[j] = 1
-            if f.lam(e, e) % 2 != c2(e):
-                return False
-    return True
+    images = [c(c.source.element([int(i == j) for j in range(k)])) for i in range(k)]
+    return all(
+        f.lambda_matrix[i][i] % 2 == (img.coords[0] % 2 if even else 0)
+        for i, img in enumerate(images)
+    )
 
 
 def lagrangian_verify(f: QForm, basis: Sequence[Sequence[int]]) -> bool:
-    """Whether the given vectors span a lagrangian of f.
-
-    Requires a primitive half-rank summand with lambda = 0 on it and mu = 0
-    on the basis vectors and their pairwise sums (mu is not linear; with
-    lambda vanishing this forces mu = 0 on the whole summand).
+    """Whether the given vectors span a lagrangian of f: a primitive
+    half-rank summand on which the pullback of f is the zero form.  mu is
+    additive where lambda vanishes, so mu = 0 on the basis vectors is
+    mu = 0 on the whole summand.  Vectors of another length than the rank
+    are refused with a ValueError.
     """
     vecs = [list(v) for v in basis]
+    if any(len(v) != f.rank for v in vecs):
+        raise ValueError("vector length does not match the rank")
     if 2 * len(vecs) != f.rank:
         return False
-    if len(vecs) == 0:
-        return True
-    cols = [[v[i] for v in vecs] for i in range(f.rank)]
+    cols = _intmat.transpose(vecs)
     s = _intmat.SNF(cols)
     if s.rank != len(vecs) or any(
         s.d[i][i] != 1 for i in range(len(vecs))
     ):
         return False
-    for i, v in enumerate(vecs):
-        for w in vecs[i:]:
-            if f.lam(v, w) != 0:
-                return False
-    for i, v in enumerate(vecs):
-        if not mu_eval(f, v).is_zero:
-            return False
-        for w in vecs[i + 1:]:
-            if not mu_eval(f, [a + b for a, b in zip(v, w)]).is_zero:
-                return False
-    return True
+    pulled = pullback(f, cols)
+    return not any(map(any, pulled.lambda_matrix)) and all(
+        m.is_zero for m in pulled.mu_basis
+    )
 
 
 # -- bounded searches ---------------------------------------------------------
@@ -449,6 +432,13 @@ def _column_constraints(
     return fixed, ""
 
 
+def _restrict(constraint, idx: Sequence[int]):
+    """A constraint on the target's coordinates, restricted to those at
+    `idx`: the rows and columns of A and the entries of l at idx."""
+    a, l, c, m = constraint
+    return [[a[i][j] for j in idx] for i in idx], [l[i] for i in idx], c, m
+
+
 def _orthogonal_blocks(mat: Sequence[Sequence[int]]) -> List[List[int]]:
     """The basis indices of each orthogonal block of the form with matrix
     `mat`: the connected components of the graph with an edge i - j
@@ -480,20 +470,24 @@ def _column_search(
     node_budget: int,
     leaf: Callable[[List[List[int]]], Optional[Tuple[Tuple[int, ...], ...]]],
     what: str,
-    keep: Optional[Callable[[List[int], List[List[int]]], bool]] = None,
-    normalize: bool = False,
 ) -> SearchOutcome:
     """The backtracking driver behind every bounded search.
 
     Looks for columns c_0, ..., c_{k-1} of target with entries within
-    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i]; `keep`
-    filters the candidates for a column, and `normalize` is passed to the
-    kernel.  The first complete tuple that `leaf` turns into a witness
-    (anything but None) ends the search with "found".  `leaf` accepts
-    only linearly independent columns (every caller's does: `injective`,
-    `unimodular`, `_saturate_if_needed`'s rank check, and the primitive,
-    so non-zero, vector of `_primitive_isotropic`); the block rule below
-    rests on it.
+    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i].  The first
+    complete tuple that `leaf` turns into a witness (anything but None)
+    ends the search with "found".  `leaf` accepts only linearly
+    independent columns (every caller's does: `injective`, `unimodular`,
+    `_saturate_if_needed`'s rank check, and the primitive, so non-zero,
+    vector of `_primitive_isotropic`); the block rule and the symmetry
+    cuts below rest on it.
+
+    Symmetry cuts: when lam and every mus[d] are zero (a lagrangian, a
+    primitive isotropic vector, a zero source), columns may be negated (mu(-x) =
+    p(lambda(x, x)) - mu(x) = 0) and reordered, and independent ones are
+    distinct and non-zero.  So the kernel takes each column's first
+    non-zero entry positive, and only non-zero, lexicographically
+    increasing columns are taken: a witness is still found, in its box.
 
     Iterative deepening: the column recursion runs once per box
     |x_i| <= b, for b = 1, 2, ..., bound (bound 0 or a rank-0 target: one
@@ -507,9 +501,9 @@ def _column_search(
     blocks, the connected components of the graph of non-zero
     lambda_ij (mu of an orthogonal sum is the sum of the mus, so lambda
     alone decides them).  Pass b first searches each block of rank r,
-    k <= r < n, as a form of its own, in order of its least basis index,
+    k <= r < n, as a target of its own, in order of its least basis index,
     and then the whole target.  Columns found in a block are extended by
-    zeros before `keep` and `leaf` see them: an embedding into one summand
+    zeros before the cuts and `leaf` see them: an embedding into one summand
     is one into the whole form.  Each distinct block is searched once: a
     block with the same lambda submatrix and mu values as an earlier one
     gives the same answers.  A block whose own column constraints are
@@ -521,9 +515,10 @@ def _column_search(
     target was searched before any block at b, so a witness still has the
     least entry bound.
 
-    The square and mu constraints of each depth are built once per block
-    and for the whole target, and the pair row M^t c of a column once,
-    when the next column is searched for.
+    The square and mu constraints of each depth are built once, for the
+    whole target; a block's are their restrictions to its coordinates
+    (`_restrict`), and no form is built per block.  The pair row M^t c of
+    a column is built once, when the next column is searched for.
 
     Root certificate: before any kernel call, each depth's own constraints
     (lambda(x, x) and mu(x)) on the whole target go through
@@ -549,29 +544,27 @@ def _column_search(
     fixed, certificate = _column_constraints(target, lam, mus)
     if certificate:
         return SearchOutcome("no", bound=bound, reason=certificate)
+    cut = not any(map(any, lam)) and all(m.is_zero for m in mus)
     # what each pass searches, in turn: every distinct block, then the whole
     # target, as (basis indices, lambda transposed, each depth's constraints)
+    mat = target.lambda_matrix
     plans = []
     seen = set()
     least = 2 * k - _intmat.rank(lam)  # no nondegenerate block of lower rank fits
-    for idx in _orthogonal_blocks(target.lambda_matrix):
+    for idx in _orthogonal_blocks(mat):
         if not k <= len(idx) < n:
             continue
-        block = QForm(
-            target.parameter,
-            [[target.lambda_matrix[i][j] for j in idx] for i in idx],
-            [target.mu_basis[i] for i in idx],
-        )
-        key = (block.lambda_matrix, block.mu_basis)
+        sub = tuple(tuple(mat[i][j] for j in idx) for i in idx)
+        key = (sub, tuple(target.mu_basis[i] for i in idx))
         if key in seen:
             continue
         seen.add(key)
-        if len(idx) < least and block.det():
+        if len(idx) < least and _intmat.determinant(sub):
             continue
-        block_fixed, unsolvable = _column_constraints(block, lam, mus)
-        if not unsolvable:
-            plans.append((idx, _intmat.transpose(block.lambda_matrix), block_fixed))
-    plans.append((range(n), _intmat.transpose(target.lambda_matrix), fixed))
+        block_fixed = [[_restrict(c, idx) for c in cons] for cons in fixed]
+        if not any(search.unsolvable(c) for cons in block_fixed for c in cons):
+            plans.append((idx, _intmat.transpose(sub), block_fixed))
+    plans.append((range(n), _intmat.transpose(mat), fixed))
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
@@ -590,7 +583,7 @@ def _column_search(
             ((), row, -lam[j][depth], 0) for j, row in enumerate(rows)
         ]
         results, used, done = search.search_vectors(
-            len(idx), constraints, box, 1 << 30, node_budget - nodes, normalize
+            len(idx), constraints, box, 1 << 30, node_budget - nodes, cut
         )
         nodes += used
         exhausted = exhausted and done
@@ -600,7 +593,7 @@ def _column_search(
             col = [0] * n  # a block's vector, extended by zeros
             for i, x in zip(idx, vec):
                 col[i] = x
-            if keep is not None and not keep(col, cols):
+            if cut and not (any(col) and (not cols or col > cols[-1])):
                 continue
             cols.append(col)
             witness = rec(plan, depth + 1, box)
@@ -626,15 +619,7 @@ def isometry_verify(f: QForm, g: QForm, b: Sequence[Sequence[int]]) -> bool:
     """Whether b (columns = images of f's basis) is an isometry f -> g."""
     if f.parameter != g.parameter or f.rank != g.rank:
         return False
-    if f.rank == 0:
-        return True
-    if _intmat.determinant(b) not in (1, -1):
-        return False
-    pulled = pullback(g, b)
-    return (
-        pulled.lambda_matrix == f.lambda_matrix
-        and all(a == c for a, c in zip(pulled.mu_basis, f.mu_basis))
-    )
+    return _intmat.determinant(b) in (1, -1) and pullback(g, b) == f
 
 
 def isometry_search(
@@ -645,15 +630,15 @@ def isometry_search(
 ) -> SearchOutcome:
     """Bounded exhaustive search for an isometry f -> g."""
     if f.parameter != g.parameter:
-        return SearchOutcome("no", reason="different form parameters")
+        return SearchOutcome("no", reason="different form parameters", bound=bound)
     if f.rank != g.rank:
-        return SearchOutcome("no", reason="different ranks")
+        return SearchOutcome("no", reason="different ranks", bound=bound)
     if abs(f.det()) != abs(g.det()):
-        return SearchOutcome("no", reason="different determinants")
+        return SearchOutcome("no", reason="different determinants", bound=bound)
     if f.parameter.is_symmetric and signature_of_matrix(
         f.lambda_matrix
     ) != signature_of_matrix(g.lambda_matrix):
-        return SearchOutcome("no", reason="different signatures")
+        return SearchOutcome("no", reason="different signatures", bound=bound)
 
     def unimodular(cols):
         mat = _intmat.transpose(cols)
@@ -684,17 +669,12 @@ def metabolic_search(
     "found": stably metabolic forms need not be metabolic.
     """
     if f.rank % 2:
-        return SearchOutcome("no", reason="odd rank")
+        return SearchOutcome("no", reason="odd rank", bound=bound)
     if use_obstructions:
         obstruction = _metabolic_obstruction(f)
         if obstruction:
             return SearchOutcome("no", reason=obstruction, bound=bound)
     k = f.rank // 2
-
-    def increasing(vec, basis):
-        # non-zero, and lexicographically increasing bases only
-        return any(vec) and (not basis or list(vec) > basis[-1])
-
     out = _column_search(
         f,
         [[0] * k for _ in range(k)],
@@ -703,8 +683,6 @@ def metabolic_search(
         node_budget,
         lambda basis: _saturate_if_needed(f, basis),
         "lagrangian with coordinates",
-        increasing,
-        normalize=True,
     )
     assert not out.found or lagrangian_verify(f, out.witness)
     return out
@@ -770,7 +748,7 @@ def _saturate_if_needed(
     sat = tuple(
         tuple(s.uinv[i][j] for i in range(f.rank)) for j in range(len(vecs))
     )
-    if all(mu_eval(f, v).is_zero for v in sat) and lagrangian_verify(f, sat):
+    if lagrangian_verify(f, sat):
         return sat
     return None
 
@@ -798,7 +776,7 @@ def embedding_search(
     certificate: the search runs.
     """
     if eta.parameter != target.parameter:
-        return SearchOutcome("no", reason="different form parameters")
+        return SearchOutcome("no", reason="different form parameters", bound=bound)
     if eta.rank > target.rank:
         return SearchOutcome(
             "no", bound=bound, reason="source rank exceeds target rank"
@@ -968,7 +946,6 @@ def _primitive_isotropic(
         g, [[0]], [g.parameter.carrier.zero()], bound, node_budget,
         lambda cols: (tuple(cols[0]),) if _intmat.vec_gcd(cols[0]) == 1 else None,
         "primitive isotropic vector",
-        normalize=True,
     )
     return list(out.witness[0]) if out.found else None
 

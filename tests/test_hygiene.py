@@ -249,12 +249,12 @@ def test_formparam_reads_lifts_off_the_section():
     assert solver_calls((SRC / "formparam.py").read_text()) == []
 
 
-def splitting_constructions(source: str):
-    """{top-level function: number of `MaximalSplitting(...)` calls in it}."""
+def constructions(source: str, cls: str):
+    """{top-level function: number of `cls(...)` calls in it}."""
     return {
         node.name: sum(
             isinstance(call, ast.Call)
-            and getattr(call.func, "id", None) == "MaximalSplitting"
+            and getattr(call.func, "id", None) == cls
             for call in ast.walk(node)
         )
         for node in ast.parse(source).body
@@ -269,14 +269,21 @@ def test_splitting_constructions_detected():
         "def b(p):\n    return MaximalSplitting(p)\n"
         "def c():\n    return MaximalSplitting\n"
     )
-    assert splitting_constructions(src) == {"a": 2, "b": 1, "c": 0}
+    assert constructions(src, "MaximalSplitting") == {"a": 2, "b": 1, "c": 0}
+    assert constructions(src, "QForm") == {"a": 0, "b": 0, "c": 0}
 
 
 def test_each_splitting_case_shares_one_tail():
     # every case picks its kind, head generator and complement, then builds
     # the splitting in one place
-    found = splitting_constructions((SRC / "formparam.py").read_text())
+    found = constructions((SRC / "formparam.py").read_text(), "MaximalSplitting")
     assert found["_split_symmetric"] == found["_split_antisymmetric"] == 1
+
+
+def test_search_driver_builds_no_form():
+    # a block's plan is the target's column constraints restricted to the
+    # block's coordinates, not a form of its own
+    assert constructions((SRC / "qform.py").read_text(), "QForm")["_column_search"] == 0
 
 
 STANDARD_KINDS = {"Q+", "Q^+", "ZP", "ZP_k", "Q-", "Q^-", "ZL_k"}

@@ -290,6 +290,38 @@ def test_characteristic_check():
     assert not qf.characteristic_check(one_form, zero1)
 
 
+def test_characteristic_check_matches_every_vector_of_the_cube():
+    """The basis check against lambda(x, x) = c(x) mod 2 for every x in
+    {0, 1}^k, on seeded forms (singular ones too) and maps into Z, into
+    even and odd cyclic groups and into the trivial group."""
+    params = [QP, QPLUS, standard("ZP_2"), split_sum(QP, FinAbGroup((3,)))]
+    rng = random.Random(1301)
+    seen = set()
+    for i in range(80):
+        f = random_nonsingular_form(rng, params[i % len(params)], max_rank=4)
+        k = f.rank
+        if i % 3 == 0:
+            f = qf.pullback(f, [[rng.randint(-1, 1) for _ in range(k)] for _ in range(k)])
+        orders = rng.choice([(), (0,), (2,), (3,), (4,), (6,)])
+        target = FinAbGroup(orders)
+        c = AbHom.from_columns(
+            FinAbGroup((0,) * k), target,
+            [target.element([rng.randint(-3, 3) for _ in orders]) for _ in range(k)],
+        )
+
+        def c2(x):
+            if not orders or orders[0] % 2:
+                return 0  # C/2C is trivial
+            return c(c.source.element(x)).coords[0] % 2
+
+        expect = all(
+            f.lam(x, x) % 2 == c2(x) for x in itertools.product((0, 1), repeat=k)
+        )
+        assert qf.characteristic_check(f, c) == expect, (i, f, c)
+        seen.add(expect)
+    assert seen == {True, False}
+
+
 def test_lagrangian_verify():
     h = qf.hyperbolic(QP, 2)
     assert qf.lagrangian_verify(h, [[1, 0, 0, 0], [0, 1, 0, 0]])
@@ -298,6 +330,23 @@ def test_lagrangian_verify():
     assert not qf.lagrangian_verify(h, [[1, 0, 0, 0]])
     # mu must vanish: the Arf form has lambda-isotropic lines but no lagrangian
     assert not qf.lagrangian_verify(arf1(), [[1, 0]])
+
+
+def test_shape_errors_are_value_errors():
+    h = qf.hyperbolic(QP, 1)
+    # one row for a rank-2 form
+    with pytest.raises(ValueError, match="one row per basis vector"):
+        qf.pullback(h, [[1, 0]])
+    with pytest.raises(ValueError, match="one row per basis vector"):
+        qf.pullback(h, [[1], [0], [0]])
+    # rows with no columns give the rank-0 form
+    assert qf.pullback(h, [[], []]) == qf.QForm(QP, [], [])
+    assert qf.pullback(qf.QForm(QP, [], []), []).rank == 0
+    # a vector shorter or longer than the rank
+    with pytest.raises(ValueError, match="vector length"):
+        qf.lagrangian_verify(h, [[1]])
+    with pytest.raises(ValueError, match="vector length"):
+        qf.lagrangian_verify(h, [[1, 0, 0]])
 
 
 def test_metabolic_search_spec_cases():
@@ -337,6 +386,10 @@ def test_isometry():
     h = qf.hyperbolic(QP, 1)
     assert qf.isometry_verify(h, h, [[1, 0], [0, 1]])
     assert qf.isometry_verify(h, h, [[0, 1], [1, 0]])
+    # the one isometry of the rank-0 form is the empty matrix
+    zero = qf.QForm(QP, [], [])
+    assert qf.isometry_verify(zero, zero, [])
+    assert not qf.isometry_verify(zero, zero, [[5]])
     f = unit_form()
     assert qf.isometry_search(f, f, bound=2).found
     assert qf.isometry_search(f, qf.negate(f), bound=3).status != "found"
@@ -450,6 +503,16 @@ def test_embedding_search():
     anisotropic = qf.direct_sum(definite, unit_form(-3))
     out = qf.embedding_search(eta, anisotropic, bound=3)
     assert out.status == "unknown" and "within the bound" in out.reason
+
+
+def test_embedding_joins_forms_over_one_parameter():
+    # H over Q+ and H over Q^+ have one lambda and zero mu values on one
+    # carrier, Z, but no morphism of Q-forms joins two parameters
+    src = qf.hyperbolic(QPLUS, 1)
+    target = qf.hyperbolic(QP, 1)
+    qf.Embedding(target, target, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="pull the form back"):
+        qf.Embedding(src, target, ((1, 0), (0, 1)))
 
 
 def test_embedding_search_rank_certificate(monkeypatch):
@@ -581,13 +644,29 @@ def test_search_skips_blocks_too_small_for_independent_columns(monkeypatch):
 
 
 def test_embedding_search_passes_rank_deficient_tuples():
-    # the search meets (c, c) first, c = (-1, -1, -1, 1); independent
-    # columns such as e1, e2 come later and embed the zero form
+    # the zero form: the symmetry cuts take distinct non-zero columns only
     zero = qf.QForm(QP, [[0, 0], [0, 0]], [QP.carrier.zero()] * 2)
     target = qf.hyperbolic(QP, 2)
     out = qf.embedding_search(zero, target, bound=1)
     assert out.found
     qf.Embedding(zero, target, out.witness)
+    # lambda = [[1, 1], [1, 1]] into <1> + H: the search meets (c, c) first,
+    # c = (-1, -1, 0), and goes on to independent columns
+    eta = qf.QForm(QP, [[1, 1], [1, 1]], [QP.carrier.element((1,))] * 2)
+    target = qf.direct_sum(unit_form(1), qf.hyperbolic(QP, 1))
+    tuples = []
+
+    def injective(cols):
+        tuples.append([tuple(c) for c in cols])
+        mat = _intmat.transpose(cols)
+        return tuple(map(tuple, mat)) if _intmat.rank(mat) == 2 else None
+
+    out = qf._column_search(
+        target, eta.lambda_matrix, eta.mu_basis, 1, 10**6, injective, "embedding"
+    )
+    assert tuples[0] == [(-1, -1, 0)] * 2 and len(tuples) > 1
+    assert out.found and out == qf.embedding_search(eta, target, bound=1)
+    qf.Embedding(eta, target, out.witness)
 
 
 def test_embedding_search_root_certificate():
@@ -697,6 +776,51 @@ def _a2():
     return qf.QForm(QP, [[2, 1], [1, 2]], [QP.carrier.element((2,))] * 2)
 
 
+def test_block_constraints_are_restrictions_of_the_targets():
+    """Each block's column constraints, as the driver restricts them from
+    the target's, against `_column_constraints` of the block as a form of
+    its own; a block whose own constraints fail has a restricted one that
+    `search.unsolvable` rejects."""
+    from qwitt import search
+
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+    ]
+    rng = random.Random(1303)
+    kinds = set()
+    for i in range(60):
+        p = params[i % len(params)]
+        parts = [random_nonsingular_form(rng, p, max_rank=3) for _ in range(rng.randint(2, 3))]
+        target = parts[0]
+        for part in parts[1:]:
+            target = qf.direct_sum(target, part)
+        if i % 2:
+            k = rng.choice([1, 2])
+            m = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(target.rank)]
+            eta = qf.pullback(target, m)
+        else:
+            q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
+            eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+        lam, mus = eta.lambda_matrix, eta.mu_basis
+        fixed, certificate = qf._column_constraints(target, lam, mus)
+        if certificate:
+            continue
+        for idx in qf._orthogonal_blocks(target.lambda_matrix):
+            block = qf.QForm(
+                p,
+                [[target.lambda_matrix[i][j] for j in idx] for i in idx],
+                [target.mu_basis[i] for i in idx],
+            )
+            want, unsolvable = qf._column_constraints(block, lam, mus)
+            got = [[qf._restrict(c, idx) for c in cons] for cons in fixed]
+            if unsolvable:
+                assert any(search.unsolvable(c) for cons in got for c in cons), (i, idx)
+            else:
+                assert got == want, (i, idx)
+            kinds.add(bool(unsolvable))
+    assert kinds == {True, False}
+
+
 def test_search_takes_each_distinct_block_first(monkeypatch):
     # lambda(x, x) = 14 on A2 + A2: x^2 + xy + y^2 = 7 in one block, at
     # (2, 1) and no smaller; two blocks at box 1 reach at most 3 + 3
@@ -740,6 +864,47 @@ def test_negative_bound_is_refused():
         qf.isometry_search(h2, h2, bound=-1)
     with pytest.raises(ValueError, match="negative"):
         qf.embedding_search(h2, h2, bound=-1)
+    # and where a certificate answers before the driver
+    with pytest.raises(ValueError, match="negative"):
+        qf.metabolic_search(unit_form(), bound=-1)  # odd rank
+    with pytest.raises(ValueError, match="negative"):
+        qf.isometry_search(h2, qf.direct_sum(h2, h2), bound=-1)  # different ranks
+    with pytest.raises(ValueError, match="negative"):
+        qf.embedding_search(qf.direct_sum(h2, h2), h2, bound=-1)  # source rank
+    with pytest.raises(ValueError, match="negative"):
+        qf.SearchOutcome("unknown", bound=-1)
+
+
+def test_each_certificate_records_the_bound():
+    h, hm = qf.hyperbolic(QP, 1), qf.hyperbolic(QM, 1)
+    two = qf.direct_sum(unit_form(1), unit_form(1))
+    singular = qf.QForm(QM, [[0, 0], [0, 0]], [QM.carrier.zero()] * 2)
+    odd = qf.QForm(QP, [[0, 1], [1, 1]], [QP.carrier.zero(), QP.carrier.element((1,))])
+    runs = [
+        ("odd rank", lambda b: qf.metabolic_search(unit_form(), bound=b)),
+        ("non-zero Witt class", lambda b: qf.metabolic_search(two, bound=b)),
+        ("different form parameters", lambda b: qf.isometry_search(h, hm, bound=b)),
+        ("different ranks", lambda b: qf.isometry_search(h, qf.direct_sum(h, h), bound=b)),
+        ("different determinants", lambda b: qf.isometry_search(
+            two, qf.direct_sum(unit_form(1), qf.QForm(QP, [[2]], [QP.carrier.element((2,))])), bound=b
+        )),
+        ("different signatures", lambda b: qf.isometry_search(
+            two, qf.direct_sum(unit_form(1), unit_form(-1)), bound=b
+        )),
+        ("different form parameters", lambda b: qf.embedding_search(h, hm, bound=b)),
+        ("source rank exceeds target rank", lambda b: qf.embedding_search(h, unit_form(), bound=b)),
+        ("target inertia (2, 0) lacks the source's (1, 1)",
+         lambda b: qf.embedding_search(h, two, bound=b)),
+        ("equal ranks, singular target", lambda b: qf.embedding_search(hm, singular, bound=b)),
+        ("equal ranks, different Witt classes", lambda b: qf.embedding_search(hm, arf1(), bound=b)),
+        ("column 1: lambda(x, x) = 1 has no integer solution", lambda b: qf.embedding_search(
+            odd, qf.hyperbolic(QP, 2), bound=b
+        )),
+    ]
+    for bound in (0, 2, 5):
+        for reason, run in runs:
+            out = run(bound)
+            assert (out.status, out.reason, out.bound, out.nodes) == ("no", reason, bound, 0), out
 
 
 def _brute_least_entry(target, lam, mus, accept, bound):
@@ -764,6 +929,67 @@ def _brute_least_entry(target, lam, mus, accept, bound):
 
 def _entry_bound(vectors) -> int:
     return max((abs(x) for v in vectors for x in v), default=0)
+
+
+def test_zero_source_searches_have_least_entry_bound():
+    """A zero source (lambda = 0, mu = 0) switches on the symmetry cuts in
+    embedding_search and isometry_search; lambda = 0 with a non-zero mu
+    value leaves them off.  Against brute force at bound 2: a witness is
+    found exactly when the box holds one, at the least entry bound.
+    Targets: seeded forms of rank <= 3, singular pullbacks of them and
+    zero forms with mu values in ker h."""
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+    ]
+    rng = random.Random(1307)
+    # <1> + <-4>: its isotropic vectors need an entry 2; <0> with mu = g of
+    # order 3: mu(x) = -g at x = -1 only, in the box of bound 1
+    g3 = params[3].carrier.gens()[-1]
+    targets = [
+        qf.direct_sum(unit_form(1), qf.QForm(QP, [[-4]], [QP.carrier.element((-4,))])),
+        qf.QForm(params[3], [[0]], [g3]),
+    ]
+    for i in range(45):
+        p = params[i % len(params)]
+        f = random_nonsingular_form(rng, p, max_rank=3)
+        if i % 3 == 1:
+            m = [[rng.randint(-2, 2) for _ in range(f.rank)] for _ in range(f.rank)]
+            f = qf.pullback(f, m)
+        elif i % 3 == 2:
+            kernel = [m for m in [p.carrier.zero(), p.p_one] + p.carrier.gens() if p.h_of(m) == 0]
+            n = rng.randint(1, 3)
+            f = qf.QForm(p, [[0] * n for _ in range(n)], [rng.choice(kernel) for _ in range(n)])
+        if f.rank:
+            targets.append(f)
+    seen = set()
+    for target in targets:
+        p = target.parameter
+        kernel = [m for m in [p.carrier.zero(), p.p_one] + p.carrier.gens() if p.h_of(m) == 0]
+        for k in range(1, min(target.rank, 2) + 1):
+            mus = [p.carrier.zero()] * k
+            if target is targets[1]:
+                mus[-1] = -g3
+            elif len(kernel) > 1 and rng.random() < 0.5:
+                mus[-1] = rng.choice([1, -1]) * rng.choice(kernel[1:])
+            zero = qf.QForm(p, [[0] * k for _ in range(k)], mus)
+            if k == target.rank:
+                out = qf.isometry_search(zero, target, bound=2, node_budget=10**6)
+                accept = lambda cols: _intmat.determinant(_intmat.transpose(cols)) in (1, -1)
+            else:
+                out = qf.embedding_search(zero, target, bound=2, node_budget=10**6)
+                accept = lambda cols, k=k: _intmat.rank(_intmat.transpose(cols)) == k
+            best = _brute_least_entry(target, zero.lambda_matrix, zero.mu_basis, accept, 2)
+            assert out.reason != qf.BUDGET_EXHAUSTED
+            if out.found:
+                assert _entry_bound(out.witness) == best, (target, k, out)
+            else:
+                assert best is None, (target, k, out)
+            mixed = any(m != mus[0] for m in mus)
+            seen.add((k == target.rank, mixed, out.status, best))
+    assert {
+        (False, False, "found", 1), (False, False, "found", 2), (False, False, "unknown", None),
+        (True, False, "found", 1), (True, False, "no", None), (False, True, "found", 1),
+    } <= seen, seen
 
 
 def test_found_witness_has_least_entry_bound():
