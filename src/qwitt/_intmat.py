@@ -297,3 +297,7 @@ def vec_gcd(v: Sequence[int]) -> int:
     for x in v:
         g = gcd(g, x)
     return g
+
+
+def _binom2(n: int) -> int:
+    return n * (n - 1) // 2

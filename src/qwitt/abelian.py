@@ -36,6 +36,7 @@ __all__ = [
     "subgroup_equal",
     "tensor",
     "tensor_with_generators",
+    "tensor_map",
     "direct_sum",
     "least_preimage_of_one",
     "split_off_hom_summand",
@@ -581,6 +582,21 @@ def tensor_with_generators(
         for n in g.orders
     ]
     return grp, genmap
+
+
+def tensor_map(f: AbHom, g: AbHom) -> AbHom:
+    """f (x) g between the groups of tensor_with_generators: the generator
+    of a_i (x) b_j goes to f(a_i) (x) g(b_j)."""
+    src, src_gen = tensor_with_generators(f.source, g.source)
+    dst, dst_gen = tensor_with_generators(f.target, g.target)
+    pairs = [x for row in dst_gen for x in row]
+    cols = [
+        dst.combination([c1 * c2 for c1 in fi.coords for c2 in gj.coords], pairs)
+        for fi, row in zip(f.columns(), src_gen)
+        for gj, gen in zip(g.columns(), row)
+        if not gen.is_zero
+    ]
+    return AbHom.from_columns(src, dst, cols)
 
 
 # -- summand splitting -------------------------------------------------------

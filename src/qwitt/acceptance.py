@@ -16,6 +16,7 @@ from . import qform as qf
 from . import witt
 from .abelian import FinAbGroup, is_kernel, subgroup, subgroup_equal, tensor
 from .formparam import (
+    _recognise_standard,
     aut_generators,
     quasi_wu,
     split_sum,
@@ -92,8 +93,6 @@ def _table1_orders(kind: str, k, n: int) -> Tuple[int, ...]:
 def criterion_2_table1(rng) -> Tuple[bool, str]:
     """Z_n (x) Q against the closed forms (n <= 16), and the two-variable
     direct-sum decomposition for cyclic pairs of order <= 12."""
-    from .formparam import _recognise_standard
-
     bad = []
     count = 0
     for q in _standard_list():

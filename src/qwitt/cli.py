@@ -191,9 +191,9 @@ def cmd_induced_map(payload, args) -> dict:
     }
 
 
-def _search_result(out: qform.SearchOutcome, key: str, bound: int) -> dict:
+def _search_result(out: qform.SearchOutcome, key: str) -> dict:
     """The verdict of a bounded search, with its witness under key."""
-    res = {"status": out.status, "reason": out.reason, "bound": bound}
+    res = {"status": out.status, "reason": out.reason, "bound": out.bound}
     if out.found:
         res[key] = [list(v) for v in out.witness]
     return res
@@ -203,7 +203,7 @@ def cmd_metabolic(payload, args) -> dict:
     p = _param_of(payload)
     f = parse_form(p, _require(payload, "form"))
     out = qform.metabolic_search(f, bound=args.bound)
-    return _search_result(out, "lagrangian", args.bound)
+    return _search_result(out, "lagrangian")
 
 
 def cmd_isometric(payload, args) -> dict:
@@ -211,7 +211,7 @@ def cmd_isometric(payload, args) -> dict:
     f = parse_form(p, _require(payload, "form1"))
     g = parse_form(p, _require(payload, "form2"))
     out = qform.isometry_search(f, g, bound=args.bound)
-    return _search_result(out, "matrix", args.bound)
+    return _search_result(out, "matrix")
 
 
 def cmd_absorbing(payload, args) -> dict:
@@ -244,7 +244,7 @@ def cmd_embed_search(payload, args) -> dict:
     f = parse_form(p, _require(payload, "form"))
     eta = parse_form(p, _require(payload, "eta"))
     out = qform.embedding_search(eta, f, bound=args.bound)
-    return _search_result(out, "matrix", args.bound)
+    return _search_result(out, "matrix")
 
 
 def cmd_verify_suite(payload, args) -> dict:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat, search
+from ._intmat import _binom2
 from .abelian import AbHom, FinAbGroup, GroupElement
 from .formparam import (
-    FormParameter, FPMorphism, linearisation, terminal_morphism
+    FormParameter, FPMorphism, linearisation, standard, terminal_morphism
 )
 
 __all__ = [
@@ -179,10 +180,6 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _binom2(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def mu_eval(f: QForm, x: Sequence[int]) -> GroupElement:
     """mu at an arbitrary vector, by the scalar and addition rules:
     mu(sum_i x_i b_i) = sum_i x_i mu(b_i) + p(s), with
@@ -222,6 +219,8 @@ def pullback(f: QForm, basis: Sequence[Sequence[int]]) -> QForm:
     """Pull back along the map sending new basis vector j to column j."""
     if len(basis) != f.rank:
         raise ValueError("basis needs one row per basis vector of the form")
+    if len({len(row) for row in basis}) > 1:
+        raise ValueError("basis rows differ in length")
     cols = [list(c) for c in zip(*basis)]
     k = len(cols)
     mat = [
@@ -709,7 +708,6 @@ def _arf_lift_obstruction(f: QForm) -> str:
     lagrangian of f would be a lagrangian of the lift, so Arf = 1 rules
     metabolicity out.
     """
-    from .formparam import standard
     from . import witt
 
     q = f.parameter

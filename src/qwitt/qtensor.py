@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
+from ._intmat import _binom2
 from .abelian import (
     AbHom,
     FinAbGroup,
@@ -30,6 +31,7 @@ from .abelian import (
     hom_sum,
     is_kernel,
     quotient_with_lift,
+    tensor_map,
     tensor_with_generators,
 )
 from .formparam import (
@@ -41,7 +43,6 @@ from .formparam import (
     standard,
     terminal_morphism,
 )
-from .qform import _binom2
 
 __all__ = [
     "TensorPresentation",
@@ -214,31 +215,10 @@ def induced_map(f: AbHom, alpha: FPMorphism) -> AbHom:
 # -- exact sequence / square checks ------------------------------------------
 
 
-def _plain_tensor_map(
-    src_pair, dst_pair, f: AbHom, g: AbHom
-) -> AbHom:
-    """f (x) g between ordinary tensor products with generator bookkeeping."""
-    (src_grp, src_gen) = src_pair
-    (dst_grp, dst_gen) = dst_pair
-    # the generator of the source factor a_i (x) b_j goes to f(a_i) (x) g(b_j)
-    pairs = [x for row in dst_gen for x in row]
-    cols = []
-    for i, a_i in enumerate(f.source.gens()):
-        fi = f(a_i)
-        for j, b_j in enumerate(g.source.gens()):
-            if src_gen[i][j].is_zero:
-                continue
-            gj = g(b_j)
-            cols.append(dst_grp.combination(
-                [c1 * c2 for c1 in fi.coords for c2 in gj.coords], pairs
-            ))
-    return AbHom.from_columns(src_grp, dst_grp, cols)
-
-
-def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
+def _to_linear_tensor(pres: TensorPresentation) -> AbHom:
     """G (x) Q -> G (x) SQ, killing brackets and projecting q-slots."""
-    sq_grp, sq_gen = sq_pair
-    _, proj, _ = linearisation(pres.q)
+    sq, proj, _ = linearisation(pres.q)
+    sq_grp, sq_gen = tensor_with_generators(pres.g, sq)
     sym_images = []
     for kind, i, j in pres.symbols:
         if kind == "b":
@@ -249,9 +229,9 @@ def _to_linear_tensor(pres: TensorPresentation, sq_pair) -> AbHom:
     return pres.hom(sym_images, sq_grp)
 
 
-def _from_plain_tensor(pair, pres: TensorPresentation) -> AbHom:
+def _from_plain_tensor(pres: TensorPresentation) -> AbHom:
     """G (x) Q_e -> G (x) Q on the simple symbols."""
-    grp, gen = pair
+    grp, gen = tensor_with_generators(pres.g, pres.q.carrier)
     cols = [
         pres.basis_map[pres.index("s", i, j)]
         for i in range(pres.g.ngens)
@@ -274,21 +254,15 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
     pres = present(g, q)
     report = {"symmetric": q.is_symmetric, "group": pres.group.orders}
     if q.is_symmetric:
-        gamma_pres = present(g, standard("Q^+"))
-        sq, _, _ = linearisation(q)
-        gsq = tensor_with_generators(g, sq)
-        gz2 = tensor_with_generators(g, FinAbGroup((2,)))
         j1 = induced_map(AbHom.identity(g), initial_morphism(q))
-        pi1 = _to_linear_tensor(pres, gsq)
+        pi1 = _to_linear_tensor(pres)
         report["row_exact_left"] = j1.is_injective()
         report["row_exact_middle"] = is_kernel(pi1, j1.columns())
         report["row_exact_right"] = pi1.is_surjective()
         # comparison square
         to_gamma = induced_map(AbHom.identity(g), terminal_morphism(q))
-        pi2 = _to_linear_tensor(gamma_pres, gz2)
-        sq_to_z2 = _plain_tensor_map(
-            gsq, gz2, AbHom.identity(g), quasi_wu(q).v
-        )
+        pi2 = _to_linear_tensor(present(g, standard("Q^+")))
+        sq_to_z2 = tensor_map(AbHom.identity(g), quasi_wu(q).v)
         comm = sq_to_z2.compose(pi1).matrix == pi2.compose(to_gamma).matrix
         report["square_commutes"] = comm
         # pullback: (to_gamma, pi1) is injective onto the fiber product
@@ -298,23 +272,17 @@ def check_sequences(g: FinAbGroup, q: FormParameter) -> dict:
             diff, cmp_map.columns()
         )
     else:
-        qe_pair = tensor_with_generators(g, q.carrier)
-        lam1_pres = present(g, standard("Q-"))
-        gz2 = tensor_with_generators(g, FinAbGroup((2,)))
-        inc = _from_plain_tensor(qe_pair, pres)
+        inc = _from_plain_tensor(pres)
         to_lam = induced_map(AbHom.identity(g), terminal_morphism(q))
         report["row_exact_left"] = inc.is_injective()
         report["row_exact_middle"] = is_kernel(to_lam, inc.columns())
         report["row_exact_right"] = to_lam.is_surjective()
-        # pushout square: G(x)Z2 -> Lambda1(G), G(x)Z2 -> G(x)Q_e
-        top = _from_plain_tensor(
-            gz2, lam1_pres
-        )  # g (x) 1 -> g (x) e over Q-
-        v_hom = AbHom.from_columns(
-            FinAbGroup((2,)), q.carrier, [q.p_one]
-        )
-        left = _plain_tensor_map(gz2, qe_pair, AbHom.identity(g), v_hom)
-        right = induced_map(AbHom.identity(g), initial_morphism(q))
+        # pushout square: G(x)Z2 -> Lambda1(G), g (x) 1 -> g (x) e over Q-,
+        # and G(x)Z2 -> G(x)Q_e
+        top = _from_plain_tensor(present(g, standard("Q-")))
+        alpha = initial_morphism(q)
+        left = tensor_map(AbHom.identity(g), alpha.map)
+        right = induced_map(AbHom.identity(g), alpha)
         comm = (
             right.compose(top).matrix == inc.compose(left).matrix
         )

@@ -10,7 +10,7 @@ import random
 from math import gcd
 from typing import List, Optional
 
-from . import _intmat
+from . import _intmat, witt
 from .abelian import AbHom, FinAbGroup
 from .formparam import (
     FormParameter,
@@ -153,8 +153,6 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 6) -> List[List[int
 
 
 def _block_pool(p: FormParameter) -> List[QForm]:
-    from . import witt
-
     pool = [hyperbolic(p, 1)]
     fm = full_metabolic(p)
     if fm.rank <= 4:

@@ -27,12 +27,11 @@ from .abelian import (
     GroupElement,
     is_kernel,
     kernel,
-    kernel_generators,
     least_preimage_of_one,
     member_solver,
     quotient_with_lift,
     subgroup,
-    subgroup_equal,
+    tensor_map,
     tensor_with_generators,
 )
 from .formparam import (
@@ -122,8 +121,7 @@ def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
             )
         step = 2 ** (k + 1) if k else 0
         omega = [w + step * s for w, s in zip(omega, shift)]
-    omega_hat = _intmat.solve(f.lambda_matrix, omega)
-    assert omega_hat is not None
+    omega_hat = _intmat.mat_vec(_intmat.unimodular_inverse(f.lambda_matrix), omega)
     osq = sum(a * b for a, b in zip(omega_hat, omega))
     sig = signature_of_matrix(f.lambda_matrix)
     if (sig - osq) % 8:
@@ -510,14 +508,12 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
 
 @dataclass(frozen=True)
 class LambdaQuotient:
-    """K(v') and Lambda(v') = (Z2 + Lambda1(A)) / K(v')."""
+    """Generators of K(v') and Lambda(v') = (Z2 + Lambda1(A)) / K(v')."""
 
     v: CosliceHom
     ambient: FinAbGroup
     pres: TensorPresentation
     k_generators: Tuple[GroupElement, ...]
-    k_group: FinAbGroup
-    k_inclusion: AbHom
     group: FinAbGroup
     projection: AbHom
 
@@ -536,11 +532,8 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
     kgens = [emb(1, pres.bracket(v1, v1, 1))]
     for x in a.gens():
         kgens.append(emb(0, pres.bracket(x, x, 1) + pres.bracket(x, v1, 1)))
-    kgrp, kincl = subgroup(ambient, kgens)
     lam, proj, _ = quotient_with_lift(kgens, ambient)
-    return LambdaQuotient(
-        v, ambient, pres, tuple(kgens), kgrp, kincl, lam, proj
-    )
+    return LambdaQuotient(v, ambient, pres, tuple(kgens), lam, proj)
 
 
 def es_witt(f: QForm) -> GroupElement:
@@ -709,11 +702,10 @@ def sigma_diagram(v: SliceHom) -> dict:
         u_v(x) == img for x, img in zip(pres.basis_map, u_images)
     )
 
-    # v_2 and its kernel
-    ker_v2 = kernel_generators(_v2_hom(v, az2, az2_gen))
-
+    # v_2 = v (x) Id_Z2: A (x) Z2 -> Z2
+    v2 = tensor_map(v.v, AbHom.identity(Z2))
     report["phi_is_kernel_of_u"] = is_kernel(u_v, phi_gens)
-    report["u_image_is_ker_v2"] = subgroup_equal(az2, u_v.columns(), ker_v2)
+    report["u_image_is_ker_v2"] = is_kernel(v2, u_v.columns())
 
     # C(v) and Upsilon(v), with a preimage of each of their generators
     if v.is_zero:
@@ -793,7 +785,11 @@ def sigma_diagram(v: SliceHom) -> dict:
         ut_cols = [u_v(z) for z in ups_lifts]
     ut = AbHom.from_columns(ups, az2, ut_cols)
     c_to_ups = AbHom.from_columns(c_grp, ups, c_to_ups_cols)
-    report["col_right_exact"] = _exact_three(c_to_ups, ut, ker_v2)
+    report["col_right_exact"] = (
+        c_to_ups.is_injective()
+        and is_kernel(ut, c_to_ups.columns())
+        and is_kernel(v2, ut.columns())
+    )
     report["ok"] = _all_checks_pass(report)
     return report
 
@@ -803,26 +799,6 @@ def _all_checks_pass(report: dict) -> bool:
     return all(
         val for key, val in report.items() if isinstance(val, bool) and key != "v_zero"
     )
-
-
-def _v2_hom(v: SliceHom, az2: FinAbGroup, az2_gen) -> AbHom:
-    """v (x) Id_Z2 : A (x) Z2 -> Z2 via the generator bookkeeping."""
-    cols = [
-        v.v(x) for x, gen in zip(v.domain.gens(), az2_gen) if not gen[0].is_zero
-    ]
-    return AbHom.from_columns(az2, v.v.target, cols)
-
-
-def _exact_three(
-    fin: AbHom, fmid: AbHom, right_gens: Sequence[GroupElement]
-) -> bool:
-    """0 -> A -> B -> C -> 0 exactness where C arrives as generators of a
-    subgroup of the target of fmid."""
-    if not fin.is_injective():
-        return False
-    if not is_kernel(fmid, fin.columns()):
-        return False
-    return subgroup_equal(fmid.target, fmid.columns(), right_gens)
 
 
 def lambda_diagram(v: CosliceHom) -> dict:
@@ -864,14 +840,14 @@ def lambda_diagram(v: CosliceHom) -> dict:
 
     # left column: Coker(v'_2) -> K(v') -> Z2
     az2, az2_gen = tensor_with_generators(a, Z2)
-    v2_img = az2.combination(v.v_one.coords, [gen[0] for gen in az2_gen])
-    cok, _, cok_lifts = quotient_with_lift([v2_img], az2)
+    v2 = tensor_map(AbHom.from_columns(Z2, a, [v.v_one]), AbHom.identity(Z2))
+    cok, _, cok_lifts = quotient_with_lift(v2.columns(), az2)
     e_hom = AbHom.from_columns(
         az2, amb, [e for e, gen in zip(e_gens, az2_gen) if not gen[0].is_zero]
     )
     uprime = AbHom.from_columns(cok, amb, [e_hom(x) for x in cok_lifts])
     # r: K -> Z2, first coordinate; build on K's canonical generators
-    kgrp, kincl = lq.k_group, lq.k_inclusion
+    kgrp, kincl = subgroup(amb, lq.k_generators)
     r = AbHom.from_columns(
         kgrp,
         Z2,

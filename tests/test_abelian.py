@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from qwitt.abelian import (
     subgroup,
     subgroup_equal,
     tensor,
+    tensor_map,
     tensor_with_generators,
 )
 
@@ -287,6 +289,41 @@ def test_tensor(monkeypatch):
     # generator images generate
     flat = [genmap[i][j] for i in range(2) for j in range(1)]
     assert subgroup(grp, flat)[0].is_isomorphic(grp)
+
+
+def _seeded_hom(rng, a, b):
+    """A homomorphism a -> b: row m, column n is a random multiple of the
+    least entry that n kills modulo m (any entry when n = 0)."""
+
+    def step(n, m):
+        if n == 0:
+            return 1
+        return m // gcd(n, m) if m else 0
+
+    return AbHom(
+        a, b, [[rng.randint(-3, 3) * step(n, m) for n in a.orders] for m in b.orders]
+    )
+
+
+def test_tensor_map_respects_identities_and_composition():
+    # Z --3--> Z on Z (x) Z4 = Z4, and Z4 ->> Z2 on Z4 (x) Z6 = Z2
+    triple = AbHom(Z, Z, [[3]])
+    assert tensor_map(triple, AbHom.identity(FinAbGroup((4,)))).matrix == ((3,),)
+    halve = AbHom(FinAbGroup((4,)), Z2, [[1]])
+    assert tensor_map(halve, AbHom.identity(FinAbGroup((6,)))).matrix == ((1,),)
+    groups = [TRIVIAL, Z, Z2, FinAbGroup((4,)), FinAbGroup((2, 6)), FinAbGroup((0, 3))]
+    for a in groups:
+        for b in groups:
+            ab, _ = tensor_with_generators(a, b)
+            assert tensor_map(AbHom.identity(a), AbHom.identity(b)) == AbHom.identity(ab)
+    rng = random.Random(23)
+    for _ in range(80):
+        a1, a2, a3, b1, b2, b3 = (rng.choice(groups) for _ in range(6))
+        f1, f2 = _seeded_hom(rng, a1, a2), _seeded_hom(rng, a2, a3)
+        g1, g2 = _seeded_hom(rng, b1, b2), _seeded_hom(rng, b2, b3)
+        assert tensor_map(f2.compose(f1), g2.compose(g1)) == tensor_map(f2, g2).compose(
+            tensor_map(f1, g1)
+        )
 
 
 def test_subgroup_membership():

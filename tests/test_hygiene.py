@@ -1,6 +1,7 @@
 """Static checks on the library sources."""
 
 import ast
+import graphlib
 import importlib
 from pathlib import Path
 
@@ -342,6 +343,48 @@ def test_formparam_reads_the_kind_only_in_its_table():
         if r[1] not in ("_kind_data", "standard_morphism")
     ]
     assert not found, found
+
+
+def package_imports(source: str):
+    """(module, at top level) for each package module a relative import
+    names: `from . import a, b` names a and b, `from .a import x` names a."""
+    tree = ast.parse(source)
+    top = set(map(id, tree.body))
+    return sorted(
+        (mod, id(node) in top)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for mod in ([node.module] if node.module else [a.name for a in node.names])
+    )
+
+
+def test_package_imports_detected():
+    src = (
+        "from __future__ import annotations\nimport os\n"
+        "from . import _intmat, search\nfrom .abelian import AbHom\n"
+        "def f():\n    from . import witt\n    from .formparam import standard\n"
+    )
+    assert package_imports(src) == [
+        ("_intmat", True), ("abelian", True), ("formparam", False), ("search", True), ("witt", False),
+    ]
+
+
+def test_package_import_graph_has_no_cycle():
+    # a module imports another inside a function only where a top-level
+    # import would close a cycle (qform needs witt, which imports qform) or
+    # where a verb should not pay for it (the CLI loads the acceptance
+    # suite for verify-suite only)
+    graph, local = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        graph[path.stem] = set()
+        for mod, at_top in package_imports(path.read_text()):
+            if at_top:
+                graph[path.stem].add(mod)
+            else:
+                local.add((path.stem, mod))
+    assert graph["qtensor"] and graph["witt"]
+    assert local <= {("qform", "witt"), ("cli", "acceptance")}, local
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"

@@ -349,6 +349,13 @@ def test_shape_errors_are_value_errors():
         qf.lagrangian_verify(h, [[1, 0, 0]])
 
 
+def test_pullback_refuses_a_ragged_basis():
+    h = qf.hyperbolic(QP, 1)
+    for basis in ([[1, 0], [0]], [[1], [0, 1]], [[], [1]]):
+        with pytest.raises(ValueError, match="rows differ in length"):
+            qf.pullback(h, basis)
+
+
 def test_metabolic_search_spec_cases():
     assert qf.metabolic_search(qf.hyperbolic(QM, 1), bound=2).found
     v = qf.metabolic_search(arf1(), bound=5)
@@ -897,6 +904,10 @@ def test_each_certificate_records_the_bound():
          lambda b: qf.embedding_search(h, two, bound=b)),
         ("equal ranks, singular target", lambda b: qf.embedding_search(hm, singular, bound=b)),
         ("equal ranks, different Witt classes", lambda b: qf.embedding_search(hm, arf1(), bound=b)),
+        # W_0(ZL_2) = 0, so only the lift to Q- sees the Arf invariant
+        ("Arf invariant 1 of the quadratic lift", lambda b: qf.metabolic_search(
+            qf.pushforward(arf1(), standard_morphism("Q-", "ZL_2")), bound=b
+        )),
         ("column 1: lambda(x, x) = 1 has no integer solution", lambda b: qf.embedding_search(
             odd, qf.hyperbolic(QP, 2), bound=b
         )),
@@ -1059,15 +1070,20 @@ def test_found_witness_on_orthogonal_sums_has_least_entry_bound():
     rng = random.Random(929)
     bound, budget = 2, 10**6
     one = unit_form(1)
-    # lambda(x, x) = 2 on <1> + <1> is (±1, ±1) only: it fits no block
-    cases = [(qf.QForm(QP, [[2]], [QP.carrier.element((2,))]), qf.direct_sum(one, one))]
+    # lambda(x, x) = 2 on <1> + <1> is (±1, ±1) only: it fits no block;
+    # lambda(x, x) = 4 is (±2, 0) or (0, ±2) only: it fits one block
+    cases = [
+        (qf.QForm(QP, [[2]], [QP.carrier.element((2,))]), qf.direct_sum(one, one)),
+        (qf.QForm(QP, [[4]], [QP.carrier.element((4,))]), qf.direct_sum(one, one)),
+    ]
     for i in range(30):
         p = params[i % len(params)]
         f = random_nonsingular_form(rng, p, max_rank=2)
         g = f if i % 2 else random_nonsingular_form(rng, p, max_rank=2)
         target = qf.direct_sum(f, g)
         if rng.random() < 0.5:
-            m = [[rng.randint(-2, 2) for _ in range(rng.choice([1, 2]))] for _ in range(target.rank)]
+            width = rng.choice([1, 2])
+            m = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(target.rank)]
             eta = qf.pullback(target, m)
         else:
             q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())

@@ -3,9 +3,9 @@ import random
 import pytest
 
 import qwitt.qform as qf
-from qwitt import witt
+from qwitt import qtensor, witt
 from qwitt._intmat import identity, mat_mul, smith_normal_form
-from qwitt.abelian import FinAbGroup
+from qwitt.abelian import Z2, AbHom, FinAbGroup, subgroup, tensor_with_generators
 from qwitt.formparam import (
     FPMorphism,
     aut_generators,
@@ -405,7 +405,7 @@ def test_sigma_subgroup_examples():
 
 def test_lambda_quotient_examples():
     lq = witt.lambda_quotient(quasi_wu(QM))
-    assert lq.k_group.canonical_orders() == (2,)
+    assert subgroup(lq.ambient, lq.k_generators)[0].canonical_orders() == (2,)
     assert lq.group.canonical_orders() == (2,)
 
     lq = witt.lambda_quotient(quasi_wu(standard("ZL_2")))
@@ -461,6 +461,30 @@ def test_diagram_reports():
     assert r["c_orders"] == (4,)
     r = witt.sigma_diagram(quasi_wu(standard("Q+")))
     assert r["c_orders"] == (8,)
+
+
+def test_diagram_checks_read_the_tensor_map(monkeypatch):
+    """With f (x) g replaced by the zero map where witt and qtensor bind
+    it, each of these reports fails a check that passes with the real map."""
+
+    def reports():
+        return [
+            witt.sigma_diagram(quasi_wu(standard("Q^+"))),
+            witt.lambda_diagram(quasi_wu(QM)),
+            qtensor.check_sequences(Z2, standard("Q^+")),
+            qtensor.check_sequences(Z2, QM),
+        ]
+
+    def zero_map(f, g):
+        return AbHom.zero(
+            tensor_with_generators(f.source, g.source)[0],
+            tensor_with_generators(f.target, g.target)[0],
+        )
+
+    assert all(r["ok"] for r in reports())
+    monkeypatch.setattr(witt, "tensor_map", zero_map)
+    monkeypatch.setattr(qtensor, "tensor_map", zero_map)
+    assert not any(r["ok"] for r in reports())
 
 
 def test_gw():
