@@ -11,7 +11,6 @@ addition and scalar rules, never cached, so equality stays structural.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -412,22 +411,26 @@ def _column_constraints(
     """Each depth's own constraints on target (lambda(x, x) and mu(x)), and
     "" or the certificate that a depth has no integer column at any bound:
     a constraint that `search.unsolvable` rejects, or a non-zero
-    lambda(x, x) on an alternating target."""
-    fixed = []
+    lambda(x, x) on an alternating target.  Depths with the same lam[d][d]
+    and mus[d] share one list, built and checked once."""
+    fixed, built = [], {}
     for d in range(len(mus)):
-        square = _lambda_square_constraint(target, lam[d][d])
-        if square is None:
-            return [], (
-                f"column {d}: lambda(x, x) = {lam[d][d]} has no solution on an "
-                "alternating form"
-            )
-        mu = _mu_constraints(target, mus[d])
-        for name, value, cons in (
-            ("lambda(x, x)", lam[d][d], square), ("mu(x)", mus[d], mu)
-        ):
-            if any(search.unsolvable(c) for c in cons):
-                return [], f"column {d}: {name} = {value} has no integer solution"
-        fixed.append(square + mu)
+        key = (lam[d][d], mus[d].coords)
+        if key not in built:
+            square = _lambda_square_constraint(target, lam[d][d])
+            if square is None:
+                return [], (
+                    f"column {d}: lambda(x, x) = {lam[d][d]} has no solution on an "
+                    "alternating form"
+                )
+            mu = _mu_constraints(target, mus[d])
+            for name, value, cons in (
+                ("lambda(x, x)", lam[d][d], square), ("mu(x)", mus[d], mu)
+            ):
+                if any(search.unsolvable(c) for c in cons):
+                    return [], f"column {d}: {name} = {value} has no integer solution"
+            built[key] = square + mu
+        fixed.append(built[key])
     return fixed, ""
 
 
@@ -515,9 +518,14 @@ def _column_search(
     least entry bound.
 
     The square and mu constraints of each depth are built once, for the
-    whole target; a block's are their restrictions to its coordinates
-    (`_restrict`), and no form is built per block.  The pair row M^t c of
-    a column is built once, when the next column is searched for.
+    whole target, and depths with the same lam[d][d] and mus[d] share them;
+    a block's are their restrictions to its coordinates (`_restrict`), and
+    no form is built per block.  The kernel's set-up of a (block or target,
+    depth) is a `search.Plan`, built when that depth is first searched and
+    shared by every later call at it (and at depths that share its
+    constraints), in every pass.  The pair row M^t c of a column is built
+    once, when the next column is searched for, and each call adds its pair
+    rows lambda(c_j, x) = lam[j][depth] to the depth's plan.
 
     Root certificate: before any kernel call, each depth's own constraints
     (lambda(x, x) and mu(x)) on the whole target go through
@@ -545,7 +553,10 @@ def _column_search(
         return SearchOutcome("no", bound=bound, reason=certificate)
     cut = not any(map(any, lam)) and all(m.is_zero for m in mus)
     # what each pass searches, in turn: every distinct block, then the whole
-    # target, as (basis indices, lambda transposed, each depth's constraints)
+    # target, as (basis indices, lambda transposed, each depth's constraints,
+    # {id of a depth's constraints: their kernel plan, once built}); depths
+    # with the same constraints share one list of them
+    distinct = list({id(cons): cons for cons in fixed}.values())
     mat = target.lambda_matrix
     plans = []
     seen = set()
@@ -560,10 +571,10 @@ def _column_search(
         seen.add(key)
         if len(idx) < least and _intmat.determinant(sub):
             continue
-        block_fixed = [[_restrict(c, idx) for c in cons] for cons in fixed]
-        if not any(search.unsolvable(c) for cons in block_fixed for c in cons):
-            plans.append((idx, _intmat.transpose(sub), block_fixed))
-    plans.append((range(n), _intmat.transpose(mat), fixed))
+        restricted = {id(cons): [_restrict(c, idx) for c in cons] for cons in distinct}
+        if not any(search.unsolvable(c) for cons in restricted.values() for c in cons):
+            plans.append((idx, _intmat.transpose(sub), [restricted[id(cons)] for cons in fixed], {}))
+    plans.append((range(n), _intmat.transpose(mat), fixed, {}))
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
@@ -573,16 +584,18 @@ def _column_search(
         nonlocal nodes, exhausted
         if depth == k:
             return leaf(cols)
-        idx, mt, fixed = plan
+        idx, mt, fixed, prepared = plan
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, [cols[-1][i] for i in idx])]
         else:
             rows.clear()  # a new pass: no column is chosen yet
-        constraints = fixed[depth] + [
-            ((), row, -lam[j][depth], 0) for j, row in enumerate(rows)
-        ]
+        cons = fixed[depth]
+        if id(cons) not in prepared:
+            prepared[id(cons)] = search.Plan(len(idx), cons)
         results, used, done = search.search_vectors(
-            len(idx), constraints, box, 1 << 30, node_budget - nodes, cut
+            len(idx),
+            prepared[id(cons)].with_rows([(row, -lam[j][depth]) for j, row in enumerate(rows)]),
+            box, 1 << 30, node_budget - nodes, cut,
         )
         nodes += used
         exhausted = exhausted and done
@@ -601,9 +614,10 @@ def _column_search(
                 return witness
         return None
 
-    # a rank-0 target has one box, {()}, at every bound: one pass
+    # a rank-0 target has one box, {()}, at every bound: one pass; the
+    # passes are generated one at a time, since bound may be huge
     boxes = range(min(bound, 1) if n else bound, bound + 1)
-    for box, plan in itertools.product(boxes, plans):
+    for box, plan in ((box, plan) for box in boxes for plan in plans):
         witness = rec(plan, 0, box)
         if witness is not None or not exhausted:
             break

@@ -35,6 +35,12 @@ At the root the gcd rule does not depend on the bound: a constraint that
 `unsolvable` rejects has no integer solution at all, and the search costs
 0 nodes.  With normalize_first_positive, a negative value of the first
 non-zero coordinate is never visited.
+
+The per-depth set-up (the symmetrised rows, the gcds, the intervals and
+reaches, the root rules) depends only on the constraints and the bound,
+so a `Plan` keeps it for the bound last asked for and the calls that
+share the plan build it once; a call's own pair rows come in a view,
+`plan.with_rows(rows)`, and only they are set up per call.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ def _quadratic_entries(a: Sequence[Sequence[int]], n: int, i: int) -> List[int]:
     return [a[i][i]] + [a[i][j] + a[j][i] for j in range(i + 1, n)]
 
 
+def _gcd_rejects(c: int, g: int) -> bool:
+    """The gcd rule at the root: every value of the open part is a multiple
+    of g, so c must be one too (g == 0: c must be 0)."""
+    return c % g != 0 if g else c != 0
+
+
 def unsolvable(constraint: Constraint) -> bool:
     """Whether the gcd rule shows that no integer vector satisfies the
     constraint, at any bound: the gcd of m and every coefficient (A
@@ -61,27 +73,26 @@ def unsolvable(constraint: Constraint) -> bool:
     a, l, c, m = constraint
     n = len(l)
     g = gcd(m, *l, *(e for i in range(len(a)) for e in _quadratic_entries(a, n, i)))
-    return c % g != 0 if g else c != 0
+    return _gcd_rejects(c, g)
 
 
-def search_vectors(
-    n: int,
-    constraints: Sequence[Constraint],
-    bound: int,
-    max_results: int,
-    max_nodes: int,
-    normalize_first_positive: bool = False,
-) -> Tuple[List[Tuple[int, ...]], int, bool]:
-    """Enumerate box vectors satisfying every constraint.
+def _add_linear(n: int, l: Sequence[int], m: int, bound: int, lin_steps: List[list]):
+    """Add the steps of a linear constraint with coefficients l and modulus
+    m to lin_steps, and return the root's (g, t): the gcd of m and l, and
+    the reach of l over the box."""
+    g, t = m, 0
+    for d in range(n - 1, -1, -1):
+        lin_steps[d].append((l[d], g, t, m == 0))
+        g = gcd(g, l[d])
+        t += abs(l[d]) * bound
+    return g, t
 
-    Returns (results, nodes_visited, exhausted); exhausted is False when the
-    search stopped early on max_results or max_nodes.  A node is one value
-    tried for one coordinate.
-    """
-    if n == 0:
-        ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in constraints)
-        return ([()] if ok else []), 1, True
 
+def _add_steps(n: int, constraints: Sequence[Constraint], bound: int, steps: tuple) -> bool:
+    """Add what the search of the box |x_i| <= bound needs of each
+    constraint to steps = (lin_steps, quad_steps, lin_values, quad_values,
+    coefs); False, at the first constraint that a root rule shows no vector
+    of the box satisfies."""
     b2 = bound * bound
     # Per depth d, what setting x_d needs.  For a linear constraint
     # (A symmetrised is zero; its open coefficients never change):
@@ -91,21 +102,17 @@ def search_vectors(
     # S_dd; the row S_dj, j > d, reversed; the gcd g (with m) and the
     # interval lo..hi of the open quadratic part at depth d + 1; whether the
     # constraint is exact.
-    lin_steps: List[list] = [[] for _ in range(n)]
-    quad_steps: List[list] = [[] for _ in range(n)]
-    lin_values, quad_values, coefs = [], [], []
+    lin_steps, quad_steps, lin_values, quad_values, coefs = steps
     for a, l, c, m in constraints:
         # an empty or zero A is linear at a glance; an antisymmetric A only
         # once symmetrised
         entries = [_quadratic_entries(a, n, d) for d in range(n)] if any(map(any, a)) else []
-        g, lo, hi, t = m, 0, 0, 0
+        lo = hi = 0
         if not any(map(any, entries)):
-            for d in range(n - 1, -1, -1):
-                lin_steps[d].append((l[d], g, t, m == 0))
-                g = gcd(g, l[d])
-                t += abs(l[d]) * bound
+            g, t = _add_linear(n, l, m, bound, lin_steps)
             lin_values.append(c)
         else:
+            g = m
             for d in range(n - 1, -1, -1):
                 sdd, *row = entries[d]
                 quad_steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
@@ -118,11 +125,84 @@ def search_vectors(
             quad_values.append(c)
             # open linear coefficients, last coordinate first
             coefs.append(list(l)[::-1])
-        # the root rules, the gcd one as `unsolvable` applies it
-        if c % g if g else c:
-            return [], 0, True
-        if m == 0 and (c + lo - t > 0 or c + hi + t < 0):
-            return [], 0, True
+        # the root rules: g is the gcd of m and every coefficient
+        if _gcd_rejects(c, g) or m == 0 and (c + lo - t > 0 or c + hi + t < 0):
+            return False
+    return True
+
+
+class Plan:
+    """One depth's constraints, set up once for every call that shares them.
+
+    The set-up (`_add_steps`) for a bound is built when a call first asks
+    for that bound, and the one last asked for is kept: the driver searches
+    one bound per pass.  `with_rows` gives the view that one call searches,
+    which shares the plan's set-up and adds that call's exact linear rows
+    (l, c): searching it is searching the plan's constraints followed by
+    ((), l, c, 0) for each row.
+    """
+
+    __slots__ = ("n", "constraints", "rows", "_setups")
+
+    def __init__(self, n: int, constraints: Sequence[Constraint]):
+        self.n = n
+        self.constraints = constraints
+        self.rows: Sequence[Tuple[Sequence[int], int]] = ()
+        self._setups: dict = {}  # {bound: its set-up}, shared with every view
+
+    def with_rows(self, rows: Sequence[Tuple[Sequence[int], int]]) -> Plan:
+        view = object.__new__(Plan)
+        view.n, view.constraints, view._setups = self.n, self.constraints, self._setups
+        view.rows = rows
+        return view
+
+    def setup(self, bound: int):
+        """The steps of the plan's own constraints for the box of `bound`,
+        or None when a root rule rejects one."""
+        setups = self._setups
+        if bound not in setups:
+            n = self.n
+            steps = ([[] for _ in range(n)], [[] for _ in range(n)], [], [], [])
+            setups.clear()
+            setups[bound] = steps if _add_steps(n, self.constraints, bound, steps) else None
+        return setups[bound]
+
+
+def search_vectors(
+    n: int,
+    constraints: Plan | Sequence[Constraint],
+    bound: int,
+    max_results: int,
+    max_nodes: int,
+    normalize_first_positive: bool = False,
+) -> Tuple[List[Tuple[int, ...]], int, bool]:
+    """Enumerate box vectors satisfying every constraint.
+
+    `constraints` is a `Plan` (or a view of one, with its rows) or a list of
+    quadruples, searched as the plan of that list.  Returns (results,
+    nodes_visited, exhausted); exhausted is False when the search stopped
+    early on max_results or max_nodes.  A node is one value tried for one
+    coordinate.
+    """
+    plan = constraints if isinstance(constraints, Plan) else Plan(n, constraints)
+    if n == 0:
+        ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in plan.constraints)
+        ok = ok and all(c == 0 for _, c in plan.rows)
+        return ([()] if ok else []), 1, True
+
+    steps = plan.setup(bound)
+    if steps is None:
+        return [], 0, True
+    lin_steps, quad_steps, lin_values, quad_values, coefs = steps
+    if plan.rows:
+        # each row is an exact linear constraint: its steps go after the
+        # plan's own, in copies of the plan's lists
+        lin_steps = [list(depth) for depth in lin_steps]
+        for l, c in plan.rows:
+            g, t = _add_linear(n, l, 0, bound, lin_steps)
+            if _gcd_rejects(c, g) or c > t or c < -t:
+                return [], 0, True
+        lin_values = lin_values + [c for _, c in plan.rows]
 
     results: List[Tuple[int, ...]] = []
     x = [0] * n
@@ -175,8 +255,11 @@ def search_vectors(
                 child_lin.append(v)
             else:
                 for (sdd, row, g, lo, hi, exact), v, cs in zip(quad_step, quad, coefs):
-                    v += (sdd * val + cs[-1]) * val
-                    cs = [c + s * val for c, s in zip(cs, row)]
+                    if val:
+                        v += (sdd * val + cs[-1]) * val
+                        cs = [c + s * val for c, s in zip(cs, row)]
+                    else:  # the value and the coefficients left stay
+                        cs = cs[:-1]
                     g = gcd(g, *cs)
                     if v % g if g else v:
                         break

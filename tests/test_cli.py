@@ -221,6 +221,14 @@ def test_order_one_factors(capsys):
     assert got["complement"] == [5]
 
 
+def test_huge_bound(capsys):
+    # the search tries bounds 1, 2, ... in turn and stops at the first
+    # witness, so a bound of 10^12 allocates nothing of its size
+    payload = '{"param":{"name":"Q^+"},"form":{"lambda":[[0,1],[1,0]],"mu":[[0],[0]]}}'
+    got = run_json(capsys, "metabolic", payload, "--bound", str(10**12))
+    assert (got["status"], got["bound"]) == ("found", 10**12)
+
+
 @pytest.mark.parametrize("verb", ["metabolic", "classify"])
 def test_negative_bound_is_refused_before_the_payload(capsys, verb):
     code, out, err = run_cli(capsys, verb, "not json", "--bound", "-1")

@@ -158,6 +158,52 @@ def test_one_caller_of_the_kernel():
     assert not found, found
 
 
+def calls_to(source: str, name: str):
+    """(line, enclosing top-level definition) of each call to `name`, bare
+    or as an attribute (`search.name(...)`); "" for module level."""
+    return [
+        (node.lineno, getattr(top, "name", ""))
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_calls_detected():
+    src = (
+        "x = Plan(1, [])\n"
+        "def f():\n    def g():\n        return search.Plan(2, [])\n    return Plan\n"
+        "class K:\n    def h(self):\n        return self.Plan(0, ())\n"
+    )
+    assert calls_to(src, "Plan") == [(1, ""), (4, "f"), (8, "K")]
+
+
+def library_calls(name: str):
+    """{(module file, enclosing top-level definition)} of the library's
+    calls to `name`."""
+    return {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for _, scope in calls_to(path.read_text(), name)
+    }
+
+
+def test_kernel_plans_come_from_the_driver():
+    # the driver builds one plan per (block or target, depth) and passes a
+    # view of it to every call; the kernel wraps a plain list in a plan
+    assert library_calls("Plan") == {("qform.py", "_column_search"), ("search.py", "search_vectors")}
+
+
+def test_kernel_set_up_lives_in_one_function():
+    # search._add_steps builds every depth's steps and root rules; its
+    # linear rule, _add_linear, also sets up a call's pair rows, and
+    # unsolvable reads the symmetrised rows for the gcd rule only
+    assert library_calls("_quadratic_entries") == {("search.py", "_add_steps"), ("search.py", "unsolvable")}
+    assert library_calls("_add_steps") == {("search.py", "Plan")}
+    assert library_calls("_add_linear") == {("search.py", "_add_steps"), ("search.py", "search_vectors")}
+
+
 def accumulating_loops(source: str):
     """Lines, inside a `for` loop, that re-bind a name set from `.zero()` to
     itself plus something (`acc = acc + ...` or `acc += ...`): a sum built

@@ -711,9 +711,12 @@ def test_root_certificate_alternating_square():
 
 class _KernelCall(tuple):
     """(box bound, nodes, exhausted) of one kernel call; `n` is the rank of
-    the form it searched."""
+    the form it searched, `args` the call's arguments and `out` what it
+    returned."""
 
     n: int
+    args: tuple
+    out: tuple
 
 
 def _record_kernel_calls(monkeypatch) -> list:
@@ -726,12 +729,52 @@ def _record_kernel_calls(monkeypatch) -> list:
     def counted(*args):
         out = kernel(*args)
         call = _KernelCall((args[2],) + out[1:])
-        call.n = args[0]
+        call.n, call.args, call.out = args[0], args, out
         calls.append(call)
         return out
 
     monkeypatch.setattr(search, "search_vectors", counted)
     return calls
+
+
+def test_driver_plans_match_raw_constraints(monkeypatch):
+    """Every kernel call of a seeded mix of metabolic, isometry and
+    embedding searches, replayed with its plan flattened to the raw
+    quadruples (the plan's constraints, then ((), l, c, 0) for each pair
+    row), returns the same (results, nodes, exhausted)."""
+    from qwitt import search
+
+    kernel = search.search_vectors
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+    ]
+    rng = random.Random(2511)
+    calls = _record_kernel_calls(monkeypatch)
+    for i in range(60):
+        p = params[i % len(params)]
+        f = random_nonsingular_form(rng, p, max_rank=3)
+        if i % 2:  # an orthogonal sum: block plans too
+            f = qf.direct_sum(f, random_nonsingular_form(rng, p, max_rank=2))
+        budget = rng.choice([200, 3000])
+        kind = i % 3
+        if kind == 0:
+            qf.metabolic_search(f, bound=2, node_budget=budget, use_obstructions=False)
+        elif kind == 1:
+            g = qf.pullback(f, random_unimodular(rng, f.rank, ops=5))
+            qf.isometry_search(f, g, bound=2, node_budget=budget)
+        else:
+            q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
+            eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+            qf.embedding_search(eta, f, bound=2, node_budget=budget)
+    assert len(calls) >= 300
+    assert sum(bool(c.args[1].rows) for c in calls) >= 200  # calls with pair rows
+    # views of one (block or target, depth) plan share its constraints
+    assert len({id(c.args[1].constraints) for c in calls}) <= len(calls) // 2
+    for call in calls:
+        n, plan, *rest = call.args
+        assert isinstance(plan, search.Plan)
+        flat = list(plan.constraints) + [((), l, c, 0) for l, c in plan.rows]
+        assert kernel(n, flat, *rest) == call.out
 
 
 def test_search_stops_at_node_budget(monkeypatch):
@@ -861,6 +904,16 @@ def test_bound_zero_is_one_pass(monkeypatch):
         "no embedding with coordinates within the bound"
     )
     assert qf.embedding_search(zero, h2, bound=1).found
+
+
+def test_huge_bound_is_searched_box_by_box(monkeypatch):
+    # the passes are generated one at a time: a bound of 10^12 costs what
+    # bound 1 does when box 1 holds a witness
+    calls = _record_kernel_calls(monkeypatch)
+    h2 = qf.hyperbolic(QP, 1)
+    out = qf.metabolic_search(h2, bound=10**12, use_obstructions=False)
+    assert (out.status, out.bound) == ("found", 10**12)
+    assert [b for b, _, _ in calls] == [1]
 
 
 def test_negative_bound_is_refused():

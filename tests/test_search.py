@@ -1,6 +1,6 @@
 import random
 
-from qwitt.search import search_vectors, unsolvable
+from qwitt.search import Plan, search_vectors, unsolvable
 
 
 def brute(n, constraints, bound, norm):
@@ -227,3 +227,35 @@ def test_kernel_node_counts_are_pinned():
         res, nodes, exhausted = search_vectors(n, cons, b, cap, budget, norm)
         got.append((len(res), nodes, exhausted))
     assert got == KERNEL_PINNED
+
+
+def test_plan_views_match_flat_constraints():
+    """A plan searched through views with rows gives exactly what the flat
+    list of its constraints and the rows' quadruples gives, as (results,
+    nodes, exhausted); one plan serves bounds 0-3 and different rows in
+    turn, so a set-up cached for one bound or one call must not leak into
+    another.  A complete search is also checked against brute force."""
+    rng = random.Random(41)
+    complete = 0
+    for i in range(150):
+        n, fixed, _, _ = mixed_case(rng, ("linear", "quadratic", "mixed")[i % 3])
+        plan = Plan(n, fixed)
+        for _ in range(6):
+            rows = [
+                ([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+                for _ in range(rng.randint(0, 2))
+            ]
+            flat = fixed + [((), l, c, 0) for l, c in rows]
+            b = rng.randint(0, 3 if n < 4 else 2)
+            budget = rng.choice([10**7, 10**7, 1, 5, 40])
+            cap = rng.choice([10**6, 1])
+            norm = rng.random() < 0.5
+            got = search_vectors(n, plan.with_rows(rows), b, cap, budget, norm)
+            assert got == search_vectors(n, flat, b, cap, budget, norm), (i, rows, b)
+            if got[2] and cap > 1:
+                zero = [[0] * n for _ in range(n)]
+                assert got[0] == brute(n, fixed + [(zero, l, c, 0) for l, c in rows], b, norm)
+                complete += 1
+        # the plan itself is the view without rows
+        assert search_vectors(n, plan, 2, 10**6, 10**7) == search_vectors(n, fixed, 2, 10**6, 10**7)
+    assert complete >= 300
