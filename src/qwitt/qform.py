@@ -493,11 +493,17 @@ def _column_search(
 
     Iterative deepening: the column recursion runs once per box
     |x_i| <= b, for b = 1, 2, ..., bound (bound 0 or a rank-0 target: one
-    pass at `bound`), each pass in the kernel's enumeration order.  Pass b
-    runs only after pass b - 1 ran to the end without a witness, so a
-    found tuple has the least entry bound of any tuple that `leaf`
-    accepts: none exists in box b - 1.  Only a complete pass at `bound`
-    itself ends with "nothing in the box".
+    pass at `bound`), each pass in the kernel's enumeration order, except
+    that after each pass the next one is at the least larger box that the
+    root rules of the whole target's first-column plan admit
+    (`search.Plan.least_bound`).  A box they reject holds no first column,
+    in the whole target or in a block (a block's interval lies inside the
+    whole target's, and the whole target's gcd divides the block's), so
+    its pass would cost 0 nodes and find nothing.  A pass runs only after
+    the one before ran to the end without a witness, so a found tuple has
+    the least entry bound of any tuple that `leaf` accepts: none exists in
+    a smaller box.  Only a complete pass at `bound` itself ends with
+    "nothing in the box".
 
     Orthogonal blocks first: the target's basis splits into orthogonal
     blocks, the connected components of the graph of non-zero
@@ -515,7 +521,12 @@ def _column_search(
     isotropic, and the columns lie in its orthogonal complement, of
     dimension r - (k - rho), so r >= 2k - rho.  Box b - 1 of the whole
     target was searched before any block at b, so a witness still has the
-    least entry bound.
+    least entry bound.  In the whole-target pass over an orthogonal sum such
+    as f + f, whose blocks are runs of consecutive coordinates, each
+    column's constraints split at the block boundaries: the kernel walks a
+    later block's subtree once per distinct key and replays it after that
+    (see `qwitt.search`), so it no longer walks block 2 again for every
+    vector of block 1, and every node count stays as it was.
 
     The square and mu constraints of each depth are built once, for the
     whole target, and depths with the same lam[d][d] and mus[d] share them;
@@ -614,10 +625,23 @@ def _column_search(
                 return witness
         return None
 
-    # a rank-0 target has one box, {()}, at every bound: one pass; the
-    # passes are generated one at a time, since bound may be huge
-    boxes = range(min(bound, 1) if n else bound, bound + 1)
-    for box, plan in ((box, plan) for box in boxes for plan in plans):
+    # the whole target's depth-0 plan, whose root rules give the next box
+    whole = None
+    if n and k:
+        whole = plans[-1][3][id(fixed[0])] = search.Plan(n, fixed[0])
+
+    def boxes():
+        # a rank-0 target has one box, {()}, at every bound: one pass; the
+        # next box is asked for only when a pass ends without a witness and
+        # within the budget, since bound may be huge
+        box = min(bound, 1) if n else bound
+        while box is not None:
+            yield box
+            if box == bound:
+                return
+            box = whole.least_bound(box + 1, bound) if whole else box + 1
+
+    for box, plan in ((box, plan) for box in boxes() for plan in plans):
         witness = rec(plan, 0, box)
         if witness is not None or not exhausted:
             break

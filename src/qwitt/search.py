@@ -31,6 +31,29 @@ precompute per depth), and a node costs O(1) for it.  A node is pruned
 - for an exact constraint, when the interval of the open part over the
   box cannot bring the value to 0.
 
+Both rules are skipped where they cannot fire: the gcd rule when the set-up's
+g is 1, and the interval rule while the value lies inside the interval of
+the open quadratic part (the reach of the linear part is never negative).
+
+A depth d is a split when no quadratic constraint couples x_0 .. x_{d-1}
+with x_d .. x_{n-1}: S_ij = 0 for every i < d <= j, as in the constraints
+on a column of an orthogonal sum.  At a split every open coefficient is the
+constant l_j, so the subtree below the split depends only on the key
+(whether the coordinates set so far are all zero under the normalisation,
+the value of each linear constraint, the value of each quadratic one):
+which values it tries, which it prunes, which suffixes x_d .. x_{n-1} it
+returns and at which of its nodes each one appears.  Each call keeps a
+table of them.  A subtree that runs to the end is recorded: its suffixes,
+the node offset at which each was found, and its node total.  When the key
+comes again the subtree is replayed, not walked: its suffixes go after the
+current prefix and its nodes are added, stopping at max_results or
+max_nodes exactly where the walk would, by the recorded offsets.  A node
+keeps its meaning, one value tried for one coordinate, whether it is walked
+or replayed, so replaying changes no result and no node count.  The
+subtree of the last coordinate is one loop, cheaper walked than looked up,
+so only splits before it are kept; a call whose constraints have none
+records nothing.
+
 At the root the gcd rule does not depend on the bound: a constraint that
 `unsolvable` rejects has no integer solution at all, and the search costs
 0 nodes.  With normalize_first_positive, a negative value of the first
@@ -46,7 +69,7 @@ share the plan build it once; a call's own pair rows come in a view,
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Constraint = Tuple[Sequence[Sequence[int]], Sequence[int], int, int]
 
@@ -91,8 +114,8 @@ def _add_linear(n: int, l: Sequence[int], m: int, bound: int, lin_steps: List[li
 def _add_steps(n: int, constraints: Sequence[Constraint], bound: int, steps: tuple) -> bool:
     """Add what the search of the box |x_i| <= bound needs of each
     constraint to steps = (lin_steps, quad_steps, lin_values, quad_values,
-    coefs); False, at the first constraint that a root rule shows no vector
-    of the box satisfies."""
+    coefs, splits); False, at the first constraint that a root rule shows no
+    vector of the box satisfies."""
     b2 = bound * bound
     # Per depth d, what setting x_d needs.  For a linear constraint
     # (A symmetrised is zero; its open coefficients never change):
@@ -102,7 +125,9 @@ def _add_steps(n: int, constraints: Sequence[Constraint], bound: int, steps: tup
     # S_dd; the row S_dj, j > d, reversed; the gcd g (with m) and the
     # interval lo..hi of the open quadratic part at depth d + 1; whether the
     # constraint is exact.
-    lin_steps, quad_steps, lin_values, quad_values, coefs = steps
+    lin_steps, quad_steps, lin_values, quad_values, coefs, splits = steps
+    # coupled[i]: the last j with S_ij != 0 in some quadratic constraint
+    coupled = list(range(n))
     for a, l, c, m in constraints:
         # an empty or zero A is linear at a glance; an antisymmetric A only
         # once symmetrised
@@ -120,6 +145,9 @@ def _add_steps(n: int, constraints: Sequence[Constraint], bound: int, steps: tup
                 t = sum(map(abs, row)) * b2
                 lo += min(sdd * b2, 0) - t
                 hi += max(sdd * b2, 0) + t
+                while row and not row[-1]:
+                    row.pop()
+                coupled[d] = max(coupled[d], d + len(row))
             g = gcd(g, *l)
             t = sum(map(abs, l)) * bound
             quad_values.append(c)
@@ -128,6 +156,15 @@ def _add_steps(n: int, constraints: Sequence[Constraint], bound: int, steps: tup
         # the root rules: g is the gcd of m and every coefficient
         if _gcd_rejects(c, g) or m == 0 and (c + lo - t > 0 or c + hi + t < 0):
             return False
+    # depth d splits the constraints when no S_ij couples i < d with j >= d;
+    # the last coordinate's subtree is one loop, cheaper walked than looked
+    # up, so only the splits before it are kept
+    reach = 0
+    for d in range(1, n - 1):
+        if coupled[d - 1] > reach:
+            reach = coupled[d - 1]
+        if reach < d:
+            splits.append(d)
     return True
 
 
@@ -162,10 +199,27 @@ class Plan:
         setups = self._setups
         if bound not in setups:
             n = self.n
-            steps = ([[] for _ in range(n)], [[] for _ in range(n)], [], [], [])
+            steps = ([[] for _ in range(n)], [[] for _ in range(n)], [], [], [], [])
             setups.clear()
             setups[bound] = steps if _add_steps(n, self.constraints, bound, steps) else None
         return setups[bound]
+
+    def least_bound(self, first: int, last: int) -> Optional[int]:
+        """The least bound in first..last whose box no root rule rejects,
+        or None.  The gcd rule does not depend on the bound, and the interval
+        rule is monotone in it (lo falls, hi and t grow with the bound), so
+        the rejected bounds are a prefix: bisect for its end."""
+        if self.setup(first) is not None:
+            return first
+        if self.setup(last) is None:
+            return None
+        while last - first > 1:  # first is rejected, last is not
+            mid = (first + last) // 2
+            if self.setup(mid) is None:
+                first = mid
+            else:
+                last = mid
+        return last
 
 
 def search_vectors(
@@ -182,7 +236,11 @@ def search_vectors(
     quadruples, searched as the plan of that list.  Returns (results,
     nodes_visited, exhausted); exhausted is False when the search stopped
     early on max_results or max_nodes.  A node is one value tried for one
-    coordinate.
+    coordinate, counted whether its subtree is walked or replayed from the
+    table of a split (see the module docstring): a call stopped by
+    max_nodes has visited max_nodes + 1 nodes, one stopped by max_results
+    has visited the nodes up to the last result's, and every result and
+    node count is the one walking every subtree gives.
     """
     plan = constraints if isinstance(constraints, Plan) else Plan(n, constraints)
     if n == 0:
@@ -193,7 +251,7 @@ def search_vectors(
     steps = plan.setup(bound)
     if steps is None:
         return [], 0, True
-    lin_steps, quad_steps, lin_values, quad_values, coefs = steps
+    lin_steps, quad_steps, lin_values, quad_values, coefs, splits = steps
     if plan.rows:
         # each row is an exact linear constraint: its steps go after the
         # plan's own, in copies of the plan's lists
@@ -205,6 +263,7 @@ def search_vectors(
         lin_values = lin_values + [c for _, c in plan.rows]
 
     results: List[Tuple[int, ...]] = []
+    found_at: List[int] = []  # the node count at which each result was found
     x = [0] * n
     nodes = 0
     exhausted = True
@@ -213,11 +272,15 @@ def search_vectors(
     # is the constraint itself
     lin_last = [(ld, g) for ld, g, _, _ in lin_steps[last]]
     quad_last = [(sdd, g) for sdd, _, g, _, _, _ in quad_steps[last]]
+    # {(split depth, key): (nodes, [(node offset, suffix), ...])} of each
+    # subtree below a split that ran to the end
+    table = {}
 
     def rec(d: int, lin: list, quad: list, coefs: list, lead: bool) -> bool:
-        # lead: x_0 .. x_{d-1} are all zero
+        # lead: x_0 .. x_{d-1} are all zero and the first non-zero coordinate
+        # is to be positive
         nonlocal nodes, exhausted
-        first = 0 if lead and normalize_first_positive else -bound
+        first = 0 if lead else -bound
         if d == last:
             for val in range(first, bound + 1):
                 nodes += 1
@@ -236,11 +299,13 @@ def search_vectors(
                     else:
                         x[d] = val
                         results.append(tuple(x))
+                        found_at.append(nodes)
                         if len(results) >= max_results:
                             exhausted = False
                             return False
             return True
         lin_step, quad_step = lin_steps[d], quad_steps[d]
+        child = enter[d + 1]
         for val in range(first, bound + 1):
             nodes += 1
             if nodes > max_nodes:
@@ -260,22 +325,64 @@ def search_vectors(
                         cs = [c + s * val for c, s in zip(cs, row)]
                     else:  # the value and the coefficients left stay
                         cs = cs[:-1]
-                    g = gcd(g, *cs)
-                    if v % g if g else v:
-                        break
-                    if exact:
+                    if g != 1:  # every value is a multiple of 1
+                        g = gcd(g, *cs)
+                        if v % g if g else v:
+                            break
+                    # inside lo..hi the interval rule cannot fire: t >= 0
+                    if exact and not lo <= -v <= hi:
                         t = sum(map(abs, cs)) * bound
                         if v + lo - t > 0 or v + hi + t < 0:
                             break
                     child_quad.append(v)
                     child_coefs.append(cs)
                 else:
-                    if not rec(d + 1, child_lin, child_quad, child_coefs, lead and not val):
+                    if not child(d + 1, child_lin, child_quad, child_coefs, lead and not val):
                         return False
         return True
 
-    rec(0, lin_values, quad_values, coefs, True)
-    rec = None  # break the closure's cycle: its lists go now, not at a gc
+    def replay(d: int, lin: list, quad: list, coefs: list, lead: bool) -> bool:
+        # a split: the open coefficients are the constants l_j, so the subtree
+        # depends on the key alone.  It is walked the first time; after that
+        # it is replayed, stopping where the walk would: at the result that
+        # reaches max_results, or at node max_nodes + 1.
+        nonlocal nodes, exhausted
+        key = (d, lead, *lin, *quad)
+        known = table.get(key)
+        start = nodes
+        if known is None:
+            first_result = len(results)
+            if not rec(d, lin, quad, coefs, lead):
+                return False
+            table[key] = (nodes - start, [
+                (found_at[i] - start, results[i][d:]) for i in range(first_result, len(results))
+            ])
+            return True
+        total, found = known
+        prefix = tuple(x[:d])
+        for offset, suffix in found:
+            at = start + offset
+            if at > max_nodes:
+                break
+            results.append(prefix + suffix)
+            found_at.append(at)
+            if len(results) >= max_results:
+                nodes = at
+                exhausted = False
+                return False
+        if start + total > max_nodes:
+            nodes = max_nodes + 1
+            exhausted = False
+            return False
+        nodes = start + total
+        return True
+
+    # what searching x_d .. x_{n-1} is, per depth d
+    enter = [rec] * n
+    for d in splits:
+        enter[d] = replay
+    rec(0, lin_values, quad_values, coefs, normalize_first_positive)
+    enter = None  # break the closures' cycle: their lists go now, not at a gc
     return results, nodes, exhausted
 
 

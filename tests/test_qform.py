@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -914,6 +915,51 @@ def test_huge_bound_is_searched_box_by_box(monkeypatch):
     out = qf.metabolic_search(h2, bound=10**12, use_obstructions=False)
     assert (out.status, out.bound) == ("found", 10**12)
     assert [b for b, _, _ in calls] == [1]
+
+
+def test_passes_skip_the_boxes_the_root_rejects(monkeypatch):
+    """After a pass, the next is at the least larger box that the whole
+    target's depth-0 root rules admit: the boxes between cost 0 nodes and
+    hold no column.  <N> into <1> + <1> makes four kernel calls (the <1>
+    block and the whole target at box 1 and at box ceil(sqrt(N / 2)))
+    where it used to make two per box, with the same outcome, nodes and
+    witness."""
+    calls = _record_kernel_calls(monkeypatch)
+    one = unit_form(1)
+    target = qf.direct_sum(one, one)
+
+    def query(n, bound=10**6):
+        calls.clear()
+        eta = qf.QForm(QP, [[n]], [QP.carrier.element((n,))])
+        return qf.embedding_search(eta, target, bound=bound, node_budget=2000)
+
+    for n in (10**6, 10**10):
+        out = query(n)
+        assert (out.status, out.reason, out.nodes) == ("unknown", qf.BUDGET_EXHAUSTED, 2001)
+        box = math.isqrt(n // 2 - 1) + 1
+        assert [(c.n, c[0], c[1]) for c in calls] == [(1, 1, 0), (2, 1, 0), (1, box, 0), (2, box, 2001)]
+    # 25 = 16 + 9: box 4 is the least that holds a witness and the least the
+    # root admits (2 * 3^2 < 25); the block <1> needs box 5
+    out = query(25)
+    assert (out.witness, out.nodes) == (((-4,), (-3,)), 45)
+    assert [(c.n, c[0]) for c in calls] == [(1, 1), (2, 1), (1, 4), (2, 4)]
+    # every box after the first rejected within the bound: no further pass
+    out = query(10**8, bound=1000)
+    assert (out.status, out.reason, out.nodes) == (
+        "unknown", "no embedding with coordinates within the bound", 0
+    )
+    assert [c[0] for c in calls] == [1, 1]
+    # no column (a rank-0 source) or a rank-0 target: no depth-0 plan
+    calls.clear()
+    empty = qf.QForm(QP, [], [])
+    for out in (
+        qf.embedding_search(empty, one, bound=3),
+        qf.embedding_search(empty, empty, bound=3),
+        qf.isometry_search(empty, empty, bound=3),
+        qf.metabolic_search(empty, bound=3, use_obstructions=False),
+    ):
+        assert (out.status, out.witness, out.nodes) == ("found", (), 0)
+    assert calls == []
 
 
 def test_negative_bound_is_refused():

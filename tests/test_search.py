@@ -1,4 +1,5 @@
 import random
+import sys
 
 from qwitt.search import Plan, search_vectors, unsolvable
 
@@ -214,17 +215,42 @@ KERNEL_PINNED = [
     (0, 0, True), (2, 8, False), (2, 5, True), (0, 31, False),
     (1, 15, True), (2, 7, False), (0, 6, True), (2, 67, False),
     (2, 56, False), (0, 0, True),
+    # three block-diagonal calls (BLOCK_CALLS): complete, stopped by the
+    # budget inside a replayed subtree, stopped by max_results at a
+    # replayed result
+    (41, 7785, True), (25, 5001, False), (8, 1803, False),
 ]
+
+
+def block_call_constraints():
+    """Three Eisenstein blocks x^2 + xy + y^2 and <1> (rank 7): the form
+    equal to 4, a congruence mod 3 on it, and one pair row; the depths 2 and
+    4 split them."""
+    n = 7
+    a = [[0] * n for _ in range(n)]
+    for i in (0, 2, 4):
+        a[i][i] = a[i][i + 1] = a[i + 1][i + 1] = 1
+    a[6][6] = 1
+    cons = [(a, [0] * n, -4, 0), (a, [1, 0, 2, 0, 1, 0, 1], 0, 3)]
+    return n, cons, [([1, -1, 0, 1, 0, 0, 1], 0)]
+
+
+BLOCK_CALLS = [(10**6, 10**7), (10**6, 5000), (8, 10**7)]  # (max_results, max_nodes)
 
 
 def test_kernel_node_counts_are_pinned():
     rng = random.Random(37)
     got = []
-    for i in range(len(KERNEL_PINNED)):
+    for i in range(len(KERNEL_PINNED) - len(BLOCK_CALLS)):
         n, cons, b, norm = mixed_case(rng, ("linear", "quadratic", "mixed")[i % 3], 6)
         budget = rng.choice([10**7, 10**7, 30, 300])
         cap = rng.choice([10**6, 10**6, 2])
         res, nodes, exhausted = search_vectors(n, cons, b, cap, budget, norm)
+        got.append((len(res), nodes, exhausted))
+    n, cons, rows = block_call_constraints()
+    assert Plan(n, cons).setup(2)[5] == [2, 4]
+    for cap, budget in BLOCK_CALLS:
+        res, nodes, exhausted = search_vectors(n, Plan(n, cons).with_rows(rows), 2, cap, budget)
         got.append((len(res), nodes, exhausted))
     assert got == KERNEL_PINNED
 
@@ -259,3 +285,148 @@ def test_plan_views_match_flat_constraints():
         # the plan itself is the view without rows
         assert search_vectors(n, plan, 2, 10**6, 10**7) == search_vectors(n, fixed, 2, 10**6, 10**7)
     assert complete >= 300
+
+
+def test_least_bound_is_the_least_box_the_root_admits():
+    """`Plan.least_bound(first, last)` against a scan of every bound: the
+    least bound in first..last whose set-up is not None, or None.  The
+    constants are large, so that the root's interval rule rejects the
+    small boxes; the gcd rule rejects every box or none."""
+    rng = random.Random(59)
+    shapes = set()
+    for i in range(300):
+        n, cons, _, _ = mixed_case(rng, ("linear", "quadratic", "mixed")[i % 3], 3)
+        cons = [(a, l, c * rng.randint(1, 15), m) for a, l, c, m in cons]
+        admitted = [b for b in range(13) if Plan(n, cons).setup(b) is not None]
+        # the rejected bounds are a prefix
+        assert admitted == list(range(13 - len(admitted), 13))
+        for first, last in ((0, 12), (1, 12), (3, 7), (5, 5)):
+            want = next((b for b in admitted if first <= b <= last), None)
+            assert Plan(n, cons).least_bound(first, last) == want, (i, first, last)
+        shapes.add(min(admitted, default=None) if len(admitted) < 12 else 0)
+    assert None in shapes and len(shapes) >= 5
+
+
+def block_diagonal_case(rng):
+    """(n, constraints, rows) whose symmetrised quadratic parts are
+    block-diagonal: 2-3 blocks of rank 1-3, 1-3 exact or modular quadratic
+    constraints (an antisymmetric entry across two blocks symmetrises to
+    zero) and 0-2 pair rows."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block)
+    cons = []
+    for _ in range(rng.randint(1, 3)):
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if block[i] == block[j]:
+                    a[i][j] = rng.randint(-2, 2)
+                elif rng.random() < 0.1:
+                    a[i][j] = rng.randint(-2, 2)
+                    a[j][i] = -a[i][j]
+        l = [rng.randint(-2, 2) for _ in range(n)]
+        cons.append((a, l, rng.randint(-3, 3), rng.choice([0, 0, 2, 3, 4])))
+    rows = [([rng.randint(-1, 1) for _ in range(n)], rng.randint(-1, 1)) for _ in range(rng.randint(0, 2))]
+    return n, cons, rows
+
+
+def coupling(n):
+    """x_0 x_{n-1} == 0 (mod 1): it never prunes, but it couples x_0 with
+    x_{n-1}, so that no depth splits the constraints."""
+    a = [[0] * n for _ in range(n)]
+    a[0][n - 1] = 1
+    return a, [0] * n, 0, 1
+
+
+def test_replay_matches_the_walk():
+    """A search with splits (subtrees below a split replayed) gives exactly
+    the (results, nodes, exhausted) of the same search with the coupling
+    constraint added (no split, every subtree walked): complete, stopped
+    by budgets anywhere in the tree, and stopped by max_results 1 and 3,
+    under both normalisations.  Complete searches also equal brute force."""
+    rng = random.Random(53)
+    split_cases = brute_checked = 0
+    for i in range(300):
+        n, cons, rows = block_diagonal_case(rng)
+        b = rng.randint(0, 2 if n <= 5 else 1)
+        norm = i % 2 == 0
+        split, walk = Plan(n, cons), Plan(n, cons + [coupling(n)])
+        if walk.setup(b) is not None:
+            assert walk.setup(b)[5] == []
+            split_cases += bool(split.setup(b)[5])
+        full = search_vectors(n, walk.with_rows(rows), b, 10**6, 10**7, norm)
+        assert search_vectors(n, split.with_rows(rows), b, 10**6, 10**7, norm) == full, i
+        if (2 * b + 1) ** n <= 3**5:
+            zero = [[0] * n for _ in range(n)]
+            assert full[0] == brute(n, cons + [(zero, l, c, 0) for l, c in rows], b, norm)
+            brute_checked += 1
+        budgets = [rng.randint(1, full[1]) for _ in range(3)] if full[1] else [0]
+        for cap, budget in [(10**6, budget) for budget in budgets] + [(1, 10**7), (3, 10**7), (3, budgets[0])]:
+            want = search_vectors(n, walk.with_rows(rows), b, cap, budget, norm)
+            assert search_vectors(n, split.with_rows(rows), b, cap, budget, norm) == want, (i, cap, budget)
+    assert split_cases >= 180 and brute_checked >= 150
+
+
+def _inner_calls(call):
+    """call()'s result and the number of calls into the kernel's inner
+    functions (the walk and the replay) while it ran."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_name in ("rec", "replay"):
+            count += frame.f_code.co_filename == search_vectors.__code__.co_filename
+    sys.setprofile(profile)
+    try:
+        out = call()
+    finally:
+        sys.setprofile(None)
+    return out, count
+
+
+def test_replay_skips_repeated_subtrees():
+    """Four Eisenstein blocks x^2 + xy + y^2 (rank 8) at bound 2: with the
+    splits the kernel enters its inner functions a small fraction of the
+    times it does with the coupling constraint, for the same results and
+    nodes.  An antisymmetric entry across two blocks symmetrises to zero,
+    so it leaves the splits (and the count) as they are."""
+    n = 8
+    a = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        a[i][i] = a[i][i + 1] = a[i + 1][i + 1] = 1
+    skew = [list(r) for r in a]
+    skew[1][6], skew[6][1] = 3, -3
+    cons = [(a, [0] * n, -4, 0), (a, [1, 0, 0, 1, 1, 0, 0, 1], 0, 3)]
+    skewed = [(skew, l, c, m) for _, l, c, m in cons]
+    assert Plan(n, cons).setup(2)[5] == Plan(n, skewed).setup(2)[5] == [2, 4, 6]
+    runs = [
+        _inner_calls(lambda: search_vectors(n, c, 2, 10**6, 10**7))
+        for c in (cons, skewed, cons + [coupling(n)])
+    ]
+    (out, replayed), (skew_out, skew_replayed), (walked_out, walked) = runs
+    assert out == skew_out == walked_out and len(out[0]) == 584 and out[1:] == (60500, True)
+    assert replayed == skew_replayed and 5 * replayed < walked
+
+
+def test_splits_read_the_symmetrised_matrix():
+    """A depth d splits the constraints when S_ij = A_ij + A_ji is zero for
+    every i < d <= j: an entry below the diagonal couples as one above it
+    does, and an antisymmetric pair does not.  Either way the searches
+    equal brute force."""
+    n = 4
+    for entries, splits in (
+        ({}, [1, 2]),
+        ({(0, 3): 1}, []),
+        ({(3, 0): 1}, []),
+        ({(2, 1): 2}, [1]),
+        ({(1, 2): 1, (2, 1): -1}, [1, 2]),
+    ):
+        a = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), e in entries.items():
+            a[i][j] = e
+        cons = [(a, [0, 1, 0, -1], -3, 0), (a, [1, 0, 2, 0], 1, 3)]
+        assert Plan(n, cons).setup(2)[5] == splits, entries
+        for norm in (False, True):
+            got, _, exhausted = search_vectors(n, cons, 2, 10**6, 10**7, norm)
+            assert exhausted and got == brute(n, cons, 2, norm)
