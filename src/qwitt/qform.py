@@ -407,12 +407,12 @@ def _lambda_square_constraint(f: QForm, value: int):
 
 def _column_constraints(
     target: QForm, lam: Sequence[Sequence[int]], mus: Sequence[GroupElement]
-) -> Tuple[List[list], str]:
-    """Each depth's own constraints on target (lambda(x, x) and mu(x)), and
-    "" or the certificate that a depth has no integer column at any bound:
-    a constraint that `search.unsolvable` rejects, or a non-zero
-    lambda(x, x) on an alternating target.  Depths with the same lam[d][d]
-    and mus[d] share one list, built and checked once."""
+) -> Tuple[List[search.Plan], str]:
+    """Each depth's own constraints on target (lambda(x, x) and mu(x)), as
+    a `search.Plan`, and "" or the certificate that a depth has no integer
+    column at any bound: a constraint that `search.unsolvable` rejects, or
+    a non-zero lambda(x, x) on an alternating target.  Depths with the same
+    lam[d][d] and mus[d] share one plan, built and checked once."""
     fixed, built = [], {}
     for d in range(len(mus)):
         key = (lam[d][d], mus[d].coords)
@@ -429,7 +429,7 @@ def _column_constraints(
             ):
                 if any(search.unsolvable(c) for c in cons):
                     return [], f"column {d}: {name} = {value} has no integer solution"
-            built[key] = square + mu
+            built[key] = search.Plan(target.rank, square + mu)
         fixed.append(built[key])
     return fixed, ""
 
@@ -492,10 +492,10 @@ def _column_search(
     increasing columns are taken: a witness is still found, in its box.
 
     Iterative deepening: the column recursion runs once per box
-    |x_i| <= b, for b = 1, 2, ..., bound (bound 0 or a rank-0 target: one
-    pass at `bound`), each pass in the kernel's enumeration order, except
-    that after each pass the next one is at the least larger box that the
-    root rules of the whole target's first-column plan admit
+    |x_i| <= b, for b = 1, 2, ..., bound (bound 0, no column or a rank-0
+    target: one pass at `bound`), each pass in the kernel's enumeration
+    order, except that after each pass the next one is at the least larger
+    box that the root rules of the whole target's first-column plan admit
     (`search.Plan.least_bound`).  A box they reject holds no first column,
     in the whole target or in a block (a block's interval lies inside the
     whole target's, and the whole target's gcd divides the block's), so
@@ -531,12 +531,13 @@ def _column_search(
     The square and mu constraints of each depth are built once, for the
     whole target, and depths with the same lam[d][d] and mus[d] share them;
     a block's are their restrictions to its coordinates (`_restrict`), and
-    no form is built per block.  The kernel's set-up of a (block or target,
-    depth) is a `search.Plan`, built when that depth is first searched and
-    shared by every later call at it (and at depths that share its
-    constraints), in every pass.  The pair row M^t c of a column is built
-    once, when the next column is searched for, and each call adds its pair
-    rows lambda(c_j, x) = lam[j][depth] to the depth's plan.
+    no form is built per block.  Each (block or target, depth) has one
+    `search.Plan`, built before the first pass and shared by every call at
+    that depth (and at depths that share its constraints), in every pass;
+    the kernel sets a plan up once per box.  The pair row M^t c of a column
+    is built once, when the next column is searched for, and each call
+    passes its pair rows lambda(c_j, x) = lam[j][depth] to the kernel
+    beside the depth's plan.
 
     Root certificate: before any kernel call, each depth's own constraints
     (lambda(x, x) and mu(x)) on the whole target go through
@@ -550,7 +551,8 @@ def _column_search(
     reports that it stopped early no further call is made, in that pass or
     a later one.  The vectors that call did return are still tried, so a
     witness among them still reaches `leaf`, and the node count stays at
-    most node_budget + 1.
+    most node_budget + 1.  A negative bound or node_budget is refused with
+    ValueError.
 
     Otherwise the verdict is "unknown", with the reason "no `what` within
     the bound" when every call ran to the end, else "node budget
@@ -558,16 +560,16 @@ def _column_search(
     """
     if bound < 0:
         raise ValueError(f"search bound {bound} is negative")
+    if node_budget < 0:
+        raise ValueError(f"node budget {node_budget} is negative")
     n, k = target.rank, len(mus)
     fixed, certificate = _column_constraints(target, lam, mus)
     if certificate:
         return SearchOutcome("no", bound=bound, reason=certificate)
     cut = not any(map(any, lam)) and all(m.is_zero for m in mus)
     # what each pass searches, in turn: every distinct block, then the whole
-    # target, as (basis indices, lambda transposed, each depth's constraints,
-    # {id of a depth's constraints: their kernel plan, once built}); depths
-    # with the same constraints share one list of them
-    distinct = list({id(cons): cons for cons in fixed}.values())
+    # target, as (basis indices, lambda transposed, each depth's plan);
+    # depths with the same constraints share one plan
     mat = target.lambda_matrix
     plans = []
     seen = set()
@@ -582,10 +584,10 @@ def _column_search(
         seen.add(key)
         if len(idx) < least and _intmat.determinant(sub):
             continue
-        restricted = {id(cons): [_restrict(c, idx) for c in cons] for cons in distinct}
-        if not any(search.unsolvable(c) for cons in restricted.values() for c in cons):
-            plans.append((idx, _intmat.transpose(sub), [restricted[id(cons)] for cons in fixed], {}))
-    plans.append((range(n), _intmat.transpose(mat), fixed, {}))
+        block = {p: search.Plan(len(idx), [_restrict(c, idx) for c in p.constraints]) for p in fixed}
+        if not any(search.unsolvable(c) for p in block.values() for c in p.constraints):
+            plans.append((idx, _intmat.transpose(sub), [block[p] for p in fixed]))
+    plans.append((range(n), _intmat.transpose(mat), fixed))
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
@@ -595,18 +597,14 @@ def _column_search(
         nonlocal nodes, exhausted
         if depth == k:
             return leaf(cols)
-        idx, mt, fixed, prepared = plan
+        idx, mt, depth_plans = plan
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, [cols[-1][i] for i in idx])]
         else:
             rows.clear()  # a new pass: no column is chosen yet
-        cons = fixed[depth]
-        if id(cons) not in prepared:
-            prepared[id(cons)] = search.Plan(len(idx), cons)
         results, used, done = search.search_vectors(
-            len(idx),
-            prepared[id(cons)].with_rows([(row, -lam[j][depth]) for j, row in enumerate(rows)]),
-            box, 1 << 30, node_budget - nodes, cut,
+            len(idx), depth_plans[depth], box, 1 << 30, node_budget - nodes, cut,
+            rows=[(row, -lam[j][depth]) for j, row in enumerate(rows)],
         )
         nodes += used
         exhausted = exhausted and done
@@ -625,21 +623,17 @@ def _column_search(
                 return witness
         return None
 
-    # the whole target's depth-0 plan, whose root rules give the next box
-    whole = None
-    if n and k:
-        whole = plans[-1][3][id(fixed[0])] = search.Plan(n, fixed[0])
-
     def boxes():
-        # a rank-0 target has one box, {()}, at every bound: one pass; the
-        # next box is asked for only when a pass ends without a witness and
-        # within the budget, since bound may be huge
-        box = min(bound, 1) if n else bound
+        # no column or a rank-0 target (one box, {()}, at every bound): one
+        # pass; else the next box is the least that the whole target's
+        # depth-0 plan admits, asked for only when a pass ends without a
+        # witness and within the budget, since bound may be huge
+        box = min(bound, 1) if n and k else bound
         while box is not None:
             yield box
             if box == bound:
                 return
-            box = whole.least_bound(box + 1, bound) if whole else box + 1
+            box = fixed[0].least_bound(box + 1, bound)
 
     for box, plan in ((box, plan) for box in boxes() for plan in plans):
         witness = rec(plan, 0, box)
@@ -822,8 +816,9 @@ def embedding_search(
         return SearchOutcome("no", bound=bound, reason=obstruction)
 
     def injective(cols):
-        # a rank-deficient tuple is no embedding: the search goes on
-        mat = _intmat.transpose(cols)
+        # a rank-deficient tuple is no embedding: the search goes on.  One
+        # row per basis vector of the target, empty ones for a rank-0 eta
+        mat = [[col[i] for col in cols] for i in range(target.rank)]
         if _intmat.rank(mat) == eta.rank:
             return tuple(tuple(r) for r in mat)
         return None

@@ -62,8 +62,8 @@ non-zero coordinate is never visited.
 The per-depth set-up (the symmetrised rows, the gcds, the intervals and
 reaches, the root rules) depends only on the constraints and the bound,
 so a `Plan` keeps it for the bound last asked for and the calls that
-share the plan build it once; a call's own pair rows come in a view,
-`plan.with_rows(rows)`, and only they are set up per call.
+share the plan build it once; a call's own pair rows are its `rows`
+argument, and only they are set up per call.
 """
 
 from __future__ import annotations
@@ -173,36 +173,26 @@ class Plan:
 
     The set-up (`_add_steps`) for a bound is built when a call first asks
     for that bound, and the one last asked for is kept: the driver searches
-    one bound per pass.  `with_rows` gives the view that one call searches,
-    which shares the plan's set-up and adds that call's exact linear rows
-    (l, c): searching it is searching the plan's constraints followed by
-    ((), l, c, 0) for each row.
+    one bound per pass.
     """
 
-    __slots__ = ("n", "constraints", "rows", "_setups")
+    __slots__ = ("n", "constraints", "_bound", "_steps")
 
     def __init__(self, n: int, constraints: Sequence[Constraint]):
         self.n = n
         self.constraints = constraints
-        self.rows: Sequence[Tuple[Sequence[int], int]] = ()
-        self._setups: dict = {}  # {bound: its set-up}, shared with every view
-
-    def with_rows(self, rows: Sequence[Tuple[Sequence[int], int]]) -> Plan:
-        view = object.__new__(Plan)
-        view.n, view.constraints, view._setups = self.n, self.constraints, self._setups
-        view.rows = rows
-        return view
+        self._bound: Optional[int] = None  # _steps is the set-up of this bound
+        self._steps = None
 
     def setup(self, bound: int):
         """The steps of the plan's own constraints for the box of `bound`,
         or None when a root rule rejects one."""
-        setups = self._setups
-        if bound not in setups:
+        if bound != self._bound:
             n = self.n
             steps = ([[] for _ in range(n)], [[] for _ in range(n)], [], [], [], [])
-            setups.clear()
-            setups[bound] = steps if _add_steps(n, self.constraints, bound, steps) else None
-        return setups[bound]
+            ok = _add_steps(n, self.constraints, bound, steps)
+            self._bound, self._steps = bound, steps if ok else None
+        return self._steps
 
     def least_bound(self, first: int, last: int) -> Optional[int]:
         """The least bound in first..last whose box no root rule rejects,
@@ -224,43 +214,47 @@ class Plan:
 
 def search_vectors(
     n: int,
-    constraints: Plan | Sequence[Constraint],
+    plan: Plan | Sequence[Constraint],
     bound: int,
     max_results: int,
     max_nodes: int,
     normalize_first_positive: bool = False,
+    rows: Sequence[Tuple[Sequence[int], int]] = (),
 ) -> Tuple[List[Tuple[int, ...]], int, bool]:
     """Enumerate box vectors satisfying every constraint.
 
-    `constraints` is a `Plan` (or a view of one, with its rows) or a list of
-    quadruples, searched as the plan of that list.  Returns (results,
-    nodes_visited, exhausted); exhausted is False when the search stopped
-    early on max_results or max_nodes.  A node is one value tried for one
+    `plan` is a `Plan` or a list of quadruples, searched as the plan of that
+    list.  Each of `rows` is an exact linear constraint (l, c), a call's own
+    pair row: searching them is searching the plan's constraints followed by
+    ((), l, c, 0) for each row.  Returns (results, nodes_visited,
+    exhausted); exhausted is False when the search stopped early on
+    max_results or max_nodes.  A node is one value tried for one
     coordinate, counted whether its subtree is walked or replayed from the
     table of a split (see the module docstring): a call stopped by
     max_nodes has visited max_nodes + 1 nodes, one stopped by max_results
     has visited the nodes up to the last result's, and every result and
     node count is the one walking every subtree gives.
     """
-    plan = constraints if isinstance(constraints, Plan) else Plan(n, constraints)
+    if not isinstance(plan, Plan):
+        plan = Plan(n, plan)
     if n == 0:
         ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in plan.constraints)
-        ok = ok and all(c == 0 for _, c in plan.rows)
+        ok = ok and all(c == 0 for _, c in rows)
         return ([()] if ok else []), 1, True
 
     steps = plan.setup(bound)
     if steps is None:
         return [], 0, True
     lin_steps, quad_steps, lin_values, quad_values, coefs, splits = steps
-    if plan.rows:
+    if rows:
         # each row is an exact linear constraint: its steps go after the
         # plan's own, in copies of the plan's lists
         lin_steps = [list(depth) for depth in lin_steps]
-        for l, c in plan.rows:
+        for l, c in rows:
             g, t = _add_linear(n, l, 0, bound, lin_steps)
             if _gcd_rejects(c, g) or c > t or c < -t:
                 return [], 0, True
-        lin_values = lin_values + [c for _, c in plan.rows]
+        lin_values = lin_values + [c for _, c in rows]
 
     results: List[Tuple[int, ...]] = []
     found_at: List[int] = []  # the node count at which each result was found

@@ -181,6 +181,11 @@ def test_embed_search(capsys):
     assert (code, out) == (
         0, '{"bound":3,"reason":"target inertia (2, 0) lacks the source\'s (1, 1)","status":"no"}\n'
     )
+    # the rank-0 form into a rank-2 form: a 2 x 0 matrix, one empty row per
+    # basis vector of the target
+    payload = '{"param":"Q^+","form":{"lambda":[[0,1],[1,0]],"mu":[[0],[0]]},"eta":{"lambda":[],"mu":[]}}'
+    code, out, _ = run_cli(capsys, "embed-search", payload, "--bound", "2")
+    assert (code, out) == (0, '{"bound":2,"matrix":[[],[]],"reason":"","status":"found"}\n')
 
 
 def test_induced_map(capsys):

@@ -190,9 +190,12 @@ def library_calls(name: str):
 
 
 def test_kernel_plans_come_from_the_driver():
-    # the driver builds one plan per (block or target, depth) and passes a
-    # view of it to every call; the kernel wraps a plain list in a plan
-    assert library_calls("Plan") == {("qform.py", "_column_search"), ("search.py", "search_vectors")}
+    # the driver builds one plan per (block or target, depth) and passes it,
+    # with the call's pair rows, to every call at that depth; the kernel
+    # wraps a plain list in a plan
+    assert library_calls("Plan") == {
+        ("qform.py", "_column_constraints"), ("qform.py", "_column_search"), ("search.py", "search_vectors")
+    }
 
 
 def test_kernel_set_up_lives_in_one_function():

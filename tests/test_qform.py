@@ -712,11 +712,12 @@ def test_root_certificate_alternating_square():
 
 class _KernelCall(tuple):
     """(box bound, nodes, exhausted) of one kernel call; `n` is the rank of
-    the form it searched, `args` the call's arguments and `out` what it
-    returned."""
+    the form it searched, `args` the call's positional arguments, `rows` its
+    pair rows and `out` what it returned."""
 
     n: int
     args: tuple
+    rows: list
     out: tuple
 
 
@@ -727,10 +728,10 @@ def _record_kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = search.search_vectors
 
-    def counted(*args):
-        out = kernel(*args)
+    def counted(*args, rows=()):
+        out = kernel(*args, rows=rows)
         call = _KernelCall((args[2],) + out[1:])
-        call.n, call.args, call.out = args[0], args, out
+        call.n, call.args, call.rows, call.out = args[0], args, rows, out
         calls.append(call)
         return out
 
@@ -768,13 +769,13 @@ def test_driver_plans_match_raw_constraints(monkeypatch):
             eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
             qf.embedding_search(eta, f, bound=2, node_budget=budget)
     assert len(calls) >= 300
-    assert sum(bool(c.args[1].rows) for c in calls) >= 200  # calls with pair rows
-    # views of one (block or target, depth) plan share its constraints
-    assert len({id(c.args[1].constraints) for c in calls}) <= len(calls) // 2
+    assert sum(bool(c.rows) for c in calls) >= 200  # calls with pair rows
+    # the calls at one (block or target, depth) share its plan
+    assert len({id(c.args[1]) for c in calls}) <= len(calls) // 2
     for call in calls:
         n, plan, *rest = call.args
         assert isinstance(plan, search.Plan)
-        flat = list(plan.constraints) + [((), l, c, 0) for l, c in plan.rows]
+        flat = list(plan.constraints) + [((), l, c, 0) for l, c in call.rows]
         assert kernel(n, flat, *rest) == call.out
 
 
@@ -863,13 +864,46 @@ def test_block_constraints_are_restrictions_of_the_targets():
                 [target.mu_basis[i] for i in idx],
             )
             want, unsolvable = qf._column_constraints(block, lam, mus)
-            got = [[qf._restrict(c, idx) for c in cons] for cons in fixed]
+            got = [[qf._restrict(c, idx) for c in p.constraints] for p in fixed]
             if unsolvable:
                 assert any(search.unsolvable(c) for cons in got for c in cons), (i, idx)
             else:
-                assert got == want, (i, idx)
+                assert got == [p.constraints for p in want], (i, idx)
             kinds.add(bool(unsolvable))
     assert kinds == {True, False}
+
+
+def test_set_up_count_is_pinned(monkeypatch):
+    """The kernel's set-ups (calls to `search._add_steps`) of two searches
+    over orthogonal sums, pinned with their kernel calls and nodes: an
+    isometry onto A2 + A2 whose witness needs box 2, and an embedding into
+    A2 + A2 + A2 that the distinct block holds at box 2.  A depth's plan is
+    set up once per box and shared by every call at that depth, so a
+    set-up per call, per block copy or per depth would move the count."""
+    from qwitt import search
+
+    setups = 0
+    add_steps = search._add_steps
+
+    def counted(*args):
+        nonlocal setups
+        setups += 1
+        return add_steps(*args)
+
+    monkeypatch.setattr(search, "_add_steps", counted)
+    calls = _record_kernel_calls(monkeypatch)
+    f2 = qf.direct_sum(_a2(), _a2())
+    source = qf.pullback(f2, [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 1, 0, 1]])
+    eta = qf.pullback(_a2(), [[2, 0], [1, 1]])
+    for run, want in (
+        (lambda: qf.isometry_search(source, f2, bound=3), (531, 17, 5)),
+        (lambda: qf.embedding_search(eta, qf.direct_sum(f2, _a2()), bound=3), (10877, 76, 6)),
+    ):
+        setups = 0
+        calls.clear()
+        out = run()
+        assert out.found and max(abs(x) for row in out.witness for x in row) == 2
+        assert (out.nodes, len(calls), setups) == want
 
 
 def test_search_takes_each_distinct_block_first(monkeypatch):
@@ -949,20 +983,26 @@ def test_passes_skip_the_boxes_the_root_rejects(monkeypatch):
         "unknown", "no embedding with coordinates within the bound", 0
     )
     assert [c[0] for c in calls] == [1, 1]
-    # no column (a rank-0 source) or a rank-0 target: no depth-0 plan
+    # no column (a rank-0 source) or a rank-0 target: one pass at the bound,
+    # found at 0 nodes with no kernel call; the embedding of a rank-0 source
+    # has one empty row per basis vector of the target
     calls.clear()
     empty = qf.QForm(QP, [], [])
+    out = qf.embedding_search(empty, one, bound=3)
+    assert (out.status, out.witness, out.nodes) == ("found", ((),), 0)
+    qf.Embedding(empty, one, out.witness)
     for out in (
-        qf.embedding_search(empty, one, bound=3),
         qf.embedding_search(empty, empty, bound=3),
         qf.isometry_search(empty, empty, bound=3),
         qf.metabolic_search(empty, bound=3, use_obstructions=False),
     ):
         assert (out.status, out.witness, out.nodes) == ("found", (), 0)
+    qf.Embedding(empty, empty, ())
     assert calls == []
 
 
-def test_negative_bound_is_refused():
+def test_negative_bound_is_refused(monkeypatch):
+    calls = _record_kernel_calls(monkeypatch)
     h2 = qf.hyperbolic(QP, 1)
     with pytest.raises(ValueError, match="negative"):
         qf.metabolic_search(h2, bound=-1, use_obstructions=False)
@@ -979,6 +1019,23 @@ def test_negative_bound_is_refused():
         qf.embedding_search(qf.direct_sum(h2, h2), h2, bound=-1)  # source rank
     with pytest.raises(ValueError, match="negative"):
         qf.SearchOutcome("unknown", bound=-1)
+    # a search visits at most node_budget + 1 nodes, which no search meets
+    # below 0: the driver refuses such a budget before any kernel call
+    h4 = qf.hyperbolic(QP, 2)
+    eta = qf.QForm(QM, [[0, 1], [-1, 0]], [QM.carrier.zero()] * 2)
+    for run in (
+        lambda: qf.metabolic_search(h4, node_budget=-5),
+        lambda: qf.metabolic_search(h2, node_budget=-1, use_obstructions=False),
+        lambda: qf.isometry_search(h2, h2, node_budget=-1),
+        lambda: qf.embedding_search(h2, h2, node_budget=-1),
+        lambda: qf.absorb_embed(qf.hyperbolic(QM, 1), eta, node_budget=-1),
+    ):
+        with pytest.raises(ValueError, match="negative"):
+            run()
+    assert calls == []
+    # a budget of 0 is one node, then the budget is spent
+    out = qf.metabolic_search(h4, node_budget=0)
+    assert (out.status, out.reason, out.nodes) == ("unknown", qf.BUDGET_EXHAUSTED, 1)
 
 
 def test_each_certificate_records_the_bound():

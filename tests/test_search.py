@@ -250,16 +250,16 @@ def test_kernel_node_counts_are_pinned():
     n, cons, rows = block_call_constraints()
     assert Plan(n, cons).setup(2)[5] == [2, 4]
     for cap, budget in BLOCK_CALLS:
-        res, nodes, exhausted = search_vectors(n, Plan(n, cons).with_rows(rows), 2, cap, budget)
+        res, nodes, exhausted = search_vectors(n, Plan(n, cons), 2, cap, budget, rows=rows)
         got.append((len(res), nodes, exhausted))
     assert got == KERNEL_PINNED
 
 
 def test_plan_views_match_flat_constraints():
-    """A plan searched through views with rows gives exactly what the flat
-    list of its constraints and the rows' quadruples gives, as (results,
-    nodes, exhausted); one plan serves bounds 0-3 and different rows in
-    turn, so a set-up cached for one bound or one call must not leak into
+    """A plan searched with pair rows gives exactly what the flat list of
+    its constraints and the rows' quadruples gives, as (results, nodes,
+    exhausted); one plan serves bounds 0-3 and different rows in turn, so
+    a set-up cached for one bound or one call must not leak into
     another.  A complete search is also checked against brute force."""
     rng = random.Random(41)
     complete = 0
@@ -276,13 +276,13 @@ def test_plan_views_match_flat_constraints():
             budget = rng.choice([10**7, 10**7, 1, 5, 40])
             cap = rng.choice([10**6, 1])
             norm = rng.random() < 0.5
-            got = search_vectors(n, plan.with_rows(rows), b, cap, budget, norm)
+            got = search_vectors(n, plan, b, cap, budget, norm, rows=rows)
             assert got == search_vectors(n, flat, b, cap, budget, norm), (i, rows, b)
             if got[2] and cap > 1:
                 zero = [[0] * n for _ in range(n)]
                 assert got[0] == brute(n, fixed + [(zero, l, c, 0) for l, c in rows], b, norm)
                 complete += 1
-        # the plan itself is the view without rows
+        # without rows, a plan searches its own constraints
         assert search_vectors(n, plan, 2, 10**6, 10**7) == search_vectors(n, fixed, 2, 10**6, 10**7)
     assert complete >= 300
 
@@ -355,16 +355,16 @@ def test_replay_matches_the_walk():
         if walk.setup(b) is not None:
             assert walk.setup(b)[5] == []
             split_cases += bool(split.setup(b)[5])
-        full = search_vectors(n, walk.with_rows(rows), b, 10**6, 10**7, norm)
-        assert search_vectors(n, split.with_rows(rows), b, 10**6, 10**7, norm) == full, i
+        full = search_vectors(n, walk, b, 10**6, 10**7, norm, rows=rows)
+        assert search_vectors(n, split, b, 10**6, 10**7, norm, rows=rows) == full, i
         if (2 * b + 1) ** n <= 3**5:
             zero = [[0] * n for _ in range(n)]
             assert full[0] == brute(n, cons + [(zero, l, c, 0) for l, c in rows], b, norm)
             brute_checked += 1
         budgets = [rng.randint(1, full[1]) for _ in range(3)] if full[1] else [0]
         for cap, budget in [(10**6, budget) for budget in budgets] + [(1, 10**7), (3, 10**7), (3, budgets[0])]:
-            want = search_vectors(n, walk.with_rows(rows), b, cap, budget, norm)
-            assert search_vectors(n, split.with_rows(rows), b, cap, budget, norm) == want, (i, cap, budget)
+            want = search_vectors(n, walk, b, cap, budget, norm, rows=rows)
+            assert search_vectors(n, split, b, cap, budget, norm, rows=rows) == want, (i, cap, budget)
     assert split_cases >= 180 and brute_checked >= 150
 
 
