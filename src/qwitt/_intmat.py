@@ -67,6 +67,8 @@ def _bareiss(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
     """
     a = copy(mat)
     m, n = shape(mat)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix rows differ in length")
     r, prev, sign = 0, 1, 1
     for c in range(n):
         piv = next((i for i in range(r, m) if a[i][c]), None)

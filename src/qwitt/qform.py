@@ -18,7 +18,7 @@ from . import _intmat, search
 from ._intmat import _binom2
 from .abelian import AbHom, FinAbGroup, GroupElement
 from .formparam import (
-    FormParameter, FPMorphism, linearisation, standard, terminal_morphism
+    FormParameter, FPMorphism, linearisation, maximal_splitting, standard, terminal_morphism
 )
 
 __all__ = [
@@ -91,6 +91,8 @@ class QForm:
         return len(self.lambda_matrix)
 
     def lam(self, x: Sequence[int], y: Sequence[int]) -> int:
+        if len(x) != self.rank or len(y) != self.rank:
+            raise ValueError("vector length does not match the rank")
         return sum(
             x[i] * self.lambda_matrix[i][j] * y[j]
             for i in range(self.rank)
@@ -155,13 +157,13 @@ class SearchOutcome:
 
     `nodes` counts the kernel's search-tree nodes, one per value tried for
     one coordinate, summed over the passes of the search (one per box
-    |x_i| <= b, b = 1 .. bound; see `_column_search`) and, within a pass,
-    over the target's distinct orthogonal blocks, searched before the
-    whole target.  No kernel call is made after the node budget is spent,
-    so it is at most node_budget + 1, and "node budget exhausted" is the
-    reason when a call stopped early.  A witness comes from the first pass
-    that finds one, so no box of a smaller bound holds a witness; one
-    found in a block is zero outside it.
+    |x_i| <= b, 1 <= b <= bound, that the root rules admit; see
+    `_column_search`) and, within a pass, over the target's distinct
+    orthogonal blocks, searched before the whole target.  No kernel call is
+    made after the node budget is spent, so it is at most node_budget + 1,
+    and "node budget exhausted" is the reason when a call stopped early.  A
+    witness comes from the first pass that finds one, so no box of a smaller
+    bound holds a witness; one found in a block is zero outside it.
     """
 
     status: str  # "found" | "no" | "unknown"
@@ -238,6 +240,8 @@ def pushforward(f: QForm, alpha: FPMorphism) -> QForm:
 
 
 def hyperbolic(q: FormParameter, m: int) -> QForm:
+    if m < 0:
+        raise ValueError(f"number of hyperbolic planes {m} is negative")
     eps = q.symmetry
     mat = [[0] * (2 * m) for _ in range(2 * m)]
     for i in range(m):
@@ -398,47 +402,43 @@ def _mu_constraints(
     return out
 
 
+# Read only by the benchmark (perfbench/kernels.py): mu rows imply this row.
 def _lambda_square_constraint(f: QForm, value: int):
     if f.parameter.is_symmetric:
         return [([list(r) for r in f.lambda_matrix], [0] * f.rank, -value, 0)]
-    # alternating forms have lambda(x, x) = 0 identically
-    return [] if value == 0 else None
+    return []  # lambda(x, x) = 0 identically on an alternating form
 
 
 def _column_constraints(
-    target: QForm, lam: Sequence[Sequence[int]], mus: Sequence[GroupElement]
+    target: QForm, mus: Sequence[GroupElement]
 ) -> Tuple[List[search.Plan], str]:
-    """Each depth's own constraints on target (lambda(x, x) and mu(x)), as
-    a `search.Plan`, and "" or the certificate that a depth has no integer
-    column at any bound: a constraint that `search.unsolvable` rejects, or
-    a non-zero lambda(x, x) on an alternating target.  Depths with the same
-    lam[d][d] and mus[d] share one plan, built and checked once."""
+    """Each depth's constraint mu(x) = mus[d] as a `search.Plan`, and "" or
+    the certificate that a depth has no integer column at any bound: a row
+    that `search.unsolvable` rejects.  Depths with equal mus[d] share a plan.
+    Its rows are mu's, one per coordinate e_c of the parameter's maximal
+    splitting, where h is 0 or h_0 e_0 with h_0 p(1)_0 = 2: row 0 states
+    lambda(x, x) = h(mus[d]), so row c's p(1)_c lambda(x, x) is a constant."""
+    iso = maximal_splitting(target.parameter).iso
+    split, q = pushforward(target, iso), iso.target
     fixed, built = [], {}
-    for d in range(len(mus)):
-        key = (lam[d][d], mus[d].coords)
-        if key not in built:
-            square = _lambda_square_constraint(target, lam[d][d])
-            if square is None:
-                return [], (
-                    f"column {d}: lambda(x, x) = {lam[d][d]} has no solution on an "
-                    "alternating form"
-                )
-            mu = _mu_constraints(target, mus[d])
-            for name, value, cons in (
-                ("lambda(x, x)", lam[d][d], square), ("mu(x)", mus[d], mu)
-            ):
-                if any(search.unsolvable(c) for c in cons):
-                    return [], f"column {d}: {name} = {value} has no integer solution"
-            built[key] = search.Plan(target.rank, square + mu)
-        fixed.append(built[key])
+    for d, mu in enumerate(mus):
+        if mu.coords not in built:
+            rows = _mu_constraints(split, iso(mu))
+            if q.is_symmetric:
+                rows[1:] = [((), l, c + pc * q.h_of(iso(mu)), m)
+                            for (_, l, c, m), pc in zip(rows[1:], q.p_one.coords[1:])]
+            if any(search.unsolvable(c) for c in rows):
+                return [], f"column {d}: mu(x) = {mu} has no integer solution"
+            built[mu.coords] = search.Plan(target.rank, rows)
+        fixed.append(built[mu.coords])
     return fixed, ""
 
 
 def _restrict(constraint, idx: Sequence[int]):
     """A constraint on the target's coordinates, restricted to those at
-    `idx`: the rows and columns of A and the entries of l at idx."""
+    `idx`: the rows and columns of A (if any) and the entries of l at idx."""
     a, l, c, m = constraint
-    return [[a[i][j] for j in idx] for i in idx], [l[i] for i in idx], c, m
+    return [[a[i][j] for j in idx] for i in idx] if a else a, [l[i] for i in idx], c, m
 
 
 def _orthogonal_blocks(mat: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -476,13 +476,13 @@ def _column_search(
     """The backtracking driver behind every bounded search.
 
     Looks for columns c_0, ..., c_{k-1} of target with entries within
-    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i].  The first
-    complete tuple that `leaf` turns into a witness (anything but None)
-    ends the search with "found".  `leaf` accepts only linearly
-    independent columns (every caller's does: `injective`, `unimodular`,
-    `_saturate_if_needed`'s rank check, and the primitive, so non-zero,
-    vector of `_primitive_isotropic`); the block rule and the symmetry
-    cuts below rest on it.
+    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i], where
+    lam[i][i] = h(mus[i]) as in every Q-form.  The first complete tuple that
+    `leaf` turns into a witness (anything but None) ends the search with
+    "found".  `leaf` accepts only linearly independent columns (every
+    caller's does: `injective`, `unimodular`, `_saturate_if_needed`'s rank
+    check, and the primitive, so non-zero, vector of `_primitive_isotropic`);
+    the block rule and the symmetry cuts below rest on it.
 
     Symmetry cuts: when lam and every mus[d] are zero (a lagrangian, a
     primitive isotropic vector, a zero source), columns may be negated (mu(-x) =
@@ -525,26 +525,23 @@ def _column_search(
     as f + f, whose blocks are runs of consecutive coordinates, each
     column's constraints split at the block boundaries: the kernel walks a
     later block's subtree once per distinct key and replays it after that
-    (see `qwitt.search`), so it no longer walks block 2 again for every
-    vector of block 1, and every node count stays as it was.
+    (see `qwitt.search`).
 
-    The square and mu constraints of each depth are built once, for the
-    whole target, and depths with the same lam[d][d] and mus[d] share them;
-    a block's are their restrictions to its coordinates (`_restrict`), and
-    no form is built per block.  Each (block or target, depth) has one
-    `search.Plan`, built before the first pass and shared by every call at
-    that depth (and at depths that share its constraints), in every pass;
-    the kernel sets a plan up once per box.  The pair row M^t c of a column
-    is built once, when the next column is searched for, and each call
-    passes its pair rows lambda(c_j, x) = lam[j][depth] to the kernel
-    beside the depth's plan.
+    Each depth's own constraints, the mu rows of `_column_constraints` (which
+    imply lambda(x, x) = lam[d][d]), are built once, for the whole target,
+    and depths with the same mus[d] share them; a block's are their
+    restrictions to its coordinates (`_restrict`), and no form is built per
+    block.  Each (block or target, depth) has one `search.Plan`, built before
+    the first pass and shared by every call at that depth (and at depths
+    that share its constraints), in every pass; the kernel sets a plan up
+    once per box.  The pair row M^t c of a column is built once, when the
+    next column is searched for, and each call passes its pair rows
+    lambda(c_j, x) = lam[j][depth] to the kernel beside the depth's plan.
 
-    Root certificate: before any kernel call, each depth's own constraints
-    (lambda(x, x) and mu(x)) on the whole target go through
-    `search.unsolvable`, and a non-zero lambda(x, x) on an alternating
-    target is refused outright.  A depth that fails has no integer column
-    at any bound, so the verdict is "no" at 0 nodes, its reason naming the
-    depth and the constraint.
+    Root certificate: before any kernel call, each depth's mu rows on the
+    whole target go through `search.unsolvable`, the gcd rule.  A depth
+    with a row that fails has no integer column at any bound, so the
+    verdict is "no" at 0 nodes, its reason naming the depth and mus[d].
 
     Budget rule: the passes, blocks included, share one node count.  Each
     kernel call gets the nodes left of `node_budget`, and once a call
@@ -563,7 +560,7 @@ def _column_search(
     if node_budget < 0:
         raise ValueError(f"node budget {node_budget} is negative")
     n, k = target.rank, len(mus)
-    fixed, certificate = _column_constraints(target, lam, mus)
+    fixed, certificate = _column_constraints(target, mus)
     if certificate:
         return SearchOutcome("no", bound=bound, reason=certificate)
     cut = not any(map(any, lam)) and all(m.is_zero for m in mus)

@@ -6,7 +6,7 @@ A constraint is a quadruple (A, l, c, m) demanding
     ... == 0 (mod m)                                      (m >  0)
 
 over the box |x_i| <= bound.  A may be empty, (), for a linear constraint
-(every pair row of `qform._column_search` is one).  Enumeration is
+(a pair row or a later mu row of `qform._column_search`).  Enumeration is
 depth-first in coordinate order with values -bound..bound ascending, so
 results arrive in a fixed order and a call stopped by its node budget
 returns a prefix of the full results.

@@ -198,6 +198,13 @@ def test_kernel_plans_come_from_the_driver():
     }
 
 
+def test_driver_builds_no_lambda_square_row():
+    # a column's mu rows in the splitting's coordinates imply lambda(x, x) =
+    # h(mu), so no plan holds that row; the benchmark still reads the helper
+    # (test_benchmark_names_resolve)
+    assert library_calls("_lambda_square_constraint") == set()
+
+
 def test_kernel_set_up_lives_in_one_function():
     # search._add_steps builds every depth's steps and root rules; its
     # linear rule, _add_linear, also sets up a call's pair rows, and

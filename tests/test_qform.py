@@ -350,6 +350,30 @@ def test_shape_errors_are_value_errors():
         qf.lagrangian_verify(h, [[1, 0, 0]])
 
 
+def test_isometry_verify_refuses_a_ragged_matrix():
+    h = qf.hyperbolic(QP, 1)
+    with pytest.raises(ValueError, match="rows differ in length"):
+        qf.isometry_verify(h, h, [[1, 0], [0]])
+    with pytest.raises(ValueError, match="rows differ in length"):
+        _intmat.rank([[1, 0], [0]])
+    # the first row sets the width: one column for two rows
+    with pytest.raises(ValueError, match="non-square"):
+        qf.isometry_verify(h, h, [[1], [0, 1]])
+
+
+def test_lam_refuses_a_vector_of_another_length():
+    h = qf.hyperbolic(QP, 1)
+    assert h.lam([1, 1], [1, 1]) == 2
+    for x, y in (([1, 1, 5], [1, 1]), ([1], [1, 1]), ([1, 1], [1]), ([1, 1], [1, 1, 0])):
+        with pytest.raises(ValueError, match="vector length"):
+            h.lam(x, y)
+
+
+def test_hyperbolic_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="hyperbolic planes -1 is negative"):
+        qf.hyperbolic(QP, -1)
+
+
 def test_pullback_refuses_a_ragged_basis():
     h = qf.hyperbolic(QP, 1)
     for basis in ([[1, 0], [0]], [[1], [0, 1]], [[], [1]]):
@@ -686,25 +710,22 @@ def test_embedding_search_root_certificate():
     out = qf.embedding_search(eta, target, bound=3)
     assert out.status == "no" and out.nodes == 0
     assert out.reason == "column 1: mu(x) = (0, 1) has no integer solution"
-    # an odd square in an even lattice: lambda(x, x) = 1 fails mod 2
+    # an odd square in an even lattice: mu(x) = 1 asks lambda(x, x) = 1,
+    # which fails mod 2
     odd = qf.QForm(QP, [[0, 1], [1, 1]], [QP.carrier.zero(), QP.carrier.element((1,))])
     out = qf.embedding_search(odd, qf.hyperbolic(QP, 2), bound=3)
     assert out.status == "no" and out.nodes == 0
-    assert out.reason == "column 1: lambda(x, x) = 1 has no integer solution"
+    assert out.reason == "column 1: mu(x) = (1) has no integer solution"
     # the certificate holds at any bound: a larger box costs no node either
     big = qf.embedding_search(odd, qf.hyperbolic(QP, 2), bound=50)
     assert (big.status, big.reason, big.nodes) == (out.status, out.reason, 0)
-
-
-def test_root_certificate_alternating_square():
-    # lambda(x, x) = 2 asked of an alternating target: no vector at all
-    target = qf.hyperbolic(QM, 1)
-    out = qf._column_search(
-        target, [[2]], [QM.carrier.zero()], 3, 1000, lambda cols: cols, "embedding"
-    )
-    assert (out.status, out.reason, out.nodes) == (
-        "no", "column 0: lambda(x, x) = 2 has no solution on an alternating form", 0
-    )
+    # over ZP (h = e_0, p(1) = (2, -1)), mu(x) = (0, 1) asks lambda(x, x) =
+    # 0 of row 0 and -lambda(x, x) = 2 of row 1: each row alone is solvable
+    # on H, but row 1 with lambda(x, x) = 0 put in is not
+    zp = standard("ZP")
+    eta = qf.QForm(zp, [[0]], [zp.carrier.element((0, 1))])
+    out = qf.embedding_search(eta, qf.hyperbolic(zp, 1), bound=3)
+    assert (out.status, out.reason, out.nodes) == ("no", "column 0: mu(x) = (0, 1) has no integer solution", 0)
 
 
 # -- the search driver -----------------------------------------------------------
@@ -853,8 +874,8 @@ def test_block_constraints_are_restrictions_of_the_targets():
         else:
             q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
             eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
-        lam, mus = eta.lambda_matrix, eta.mu_basis
-        fixed, certificate = qf._column_constraints(target, lam, mus)
+        mus = eta.mu_basis
+        fixed, certificate = qf._column_constraints(target, mus)
         if certificate:
             continue
         for idx in qf._orthogonal_blocks(target.lambda_matrix):
@@ -863,7 +884,7 @@ def test_block_constraints_are_restrictions_of_the_targets():
                 [[target.lambda_matrix[i][j] for j in idx] for i in idx],
                 [target.mu_basis[i] for i in idx],
             )
-            want, unsolvable = qf._column_constraints(block, lam, mus)
+            want, unsolvable = qf._column_constraints(block, mus)
             got = [[qf._restrict(c, idx) for c in p.constraints] for p in fixed]
             if unsolvable:
                 assert any(search.unsolvable(c) for cons in got for c in cons), (i, idx)
@@ -871,6 +892,76 @@ def test_block_constraints_are_restrictions_of_the_targets():
                 assert got == [p.constraints for p in want], (i, idx)
             kinds.add(bool(unsolvable))
     assert kinds == {True, False}
+
+
+def _scrambled_column_query(rng, symmetric):
+    """A target over a seeded scrambled parameter (nonsingular, or a
+    pullback of one, often singular) and two mu values for its columns:
+    zero, p(1), a generator or a small combination of the generators."""
+    from qwitt.sampling import random_form_parameter
+
+    p = random_form_parameter(rng, symmetric=symmetric)
+    target = random_nonsingular_form(rng, p, max_rank=4)
+    if rng.random() < 0.5:
+        k = rng.randint(1, 4)
+        target = qf.pullback(target, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(target.rank)])
+    gens = p.carrier.gens()
+    values = [p.carrier.zero(), p.p_one] + gens
+    values.append(p.carrier.combination([rng.randint(-2, 2) for _ in gens], gens))
+    return p, target, [rng.choice(values) for _ in range(2)]
+
+
+def test_lambda_square_row_prunes_nothing_more():
+    """Over seeded scrambled symmetric parameters, each depth's plan from
+    `_column_constraints` and that plan with the row lambda(x, x) = h(mu_d)
+    appended give the kernel the same (results, nodes, exhausted) at boxes
+    1 and 2, with and without the normalisation, with and without a pair
+    row: in the splitting's coordinates the mu row of coordinate 0 is p(1)_0
+    times the lambda(x, x) row."""
+    from qwitt import search
+    from qwitt.formparam import maximal_splitting
+
+    kernel = search.search_vectors
+    rng = random.Random(2806)
+    compared = found = 0
+    for _ in range(60):
+        p, target, mus = _scrambled_column_query(rng, True)
+        fixed, certificate = qf._column_constraints(target, mus)
+        if certificate or not target.rank:
+            continue
+        split = qf.pushforward(target, maximal_splitting(p).iso)
+        n = target.rank
+        for plan, mu in zip(fixed, mus):
+            square = list(plan.constraints) + qf._lambda_square_constraint(split, p.h_of(mu))
+            row = ([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
+            for box, first_positive, rows in itertools.product((1, 2), (False, True), ((), [row])):
+                args = (box, 10**6, 10**6, first_positive)
+                out = kernel(n, plan, *args, rows=rows)
+                assert out == kernel(n, square, *args, rows=rows)
+                compared += 1
+                found += bool(out[0])
+    assert compared >= 300 and found >= 100, (compared, found)
+
+
+def test_mu_root_certificates_are_sound():
+    """Every "column d: mu(x) = ... has no integer solution" answer of an
+    embedding search over seeded scrambled parameters of both symmetries,
+    against brute force: no x in the box |x_i| <= 2 has mu(x) = mu_d."""
+    rng = random.Random(2807)
+    certified = 0
+    for i in range(160):
+        p, target, (_, q) = _scrambled_column_query(rng, bool(i % 2))
+        eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+        out = qf.embedding_search(eta, target, bound=2, node_budget=2000)
+        if not out.reason.endswith(" has no integer solution"):
+            continue
+        d = int(out.reason.split(":")[0].removeprefix("column "))
+        assert out.reason == f"column {d}: mu(x) = {eta.mu_basis[d]} has no integer solution"
+        assert (out.status, out.nodes) == ("no", 0)
+        box = itertools.product(range(-2, 3), repeat=target.rank)
+        assert all(qf.mu_eval(target, x) != eta.mu_basis[d] for x in box), (i, out)
+        certified += 1
+    assert certified >= 10, certified
 
 
 def test_set_up_count_is_pinned(monkeypatch):
@@ -1064,7 +1155,7 @@ def test_each_certificate_records_the_bound():
         ("Arf invariant 1 of the quadratic lift", lambda b: qf.metabolic_search(
             qf.pushforward(arf1(), standard_morphism("Q-", "ZL_2")), bound=b
         )),
-        ("column 1: lambda(x, x) = 1 has no integer solution", lambda b: qf.embedding_search(
+        ("column 1: mu(x) = (1) has no integer solution", lambda b: qf.embedding_search(
             odd, qf.hyperbolic(QP, 2), bound=b
         )),
     ]
