@@ -8,7 +8,6 @@ entry left, at least halves on each sweep that leaves a remainder (see SNF).
 
 from __future__ import annotations
 
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -27,7 +26,12 @@ def copy(mat: Sequence[Sequence[int]]) -> Matrix:
 
 
 def shape(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
-    return len(mat), len(mat[0]) if mat else 0
+    """(rows, columns); every routine that takes a matrix's width from here
+    refuses one whose rows differ in length."""
+    n = len(mat[0]) if mat else 0
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix rows differ in length")
+    return len(mat), n
 
 
 def transpose(mat: Sequence[Sequence[int]]) -> Matrix:
@@ -65,10 +69,8 @@ def _bareiss(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
     matrix of full rank no column is passed over, and the last pivot is the
     determinant of the row-permuted matrix.
     """
-    a = copy(mat)
     m, n = shape(mat)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix rows differ in length")
+    a = copy(mat)
     r, prev, sign = 0, 1, 1
     for c in range(n):
         piv = next((i for i in range(r, m) if a[i][c]), None)
@@ -292,13 +294,6 @@ def xgcd(a: int, b: int) -> Tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
 
 
 def _binom2(n: int) -> int:

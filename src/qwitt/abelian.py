@@ -602,13 +602,11 @@ def tensor_map(f: AbHom, g: AbHom) -> AbHom:
 # -- summand splitting -------------------------------------------------------
 
 
-def _verify_direct_sum(
-    group: FinAbGroup, g: GroupElement, comp: Sequence[GroupElement]
-) -> None:
+def _verify_direct_sum(g: GroupElement, comp: Sequence[GroupElement]) -> None:
     parts = FinAbGroup(
         tuple([g.order()]) + tuple(y.order() for y in comp)
     )
-    iso = AbHom.from_columns(parts, group, [g, *comp])
+    iso = AbHom.from_columns(parts, g.group, [g, *comp])
     if not iso.is_isomorphism():
         raise AssertionError("claimed summand decomposition is not direct")
 
@@ -638,11 +636,9 @@ def least_preimage_of_one(f: AbHom) -> Optional[GroupElement]:
     return group.element(coords)
 
 
-def split_off_hom_summand(
-    group: FinAbGroup, f: AbHom
-) -> Tuple[GroupElement, List[GroupElement]]:
-    """Split G = <g> + <H> with f(g) = 1, H inside Ker(f), and
-    g = least_preimage_of_one(f) of minimal 2-power order.
+def split_off_hom_summand(f: AbHom) -> Tuple[GroupElement, List[GroupElement]]:
+    """Split G = <g> + <H>, G = f.source, with f(g) = 1, H inside Ker(f),
+    and g = least_preimage_of_one(f) of minimal 2-power order.
 
     f must be a homomorphism to Z2 that is non-zero on the torsion subgroup.
     """
@@ -654,25 +650,24 @@ def split_off_hom_summand(
     a = g.order()
     if a & (a - 1):
         raise AssertionError(f"minimal order {a} is not a power of 2")
-    comp = _complement(group, g, lambda z: f(z).coords[0])
+    comp = _complement(g, lambda z: f(z).coords[0])
     if any(f(y).coords[0] for y in comp):
         raise AssertionError("complement generator adjustment failed")
     return g, comp
 
 
 def _complement(
-    group: FinAbGroup,
-    g: GroupElement,
-    parity: Callable[[GroupElement], Optional[int]],
+    g: GroupElement, parity: Callable[[GroupElement], Optional[int]]
 ) -> List[GroupElement]:
-    """Generators of a complement to <g>, for g of prime-power order a.
+    """Generators of a complement to <g> in g.group, for g of prime-power
+    order a.
 
-    A lift z of a generator of group/<g> of finite order r has r*z = s*g and
+    A lift z of a generator of g.group/<g> of finite order r has r*z = s*g and
     moves to z - t*g, t = _solve_two_congruences(r, s, a, parity(z)), which
     kills r*z; a lift of a free generator moves to z + g if parity(z) is 1.
     """
     a = g.order()
-    quot, _, lifts = quotient_with_lift([g], group)
+    quot, _, lifts = quotient_with_lift([g], g.group)
     comp: List[GroupElement] = []
     for r, z in zip(quot.orders, lifts):
         if r:
@@ -683,7 +678,7 @@ def _complement(
         elif parity(z):
             z = z + g
         comp.append(z)
-    _verify_direct_sum(group, g, comp)
+    _verify_direct_sum(g, comp)
     return comp
 
 
@@ -724,15 +719,14 @@ def _solve_two_congruences(r: int, s: int, a: int, parity: Optional[int]) -> int
     )
 
 
-def split_off_free(
-    group: FinAbGroup, f: AbHom
-) -> Tuple[GroupElement, List[GroupElement]]:
-    """Split G = <g> + <H> with f(g) = 1, H in Ker(f), for f vanishing on
-    the torsion: g is the first free generator where f is odd, and H is
-    spanned by the other free generators, each plus g where f is odd, then
-    the torsion generators."""
+def split_off_free(f: AbHom) -> Tuple[GroupElement, List[GroupElement]]:
+    """Split G = <g> + <H>, G = f.source, with f(g) = 1, H in Ker(f), for f
+    vanishing on the torsion: g is the first free generator where f is odd,
+    and H is spanned by the other free generators, each plus g where f is
+    odd, then the torsion generators."""
     if f.target.orders != (2,):
         raise ValueError("expected a homomorphism to Z2")
+    group = f.source
     gens = group.gens()
     vals = [f(x).coords[0] for x in gens]
     if any(v and n for v, n in zip(vals, group.orders)):
@@ -743,14 +737,13 @@ def split_off_free(
     free = [(x, v) for x, v, n in zip(gens, vals, group.orders) if n == 0]
     comp = [x + g if v else x for x, v in free if x != g]
     comp += [x for x, n in zip(gens, group.orders) if n]
-    _verify_direct_sum(group, g, comp)
+    _verify_direct_sum(g, comp)
     return g, comp
 
 
-def split_off_cyclic(
-    group: FinAbGroup, g: GroupElement
-) -> Tuple[GroupElement, List[GroupElement]]:
-    """Write g = p^a * h with a maximal; <h> is then a direct summand.
+def split_off_cyclic(g: GroupElement) -> Tuple[GroupElement, List[GroupElement]]:
+    """Write g = p^a * h with a maximal in g.group; <h> is then a direct
+    summand.
 
     g must have prime order.  Returns h and generators of a complement.
     """
@@ -758,26 +751,25 @@ def split_off_cyclic(
     if p == 0 or _factorint(p) != {p: 1}:
         raise ValueError(f"element order {p} is not prime")
     h, q = g, p
-    while (cand := _divide_by(group, g, q)) is not None:
+    while (cand := _divide_by(g, q)) is not None:
         h, q = cand, q * p
-    return h, _complement(group, h, lambda z: None)
+    return h, _complement(h, lambda z: None)
 
 
-def _divide_by(
-    group: FinAbGroup, g: GroupElement, n: int
-) -> Optional[GroupElement]:
-    """The x with n*x == g whose every coordinate is least, or None.
+def _divide_by(g: GroupElement, n: int) -> Optional[GroupElement]:
+    """The x in g.group with n*x == g whose every coordinate is least, or
+    None.
 
     Multiplication by n acts factor by factor: on Z_m, n*x = g_i has a
     solution iff d = gcd(n, m) divides g_i, and the least one is
     (g_i/d) * (n/d)^-1 mod m/d; on Z it is g_i / n.
     """
     coords = []
-    for gi, m in zip(g.coords, group.orders):
+    for gi, m in zip(g.coords, g.group.orders):
         d = gcd(n, m)
         if gi % d:
             return None
         coords.append(
             gi // d * pow(n // d, -1, m // d) % (m // d) if m else gi // n
         )
-    return group.element(coords)
+    return g.group.element(coords)

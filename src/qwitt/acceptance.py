@@ -309,8 +309,8 @@ def criterion_7_f_gamma_roundtrip(rng) -> Tuple[bool, str]:
         pres = present(comp, q0)
         for _ in range(20):
             t = random_tensor_element(rng, pres)
-            form = witt.form_from_tensor(q0, comp, pres, t)
-            back = witt.tensor_invariant(form, q0, pres)
+            form = witt.form_from_tensor(pres, t)
+            back = witt.tensor_invariant(form, pres)
             total += 1
             if back.coords != t.coords:
                 bad += 1

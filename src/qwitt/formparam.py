@@ -148,14 +148,18 @@ class FPMorphism:
 
 @dataclass(frozen=True)
 class SliceHom:
-    """A homomorphism v: A -> Z2 (an object of the slice over Z2)."""
+    """A homomorphism v: A -> Z2 (an object of the slice over Z2); its
+    domain A is v.source."""
 
-    domain: FinAbGroup
     v: AbHom
 
     def __post_init__(self):
-        if self.v.source != self.domain or self.v.target != Z2:
-            raise ValueError("expected a homomorphism domain -> Z2")
+        if self.v.target != Z2:
+            raise ValueError("expected a homomorphism to Z2")
+
+    @property
+    def domain(self) -> FinAbGroup:
+        return self.v.source
 
     def __call__(self, x: GroupElement) -> int:
         return self.v(x).coords[0]
@@ -167,16 +171,18 @@ class SliceHom:
 
 @dataclass(frozen=True)
 class CosliceHom:
-    """A homomorphism v': Z2 -> A, stored as the image v'(1) of order <= 2."""
+    """A homomorphism v': Z2 -> A, stored as the image v'(1) of order <= 2;
+    its codomain A is v'(1)'s group."""
 
-    codomain: FinAbGroup
     v_one: GroupElement
 
     def __post_init__(self):
-        if self.v_one.group != self.codomain:
-            raise ValueError("v'(1) must lie in the codomain")
         if not (2 * self.v_one).is_zero:
             raise ValueError("v'(1) must have order dividing 2")
+
+    @property
+    def codomain(self) -> FinAbGroup:
+        return self.v_one.group
 
     @property
     def is_zero(self) -> bool:
@@ -293,8 +299,8 @@ def quasi_wu(q: FormParameter) -> Union[SliceHom, CosliceHom]:
     h(p(1)) = 2, so h mod 2 does not depend on the chosen lift."""
     if q.is_symmetric:
         sq, _, lifts = linearisation(q)
-        return SliceHom(sq, AbHom(sq, Z2, [[q.h_of(x) for x in lifts]]))
-    return CosliceHom(q.carrier, q.p_one)
+        return SliceHom(AbHom(sq, Z2, [[q.h_of(x) for x in lifts]]))
+    return CosliceHom(q.p_one)
 
 
 def S_of(alpha: FPMorphism) -> AbHom:
@@ -360,30 +366,26 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
         kind, k, comp, basis = "Q+", None, sp, sp.gens()
     else:
         if any(v(g) for g, n in zip(sp.gens(), sp.orders) if n):
-            g0, rest = split_off_hom_summand(sp, v.v)
+            g0, rest = split_off_hom_summand(v.v)
             m = g0.order().bit_length() - 1  # order = 2^m
             kind, k = ("Q^+", None) if m == 1 else ("ZP_k", m - 1)
         else:
             # v lives on the free part: split it there, keep torsion in G
-            g0, rest = split_off_free(sp, v.v)
+            g0, rest = split_off_free(v.v)
             kind, k = "ZP", None
         comp, incl = subgroup(sp, rest)
         basis = [g0] + incl.columns()
     q0 = standard(kind, k)
+    glue = _glue_linearisation(q0, comp)
     # slice iso f: SP -> SQ0 + comp sending the basis to the generators
-    sq0, _, _ = linearisation(q0)
-    tgt = FinAbGroup(sq0.orders + comp.orders)
-    f = hom_from_images(sp, basis, tgt.gens(), tgt)
-    target = split_sum(q0, comp)
-    glue = _glue_linearisation(q0, comp, target)
-    iso = morphism_from_slice(p, target, glue.compose(f))
+    f = hom_from_images(sp, basis, glue.source.gens(), glue.source)
+    iso = morphism_from_slice(p, split_sum(q0, comp), glue.compose(f))
     return MaximalSplitting(kind, k, q0, comp, iso)
 
 
-def _glue_linearisation(
-    q0: FormParameter, comp: FinAbGroup, target: FormParameter
-) -> AbHom:
+def _glue_linearisation(q0: FormParameter, comp: FinAbGroup) -> AbHom:
     """The natural isomorphism SQ0 + G -> S(Q0 + G)."""
+    target = split_sum(q0, comp)
     sq0, _, lifts = linearisation(q0)
     s_tgt, proj_t, _ = linearisation(target)
     pad = (0,) * comp.ngens
@@ -399,7 +401,7 @@ def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
     if p.p_one.is_zero:
         kind, k, head, rest = "Q^-", None, [], a.gens()
     else:
-        h0, rest = split_off_cyclic(a, p.p_one)
+        h0, rest = split_off_cyclic(p.p_one)
         head = [h0]
         order = h0.order()  # 2^(l+1) with l the 2-divisibility exponent of p(1)
         kind, k = ("Q-", None) if order == 2 else ("ZL_k", order.bit_length() - 1)

@@ -12,6 +12,7 @@ addition and scalar rules, never cached, so equality stays structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat, search
@@ -416,17 +417,19 @@ def _column_constraints(
     the certificate that a depth has no integer column at any bound: a row
     that `search.unsolvable` rejects.  Depths with equal mus[d] share a plan.
     Its rows are mu's, one per coordinate e_c of the parameter's maximal
-    splitting, where h is 0 or h_0 e_0 with h_0 p(1)_0 = 2: row 0 states
-    lambda(x, x) = h(mus[d]), so row c's p(1)_c lambda(x, x) is a constant."""
+    splitting, and row c's quadratic part is p(1)_c lambda(x, x).  There
+    h_0 p(1)_0 = 2 and h = h_0 e_0 over a symmetric parameter, so row 0
+    states lambda(x, x) = h(mus[d]); over an alternating one h = 0 and
+    p(1)_c = 0 for c >= 1.  Either way every later row is linear, with the
+    constant p(1)_c h(mus[d]) added to its value."""
     iso = maximal_splitting(target.parameter).iso
     split, q = pushforward(target, iso), iso.target
     fixed, built = [], {}
     for d, mu in enumerate(mus):
         if mu.coords not in built:
             rows = _mu_constraints(split, iso(mu))
-            if q.is_symmetric:
-                rows[1:] = [((), l, c + pc * q.h_of(iso(mu)), m)
-                            for (_, l, c, m), pc in zip(rows[1:], q.p_one.coords[1:])]
+            rows[1:] = [((), l, c + pc * q.h_of(iso(mu)), m)
+                        for (_, l, c, m), pc in zip(rows[1:], q.p_one.coords[1:])]
             if any(search.unsolvable(c) for c in rows):
                 return [], f"column {d}: mu(x) = {mu} has no integer solution"
             built[mu.coords] = search.Plan(target.rank, rows)
@@ -972,7 +975,7 @@ def _primitive_isotropic(
     g = pushforward(f, terminal_morphism(f.parameter))
     out = _column_search(
         g, [[0]], [g.parameter.carrier.zero()], bound, node_budget,
-        lambda cols: (tuple(cols[0]),) if _intmat.vec_gcd(cols[0]) == 1 else None,
+        lambda cols: (tuple(cols[0]),) if gcd(*cols[0]) == 1 else None,
         "primitive isotropic vector",
     )
     return list(out.witness[0]) if out.found else None

@@ -109,8 +109,6 @@ def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
     if kind not in ("ZP", "ZP_k"):
         raise ValueError("rho is defined over the ZP family only")
     k = k or 0
-    if not is_nonsingular(f):
-        raise ValueError("rho of a singular form")
     omega = [m.coords[0] + 2 * m.coords[1] for m in f.mu_basis]
     if k:
         omega = [w % 2 ** (k + 1) for w in omega]
@@ -182,19 +180,18 @@ def arf(f: QForm) -> int:
 # -- the F / gamma correspondence ---------------------------------------------
 
 
-def tensor_invariant(
-    f: QForm, q0: FormParameter, pres: TensorPresentation
-) -> GroupElement:
-    """The reduced-part invariant of a nonsingular form over Q0 + G.
+def tensor_invariant(f: QForm, pres: TensorPresentation) -> GroupElement:
+    """The reduced-part invariant in G (x) Q0 of a nonsingular form over
+    Q0 + G, where G and Q0 are pres.g and pres.q.
 
     With (y_i) the basis dual to the chosen one, this is
     sum_{i<j} [mu_G(x_i), mu_G(x_j)] (x) lambda(y_i, y_j)
     + sum_i mu_G(x_i) (x) mu_Q(y_i); it vanishes on metabolic forms and is
     independent of the basis.  y_j is column j of M^-1, so the Gram matrix
-    of the y is M^-T and lambda(y_i, y_j) = M^-1[j][i].
+    of the y is M^-T and lambda(y_i, y_j) = M^-1[j][i]; a singular form has
+    no inverse, and unimodular_inverse refuses it.
     """
-    if not is_nonsingular(f):
-        raise ValueError("the invariant needs a nonsingular form")
+    q0 = pres.q
     nq = q0.carrier.ngens
     if f.parameter.carrier.orders != q0.carrier.orders + pres.g.orders:
         raise ValueError("form is not over the expected split parameter")
@@ -211,19 +208,16 @@ def tensor_invariant(
     return pres.group.combination(c, pres.basis_map)
 
 
-def form_from_tensor(
-    q0: FormParameter,
-    comp: FinAbGroup,
-    pres: TensorPresentation,
-    t: GroupElement,
-) -> QForm:
-    """A nonsingular form over Q0 + G whose reduced invariant is t.
+def form_from_tensor(pres: TensorPresentation, t: GroupElement) -> QForm:
+    """A nonsingular form over Q0 + G whose reduced invariant is t in
+    G (x) Q0, where G and Q0 are pres.g and pres.q.
 
     Built as an orthogonal sum of rank-2 blocks over an integer lift of t:
     a bracket symbol [g1, g2] (x) n gives ((0, 1), (eps, 0)) with mu values
     (n g1, g2); a simple symbol g (x) q gives ((0, 1), (eps, -h(q))) with
     mu values (g, q - p(h(q))).
     """
+    q0, comp = pres.q, pres.g
     split = split_sum(q0, comp)
     nq = q0.carrier.ngens
     eps = q0.symmetry
@@ -400,7 +394,7 @@ def witt_group(p: FormParameter) -> WittGroupDescription:
     table = _indecomposables(ms.standard_kind, ms.k)
     forms = [_embed_standard_form(rep, ms) for _, _, rep, _ in table]
     forms += [
-        form_from_tensor(ms.standard, ms.complement, pres, t)
+        form_from_tensor(pres, t)
         for t in pres.group.gens()
     ]
     return WittGroupDescription(
@@ -445,7 +439,7 @@ def witt_class(f: QForm) -> WittClass:
     q_part = _retract_to_standard(ms, g)
     table = _indecomposables(ms.standard_kind, ms.k)
     coords = [inv(q_part) for _, _, _, inv in table]
-    coords += tensor_invariant(g, ms.standard, desc.tensor_pres).coords
+    coords += tensor_invariant(g, desc.tensor_pres).coords
     return WittClass(desc, tuple(coords))
 
 
@@ -545,7 +539,7 @@ def es_witt(f: QForm) -> GroupElement:
     push = pushforward(f, es(p))
     sp, _, _ = linearisation(p)
     pres = present(sp, standard("Q^+"))
-    t = tensor_invariant(push, standard("Q^+"), pres)
+    t = tensor_invariant(push, pres)
     amb = FinAbGroup((0,) + t.group.orders)
     return amb.element((signature(f),) + tuple(t.coords))
 
@@ -554,13 +548,12 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
     """Witt class of the lift of (c, t) along the extended quadratic lift."""
     if p.is_symmetric:
         raise ValueError("extended quadratic lift needs an anti-symmetric parameter")
-    qminus = standard("Q-")
     pres = present(p.carrier, standard("Q-"))
     if t.group != pres.group:
         raise ValueError("tensor element is not in Lambda1 of the carrier")
-    split = split_sum(qminus, p.carrier)
-    form = form_from_tensor(qminus, p.carrier, pres, t)
+    form = form_from_tensor(pres, t)
     if c % 2:
+        split = form.parameter
         arf_mu = split.carrier.element((1,) + (0,) * p.carrier.ngens)
         arf_block = QForm(split, [[0, 1], [-1, 0]], [arf_mu, arf_mu])
         form = form_sum(arf_block, form)

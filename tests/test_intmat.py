@@ -265,6 +265,17 @@ def test_unimodular_inverse_refuses(mat):
         unimodular_inverse(mat)
 
 
+def test_ragged_rows_are_refused():
+    # the first row does not set the width, so no entry is dropped
+    with pytest.raises(ValueError, match="rows differ in length"):
+        _intmat.transpose([[1], [0, 1]])
+    with pytest.raises(ValueError, match="rows differ in length"):
+        mat_mul([[1, 2]], [[1], [0, 1]])
+    for fn in (determinant, rank, SNF, kernel_basis):
+        with pytest.raises(ValueError, match="rows differ in length"):
+            fn([[1], [0, 1]])
+
+
 def test_unimodular_inverse_builds_no_snf(monkeypatch):
     def no_snf(mat):
         raise AssertionError("unimodular_inverse built an SNF")

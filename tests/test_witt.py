@@ -88,6 +88,19 @@ def test_signature_defect_refuses_a_shift_of_the_wrong_length():
             witt.signature_defect(f, shift=shift)
 
 
+def test_invariants_refuse_a_singular_form():
+    # unimodular_inverse is the nonsingularity check of both
+    qp, z2 = standard("Q^+"), FinAbGroup((2,))
+    pres, split = present(z2, qp), split_sum(qp, z2)
+    for lam, mu in (([[0]], (0, 0)), ([[2]], (2, 0))):
+        f = qf.QForm(split, lam, [split.carrier.element(mu)])
+        with pytest.raises(ValueError, match="not unimodular"):
+            witt.tensor_invariant(f, pres)
+        g = qf.QForm(ZP, lam, [ZP.carrier.element(mu)])
+        with pytest.raises(ValueError, match="not unimodular"):
+            witt.signature_defect(g)
+
+
 def test_arf():
     assert witt.arf(qf.hyperbolic(QM, 1)) == 0
     assert witt.arf(arf1()) == 1
@@ -203,9 +216,9 @@ def test_f_invariant_basis_independent():
         if f.rank == 0:
             continue
         g = qf.pushforward(f, ms.iso)
-        t1 = witt.tensor_invariant(g, ms.standard, pres)
+        t1 = witt.tensor_invariant(g, pres)
         b = random_unimodular(rng, f.rank, ops=5)
-        t2 = witt.tensor_invariant(qf.pullback(g, b), ms.standard, pres)
+        t2 = witt.tensor_invariant(qf.pullback(g, b), pres)
         assert t1.coords == t2.coords
 
 
@@ -241,7 +254,7 @@ def test_tensor_invariant_is_the_sum_of_its_symbols():
         for g in (f, qf.QForm(f.parameter, [], [])):
             ranks.add(g.rank)
             assert witt.tensor_invariant(
-                g, ms.standard, desc.tensor_pres
+                g, desc.tensor_pres
             ) == symbolwise_tensor_invariant(g, ms.standard, desc.tensor_pres)
     assert ranks == {0, 1, 2, 3, 4}
 
@@ -252,7 +265,7 @@ def test_f_gamma_roundtrip_random():
         comp = FinAbGroup(rng.choice([(2,), (4,), (3,), (0,), (2, 2)]))
         pres = present(comp, q0)
         t = random_tensor_element(rng, pres)
-        back = witt.tensor_invariant(witt.form_from_tensor(q0, comp, pres, t), q0, pres)
+        back = witt.tensor_invariant(witt.form_from_tensor(pres, t), pres)
         assert back.coords == t.coords
 
 
@@ -350,10 +363,10 @@ def _assert_split_block_formula(aq, al):
     tmap = induced_map(al, aq)
     for t in range(pres1.group.ngens):
         gen = pres1.group.gen(t)
-        f1 = witt.form_from_tensor(aq.source, g1, pres1, gen)
+        f1 = witt.form_from_tensor(pres1, gen)
         lhs = witt.witt_class(qf.pushforward(f1, alpha))
         mapped = tmap(gen)
-        f2 = witt.form_from_tensor(aq.target, g2, pres2, mapped)
+        f2 = witt.form_from_tensor(pres2, mapped)
         rhs = witt.witt_class(f2)
         assert lhs.coords == rhs.coords
 
