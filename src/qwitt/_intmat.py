@@ -220,8 +220,9 @@ class SNF:
             if p < 0:
                 self._negate_row(a, t)
                 p = -p
-            # force divisibility of the remaining block by the pivot
-            for i in range(t + 1, m):
+            # force divisibility of the remaining block by the pivot; a unit
+            # pivot divides every entry, so its block needs no scan
+            for i in range(t + 1, m) if p != 1 else ():
                 if any(x % p for x in a[i][t + 1:]):
                     self._add_row(a, i, t, 1)
                     break
@@ -261,7 +262,9 @@ def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
     below, so every entry stays a minor of [mat | I] and each division by
     the previous pivot is exact.  The left half ends as d * I, d being the
     last pivot, +-det(mat), and the right half as d * mat^-1: at d = +-1
-    the inverse is d times the right half.
+    the inverse is d times the right half.  A row with a zero in the pivot
+    column is left as it is when the pivot equals the previous one: its
+    update (x * p - 0 * y) / p is the identity.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -275,8 +278,8 @@ def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
         a[c], a[piv] = a[piv], a[c]
         prow, p = a[c], a[c][c]
         for i in range(n):
-            if i != c:
-                q = a[i][c]
+            q = a[i][c]
+            if i != c and (q or p != prev):
                 a[i] = [(x * p - q * y) // prev for x, y in zip(a[i], prow)]
         prev = p
     if prev not in (1, -1):

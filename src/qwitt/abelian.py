@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from . import _intmat
@@ -124,12 +125,12 @@ class FinAbGroup:
         return GroupElement(self, coords)
 
     def zero(self) -> "GroupElement":
-        return self.element((0,) * self.ngens)
+        return _reduced(self, (0,) * self.ngens)
 
     def gen(self, i: int) -> "GroupElement":
         c = [0] * self.ngens
         c[i] = 1
-        return self.element(c)
+        return _reduced(self, tuple(c))
 
     def gens(self) -> List["GroupElement"]:
         return [self.gen(i) for i in range(self.ngens)]
@@ -145,11 +146,13 @@ class FinAbGroup:
             )
         acc = [0] * self.ngens
         for c, x in zip(coeffs, elements):
-            if x.group != self:
+            if x.group is not self and x.group != self:
                 raise ValueError("elements of different groups")
             if c:
                 acc = [a + c * b for a, b in zip(acc, x.coords)]
-        return self.element(acc)
+        return _reduced(
+            self, tuple([a % n if n else a for a, n in zip(acc, self.orders)])
+        )
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements; only valid for finite groups."""
@@ -206,20 +209,28 @@ class GroupElement:
         object.__setattr__(self, "coords", group.reduce_coords(coords))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        if self.group != other.group:
+        g = self.group
+        if other.group is not g and other.group != g:
             raise ValueError("elements of different groups")
-        return GroupElement(
-            self.group, [a + b for a, b in zip(self.coords, other.coords)]
-        )
+        return _reduced(g, tuple([
+            (a + b) % n if n else a + b
+            for a, b, n in zip(self.coords, other.coords, g.orders)
+        ]))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, [-a for a in self.coords])
+        g = self.group
+        return _reduced(
+            g, tuple([-a % n if n else -a for a, n in zip(self.coords, g.orders)])
+        )
 
-    def __rmul__(self, n: int) -> "GroupElement":
-        return GroupElement(self.group, [n * a for a in self.coords])
+    def __rmul__(self, k: int) -> "GroupElement":
+        g = self.group
+        return _reduced(g, tuple([
+            k * a % n if n else k * a for a, n in zip(self.coords, g.orders)
+        ]))
 
     @property
     def is_zero(self) -> bool:
@@ -240,6 +251,16 @@ class GroupElement:
         return f"({', '.join(map(str, self.coords))})"
 
 
+def _reduced(group: FinAbGroup, coords: Tuple[int, ...]) -> GroupElement:
+    """The element with coordinates the group's own arithmetic has already
+    reduced: no length check and no second reduction.  Caller input goes
+    through GroupElement(...) or FinAbGroup.element, which check both."""
+    x = object.__new__(GroupElement)
+    object.__setattr__(x, "group", group)
+    object.__setattr__(x, "coords", coords)
+    return x
+
+
 @dataclass(frozen=True)
 class AbHom:
     """Homomorphism given on generators; column j = image of source gen j."""
@@ -254,16 +275,15 @@ class AbHom:
         target: FinAbGroup,
         matrix: Sequence[Sequence[int]],
     ):
-        rows = tuple(tuple(int(x) for x in r) for r in matrix)
-        if len(rows) != target.ngens or any(
-            len(r) != source.ngens for r in rows
+        # convert and reduce entries into target coordinates, row by row
+        red = tuple(
+            tuple([int(x) % m for x in row]) if m else tuple(map(int, row))
+            for row, m in zip(matrix, target.orders)
+        )
+        if len(matrix) != target.ngens or any(
+            len(r) != source.ngens for r in red
         ):
             raise ValueError("matrix shape does not match source/target")
-        # reduce entries into target coordinates
-        red = tuple(
-            tuple(x % m if m else x for x in row)
-            for row, m in zip(rows, target.orders)
-        )
         # well-defined: n * (image of a generator of order n) is zero
         for j, n in enumerate(source.orders):
             if n and any(
@@ -300,11 +320,13 @@ class AbHom:
         return cls(group, group, _intmat.identity(group.ngens))
 
     def __call__(self, x: GroupElement) -> GroupElement:
-        if x.group != self.source:
+        if x.group is not self.source and x.group != self.source:
             raise ValueError("element not in the source group")
-        return self.target.element(
-            _intmat.mat_vec(self.matrix, x.coords)
-        )
+        v = x.coords
+        sums = [sum(map(mul, row, v)) for row in self.matrix]
+        return _reduced(self.target, tuple([
+            s % n if n else s for s, n in zip(sums, self.target.orders)
+        ]))
 
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other."""
@@ -321,8 +343,9 @@ class AbHom:
         return AbHom(other.source, self.target, prod)
 
     def columns(self) -> List[GroupElement]:
+        # the matrix holds reduced target coordinates
         return [
-            self.target.element([row[j] for row in self.matrix])
+            _reduced(self.target, tuple([row[j] for row in self.matrix]))
             for j in range(self.source.ngens)
         ]
 

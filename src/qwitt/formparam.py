@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
+from operator import mul
 from typing import List, Optional, Tuple, Union
 
 from .abelian import (
@@ -94,9 +95,9 @@ class FormParameter:
         return n * self.p_one
 
     def h_of(self, x: GroupElement) -> int:
-        if x.group != self.carrier:
+        if x.group is not self.carrier and x.group != self.carrier:
             raise ValueError("element not in the source group")
-        return sum(a * b for a, b in zip(self.h.matrix[0], x.coords))
+        return sum(map(mul, self.h.matrix[0], x.coords))
 
     def __repr__(self) -> str:
         return (

@@ -66,18 +66,19 @@ class QForm:
         lambda_matrix: Sequence[Sequence[int]],
         mu_basis: Sequence[GroupElement],
     ):
-        mat = tuple(tuple(int(x) for x in row) for row in lambda_matrix)
+        mat = tuple(tuple(map(int, row)) for row in lambda_matrix)
         mus = tuple(mu_basis)
         k = len(mat)
         if any(len(r) != k for r in mat) or len(mus) != k:
             raise ValueError("rank mismatch between matrix and mu values")
-        eps = parameter.symmetry
-        for i in range(k):
-            for j in range(k):
-                if mat[i][j] != eps * mat[j][i]:
-                    raise ValueError("matrix is not eps-symmetric")
+        t = tuple(zip(*mat))
+        if parameter.symmetry == -1:
+            t = tuple(tuple([-x for x in row]) for row in t)
+        if mat != t:
+            raise ValueError("matrix is not eps-symmetric")
+        carrier = parameter.carrier
         for i, m in enumerate(mus):
-            if m.group != parameter.carrier:
+            if m.group is not carrier and m.group != carrier:
                 raise ValueError("mu value outside the parameter carrier")
             if parameter.h_of(m) != mat[i][i]:
                 raise ValueError(

@@ -189,11 +189,18 @@ def tensor_invariant(f: QForm, pres: TensorPresentation) -> GroupElement:
     + sum_i mu_G(x_i) (x) mu_Q(y_i); it vanishes on metabolic forms and is
     independent of the basis.  y_j is column j of M^-1, so the Gram matrix
     of the y is M^-T and lambda(y_i, y_j) = M^-1[j][i]; a singular form has
-    no inverse, and unimodular_inverse refuses it.
+    no inverse, and unimodular_inverse refuses it.  The form's parameter must
+    be split_sum(Q0, G): its carrier, h row and p(1) are compared with Q0's,
+    padded with zeros over G, coordinate by coordinate.
     """
     q0 = pres.q
     nq = q0.carrier.ngens
-    if f.parameter.carrier.orders != q0.carrier.orders + pres.g.orders:
+    p, pad = f.parameter, (0,) * pres.g.ngens
+    if (
+        p.carrier.orders != q0.carrier.orders + pres.g.orders
+        or p.h.matrix[0] != q0.h.matrix[0] + pad
+        or p.p_one.coords != q0.p_one.coords + pad
+    ):
         raise ValueError("form is not over the expected split parameter")
     n = f.rank
     minv = _intmat.unimodular_inverse(f.lambda_matrix)

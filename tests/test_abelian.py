@@ -13,6 +13,7 @@ from qwitt.abelian import (
     Z2,
     AbHom,
     FinAbGroup,
+    GroupElement,
     hom_from_images,
     is_kernel,
     kernel,
@@ -104,6 +105,81 @@ def test_coordinates_are_counted_and_reduced():
     h = FinAbGroup((3, 0, 4))
     with pytest.raises(ValueError, match="different groups"):
         g.combination([1, 1], [g.gen(0), h.gen(0)])
+
+def test_group_arithmetic_matches_the_public_constructor():
+    """Every element the group's own arithmetic returns equals, with the
+    same hash, GroupElement(group, raw coordinates) of the unreduced
+    result, on groups mixing free and torsion factors, with negative and
+    2**70-sized coefficients."""
+    rng = random.Random(30)
+    big = 2**70
+
+    def coeff():
+        return rng.choice(
+            [rng.randint(-6, 6), rng.randint(-big, big), -big, big, big + 1]
+        )
+
+    def same(x, group, raw):
+        ref = GroupElement(group, raw)
+        assert x == ref and hash(x) == hash(ref), (x, ref)
+        assert x.group == group and type(x.coords) is tuple
+
+    def hom_matrix(src, dst):
+        # a generator of order n goes to a multiple of m / gcd(n, m) on Z_m
+        # and to 0 on Z: every such matrix is well defined
+        return [
+            [0 if n and not m else coeff() * (m // gcd(n, m) if n else 1)
+             for n in src.orders]
+            for m in dst.orders
+        ]
+
+    for _ in range(300):
+        g, h = (
+            FinAbGroup([rng.choice([0, 0, 2, 3, 4, 12, 2**61 - 1])
+                        for _ in range(rng.randint(0, 4))])
+            for _ in range(2)
+        )
+        n = g.ngens
+        same(g.zero(), g, [0] * n)
+        for i in range(n):
+            same(g.gen(i), g, [int(j == i) for j in range(n)])
+        raws = [[coeff() for _ in range(n)] for _ in range(3)]
+        x, y, z = (GroupElement(g, r) for r in raws)
+        cs = [coeff() for _ in range(3)]
+        same(g.combination(cs, [x, y, z]), g, [
+            sum(c * r[j] for c, r in zip(cs, raws)) for j in range(n)
+        ])
+        same(x + y, g, [a + b for a, b in zip(raws[0], raws[1])])
+        same(x - y, g, [a - b for a, b in zip(raws[0], raws[1])])
+        same(-x, g, [-a for a in raws[0]])
+        k = coeff()
+        same(k * x, g, [k * a for a in raws[0]])
+        mat = hom_matrix(g, h)
+        f = AbHom(g, h, mat)
+        same(f(x), h, [sum(a * b for a, b in zip(row, raws[0])) for row in mat])
+        cols = f.columns()
+        assert len(cols) == n
+        for j, col in enumerate(cols):
+            same(col, h, [row[j] for row in mat])
+    # the public constructors still count the coordinates
+    g = FinAbGroup((0, 4))
+    for bad in ((), (1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            GroupElement(g, bad)
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            g.element(bad)
+
+
+def test_hom_refuses_a_matrix_of_the_wrong_shape():
+    g, h = FinAbGroup((0, 4)), FinAbGroup((2, 0, 0))
+    for mat in ([[1, 0], [0, 1]], [[1, 0]] * 4, [[1], [0], [0]], [[1, 0], [0], [0, 0]]):
+        with pytest.raises(ValueError, match="shape"):
+            AbHom(g, h, mat)
+    with pytest.raises(ValueError, match="element not in the source"):
+        AbHom.identity(g)(h.zero())
+    with pytest.raises(ValueError, match="different groups"):
+        g.zero() + FinAbGroup((0, 2)).zero()
+
 
 def test_element_order():
     g = FinAbGroup((4, 6))

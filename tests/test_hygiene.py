@@ -96,6 +96,39 @@ def element_enumerations(source: str):
     )
 
 
+def names(source: str):
+    """Every identifier a module reads, binds, imports or takes as an
+    attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_names_detected():
+    src = "from .abelian import _reduced as r\nx = abelian._reduced\ndef f():\n    pass\n"
+    assert {"_reduced", "r", "x", "abelian", "f"} <= names(src)
+
+
+def test_reduced_elements_stay_inside_abelian():
+    # abelian._reduced trusts its coordinates; every other module builds
+    # elements through the validating GroupElement(...) or group.element
+    found = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if path.name != "abelian.py" and "_reduced" in names(path.read_text())
+    )
+    assert not found, found
+    assert "_reduced" in names((SRC / "abelian.py").read_text())
+
+
 def test_element_enumerations_detected():
     src = "x = g.elements()\nfor y in h.elements():\n    pass\nz = g.elements\n"
     assert element_enumerations(src) == [1, 2]

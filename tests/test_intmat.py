@@ -247,6 +247,28 @@ def test_unimodular_inverse():
     assert unimodular_inverse([]) == []
 
 
+def test_unimodular_inverse_of_matrices_with_zeros_in_the_pivot_columns():
+    # permutations and block-diagonal matrices: the rows a pivot leaves
+    # unchanged are the ones with a zero in its column
+    import itertools
+
+    cases = []
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            cases.append([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)])
+    blocks = [[[2, 1], [1, 1]], [[0, 1], [1, 0]], [[-1]], [[1, 3], [0, -1]], [[0, -1], [1, 0]]]
+    for a, b in itertools.product(blocks, repeat=2):
+        n, m = len(a), len(b)
+        mat = [row + [0] * m for row in a] + [[0] * n + row for row in b]
+        cases.append(mat)
+        cases.append(mat[::-1])
+    for mat in cases:
+        inv = unimodular_inverse(mat)
+        n = len(mat)
+        assert mat_eq(mat_mul(mat, inv), identity(n)), mat
+        assert mat_eq(mat_mul(inv, mat), identity(n)), mat
+
+
 @pytest.mark.parametrize(
     "mat",
     [

@@ -46,6 +46,20 @@ def test_qform_validation():
         qf.QForm(QM, [[1]], [QM.carrier.element((1,))])
 
 
+def test_qform_refuses_a_matrix_that_is_not_eps_symmetric():
+    zp, zm = QPLUS.carrier.zero(), QM.carrier.zero()
+    with pytest.raises(ValueError, match="eps-symmetric"):
+        qf.QForm(QPLUS, [[0, 1], [0, 0]], [zp, zp])
+    with pytest.raises(ValueError, match="eps-symmetric"):
+        qf.QForm(QM, [[0, 1], [1, 0]], [zm, zm])
+    with pytest.raises(ValueError, match="eps-symmetric"):
+        qf.QForm(QM, [[2]], [zm])
+    assert qf.QForm(QM, [[0, 1], [-1, 0]], [zm, zm]).rank == 2
+    assert qf.QForm(QPLUS, [[0, 1], [1, 0]], [zp, zp]).rank == 2
+    with pytest.raises(ValueError, match="outside the parameter carrier"):
+        qf.QForm(QPLUS, [[0]], [zm])
+
+
 def test_mu_eval_examples():
     f = unit_form()
     assert qf.mu_eval(f, [2]).coords == (4,)

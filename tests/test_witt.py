@@ -101,6 +101,19 @@ def test_invariants_refuse_a_singular_form():
             witt.signature_defect(g)
 
 
+def test_tensor_invariant_refuses_a_form_over_another_split_parameter():
+    # Q^+ + Z2 has the carrier orders of Q+ + Z2, but not its h row or p(1)
+    pres = present(FinAbGroup((2,)), standard("Q+"))
+    other = split_sum(standard("Q^+"), FinAbGroup((2,)))
+    f = qf.QForm(other, [[1]], [other.carrier.element((1, 0))])
+    with pytest.raises(ValueError, match="expected split parameter"):
+        witt.tensor_invariant(f, pres)
+    # a form over the presentation's own split parameter passes
+    own = split_sum(standard("Q+"), FinAbGroup((2,)))
+    g = qf.hyperbolic(own, 1)
+    assert witt.tensor_invariant(g, pres).is_zero
+
+
 def test_arf():
     assert witt.arf(qf.hyperbolic(QM, 1)) == 0
     assert witt.arf(arf1()) == 1
@@ -539,3 +552,51 @@ def test_gw_parity_reads_the_signature_off_the_witt_class():
     assert {8, -8, 1, -1} <= signatures
     with pytest.raises(ValueError, match="symmetric"):
         witt.witt_class(arf1()).signature
+
+
+def test_structure_snfs_go_through_the_installed_class(monkeypatch):
+    """witt_group and present build every SNF through `_intmat.SNF` as it
+    is at call time, and every entry-growing Smith step through its
+    `_add_row` / `_add_col`: the benchmark's multiplier limit installs a
+    subclass there and wraps exactly these two.  The pinned counts are those
+    of a Smith form that scans for divisibility after every pivot, so they
+    also show that skipping the scan at a unit pivot changes no step."""
+    from qwitt import _intmat, formparam
+
+    base = _intmat.SNF
+    counts = {"built": 0, "guarded": 0, "rows": 0, "cols": 0}
+    base_init = base.__init__
+
+    def counted_init(self, mat):
+        counts["built"] += 1
+        base_init(self, mat)
+
+    class Counting(base):
+        __slots__ = ()
+
+        def __init__(self, mat):
+            counts["guarded"] += 1
+            super().__init__(mat)
+
+        def _add_row(self, a, src, dst, c):
+            counts["rows"] += 1
+            base._add_row(self, a, src, dst, c)
+
+        def _add_col(self, a, src, dst, c):
+            counts["cols"] += 1
+            base._add_col(self, a, src, dst, c)
+
+    for module in (formparam, qtensor, witt):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    monkeypatch.setattr(base, "__init__", counted_init)
+    monkeypatch.setattr(_intmat, "SNF", Counting)
+    rng = random.Random(41)
+    groups = [FinAbGroup(o) for o in ((2,), (4, 0), (3, 8), (0, 0), (2, 2, 4), (6,))]
+    for g in groups:
+        p = random_form_parameter(rng, max_torsion=16, max_free=2)
+        witt.witt_group(p)
+        present(g, p)
+    assert counts["guarded"] == counts["built"]
+    assert counts == {"built": 78, "guarded": 78, "rows": 88, "cols": 294}
