@@ -8,6 +8,7 @@ entry left, at least halves on each sweep that leaves a remainder (see SNF).
 
 from __future__ import annotations
 
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -28,15 +29,15 @@ def copy(mat: Sequence[Sequence[int]]) -> Matrix:
 def shape(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
     """(rows, columns); every routine that takes a matrix's width from here
     refuses one whose rows differ in length."""
-    n = len(mat[0]) if mat else 0
-    if any(len(row) != n for row in mat):
+    widths = set(map(len, mat))
+    if len(widths) > 1:
         raise ValueError("matrix rows differ in length")
-    return len(mat), n
+    return len(mat), widths.pop() if widths else 0
 
 
 def transpose(mat: Sequence[Sequence[int]]) -> Matrix:
-    m, n = shape(mat)
-    return [[mat[i][j] for i in range(m)] for j in range(n)]
+    shape(mat)
+    return [list(col) for col in zip(*mat)]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -44,8 +45,8 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     k2, n = shape(b)
     if k != k2:
         raise ValueError(f"dimension mismatch {k} != {k2}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:

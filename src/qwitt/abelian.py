@@ -154,6 +154,25 @@ class FinAbGroup:
             self, tuple([a % n if n else a for a, n in zip(acc, self.orders)])
         )
 
+    def project(self, x: "GroupElement") -> "GroupElement":
+        """The element of self with x's coordinates on the first factors of
+        x's group, whose orders there must be self's: a run of reduced
+        coordinates is reduced, so none is reduced again."""
+        if x.group.orders[: self.ngens] != self.orders:
+            raise ValueError("factors do not match the group")
+        return _reduced(self, x.coords[: self.ngens])
+
+    def pad(self, x: "GroupElement", start: int = 0) -> "GroupElement":
+        """x placed on the factors start, start + 1, ... of self, whose
+        orders there must be x's group's, and zero on the others."""
+        stop = start + x.group.ngens
+        if not 0 <= start <= stop <= self.ngens or (
+            self.orders[start:stop] != x.group.orders
+        ):
+            raise ValueError("factors do not match the group")
+        tail = (0,) * (self.ngens - stop)
+        return _reduced(self, (0,) * start + x.coords + tail)
+
     def elements(self) -> Iterator["GroupElement"]:
         """All elements; only valid for finite groups."""
         if not self.is_finite:

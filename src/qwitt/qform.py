@@ -190,14 +190,17 @@ def mu_eval(f: QForm, x: Sequence[int]) -> GroupElement:
     p(n) = n p(1) collects every p term into one."""
     if len(x) != f.rank:
         raise ValueError("vector length does not match the rank")
-    m = f.lambda_matrix
-    s = sum(
+    q = f.parameter
+    return q.carrier.combination(x, f.mu_basis) + q.p(_mu_scalar(f.lambda_matrix, x))
+
+
+def _mu_scalar(m: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """The s of mu_eval: sum_i C(x_i, 2) m_ii + sum_{j<i} x_j x_i m_ji."""
+    return sum(
         _binom2(xi) * m[i][i] + xi * sum(x[j] * m[j][i] for j in range(i))
         for i, xi in enumerate(x)
         if xi
     )
-    q = f.parameter
-    return q.carrier.combination(x, f.mu_basis) + q.p(s)
 
 
 def direct_sum(f: QForm, g: QForm) -> QForm:

@@ -13,13 +13,16 @@ scalar rule (n g) (x) q = n (g (x) q) + C(n,2) [g, g] (x) h(q).
 `TensorPresentation.simple(x, q)` and `TensorPresentation.bracket(x, y, a)`
 return the value of x (x) q and of [x, y] (x) a in the presented group;
 `add_simple` and `add_bracket` add a symbol's abstract coefficients into a
-caller's list instead, so that a sum of symbols is reduced once.
+caller's list instead, so that a sum of symbols is reduced once;
+`add_simples` and `add_brackets` do the same for a sum given by integer
+coordinates and a matrix of bracket coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from ._intmat import _binom2
@@ -85,36 +88,56 @@ class TensorPresentation:
         return self.group.combination(c, self.basis_map)
 
     def add_simple(self, c: List[int], x: GroupElement, q: GroupElement) -> None:
-        """Add the abstract coefficients of x (x) q into c: bilinear in the
-        q-slot, and the addition and scalar rules in the x-slot."""
+        """Add the abstract coefficients of x (x) q into c."""
         if x.group != self.g or q.group != self.q.carrier:
             raise ValueError("symbol does not match the presentation")
-        hrow = self.q.h.matrix[0]
-        idxs = [i for i, xi in enumerate(x.coords) if xi]
-        for j, qc in enumerate(q.coords):
-            if qc == 0:
-                continue
-            hj = hrow[j]
-            for a, i in enumerate(idxs):
-                xi = x.coords[i]
-                c[self.index("s", i, j)] += qc * xi
-                c[self.index("b", i, i)] += qc * _binom2(xi) * hj
-                for i2 in idxs[a + 1 :]:
-                    c[self.index("b", i, i2)] += qc * xi * x.coords[i2] * hj
+        self.add_simples(c, [x.coords], [q.coords])
 
     def add_bracket(
         self, c: List[int], x: GroupElement, y: GroupElement, a: int
     ) -> None:
-        """Add the abstract coefficients of [x, y] (x) a into c;
-        [g_j, g_i] = eps [g_i, g_j] for i < j, with eps the parameter's
-        symmetry."""
+        """Add the abstract coefficients of [x, y] (x) a into c."""
         if x.group != self.g or y.group != self.g:
             raise ValueError("symbol does not match the presentation")
+        self.add_brackets(c, [[a * xi * yj for yj in y.coords] for xi in x.coords])
+
+    def add_simples(
+        self, c: List[int], xs: Sequence[Sequence[int]], qs: Sequence[Sequence[int]]
+    ) -> None:
+        """Add the abstract coefficients of sum_r x_r (x) q_r into c, x_r and
+        q_r being coordinates of G and Q_e.  The symbol is linear in the
+        q-slot, and the addition and scalar rules expand the x-slot:
+        x (x) q = sum_i x_i g_i (x) q + sum_i C(x_i, 2) [g_i, g_i] (x) h(q)
+        + sum_{i<k} x_i x_k [g_i, g_k] (x) h(q)."""
+        hrow = self.q.h.matrix[0]
+        n = self.g.ngens
+        b = [[0] * n for _ in range(n)]
+        for x, q in zip(xs, qs):
+            idxs = [i for i, xi in enumerate(x) if xi]
+            for j, qj in enumerate(q):
+                if qj:
+                    for i in idxs:
+                        c[self.index("s", i, j)] += qj * x[i]
+            h = sum(map(mul, hrow, q))
+            if h:
+                for a, i in enumerate(idxs):
+                    b[i][i] += h * _binom2(x[i])
+                    for k in idxs[a + 1 :]:
+                        b[i][k] += h * x[i] * x[k]
+        self.add_brackets(c, b)
+
+    def add_brackets(self, c: List[int], b: Sequence[Sequence[int]]) -> None:
+        """Add sum_{i,k} [g_i, g_k] (x) b[i][k] into c, g_i being G's
+        generators; [g_k, g_i] = eps [g_i, g_k] for i < k, with eps the
+        parameter's symmetry."""
         eps = self.q.symmetry
-        for i, xi in enumerate(x.coords):
-            for j, yj in enumerate(y.coords):
-                sign = 1 if i <= j else eps
-                c[self.index("b", min(i, j), max(i, j))] += sign * a * xi * yj
+        for i, row in enumerate(b):
+            for k, v in enumerate(row):
+                if v:
+                    if i <= k:
+                        c[self.index("b", i, k)] += v
+                    else:
+                        c[self.index("b", k, i)] += eps * v
 
     def hom(self, images: Sequence[GroupElement], target: FinAbGroup) -> AbHom:
         """The homomorphism group -> target sending abstract symbol a to

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _intmat
 from .abelian import (
@@ -52,6 +52,7 @@ from .formparam import (
 from .qform import (
     QForm,
     direct_sum as form_sum,
+    _mu_scalar,
     is_nonsingular,
     mu_eval,
     pushforward,
@@ -94,8 +95,15 @@ def signature(f: QForm) -> int:
     return signature_of_matrix(f.lambda_matrix)
 
 
-def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
-    """(sigma, omega-hat squared, level k) for a form over the ZP family.
+def _omega_data(
+    f: QForm,
+    shift: Optional[Sequence[int]] = None,
+    minv: Optional[Sequence[Sequence[int]]] = None,
+    sig: Optional[int] = None,
+):
+    """(sigma, omega-hat squared, level k) for a form over the ZP family;
+    `minv` and `sig`, the inverse and the signature of its matrix, are
+    computed when not given.
 
     The linearisation of the carrier Z + Z_{2^k} is pinned to Z_{2^{k+1}}
     via (a, b) -> a + 2b (and to Z for the infinite member); rho is only
@@ -119,9 +127,12 @@ def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
             )
         step = 2 ** (k + 1) if k else 0
         omega = [w + step * s for w, s in zip(omega, shift)]
-    omega_hat = _intmat.mat_vec(_intmat.unimodular_inverse(f.lambda_matrix), omega)
+    if minv is None:
+        minv = _intmat.unimodular_inverse(f.lambda_matrix)
+    if sig is None:
+        sig = signature_of_matrix(f.lambda_matrix)
+    omega_hat = _intmat.mat_vec(minv, omega)
     osq = sum(a * b for a, b in zip(omega_hat, omega))
-    sig = signature_of_matrix(f.lambda_matrix)
     if (sig - osq) % 8:
         raise AssertionError("characteristic square incongruent to signature mod 8")
     return sig, osq, k
@@ -135,7 +146,12 @@ def signature_defect(f: QForm, shift: Optional[Sequence[int]] = None) -> int:
     `shift` adds 2^(k+1) times the given functional to the lift (the value
     is unchanged, which the tests assert).
     """
-    sig, osq, k = _omega_data(f, shift)
+    return _rho(f, None, None, shift)
+
+
+def _rho(f: QForm, minv, sig, shift=None) -> int:
+    """`signature_defect`, with `minv` and `sig` as in `_omega_data`."""
+    sig, osq, k = _omega_data(f, shift, minv, sig)
     val = (sig - osq) // 8
     if k:
         val %= 2 ** (k - 1)
@@ -156,6 +172,11 @@ def arf(f: QForm) -> int:
         raise ValueError("Arf invariant lives over the rank-one anti-symmetric parameter")
     if not is_nonsingular(f):
         raise ValueError("Arf invariant of a singular form")
+    return _arf(f)
+
+
+def _arf(f: QForm, _minv=None, _sig=None) -> int:
+    """`arf` of a form known to be nonsingular over Q-."""
 
     def times_m(v: Sequence[int]) -> List[int]:
         return [x % 2 for x in _intmat.mat_vec(f.lambda_matrix, v)]
@@ -184,17 +205,32 @@ def tensor_invariant(f: QForm, pres: TensorPresentation) -> GroupElement:
     """The reduced-part invariant in G (x) Q0 of a nonsingular form over
     Q0 + G, where G and Q0 are pres.g and pres.q.
 
-    With (y_i) the basis dual to the chosen one, this is
+    With (y_j) the basis dual to the chosen one (x_i), this is
     sum_{i<j} [mu_G(x_i), mu_G(x_j)] (x) lambda(y_i, y_j)
-    + sum_i mu_G(x_i) (x) mu_Q(y_i); it vanishes on metabolic forms and is
+    + sum_j mu_G(x_j) (x) mu_Q(y_j); it vanishes on metabolic forms and is
     independent of the basis.  y_j is column j of M^-1, so the Gram matrix
     of the y is M^-T and lambda(y_i, y_j) = M^-1[j][i]; a singular form has
     no inverse, and unimodular_inverse refuses it.  The form's parameter must
     be split_sum(Q0, G): its carrier, h row and p(1) are compared with Q0's,
     padded with zeros over G, coordinate by coordinate.
+
+    The sum is taken on integer coordinates.  [x, y] (x) a is bilinear in x
+    and y and linear in a, so with m the matrix whose row i holds the G
+    coordinates of mu(x_i), the brackets add up to the one matrix
+    B = m^T U m over G's generator pairs, U being the strict upper triangle
+    of M^-T (U_ij = M^-1[j][i] for i < j).  The values mu_Q(y_j) =
+    sum_i M^-1[i][j] mu_Q(x_i) + p(s_j) (see qform.mu_eval) are the rows of
+    M^-T times the matrix of Q0 coordinates of the mu(x_i), plus s_j p(1),
+    reduced once.
     """
+    return _tensor_invariant(f, pres, _intmat.unimodular_inverse(f.lambda_matrix))
+
+
+def _tensor_invariant(
+    f: QForm, pres: TensorPresentation, minv: Sequence[Sequence[int]]
+) -> GroupElement:
+    """`tensor_invariant` given the inverse of the form's matrix."""
     q0 = pres.q
-    nq = q0.carrier.ngens
     p, pad = f.parameter, (0,) * pres.g.ngens
     if (
         p.carrier.orders != q0.carrier.orders + pres.g.orders
@@ -202,16 +238,25 @@ def tensor_invariant(f: QForm, pres: TensorPresentation) -> GroupElement:
         or p.p_one.coords != q0.p_one.coords + pad
     ):
         raise ValueError("form is not over the expected split parameter")
-    n = f.rank
-    minv = _intmat.unimodular_inverse(f.lambda_matrix)
-    mug = [pres.g.element(m.coords[nq:]) for m in f.mu_basis]
+    if pres.group.is_trivial:
+        return pres.group.zero()
+    n, nq, lam = f.rank, q0.carrier.ngens, f.lambda_matrix
+    mus = [m.coords for m in f.mu_basis]
+    mg = [m[nq:] for m in mus]
+    y = _intmat.transpose(minv)  # row j is y_j
     c = [0] * len(pres.symbols)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if minv[j][i]:
-                pres.add_bracket(c, mug[i], mug[j], minv[j][i])
-    for j, y in enumerate(_intmat.transpose(minv)):
-        pres.add_simple(c, mug[j], q0.carrier.element(mu_eval(f, y).coords[:nq]))
+    u = [[y[i][j] if i < j else 0 for j in range(n)] for i in range(n)]
+    mat_mul = _intmat.mat_mul
+    pres.add_brackets(c, mat_mul(_intmat.transpose(mg), mat_mul(u, mg)))
+    # mu(y_j) = sum_i y_ji mu(x_i) + p(s_j), as in qform.mu_eval
+    p1 = q0.p_one.coords
+    muq = [
+        q0.carrier.reduce_coords([a + s * b for a, b in zip(row, p1)])
+        for row, s in zip(
+            mat_mul(y, [m[:nq] for m in mus]), [_mu_scalar(lam, v) for v in y]
+        )
+    ]
+    pres.add_simples(c, mg, muq)
     return pres.group.combination(c, pres.basis_map)
 
 
@@ -232,12 +277,10 @@ def form_from_tensor(pres: TensorPresentation, t: GroupElement) -> QForm:
     blocks: List[QForm] = []
 
     def embed_g(x: GroupElement) -> GroupElement:
-        return split.carrier.element((0,) * nq + tuple(x.coords))
+        return split.carrier.pad(x, nq)
 
     def embed_q(x: GroupElement) -> GroupElement:
-        return split.carrier.element(
-            tuple(x.coords) + (0,) * comp.ngens
-        )
+        return split.carrier.pad(x)
 
     for (kind, i, j), c in zip(pres.symbols, lift):
         if c == 0:
@@ -317,12 +360,8 @@ class WittClass:
         if not self.parameter.is_symmetric:
             raise ValueError("signature needs a symmetric parameter")
         ms = self.description.splitting
-        return sum(
-            a * signature_of_matrix(rep.lambda_matrix)
-            for a, (_, _, rep, _) in zip(
-                self.coords, _indecomposables(ms.standard_kind, ms.k)
-            )
-        )
+        table = _indecomposables(ms.standard_kind, ms.k)
+        return sum(a * e.signature for a, e in zip(self.coords, table))
 
     def __add__(self, other: "WittClass") -> "WittClass":
         if self.description != other.description:
@@ -350,46 +389,59 @@ def _e8_matrix() -> List[List[int]]:
     return mat
 
 
-def _sigma(f: QForm) -> int:
-    """The signature of a form known to be nonsingular."""
-    return signature_of_matrix(f.lambda_matrix)
+def _sigma(f: QForm, minv, sig: int) -> int:
+    return sig
 
 
-def _sigma_over_8(f: QForm) -> int:
-    sig = _sigma(f)
+def _sigma_over_8(f: QForm, minv, sig: int) -> int:
     if sig % 8:
         raise AssertionError("even symmetric form with signature not divisible by 8")
     return sig // 8
 
 
+class _Indecomposable(NamedTuple):
+    """A generator of W0 of a standard parameter.  The invariant takes a
+    nonsingular form over the standard parameter, the inverse of its matrix
+    and, over a symmetric parameter, its signature (else None); it is the
+    form's coordinate on this generator, so it maps the representatives to
+    the unit vectors."""
+
+    name: str
+    order: int
+    representative: QForm
+    invariant: Callable[[QForm, Sequence[Sequence[int]], Optional[int]], int]
+    signature: Optional[int]  # of the representative
+
+
 @lru_cache(maxsize=None)
-def _indecomposables(
-    kind: str, k: Optional[int]
-) -> Tuple[Tuple[str, int, QForm, Callable[[QForm], int]], ...]:
-    """The generators of W0 of standard(kind, k): (name, order,
-    representative over the standard parameter, invariant).  The invariant
-    of a form over the standard parameter is its coordinate on that
-    generator, so it maps the representatives to the unit vectors."""
+def _indecomposables(kind: str, k: Optional[int]) -> Tuple[_Indecomposable, ...]:
+    """The generators of W0 of standard(kind, k)."""
     q = standard(kind, k)
     c = q.carrier
     if kind == "Q+":
         e8 = QForm(q, _e8_matrix(), [c.element((1,))] * 8)
-        return (("8sigma*", 0, e8, _sigma_over_8),)
-    if kind == "Q^+":
-        sig = QForm(q, [[1]], [c.element((1,))])
-        return (("sigma*", 0, sig, _sigma),)
-    if kind in ("ZP", "ZP_k"):
-        sig = ("sigma*", 0, QForm(q, [[1]], [c.element((1, 0))]), _sigma)
+        table = [("8sigma*", 0, e8, _sigma_over_8)]
+    elif kind == "Q^+":
+        table = [("sigma*", 0, QForm(q, [[1]], [c.element((1,))]), _sigma)]
+    elif kind in ("ZP", "ZP_k"):
+        table = [("sigma*", 0, QForm(q, [[1]], [c.element((1, 0))]), _sigma)]
         rho = QForm(q, [[0, 1], [1, 0]], [c.element((0, 1)), c.element((0, -1))])
         if kind == "ZP":
-            return sig, ("rho_inf*", 0, rho, signature_defect)
-        if k >= 2:
-            return sig, (f"rho_{k}*", 2 ** (k - 1), rho, signature_defect)
-        return (sig,)
-    if kind == "Q-":
+            table.append(("rho_inf*", 0, rho, _rho))
+        elif k >= 2:
+            table.append((f"rho_{k}*", 2 ** (k - 1), rho, _rho))
+    elif kind == "Q-":
         c_star = QForm(q, [[0, 1], [-1, 0]], [c.element((1,))] * 2)
-        return (("c*", 2, c_star, arf),)
-    return ()
+        table = [("c*", 2, c_star, _arf)]
+    else:
+        table = []
+    return tuple(
+        _Indecomposable(
+            *entry,
+            signature_of_matrix(entry[2].lambda_matrix) if q.is_symmetric else None,
+        )
+        for entry in table
+    )
 
 
 @lru_cache(maxsize=None)
@@ -399,7 +451,7 @@ def witt_group(p: FormParameter) -> WittGroupDescription:
     pres = present(ms.complement, ms.standard)
     back = ms.iso.inverse()
     table = _indecomposables(ms.standard_kind, ms.k)
-    forms = [_embed_standard_form(rep, ms) for _, _, rep, _ in table]
+    forms = [_embed_standard_form(e.representative, ms) for e in table]
     forms += [
         form_from_tensor(pres, t)
         for t in pres.group.gens()
@@ -407,9 +459,9 @@ def witt_group(p: FormParameter) -> WittGroupDescription:
     return WittGroupDescription(
         p,
         ms,
-        tuple(name for name, _, _, _ in table)
+        tuple(e.name for e in table)
         + tuple(f"t{t + 1}" for t in range(pres.group.ngens)),
-        tuple(order for _, order, _, _ in table) + pres.group.orders,
+        tuple(e.order for e in table) + pres.group.orders,
         tuple(pushforward(form, back) for form in forms),
         pres,
         len(table),
@@ -419,34 +471,37 @@ def witt_group(p: FormParameter) -> WittGroupDescription:
 def _embed_standard_form(rep: QForm, ms: MaximalSplitting) -> QForm:
     """Regard a form over the standard parameter as one over Q + G."""
     split = ms.split_parameter
-    mus = [
-        split.carrier.element(
-            tuple(m.coords) + (0,) * ms.complement.ngens
-        )
-        for m in rep.mu_basis
-    ]
+    mus = [split.carrier.pad(m) for m in rep.mu_basis]
     return QForm(split, rep.lambda_matrix, mus)
 
 
 def _retract_to_standard(ms: MaximalSplitting, f: QForm) -> QForm:
     """Push a form over Q + G down to Q (forget the G components)."""
     q = ms.standard
-    nq = q.carrier.ngens
-    mus = [q.carrier.element(m.coords[:nq]) for m in f.mu_basis]
+    mus = [q.carrier.project(m) for m in f.mu_basis]
     return QForm(q, f.lambda_matrix, mus)
 
 
 def witt_class(f: QForm) -> WittClass:
-    """The complete Witt invariant of a nonsingular form."""
-    if not is_nonsingular(f):
-        raise ValueError("Witt classes are defined for nonsingular forms")
+    """The complete Witt invariant of a nonsingular form.
+
+    The inverse of the form's matrix is its nonsingularity check; it and
+    the signature, taken once and only over a symmetric parameter with
+    indecomposables, serve every invariant."""
+    try:
+        minv = _intmat.unimodular_inverse(f.lambda_matrix)
+    except ValueError:
+        raise ValueError("Witt classes are defined for nonsingular forms") from None
     desc = witt_group(f.parameter)
     ms = desc.splitting
     g = pushforward(f, ms.iso)
-    q_part = _retract_to_standard(ms, g)
     table = _indecomposables(ms.standard_kind, ms.k)
-    coords = [inv(q_part) for _, _, _, inv in table]
-    coords += tensor_invariant(g, desc.tensor_pres).coords
+    coords = []
+    if table:
+        q_part = _retract_to_standard(ms, g)
+        sig = signature_of_matrix(f.lambda_matrix) if f.parameter.is_symmetric else None
+        coords = [e.invariant(q_part, minv, sig) for e in table]
+    coords += _tensor_invariant(g, desc.tensor_pres, minv).coords
     return WittClass(desc, tuple(coords))
 
 
@@ -546,9 +601,9 @@ def es_witt(f: QForm) -> GroupElement:
     push = pushforward(f, es(p))
     sp, _, _ = linearisation(p)
     pres = present(sp, standard("Q^+"))
-    t = tensor_invariant(push, pres)
+    t = tensor_invariant(push, pres)  # refuses a singular form
     amb = FinAbGroup((0,) + t.group.orders)
-    return amb.element((signature(f),) + tuple(t.coords))
+    return amb.element((signature_of_matrix(f.lambda_matrix),) + t.coords)
 
 
 def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:

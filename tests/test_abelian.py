@@ -170,6 +170,43 @@ def test_group_arithmetic_matches_the_public_constructor():
             g.element(bad)
 
 
+def test_project_and_pad_match_the_public_constructor():
+    """The first factors taken from an element, or an element padded into a
+    sum, equal the element the public constructor builds from the same
+    coordinates; factors whose orders differ, or that do not fit, are
+    refused."""
+    rng = random.Random(31)
+    for _ in range(200):
+        parts = [
+            FinAbGroup([rng.choice([0, 2, 3, 4, 2**61 - 1]) for _ in range(rng.randint(0, 3))])
+            for _ in range(3)
+        ]
+        total = FinAbGroup(sum((g.orders for g in parts), ()))
+        x = total.element([rng.randint(-(2**70), 2**70) for _ in range(total.ngens)])
+        y = parts[0].project(x)
+        ref = parts[0].element(x.coords[: parts[0].ngens])
+        assert y == ref and hash(y) == hash(ref)
+        start = 0
+        for g in parts:
+            y = g.element(x.coords[start:start + g.ngens])
+            z = total.pad(y, start)
+            raw = [0] * total.ngens
+            raw[start:start + g.ngens] = y.coords
+            assert z == total.element(raw) and hash(z) == hash(total.element(raw))
+            start += g.ngens
+    g, h = FinAbGroup((2, 0)), FinAbGroup((2, 0, 0))
+    assert g.project(h.element((5, -1, 7))).coords == (1, -1)
+    assert h.pad(FinAbGroup((0, 0)).element((1, 3)), 1).coords == (0, 1, 3)
+    for grp in (FinAbGroup((0, 2)), FinAbGroup((2, 0, 0, 0))):
+        with pytest.raises(ValueError, match="factors do not match"):
+            grp.project(h.zero())
+    for start in (-1, 0, 2, 3):
+        with pytest.raises(ValueError, match="factors do not match"):
+            h.pad(FinAbGroup((0, 0)).element((1, 3)), start)
+    with pytest.raises(ValueError, match="factors do not match"):
+        h.pad(TRIVIAL.zero(), 4)
+
+
 def test_hom_refuses_a_matrix_of_the_wrong_shape():
     g, h = FinAbGroup((0, 4)), FinAbGroup((2, 0, 0))
     for mat in ([[1, 0], [0, 1]], [[1, 0]] * 4, [[1], [0], [0]], [[1, 0], [0], [0, 0]]):

@@ -397,9 +397,10 @@ def all_antisymmetric_parameters(lo, hi):
     return ps
 
 
-def span_size(group, gens):
+def walk_span_size(group, gens):
     """Order of the subgroup of a finite group that gens span, by a walk over
-    coordinate tuples added mod the cyclic orders."""
+    coordinate tuples added mod the cyclic orders: the reference for
+    span_size."""
     orders = group.orders
     steps = [g.coords for g in gens]
     zero = (0,) * len(orders)
@@ -413,6 +414,55 @@ def span_size(group, gens):
                 seen.add(y)
                 frontier.append(y)
     return len(seen)
+
+
+def _add(x, y, orders):
+    return tuple((a + b) % n for a, b, n in zip(x, y, orders))
+
+
+def coset_count(span, x, orders):
+    """The least m >= 1 with m x in span: the span of span and x is the
+    union of the m cosets span + k x, 0 <= k < m."""
+    m, kx = 1, x
+    while kx not in span:
+        m, kx = m + 1, _add(kx, x, orders)
+    return m
+
+
+def extend_span(span, x, orders):
+    """The span of a subgroup `span` (a set of coordinate tuples) and x."""
+    cosets = [span]
+    for _ in range(1, coset_count(span, x, orders)):
+        cosets.append({_add(s, x, orders) for s in cosets[-1]})
+    return set().union(*cosets)
+
+
+def span_size(group, gens):
+    """Order of the subgroup of a finite group that gens span, extended one
+    generator at a time by cosets."""
+    span = {(0,) * group.ngens}
+    for g in gens:
+        span = extend_span(span, g.coords, group.orders)
+    return len(span)
+
+
+def test_span_size_matches_the_walk():
+    # every carrier of order <= 16, every one or two generators: the span
+    # and the coset count that brute_force_isomorphic prunes by
+    for g in all_canonical_groups(16):
+        elems = list(g.elements())
+        zero = {(0,) * g.ngens}
+        assert span_size(g, []) == walk_span_size(g, []) == 1
+        for x in elems:
+            span = extend_span(zero, x.coords, g.orders)
+            assert len(span) == coset_count(zero, x.coords, g.orders)
+            assert len(span) == span_size(g, [x]) == walk_span_size(g, [x]) == x.order()
+            for y in elems:
+                size = walk_span_size(g, [x, y])
+                assert len(span) * coset_count(span, y.coords, g.orders) == size, (g, x, y)
+                assert len(extend_span(span, y.coords, g.orders)) == size
+                assert span_size(g, [x, y]) == size
+        assert span_size(g, elems) == walk_span_size(g, g.gens()) == g.order()
 
 
 def brute_force_isomorphic(p1, p2):
@@ -439,6 +489,9 @@ def brute_force_isomorphic(p1, p2):
         for d in range(n)
     ]
     images = [None] * n
+    # spans[d] is the span of images[:d]; the span of images[:d + 1] has
+    # coset_count(spans[d], x) times as many elements
+    spans = [{(0,) * c2.ngens}] + [None] * n
 
     def rec(d):
         if d == n:
@@ -450,7 +503,8 @@ def brute_force_isomorphic(p1, p2):
             if x.order() == 0 or nj % x.order():
                 continue
             images[d] = x
-            if span_size(c2, images[: d + 1]) != partial_sizes[d]:
+            size = len(spans[d]) * coset_count(spans[d], x.coords, c2.orders)
+            if size != partial_sizes[d]:
                 continue
             if d + 1 == support_end:
                 acc = c2.zero()
@@ -458,6 +512,7 @@ def brute_force_isomorphic(p1, p2):
                     acc = acc + p1.p_one.coords[order_idx[t]] * images[t]
                 if acc != p2.p_one:
                     continue
+            spans[d + 1] = extend_span(spans[d], x.coords, c2.orders)
             if rec(d + 1):
                 return True
         images[d] = None

@@ -271,6 +271,81 @@ def test_tensor_invariant_is_the_sum_of_its_symbols():
             ) == symbolwise_tensor_invariant(g, ms.standard, desc.tensor_pres)
     assert ranks == {0, 1, 2, 3, 4}
 
+def test_tensor_invariant_matches_its_symbols_to_rank_8():
+    """The matrix form of the tensor invariant, through tensor_invariant and
+    through witt_class, against the symbol-by-symbol sum: ranks 1 to 8 over
+    scrambled parameters of both symmetries whose complement G has 0 to 3
+    generators."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(160):
+        symmetric = rng.random() < 0.5
+        p = random_form_parameter(rng, symmetric=symmetric, max_torsion=16, max_free=1)
+        desc = witt.witt_group(p)
+        ms = desc.splitting
+        if ms.complement.ngens > 3:
+            continue
+        f = random_nonsingular_form(rng, p, max_rank=8)
+        g = qf.pushforward(f, ms.iso)
+        expect = symbolwise_tensor_invariant(g, ms.standard, desc.tensor_pres)
+        assert witt.tensor_invariant(g, desc.tensor_pres) == expect
+        assert witt.witt_class(f).coords[desc.n_indec:] == expect.coords
+        seen.add((symmetric, f.rank, ms.complement.ngens))
+    assert {r for s, r, _ in seen if s} == set(range(1, 9))
+    assert {r for s, r, _ in seen if not s} == {2, 4, 6, 8}
+    for symmetric in (True, False):
+        assert {n for s, _, n in seen if s == symmetric} == {0, 1, 2, 3}
+
+
+def test_witt_class_refuses_a_singular_form_over_a_trivial_tensor_group():
+    # G (x) Q0 = 0 here, so no tensor term reads the inverse: the
+    # refusal comes from the inverse itself
+    for p, mu in ((standard("Q+"), (1,)), (ZP, (2, 0))):
+        assert witt.witt_group(p).tensor_pres.group.is_trivial
+        f = qf.QForm(p, [[2]], [p.carrier.element(mu)])
+        with pytest.raises(ValueError, match="nonsingular forms"):
+            witt.witt_class(f)
+
+
+def test_witt_class_takes_one_inverse_and_at_most_one_signature(monkeypatch):
+    """On warm caches one witt_class (or gw_class) call inverts the form's
+    matrix once, which is also its nonsingularity check, takes no
+    determinant and at most one inertia."""
+    from qwitt import _intmat
+
+    rng = random.Random(7)
+    params = [standard(n) for n in ("Q+", "Q^+", "ZP", "ZP_2", "Q-", "Q^-", "ZL_2")]
+    params += [random_form_parameter(rng, symmetric=s) for s in (True, False) * 4]
+    forms = [random_nonsingular_form(rng, p, max_rank=6) for p in params]
+    forms.append(witt.witt_group(standard("Q+")).representatives[0])
+    for f in forms:
+        witt.gw_class(f)
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, names in (
+        (_intmat, ("unimodular_inverse", "determinant")),
+        (qf, ("inertia", "signature_of_matrix", "is_nonsingular")),
+        (witt, ("unimodular_inverse", "determinant", "inertia", "signature_of_matrix", "is_nonsingular")),
+    ):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for f in forms:
+        for call in (witt.witt_class, witt.gw_class):
+            counts.clear()
+            call(f)
+            assert counts.get("unimodular_inverse") == 1, (f, counts)
+            assert "determinant" not in counts and "is_nonsingular" not in counts
+            assert counts.get("inertia", 0) <= 1 and counts.get("signature_of_matrix", 0) <= 1
+
+
 def test_f_gamma_roundtrip_random():
     rng = random.Random(15)
     for _ in range(40):
