@@ -154,14 +154,6 @@ class FinAbGroup:
             self, tuple([a % n if n else a for a, n in zip(acc, self.orders)])
         )
 
-    def project(self, x: "GroupElement") -> "GroupElement":
-        """The element of self with x's coordinates on the first factors of
-        x's group, whose orders there must be self's: a run of reduced
-        coordinates is reduced, so none is reduced again."""
-        if x.group.orders[: self.ngens] != self.orders:
-            raise ValueError("factors do not match the group")
-        return _reduced(self, x.coords[: self.ngens])
-
     def pad(self, x: "GroupElement", start: int = 0) -> "GroupElement":
         """x placed on the factors start, start + 1, ... of self, whose
         orders there must be x's group's, and zero on the others."""

@@ -5,8 +5,12 @@ invariants: signature (divided by 8 over the even-symmetric parameter),
 the signature-defect pair (sigma, rho) over the ZP family, the Arf
 invariant over the rank-one anti-symmetric parameter, and zero otherwise.
 A general parameter is split as Q + G; the reduced part of a class is the
-tensor invariant F with values in G (x) Q, and (invariants of the
-Q-retraction, F) is a complete Witt invariant.
+tensor invariant F with values in G (x) Q, and (the classical invariants,
+F) is a complete Witt invariant.  Inside this module a form is its matrix
+and the coordinate rows of its mu values over Q + G: the classical
+invariants read the Q coordinates and F reads both, so no form over Q or
+Q + G is built to compute a class.  QForm is the validated type at the
+module's boundary.
 
 The natural model: the extended symmetrisation embeds W0(P) into
 Z + Gamma(SP) with image Sigma(v_P); the extended quadratic lift maps
@@ -16,7 +20,7 @@ Z2 + Lambda1(P_e) onto W0(P) with kernel K(v'_P).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _intmat
@@ -54,7 +58,6 @@ from .qform import (
     direct_sum as form_sum,
     _mu_scalar,
     is_nonsingular,
-    mu_eval,
     pushforward,
     signature_of_matrix,
 )
@@ -95,15 +98,9 @@ def signature(f: QForm) -> int:
     return signature_of_matrix(f.lambda_matrix)
 
 
-def _omega_data(
-    f: QForm,
-    shift: Optional[Sequence[int]] = None,
-    minv: Optional[Sequence[Sequence[int]]] = None,
-    sig: Optional[int] = None,
-):
-    """(sigma, omega-hat squared, level k) for a form over the ZP family;
-    `minv` and `sig`, the inverse and the signature of its matrix, are
-    computed when not given.
+def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
+    """(sigma, omega-hat squared, level k) for a nonsingular form over the
+    ZP family (k = 0 for ZP itself).
 
     The linearisation of the carrier Z + Z_{2^k} is pinned to Z_{2^{k+1}}
     via (a, b) -> a + 2b (and to Z for the infinite member); rho is only
@@ -116,26 +113,32 @@ def _omega_data(
         kind = None
     if kind not in ("ZP", "ZP_k"):
         raise ValueError("rho is defined over the ZP family only")
-    k = k or 0
-    omega = [m.coords[0] + 2 * m.coords[1] for m in f.mu_basis]
+    if shift is not None and len(shift) != f.rank:
+        raise ValueError(f"shift has {len(shift)} entries, the form has rank {f.rank}")
+    lam, k = f.lambda_matrix, k or 0
+    minv = _intmat.unimodular_inverse(lam)
+    mus = [m.coords for m in f.mu_basis]
+    return signature_of_matrix(lam), _omega_square(mus, minv, k, shift), k
+
+
+def _omega_square(mus, minv, k: int, shift=None) -> int:
+    """omega-hat squared, where omega lifts the linearised mu, read off the
+    first two coordinates of each mu row, and omega-hat = M^-1 omega."""
+    omega = [m[0] + 2 * m[1] for m in mus]
     if k:
         omega = [w % 2 ** (k + 1) for w in omega]
     if shift is not None:
-        if len(shift) != f.rank:
-            raise ValueError(
-                f"shift has {len(shift)} entries, the form has rank {f.rank}"
-            )
         step = 2 ** (k + 1) if k else 0
         omega = [w + step * s for w, s in zip(omega, shift)]
-    if minv is None:
-        minv = _intmat.unimodular_inverse(f.lambda_matrix)
-    if sig is None:
-        sig = signature_of_matrix(f.lambda_matrix)
-    omega_hat = _intmat.mat_vec(minv, omega)
-    osq = sum(a * b for a, b in zip(omega_hat, omega))
+    return sum(a * b for a, b in zip(_intmat.mat_vec(minv, omega), omega))
+
+
+def _defect(sig: int, osq: int, k: int) -> int:
+    """(sigma - omega-hat^2)/8, reduced mod 2^(k-1) at a level k > 0."""
     if (sig - osq) % 8:
         raise AssertionError("characteristic square incongruent to signature mod 8")
-    return sig, osq, k
+    val = (sig - osq) // 8
+    return val % 2 ** (k - 1) if k else val
 
 
 def signature_defect(f: QForm, shift: Optional[Sequence[int]] = None) -> int:
@@ -146,16 +149,12 @@ def signature_defect(f: QForm, shift: Optional[Sequence[int]] = None) -> int:
     `shift` adds 2^(k+1) times the given functional to the lift (the value
     is unchanged, which the tests assert).
     """
-    return _rho(f, None, None, shift)
+    return _defect(*_omega_data(f, shift))
 
 
-def _rho(f: QForm, minv, sig, shift=None) -> int:
-    """`signature_defect`, with `minv` and `sig` as in `_omega_data`."""
-    sig, osq, k = _omega_data(f, shift, minv, sig)
-    val = (sig - osq) // 8
-    if k:
-        val %= 2 ** (k - 1)
-    return val
+def _rho(k: int, lam, mus, minv, sig: int) -> int:
+    """`signature_defect` at level k, as an `_Indecomposable` invariant."""
+    return _defect(sig, _omega_square(mus, minv, k), k)
 
 
 def arf(f: QForm) -> int:
@@ -172,26 +171,31 @@ def arf(f: QForm) -> int:
         raise ValueError("Arf invariant lives over the rank-one anti-symmetric parameter")
     if not is_nonsingular(f):
         raise ValueError("Arf invariant of a singular form")
-    return _arf(f)
+    return _arf(f.lambda_matrix, [m.coords for m in f.mu_basis])
 
 
-def _arf(f: QForm, _minv=None, _sig=None) -> int:
-    """`arf` of a form known to be nonsingular over Q-."""
+def _arf(lam, mus, _minv=None, _sig=None) -> int:
+    """`arf` of a nonsingular matrix whose mu rows hold the Q- coordinate
+    first; that coordinate of mu(x) is sum_i x_i mu(b_i) + s, as in
+    qform.mu_eval with p(1) = 1."""
 
     def times_m(v: Sequence[int]) -> List[int]:
-        return [x % 2 for x in _intmat.mat_vec(f.lambda_matrix, v)]
+        return [x % 2 for x in _intmat.mat_vec(lam, v)]
 
     def dot(v: Sequence[int], w: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(v, w)) % 2
 
-    rem = _intmat.identity(f.rank)
+    def mu(v: Sequence[int]) -> int:
+        return (sum(a * m[0] for a, m in zip(v, mus)) + _mu_scalar(lam, v)) % 2
+
+    rem = _intmat.identity(len(lam))
     total = 0
     while rem:
         e = rem.pop(0)
         me = times_m(e)
         fv = rem.pop(next(i for i, w in enumerate(rem) if dot(w, me)))
         mf = times_m(fv)
-        total += mu_eval(f, e).coords[0] * mu_eval(f, fv).coords[0]
+        total += mu(e) * mu(fv)
         for w in rem:
             a, b = dot(w, mf), dot(w, me)
             w[:] = [(wi + a * ei + b * fi) % 2 for wi, ei, fi in zip(w, e, fv)]
@@ -223,25 +227,30 @@ def tensor_invariant(f: QForm, pres: TensorPresentation) -> GroupElement:
     M^-T times the matrix of Q0 coordinates of the mu(x_i), plus s_j p(1),
     reduced once.
     """
-    return _tensor_invariant(f, pres, _intmat.unimodular_inverse(f.lambda_matrix))
-
-
-def _tensor_invariant(
-    f: QForm, pres: TensorPresentation, minv: Sequence[Sequence[int]]
-) -> GroupElement:
-    """`tensor_invariant` given the inverse of the form's matrix."""
-    q0 = pres.q
-    p, pad = f.parameter, (0,) * pres.g.ngens
+    q0, p, pad = pres.q, f.parameter, (0,) * pres.g.ngens
     if (
         p.carrier.orders != q0.carrier.orders + pres.g.orders
         or p.h.matrix[0] != q0.h.matrix[0] + pad
         or p.p_one.coords != q0.p_one.coords + pad
     ):
         raise ValueError("form is not over the expected split parameter")
+    lam = f.lambda_matrix
+    mus = [m.coords for m in f.mu_basis]
+    return _tensor_invariant(lam, mus, pres, _intmat.unimodular_inverse(lam))
+
+
+def _tensor_invariant(
+    lam: Sequence[Sequence[int]],
+    mus: Sequence[Sequence[int]],
+    pres: TensorPresentation,
+    minv: Sequence[Sequence[int]],
+) -> GroupElement:
+    """`tensor_invariant` of the form with matrix `lam`, inverse `minv` and
+    mu values with coordinate rows `mus` over Q0 + G."""
     if pres.group.is_trivial:
         return pres.group.zero()
-    n, nq, lam = f.rank, q0.carrier.ngens, f.lambda_matrix
-    mus = [m.coords for m in f.mu_basis]
+    q0 = pres.q
+    n, nq = len(lam), q0.carrier.ngens
     mg = [m[nq:] for m in mus]
     y = _intmat.transpose(minv)  # row j is y_j
     c = [0] * len(pres.symbols)
@@ -264,48 +273,34 @@ def form_from_tensor(pres: TensorPresentation, t: GroupElement) -> QForm:
     """A nonsingular form over Q0 + G whose reduced invariant is t in
     G (x) Q0, where G and Q0 are pres.g and pres.q.
 
-    Built as an orthogonal sum of rank-2 blocks over an integer lift of t:
-    a bracket symbol [g1, g2] (x) n gives ((0, 1), (eps, 0)) with mu values
-    (n g1, g2); a simple symbol g (x) q gives ((0, 1), (eps, -h(q))) with
-    mu values (g, q - p(h(q))).
+    An orthogonal sum of rank-2 blocks ((0, 1), (eps, d)) over an integer
+    lift of t, filled into one block-diagonal matrix and one list of mu
+    values: a bracket symbol [g1, g2] (x) n gives d = 0 with mu values
+    (n g1, g2); a simple symbol g (x) q gives d = -h(q) with mu values
+    (g, q - p(h(q))).
     """
     q0, comp = pres.q, pres.g
     split = split_sum(q0, comp)
-    nq = q0.carrier.ngens
-    eps = q0.symmetry
-    lift = pres.lift(t)
-    blocks: List[QForm] = []
-
-    def embed_g(x: GroupElement) -> GroupElement:
-        return split.carrier.pad(x, nq)
-
-    def embed_q(x: GroupElement) -> GroupElement:
-        return split.carrier.pad(x)
-
-    for (kind, i, j), c in zip(pres.symbols, lift):
+    pad, nq = split.carrier.pad, q0.carrier.ngens
+    diag: List[int] = []
+    mus: List[GroupElement] = []
+    for (kind, i, j), c in zip(pres.symbols, pres.lift(t)):
         if c == 0:
             continue
         if kind == "b":
-            mu1 = embed_g(c * comp.gen(i))
-            mu2 = embed_g(comp.gen(j))
-            blocks.append(
-                QForm(split, [[0, 1], [eps, 0]], [mu1, mu2])
-            )
+            diag.append(0)
+            mus += [pad(c * comp.gen(i), nq), pad(comp.gen(j), nq)]
         else:
             qv = c * q0.carrier.gen(j)
             h = q0.h_of(qv)
-            rq = qv - q0.p(h)
-            blocks.append(
-                QForm(
-                    split,
-                    [[0, 1], [eps, -h]],
-                    [embed_g(comp.gen(i)), embed_q(rq)],
-                )
-            )
-    out = QForm(split, [], [])
-    for b in blocks:
-        out = form_sum(out, b)
-    return out
+            diag.append(-h)
+            mus += [pad(comp.gen(i), nq), pad(qv - q0.p(h))]
+    n = len(mus)
+    mat = [[0] * n for _ in range(n)]
+    for b, d in enumerate(diag):
+        x, y = 2 * b, 2 * b + 1
+        mat[x][y], mat[y][x], mat[y][y] = 1, q0.symmetry, d
+    return QForm(split, mat, mus)
 
 
 # -- Witt classes and groups ----------------------------------------------------
@@ -321,7 +316,7 @@ class WittGroupDescription:
     tensor_pres: TensorPresentation
     n_indec: int
 
-    @property
+    @cached_property
     def group(self) -> FinAbGroup:
         return FinAbGroup(self.orders)
 
@@ -389,27 +384,28 @@ def _e8_matrix() -> List[List[int]]:
     return mat
 
 
-def _sigma(f: QForm, minv, sig: int) -> int:
+def _sigma(lam, mus, minv, sig: int) -> int:
     return sig
 
 
-def _sigma_over_8(f: QForm, minv, sig: int) -> int:
+def _sigma_over_8(lam, mus, minv, sig: int) -> int:
     if sig % 8:
         raise AssertionError("even symmetric form with signature not divisible by 8")
     return sig // 8
 
 
 class _Indecomposable(NamedTuple):
-    """A generator of W0 of a standard parameter.  The invariant takes a
-    nonsingular form over the standard parameter, the inverse of its matrix
-    and, over a symmetric parameter, its signature (else None); it is the
-    form's coordinate on this generator, so it maps the representatives to
-    the unit vectors."""
+    """A generator of W0 of a standard parameter Q.  The invariant takes a
+    nonsingular form over Q + G as its matrix, the coordinate rows of its
+    mu values (the Q coordinates first), the inverse of its matrix and, over
+    a symmetric parameter, its signature (else None); it reads only the Q
+    coordinates and is the form's coordinate on this generator, so it maps
+    the representatives to the unit vectors."""
 
     name: str
     order: int
     representative: QForm
-    invariant: Callable[[QForm, Sequence[Sequence[int]], Optional[int]], int]
+    invariant: Callable[..., int]
     signature: Optional[int]  # of the representative
 
 
@@ -427,9 +423,9 @@ def _indecomposables(kind: str, k: Optional[int]) -> Tuple[_Indecomposable, ...]
         table = [("sigma*", 0, QForm(q, [[1]], [c.element((1, 0))]), _sigma)]
         rho = QForm(q, [[0, 1], [1, 0]], [c.element((0, 1)), c.element((0, -1))])
         if kind == "ZP":
-            table.append(("rho_inf*", 0, rho, _rho))
+            table.append(("rho_inf*", 0, rho, partial(_rho, 0)))
         elif k >= 2:
-            table.append((f"rho_{k}*", 2 ** (k - 1), rho, _rho))
+            table.append((f"rho_{k}*", 2 ** (k - 1), rho, partial(_rho, k)))
     elif kind == "Q-":
         c_star = QForm(q, [[0, 1], [-1, 0]], [c.element((1,))] * 2)
         table = [("c*", 2, c_star, _arf)]
@@ -475,33 +471,28 @@ def _embed_standard_form(rep: QForm, ms: MaximalSplitting) -> QForm:
     return QForm(split, rep.lambda_matrix, mus)
 
 
-def _retract_to_standard(ms: MaximalSplitting, f: QForm) -> QForm:
-    """Push a form over Q + G down to Q (forget the G components)."""
-    q = ms.standard
-    mus = [q.carrier.project(m) for m in f.mu_basis]
-    return QForm(q, f.lambda_matrix, mus)
-
-
 def witt_class(f: QForm) -> WittClass:
     """The complete Witt invariant of a nonsingular form.
 
-    The inverse of the form's matrix is its nonsingularity check; it and
+    The mu values are mapped once through the maximal splitting into
+    coordinate rows over Q + G, which every invariant reads with the form's
+    matrix.  The inverse of that matrix is its nonsingularity check; it and
     the signature, taken once and only over a symmetric parameter with
     indecomposables, serve every invariant."""
+    lam = f.lambda_matrix
     try:
-        minv = _intmat.unimodular_inverse(f.lambda_matrix)
+        minv = _intmat.unimodular_inverse(lam)
     except ValueError:
         raise ValueError("Witt classes are defined for nonsingular forms") from None
     desc = witt_group(f.parameter)
     ms = desc.splitting
-    g = pushforward(f, ms.iso)
+    mus = [ms.iso(m).coords for m in f.mu_basis]
     table = _indecomposables(ms.standard_kind, ms.k)
     coords = []
     if table:
-        q_part = _retract_to_standard(ms, g)
-        sig = signature_of_matrix(f.lambda_matrix) if f.parameter.is_symmetric else None
-        coords = [e.invariant(q_part, minv, sig) for e in table]
-    coords += _tensor_invariant(g, desc.tensor_pres, minv).coords
+        sig = signature_of_matrix(lam) if f.parameter.is_symmetric else None
+        coords = [e.invariant(lam, mus, minv, sig) for e in table]
+    coords += _tensor_invariant(lam, mus, desc.tensor_pres, minv).coords
     return WittClass(desc, tuple(coords))
 
 
@@ -598,12 +589,14 @@ def es_witt(f: QForm) -> GroupElement:
     p = f.parameter
     if not p.is_symmetric:
         raise ValueError("extended symmetrisation needs a symmetric parameter")
-    push = pushforward(f, es(p))
+    lam = f.lambda_matrix
+    minv = _intmat.unimodular_inverse(lam)  # refuses a singular form
     sp, _, _ = linearisation(p)
     pres = present(sp, standard("Q^+"))
-    t = tensor_invariant(push, pres)  # refuses a singular form
+    to_split = es(p)
+    t = _tensor_invariant(lam, [to_split(m).coords for m in f.mu_basis], pres, minv)
     amb = FinAbGroup((0,) + t.group.orders)
-    return amb.element((signature_of_matrix(f.lambda_matrix),) + t.coords)
+    return amb.element((signature_of_matrix(lam),) + t.coords)
 
 
 def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:

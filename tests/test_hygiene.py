@@ -363,6 +363,14 @@ def test_splitting_constructions_detected():
     assert constructions(src, "QForm") == {"a": 0, "b": 0, "c": 0}
 
 
+def test_the_witt_layer_builds_one_form_per_tensor():
+    # witt_class and es_witt read a form as its matrix and mu rows and build
+    # none; form_from_tensor builds one, from one matrix and one mu list
+    found = constructions((SRC / "witt.py").read_text(), "QForm")
+    assert found["form_from_tensor"] == 1
+    assert found["witt_class"] == found["es_witt"] == 0
+
+
 def test_each_splitting_case_shares_one_tail():
     # every case picks its kind, head generator and complement, then builds
     # the splitting in one place

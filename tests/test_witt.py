@@ -308,9 +308,10 @@ def test_witt_class_refuses_a_singular_form_over_a_trivial_tensor_group():
 
 
 def test_witt_class_takes_one_inverse_and_at_most_one_signature(monkeypatch):
-    """On warm caches one witt_class (or gw_class) call inverts the form's
-    matrix once, which is also its nonsingularity check, takes no
-    determinant and at most one inertia."""
+    """On warm caches one witt_class, gw_class or (over a symmetric
+    parameter) es_witt call inverts the form's matrix once, which is also
+    its nonsingularity check, takes no determinant and at most one inertia,
+    and builds no QForm: the invariants read the matrix and mu rows."""
     from qwitt import _intmat
 
     rng = random.Random(7)
@@ -318,8 +319,13 @@ def test_witt_class_takes_one_inverse_and_at_most_one_signature(monkeypatch):
     params += [random_form_parameter(rng, symmetric=s) for s in (True, False) * 4]
     forms = [random_nonsingular_form(rng, p, max_rank=6) for p in params]
     forms.append(witt.witt_group(standard("Q+")).representatives[0])
+
+    def calls(f):
+        return (witt.witt_class, witt.gw_class) + ((witt.es_witt,) if f.parameter.is_symmetric else ())
+
     for f in forms:
-        witt.gw_class(f)
+        for call in calls(f):
+            call(f)
     counts = {}
 
     def counted(name, fn):
@@ -337,13 +343,31 @@ def test_witt_class_takes_one_inverse_and_at_most_one_signature(monkeypatch):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(qf.QForm, "__init__", counted("QForm", qf.QForm.__init__))
     for f in forms:
-        for call in (witt.witt_class, witt.gw_class):
+        for call in calls(f):
             counts.clear()
             call(f)
             assert counts.get("unimodular_inverse") == 1, (f, counts)
             assert "determinant" not in counts and "is_nonsingular" not in counts
             assert counts.get("inertia", 0) <= 1 and counts.get("signature_of_matrix", 0) <= 1
+            assert "QForm" not in counts, (call, f, counts)
+
+
+def test_witt_group_builds_its_group_once():
+    # the group is cached on the description; repr, == and hash of
+    # descriptions and classes read only their fields
+    from dataclasses import replace
+
+    f = arf1(split_sum(QM, FinAbGroup((4,))), (0, 1))
+    cls = witt.witt_class(f)
+    desc = cls.description
+    assert desc.group is desc.group and desc.group == FinAbGroup(desc.orders)
+    fresh = replace(desc)
+    assert "group" not in vars(fresh) and "group" in vars(desc)
+    assert fresh == desc and hash(fresh) == hash(desc) and repr(fresh) == repr(desc)
+    again = witt.WittClass(fresh, cls.coords)
+    assert again == cls and hash(again) == hash(cls) and repr(again) == repr(cls)
 
 
 def test_f_gamma_roundtrip_random():
