@@ -12,7 +12,7 @@ the parameter is built, and kept outside the dataclass fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
 from operator import mul
@@ -211,6 +211,8 @@ class MaximalSplitting:
     standard: FormParameter
     complement: FinAbGroup
     iso: FPMorphism  # P -> standard + complement
+    # standard + complement -> P, iso's inverse; not part of repr or ==
+    inverse: FPMorphism = field(repr=False, compare=False)
 
     @property
     def split_parameter(self) -> FormParameter:
@@ -347,13 +349,14 @@ def maximal_splitting(p: FormParameter) -> MaximalSplitting:
 
     Symmetric parameters are split through their quasi-Wu class v_P using
     the torsion/free summand lemmas; anti-symmetric ones through maximal
-    2-divisibility of v'_P(1).  The returned isomorphism is verified.
+    2-divisibility of v'_P(1).  Each case builds the inverse of its
+    isomorphism from the splitting's own basis, with no Smith form, and the
+    pair is verified: both compositions are the identity.
     """
-    if p.is_symmetric:
-        ms = _split_symmetric(p)
-    else:
-        ms = _split_antisymmetric(p)
-    if not ms.iso.is_isomorphism():
+    ms = _split_symmetric(p) if p.is_symmetric else _split_antisymmetric(p)
+    iso, back = ms.iso.map, ms.inverse.map
+    identities = AbHom.identity(iso.source), AbHom.identity(iso.target)
+    if (back.compose(iso), iso.compose(back)) != identities:
         raise AssertionError("maximal splitting produced a non-isomorphism")
     return ms
 
@@ -377,24 +380,34 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
         comp, incl = subgroup(sp, rest)
         basis = [g0] + incl.columns()
     q0 = standard(kind, k)
-    glue = _glue_linearisation(q0, comp)
-    # slice iso f: SP -> SQ0 + comp sending the basis to the generators
-    f = hom_from_images(sp, basis, glue.source.gens(), glue.source)
-    iso = morphism_from_slice(p, split_sum(q0, comp), glue.compose(f))
-    return MaximalSplitting(kind, k, q0, comp, iso)
-
-
-def _glue_linearisation(q0: FormParameter, comp: FinAbGroup) -> AbHom:
-    """The natural isomorphism SQ0 + G -> S(Q0 + G)."""
     target = split_sum(q0, comp)
-    sq0, _, lifts = linearisation(q0)
-    s_tgt, proj_t, _ = linearisation(target)
-    pad = (0,) * comp.ngens
+    glue, unglue = _glue_linearisation(q0, comp)
+    # slice iso f: SP -> SQ0 + comp sending the basis to the generators, and
+    # its inverse, whose columns are the basis
+    f = hom_from_images(sp, basis, glue.source.gens(), glue.source)
+    f_inv = AbHom.from_columns(glue.source, sp, basis)
+    iso = morphism_from_slice(p, target, glue.compose(f))
+    back = morphism_from_slice(target, p, f_inv.compose(unglue))
+    return MaximalSplitting(kind, k, q0, comp, iso, back)
+
+
+def _glue_linearisation(q0: FormParameter, comp: FinAbGroup) -> Tuple[AbHom, AbHom]:
+    """The natural isomorphism SQ0 + G -> S(Q0 + G) and its inverse, which
+    sends a class to the SQ0 class of its lift's Q0 coordinates and to its
+    lift's G coordinates (p(1) lies in Q0, so this kills p(1))."""
+    target = split_sum(q0, comp)
+    sq0, proj_q, lifts = linearisation(q0)
+    s_tgt, proj_t, lifts_t = linearisation(target)
+    pad, nq = (0,) * comp.ngens, q0.carrier.ngens
+    parts = FinAbGroup(sq0.orders + comp.orders)
     images = [target.carrier.element(x.coords + pad) for x in lifts]
-    images += target.carrier.gens()[q0.carrier.ngens :]
-    return AbHom.from_columns(
-        FinAbGroup(sq0.orders + comp.orders), s_tgt, [proj_t(y) for y in images]
-    )
+    images += target.carrier.gens()[nq:]
+    glue = AbHom.from_columns(parts, s_tgt, [proj_t(y) for y in images])
+    unglue = AbHom.from_columns(s_tgt, parts, [
+        parts.element(proj_q(q0.carrier.element(y.coords[:nq])).coords + y.coords[nq:])
+        for y in lifts_t
+    ])
+    return glue, unglue
 
 
 def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
@@ -409,11 +422,11 @@ def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
     q0 = standard(kind, k)
     comp, incl = subgroup(a, rest)
     target = split_sum(q0, comp)
-    carrier_map = hom_from_images(
-        a, head + incl.columns(), target.carrier.gens(), target.carrier
-    )
+    basis = head + incl.columns()
+    carrier_map = hom_from_images(a, basis, target.carrier.gens(), target.carrier)
     iso = FPMorphism(p, target, carrier_map)
-    return MaximalSplitting(kind, k, q0, comp, iso)
+    back = FPMorphism(target, p, AbHom.from_columns(target.carrier, a, basis))
+    return MaximalSplitting(kind, k, q0, comp, iso, back)
 
 
 def height_of(kind: str, k: Optional[int]) -> Height:

@@ -55,7 +55,6 @@ from .formparam import (
 )
 from .qform import (
     QForm,
-    direct_sum as form_sum,
     _mu_scalar,
     is_nonsingular,
     pushforward,
@@ -271,36 +270,55 @@ def _tensor_invariant(
 
 def form_from_tensor(pres: TensorPresentation, t: GroupElement) -> QForm:
     """A nonsingular form over Q0 + G whose reduced invariant is t in
-    G (x) Q0, where G and Q0 are pres.g and pres.q.
+    G (x) Q0, where G and Q0 are pres.g and pres.q: the blocks of
+    `_tensor_blocks` filled into one block-diagonal matrix and one list of
+    mu values."""
+    split = split_sum(pres.q, pres.g)
+    diag, rows = _tensor_blocks(pres, t)
+    mus = [split.carrier.element(r) for r in rows]
+    return QForm(split, _block_matrix(diag, pres.q.symmetry), mus)
 
-    An orthogonal sum of rank-2 blocks ((0, 1), (eps, d)) over an integer
-    lift of t, filled into one block-diagonal matrix and one list of mu
-    values: a bracket symbol [g1, g2] (x) n gives d = 0 with mu values
-    (n g1, g2); a simple symbol g (x) q gives d = -h(q) with mu values
-    (g, q - p(h(q))).
-    """
+
+def _tensor_blocks(
+    pres: TensorPresentation, t: GroupElement
+) -> Tuple[List[int], List[List[int]]]:
+    """An orthogonal sum of rank-2 blocks ((0, 1), (eps, d)) over an integer
+    lift of t: the corner d of each block and the coordinate rows over
+    Q0 + G of its two mu values.  A bracket symbol [g1, g2] (x) n gives
+    d = 0 with mu values (n g1, g2); a simple symbol g (x) q gives d = -h(q)
+    with mu values (g, q - p(h(q)))."""
     q0, comp = pres.q, pres.g
-    split = split_sum(q0, comp)
-    pad, nq = split.carrier.pad, q0.carrier.ngens
+    nq, ng = q0.carrier.ngens, comp.ngens
+
+    def over_g(i: int, c: int = 1) -> List[int]:
+        row = [0] * (nq + ng)
+        row[nq + i] = c
+        return row
+
     diag: List[int] = []
-    mus: List[GroupElement] = []
+    rows: List[List[int]] = []
     for (kind, i, j), c in zip(pres.symbols, pres.lift(t)):
         if c == 0:
             continue
         if kind == "b":
             diag.append(0)
-            mus += [pad(c * comp.gen(i), nq), pad(comp.gen(j), nq)]
+            rows += [over_g(i, c), over_g(j)]
         else:
             qv = c * q0.carrier.gen(j)
             h = q0.h_of(qv)
             diag.append(-h)
-            mus += [pad(comp.gen(i), nq), pad(qv - q0.p(h))]
-    n = len(mus)
+            rows += [over_g(i), list((qv - q0.p(h)).coords) + [0] * ng]
+    return diag, rows
+
+
+def _block_matrix(diag: Sequence[int], eps: int) -> List[List[int]]:
+    """The block-diagonal matrix of the blocks ((0, 1), (eps, d)), d in diag."""
+    n = 2 * len(diag)
     mat = [[0] * n for _ in range(n)]
     for b, d in enumerate(diag):
         x, y = 2 * b, 2 * b + 1
-        mat[x][y], mat[y][x], mat[y][y] = 1, q0.symmetry, d
-    return QForm(split, mat, mus)
+        mat[x][y], mat[y][x], mat[y][y] = 1, eps, d
+    return mat
 
 
 # -- Witt classes and groups ----------------------------------------------------
@@ -442,33 +460,36 @@ def _indecomposables(kind: str, k: Optional[int]) -> Tuple[_Indecomposable, ...]
 
 @lru_cache(maxsize=None)
 def witt_group(p: FormParameter) -> WittGroupDescription:
-    """The Witt group of P in canonical coordinates with named generators."""
+    """The Witt group of P in canonical coordinates with named generators.
+
+    Each representative is built once, over P: its matrix, and its mu rows
+    over Q + G (an indecomposable's padded by zeros, a tensor generator's
+    from `_tensor_blocks`) sent through the splitting's inverse."""
     ms = maximal_splitting(p)
     pres = present(ms.complement, ms.standard)
-    back = ms.iso.inverse()
     table = _indecomposables(ms.standard_kind, ms.k)
-    forms = [_embed_standard_form(e.representative, ms) for e in table]
-    forms += [
-        form_from_tensor(pres, t)
-        for t in pres.group.gens()
-    ]
+    pad = (0,) * ms.complement.ngens
+    blocks = []
+    for e in table:
+        rep = e.representative
+        blocks.append((rep.lambda_matrix, [m.coords + pad for m in rep.mu_basis]))
+    for t in pres.group.gens():
+        diag, rows = _tensor_blocks(pres, t)
+        blocks.append((_block_matrix(diag, p.symmetry), rows))
+    back = ms.inverse.map.columns()
     return WittGroupDescription(
         p,
         ms,
         tuple(e.name for e in table)
         + tuple(f"t{t + 1}" for t in range(pres.group.ngens)),
         tuple(e.order for e in table) + pres.group.orders,
-        tuple(pushforward(form, back) for form in forms),
+        tuple(
+            QForm(p, mat, [p.carrier.combination(r, back) for r in rows])
+            for mat, rows in blocks
+        ),
         pres,
         len(table),
     )
-
-
-def _embed_standard_form(rep: QForm, ms: MaximalSplitting) -> QForm:
-    """Regard a form over the standard parameter as one over Q + G."""
-    split = ms.split_parameter
-    mus = [split.carrier.pad(m) for m in rep.mu_basis]
-    return QForm(split, rep.lambda_matrix, mus)
 
 
 def witt_class(f: QForm) -> WittClass:
@@ -476,21 +497,30 @@ def witt_class(f: QForm) -> WittClass:
 
     The mu values are mapped once through the maximal splitting into
     coordinate rows over Q + G, which every invariant reads with the form's
-    matrix.  The inverse of that matrix is its nonsingularity check; it and
-    the signature, taken once and only over a symmetric parameter with
-    indecomposables, serve every invariant."""
-    lam = f.lambda_matrix
+    matrix (see `_witt_class`)."""
+    desc = witt_group(f.parameter)
+    iso = desc.splitting.iso
+    return _witt_class(desc, f.lambda_matrix, [iso(m).coords for m in f.mu_basis])
+
+
+def _witt_class(
+    desc: WittGroupDescription,
+    lam: Sequence[Sequence[int]],
+    mus: Sequence[Sequence[int]],
+) -> WittClass:
+    """The class in desc of the form with matrix `lam` whose mu values have
+    the coordinate rows `mus` over Q + G.  The inverse of the matrix is its
+    nonsingularity check; it and the signature, taken once and only over a
+    symmetric parameter with indecomposables, serve every invariant."""
     try:
         minv = _intmat.unimodular_inverse(lam)
     except ValueError:
         raise ValueError("Witt classes are defined for nonsingular forms") from None
-    desc = witt_group(f.parameter)
     ms = desc.splitting
-    mus = [ms.iso(m).coords for m in f.mu_basis]
     table = _indecomposables(ms.standard_kind, ms.k)
     coords = []
     if table:
-        sig = signature_of_matrix(lam) if f.parameter.is_symmetric else None
+        sig = signature_of_matrix(lam) if desc.parameter.is_symmetric else None
         coords = [e.invariant(lam, mus, minv, sig) for e in table]
     coords += _tensor_invariant(lam, mus, desc.tensor_pres, minv).coords
     return WittClass(desc, tuple(coords))
@@ -600,20 +630,27 @@ def es_witt(f: QForm) -> GroupElement:
 
 
 def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
-    """Witt class of the lift of (c, t) along the extended quadratic lift."""
+    """Witt class of the lift of (c, t) along the extended quadratic lift.
+
+    The lift is the form of `_tensor_blocks(t)` over Q- + P_e, after an Arf
+    block ((0, 1), (-1, 0)) with both mu values (1, 0) when c is odd.  Its
+    mu rows go through eql(p) and the maximal splitting of P in one matrix
+    product each, and its class is read as `witt_class` reads a form's."""
     if p.is_symmetric:
         raise ValueError("extended quadratic lift needs an anti-symmetric parameter")
     pres = present(p.carrier, standard("Q-"))
     if t.group != pres.group:
         raise ValueError("tensor element is not in Lambda1 of the carrier")
-    form = form_from_tensor(pres, t)
+    diag, rows = _tensor_blocks(pres, t)
     if c % 2:
-        split = form.parameter
-        arf_mu = split.carrier.element((1,) + (0,) * p.carrier.ngens)
-        arf_block = QForm(split, [[0, 1], [-1, 0]], [arf_mu, arf_mu])
-        form = form_sum(arf_block, form)
-    pushed = pushforward(form, eql(p))
-    return witt_class(pushed)
+        arf_mu = [1] + [0] * p.carrier.ngens
+        diag, rows = [0] + diag, [arf_mu, arf_mu] + rows
+    desc = witt_group(p)
+    ms = desc.splitting
+    to_split = ms.iso.map.compose(eql(p).map).matrix
+    reduce = ms.split_parameter.carrier.reduce_coords
+    mus = [reduce(_intmat.mat_vec(to_split, r)) for r in rows]
+    return _witt_class(desc, _block_matrix(diag, -1), mus)
 
 
 def eql_witt_hom(p: FormParameter) -> AbHom:
@@ -639,45 +676,51 @@ def es_witt_hom(p: FormParameter) -> AbHom:
     return AbHom.from_columns(desc.group, ambient, cols)
 
 
+@lru_cache(maxsize=None)
+def _natural(
+    p: FormParameter,
+) -> Tuple[AbHom, Callable[[GroupElement], Optional[GroupElement]]]:
+    """es_witt_hom(p) over a symmetric parameter, else eql_witt_hom(p), with
+    its solver: the data of W0(alpha) that depends on one end of alpha
+    only.  The solver builds its Smith form at its first call."""
+    hom = es_witt_hom(p) if p.is_symmetric else eql_witt_hom(p)
+    return hom, hom.solver()
+
+
 def induced_witt_map(alpha: FPMorphism) -> AbHom:
-    """W0(alpha) in the canonical coordinates of witt_group.
+    """W0(alpha) in the canonical coordinates of witt_group, from the
+    natural homomorphisms of both ends and their solvers, built once per
+    parameter (`_natural`).
 
     Symmetric case: conjugate Id + Gamma(S alpha) through the extended
-    symmetrisation embeddings.  Anti-symmetric case: lift through the
-    extended quadratic lift, apply Id + Lambda1(alpha), and push back down.
+    symmetrisation embeddings.  Anti-symmetric case: lift each generator
+    through the extended quadratic lift of the source, apply
+    Id + Lambda1(alpha), and compose with the target's lift, by the square
+    W0(alpha) o eql_P = eql_P' o (Id + Lambda1(alpha)).
     """
     p1, p2 = alpha.source, alpha.target
-    d1, d2 = witt_group(p1), witt_group(p2)
     if p1.is_symmetric != p2.is_symmetric:
         raise ValueError("morphism mixes symmetries")
+    d1, d2 = witt_group(p1), witt_group(p2)
+    (n1, solve1), (n2, solve2) = _natural(p1), _natural(p2)
+    cols = []
     if p1.is_symmetric:
-        e1 = es_witt_hom(p1)
-        e2 = es_witt_hom(p2)
         t_map = induced_map(S_of(alpha), FPMorphism.identity(standard("Q^+")))
-        cols = []
-        solve = e2.solver()
-        for j in range(d1.group.ngens):
-            vec = e1(d1.group.gen(j))
-            mapped = t_map(
-                t_map.source.element(vec.coords[1:])
-            )
-            target_vec = e2.target.element((vec.coords[0],) + mapped.coords)
-            w = solve(target_vec)
+        for vec in n1.columns():
+            mapped = t_map(t_map.source.element(vec.coords[1:]))
+            w = solve2(n2.target.element((vec.coords[0],) + mapped.coords))
             if w is None:
                 raise AssertionError(
                     "image does not lie in the image of the symmetrisation"
                 )
             cols.append(w)
-        return AbHom.from_columns(d1.group, d2.group, cols)
-    n1 = eql_witt_hom(p1)
-    l_map = induced_map(alpha.map, FPMorphism.identity(standard("Q-")))
-    cols = []
-    solve = n1.solver()
-    for j in range(d1.group.ngens):
-        t = solve(n1.target.element(d1.group.gen(j).coords))
-        assert t is not None, "extended quadratic lift must be surjective"
-        mapped = l_map(l_map.source.element(t.coords[1:]))
-        cols.append(d2.group.element(eql_witt(p2, t.coords[0], mapped).coords))
+    else:
+        l_map = induced_map(alpha.map, FPMorphism.identity(standard("Q-")))
+        for x in d1.group.gens():
+            t = solve1(x)
+            assert t is not None, "extended quadratic lift must be surjective"
+            mapped = l_map(l_map.source.element(t.coords[1:]))
+            cols.append(n2(n2.source.element((t.coords[0],) + mapped.coords)))
     return AbHom.from_columns(d1.group, d2.group, cols)
 
 

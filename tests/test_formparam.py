@@ -755,8 +755,12 @@ def test_maximal_splitting_roundtrip_random():
     for p in pool:
         ms = maximal_splitting(p)
         assert ms.iso.is_isomorphism()
-        back = ms.iso.inverse()
-        assert back.compose(ms.iso).map.matrix == AbHom.identity(p.carrier).matrix
+        # the stored inverse is built from the splitting's basis; it composes
+        # with iso to the identity both ways, so it is the inverse
+        back = ms.inverse
+        assert back.compose(ms.iso) == FPMorphism.identity(p)
+        assert ms.iso.compose(back) == FPMorphism.identity(ms.split_parameter)
+        assert back == ms.iso.inverse()
         assert is_isomorphic(p, ms.split_parameter)
 
 

@@ -364,11 +364,36 @@ def test_splitting_constructions_detected():
 
 
 def test_the_witt_layer_builds_one_form_per_tensor():
-    # witt_class and es_witt read a form as its matrix and mu rows and build
-    # none; form_from_tensor builds one, from one matrix and one mu list
+    # witt_class, es_witt and eql_witt read a form as its matrix and mu rows
+    # and build none; form_from_tensor builds one, from one matrix and one mu
+    # list, and witt_group one per representative, over the parameter
     found = constructions((SRC / "witt.py").read_text(), "QForm")
-    assert found["form_from_tensor"] == 1
-    assert found["witt_class"] == found["es_witt"] == 0
+    assert found["form_from_tensor"] == found["witt_group"] == 1
+    assert found["witt_class"] == found["es_witt"] == found["eql_witt"] == 0
+
+
+def test_the_natural_route_is_a_second_computation():
+    # the benchmark checks each induced map against
+    # induced_witt_map_via_forms, which pushes representatives forward and
+    # takes their witt_class: no function of the natural route reaches those
+    tree = ast.parse((SRC / "witt.py").read_text())
+    calls = {
+        node.name: {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), ["induced_witt_map"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += calls.get(name, ())
+    assert {"_natural", "eql_witt", "es_witt"} <= reached
+    assert not reached & {"induced_witt_map_via_forms", "pushforward", "witt_class"}
 
 
 def test_each_splitting_case_shares_one_tail():
