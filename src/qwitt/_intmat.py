@@ -134,24 +134,8 @@ class SNF:
 
     def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
         """One integer solution x of A @ x == rhs, or None, A being the
-        matrix this SNF was built from: one factorisation answers every
-        right-hand side."""
-        m, n = len(self.u), len(self.v)
-        if len(rhs) != m:
-            raise ValueError("dimension mismatch")
-        c = mat_vec(self.u, list(rhs))
-        z = [0] * n
-        for i in range(min(m, n)):
-            d = self.d[i][i]
-            if d == 0:
-                break
-            if c[i] % d:
-                return None
-            z[i] = c[i] // d
-        for i in range(self.rank, m):
-            if c[i] != 0:
-                return None
-        return mat_vec(self.v, z)
+        matrix this SNF was built from."""
+        return Solver(self).solve(rhs)
 
     # -- elementary operations, mirrored into the transforms ---------------
 
@@ -229,6 +213,34 @@ class SNF:
                     break
             else:
                 t += 1
+
+
+class Solver:
+    """What solving A @ x == rhs reads of an SNF of A: U, the non-zero
+    diagonal entries of D, V and the rank.  One solver answers every
+    right-hand side, and it holds neither D nor Uinv."""
+
+    __slots__ = ("u", "diag", "v", "rank")
+
+    def __init__(self, snf: SNF):
+        self.u, self.v, self.rank = snf.u, snf.v, snf.rank
+        self.diag = [snf.d[i][i] for i in range(snf.rank)]
+
+    def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
+        """One integer solution x of A @ x == rhs, or None."""
+        m, n = len(self.u), len(self.v)
+        if len(rhs) != m:
+            raise ValueError("dimension mismatch")
+        c = mat_vec(self.u, list(rhs))
+        z = [0] * n
+        for i, d in enumerate(self.diag):
+            if c[i] % d:
+                return None
+            z[i] = c[i] // d
+        for i in range(self.rank, m):
+            if c[i] != 0:
+                return None
+        return mat_vec(self.v, z)
 
 
 def smith_normal_form(

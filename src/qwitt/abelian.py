@@ -27,6 +27,8 @@ __all__ = [
     "Z",
     "Z2",
     "TRIVIAL",
+    "free_quotient",
+    "generated_group",
     "hom_from_images",
     "hom_pair",
     "hom_sum",
@@ -380,13 +382,25 @@ class AbHom:
         return all(not any(r) for r in self.matrix)
 
     def is_surjective(self) -> bool:
-        return quotient_with_lift(self.columns(), self.target)[0].is_trivial
+        """Whether the cokernel is trivial, read off the Smith form of the
+        columns and the target's relations; no projection or lift is built."""
+        b = self.target
+        return not b.ngens or _cokernel(_with_relations(b, self.matrix))[2].is_trivial
 
     def is_injective(self) -> bool:
         return all(k.is_zero for k in kernel_generators(self))
 
     def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
+        """Surjective between isomorphic groups, by one Smith form.
+
+        A finitely generated abelian group is Hopfian: a surjection A -> B
+        composed with an isomorphism B -> A is a surjective endomorphism of
+        A, hence injective, so a surjection between isomorphic groups is an
+        isomorphism."""
+        return (
+            self.source.canonical_orders() == self.target.canonical_orders()
+            and self.is_surjective()
+        )
 
     def inverse(self) -> "AbHom":
         cols = []
@@ -418,6 +432,20 @@ def _with_relations(group: FinAbGroup, mat: Sequence[Sequence[int]]) -> Matrix:
     return [list(mat[i]) + [c[i] for c in rel] for i in range(group.ngens)]
 
 
+def _cokernel(
+    rel: Sequence[Sequence[int]],
+) -> Tuple[_intmat.SNF, List[int], FinAbGroup]:
+    """Z^n / (span of the columns of rel), rel having n >= 1 rows: the Smith
+    form of rel, the rows of its U that the group keeps (those of a
+    diagonal entry 0 or >= 2) and the group."""
+    s = _intmat.SNF([list(row) or [0] for row in rel])
+    ds = [s.d[i][i] for i in range(s.rank)]
+    kept = [i for i in range(s.rank) if ds[i] >= 2] + list(
+        range(s.rank, len(rel))
+    )
+    return s, kept, FinAbGroup([ds[i] if i < s.rank else 0 for i in kept])
+
+
 def _presentation_from_relations(
     ngens: int, rel_cols: Sequence[Sequence[int]]
 ) -> Tuple[FinAbGroup, Matrix, Matrix]:
@@ -429,16 +457,10 @@ def _presentation_from_relations(
     """
     if ngens == 0:
         return TRIVIAL, [], []
-    if not rel_cols:
-        rel = [[0] for _ in range(ngens)]
-    else:
-        rel = [[col[i] for col in rel_cols] for i in range(ngens)]
-    s = _intmat.SNF(rel)
-    ds = [s.d[i][i] for i in range(s.rank)]
-    kept = [i for i in range(s.rank) if ds[i] >= 2] + list(
-        range(s.rank, ngens)
+    s, kept, group = _cokernel(
+        [[col[i] for col in rel_cols] for i in range(ngens)]
     )
-    orders = [ds[i] if i < s.rank else 0 for i in kept]
+    orders = group.orders
     # sign-normalise free rows of the projection
     uinv_t = _intmat.transpose(s.uinv)
     proj_rows = []
@@ -453,7 +475,6 @@ def _presentation_from_relations(
                 col = [-x for x in col]
         proj_rows.append(row)
         lift_cols.append(col)
-    group = FinAbGroup(orders)
     proj = [
         [x % n if n else x for x in row]
         for row, n in zip(proj_rows, group.orders)
@@ -480,6 +501,22 @@ def quotient_with_lift(
     return group, hom, lifts
 
 
+def free_quotient(
+    ngens: int, relations: Sequence[Sequence[int]]
+) -> Tuple[FinAbGroup, Tuple[GroupElement, ...], Tuple[Tuple[int, ...], ...]]:
+    """Z^ngens / <relations>, the relations given as integer columns: the
+    group, the image of each generator of Z^ngens, and an integer preimage
+    of each generator of the group."""
+    group, proj, lift = _presentation_from_relations(ngens, relations)
+    images = tuple(
+        _reduced(group, tuple([row[a] for row in proj])) for a in range(ngens)
+    )
+    section = tuple(
+        tuple([row[t] for row in lift]) for t in range(group.ngens)
+    )
+    return group, images, section
+
+
 def kernel_generators(f: AbHom) -> List[GroupElement]:
     """Generators of Ker(f), read off one kernel-basis SNF."""
     a, b = f.source, f.target
@@ -502,22 +539,39 @@ def is_kernel(f: AbHom, gens: Sequence[GroupElement]) -> bool:
     return all(coords(k) is not None for k in kernel_generators(f))
 
 
+def _span(
+    ambient: FinAbGroup, gens: Sequence[GroupElement]
+) -> Tuple[List[GroupElement], FinAbGroup, Matrix]:
+    """The non-zero gens, the canonical form of the subgroup they generate,
+    and lift: generator i of that group is sum_j lift[j][i] * gens[j]."""
+    gens = [g for g in gens if not g.is_zero]
+    for g in gens:
+        if g.group != ambient:
+            raise ValueError("generator outside the ambient group")
+    if not gens:
+        return gens, TRIVIAL, []
+    s = len(gens)
+    gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
+    lat = _intmat.kernel_basis(_with_relations(ambient, gmat))
+    grp, _, lift = _presentation_from_relations(s, [v[:s] for v in lat])
+    return gens, grp, lift
+
+
+def generated_group(
+    ambient: FinAbGroup, gens: Sequence[GroupElement]
+) -> FinAbGroup:
+    """Canonical form of the subgroup generated by gens, without the
+    inclusion."""
+    return _span(ambient, gens)[1]
+
+
 def subgroup(
     ambient: FinAbGroup, gens: Sequence[GroupElement]
 ) -> Tuple[FinAbGroup, AbHom]:
     """Canonical form of the subgroup generated by gens, with inclusion."""
-    gens = [g for g in gens if not g.is_zero]
+    gens, grp, lift = _span(ambient, gens)
     if not gens:
         return TRIVIAL, AbHom(TRIVIAL, ambient, [[] for _ in ambient.orders])
-    for g in gens:
-        if g.group != ambient:
-            raise ValueError("generator outside the ambient group")
-    s = len(gens)
-    gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
-    lat = _intmat.kernel_basis(_with_relations(ambient, gmat))
-    rel_cols = [v[:s] for v in lat]
-    grp, _, lift = _presentation_from_relations(s, rel_cols)
-    # inclusion: generator i of grp = sum_j lift[j][i] * gens[j]
     cols = [
         ambient.combination([row[i] for row in lift], gens)
         for i in range(grp.ngens)
@@ -534,13 +588,14 @@ def member_solver(
     if s == 0 or ambient.ngens == 0:
         return lambda x: [0] * s if x.is_zero else None
     gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
-    snf = None
+    solver = None
 
     def member(x: GroupElement) -> Optional[List[int]]:
-        nonlocal snf
-        if snf is None:
-            snf = _intmat.SNF(_with_relations(ambient, gmat))
-        sol = snf.solve(x.coords)
+        nonlocal solver, gmat
+        if solver is None:
+            solver = _intmat.Solver(_intmat.SNF(_with_relations(ambient, gmat)))
+            gmat = None
+        sol = solver.solve(x.coords)
         return None if sol is None else sol[:s]
 
     return member

@@ -18,6 +18,7 @@ from math import inf
 from operator import mul
 from typing import List, Optional, Tuple, Union
 
+from . import _intmat
 from .abelian import (
     Z,
     Z2,
@@ -297,6 +298,7 @@ def linearisation(
     return quotient_with_lift([q.p_one], q.carrier)
 
 
+@lru_cache(maxsize=None)
 def quasi_wu(q: FormParameter) -> Union[SliceHom, CosliceHom]:
     """v_Q: SQ -> Z2 induced by h (symmetric), or v'_Q: Z2 -> Q_e (anti);
     h(p(1)) = 2, so h mod 2 does not depend on the chosen lift."""
@@ -318,10 +320,14 @@ def morphism_from_slice(
 ) -> FPMorphism:
     """The unique morphism alpha: P -> Q with S(alpha) = f.
 
-    Both parameters must be symmetric and f must satisfy v_Q o f = v_P.
-    The carrier map is recovered through the pullback description of the
-    carrier: alpha(x) is the unique element with h(alpha(x)) = h(x) and
-    pi(alpha(x)) = f(pi(x)).
+    Both parameters must be symmetric and f must satisfy v_Q o f = v_P,
+    which is checked on the matrices.  The carrier map is recovered through
+    the pullback description of the carrier: alpha(x) is the unique element
+    with h(alpha(x)) = h(x) and pi(alpha(x)) = f(pi(x)).  In integers,
+    U = L F pi, L having the lifts of SQ as columns, F = f and pi P's
+    projection, has the right projection; column j then moves by
+    p(1) * d_j / 2, d = h_P - h_Q U, to the right h.  Any integer
+    representative of U does, as two differ by multiples of p(1).
     """
     if not (p.is_symmetric and q.is_symmetric):
         raise ValueError("slice lifting requires symmetric parameters")
@@ -329,18 +335,23 @@ def morphism_from_slice(
     sq, _, lifts = linearisation(q)
     if f.source != sp or f.target != sq:
         raise ValueError("map does not connect the linearisations")
-    vp, vq = quasi_wu(p), quasi_wu(q)
-    for gen in sp.gens():
-        if vq(f(gen)) != vp(gen):
-            raise ValueError("map is not a morphism of quasi-Wu classes")
-    cols = []
-    for gen in p.carrier.gens():
-        u = q.carrier.combination(f(proj_p(gen)).coords, lifts)
-        d = p.h_of(gen) - q.h_of(u)
-        if d % 2:
-            raise AssertionError("parity broke in the pullback lift")
-        cols.append(u + q.p(d // 2))
-    return FPMorphism(p, q, AbHom.from_columns(p.carrier, q.carrier, cols))
+    vp, vq = quasi_wu(p).v.matrix[0], quasi_wu(q).v.matrix[0]
+    fcols = [[row[k] for row in f.matrix] for k in range(sp.ngens)]
+    if [sum(map(mul, vq, c)) % 2 for c in fcols] != list(vp):
+        raise ValueError("map is not a morphism of quasi-Wu classes")
+    lrows = [[x.coords[i] for x in lifts] for i in range(q.carrier.ngens)]
+    lf = [[sum(map(mul, row, c)) for c in fcols] for row in lrows]
+    pcols = [[row[j] for row in proj_p.matrix] for j in range(p.carrier.ngens)]
+    u = [[sum(map(mul, row, c)) for c in pcols] for row in lf]
+    hq = q.h.matrix[0]
+    d = [hj - sum(map(mul, hq, c)) for hj, c in zip(p.h.matrix[0], zip(*u))]
+    if any(dj % 2 for dj in d):
+        raise AssertionError("parity broke in the pullback lift")
+    rows = [
+        [x + pi * dj // 2 for x, dj in zip(row, d)]
+        for row, pi in zip(u, q.p_one.coords)
+    ]
+    return FPMorphism(p, q, AbHom(p.carrier, q.carrier, rows))
 
 
 @lru_cache(maxsize=None)
@@ -351,14 +362,29 @@ def maximal_splitting(p: FormParameter) -> MaximalSplitting:
     the torsion/free summand lemmas; anti-symmetric ones through maximal
     2-divisibility of v'_P(1).  Each case builds the inverse of its
     isomorphism from the splitting's own basis, with no Smith form, and the
-    pair is verified: both compositions are the identity.
+    pair is verified: both compositions are the identity, as integer
+    matrix products reduced in their targets.
     """
     ms = _split_symmetric(p) if p.is_symmetric else _split_antisymmetric(p)
     iso, back = ms.iso.map, ms.inverse.map
-    identities = AbHom.identity(iso.source), AbHom.identity(iso.target)
-    if (back.compose(iso), iso.compose(back)) != identities:
+    if not (_is_identity_after(back, iso) and _is_identity_after(iso, back)):
         raise AssertionError("maximal splitting produced a non-isomorphism")
     return ms
+
+
+def _is_identity_after(outer: AbHom, inner: AbHom) -> bool:
+    """Whether outer o inner is the identity of inner's source, which must
+    be outer's target: one integer product, reduced in that group."""
+    n = inner.source.ngens
+    if outer.target.ngens != n:
+        return False
+    icols = [[row[j] for row in inner.matrix] for j in range(n)]
+    prod = [[sum(map(mul, row, c)) for c in icols] for row in outer.matrix]
+    reduced = [
+        [x % m if m else x for x in row]
+        for row, m in zip(prod, outer.target.orders)
+    ]
+    return reduced == _intmat.identity(n)
 
 
 def _split_symmetric(p: FormParameter) -> MaximalSplitting:
@@ -381,7 +407,7 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
         basis = [g0] + incl.columns()
     q0 = standard(kind, k)
     target = split_sum(q0, comp)
-    glue, unglue = _glue_linearisation(q0, comp)
+    glue, unglue = _glue_linearisation(q0, target)
     # slice iso f: SP -> SQ0 + comp sending the basis to the generators, and
     # its inverse, whose columns are the basis
     f = hom_from_images(sp, basis, glue.source.gens(), glue.source)
@@ -391,22 +417,26 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
     return MaximalSplitting(kind, k, q0, comp, iso, back)
 
 
-def _glue_linearisation(q0: FormParameter, comp: FinAbGroup) -> Tuple[AbHom, AbHom]:
-    """The natural isomorphism SQ0 + G -> S(Q0 + G) and its inverse, which
-    sends a class to the SQ0 class of its lift's Q0 coordinates and to its
-    lift's G coordinates (p(1) lies in Q0, so this kills p(1))."""
-    target = split_sum(q0, comp)
+def _glue_linearisation(
+    q0: FormParameter, target: FormParameter
+) -> Tuple[AbHom, AbHom]:
+    """The natural isomorphism SQ0 + G -> S(Q0 + G), target being Q0 + G,
+    and its inverse, which sends a class to the SQ0 class of its lift's Q0
+    coordinates and to its lift's G coordinates (p(1) lies in Q0, so this
+    kills p(1)).  Both matrices are integer products of the projections
+    and lifts."""
     sq0, proj_q, lifts = linearisation(q0)
     s_tgt, proj_t, lifts_t = linearisation(target)
-    pad, nq = (0,) * comp.ngens, q0.carrier.ngens
-    parts = FinAbGroup(sq0.orders + comp.orders)
-    images = [target.carrier.element(x.coords + pad) for x in lifts]
-    images += target.carrier.gens()[nq:]
-    glue = AbHom.from_columns(parts, s_tgt, [proj_t(y) for y in images])
-    unglue = AbHom.from_columns(s_tgt, parts, [
-        parts.element(proj_q(q0.carrier.element(y.coords[:nq])).coords + y.coords[nq:])
-        for y in lifts_t
+    nq = q0.carrier.ngens
+    parts = FinAbGroup(sq0.orders + target.carrier.orders[nq:])
+    glue = AbHom(parts, s_tgt, [
+        [sum(map(mul, row[:nq], x.coords)) for x in lifts] + list(row[nq:])
+        for row in proj_t.matrix
     ])
+    unglue = AbHom(s_tgt, parts, [
+        [sum(map(mul, row, y.coords[:nq])) for y in lifts_t]
+        for row in proj_q.matrix
+    ] + [[y.coords[i] for y in lifts_t] for i in range(nq, target.carrier.ngens)])
     return glue, unglue
 
 

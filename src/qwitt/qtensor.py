@@ -30,10 +30,10 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
+    free_quotient,
     hom_pair,
     hom_sum,
     is_kernel,
-    quotient_with_lift,
     tensor_map,
     tensor_with_generators,
 )
@@ -168,10 +168,13 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
     generators: torsion of Q_e kills g_i (x) e_j, torsion n_i of G expands
     through the scalar rule into n_i (g_i (x) e_j) + C(n_i, 2) h(e_j)
     [g_i, g_i] (x) 1 = 0, brackets are killed by the torsion of either
-    argument, and [g_i, g_i] (x) 1 = g_i (x) p(1).
+    argument, and [g_i, g_i] (x) 1 = g_i (x) p(1).  They are integer
+    columns over the symbols, and `free_quotient` reads the group, the
+    value of each symbol and the section off one Smith form.
     """
     m = g.ngens
     qe = q.carrier
+    hrow = q.h.matrix[0]
     symbols: List[Tuple[str, int, int]] = []
     for i in range(m):
         for j in range(qe.ngens):
@@ -181,12 +184,11 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
             symbols.append(("b", i, j))
     sym_index = {s: a for a, s in enumerate(symbols)}
     n_abs = len(symbols)
-    free = FinAbGroup((0,) * n_abs)
 
     def col() -> List[int]:
         return [0] * n_abs
 
-    rels: List[GroupElement] = []
+    rels: List[List[int]] = []
     for i in range(m):
         ni = g.orders[i]
         for j in range(qe.ngens):
@@ -194,29 +196,27 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
             if mj:
                 c = col()
                 c[sym_index[("s", i, j)]] = mj
-                rels.append(free.element(c))
+                rels.append(c)
             if ni:
                 c = col()
                 c[sym_index[("s", i, j)]] = ni
-                c[sym_index[("b", i, i)]] = _binom2(ni) * q.h_of(qe.gen(j))
-                rels.append(free.element(c))
+                c[sym_index[("b", i, i)]] = _binom2(ni) * hrow[j]
+                rels.append(c)
     for i in range(m):
         for j in range(i, m):
             for n in {g.orders[i], g.orders[j]}:
                 if n:
                     c = col()
                     c[sym_index[("b", i, j)]] = n
-                    rels.append(free.element(c))
+                    rels.append(c)
     for i in range(m):
         c = col()
         c[sym_index[("b", i, i)]] = 1
         for j in range(qe.ngens):
             c[sym_index[("s", i, j)]] -= q.p_one.coords[j]
-        rels.append(free.element(c))
+        rels.append(c)
 
-    group, proj, lifts = quotient_with_lift(rels, free)
-    basis_map = tuple(proj.columns())
-    section = tuple(z.coords for z in lifts)
+    group, basis_map, section = free_quotient(n_abs, rels)
     return TensorPresentation(
         g, q, group, tuple(symbols), basis_map, section
     )

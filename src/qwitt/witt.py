@@ -29,6 +29,7 @@ from .abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
+    generated_group,
     is_kernel,
     kernel,
     least_preimage_of_one,
@@ -577,7 +578,7 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
     if base is not None:
         gens.append(emb(1, base))
     gens += [emb(0, w) for w in psi]
-    grp, _ = subgroup(ambient, gens)
+    grp = generated_group(ambient, gens)
     return SigmaSubgroup(
         v, ambient, pres, tuple(gens), grp, base, tuple(psi)
     )
@@ -646,11 +647,17 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
         arf_mu = [1] + [0] * p.carrier.ngens
         diag, rows = [0] + diag, [arf_mu, arf_mu] + rows
     desc = witt_group(p)
-    ms = desc.splitting
-    to_split = ms.iso.map.compose(eql(p).map).matrix
-    reduce = ms.split_parameter.carrier.reduce_coords
+    reduce = desc.splitting.split_parameter.carrier.reduce_coords
+    to_split = _eql_to_split(p)
     mus = [reduce(_intmat.mat_vec(to_split, r)) for r in rows]
     return _witt_class(desc, _block_matrix(diag, -1), mus)
+
+
+@lru_cache(maxsize=None)
+def _eql_to_split(p: FormParameter) -> Tuple[Tuple[int, ...], ...]:
+    """The matrix of Q- + P_e -> P -> Q + G, eql(p) followed by the maximal
+    splitting of P: every eql_witt over p maps its mu rows through it."""
+    return maximal_splitting(p).iso.map.compose(eql(p).map).matrix
 
 
 def eql_witt_hom(p: FormParameter) -> AbHom:

@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 import pytest
@@ -646,6 +647,55 @@ def test_kernel_cokernel_enumeration_sweep():
             q, proj, _ = quotient_with_lift(f.columns(), b)
             img = brute_subgroup_elements(b, f.columns())
             assert q.order() * len(img) == b.order()
+
+
+def random_hom_between(rng, a, b):
+    """A random homomorphism a -> b: each column is a random element of b
+    killed by its generator's order (zero on b's free factors when that
+    order is finite)."""
+    cols = []
+    for n in a.orders:
+        while True:
+            x = b.element([
+                0 if n and m == 0 else rng.randint(-3, 8) for m in b.orders
+            ])
+            if (n * x).is_zero:
+                cols.append(x)
+                break
+    return AbHom.from_columns(a, b, cols)
+
+
+def test_is_isomorphism_is_surjective_and_injective():
+    # is_isomorphism reads one Smith form (surjective, between isomorphic
+    # groups); on every map it must agree with both tests together
+    from collections import Counter
+
+    from qwitt.sampling import random_automorphism
+
+    z4 = FinAbGroup((4,))
+    homs = [
+        AbHom(z4, Z2, [[1]]),  # onto, not injective
+        AbHom(Z, Z2, [[1]]),  # onto, not injective
+        AbHom(FinAbGroup((0, 2)), Z, [[1, 0]]),  # onto, not injective
+        AbHom(Z2, z4, [[2]]),  # injective, not onto
+        AbHom(Z, Z, [[2]]),  # injective, not onto, between equal groups
+        AbHom(FinAbGroup((2, 3)), FinAbGroup((6,)), [[3, 2]]),
+        AbHom(FinAbGroup((0, 2)), FinAbGroup((0, 2)), [[1, 0], [1, 1]]),
+        AbHom.zero(TRIVIAL, TRIVIAL),
+    ]
+    rng = random.Random(64)
+    mixed = [Z, FinAbGroup((0, 2)), FinAbGroup((0, 0)), FinAbGroup((4, 0, 2))]
+    for a in all_canonical_groups_of_order_at_most(64) + mixed:
+        quotient = FinAbGroup(a.canonical_orders()[1:])
+        for b in (a, FinAbGroup(a.canonical_orders()), quotient, Z2):
+            homs.append(random_hom_between(rng, a, b))
+        homs.append(random_automorphism(rng, a))
+    kinds = Counter()
+    for f in homs:
+        onto, into = f.is_surjective(), f.is_injective()
+        assert f.is_isomorphism() == (onto and into), f
+        kinds[onto, into] += 1
+    assert min(kinds[k] for k in product((True, False), repeat=2)) >= 5, kinds
 
 
 def test_split_random_direct_sums():

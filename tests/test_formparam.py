@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from itertools import product
 from math import inf
 
@@ -601,6 +602,80 @@ def test_morphism_from_slice():
         assert S_of(lifted).matrix == g.matrix
 
 
+def pullback_lift(p, q, f):
+    """The carrier map of the lift of f, generator by generator: the
+    element over f(pi(x)) read off Q's lifts, moved by p(1) * d / 2 to the
+    value h(x), d being the difference of the h values."""
+    _, proj_p, _ = linearisation(p)
+    _, _, lifts = linearisation(q)
+    cols = []
+    for gen in p.carrier.gens():
+        u = q.carrier.combination(f(proj_p(gen)).coords, lifts)
+        d = p.h_of(gen) - q.h_of(u)
+        assert d % 2 == 0
+        cols.append(u + q.p(d // 2))
+    return AbHom.from_columns(p.carrier, q.carrier, cols)
+
+
+def random_slice_maps(rng, p, q):
+    """A random f: SP -> SQ with v_Q o f = v_P, and a copy of f with one
+    column of the wrong quasi-Wu value, each None when a column finds no
+    element in 50 draws."""
+    sp, sq = linearisation(p)[0], linearisation(q)[0]
+    vp, vq = quasi_wu(p), quasi_wu(q)
+    good, bad = [], []
+    for gen, n in zip(sp.gens(), sp.orders):
+        draws = [
+            sq.element([0 if n and m == 0 else rng.randint(-4, 4) for m in sq.orders])
+            for _ in range(50)
+        ]
+        fits = [y for y in draws if (n * y).is_zero]
+        good.append(next((y for y in fits if vq(y) == vp(gen)), None))
+        bad.append(next((y for y in fits if vq(y) != vp(gen)), None))
+    if None in good:
+        return None, None
+    f = AbHom.from_columns(sp, sq, good)
+    j = next((j for j, y in enumerate(bad) if y is not None), None)
+    if j is None:
+        return f, None
+    return f, AbHom.from_columns(sp, sq, good[:j] + [bad[j]] + good[j + 1:])
+
+
+def test_morphism_from_slice_matches_the_pullback_rule():
+    # the lift is one integer product corrected by p(1); on scrambled
+    # symmetric parameters it is the per-generator pullback, S of it is f,
+    # and a map that breaks v_Q o f = v_P is refused
+    from qwitt.sampling import random_form_parameter
+
+    rng = random.Random(53)
+    params = [
+        random_form_parameter(rng, symmetric=True, max_torsion=8, max_free=2)
+        for _ in range(30)
+    ]
+    lifted = refused = 0
+    for p in params:
+        ms = maximal_splitting(p)
+        pairs = [
+            (p, ms.split_parameter, S_of(ms.iso)),
+            (ms.split_parameter, p, S_of(ms.inverse)),
+        ]
+        for q in (p, ms.split_parameter, rng.choice(params)):
+            pairs.append((p, q) + random_slice_maps(rng, p, q)[:1])
+            _, bad = random_slice_maps(rng, p, q)
+            if bad is not None:
+                with pytest.raises(ValueError, match="quasi-Wu"):
+                    morphism_from_slice(p, q, bad)
+                refused += 1
+        for src, dst, f in pairs:
+            if f is None:
+                continue
+            alpha = morphism_from_slice(src, dst, f)
+            assert alpha.map == pullback_lift(src, dst, f)
+            assert S_of(alpha) == f
+            lifted += 1
+    assert lifted >= 120 and refused >= 40, (lifted, refused)
+
+
 def test_S_of_functorial_on_quasi_wu():
     rng = random.Random(23)
     zp = standard("ZP")
@@ -762,6 +837,42 @@ def test_maximal_splitting_roundtrip_random():
         assert ms.iso.compose(back) == FPMorphism.identity(ms.split_parameter)
         assert back == ms.iso.inverse()
         assert is_isomorphic(p, ms.split_parameter)
+
+
+def test_maximal_splitting_checks_its_inverse_by_products(monkeypatch):
+    # the splitting checks its pair of maps by integer products and builds
+    # no identity map to compare with
+    from qwitt import formparam
+    from qwitt.sampling import random_form_parameter
+
+    rng = random.Random(47)
+    params = [random_form_parameter(rng, max_torsion=16) for _ in range(20)]
+    built = []
+
+    def identity(cls, group):
+        built.append(group)
+        return AbHom(group, group, [[int(i == j) for j in range(group.ngens)]
+                                    for i in range(group.ngens)])
+
+    monkeypatch.setattr(AbHom, "identity", classmethod(identity))
+    formparam.maximal_splitting.cache_clear()
+    for p in params:
+        formparam.maximal_splitting(p)
+    assert {p.is_symmetric for p in params} == {True, False}
+    assert built == []
+    # the products still refuse a stored inverse that is not one: the
+    # inverse of the splitting of ZP after the automorphism beta of ZP
+    zp = standard("ZP")
+    split = formparam._split_symmetric
+    beta = aut_generators(zp)[0]
+    monkeypatch.setattr(
+        formparam, "_split_symmetric",
+        lambda p: replace(split(p), inverse=split(p).inverse.compose(beta)),
+    )
+    formparam.maximal_splitting.cache_clear()
+    with pytest.raises(AssertionError, match="non-isomorphism"):
+        formparam.maximal_splitting(zp)
+    formparam.maximal_splitting.cache_clear()
 
 
 def _scrambled(rng, name):

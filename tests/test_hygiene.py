@@ -363,6 +363,41 @@ def test_splitting_constructions_detected():
     assert constructions(src, "QForm") == {"a": 0, "b": 0, "c": 0}
 
 
+def method_calls(source: str, attr: str, owner: str = ""):
+    """{top-level function: number of `x.attr(...)` calls in it, x being
+    the name `owner` when one is given}."""
+    return {
+        node.name: sum(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == attr
+            and (not owner or getattr(call.func.value, "id", None) == owner)
+            for call in ast.walk(node)
+        )
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_method_calls_detected():
+    src = (
+        "def a(g):\n    def col():\n        return g.element([0])\n"
+        "    return [g.element(c) for c in col()], AbHom.identity(g)\n"
+        "def b(g):\n    return g.elements(), element(g), _intmat.identity(2)\n"
+    )
+    assert method_calls(src, "element") == {"a": 2, "b": 0}
+    assert method_calls(src, "identity", "AbHom") == {"a": 1, "b": 0}
+    assert method_calls(src, "identity") == {"a": 1, "b": 1}
+
+
+def test_first_touch_builds_no_throwaway_values():
+    # present hands integer relation columns to abelian, and the maximal
+    # splitting checks its pair of maps by integer products
+    assert method_calls((SRC / "qtensor.py").read_text(), "element")["present"] == 0
+    found = method_calls((SRC / "formparam.py").read_text(), "identity", "AbHom")
+    assert found["maximal_splitting"] == 0
+
+
 def test_the_witt_layer_builds_one_form_per_tensor():
     # witt_class, es_witt and eql_witt read a form as its matrix and mu rows
     # and build none; form_from_tensor builds one, from one matrix and one mu

@@ -215,11 +215,14 @@ def test_one_snf_solves_many_right_hand_sides():
             assert mat_vec(a, s.solve(b)) == b
             odd = [e + rng.randint(0, 2) for e in b]
             assert s.solve(odd) == solve(a, odd)
+            assert s.solve(odd) is None or mat_vec(a, s.solve(odd)) == odd
 
 
 def test_solve_unsolvable():
     assert solve([[2]], [1]) is None
     assert solve([[2, 0], [0, 2]], [1, 0]) is None
+    # a zero row of the Smith form: the rows past the rank must vanish
+    assert solve([[1], [1]], [1, 0]) is None
 
 
 def test_unimodular_inverse():

@@ -164,6 +164,31 @@ def test_presentation_vs_brute_force(orders, qname, k):
     )
 
 
+def test_present_builds_no_validated_element(monkeypatch):
+    # the relations are integer columns; the group's own elements (the value
+    # of each symbol) come from abelian without a second reduction
+    from qwitt.abelian import GroupElement
+
+    rng = random.Random(19)
+    cases = [
+        (random_group(rng, max_torsion=16), random_form_parameter(rng, max_torsion=16))
+        for _ in range(12)
+    ]
+    built = []
+    init = GroupElement.__init__
+
+    def counted(self, group, coords):
+        built.append(group)
+        init(self, group, coords)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    present.cache_clear()
+    pres = [present(g, q) for g, q in cases]
+    assert built == []
+    assert any(not p.group.is_trivial for p in pres)
+    assert {q.is_symmetric for _, q in cases} == {True, False}
+
+
 def test_direct_sum_decomposition():
     # (G1 + G2) (x) Q = G1(x)Q + G2(x)Q + G1(x)G2 with explicit bookkeeping
     from qwitt.abelian import tensor
