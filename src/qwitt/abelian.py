@@ -29,7 +29,6 @@ __all__ = [
     "TRIVIAL",
     "free_quotient",
     "generated_group",
-    "hom_from_images",
     "hom_pair",
     "hom_sum",
     "is_kernel",
@@ -446,41 +445,29 @@ def _cokernel(
     return s, kept, FinAbGroup([ds[i] if i < s.rank else 0 for i in kept])
 
 
-def _presentation_from_relations(
-    ngens: int, rel_cols: Sequence[Sequence[int]]
-) -> Tuple[FinAbGroup, Matrix, Matrix]:
-    """Cokernel Z^ngens / <rel_cols>.
-
-    Returns (group, proj, lift): proj maps ambient coordinates to group
-    coordinates, lift maps group generators back to ambient coordinates
-    (a section of proj).
-    """
+def free_quotient(
+    ngens: int, relations: Sequence[Sequence[int]]
+) -> Tuple[FinAbGroup, Tuple[GroupElement, ...], Tuple[Tuple[int, ...], ...]]:
+    """Z^ngens / <relations>, the relations given as integer columns: the
+    group, the image of each generator of Z^ngens, and an integer preimage
+    of each generator of the group (a section of the projection).  The row
+    of the projection onto a free factor starts with a positive entry."""
     if ngens == 0:
-        return TRIVIAL, [], []
+        return TRIVIAL, (), ()
     s, kept, group = _cokernel(
-        [[col[i] for col in rel_cols] for i in range(ngens)]
+        [[col[i] for col in relations] for i in range(ngens)]
     )
-    orders = group.orders
-    # sign-normalise free rows of the projection
-    uinv_t = _intmat.transpose(s.uinv)
-    proj_rows = []
-    lift_cols = []
-    for pos, i in enumerate(kept):
-        row = list(s.u[i])
-        col = list(uinv_t[i])
-        if orders[pos] == 0:
-            first = next((x for x in row if x), 0)
-            if first < 0:
-                row = [-x for x in row]
-                col = [-x for x in col]
-        proj_rows.append(row)
-        lift_cols.append(col)
-    proj = [
-        [x % n if n else x for x in row]
-        for row, n in zip(proj_rows, group.orders)
-    ]
-    lift = _intmat.transpose(lift_cols)
-    return group, proj, lift
+    proj, section = [], []
+    for i, n in zip(kept, group.orders):
+        row, col = s.u[i], [r[i] for r in s.uinv]
+        if n == 0 and next((x for x in row if x), 0) < 0:
+            row, col = [-x for x in row], [-x for x in col]
+        proj.append([x % n if n else x for x in row])
+        section.append(tuple(col))
+    images = tuple(
+        _reduced(group, tuple([row[a] for row in proj])) for a in range(ngens)
+    )
+    return group, images, tuple(section)
 
 
 def quotient_with_lift(
@@ -492,29 +479,10 @@ def quotient_with_lift(
     for r in relations:
         if r.group != ambient:
             raise ValueError("relation outside the ambient group")
-    cols = [list(r.coords) for r in relations] + ambient.relation_columns()
-    group, proj, lift = _presentation_from_relations(ambient.ngens, cols)
-    hom = AbHom(ambient, group, proj)
-    lifts = tuple(
-        ambient.element([row[t] for row in lift]) for t in range(group.ngens)
-    )
-    return group, hom, lifts
-
-
-def free_quotient(
-    ngens: int, relations: Sequence[Sequence[int]]
-) -> Tuple[FinAbGroup, Tuple[GroupElement, ...], Tuple[Tuple[int, ...], ...]]:
-    """Z^ngens / <relations>, the relations given as integer columns: the
-    group, the image of each generator of Z^ngens, and an integer preimage
-    of each generator of the group."""
-    group, proj, lift = _presentation_from_relations(ngens, relations)
-    images = tuple(
-        _reduced(group, tuple([row[a] for row in proj])) for a in range(ngens)
-    )
-    section = tuple(
-        tuple([row[t] for row in lift]) for t in range(group.ngens)
-    )
-    return group, images, section
+    cols = [r.coords for r in relations] + ambient.relation_columns()
+    group, images, section = free_quotient(ambient.ngens, cols)
+    lifts = tuple(ambient.element(s) for s in section)
+    return group, AbHom.from_columns(ambient, group, images), lifts
 
 
 def kernel_generators(f: AbHom) -> List[GroupElement]:
@@ -541,20 +509,20 @@ def is_kernel(f: AbHom, gens: Sequence[GroupElement]) -> bool:
 
 def _span(
     ambient: FinAbGroup, gens: Sequence[GroupElement]
-) -> Tuple[List[GroupElement], FinAbGroup, Matrix]:
+) -> Tuple[List[GroupElement], FinAbGroup, Tuple[Tuple[int, ...], ...]]:
     """The non-zero gens, the canonical form of the subgroup they generate,
-    and lift: generator i of that group is sum_j lift[j][i] * gens[j]."""
+    and a section: generator i of that group is sum_j section[i][j] * gens[j]."""
     gens = [g for g in gens if not g.is_zero]
     for g in gens:
         if g.group != ambient:
             raise ValueError("generator outside the ambient group")
     if not gens:
-        return gens, TRIVIAL, []
+        return gens, TRIVIAL, ()
     s = len(gens)
     gmat = [[g.coords[i] for g in gens] for i in range(ambient.ngens)]
     lat = _intmat.kernel_basis(_with_relations(ambient, gmat))
-    grp, _, lift = _presentation_from_relations(s, [v[:s] for v in lat])
-    return gens, grp, lift
+    grp, _, section = free_quotient(s, [v[:s] for v in lat])
+    return gens, grp, section
 
 
 def generated_group(
@@ -569,13 +537,10 @@ def subgroup(
     ambient: FinAbGroup, gens: Sequence[GroupElement]
 ) -> Tuple[FinAbGroup, AbHom]:
     """Canonical form of the subgroup generated by gens, with inclusion."""
-    gens, grp, lift = _span(ambient, gens)
+    gens, grp, section = _span(ambient, gens)
     if not gens:
         return TRIVIAL, AbHom(TRIVIAL, ambient, [[] for _ in ambient.orders])
-    cols = [
-        ambient.combination([row[i] for row in lift], gens)
-        for i in range(grp.ngens)
-    ]
+    cols = [ambient.combination(c, gens) for c in section]
     return grp, AbHom.from_columns(grp, ambient, cols)
 
 
@@ -599,26 +564,6 @@ def member_solver(
         return None if sol is None else sol[:s]
 
     return member
-
-
-def hom_from_images(
-    source: FinAbGroup,
-    gens: Sequence[GroupElement],
-    images: Sequence[GroupElement],
-    target: FinAbGroup,
-) -> AbHom:
-    """The homomorphism source -> target sending gens[k] to images[k].
-
-    gens must generate source (AssertionError otherwise); the images are
-    trusted to satisfy every relation among gens.
-    """
-    cols = []
-    coords = member_solver(source, gens)
-    for t in source.gens():
-        coeff = coords(t)
-        assert coeff is not None, "the family does not generate the source"
-        cols.append(target.combination(coeff, images))
-    return AbHom.from_columns(source, target, cols)
 
 
 def hom_pair(f1: AbHom, f2: AbHom) -> AbHom:
@@ -755,10 +700,13 @@ def _complement(
     moves to z - t*g, t = _solve_two_congruences(r, s, a, parity(z)), which
     kills r*z; a lift of a free generator moves to z + g if parity(z) is 1.
     """
-    a = g.order()
-    quot, _, lifts = quotient_with_lift([g], g.group)
+    a, group = g.order(), g.group
+    quot, _, section = free_quotient(
+        group.ngens, [g.coords] + group.relation_columns()
+    )
     comp: List[GroupElement] = []
-    for r, z in zip(quot.orders, lifts):
+    for r, c in zip(quot.orders, section):
+        z = group.element(c)
         if r:
             s = _dlog_in_cyclic(g, a, r * z)
             z = z - _solve_two_congruences(r, s, a, parity(z)) * g

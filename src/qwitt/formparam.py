@@ -18,14 +18,12 @@ from math import inf
 from operator import mul
 from typing import List, Optional, Tuple, Union
 
-from . import _intmat
 from .abelian import (
     Z,
     Z2,
     AbHom,
     FinAbGroup,
     GroupElement,
-    hom_from_images,
     quotient_with_lift,
     split_off_cyclic,
     split_off_free,
@@ -212,7 +210,8 @@ class MaximalSplitting:
     standard: FormParameter
     complement: FinAbGroup
     iso: FPMorphism  # P -> standard + complement
-    # standard + complement -> P, iso's inverse; not part of repr or ==
+    # standard + complement -> P onto the splitting's basis, iso's inverse;
+    # not part of repr or ==
     inverse: FPMorphism = field(repr=False, compare=False)
 
     @property
@@ -360,34 +359,24 @@ def maximal_splitting(p: FormParameter) -> MaximalSplitting:
 
     Symmetric parameters are split through their quasi-Wu class v_P using
     the torsion/free summand lemmas; anti-symmetric ones through maximal
-    2-divisibility of v'_P(1).  Each case builds the inverse of its
-    isomorphism from the splitting's own basis, with no Smith form, and the
-    pair is verified: both compositions are the identity, as integer
-    matrix products reduced in their targets.
+    2-divisibility of v'_P(1).  Each case returns its kind, level,
+    complement and the morphism Q + G -> P sending the generators to the
+    splitting's basis; its inverse, one Smith form that also checks both
+    compositions, is the splitting's isomorphism.
     """
-    ms = _split_symmetric(p) if p.is_symmetric else _split_antisymmetric(p)
-    iso, back = ms.iso.map, ms.inverse.map
-    if not (_is_identity_after(back, iso) and _is_identity_after(iso, back)):
-        raise AssertionError("maximal splitting produced a non-isomorphism")
-    return ms
+    split = _split_symmetric if p.is_symmetric else _split_antisymmetric
+    kind, k, comp, back = split(p)
+    try:
+        iso = back.inverse()
+    except ValueError as exc:
+        raise AssertionError("maximal splitting produced a non-isomorphism") from exc
+    return MaximalSplitting(kind, k, standard(kind, k), comp, iso, back)
 
 
-def _is_identity_after(outer: AbHom, inner: AbHom) -> bool:
-    """Whether outer o inner is the identity of inner's source, which must
-    be outer's target: one integer product, reduced in that group."""
-    n = inner.source.ngens
-    if outer.target.ngens != n:
-        return False
-    icols = [[row[j] for row in inner.matrix] for j in range(n)]
-    prod = [[sum(map(mul, row, c)) for c in icols] for row in outer.matrix]
-    reduced = [
-        [x % m if m else x for x in row]
-        for row, m in zip(prod, outer.target.orders)
-    ]
-    return reduced == _intmat.identity(n)
+_Case = Tuple[str, Optional[int], FinAbGroup, FPMorphism]
 
 
-def _split_symmetric(p: FormParameter) -> MaximalSplitting:
+def _split_symmetric(p: FormParameter) -> _Case:
     sp, _, _ = linearisation(p)
     v = quasi_wu(p)
     assert isinstance(v, SliceHom)
@@ -407,40 +396,26 @@ def _split_symmetric(p: FormParameter) -> MaximalSplitting:
         basis = [g0] + incl.columns()
     q0 = standard(kind, k)
     target = split_sum(q0, comp)
-    glue, unglue = _glue_linearisation(q0, target)
-    # slice iso f: SP -> SQ0 + comp sending the basis to the generators, and
-    # its inverse, whose columns are the basis
-    f = hom_from_images(sp, basis, glue.source.gens(), glue.source)
-    f_inv = AbHom.from_columns(glue.source, sp, basis)
-    iso = morphism_from_slice(p, target, glue.compose(f))
-    back = morphism_from_slice(target, p, f_inv.compose(unglue))
-    return MaximalSplitting(kind, k, q0, comp, iso, back)
-
-
-def _glue_linearisation(
-    q0: FormParameter, target: FormParameter
-) -> Tuple[AbHom, AbHom]:
-    """The natural isomorphism SQ0 + G -> S(Q0 + G), target being Q0 + G,
-    and its inverse, which sends a class to the SQ0 class of its lift's Q0
-    coordinates and to its lift's G coordinates (p(1) lies in Q0, so this
-    kills p(1)).  Both matrices are integer products of the projections
-    and lifts."""
-    sq0, proj_q, lifts = linearisation(q0)
-    s_tgt, proj_t, lifts_t = linearisation(target)
+    # the slice map S(Q0 + G) -> SP sends a class to the basis combination
+    # of its lift's Q0 coordinates, projected to SQ0, and its G coordinates;
+    # p(1) lies in Q0, so this kills p(1)
+    _, proj_q, _ = linearisation(q0)
+    s_tgt, _, lifts = linearisation(target)
     nq = q0.carrier.ngens
-    parts = FinAbGroup(sq0.orders + target.carrier.orders[nq:])
-    glue = AbHom(parts, s_tgt, [
-        [sum(map(mul, row[:nq], x.coords)) for x in lifts] + list(row[nq:])
-        for row in proj_t.matrix
-    ])
-    unglue = AbHom(s_tgt, parts, [
-        [sum(map(mul, row, y.coords[:nq])) for y in lifts_t]
-        for row in proj_q.matrix
-    ] + [[y.coords[i] for y in lifts_t] for i in range(nq, target.carrier.ngens)])
-    return glue, unglue
+    cols = [
+        sp.combination(
+            [sum(map(mul, row, y.coords[:nq])) for row in proj_q.matrix]
+            + list(y.coords[nq:]),
+            basis,
+        )
+        for y in lifts
+    ]
+    return kind, k, comp, morphism_from_slice(
+        target, p, AbHom.from_columns(s_tgt, sp, cols)
+    )
 
 
-def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
+def _split_antisymmetric(p: FormParameter) -> _Case:
     a = p.carrier
     if p.p_one.is_zero:
         kind, k, head, rest = "Q^-", None, [], a.gens()
@@ -449,14 +424,12 @@ def _split_antisymmetric(p: FormParameter) -> MaximalSplitting:
         head = [h0]
         order = h0.order()  # 2^(l+1) with l the 2-divisibility exponent of p(1)
         kind, k = ("Q-", None) if order == 2 else ("ZL_k", order.bit_length() - 1)
-    q0 = standard(kind, k)
     comp, incl = subgroup(a, rest)
-    target = split_sum(q0, comp)
+    target = split_sum(standard(kind, k), comp)
     basis = head + incl.columns()
-    carrier_map = hom_from_images(a, basis, target.carrier.gens(), target.carrier)
-    iso = FPMorphism(p, target, carrier_map)
-    back = FPMorphism(target, p, AbHom.from_columns(target.carrier, a, basis))
-    return MaximalSplitting(kind, k, q0, comp, iso, back)
+    return kind, k, comp, FPMorphism(
+        target, p, AbHom.from_columns(target.carrier, a, basis)
+    )
 
 
 def height_of(kind: str, k: Optional[int]) -> Height:

@@ -16,7 +16,6 @@ from qwitt.abelian import (
     AbHom,
     FinAbGroup,
     GroupElement,
-    hom_from_images,
     is_kernel,
     kernel,
     kernel_generators,
@@ -455,19 +454,6 @@ def test_member_solver_gives_one_coefficient_per_generator():
     assert AbHom.zero(TRIVIAL, z4).solve(z4.element((1,))) is None
 
 
-def test_hom_from_images():
-    z4, z8 = FinAbGroup((4,)), FinAbGroup((8,))
-    # 3 generates Z4; 3 -> 6 forces 1 = 3 * 3 -> 18 = 2
-    f = hom_from_images(z4, [z4.element((3,))], [z8.element((6,))], z8)
-    assert f.matrix == ((2,),)
-    # an overcomplete family: 1 = 3 - 2 in Z, so 2 -> 4, 3 -> 6 is x2
-    two, three = Z.element((2,)), Z.element((3,))
-    f = hom_from_images(Z, [two, three], [2 * two, 2 * three], Z)
-    assert f.matrix == ((2,),)
-    with pytest.raises(AssertionError):
-        hom_from_images(z4, [z4.element((2,))], [z8.element((4,))], z8)
-
-
 def test_one_snf_per_matrix(monkeypatch):
     from qwitt import _intmat
 
@@ -480,9 +466,11 @@ def test_one_snf_per_matrix(monkeypatch):
 
     monkeypatch.setattr(_intmat, "SNF", counted)
     g = FinAbGroup((4, 2, 0))
-    gens = [g.element((1, 1, 0)), g.element((0, 1, 0)), g.element((0, 0, 1)), g.element((2, 0, 3))]
-    hom_from_images(g, gens, gens, g)
+    theta = AbHom(g, g, [[1, 2, 1], [1, 1, 0], [0, 0, 1]])
+    inv = theta.inverse()
     assert len(built) == 1  # one SNF answers the three generators of g
+    assert theta.compose(inv) == inv.compose(theta) == AbHom.identity(g)
+    assert inv != theta
     built.clear()
     AbHom.identity(g).inverse()
     assert len(built) == 1

@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from itertools import product
 from math import inf
 
@@ -839,9 +838,9 @@ def test_maximal_splitting_roundtrip_random():
         assert is_isomorphic(p, ms.split_parameter)
 
 
-def test_maximal_splitting_checks_its_inverse_by_products(monkeypatch):
-    # the splitting checks its pair of maps by integer products and builds
-    # no identity map to compare with
+def test_maximal_splitting_inverts_its_case_map(monkeypatch):
+    # the splitting inverts the map its case returns, which checks both
+    # compositions, and builds no identity map to compare with
     from qwitt import formparam
     from qwitt.sampling import random_form_parameter
 
@@ -860,18 +859,16 @@ def test_maximal_splitting_checks_its_inverse_by_products(monkeypatch):
         formparam.maximal_splitting(p)
     assert {p.is_symmetric for p in params} == {True, False}
     assert built == []
-    # the products still refuse a stored inverse that is not one: the
-    # inverse of the splitting of ZP after the automorphism beta of ZP
-    zp = standard("ZP")
-    split = formparam._split_symmetric
-    beta = aut_generators(zp)[0]
+    # a case map that is a morphism but not an isomorphism is refused as a
+    # fault of the library, not of its input: Q^- + Z onto itself by 3
+    p = split_sum(standard("Q^-"), Z)
+    thrice = FPMorphism(p, p, AbHom(Z, Z, [[3]]))
     monkeypatch.setattr(
-        formparam, "_split_symmetric",
-        lambda p: replace(split(p), inverse=split(p).inverse.compose(beta)),
+        formparam, "_split_antisymmetric", lambda q: ("Q^-", None, Z, thrice)
     )
     formparam.maximal_splitting.cache_clear()
     with pytest.raises(AssertionError, match="non-isomorphism"):
-        formparam.maximal_splitting(zp)
+        formparam.maximal_splitting(p)
     formparam.maximal_splitting.cache_clear()
 
 

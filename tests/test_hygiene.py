@@ -247,6 +247,20 @@ def test_kernel_set_up_lives_in_one_function():
     assert library_calls("_add_linear") == {("search.py", "_add_steps"), ("search.py", "search_vectors")}
 
 
+def test_one_quotient_routine():
+    # every quotient is read off free_quotient's Smith form; only
+    # AbHom.is_surjective takes a cokernel of its own, for its group alone
+    assert library_calls("_cokernel") == {("abelian.py", "AbHom"), ("abelian.py", "free_quotient")}
+    tree = ast.parse((SRC / "abelian.py").read_text())
+    cls = next(n for n in tree.body if getattr(n, "name", None) == "AbHom")
+    methods = ast.unparse(ast.Module(body=cls.body, type_ignores=[]))
+    assert {scope for _, scope in calls_to(methods, "_cokernel")} == {"is_surjective"}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for name in ("_presentation_from_relations", "hom_from_images"):
+            assert name not in text, (path.name, name)
+
+
 def accumulating_loops(source: str):
     """Lines, inside a `for` loop, that re-bind a name set from `.zero()` to
     itself plus something (`acc = acc + ...` or `acc += ...`): a sum built
@@ -392,7 +406,7 @@ def test_method_calls_detected():
 
 def test_first_touch_builds_no_throwaway_values():
     # present hands integer relation columns to abelian, and the maximal
-    # splitting checks its pair of maps by integer products
+    # splitting inverts its case's map with no identity to compare with
     assert method_calls((SRC / "qtensor.py").read_text(), "element")["present"] == 0
     found = method_calls((SRC / "formparam.py").read_text(), "identity", "AbHom")
     assert found["maximal_splitting"] == 0
@@ -432,10 +446,11 @@ def test_the_natural_route_is_a_second_computation():
 
 
 def test_each_splitting_case_shares_one_tail():
-    # every case picks its kind, head generator and complement, then builds
-    # the splitting in one place
+    # every case returns its kind, level, complement and the map onto its
+    # basis; maximal_splitting alone inverts that map and builds the splitting
     found = constructions((SRC / "formparam.py").read_text(), "MaximalSplitting")
-    assert found["_split_symmetric"] == found["_split_antisymmetric"] == 1
+    assert found["maximal_splitting"] == 1
+    assert found["_split_symmetric"] == found["_split_antisymmetric"] == 0
 
 
 def test_search_driver_builds_no_form():

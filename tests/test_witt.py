@@ -707,4 +707,4 @@ def test_structure_snfs_go_through_the_installed_class(monkeypatch):
         witt.witt_group(p)
         present(g, p)
     assert counts["guarded"] == counts["built"]
-    assert counts == {"built": 50, "guarded": 50, "rows": 74, "cols": 211}
+    assert counts == {"built": 50, "guarded": 50, "rows": 78, "cols": 213}
