@@ -55,12 +55,6 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    return shape(a) == shape(b) and all(
-        list(ra) == list(rb) for ra, rb in zip(a, b)
-    )
-
-
 def _bareiss(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
     """(rank, sign * last pivot) by fraction-free (Bareiss) row echelon
     elimination, sign being that of the row permutation.
@@ -131,11 +125,6 @@ class SNF:
         self._reduce(a, m, n)
         self.d = a
         self.rank = sum(1 for i in range(min(m, n)) if a[i][i] != 0)
-
-    def solve(self, rhs: Sequence[int]) -> Optional[List[int]]:
-        """One integer solution x of A @ x == rhs, or None, A being the
-        matrix this SNF was built from."""
-        return Solver(self).solve(rhs)
 
     # -- elementary operations, mirrored into the transforms ---------------
 
@@ -264,7 +253,7 @@ def solve(
     mat: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[List[int]]:
     """One integer solution x of mat @ x == rhs, or None."""
-    return SNF(mat).solve(rhs)
+    return Solver(SNF(mat)).solve(rhs)
 
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:

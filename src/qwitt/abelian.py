@@ -117,9 +117,6 @@ class FinAbGroup:
                 d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
         return tuple(n for n in d if n != 1) + (0,) * self.free_rank
 
-    def is_isomorphic(self, other: "FinAbGroup") -> bool:
-        return self.canonical_orders() == other.canonical_orders()
-
     # -- elements ------------------------------------------------------------
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
@@ -154,17 +151,6 @@ class FinAbGroup:
         return _reduced(
             self, tuple([a % n if n else a for a, n in zip(acc, self.orders)])
         )
-
-    def pad(self, x: "GroupElement", start: int = 0) -> "GroupElement":
-        """x placed on the factors start, start + 1, ... of self, whose
-        orders there must be x's group's, and zero on the others."""
-        stop = start + x.group.ngens
-        if not 0 <= start <= stop <= self.ngens or (
-            self.orders[start:stop] != x.group.orders
-        ):
-            raise ValueError("factors do not match the group")
-        tail = (0,) * (self.ngens - stop)
-        return _reduced(self, (0,) * start + x.coords + tail)
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements; only valid for finite groups."""

@@ -45,7 +45,6 @@ __all__ = [
     "quasi_wu",
     "maximal_splitting",
     "classify",
-    "is_isomorphic",
     "height_of",
     "S_of",
     "morphism_from_slice",
@@ -443,10 +442,6 @@ def classify(p: FormParameter) -> FPClassification:
         height_of(ms.standard_kind, ms.k),
         ms.complement.canonical_orders(),
     )
-
-
-def is_isomorphic(p1: FormParameter, p2: FormParameter) -> bool:
-    return classify(p1) == classify(p2)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from . import _intmat, search
 from ._intmat import _binom2
 from .abelian import AbHom, FinAbGroup, GroupElement
 from .formparam import (
-    FormParameter, FPMorphism, linearisation, maximal_splitting, standard, terminal_morphism
+    FormParameter, FPMorphism, linearisation, maximal_splitting, terminal_morphism
 )
 
 __all__ = [
@@ -95,14 +95,7 @@ class QForm:
     def lam(self, x: Sequence[int], y: Sequence[int]) -> int:
         if len(x) != self.rank or len(y) != self.rank:
             raise ValueError("vector length does not match the rank")
-        return sum(
-            x[i] * self.lambda_matrix[i][j] * y[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
-    def mu(self, x: Sequence[int]) -> GroupElement:
-        return mu_eval(self, x)
+        return sum(a * b for a, b in zip(x, _intmat.mat_vec(self.lambda_matrix, y)))
 
     def det(self) -> int:
         return _intmat.determinant(self.lambda_matrix)
@@ -222,16 +215,14 @@ def negate(f: QForm) -> QForm:
 
 
 def pullback(f: QForm, basis: Sequence[Sequence[int]]) -> QForm:
-    """Pull back along the map sending new basis vector j to column j."""
+    """Pull back along the map B sending new basis vector j to column j:
+    the matrix B^T M B, and mu at each column."""
     if len(basis) != f.rank:
         raise ValueError("basis needs one row per basis vector of the form")
     if len({len(row) for row in basis}) > 1:
         raise ValueError("basis rows differ in length")
     cols = [list(c) for c in zip(*basis)]
-    k = len(cols)
-    mat = [
-        [f.lam(cols[i], cols[j]) for j in range(k)] for i in range(k)
-    ]
+    mat = _intmat.mat_mul(cols, _intmat.mat_mul(f.lambda_matrix, basis)) if cols else []
     mus = [mu_eval(f, c) for c in cols]
     return QForm(f.parameter, mat, mus)
 
@@ -742,7 +733,9 @@ def _arf_lift_obstruction(f: QForm) -> str:
     If every mu value lies in the image of v' and that image is a faithful
     copy of Z2, the form lifts to a quadratic refinement with Z2 values; a
     lagrangian of f would be a lagrangian of the lift, so Arf = 1 rules
-    metabolicity out.
+    metabolicity out.  The lift's Arf invariant is read off f's matrix and
+    the 0/1 rows of its mu values; f is nonsingular here (see
+    `_metabolic_obstruction`).
     """
     from . import witt
 
@@ -752,18 +745,7 @@ def _arf_lift_obstruction(f: QForm) -> str:
     image_elts = {q.carrier.zero().coords, q.p_one.coords}
     if any(m.coords not in image_elts for m in f.mu_basis):
         return ""
-    qminus = standard("Q-")
-    lifted = QForm(
-        qminus,
-        f.lambda_matrix,
-        [
-            qminus.carrier.element(
-                (0,) if m.is_zero else (1,)
-            )
-            for m in f.mu_basis
-        ],
-    )
-    if witt.arf(lifted) == 1:
+    if witt._arf(f.lambda_matrix, [[0 if m.is_zero else 1] for m in f.mu_basis]) == 1:
         return "Arf invariant 1 of the quadratic lift"
     return ""
 

@@ -12,10 +12,9 @@ rewrites into that set by bilinear expansion, the addition rule and the
 scalar rule (n g) (x) q = n (g (x) q) + C(n,2) [g, g] (x) h(q).
 `TensorPresentation.simple(x, q)` and `TensorPresentation.bracket(x, y, a)`
 return the value of x (x) q and of [x, y] (x) a in the presented group;
-`add_simple` and `add_bracket` add a symbol's abstract coefficients into a
-caller's list instead, so that a sum of symbols is reduced once;
-`add_simples` and `add_brackets` do the same for a sum given by integer
-coordinates and a matrix of bracket coefficients.
+`add_simples` and `add_brackets` add the abstract coefficients of a sum of
+symbols, given by integer coordinates and a matrix of bracket coefficients,
+into a caller's list instead, so that the sum is reduced once.
 """
 
 from __future__ import annotations
@@ -77,29 +76,19 @@ class TensorPresentation:
 
     def simple(self, x: GroupElement, q: GroupElement) -> GroupElement:
         """The value of the symbol x (x) q."""
+        if x.group != self.g or q.group != self.q.carrier:
+            raise ValueError("symbol does not match the presentation")
         c = [0] * len(self.symbols)
-        self.add_simple(c, x, q)
+        self.add_simples(c, [x.coords], [q.coords])
         return self.group.combination(c, self.basis_map)
 
     def bracket(self, x: GroupElement, y: GroupElement, a: int) -> GroupElement:
         """The value of the symbol [x, y] (x) a."""
-        c = [0] * len(self.symbols)
-        self.add_bracket(c, x, y, a)
-        return self.group.combination(c, self.basis_map)
-
-    def add_simple(self, c: List[int], x: GroupElement, q: GroupElement) -> None:
-        """Add the abstract coefficients of x (x) q into c."""
-        if x.group != self.g or q.group != self.q.carrier:
-            raise ValueError("symbol does not match the presentation")
-        self.add_simples(c, [x.coords], [q.coords])
-
-    def add_bracket(
-        self, c: List[int], x: GroupElement, y: GroupElement, a: int
-    ) -> None:
-        """Add the abstract coefficients of [x, y] (x) a into c."""
         if x.group != self.g or y.group != self.g:
             raise ValueError("symbol does not match the presentation")
+        c = [0] * len(self.symbols)
         self.add_brackets(c, [[a * xi * yj for yj in y.coords] for xi in x.coords])
+        return self.group.combination(c, self.basis_map)
 
     def add_simples(
         self, c: List[int], xs: Sequence[Sequence[int]], qs: Sequence[Sequence[int]]

@@ -14,7 +14,9 @@ module's boundary.
 
 The natural model: the extended symmetrisation embeds W0(P) into
 Z + Gamma(SP) with image Sigma(v_P); the extended quadratic lift maps
-Z2 + Lambda1(P_e) onto W0(P) with kernel K(v'_P).
+Z2 + Lambda1(P_e) onto W0(P) with kernel K(v'_P).  `_model` builds both
+ambient groups and their tensor presentations, and every function of the
+natural description reads them there.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .abelian import (
     GroupElement,
     generated_group,
     is_kernel,
-    kernel,
+    kernel_generators,
     least_preimage_of_one,
-    member_solver,
     quotient_with_lift,
     subgroup,
     tensor_map,
@@ -547,26 +548,29 @@ class SigmaSubgroup:
     base: Optional[GroupElement]
     psi: Tuple[GroupElement, ...]
 
-    def contains(self, x: GroupElement) -> bool:
-        return member_solver(self.ambient, self.generators)(x) is not None
+
+@lru_cache(maxsize=None)
+def _model(a: FinAbGroup, symmetric: bool) -> Tuple[TensorPresentation, FinAbGroup]:
+    """The natural model of W0 over the group A: the presentation of
+    Gamma(A) = A (x) Q^+ and Z + Gamma(A) for a symmetric parameter (A = SP),
+    of Lambda1(A) = A (x) Q- and Z2 + Lambda1(A) for an anti-symmetric one
+    (A = P_e).  An element (n, t) of the ambient group has coordinates
+    (n,) + t.coords."""
+    pres = present(a, standard("Q^+" if symmetric else "Q-"))
+    return pres, FinAbGroup((0 if symmetric else 2,) + pres.group.orders)
 
 
 def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
     """Generators: (8, 0); (1, x0 (x) 1), x0 the first generator with v = 1,
     and its Ker(v)-translates; brackets over Ker(v) generator pairs."""
     a = v.domain
-    pres = present(a, standard("Q^+"))
-    ambient = FinAbGroup((0,) + pres.group.orders)
-
-    def emb(n: int, t: GroupElement) -> GroupElement:
-        return ambient.element((n,) + tuple(t.coords))
-
+    pres, ambient = _model(a, True)
     if v.is_zero:
         base = None
         kgens = a.gens()
         psi = []
     else:
-        kgens = kernel(v.v)[1].columns()
+        kgens = kernel_generators(v.v)
         x0 = a.gen(v.v.matrix[0].index(1))
         one = pres.q.carrier.element((1,))
         base = pres.simple(x0, one)
@@ -574,10 +578,9 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
     for i, k1 in enumerate(kgens):
         for k2 in kgens[i:]:
             psi.append(pres.bracket(k1, k2, 1))
-    gens = [emb(8, pres.group.zero())]
-    if base is not None:
-        gens.append(emb(1, base))
-    gens += [emb(0, w) for w in psi]
+    pairs = [(8, pres.group.zero())] + ([] if base is None else [(1, base)])
+    pairs += [(0, w) for w in psi]
+    gens = [ambient.element((n,) + t.coords) for n, t in pairs]
     grp = generated_group(ambient, gens)
     return SigmaSubgroup(
         v, ambient, pres, tuple(gens), grp, base, tuple(psi)
@@ -600,16 +603,12 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
     """Generators of K(v'): (1, [v'(1), v'(1)]) and (0, [x, x] + [x, v'(1)])
     over the generators x of A."""
     a = v.codomain
-    pres = present(a, standard("Q-"))
-    ambient = FinAbGroup((2,) + pres.group.orders)
-
-    def emb(n: int, t: GroupElement) -> GroupElement:
-        return ambient.element((n,) + tuple(t.coords))
-
+    pres, ambient = _model(a, False)
     v1 = v.v_one
-    kgens = [emb(1, pres.bracket(v1, v1, 1))]
-    for x in a.gens():
-        kgens.append(emb(0, pres.bracket(x, x, 1) + pres.bracket(x, v1, 1)))
+    pairs = [(1, pres.bracket(v1, v1, 1))] + [
+        (0, pres.bracket(x, x, 1) + pres.bracket(x, v1, 1)) for x in a.gens()
+    ]
+    kgens = [ambient.element((n,) + t.coords) for n, t in pairs]
     lam, proj, _ = quotient_with_lift(kgens, ambient)
     return LambdaQuotient(v, ambient, pres, tuple(kgens), lam, proj)
 
@@ -622,12 +621,10 @@ def es_witt(f: QForm) -> GroupElement:
         raise ValueError("extended symmetrisation needs a symmetric parameter")
     lam = f.lambda_matrix
     minv = _intmat.unimodular_inverse(lam)  # refuses a singular form
-    sp, _, _ = linearisation(p)
-    pres = present(sp, standard("Q^+"))
+    pres, ambient = _model(linearisation(p)[0], True)
     to_split = es(p)
     t = _tensor_invariant(lam, [to_split(m).coords for m in f.mu_basis], pres, minv)
-    amb = FinAbGroup((0,) + t.group.orders)
-    return amb.element((signature_of_matrix(lam),) + t.coords)
+    return ambient.element((signature_of_matrix(lam),) + t.coords)
 
 
 def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
@@ -639,7 +636,7 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
     product each, and its class is read as `witt_class` reads a form's."""
     if p.is_symmetric:
         raise ValueError("extended quadratic lift needs an anti-symmetric parameter")
-    pres = present(p.carrier, standard("Q-"))
+    pres = _model(p.carrier, False)[0]
     if t.group != pres.group:
         raise ValueError("tensor element is not in Lambda1 of the carrier")
     diag, rows = _tensor_blocks(pres, t)
@@ -663,8 +660,7 @@ def _eql_to_split(p: FormParameter) -> Tuple[Tuple[int, ...], ...]:
 def eql_witt_hom(p: FormParameter) -> AbHom:
     """The extended quadratic lift as a homomorphism
     Z2 + Lambda1(P_e) -> W0(P) in canonical coordinates."""
-    pres = present(p.carrier, standard("Q-"))
-    domain = FinAbGroup((2,) + pres.group.orders)
+    pres, domain = _model(p.carrier, False)
     desc = witt_group(p)
     cols = []
     cols.append(desc.group.element(eql_witt(p, 1, pres.group.zero()).coords))
@@ -676,58 +672,53 @@ def eql_witt_hom(p: FormParameter) -> AbHom:
 def es_witt_hom(p: FormParameter) -> AbHom:
     """W0(P) -> Z + Gamma(SP) on the canonical generators."""
     desc = witt_group(p)
-    sp, _, _ = linearisation(p)
-    pres = present(sp, standard("Q^+"))
-    ambient = FinAbGroup((0,) + pres.group.orders)
+    ambient = _model(linearisation(p)[0], True)[1]
     cols = [es_witt(rep) for rep in desc.representatives]
     return AbHom.from_columns(desc.group, ambient, cols)
 
 
 @lru_cache(maxsize=None)
-def _natural(
-    p: FormParameter,
-) -> Tuple[AbHom, Callable[[GroupElement], Optional[GroupElement]]]:
-    """es_witt_hom(p) over a symmetric parameter, else eql_witt_hom(p), with
-    its solver: the data of W0(alpha) that depends on one end of alpha
-    only.  The solver builds its Smith form at its first call."""
+def _natural(p: FormParameter) -> Tuple[Callable, Callable]:
+    """W0(P) into its natural model and back, the data of W0(alpha) that
+    depends on one end of alpha only: es_witt_hom(p) and a preimage through
+    it over a symmetric parameter, a preimage through eql_witt_hom(p) and
+    eql_witt_hom(p) over an anti-symmetric one.  The preimage builds its
+    Smith form at its first call; a missing preimage is a library fault."""
     hom = es_witt_hom(p) if p.is_symmetric else eql_witt_hom(p)
-    return hom, hom.solver()
+    solve = hom.solver()
+
+    def preimage(y: GroupElement) -> GroupElement:
+        x = solve(y)
+        if x is None:
+            raise AssertionError("no preimage through the natural homomorphism")
+        return x
+
+    return (hom, preimage) if p.is_symmetric else (preimage, hom)
 
 
 def induced_witt_map(alpha: FPMorphism) -> AbHom:
-    """W0(alpha) in the canonical coordinates of witt_group, from the
-    natural homomorphisms of both ends and their solvers, built once per
-    parameter (`_natural`).
-
-    Symmetric case: conjugate Id + Gamma(S alpha) through the extended
-    symmetrisation embeddings.  Anti-symmetric case: lift each generator
-    through the extended quadratic lift of the source, apply
-    Id + Lambda1(alpha), and compose with the target's lift, by the square
-    W0(alpha) o eql_P = eql_P' o (Id + Lambda1(alpha)).
+    """W0(alpha) in the canonical coordinates of witt_group: each generator
+    goes into the natural model of the source (`_natural`), through
+    Id + Gamma(S alpha) (symmetric) or Id + Lambda1(alpha) (anti-symmetric),
+    and out of the target's model.  The anti-symmetric case is the square
+    W0(alpha) o eql_P = eql_P' o (Id + Lambda1(alpha)); the symmetric one
+    conjugates through the extended symmetrisation embeddings.
     """
     p1, p2 = alpha.source, alpha.target
-    if p1.is_symmetric != p2.is_symmetric:
+    symmetric = p1.is_symmetric
+    if symmetric != p2.is_symmetric:
         raise ValueError("morphism mixes symmetries")
+    f = S_of(alpha) if symmetric else alpha.map
+    pres, _ = _model(f.source, symmetric)
+    _, ambient = _model(f.target, symmetric)
+    t_map = induced_map(f, FPMorphism.identity(pres.q))
+    into, out = _natural(p1)[0], _natural(p2)[1]
     d1, d2 = witt_group(p1), witt_group(p2)
-    (n1, solve1), (n2, solve2) = _natural(p1), _natural(p2)
     cols = []
-    if p1.is_symmetric:
-        t_map = induced_map(S_of(alpha), FPMorphism.identity(standard("Q^+")))
-        for vec in n1.columns():
-            mapped = t_map(t_map.source.element(vec.coords[1:]))
-            w = solve2(n2.target.element((vec.coords[0],) + mapped.coords))
-            if w is None:
-                raise AssertionError(
-                    "image does not lie in the image of the symmetrisation"
-                )
-            cols.append(w)
-    else:
-        l_map = induced_map(alpha.map, FPMorphism.identity(standard("Q-")))
-        for x in d1.group.gens():
-            t = solve1(x)
-            assert t is not None, "extended quadratic lift must be surjective"
-            mapped = l_map(l_map.source.element(t.coords[1:]))
-            cols.append(n2(n2.source.element((t.coords[0],) + mapped.coords)))
+    for x in d1.group.gens():
+        y = into(x)
+        t = t_map(pres.group.element(y.coords[1:]))
+        cols.append(out(ambient.element(y.coords[:1] + t.coords)))
     return AbHom.from_columns(d1.group, d2.group, cols)
 
 

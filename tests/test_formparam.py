@@ -17,7 +17,6 @@ from qwitt.formparam import (
     eql,
     es,
     height_of,
-    is_isomorphic,
     linearisation,
     maximal_splitting,
     morphism_from_slice,
@@ -353,11 +352,6 @@ def test_classify_examples():
 
 
 def test_classification_complete_on_standards():
-    for a, b in product(ALL_STANDARD, repeat=2):
-        if a is b:
-            assert is_isomorphic(a, b)
-        else:
-            assert is_isomorphic(a, b) == (classify(a) == classify(b))
     # distinct standards are pairwise non-isomorphic
     cls = [classify(q) for q in ALL_STANDARD]
     assert len(set(cls)) == len(cls)
@@ -530,7 +524,7 @@ def test_classify_vs_brute_force_sweep():
             if p1.carrier.order() != p2.carrier.order():
                 continue
             pairs += 1
-            assert is_isomorphic(p1, p2) == brute_force_isomorphic(p1, p2)
+            assert (classify(p1) == classify(p2)) == brute_force_isomorphic(p1, p2)
     assert pairs > 500
 
 
@@ -543,7 +537,7 @@ def test_classify_vs_brute_force_sampled_to_32():
         if p1.carrier.order() != p2.carrier.order():
             continue
         sampled += 1
-        assert is_isomorphic(p1, p2) == brute_force_isomorphic(p1, p2)
+        assert (classify(p1) == classify(p2)) == brute_force_isomorphic(p1, p2)
 
 
 def test_morphism_validation_and_example():
@@ -835,7 +829,7 @@ def test_maximal_splitting_roundtrip_random():
         assert back.compose(ms.iso) == FPMorphism.identity(p)
         assert ms.iso.compose(back) == FPMorphism.identity(ms.split_parameter)
         assert back == ms.iso.inverse()
-        assert is_isomorphic(p, ms.split_parameter)
+        assert classify(p) == classify(ms.split_parameter)
 
 
 def test_maximal_splitting_inverts_its_case_map(monkeypatch):

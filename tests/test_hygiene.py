@@ -445,6 +445,21 @@ def test_the_natural_route_is_a_second_computation():
     assert not reached & {"induced_witt_map_via_forms", "pushforward", "witt_class"}
 
 
+def test_the_natural_model_is_built_in_one_place():
+    # witt._model builds the tensor presentation and the ambient group of
+    # Sigma(v) and Lambda(v'); the functions of the natural description read
+    # them there and build neither
+    source = (SRC / "witt.py").read_text()
+    readers = (
+        "sigma_subgroup", "lambda_quotient", "es_witt", "es_witt_hom",
+        "eql_witt", "eql_witt_hom", "induced_witt_map",
+    )
+    for cls in ("present", "FinAbGroup"):
+        found = constructions(source, cls)
+        assert found["_model"] == 1
+        assert not any(found[name] for name in readers), (cls, found)
+
+
 def test_each_splitting_case_shares_one_tail():
     # every case returns its kind, level, complement and the map onto its
     # basis; maximal_splitting alone inverts that map and builds the splitting
@@ -669,3 +684,99 @@ def test_benchmark_names_resolve():
     assert len(names) > 50
     missing = [n for n in names if not resolves(n[2])]
     assert not missing, missing
+
+
+def definitions(source: str):
+    """The top-level functions of a module, and `Class.method` for each
+    method of its top-level classes, dunder methods left out."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            found.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            found += [
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            ]
+    return found
+
+
+def references(source: str):
+    """What a module can reach a definition through: every name it reads
+    or imports, ".attr" for every attribute it takes, and the parts of
+    every dotted string of identifiers (the benchmark's tracer names its
+    targets so; a name listed in `__all__` is no caller).  A function is reached by name or as an attribute, a
+    method only as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Attribute):
+            found |= {node.attr, "." + node.attr}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                found |= {*parts, *("." + part for part in parts)}
+    return found
+
+
+def uncalled(library, callers):
+    """The definitions of the library sources ({file: source}) that no
+    source of `callers` references."""
+    refs = set().union(*map(references, callers))
+    return sorted(
+        (name, definition)
+        for name, source in library.items()
+        for definition in definitions(source)
+        if ("." if "." in definition else "") + definition.split(".")[-1] not in refs
+    )
+
+
+def test_uncalled_definitions_detected():
+    library = {
+        "a.py": (
+            "def used():\n    return 1\n"
+            "def only_tested():\n    pad = 2\n    return pad\n"
+            "def traced():\n    pass\n"
+            "class K:\n    def __init__(self):\n        self.x = used()\n"
+            "    def pad(self):\n        pass\n"
+            "    def called(self):\n        pass\n"
+        ),
+    }
+    bench = "from a import K\nK().called()\nTARGETS = [('x.traced', 'a', 'traced')]\n"
+    assert uncalled(library, [*library.values(), bench]) == [
+        ("a.py", "K.pad"), ("a.py", "only_tested"),
+    ]
+
+
+# the verification API and the test-facing reads of a value: each has tests
+# as its callers, and the library has no use for it
+TEST_FACING = {
+    # brute-force checks of a form's characteristic element and of the exact
+    # sequences and squares of G (x) Q
+    ("qform.py", "characteristic_check"),
+    ("qtensor.py", "check_sequences"),
+    # lambda(x, y) of a form at two vectors, which the tests check searches
+    # and pullbacks against, and the Arf invariant of a form over Q-, which
+    # they check the c* coordinate against; the library reads matrices and
+    # mu rows (witt._arf)
+    ("qform.py", "QForm.lam"),
+    ("witt.py", "arf"),
+    # every element of a finite group, for the tests' brute-force
+    # references; the library never enumerates a group
+    ("abelian.py", "FinAbGroup.elements"),
+}
+
+
+def test_every_library_definition_has_a_caller():
+    # a function or method whose only callers are tests is a second entry
+    # point to nothing; the library and the benchmark under perfbench/ are
+    # the callers that count
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    callers = [*library.values(), *(p.read_text() for p in sorted(PERFBENCH.rglob("*.py")))]
+    found = uncalled(library, callers)
+    assert set(found) - TEST_FACING == set(), found
+    assert TEST_FACING <= set(found), TEST_FACING - set(found)

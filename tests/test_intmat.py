@@ -6,10 +6,10 @@ import pytest
 from qwitt import _intmat
 from qwitt._intmat import (
     SNF,
+    Solver,
     determinant,
     identity,
     kernel_basis,
-    mat_eq,
     mat_mul,
     mat_vec,
     rank,
@@ -30,7 +30,7 @@ def is_unimodular(mat):
 
 def check_snf(mat):
     u, d, v = smith_normal_form(mat)
-    assert mat_eq(mat_mul(mat_mul(u, mat), v), d)
+    assert mat_mul(mat_mul(u, mat), v) == d
     assert is_unimodular(u) and is_unimodular(v)
     m, n = len(mat), len(mat[0]) if mat else 0
     diag = [d[i][i] for i in range(min(m, n))]
@@ -59,7 +59,7 @@ def test_snf_transform_inverses():
     for _ in range(60):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         s = SNF(random_matrix(rng, m, n))
-        assert mat_eq(mat_mul(s.u, s.uinv), identity(m))
+        assert mat_mul(s.u, s.uinv) == identity(m)
 
 
 def test_snf_random():
@@ -129,7 +129,7 @@ def guarded_snf(monkeypatch):
 def _check_guarded(snf, mat):
     diag = check_snf(mat)
     s = snf(mat)
-    assert mat_eq(mat_mul(s.u, s.uinv), identity(len(mat)))
+    assert mat_mul(s.u, s.uinv) == identity(len(mat))
     return diag
 
 
@@ -207,7 +207,7 @@ def test_one_snf_solves_many_right_hand_sides():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, m, n, -4, 4)
-        s = SNF(a)
+        s = Solver(SNF(a))
         for _ in range(5):
             x = [rng.randint(-3, 3) for _ in range(n)]
             b = mat_vec(a, x)
@@ -239,14 +239,14 @@ def test_unimodular_inverse():
                 for r in range(n):
                     mat[r][j] += c * mat[r][i]
         inv = unimodular_inverse(mat)
-        assert mat_eq(mat_mul(mat, inv), identity(n))
+        assert mat_mul(mat, inv) == identity(n)
     rng = random.Random(22)
     for t in range(3000):
         n = t % 9
         mat = random_unimodular(rng, n, ops=rng.randint(0, 4 * n))
         inv = unimodular_inverse(mat)
-        assert mat_eq(mat_mul(mat, inv), identity(n))
-        assert mat_eq(mat_mul(inv, mat), identity(n))
+        assert mat_mul(mat, inv) == identity(n)
+        assert mat_mul(inv, mat) == identity(n)
     assert unimodular_inverse([]) == []
 
 
@@ -268,8 +268,8 @@ def test_unimodular_inverse_of_matrices_with_zeros_in_the_pivot_columns():
     for mat in cases:
         inv = unimodular_inverse(mat)
         n = len(mat)
-        assert mat_eq(mat_mul(mat, inv), identity(n)), mat
-        assert mat_eq(mat_mul(inv, mat), identity(n)), mat
+        assert mat_mul(mat, inv) == identity(n), mat
+        assert mat_mul(inv, mat) == identity(n), mat
 
 
 @pytest.mark.parametrize(

@@ -1184,7 +1184,7 @@ def _brute_least_entry(target, lam, mus, accept, bound):
     or None when there is none."""
     box = list(itertools.product(range(-bound, bound + 1), repeat=target.rank))
     cands = [
-        [v for v in box if target.lam(v, v) == lam[d][d] and target.mu(v) == m]
+        [v for v in box if target.lam(v, v) == lam[d][d] and qf.mu_eval(target, v) == m]
         for d, m in enumerate(mus)
     ]
     best = None

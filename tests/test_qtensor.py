@@ -302,23 +302,22 @@ def test_added_symbols_sum_to_the_separate_values():
             if rng.random() < 0.5:
                 y = g.element([rng.randint(-5, 5) for _ in range(g.ngens)])
                 a = rng.randint(-4, 4)
-                pres.add_bracket(c, x, y, a)
+                # [x, y] (x) a = sum_{i,k} [g_i, g_k] (x) a x_i y_k
+                pres.add_brackets(c, [[a * xi * yk for yk in y.coords] for xi in x.coords])
                 total = total + pres.bracket(x, y, a)
             else:
                 qv = q.carrier.element(
                     [rng.randint(-5, 5) for _ in range(q.carrier.ngens)]
                 )
-                pres.add_simple(c, x, qv)
+                pres.add_simples(c, [x.coords], [qv.coords])
                 total = total + pres.simple(x, qv)
         assert pres.group.combination(c, pres.basis_map) == total
-    # a symbol over other groups is refused before c is touched
+    # a symbol over other groups is refused
     pres = present(FinAbGroup((4,)), standard("Q^+"))
-    c = [0] * len(pres.symbols)
     with pytest.raises(ValueError, match="does not match"):
-        pres.add_simple(c, Z.element((1,)), pres.q.carrier.element((1,)))
+        pres.simple(Z.element((1,)), pres.q.carrier.element((1,)))
     with pytest.raises(ValueError, match="does not match"):
-        pres.add_bracket(c, pres.g.gen(0), Z.element((1,)), 1)
-    assert not any(c)
+        pres.bracket(pres.g.gen(0), Z.element((1,)), 1)
 
 def test_induced_map_examples():
     g = Z

@@ -5,10 +5,18 @@ import pytest
 import qwitt.qform as qf
 from qwitt import qtensor, witt
 from qwitt._intmat import identity, mat_mul, smith_normal_form
-from qwitt.abelian import Z2, AbHom, FinAbGroup, subgroup, tensor_with_generators
+from qwitt.abelian import (
+    Z2,
+    AbHom,
+    FinAbGroup,
+    member_solver,
+    subgroup,
+    tensor_with_generators,
+)
 from qwitt.formparam import (
     FPMorphism,
     aut_generators,
+    maximal_splitting,
     quasi_wu,
     split_sum,
     standard,
@@ -217,6 +225,46 @@ def test_witt_class_zero_iff_metabolic_sum():
             assert witt.witt_class(qf.direct_sum(f, qf.negate(f))).is_zero
             b = random_unimodular(rng, f.rank, ops=4)
             assert witt.witt_class(qf.pullback(f, b)) == a
+
+
+def _representative_sum(desc, coords):
+    """The sum of desc's representatives with coefficients coords, a
+    coefficient of finite order n taken as its residue of least absolute
+    value (a negative one adds negated representatives)."""
+    out = qf.QForm(desc.parameter, [], [])
+    for c, n, rep in zip(coords, desc.orders, desc.representatives):
+        if n and 2 * c > n:
+            c -= n
+        for _ in range(abs(c)):
+            out = qf.direct_sum(out, rep if c > 0 else qf.negate(rep))
+    return out
+
+
+def test_witt_classes_are_certified_by_the_search():
+    # with c = witt_class(f), -f + r(c) has class 0, and the bounded search
+    # finds most such forms metabolic (a stably metabolic form need not be);
+    # -f + r(c + e_i) has class e_i, and no search may find it metabolic.  A
+    # wrong invariant moves c: forms of the first kind stop being metabolic,
+    # or forms of the second kind start
+    rng = random.Random(5)
+    found = total = 0
+    for i in range(40):
+        p = random_form_parameter(rng, symmetric=bool(i % 2), max_torsion=4, max_free=0)
+        while not maximal_splitting(p).complement.ngens:
+            p = random_form_parameter(rng, symmetric=bool(i % 2), max_torsion=4, max_free=0)
+        desc = witt.witt_group(p)
+        for _ in range(2):
+            f = random_nonsingular_form(rng, p, max_rank=2)
+            c = witt.witt_class(f).coords
+            for j in [None, *range(len(c))]:
+                e = witt.WittClass(desc, tuple(x + (k == j) for k, x in enumerate(c)))
+                g = qf.direct_sum(qf.negate(f), _representative_sum(desc, e.coords))
+                out = qf.metabolic_search(g, 2, 2000, use_obstructions=False)
+                if j is None:
+                    found, total = found + out.found, total + 1
+                else:
+                    assert not out.found, (p, c, desc.names[j])
+    assert found >= 0.95 * total, (found, total)
 
 
 def test_f_invariant_basis_independent():
@@ -522,12 +570,13 @@ def test_sigma_subgroup_examples():
     s = witt.sigma_subgroup(quasi_wu(standard("Q^+")))
     assert s.group.canonical_orders() == (0,)
     amb = s.ambient
+    contains = member_solver(amb, s.generators)
     # (1, x0 (x) 1) generates; (1, 0) is outside; (8, 0) is inside
     x0 = s.pres.g.element((1,))
     sym = s.pres.simple(x0, s.pres.q.carrier.element((1,)))
-    assert s.contains(amb.element((1,) + sym.coords))
-    assert not s.contains(amb.element((1, 0)))
-    assert s.contains(amb.element((8, 0)))
+    assert contains(amb.element((1,) + sym.coords)) is not None
+    assert contains(amb.element((1, 0))) is None
+    assert contains(amb.element((8, 0))) is not None
 
     s = witt.sigma_subgroup(quasi_wu(standard("Q+")))
     assert s.group.canonical_orders() == (0,)
