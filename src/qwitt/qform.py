@@ -53,6 +53,9 @@ DEFAULT_BOUND = 3
 DEFAULT_NODE_BUDGET = 4_000_000
 # the reason of an "unknown" whose search stopped at its node budget
 BUDGET_EXHAUSTED = "node budget exhausted"
+# the reason of an "unknown" whose search nested deeper than the stack holds
+STACK_EXHAUSTED = "search nested deeper than the Python stack allows"
+
 
 @dataclass(frozen=True)
 class QForm:
@@ -151,14 +154,17 @@ class SearchOutcome:
     Every outcome carries the requested bound, which is never negative.
 
     `nodes` counts the kernel's search-tree nodes, one per value tried for
-    one coordinate, summed over the passes of the search (one per box
-    |x_i| <= b, 1 <= b <= bound, that the root rules admit; see
-    `_column_search`) and, within a pass, over the target's distinct
-    orthogonal blocks, searched before the whole target.  No kernel call is
-    made after the node budget is spent, so it is at most node_budget + 1,
-    and "node budget exhausted" is the reason when a call stopped early.  A
-    witness comes from the first pass that finds one, so no box of a smaller
-    bound holds a witness; one found in a block is zero outside it.
+    one coordinate: the sum of every kernel call's own nodes, over the
+    passes of the search (one per box |x_i| <= b, 1 <= b <= bound, that the
+    root rules admit; see `_column_search`), within a pass over the
+    target's distinct orthogonal blocks, searched before the whole target,
+    and over the calls nested for each column.  The calls share the node
+    budget, and no kernel call is made after it is spent, so it is at most
+    node_budget + 1, and "node budget exhausted" is the reason when a call
+    stopped on it (a search stopped at `_column_search`'s depth limit
+    leaves out the calls that the overflow cut short).  A witness comes from the first pass that finds one, so
+    no box of a smaller bound holds a witness; one found in a block is zero
+    outside it.
     """
 
     status: str  # "found" | "no" | "unknown"
@@ -473,14 +479,31 @@ def _column_search(
 ) -> SearchOutcome:
     """The backtracking driver behind every bounded search.
 
-    Looks for columns c_0, ..., c_{k-1} of target with entries within
-    `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) = mus[i], where
-    lam[i][i] = h(mus[i]) as in every Q-form.  The first complete tuple that
-    `leaf` turns into a witness (anything but None) ends the search with
-    "found".  `leaf` accepts only linearly independent columns (every
-    caller's does: `injective`, `unimodular`, `_saturate_if_needed`'s rank
-    check, and the primitive, so non-zero, vector of `_primitive_isotropic`);
-    the block rule and the symmetry cuts below rest on it.
+    Looks for linearly independent columns c_0, ..., c_{k-1} of target
+    with entries within `bound`, lambda(c_i, c_j) = lam[i][j] and mu(c_i) =
+    mus[i], where lam[i][i] = h(mus[i]) as in every Q-form.  The first
+    complete tuple that `leaf` turns into a witness (anything but None)
+    ends the search with "found".
+
+    Depth-first descent: column d's kernel call hands each vector to the
+    driver as soon as it finds it, and the driver searches the columns
+    after it (a nested kernel call) before the call walks on, so the tuples
+    are visited in the order of an eager enumeration, without enumerating
+    the rest of a box first.  A vector in the span of the columns chosen
+    before it ends its subtree there: every witness has independent
+    columns, so no witness lies below it.  `leaf` therefore sees
+    independent columns only; the block rule and the symmetry cuts below
+    rest on that.
+
+    Depth limit: a nested call stacks a few Python frames on the one it is
+    nested in (its own, on_result's and the driver's), and the innermost
+    walk one per coordinate of the target, so a search that nests k
+    columns deep in a target of rank n needs about 4k + n frames.  At
+    Python's default recursion limit of 1000 that is k of about 170 in a
+    target of rank 171.  A search that runs out of stack stops there, as
+    on the budget: the verdict is "unknown", with the reason
+    STACK_EXHAUSTED, and its node count leaves out the calls that the
+    overflow cut short.
 
     Symmetry cuts: when lam and every mus[d] are zero (a lagrangian, a
     primitive isotropic vector, a zero source), columns may be negated (mu(-x) =
@@ -541,17 +564,21 @@ def _column_search(
     with a row that fails has no integer column at any bound, so the
     verdict is "no" at 0 nodes, its reason naming the depth and mus[d].
 
-    Budget rule: the passes, blocks included, share one node count.  Each
-    kernel call gets the nodes left of `node_budget`, and once a call
-    reports that it stopped early no further call is made, in that pass or
-    a later one.  The vectors that call did return are still tried, so a
-    witness among them still reaches `leaf`, and the node count stays at
+    Budget rule: the passes, blocks and nested calls included, share one
+    node count.  Each kernel call gets what is left of `node_budget` when it
+    starts: a nested call gets what its parent call has left after its own
+    nodes and those of the nested calls before it (`search.search_vectors`'s
+    on_result), and the parent counts what the nested call used against its
+    own limit.  Once a call stops on the budget, every call it is nested in
+    stops too, and no further call is made, in that pass or a later one;
+    each vector found before the stop has reached `leaf` or its own nested
+    call.  So the node count, the sum of every call's own nodes, stays at
     most node_budget + 1.  A negative bound or node_budget is refused with
     ValueError.
 
     Otherwise the verdict is "unknown", with the reason "no `what` within
     the bound" when every call ran to the end, else "node budget
-    exhausted".
+    exhausted" (or STACK_EXHAUSTED, at the depth limit).
     """
     if bound < 0:
         raise ValueError(f"search bound {bound} is negative")
@@ -587,36 +614,45 @@ def _column_search(
     rows: List[List[int]] = []
     nodes = 0
     exhausted = True
+    witness = None
 
-    def rec(plan, depth: int, box: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    def column(plan, depth: int, box: int, budget: int) -> int:
+        # searches column `depth` within `budget` nodes, and each tuple below
+        # every vector the kernel finds as it finds it; returns the nodes
+        # that this call and its nested ones used
         nonlocal nodes, exhausted
-        if depth == k:
-            return leaf(cols)
         idx, mt, depth_plans = plan
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, [cols[-1][i] for i in idx])]
         else:
             rows.clear()  # a new pass: no column is chosen yet
-        results, used, done = search.search_vectors(
-            len(idx), depth_plans[depth], box, 1 << 30, node_budget - nodes, cut,
-            rows=[(row, -lam[j][depth]) for j, row in enumerate(rows)],
-        )
-        nodes += used
-        exhausted = exhausted and done
-        for vec in results:
-            if not exhausted and depth + 1 < k:
-                break  # the budget is spent: no deeper kernel call
+
+        def extend(vec, remaining):
+            nonlocal witness
             col = [0] * n  # a block's vector, extended by zeros
             for i, x in zip(idx, vec):
                 col[i] = x
-            if cut and not (any(col) and (not cols or col > cols[-1])):
-                continue
+            if cut and cols and col <= cols[-1]:
+                return False, 0
+            if _intmat.rank(cols + [col]) == depth:
+                return False, 0  # in the span of the columns chosen: no witness below
             cols.append(col)
-            witness = rec(plan, depth + 1, box)
+            if depth + 1 == k:
+                witness, used = leaf(cols), 0
+            else:
+                used = column(plan, depth + 1, box, remaining)
             cols.pop()
-            if witness is not None:
-                return witness
-        return None
+            return witness is not None or not exhausted, used
+
+        before = nodes
+        _, own, done = search.search_vectors(
+            len(idx), depth_plans[depth], box, 1 << 30, budget, cut,
+            rows=[(row, -lam[j][depth]) for j, row in enumerate(rows)], on_result=extend,
+        )
+        nodes += own
+        if not done and witness is None:
+            exhausted = False  # stopped on the budget, its own or a nested call's
+        return nodes - before
 
     def boxes():
         # no column or a rank-0 target (one box, {()}, at every bound): one
@@ -630,14 +666,24 @@ def _column_search(
                 return
             box = fixed[0].least_bound(box + 1, bound)
 
-    for box, plan in ((box, plan) for box in boxes() for plan in plans):
-        witness = rec(plan, 0, box)
-        if witness is not None or not exhausted:
-            break
-    rec = None  # break the closure's cycle: its lists go now, not at a gc
+    deep = False
+    try:
+        for box, plan in ((box, plan) for box in boxes() for plan in plans):
+            if k:
+                column(plan, 0, box, node_budget - nodes)
+            else:
+                witness = leaf(cols)
+            if witness is not None or not exhausted:
+                break
+    except RecursionError:  # the depth limit: stop as on the budget
+        deep, exhausted = True, False
+    column = None  # break the closure's cycle: its lists go now, not at a gc
     if witness is not None:
         return SearchOutcome("found", witness=witness, bound=bound, nodes=nodes)
-    reason = f"no {what} within the bound" if exhausted else BUDGET_EXHAUSTED
+    if exhausted:
+        reason = f"no {what} within the bound"
+    else:
+        reason = STACK_EXHAUSTED if deep else BUDGET_EXHAUSTED
     return SearchOutcome("unknown", reason=reason, bound=bound, nodes=nodes)
 
 
@@ -753,12 +799,11 @@ def _arf_lift_obstruction(f: QForm) -> str:
 def _saturate_if_needed(
     f: QForm, basis: Sequence[Sequence[int]]
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
-    """Upgrade an isotropic sublattice to a lagrangian when possible."""
+    """Upgrade an isotropic sublattice to a lagrangian when possible; the
+    driver passes independent columns only, so the basis has full rank."""
     vecs = [tuple(v) for v in basis]
     cols = [[v[i] for v in vecs] for i in range(f.rank)]
     s = _intmat.SNF(cols)
-    if s.rank != len(vecs):
-        return None
     if all(s.d[i][i] == 1 for i in range(len(vecs))):
         return tuple(vecs)
     sat = tuple(
@@ -801,16 +846,14 @@ def embedding_search(
     if obstruction:
         return SearchOutcome("no", bound=bound, reason=obstruction)
 
-    def injective(cols):
-        # a rank-deficient tuple is no embedding: the search goes on.  One
-        # row per basis vector of the target, empty ones for a rank-0 eta
-        mat = [[col[i] for col in cols] for i in range(target.rank)]
-        if _intmat.rank(mat) == eta.rank:
-            return tuple(tuple(r) for r in mat)
-        return None
+    def matrix(cols):
+        # the driver passes independent columns only, so the map is
+        # injective.  One row per basis vector of the target, empty ones for
+        # a rank-0 eta
+        return tuple(tuple(col[i] for col in cols) for i in range(target.rank))
 
     return _column_search(
-        target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, injective,
+        target, eta.lambda_matrix, eta.mu_basis, bound, node_budget, matrix,
         "embedding with coordinates",
     )
 

@@ -13,6 +13,16 @@ returns a prefix of the full results.
 All arithmetic is on Python integers, so it is exact at any coefficient
 size.
 
+A caller can take the results one at a time, as they are found: the walk
+is a generator that yields each result, and `search_vectors` hands it to
+the caller's on_result before resuming the walk.  The search driver
+searches the next column there, with a kernel call of its own, so the
+tuples of columns are visited depth-first without enumerating a whole box
+first.  The nodes such work used count against the call's node budget, so
+a call and the calls nested in it share one budget.  While on_result runs
+the walk's frames are suspended, not on the stack: a nested call costs a
+few frames, not one per coordinate.
+
 Once x_0 .. x_{d-1} are set, what is left of a constraint is a polynomial
 in the open coordinates x_d .. x_{n-1}: the purely open quadratic part
 (fixed per depth) plus the linear coefficients l_j + sum_{i<d} S_ij x_i,
@@ -46,10 +56,11 @@ returns and at which of its nodes each one appears.  Each call keeps a
 table of them.  A subtree that runs to the end is recorded: its suffixes,
 the node offset at which each was found, and its node total.  When the key
 comes again the subtree is replayed, not walked: its suffixes go after the
-current prefix and its nodes are added, stopping at max_results or
-max_nodes exactly where the walk would, by the recorded offsets.  A node
-keeps its meaning, one value tried for one coordinate, whether it is walked
-or replayed, so replaying changes no result and no node count.  The
+current prefix, each yielded at its recorded node offset, and its nodes
+are added, stopping at max_results or at the node budget exactly where the
+walk would.  A node keeps its meaning, one value tried for one coordinate,
+whether it is walked or replayed, so replaying changes no result and no
+node count.  The
 subtree of the last coordinate is one loop, cheaper walked than looked up,
 so only splits before it are kept; a call whose constraints have none
 records nothing.
@@ -69,7 +80,7 @@ argument, and only they are set up per call.
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 Constraint = Tuple[Sequence[Sequence[int]], Sequence[int], int, int]
 
@@ -220,6 +231,7 @@ def search_vectors(
     max_nodes: int,
     normalize_first_positive: bool = False,
     rows: Sequence[Tuple[Sequence[int], int]] = (),
+    on_result: Optional[Callable[[Tuple[int, ...], int], Tuple[bool, int]]] = None,
 ) -> Tuple[List[Tuple[int, ...]], int, bool]:
     """Enumerate box vectors satisfying every constraint.
 
@@ -234,12 +246,22 @@ def search_vectors(
     max_nodes has visited max_nodes + 1 nodes, one stopped by max_results
     has visited the nodes up to the last result's, and every result and
     node count is the one walking every subtree gives.
+
+    With `on_result`, each result is handed to on_result(vec, remaining) as
+    soon as it is found, before the walk goes on; remaining is what is left
+    of max_nodes.  It returns (stop, used): stop ends the call (exhausted
+    is then False), and used, the nodes that its own searches took, counts
+    against max_nodes from then on, so that a call stops once its own nodes
+    and every used add up to more than max_nodes.  nodes_visited is still
+    the call's own nodes.
     """
     if not isinstance(plan, Plan):
         plan = Plan(n, plan)
     if n == 0:
         ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in plan.constraints)
         ok = ok and all(c == 0 for _, c in rows)
+        if ok and on_result is not None and on_result((), max_nodes - 1)[0]:
+            return [()], 1, False
         return ([()] if ok else []), 1, True
 
     steps = plan.setup(bound)
@@ -260,6 +282,8 @@ def search_vectors(
     found_at: List[int] = []  # the node count at which each result was found
     x = [0] * n
     nodes = 0
+    # the last node within the budget: max_nodes less every used so far
+    limit = max_nodes
     exhausted = True
     last = n - 1
     # at the last coordinate the open part is empty: g == m, and the rule
@@ -270,7 +294,11 @@ def search_vectors(
     # subtree below a split that ran to the end
     table = {}
 
-    def rec(d: int, lin: list, quad: list, coefs: list, lead: bool) -> bool:
+    # The walk and the replay are generators: each yields every result as
+    # it is appended, and returns False when the call stops early.  Between
+    # two results the loop below runs on_result with the walk suspended, so
+    # a search that on_result starts does not stack on the walk's frames.
+    def rec(d: int, lin: list, quad: list, coefs: list, lead: bool):
         # lead: x_0 .. x_{d-1} are all zero and the first non-zero coordinate
         # is to be positive
         nonlocal nodes, exhausted
@@ -278,7 +306,7 @@ def search_vectors(
         if d == last:
             for val in range(first, bound + 1):
                 nodes += 1
-                if nodes > max_nodes:
+                if nodes > limit:
                     exhausted = False
                     return False
                 for (ld, m), v in zip(lin_last, lin):
@@ -292,8 +320,10 @@ def search_vectors(
                             break
                     else:
                         x[d] = val
-                        results.append(tuple(x))
+                        vec = tuple(x)
+                        results.append(vec)
                         found_at.append(nodes)
+                        yield vec
                         if len(results) >= max_results:
                             exhausted = False
                             return False
@@ -302,7 +332,7 @@ def search_vectors(
         child = enter[d + 1]
         for val in range(first, bound + 1):
             nodes += 1
-            if nodes > max_nodes:
+            if nodes > limit:
                 exhausted = False
                 return False
             x[d] = val
@@ -331,22 +361,22 @@ def search_vectors(
                     child_quad.append(v)
                     child_coefs.append(cs)
                 else:
-                    if not child(d + 1, child_lin, child_quad, child_coefs, lead and not val):
+                    if not (yield from child(d + 1, child_lin, child_quad, child_coefs, lead and not val)):
                         return False
         return True
 
-    def replay(d: int, lin: list, quad: list, coefs: list, lead: bool) -> bool:
+    def replay(d: int, lin: list, quad: list, coefs: list, lead: bool):
         # a split: the open coefficients are the constants l_j, so the subtree
         # depends on the key alone.  It is walked the first time; after that
         # it is replayed, stopping where the walk would: at the result that
-        # reaches max_results, or at node max_nodes + 1.
+        # reaches max_results, or at the first node past the limit.
         nonlocal nodes, exhausted
         key = (d, lead, *lin, *quad)
         known = table.get(key)
         start = nodes
         if known is None:
             first_result = len(results)
-            if not rec(d, lin, quad, coefs, lead):
+            if not (yield from rec(d, lin, quad, coefs, lead)):
                 return False
             table[key] = (nodes - start, [
                 (found_at[i] - start, results[i][d:]) for i in range(first_result, len(results))
@@ -356,16 +386,20 @@ def search_vectors(
         prefix = tuple(x[:d])
         for offset, suffix in found:
             at = start + offset
-            if at > max_nodes:
+            if at > limit:
                 break
-            results.append(prefix + suffix)
+            nodes = at
+            vec = prefix + suffix
+            results.append(vec)
             found_at.append(at)
+            yield vec
             if len(results) >= max_results:
-                nodes = at
                 exhausted = False
                 return False
-        if start + total > max_nodes:
-            nodes = max_nodes + 1
+        if start + total > limit:
+            # the walk goes on from the current node to the first past the
+            # limit (the next one, when a used has passed it already)
+            nodes = max(nodes, limit) + 1
             exhausted = False
             return False
         nodes = start + total
@@ -375,7 +409,14 @@ def search_vectors(
     enter = [rec] * n
     for d in splits:
         enter[d] = replay
-    rec(0, lin_values, quad_values, coefs, normalize_first_positive)
+    for vec in rec(0, lin_values, quad_values, coefs, normalize_first_positive):
+        if on_result is None:
+            continue
+        stop, used = on_result(vec, limit - nodes)
+        limit -= used
+        if stop:
+            exhausted = False
+            break
     enter = None  # break the closures' cycle: their lists go now, not at a gc
     return results, nodes, exhausted
 

@@ -570,7 +570,8 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
         kgens = a.gens()
         psi = []
     else:
-        kgens = kernel_generators(v.v)
+        # a kernel-basis vector of [v | relations] can reduce to 0 in A
+        kgens = [kg for kg in kernel_generators(v.v) if not kg.is_zero]
         x0 = a.gen(v.v.matrix[0].index(1))
         one = pres.q.carrier.element((1,))
         base = pres.simple(x0, one)

@@ -191,6 +191,60 @@ def test_one_caller_of_the_kernel():
     assert not found, found
 
 
+def eager_kernel_uses(source: str, function: str):
+    """(line, what) for each eager use of the kernel inside `function`: a
+    call to `search_vectors` without `on_result`, and a loop (`for` or a
+    comprehension) over a call's result list, over the call itself, its
+    first item, or a name bound to that list."""
+    top = next(n for n in ast.parse(source).body if getattr(n, "name", None) == function)
+
+    def is_kernel_call(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "search_vectors" in (
+            getattr(func, "id", None), getattr(func, "attr", None)
+        )
+
+    found, lists = [], set()
+    for node in ast.walk(top):
+        if is_kernel_call(node) and "on_result" not in {k.arg for k in node.keywords}:
+            found.append((node.lineno, "call without on_result"))
+        if isinstance(node, ast.Assign) and is_kernel_call(node.value):
+            for target in node.targets:
+                first = target.elts[0] if isinstance(target, ast.Tuple) else target
+                if isinstance(first, ast.Name):
+                    lists.add(first.id)
+    for node in ast.walk(top):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter.value if isinstance(node.iter, ast.Subscript) else node.iter
+            if is_kernel_call(it) or getattr(it, "id", None) in lists:
+                found.append((it.lineno, "loop over a result list"))
+    return sorted(found)
+
+
+def test_eager_kernel_uses_detected():
+    src = (
+        "def drive():\n"
+        "    results, nodes, done = search.search_vectors(1, p, 1, 9, 9)\n"
+        "    for vec in results:\n        pass\n"
+        "    out = search_vectors(1, p, 1, 9, 9, on_result=f)\n"
+        "    total = [v for v in out[0]]\n"
+        "    _, own, _ = search.search_vectors(1, p, 1, 9, 9, on_result=f)\n"
+        "    return [v for v in search_vectors(1, p, 1, 9, 9, on_result=f)[0]]\n"
+        "def other():\n    return search_vectors(1, p, 1, 9, 9)\n"
+    )
+    assert eager_kernel_uses(src, "drive") == [
+        (2, "call without on_result"), (3, "loop over a result list"),
+        (6, "loop over a result list"), (8, "loop over a result list"),
+    ]
+
+
+def test_driver_descends_as_the_kernel_finds():
+    # the driver searches below each column as the kernel hands it over:
+    # every kernel call takes on_result, and no result list is walked after
+    # its call returned
+    assert eager_kernel_uses((SRC / "qform.py").read_text(), "_column_search") == []
+
+
 def calls_to(source: str, name: str):
     """(line, enclosing top-level definition) of each call to `name`, bare
     or as an attribute (`search.name(...)`); "" for module level."""

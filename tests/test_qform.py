@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -688,28 +689,32 @@ def test_search_skips_blocks_too_small_for_independent_columns(monkeypatch):
     assert [c.n for c in calls] == [1]
 
 
-def test_embedding_search_passes_rank_deficient_tuples():
+def test_embedding_search_passes_rank_deficient_tuples(monkeypatch):
     # the zero form: the symmetry cuts take distinct non-zero columns only
     zero = qf.QForm(QP, [[0, 0], [0, 0]], [QP.carrier.zero()] * 2)
     target = qf.hyperbolic(QP, 2)
     out = qf.embedding_search(zero, target, bound=1)
     assert out.found
     qf.Embedding(zero, target, out.witness)
-    # lambda = [[1, 1], [1, 1]] into <1> + H: the search meets (c, c) first,
-    # c = (-1, -1, 0), and goes on to independent columns
+    # lambda = [[1, 1], [1, 1]] into <1> + H: the kernel meets (c, c) first,
+    # c = (-1, -1, 0).  Its second column lies in the span of the first, so
+    # the tuple never reaches `leaf`, although this one takes any tuple, and
+    # the search goes on to independent columns
     eta = qf.QForm(QP, [[1, 1], [1, 1]], [QP.carrier.element((1,))] * 2)
     target = qf.direct_sum(unit_form(1), qf.hyperbolic(QP, 1))
     tuples = []
 
-    def injective(cols):
+    def any_tuple(cols):
         tuples.append([tuple(c) for c in cols])
-        mat = _intmat.transpose(cols)
-        return tuple(map(tuple, mat)) if _intmat.rank(mat) == 2 else None
+        return tuple(map(tuple, _intmat.transpose(cols)))
 
+    calls = _record_kernel_calls(monkeypatch)
     out = qf._column_search(
-        target, eta.lambda_matrix, eta.mu_basis, 1, 10**6, injective, "embedding"
+        target, eta.lambda_matrix, eta.mu_basis, 1, 10**6, any_tuple, "embedding"
     )
-    assert tuples[0] == [(-1, -1, 0)] * 2 and len(tuples) > 1
+    first, second = calls[:2]
+    assert first.out[0][0] == second.out[0][0] == (-1, -1, 0) and second.rows
+    assert tuples and all(_intmat.rank(t) == 2 for t in tuples)
     assert out.found and out == qf.embedding_search(eta, target, bound=1)
     qf.Embedding(eta, target, out.witness)
 
@@ -747,30 +752,58 @@ def test_embedding_search_root_certificate():
 class _KernelCall(tuple):
     """(box bound, nodes, exhausted) of one kernel call; `n` is the rank of
     the form it searched, `args` the call's positional arguments, `rows` its
-    pair rows and `out` what it returned."""
+    pair rows, `out` what it returned, `answers` what its on_result returned
+    for each result, and `ended` the number of calls that had started when
+    it returned."""
 
     n: int
     args: tuple
     rows: list
     out: tuple
+    answers: list
+    ended: int
 
 
 def _record_kernel_calls(monkeypatch) -> list:
-    """The _KernelCall of every kernel call from now on."""
+    """The _KernelCall of every kernel call from now on, in the order the
+    calls started: the driver nests a call for the next column inside the
+    call that found the column, so a call can return after later ones
+    started.  Its `nodes` are its own, not its nested calls'."""
     from qwitt import search
 
     calls = []
     kernel = search.search_vectors
 
-    def counted(*args, rows=()):
-        out = kernel(*args, rows=rows)
+    def counted(*args, rows=(), on_result=None):
+        i = len(calls)
+        calls.append(None)  # its place in the start order
+        answers = []
+
+        def answer(vec, remaining):
+            answers.append(on_result(vec, remaining))
+            return answers[-1]
+
+        out = kernel(*args, rows=rows, on_result=answer if on_result else None)
         call = _KernelCall((args[2],) + out[1:])
         call.n, call.args, call.rows, call.out = args[0], args, rows, out
-        calls.append(call)
+        call.answers, call.ended = answers, len(calls)
+        calls[i] = call
         return out
 
     monkeypatch.setattr(search, "search_vectors", counted)
     return calls
+
+
+def _assert_budget_kept(calls, out, budget):
+    """The budget rule under nesting: the calls' own nodes add up to
+    out.nodes, which is at most budget + 1, and no call starts after one
+    has stopped early (on the budget, its own or a nested call's, or on
+    the witness)."""
+    assert out.nodes == sum(nodes for _, nodes, _ in calls)
+    assert out.nodes <= budget + 1
+    for call in calls:
+        if not call[2]:
+            assert call.ended == len(calls), "kernel called after the budget ran out"
 
 
 def test_driver_plans_match_raw_constraints(monkeypatch):
@@ -786,7 +819,7 @@ def test_driver_plans_match_raw_constraints(monkeypatch):
     ]
     rng = random.Random(2511)
     calls = _record_kernel_calls(monkeypatch)
-    for i in range(60):
+    for i in range(66):
         p = params[i % len(params)]
         f = random_nonsingular_form(rng, p, max_rank=3)
         if i % 2:  # an orthogonal sum: block plans too
@@ -810,7 +843,8 @@ def test_driver_plans_match_raw_constraints(monkeypatch):
         n, plan, *rest = call.args
         assert isinstance(plan, search.Plan)
         flat = list(plan.constraints) + [((), l, c, 0) for l, c in call.rows]
-        assert kernel(n, flat, *rest) == call.out
+        answers = iter(call.answers)  # the driver's, result by result
+        assert kernel(n, flat, *rest, on_result=lambda vec, remaining: next(answers)) == call.out
 
 
 def test_search_stops_at_node_budget(monkeypatch):
@@ -842,19 +876,173 @@ def test_search_stops_at_node_budget(monkeypatch):
     for limit, run in runs:
         calls.clear()
         out = run()
-        assert out.nodes == sum(nodes for _, nodes, _ in calls)
-        assert out.nodes <= limit + 1
-        for i, (_, _, exhausted) in enumerate(calls):
-            if not exhausted:
-                assert i == len(calls) - 1, "kernel called after the budget ran out"
-                assert out.found or out.reason == "node budget exhausted"
-                stopped += 1
+        _assert_budget_kept(calls, out, limit)
+        if not all(done for _, _, done in calls):
+            assert out.found or out.reason == "node budget exhausted"
+            stopped += 1
     assert stopped >= 4
     # the last run: pass 1 complete, pass 2 budget-limited, no pass 3
     # (each pass searches the <1> block, then the whole target)
     assert [(b, done) for b, _, done in calls] == [(1, True)] * 2 + [(2, True), (2, False)]
     assert sum(nodes for b, nodes, _ in calls if b == 1) == pass1
     assert out.reason == "node budget exhausted"
+
+
+def _eager_kernel(kernel):
+    """The kernel as the driver used it before it searched below each column
+    as the kernel found it: a call enumerates its whole box within its
+    budget, and only then hands its results to on_result in turn, each
+    with what the call and the nested calls before it left of the budget.
+    A call given less than nothing (its parent spent the budget) visits no
+    node and stops, as the eager driver made no deeper call then."""
+
+    def eager(n, plan, bound, max_results, max_nodes, norm=False, rows=(), on_result=None):
+        if max_nodes < 0:
+            return [], 0, False
+        results, nodes, done = kernel(n, plan, bound, max_results, max_nodes, norm, rows=rows)
+        left = max_nodes - nodes
+        for vec in results:
+            stop, used = on_result(vec, left)
+            left -= used
+            if stop:
+                return results, nodes, False
+        return results, nodes, done
+
+    return eager
+
+
+def _seeded_queries(rng, count):
+    """`count` seeded metabolic, isometry and embedding queries over the
+    criterion-10 parameters, forms of rank <= 4 (half of them orthogonal
+    sums), as functions of the node budget."""
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+    ]
+    for i in range(count):
+        p = params[i % len(params)]
+        f = random_nonsingular_form(rng, p, max_rank=3)
+        if i % 2:
+            f = qf.direct_sum(f, random_nonsingular_form(rng, p, max_rank=1))
+        kind = i % 3
+        if kind == 0:
+            yield lambda budget, f=f: qf.metabolic_search(f, bound=2, node_budget=budget)
+        elif kind == 1:
+            g = qf.pullback(f, random_unimodular(rng, f.rank, ops=5))
+            yield lambda budget, f=f, g=g: qf.isometry_search(f, g, bound=2, node_budget=budget)
+        else:
+            q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
+            eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
+            yield lambda budget, f=f, eta=eta: qf.embedding_search(eta, f, bound=2, node_budget=budget)
+
+
+def test_lazy_descent_keeps_every_eager_answer(monkeypatch):
+    """The driver against the same driver over `_eager_kernel`, on 300
+    seeded queries at budgets 50, 200, 2000 and 10**6.  The visiting order
+    is the same, and a nested call gets every node not yet spent, so: every
+    eager witness is found, the same tuple, with no more nodes; the only
+    status change is "unknown" on the budget to "found"; every "no" keeps
+    its reason, and every complete search ("no" or nothing in the box) its
+    node total."""
+    from qwitt import search
+
+    lazy_kernel, eager_kernel = search.search_vectors, _eager_kernel(search.search_vectors)
+    moved = {}
+    for query in _seeded_queries(random.Random(4201), 300):
+        for budget in (50, 200, 2000, 10**6):
+            monkeypatch.setattr(search, "search_vectors", eager_kernel)
+            eager = query(budget)
+            monkeypatch.setattr(search, "search_vectors", lazy_kernel)
+            lazy = query(budget)
+            if eager.found:
+                assert (lazy.status, lazy.witness) == ("found", eager.witness)
+                assert lazy.nodes <= eager.nodes
+            elif eager.reason == qf.BUDGET_EXHAUSTED:
+                assert lazy.found or lazy.reason == qf.BUDGET_EXHAUSTED
+                assert lazy.nodes <= budget + 1
+            else:
+                assert (lazy.status, lazy.reason, lazy.nodes) == (eager.status, eager.reason, eager.nodes)
+            key = (eager.status, lazy.status)
+            moved[key] = moved.get(key, 0) + 1
+    # every kind of outcome is met, and some budget-limited ones are found
+    assert {("found", "found"), ("no", "no"), ("unknown", "unknown"), ("unknown", "found")} <= set(moved), moved
+    assert moved[("found", "found")] >= 300 and moved[("unknown", "found")] >= 10, moved
+
+
+def test_leaf_calls_are_at_most_the_nodes():
+    """Every tuple that reaches `leaf` is a distinct result of a kernel call
+    at the last depth, each found at a node of its own, so a search makes
+    at most as many leaf calls as it visits nodes: here with a leaf that
+    takes nothing, so that every search runs its box or its budget out."""
+    rng = random.Random(4211)
+    calls = searches = 0
+    for query in range(120):
+        p = (QP, QM, split_sum(QP, FinAbGroup((2,))))[query % 3]
+        target = random_nonsingular_form(rng, p, max_rank=3)
+        if query % 2:
+            target = qf.direct_sum(target, target)
+        k = rng.randint(1, min(3, target.rank))
+        source = qf.pullback(target, [[rng.randint(-1, 1) for _ in range(k)] for _ in range(target.rank)])
+        seen = 0
+
+        def leaf(cols):
+            nonlocal seen
+            seen += 1
+            return None
+
+        for budget in (100, 5000):
+            seen = 0
+            out = qf._column_search(
+                target, source.lambda_matrix, source.mu_basis, 2, budget, leaf, "nothing"
+            )
+            assert out.status == "unknown" and seen <= out.nodes, (query, seen, out)
+            calls += seen
+            searches += seen > 0
+    assert searches >= 100 and calls >= 1000, (searches, calls)
+
+
+def _unit_diagonal(rank):
+    """<1> + ... + <1> over Q^+: its embeddings into a larger one are the
+    signed coordinate vectors, so a search finds each column in a few nodes
+    and nests one kernel call per column."""
+    one = QP.carrier.element((1,))
+    return qf.QForm(QP, _intmat.identity(rank), [one] * rank)
+
+
+def _frames():
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_deep_nesting_stops_at_the_depth_limit(monkeypatch):
+    """A search nests one kernel call per column chosen, a few frames each
+    and not one per coordinate: a lagrangian of H^128 over Q^+ (rank 256)
+    ends on the budget, and <1>^40 is found in <1>^41, 40 calls deep.  With
+    the recursion limit 100 frames above the frames in use, that search
+    stops at the depth limit instead: "unknown" with STACK_EXHAUSTED, no
+    RecursionError, and the nodes of the calls that returned within the
+    budget."""
+    out = qf.metabolic_search(qf.hyperbolic(QP, 128), bound=3, node_budget=2000, use_obstructions=False)
+    assert (out.status, out.reason, out.nodes) == ("unknown", qf.BUDGET_EXHAUSTED, 2001)
+    eta, target = _unit_diagonal(40), _unit_diagonal(41)
+    calls = _record_kernel_calls(monkeypatch)
+    out = qf.embedding_search(eta, target, bound=1, node_budget=10**6)
+    assert out.found and qf.pullback(target, out.witness) == eta
+    _assert_budget_kept(calls, out, 10**6)
+    # one call per column, each nested in the one before
+    assert len(calls) == 40 and all(call.ended == 40 for call in calls)
+    calls.clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 100)
+    try:
+        out = qf.embedding_search(eta, target, bound=1, node_budget=10**6)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (out.status, out.reason) == ("unknown", qf.STACK_EXHAUSTED)
+    assert 0 < len(calls) < 40
+    returned = [call for call in calls if call is not None]  # the rest were cut short
+    assert out.nodes == sum(nodes for _, nodes, _ in returned) <= 10**6 + 1
 
 
 def _a2():
@@ -1000,8 +1188,8 @@ def test_set_up_count_is_pinned(monkeypatch):
     source = qf.pullback(f2, [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 1, 0, 1]])
     eta = qf.pullback(_a2(), [[2, 0], [1, 1]])
     for run, want in (
-        (lambda: qf.isometry_search(source, f2, bound=3), (531, 17, 5)),
-        (lambda: qf.embedding_search(eta, qf.direct_sum(f2, _a2()), bound=3), (10877, 76, 6)),
+        (lambda: qf.isometry_search(source, f2, bound=3), (198, 17, 5)),
+        (lambda: qf.embedding_search(eta, qf.direct_sum(f2, _a2()), bound=3), (10850, 76, 6)),
     ):
         setups = 0
         calls.clear()
@@ -1019,8 +1207,8 @@ def test_search_takes_each_distinct_block_first(monkeypatch):
     out = qf.embedding_search(eta, target, bound=3)
     assert out.witness == ((-2,), (-1,), (0,), (0,))
     # box 1: the one distinct block (not both copies), then the whole
-    # target; box 2: the block holds the witness
-    assert [(c.n, c[0], c[2]) for c in calls] == [(2, 1, True), (4, 1, True), (2, 2, True)]
+    # target; box 2: the block holds the witness, and its call stops there
+    assert [(c.n, c[0], c[2]) for c in calls] == [(2, 1, True), (4, 1, True), (2, 2, False)]
     assert out.nodes == sum(nodes for _, nodes, _ in calls)
     # a budget that runs out in the block pass of box 2: no call follows
     box1 = sum(nodes for b, nodes, _ in calls if b == 1)
@@ -1079,7 +1267,7 @@ def test_passes_skip_the_boxes_the_root_rejects(monkeypatch):
     # 25 = 16 + 9: box 4 is the least that holds a witness and the least the
     # root admits (2 * 3^2 < 25); the block <1> needs box 5
     out = query(25)
-    assert (out.witness, out.nodes) == (((-4,), (-3,)), 45)
+    assert (out.witness, out.nodes) == (((-4,), (-3,)), 3)
     assert [(c.n, c[0]) for c in calls] == [(1, 1), (2, 1), (1, 4), (2, 4)]
     # every box after the first rejected within the bound: no further pass
     out = query(10**8, bound=1000)
@@ -1459,7 +1647,9 @@ def _pinned_queries():
 # the target's orthogonal blocks first: each witness now lies in one block;
 # rows 8, 20 and 26 ("no embedding ... within the bound" then) re-recorded
 # when embedding_search began to certify "no" by inertia and, at equal
-# ranks, by the Witt class
+# ranks, by the Witt class; rows 14 and 37 ("node budget exhausted"
+# then) re-recorded when the driver began to search below each column as
+# the kernel finds it, so that a nested call gets every node not yet spent
 PINNED = [
     ('no', 'odd rank', None),
     ('found', '', ((-1, -1), (0, 1))),
@@ -1475,7 +1665,7 @@ PINNED = [
     ('found', '', ((-1, -1), (0, 1), (-1, -1), (0, -1))),
     ('found', '', ((0, 1, 0, 0), (1, -1, -1, 0))),
     ('found', '', ((-1, 0, 0, 1), (-1, 1, -1, -1), (0, 0, -1, -1), (0, 1, -1, -1))),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-1, -1), (-1, -1), (-1, 0), (0, 0))),
     ('no', 'odd rank', None),
     ('found', '', ((-1, -1), (0, 1))),
     ('found', '', ((-1, 0), (0, -1), (0, -1), (0, 0))),
@@ -1498,7 +1688,7 @@ PINNED = [
     ('unknown', 'node budget exhausted', None),
     ('found', '', ((-1, 1), (0, -1), (0, -1), (0, 0))),
     ('found', '', ((0, 0, 0, 1), (1, -1, 0, -1))),
-    ('unknown', 'node budget exhausted', None),
+    ('found', '', ((-1, -1, 0), (0, -2, 1), (-1, 0, -1))),
     ('found', '', ((-1, 0), (0, 0), (-1, -1), (0, 0))),
     ('found', '', ((0, 0, 1, 0), (1, 0, -1, 1))),
     ('found', '', ((-1, -1), (0, 1))),

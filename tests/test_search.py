@@ -368,21 +368,71 @@ def test_replay_matches_the_walk():
     assert split_cases >= 180 and brute_checked >= 150
 
 
+def test_on_result_sees_each_result_as_the_walk_finds_it():
+    """With on_result, a call hands over each result with what is left of
+    its budget, and counts what on_result used against that budget.
+    Returning (False, 0) changes nothing: the same results, in the same
+    order, and the same (results, nodes, exhausted).  With used > 0 and a
+    stop, a search with splits (replayed subtrees) sees the same results
+    with the same remaining budgets, and returns the same, as the search
+    with every subtree walked; the call's own nodes and every used add up
+    to at most max_nodes + 1, or one more when a used passed the budget
+    (the call then stops at its next node)."""
+    rng = random.Random(67)
+    stopped = replayed = 0
+    for i in range(200):
+        n, cons, rows = block_diagonal_case(rng)
+        b = rng.randint(0, 2 if n <= 5 else 1)
+        norm = i % 2 == 0
+        split, walk = Plan(n, cons), Plan(n, cons + [coupling(n)])
+        full = search_vectors(n, walk, b, 10**6, 10**7, norm, rows=rows)
+        seen = []
+        out = search_vectors(n, split, b, 10**6, 10**7, norm, rows=rows,
+                             on_result=lambda vec, remaining: (seen.append(vec), (False, 0))[1])
+        assert out == full and seen == full[0]
+        budget = rng.randint(0, full[1] + 5)
+        stop_at, over_at = rng.randint(1, len(full[0]) + 1), rng.randint(1, len(full[0]) + 1)
+        runs = []
+        for plan in (split, walk):
+            handed = []
+
+            def take(vec, remaining):
+                # a nested search of up to 3 nodes within what is left, and
+                # at one result one that runs one node past it
+                used = remaining + 1 if len(handed) + 1 == over_at else min(sum(map(abs, vec)) % 4, remaining)
+                handed.append((vec, remaining, used))
+                return len(handed) == stop_at, used
+
+            out = search_vectors(n, plan, b, 10**6, budget, norm, rows=rows, on_result=take)
+            assert all(remaining >= 0 for _, remaining, _ in handed)
+            assert out[0] == [vec for vec, _, _ in handed]
+            # past the budget, the call visits one node more and stops
+            over = any(used > remaining for _, remaining, used in handed)
+            assert out[1] + sum(used for _, _, used in handed) <= budget + 1 + over
+            runs.append((out, handed))
+        assert runs[0] == runs[1], i
+        stopped += not runs[0][0][2]
+        replayed += bool(split.setup(b) and split.setup(b)[5])
+    assert stopped >= 100 and replayed >= 100, (stopped, replayed)
+
 def _inner_calls(call):
-    """call()'s result and the number of calls into the kernel's inner
-    functions (the walk and the replay) while it ran."""
-    count = 0
+    """call()'s result and the number of frames of the kernel's inner
+    functions (the walk and the replay) entered while it ran.  They are
+    generators, and the profiler sees a "call" each time one resumes, so the
+    frames are counted, not the events; holding them keeps each one's id
+    its own."""
+    frames = set()
 
     def profile(frame, event, arg):
-        nonlocal count
         if event == "call" and frame.f_code.co_name in ("rec", "replay"):
-            count += frame.f_code.co_filename == search_vectors.__code__.co_filename
+            if frame.f_code.co_filename == search_vectors.__code__.co_filename:
+                frames.add(frame)
     sys.setprofile(profile)
     try:
         out = call()
     finally:
         sys.setprofile(None)
-    return out, count
+    return out, len(frames)
 
 
 def test_replay_skips_repeated_subtrees():

@@ -586,6 +586,40 @@ def test_sigma_subgroup_examples():
         assert s.group.canonical_orders() == (2 ** (k - 1), 0)
 
 
+def test_sigma_subgroup_takes_no_zero_kernel_generator():
+    """Sigma(v) takes the non-zero generators of Ker(v) only: a basis
+    vector of the kernel of [v | relations] can reduce to 0 in A, and its
+    translate and brackets would be zero generators.  Over every map v to
+    Z2 from a few groups, psi has one translate per non-zero generator and
+    one bracket per pair, and the subgroup equals the one that the whole
+    `kernel_generators` list gives."""
+    from itertools import product
+
+    from qwitt.abelian import kernel_generators, subgroup_equal
+    from qwitt.formparam import SliceHom
+
+    dropped = 0
+    for orders in ((2,), (4,), (0,), (2, 2), (2, 4), (4, 4), (0, 2), (8, 2), (3, 4), (2, 6), (2, 2, 2), (0, 4, 2)):
+        a = FinAbGroup(orders)
+        for images in product((0, 1), repeat=len(orders)):
+            if not any(images) or any(n % 2 and i for n, i in zip(orders, images)):
+                continue  # the zero map, or one that is not well defined
+            v = SliceHom(AbHom(a, Z2, [list(images)]))
+            s = witt.sigma_subgroup(v)
+            full = kernel_generators(v.v)
+            kgens = [k for k in full if not k.is_zero]
+            dropped += len(full) - len(kgens)
+            n = len(kgens)
+            assert len(s.psi) == n + n * (n + 1) // 2
+            pres, one = s.pres, s.pres.q.carrier.element((1,))
+            x0 = a.gen(images.index(1))
+            psi = [pres.simple(x0 + k, one) - s.base for k in full]
+            psi += [pres.bracket(k1, k2, 1) for i, k1 in enumerate(full) for k2 in full[i:]]
+            pairs = [(8, pres.group.zero()), (1, s.base)] + [(0, w) for w in psi]
+            want = [s.ambient.element((m,) + t.coords) for m, t in pairs]
+            assert subgroup_equal(s.ambient, s.generators, want), (orders, images)
+    assert dropped > 0
+
 def test_lambda_quotient_examples():
     lq = witt.lambda_quotient(quasi_wu(QM))
     assert subgroup(lq.ambient, lq.k_generators)[0].canonical_orders() == (2,)
