@@ -159,12 +159,12 @@ class SearchOutcome:
     root rules admit; see `_column_search`), within a pass over the
     target's distinct orthogonal blocks, searched before the whole target,
     and over the calls nested for each column.  The calls share the node
-    budget, and no kernel call is made after it is spent, so it is at most
-    node_budget + 1, and "node budget exhausted" is the reason when a call
-    stopped on it (a search stopped at `_column_search`'s depth limit
-    leaves out the calls that the overflow cut short).  A witness comes from the first pass that finds one, so
-    no box of a smaller bound holds a witness; one found in a block is zero
-    outside it.
+    budget: a search stopped on it exactly when nodes > node_budget, and
+    then nodes == node_budget + 1 and the reason is "node budget
+    exhausted" (a search stopped at `_column_search`'s depth limit leaves
+    out the calls that the overflow cut short).  A witness comes from the
+    first pass that finds one, so no box of a smaller bound holds a witness;
+    one found in a block is zero outside it.
     """
 
     status: str  # "found" | "no" | "unknown"
@@ -379,14 +379,21 @@ def lagrangian_verify(f: QForm, basis: Sequence[Sequence[int]]) -> bool:
 def _mu_constraints(
     f: QForm, target: GroupElement
 ) -> List[Tuple[List[List[int]], List[int], int, int]]:
-    """Quadratic congruences expressing mu(x) == target, doubled to clear
-    the binomial denominators."""
-    q = f.parameter
+    """The kernel's rows for mu(x) == target, one per coordinate c of the
+    carrier, doubled to clear the binomial denominators; f's parameter is
+    to be split (the target of a maximal splitting, as `Q^+` is).  Row 0's
+    quadratic part is p(1)_0 lambda(x, x).  Over a symmetric split
+    parameter h_0 p(1)_0 = 2 and h = h_0 e_0, so row 0 states lambda(x, x)
+    = h(target); over an alternating one h = 0 and p(1)_c = 0 for c >= 1.
+    Either way every later row c is linear: its p(1)_c lambda(x, x) is the
+    constant p(1)_c h(target)."""
+    q, m, n = f.parameter, f.lambda_matrix, f.rank
     out = []
-    m = f.lambda_matrix
-    n = f.rank
-    for cidx in range(q.carrier.ngens):
-        pc = q.p_one.coords[cidx]
+    for c, (pc, order) in enumerate(zip(q.p_one.coords, q.carrier.orders)):
+        l = [2 * f.mu_basis[i].coords[c] - pc * m[i][i] for i in range(n)]
+        if c:
+            out.append(((), l, pc * q.h_of(target) - 2 * target.coords[c], 2 * order))
+            continue
         # x^t A x must equal sum_i M_ii x_i^2 + 2 sum_{i<j} M_ij x_i x_j,
         # so build the upper triangle explicitly (x^t M x itself vanishes
         # for anti-symmetric M and would drop the cross terms)
@@ -395,12 +402,7 @@ def _mu_constraints(
             a[i][i] = pc * m[i][i]
             for j in range(i + 1, n):
                 a[i][j] = 2 * pc * m[i][j]
-        l = [
-            2 * f.mu_basis[i].coords[cidx] - pc * m[i][i] for i in range(n)
-        ]
-        const = -2 * target.coords[cidx]
-        modulus = q.carrier.orders[cidx]
-        out.append((a, l, const, 2 * modulus if modulus else 0))
+        out.append((a, l, -2 * target.coords[c], 2 * order))
     return out
 
 
@@ -417,20 +419,14 @@ def _column_constraints(
     """Each depth's constraint mu(x) = mus[d] as a `search.Plan`, and "" or
     the certificate that a depth has no integer column at any bound: a row
     that `search.unsolvable` rejects.  Depths with equal mus[d] share a plan.
-    Its rows are mu's, one per coordinate e_c of the parameter's maximal
-    splitting, and row c's quadratic part is p(1)_c lambda(x, x).  There
-    h_0 p(1)_0 = 2 and h = h_0 e_0 over a symmetric parameter, so row 0
-    states lambda(x, x) = h(mus[d]); over an alternating one h = 0 and
-    p(1)_c = 0 for c >= 1.  Either way every later row is linear, with the
-    constant p(1)_c h(mus[d]) added to its value."""
+    Its rows are `_mu_constraints` of the target pushed to its parameter's
+    maximal splitting."""
     iso = maximal_splitting(target.parameter).iso
-    split, q = pushforward(target, iso), iso.target
+    split = pushforward(target, iso)
     fixed, built = [], {}
     for d, mu in enumerate(mus):
         if mu.coords not in built:
             rows = _mu_constraints(split, iso(mu))
-            rows[1:] = [((), l, c + pc * q.h_of(iso(mu)), m)
-                        for (_, l, c, m), pc in zip(rows[1:], q.p_one.coords[1:])]
             if any(search.unsolvable(c) for c in rows):
                 return [], f"column {d}: mu(x) = {mu} has no integer solution"
             built[mu.coords] = search.Plan(target.rank, rows)
@@ -565,20 +561,20 @@ def _column_search(
     verdict is "no" at 0 nodes, its reason naming the depth and mus[d].
 
     Budget rule: the passes, blocks and nested calls included, share one
-    node count.  Each kernel call gets what is left of `node_budget` when it
-    starts: a nested call gets what its parent call has left after its own
-    nodes and those of the nested calls before it (`search.search_vectors`'s
-    on_result), and the parent counts what the nested call used against its
-    own limit.  Once a call stops on the budget, every call it is nested in
-    stops too, and no further call is made, in that pass or a later one;
-    each vector found before the stop has reached `leaf` or its own nested
-    call.  So the node count, the sum of every call's own nodes, stays at
-    most node_budget + 1.  A negative bound or node_budget is refused with
+    node count, the sum of every call's own nodes.  Each kernel call gets
+    what is left of `node_budget` when it starts: a nested call gets what
+    its parent has left (`search.search_vectors`'s on_result), and the
+    parent counts what it used against its own limit, so a nested call
+    that passes the budget ends every call it is nested in, and no further
+    call is made, in that pass or a later one; each vector found before the
+    stop has reached `leaf` or its own nested call.  So a search stopped on
+    the budget exactly when the node count is over node_budget, and it is
+    then node_budget + 1.  A negative bound or node_budget is refused with
     ValueError.
 
-    Otherwise the verdict is "unknown", with the reason "no `what` within
-    the bound" when every call ran to the end, else "node budget
-    exhausted" (or STACK_EXHAUSTED, at the depth limit).
+    Otherwise the verdict is "unknown", with the reason "node budget
+    exhausted" when the node count is over node_budget (STACK_EXHAUSTED at
+    the depth limit), else "no `what` within the bound".
     """
     if bound < 0:
         raise ValueError(f"search bound {bound} is negative")
@@ -613,14 +609,13 @@ def _column_search(
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
-    exhausted = True
     witness = None
 
     def column(plan, depth: int, box: int, budget: int) -> int:
         # searches column `depth` within `budget` nodes, and each tuple below
         # every vector the kernel finds as it finds it; returns the nodes
         # that this call and its nested ones used
-        nonlocal nodes, exhausted
+        nonlocal nodes
         idx, mt, depth_plans = plan
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, [cols[-1][i] for i in idx])]
@@ -642,16 +637,14 @@ def _column_search(
             else:
                 used = column(plan, depth + 1, box, remaining)
             cols.pop()
-            return witness is not None or not exhausted, used
+            return witness is not None, used
 
         before = nodes
-        _, own, done = search.search_vectors(
+        _, own, _ = search.search_vectors(
             len(idx), depth_plans[depth], box, 1 << 30, budget, cut,
             rows=[(row, -lam[j][depth]) for j, row in enumerate(rows)], on_result=extend,
         )
         nodes += own
-        if not done and witness is None:
-            exhausted = False  # stopped on the budget, its own or a nested call's
         return nodes - before
 
     def boxes():
@@ -673,17 +666,19 @@ def _column_search(
                 column(plan, 0, box, node_budget - nodes)
             else:
                 witness = leaf(cols)
-            if witness is not None or not exhausted:
+            if witness is not None or nodes > node_budget:
                 break
     except RecursionError:  # the depth limit: stop as on the budget
-        deep, exhausted = True, False
+        deep = True
     column = None  # break the closure's cycle: its lists go now, not at a gc
     if witness is not None:
         return SearchOutcome("found", witness=witness, bound=bound, nodes=nodes)
-    if exhausted:
-        reason = f"no {what} within the bound"
+    if deep:
+        reason = STACK_EXHAUSTED
+    elif nodes > node_budget:
+        reason = BUDGET_EXHAUSTED
     else:
-        reason = STACK_EXHAUSTED if deep else BUDGET_EXHAUSTED
+        reason = f"no {what} within the bound"
     return SearchOutcome("unknown", reason=reason, bound=bound, nodes=nodes)
 
 

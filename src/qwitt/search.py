@@ -13,15 +13,17 @@ returns a prefix of the full results.
 All arithmetic is on Python integers, so it is exact at any coefficient
 size.
 
-A caller can take the results one at a time, as they are found: the walk
-is a generator that yields each result, and `search_vectors` hands it to
-the caller's on_result before resuming the walk.  The search driver
-searches the next column there, with a kernel call of its own, so the
-tuples of columns are visited depth-first without enumerating a whole box
-first.  The nodes such work used count against the call's node budget, so
-a call and the calls nested in it share one budget.  While on_result runs
-the walk's frames are suspended, not on the stack: a nested call costs a
-few frames, not one per coordinate.
+The walk and the bookkeeping are apart.  The walkers are generators that
+only walk: they yield each result as they find it and stop at the first
+node past the call's limit.  One loop in `search_vectors` keeps the
+results, stops at max_results and hands each result to the caller's
+on_result before it resumes the walk.  The search driver searches the
+next column there, with a kernel call of its own, so the tuples of
+columns are visited depth-first without enumerating a whole box first.
+The nodes such work used lower the limit, so a call and the calls nested
+in it share one budget, and a call whose nested work passed it stops at
+once.  While on_result runs the walk's frames are suspended, not on the
+stack: a nested call costs a few frames, not one per coordinate.
 
 Once x_0 .. x_{d-1} are set, what is left of a constraint is a polynomial
 in the open coordinates x_d .. x_{n-1}: the purely open quadratic part
@@ -57,13 +59,12 @@ table of them.  A subtree that runs to the end is recorded: its suffixes,
 the node offset at which each was found, and its node total.  When the key
 comes again the subtree is replayed, not walked: its suffixes go after the
 current prefix, each yielded at its recorded node offset, and its nodes
-are added, stopping at max_results or at the node budget exactly where the
-walk would.  A node keeps its meaning, one value tried for one coordinate,
-whether it is walked or replayed, so replaying changes no result and no
-node count.  The
-subtree of the last coordinate is one loop, cheaper walked than looked up,
-so only splits before it are kept; a call whose constraints have none
-records nothing.
+are added, stopping at the limit exactly where the walk would.  A node
+keeps its meaning, one value tried for one coordinate, whether it is
+walked or replayed, so replaying changes no result and no node count.
+The subtree of the last coordinate is one loop, cheaper walked than
+looked up, so only splits before it are kept; a call whose constraints
+have none records nothing.
 
 At the root the gcd rule does not depend on the bound: a constraint that
 `unsolvable` rejects has no integer solution at all, and the search costs
@@ -239,76 +240,49 @@ def search_vectors(
     list.  Each of `rows` is an exact linear constraint (l, c), a call's own
     pair row: searching them is searching the plan's constraints followed by
     ((), l, c, 0) for each row.  Returns (results, nodes_visited,
-    exhausted); exhausted is False when the search stopped early on
-    max_results or max_nodes.  A node is one value tried for one
-    coordinate, counted whether its subtree is walked or replayed from the
-    table of a split (see the module docstring): a call stopped by
-    max_nodes has visited max_nodes + 1 nodes, one stopped by max_results
-    has visited the nodes up to the last result's, and every result and
-    node count is the one walking every subtree gives.
+    exhausted).  A node is one value tried for one coordinate, counted
+    whether its subtree is walked or replayed from the table of a split
+    (see the module docstring), so every result and node count is the one
+    walking every subtree gives; a rank-0 call visits one node, the empty
+    vector.
 
     With `on_result`, each result is handed to on_result(vec, remaining) as
     soon as it is found, before the walk goes on; remaining is what is left
-    of max_nodes.  It returns (stop, used): stop ends the call (exhausted
-    is then False), and used, the nodes that its own searches took, counts
-    against max_nodes from then on, so that a call stops once its own nodes
-    and every used add up to more than max_nodes.  nodes_visited is still
-    the call's own nodes.
+    of max_nodes.  It returns (stop, used): stop ends the call, and used,
+    the nodes that its own searches took, counts against max_nodes from
+    then on.  nodes_visited is still the call's own nodes.
+
+    The call stops at the first node at which its own nodes and every used
+    add up to more than max_nodes, having visited max_nodes + 1 less every
+    used; at once when a used brings them there; on stop; or at the result
+    that reaches max_results, having visited the nodes up to its node.
+    exhausted is True exactly when it was stopped by neither stop nor
+    max_results and its nodes and every used add up to at most max_nodes.
     """
     if not isinstance(plan, Plan):
         plan = Plan(n, plan)
-    if n == 0:
-        ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in plan.constraints)
-        ok = ok and all(c == 0 for _, c in rows)
-        if ok and on_result is not None and on_result((), max_nodes - 1)[0]:
-            return [()], 1, False
-        return ([()] if ok else []), 1, True
-
-    steps = plan.setup(bound)
-    if steps is None:
-        return [], 0, True
-    lin_steps, quad_steps, lin_values, quad_values, coefs, splits = steps
-    if rows:
-        # each row is an exact linear constraint: its steps go after the
-        # plan's own, in copies of the plan's lists
-        lin_steps = [list(depth) for depth in lin_steps]
-        for l, c in rows:
-            g, t = _add_linear(n, l, 0, bound, lin_steps)
-            if _gcd_rejects(c, g) or c > t or c < -t:
-                return [], 0, True
-        lin_values = lin_values + [c for _, c in rows]
-
-    results: List[Tuple[int, ...]] = []
-    found_at: List[int] = []  # the node count at which each result was found
     x = [0] * n
     nodes = 0
     # the last node within the budget: max_nodes less every used so far
     limit = max_nodes
-    exhausted = True
-    last = n - 1
-    # at the last coordinate the open part is empty: g == m, and the rule
-    # is the constraint itself
-    lin_last = [(ld, g) for ld, g, _, _ in lin_steps[last]]
-    quad_last = [(sdd, g) for sdd, _, g, _, _, _ in quad_steps[last]]
     # {(split depth, key): (nodes, [(node offset, suffix), ...])} of each
-    # subtree below a split that ran to the end
+    # subtree below a split that ran to the end within the limit
     table = {}
 
-    # The walk and the replay are generators: each yields every result as
-    # it is appended, and returns False when the call stops early.  Between
-    # two results the loop below runs on_result with the walk suspended, so
-    # a search that on_result starts does not stack on the walk's frames.
+    # The walkers, rec and replay, are generators that only walk: each
+    # yields every result as it finds it and stops at the first node past
+    # the limit.  The loop below may lower the limit while a result is out,
+    # so after each result and each child they return once nodes > limit.
     def rec(d: int, lin: list, quad: list, coefs: list, lead: bool):
         # lead: x_0 .. x_{d-1} are all zero and the first non-zero coordinate
         # is to be positive
-        nonlocal nodes, exhausted
+        nonlocal nodes
         first = 0 if lead else -bound
         if d == last:
             for val in range(first, bound + 1):
                 nodes += 1
                 if nodes > limit:
-                    exhausted = False
-                    return False
+                    return
                 for (ld, m), v in zip(lin_last, lin):
                     v += ld * val
                     if v % m if m else v:
@@ -320,21 +294,16 @@ def search_vectors(
                             break
                     else:
                         x[d] = val
-                        vec = tuple(x)
-                        results.append(vec)
-                        found_at.append(nodes)
-                        yield vec
-                        if len(results) >= max_results:
-                            exhausted = False
-                            return False
-            return True
+                        yield tuple(x)
+                        if nodes > limit:
+                            return
+            return
         lin_step, quad_step = lin_steps[d], quad_steps[d]
         child = enter[d + 1]
         for val in range(first, bound + 1):
             nodes += 1
             if nodes > limit:
-                exhausted = False
-                return False
+                return
             x[d] = val
             child_lin, child_quad, child_coefs = [], [], []
             for (ld, g, t, exact), v in zip(lin_step, lin):
@@ -361,64 +330,82 @@ def search_vectors(
                     child_quad.append(v)
                     child_coefs.append(cs)
                 else:
-                    if not (yield from child(d + 1, child_lin, child_quad, child_coefs, lead and not val)):
-                        return False
-        return True
+                    yield from child(d + 1, child_lin, child_quad, child_coefs, lead and not val)
+                    if nodes > limit:
+                        return
 
     def replay(d: int, lin: list, quad: list, coefs: list, lead: bool):
         # a split: the open coefficients are the constants l_j, so the subtree
-        # depends on the key alone.  It is walked the first time; after that
-        # it is replayed, stopping where the walk would: at the result that
-        # reaches max_results, or at the first node past the limit.
-        nonlocal nodes, exhausted
+        # depends on the key alone.  It is walked the first time, and kept
+        # when it ran to the end within the limit; after that it is replayed,
+        # stopping where the walk would: at the first node past the limit.
+        nonlocal nodes
         key = (d, lead, *lin, *quad)
         known = table.get(key)
         start = nodes
         if known is None:
-            first_result = len(results)
-            if not (yield from rec(d, lin, quad, coefs, lead)):
-                return False
-            table[key] = (nodes - start, [
-                (found_at[i] - start, results[i][d:]) for i in range(first_result, len(results))
-            ])
-            return True
+            found = []
+            for vec in rec(d, lin, quad, coefs, lead):
+                found.append((nodes - start, vec[d:]))
+                yield vec
+            if nodes <= limit:
+                table[key] = (nodes - start, found)
+            return
         total, found = known
         prefix = tuple(x[:d])
         for offset, suffix in found:
-            at = start + offset
-            if at > limit:
+            if start + offset > limit:
                 break
-            nodes = at
-            vec = prefix + suffix
-            results.append(vec)
-            found_at.append(at)
-            yield vec
-            if len(results) >= max_results:
-                exhausted = False
-                return False
-        if start + total > limit:
-            # the walk goes on from the current node to the first past the
-            # limit (the next one, when a used has passed it already)
-            nodes = max(nodes, limit) + 1
-            exhausted = False
-            return False
-        nodes = start + total
-        return True
+            nodes = start + offset
+            yield prefix + suffix
+            if nodes > limit:
+                return
+        nodes = min(start + total, limit + 1)
 
-    # what searching x_d .. x_{n-1} is, per depth d
-    enter = [rec] * n
-    for d in splits:
-        enter[d] = replay
-    for vec in rec(0, lin_values, quad_values, coefs, normalize_first_positive):
-        if on_result is None:
-            continue
-        stop, used = on_result(vec, limit - nodes)
-        limit -= used
-        if stop:
-            exhausted = False
+    if n == 0:
+        # one node, the empty vector: a result when every constraint holds there
+        nodes = 1
+        ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in plan.constraints)
+        ok = ok and all(c == 0 for _, c in rows)
+        walk = iter([()] if ok and nodes <= limit else [])
+    else:
+        steps = plan.setup(bound)
+        if steps is None:
+            return [], 0, True
+        lin_steps, quad_steps, lin_values, quad_values, coefs, splits = steps
+        if rows:
+            # each row is an exact linear constraint: its steps go after the
+            # plan's own, in copies of the plan's lists
+            lin_steps = [list(depth) for depth in lin_steps]
+            for l, c in rows:
+                g, t = _add_linear(n, l, 0, bound, lin_steps)
+                if _gcd_rejects(c, g) or c > t or c < -t:
+                    return [], 0, True
+            lin_values = lin_values + [c for _, c in rows]
+        last = n - 1
+        # at the last coordinate the open part is empty: g == m, and the rule
+        # is the constraint itself
+        lin_last = [(ld, g) for ld, g, _, _ in lin_steps[last]]
+        quad_last = [(sdd, g) for sdd, _, g, _, _, _ in quad_steps[last]]
+        # what searching x_d .. x_{n-1} is, per depth d
+        enter = [rec] * n
+        for d in splits:
+            enter[d] = replay
+        walk = rec(0, lin_values, quad_values, coefs, normalize_first_positive)
+    # the one loop: it keeps the results, applies max_results and hands each
+    # result to on_result, whose used lowers the limit the walkers stop at
+    results: List[Tuple[int, ...]] = []
+    stopped = False
+    for vec in walk:
+        results.append(vec)
+        if on_result is not None:
+            stopped, used = on_result(vec, limit - nodes)
+            limit -= used
+        if stopped or len(results) >= max_results:
+            stopped = True
             break
     enter = None  # break the closures' cycle: their lists go now, not at a gc
-    return results, nodes, exhausted
+    return results, nodes, not stopped and nodes <= limit
 
 
 def available_backends():

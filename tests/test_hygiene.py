@@ -245,6 +245,39 @@ def test_driver_descends_as_the_kernel_finds():
     assert eager_kernel_uses((SRC / "qform.py").read_text(), "_column_search") == []
 
 
+def names_in(source: str, function: str):
+    """Every identifier that the definitions named `function`, nested ones
+    included, read, bind, import or take as an attribute."""
+    return {
+        name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == function
+        for name in names(ast.unparse(node))
+    }
+
+
+def test_names_in_detected():
+    src = (
+        "def search_vectors():\n    results = []\n"
+        "    def rec():\n        yield results.pop()\n"
+        "    def replay():\n        def inner():\n            exhausted = False\n"
+        "def rec():\n    return self.max_results\n"
+    )
+    assert {"results", "pop", "max_results"} <= names_in(src, "rec")
+    assert "exhausted" in names_in(src, "replay") and "results" not in names_in(src, "replay")
+
+
+def test_kernel_walkers_only_walk():
+    # the walkers yield each result and stop past the limit; the one loop
+    # in search_vectors keeps the results, applies max_results and says
+    # whether the call ran to the end, and the driver reads a stop on the
+    # budget off the node count
+    kernel = (SRC / "search.py").read_text()
+    for walker in ("rec", "replay"):
+        assert not names_in(kernel, walker) & {"results", "found_at", "exhausted", "max_results"}, walker
+    assert "exhausted" not in names_in((SRC / "qform.py").read_text(), "_column_search")
+
+
 def calls_to(source: str, name: str):
     """(line, enclosing top-level definition) of each call to `name`, bare
     or as an attribute (`search.name(...)`); "" for module level."""

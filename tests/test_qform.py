@@ -796,11 +796,13 @@ def _record_kernel_calls(monkeypatch) -> list:
 
 def _assert_budget_kept(calls, out, budget):
     """The budget rule under nesting: the calls' own nodes add up to
-    out.nodes, which is at most budget + 1, and no call starts after one
-    has stopped early (on the budget, its own or a nested call's, or on
-    the witness)."""
+    out.nodes, which is at most budget + 1 and over budget exactly when
+    the search stopped on it, and no call starts after one has stopped
+    early (on the budget, its own or a nested call's, or on the
+    witness)."""
     assert out.nodes == sum(nodes for _, nodes, _ in calls)
     assert out.nodes <= budget + 1
+    assert (out.reason == qf.BUDGET_EXHAUSTED) == (out.nodes > budget)
     for call in calls:
         if not call[2]:
             assert call.ended == len(calls), "kernel called after the budget ran out"
@@ -953,6 +955,8 @@ def test_lazy_descent_keeps_every_eager_answer(monkeypatch):
             eager = query(budget)
             monkeypatch.setattr(search, "search_vectors", lazy_kernel)
             lazy = query(budget)
+            # the one stop rule: stopped on the budget is past it
+            assert (lazy.reason == qf.BUDGET_EXHAUSTED) == (lazy.nodes > budget)
             if eager.found:
                 assert (lazy.status, lazy.witness) == ("found", eager.witness)
                 assert lazy.nodes <= eager.nodes
@@ -1142,6 +1146,49 @@ def test_lambda_square_row_prunes_nothing_more():
                 compared += 1
                 found += bool(out[0])
     assert compared >= 300 and found >= 100, (compared, found)
+
+
+def test_mu_rows_over_split_parameters():
+    """`_mu_constraints` directly.  Over `Q^+` its one row is p(1) times
+    the upper triangle of lambda with mu's linear part, the row that the
+    benchmark's isotropic8 case takes.  Over ZP + Z/2 and ZP_2 + Z/4, split
+    parameters with three carrier coordinates, only row 0 is quadratic;
+    the rows and the rows with lambda(x, x) = h(target) appended give the
+    kernel the same (results, nodes, exhausted), and a complete search
+    finds exactly the box vectors with mu(x) = target."""
+    from qwitt import search
+
+    def upper_triangle_row(f, t):
+        pc, m, n = QP.p_one.coords[0], f.lambda_matrix, f.rank
+        a = [[pc * m[i][j] * (2 - (i == j)) if i <= j else 0 for j in range(n)] for i in range(n)]
+        return a, [2 * f.mu_basis[i].coords[0] - pc * m[i][i] for i in range(n)], -2 * t.coords[0], 0
+
+    e = QP.carrier.element
+    diag = qf.QForm(QP, [[1, 0], [0, -1]], [e((1,)), e((-1,))])
+    f8 = qf.direct_sum(qf.hyperbolic(QP, 2), qf.direct_sum(diag, qf.hyperbolic(QP, 1)))
+    rng = random.Random(2809)
+    forms = [(f8, QP.carrier.zero())]
+    forms += [(random_nonsingular_form(rng, QP, max_rank=4), e((rng.randint(-3, 3),))) for _ in range(20)]
+    for f, t in forms:
+        assert qf._mu_constraints(f, t) == [upper_triangle_row(f, t)]
+    kernel = search.search_vectors
+    complete = 0
+    for p in (split_sum(standard("ZP"), FinAbGroup((2,))), split_sum(standard("ZP_2"), FinAbGroup((4,)))):
+        gens = p.carrier.gens()
+        for _ in range(25):
+            f = random_nonsingular_form(rng, p, max_rank=3)
+            t = rng.choice([p.carrier.zero(), p.p_one] + gens)
+            rows = qf._mu_constraints(f, t)
+            assert len(rows) == 3 and any(map(any, rows[0][0])) and [a for a, *_ in rows[1:]] == [(), ()]
+            square = rows + qf._lambda_square_constraint(f, p.h_of(t))
+            for box, first_positive in itertools.product((1, 2), (False, True)):
+                out = kernel(f.rank, rows, box, 10**6, 10**6, first_positive)
+                assert out == kernel(f.rank, square, box, 10**6, 10**6, first_positive)
+                if not first_positive:
+                    vecs = itertools.product(range(-box, box + 1), repeat=f.rank)
+                    assert out[0] == [x for x in vecs if qf.mu_eval(f, x) == t]
+                    complete += bool(out[0])
+    assert complete >= 20, complete
 
 
 def test_mu_root_certificates_are_sound():
@@ -1615,7 +1662,8 @@ def test_primitive_isotropic_keeps_bound_and_budget(monkeypatch):
 
 def _pinned_queries():
     """Seeded searches over the criterion-10 parameters, small bounds and
-    budgets: every outcome kind, including budget-limited ones."""
+    budgets, as (node budget, outcome): every outcome kind, including
+    budget-limited ones."""
     params = [
         QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
     ]
@@ -1626,14 +1674,14 @@ def _pinned_queries():
         budget = rng.choice([100, 1000, 20000])
         kind = i % 3
         if kind == 0:
-            yield qf.metabolic_search(f, bound=2, node_budget=budget)
+            yield budget, qf.metabolic_search(f, bound=2, node_budget=budget)
         elif kind == 1:
             g = qf.pullback(f, random_unimodular(rng, f.rank, ops=5))
-            yield qf.isometry_search(f, g, bound=2, node_budget=budget)
+            yield budget, qf.isometry_search(f, g, bound=2, node_budget=budget)
         else:
             q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
             eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
-            yield qf.embedding_search(eta, f, bound=2, node_budget=budget)
+            yield budget, qf.embedding_search(eta, f, bound=2, node_budget=budget)
 
 
 # (status, reason, witness) of each _pinned_queries() search, recorded with
@@ -1697,5 +1745,9 @@ PINNED = [
 
 
 def test_pinned_search_outcomes():
-    got = [(o.status, o.reason, o.witness) for o in _pinned_queries()]
-    assert got == PINNED
+    runs = list(_pinned_queries())
+    assert [(o.status, o.reason, o.witness) for _, o in runs] == PINNED
+    # the one stop rule: a search stopped on its budget is one whose node
+    # count passed it
+    for budget, o in runs:
+        assert (o.reason == qf.BUDGET_EXHAUSTED) == (o.nodes > budget) and o.nodes <= budget + 1

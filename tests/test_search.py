@@ -85,6 +85,27 @@ def test_zero_dimensional():
     assert search_vectors(0, [([], [], 4, 2)], 3, 10, 10, False)[0] == [()]
 
 
+def test_rank_zero_visits_its_node_against_the_budget():
+    """A rank-0 call visits one node, the empty vector, against its budget
+    as a call of any rank visits its nodes: at budget 0 it stops there, as
+    a rank-1 call does, with no result and no call of on_result; at budget
+    1 the empty vector is a result, handed over with 0 nodes left, and a
+    used past those ends the call as not exhausted."""
+    handed = []
+
+    def take(vec, remaining):
+        handed.append(remaining)
+        return False, 0
+
+    for n in (0, 1):
+        assert search_vectors(n, [], 3, 10, 0) == ([], 1, False)
+        assert search_vectors(n, [], 3, 10, 0, on_result=take) == ([], 1, False)
+    assert handed == []
+    assert search_vectors(0, [], 3, 10, 1, on_result=take) == ([()], 1, True)
+    assert handed == [0]
+    assert search_vectors(0, [], 3, 10, 1, on_result=lambda vec, remaining: (False, 1)) == ([()], 1, False)
+
+
 def mu_style_constraint(rng, n):
     """mu(x) == q over a cyclic carrier of order m, as the searches build it:
     doubled to clear the binomial denominators, so the modulus is 2m."""
@@ -247,11 +268,14 @@ def test_kernel_node_counts_are_pinned():
         cap = rng.choice([10**6, 10**6, 2])
         res, nodes, exhausted = search_vectors(n, cons, b, cap, budget, norm)
         got.append((len(res), nodes, exhausted))
+        # the one stop rule: stopped by neither max_results nor the budget
+        assert exhausted == (len(res) < cap and nodes <= budget)
     n, cons, rows = block_call_constraints()
     assert Plan(n, cons).setup(2)[5] == [2, 4]
     for cap, budget in BLOCK_CALLS:
         res, nodes, exhausted = search_vectors(n, Plan(n, cons), 2, cap, budget, rows=rows)
         got.append((len(res), nodes, exhausted))
+        assert exhausted == (len(res) < cap and nodes <= budget)
     assert got == KERNEL_PINNED
 
 
@@ -375,9 +399,10 @@ def test_on_result_sees_each_result_as_the_walk_finds_it():
     order, and the same (results, nodes, exhausted).  With used > 0 and a
     stop, a search with splits (replayed subtrees) sees the same results
     with the same remaining budgets, and returns the same, as the search
-    with every subtree walked; the call's own nodes and every used add up
-    to at most max_nodes + 1, or one more when a used passed the budget
-    (the call then stops at its next node)."""
+    with every subtree walked.  A used that passes the budget stops the
+    call at once, so the call's own nodes and every used add up to at most
+    max_nodes + 1, and the call is exhausted exactly when it was not
+    stopped and they add up to at most max_nodes."""
     rng = random.Random(67)
     stopped = replayed = 0
     for i in range(200):
@@ -406,9 +431,9 @@ def test_on_result_sees_each_result_as_the_walk_finds_it():
             out = search_vectors(n, plan, b, 10**6, budget, norm, rows=rows, on_result=take)
             assert all(remaining >= 0 for _, remaining, _ in handed)
             assert out[0] == [vec for vec, _, _ in handed]
-            # past the budget, the call visits one node more and stops
-            over = any(used > remaining for _, remaining, used in handed)
-            assert out[1] + sum(used for _, _, used in handed) <= budget + 1 + over
+            spent = out[1] + sum(used for _, _, used in handed)
+            assert spent <= budget + 1
+            assert out[2] == (len(handed) != stop_at and spent <= budget)
             runs.append((out, handed))
         assert runs[0] == runs[1], i
         stopped += not runs[0][0][2]
