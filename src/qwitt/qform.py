@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat, search
@@ -262,7 +263,14 @@ def is_full(f: QForm) -> bool:
 
 def inertia(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
     """(n+, n-) of a symmetric integer matrix: the numbers of positive and
-    negative squares of a diagonal form congruent to it over Q.
+    negative squares of a diagonal form congruent to it over Q (see
+    `_det_and_inertia`)."""
+    return _det_and_inertia(mat)[1]
+
+
+def _det_and_inertia(mat: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, int]]:
+    """The determinant and the inertia (n+, n-) of a symmetric integer
+    matrix, from one elimination.
 
     Fraction-free symmetric (Bareiss) elimination: after each pivot the
     remaining block is `prev` times the Schur complement, `prev` being the
@@ -270,42 +278,46 @@ def inertia(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
     when d and `prev` have the same sign.  A remaining block with a zero
     diagonal and a non-zero a_ij first takes the congruence e_i -> e_i +
     e_j, which makes a_ii = 2 a_ij.  An all-zero block ends the
-    elimination: its rank is the nullity.
+    elimination: its rank is the nullity, and the determinant is 0.
+    Otherwise the last pivot is the determinant: each entry of the block
+    is a minor of a matrix congruent to `mat` by a unimodular map, or by a
+    permutation of the basis, neither of which changes the determinant.
     """
-    a = [[int(x) for x in row] for row in mat]
+    a = [list(map(int, row)) for row in mat]
     n = len(a)
-    if any(len(row) != n for row in a) or any(
-        a[i][j] != a[j][i] for i in range(n) for j in range(i)
-    ):
+    if any(len(row) != n for row in a) or a != list(map(list, zip(*a))):
         raise ValueError("inertia needs a symmetric matrix")
     pos = neg = 0
     prev = 1
     while a:
-        p = next((i for i, row in enumerate(a) if row[i]), None)
-        if p is None:
+        last = len(a) - 1
+        for p in range(last + 1):
+            if a[p][p]:
+                break
+        else:
             i, j = next(
                 ((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x),
                 (None, None),
             )
             if i is None:
-                break
+                return 0, (pos, neg)
             for row in a:
                 row[i] += row[j]
             a[i] = [x + y for x, y in zip(a[i], a[j])]
             p = i
-        d = a[p][p]
+        if p != last:  # move the pivot last: a symmetric permutation
+            a[p], a[last] = a[last], a[p]
+            for row in a:
+                row[p], row[last] = row[last], row[p]
+        piv = a.pop()
+        d = piv.pop()
         if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        piv = a[p]
-        a = [
-            [(d * x - row[p] * y) // prev for j, (x, y) in enumerate(zip(row, piv)) if j != p]
-            for i, row in enumerate(a)
-            if i != p
-        ]
+        a = [[(d * x - r * y) // prev for x, y in zip(row, piv)] for row in a for r in [row.pop()]]
         prev = d
-    return pos, neg
+    return prev, (pos, neg)
 
 
 def signature_of_matrix(mat: Sequence[Sequence[int]]) -> int:
@@ -376,23 +388,25 @@ def lagrangian_verify(f: QForm, basis: Sequence[Sequence[int]]) -> bool:
 # -- bounded searches ---------------------------------------------------------
 
 
-def _mu_constraints(
-    f: QForm, target: GroupElement
-) -> List[Tuple[List[List[int]], List[int], int, int]]:
-    """The kernel's rows for mu(x) == target, one per coordinate c of the
-    carrier, doubled to clear the binomial denominators; f's parameter is
-    to be split (the target of a maximal splitting, as `Q^+` is).  Row 0's
-    quadratic part is p(1)_0 lambda(x, x).  Over a symmetric split
-    parameter h_0 p(1)_0 = 2 and h = h_0 e_0, so row 0 states lambda(x, x)
-    = h(target); over an alternating one h = 0 and p(1)_c = 0 for c >= 1.
-    Either way every later row c is linear: its p(1)_c lambda(x, x) is the
-    constant p(1)_c h(target)."""
-    q, m, n = f.parameter, f.lambda_matrix, f.rank
+def _mu_parts(
+    q: FormParameter, m: Sequence[Sequence[int]], mus: Sequence[Sequence[int]]
+) -> List[search.Part]:
+    """The coefficient parts (A, l, modulus) of the kernel's rows for
+    mu(x) == t on the form with matrix m and mu coordinate rows mus over
+    the split parameter q (the target of a maximal splitting, as `Q^+`
+    is): one per coordinate c of the carrier, doubled to clear the binomial
+    denominators.  They do not depend on t, whose constants are
+    `_mu_values`.  Row 0's quadratic part is p(1)_0 lambda(x, x).  Over a
+    symmetric split parameter h_0 p(1)_0 = 2 and h = h_0 e_0, so row 0
+    states lambda(x, x) = h(t); over an alternating one h = 0 and p(1)_c =
+    0 for c >= 1.  Either way every later row c is linear: its p(1)_c
+    lambda(x, x) is the constant p(1)_c h(t)."""
+    n = len(m)
     out = []
     for c, (pc, order) in enumerate(zip(q.p_one.coords, q.carrier.orders)):
-        l = [2 * f.mu_basis[i].coords[c] - pc * m[i][i] for i in range(n)]
+        l = [2 * mus[i][c] - pc * m[i][i] for i in range(n)]
         if c:
-            out.append(((), l, pc * q.h_of(target) - 2 * target.coords[c], 2 * order))
+            out.append(((), l, 2 * order))
             continue
         # x^t A x must equal sum_i M_ii x_i^2 + 2 sum_{i<j} M_ij x_i x_j,
         # so build the upper triangle explicitly (x^t M x itself vanishes
@@ -402,8 +416,26 @@ def _mu_constraints(
             a[i][i] = pc * m[i][i]
             for j in range(i + 1, n):
                 a[i][j] = 2 * pc * m[i][j]
-        out.append((a, l, -2 * target.coords[c], 2 * order))
+        out.append((a, l, 2 * order))
     return out
+
+
+def _mu_values(q: FormParameter, t: Sequence[int]) -> List[int]:
+    """The constants of the rows of `_mu_parts` for mu(x) == t over the
+    split parameter q, t given by its coordinates: -2 t_0, then p(1)_c
+    h(t) - 2 t_c."""
+    h = sum(map(mul, q.h.matrix[0], t))
+    return [pc * h - 2 * tc if c else -2 * tc for c, (pc, tc) in enumerate(zip(q.p_one.coords, t))]
+
+
+# Read only by the benchmark (perfbench/kernels.py): the rows of `_mu_parts`
+# with their constants, as the kernel's quadruples.
+def _mu_constraints(
+    f: QForm, target: GroupElement
+) -> List[Tuple[List[List[int]], List[int], int, int]]:
+    q = f.parameter
+    parts = _mu_parts(q, f.lambda_matrix, [mu.coords for mu in f.mu_basis])
+    return [(a, l, c, m) for (a, l, m), c in zip(parts, _mu_values(q, target.coords))]
 
 
 # Read only by the benchmark (perfbench/kernels.py): mu rows imply this row.
@@ -414,31 +446,100 @@ def _lambda_square_constraint(f: QForm, value: int):
 
 
 def _column_constraints(
-    target: QForm, mus: Sequence[GroupElement]
-) -> Tuple[List[search.Plan], str]:
-    """Each depth's constraint mu(x) = mus[d] as a `search.Plan`, and "" or
-    the certificate that a depth has no integer column at any bound: a row
-    that `search.unsolvable` rejects.  Depths with equal mus[d] share a plan.
-    Its rows are `_mu_constraints` of the target pushed to its parameter's
-    maximal splitting."""
+    target: QForm, lam: Sequence[Sequence[int]], mus: Sequence[GroupElement]
+) -> Tuple[List[Tuple[Sequence[int], List[List[int]], search.Plan]], List[List[int]], str]:
+    """What each pass of `_column_search` searches, in turn: every distinct
+    block that may hold the columns, then the whole target, as (basis
+    indices, lambda transposed, plan); each depth's constants; and "" or
+    the certificate that a depth has no integer column at any bound.
+
+    The plan holds the coefficient parts of the rows of mu(x) = t
+    (`_mu_parts`), which imply lambda(x, x) = h(t).  They are read in the
+    coordinates of the parameter's maximal splitting, off the coordinates
+    of each mu value of the target's basis sent through it (no form is
+    pushed forward), and they do not depend on t: one plan serves every
+    depth, and mus[d] gives depth d only its constants (`_mu_values`),
+    computed once per distinct mus[d].  A block's plan is
+    the target's parts restricted to its coordinates (`_restrict`), built
+    once per distinct block.
+
+    Root certificate: the gcd of each row is computed once, by the plan,
+    and tested against each distinct depth's constants (`Plan.solvable`,
+    the gcd rule of `search.unsolvable`).  A depth with a row that fails
+    has no integer column at any bound.
+
+    Blocks: the orthogonal blocks of rank r, k <= r < n, each distinct
+    one (the same lambda submatrix and mu values as an earlier one give
+    the same answers) once, in order of least basis index; a block is left
+    out when its plan's gcd rule rejects a depth, or when it is
+    nondegenerate (det != 0) of rank r < 2k - rank(lam): k independent
+    columns whose Gram matrix lam has rank rho span a space whose radical,
+    of dimension k - rho, is isotropic, and the columns lie in its
+    orthogonal complement, of dimension r - (k - rho), so r >= 2k - rho.
+    """
+    n, k, mat = target.rank, len(mus), target.lambda_matrix
     iso = maximal_splitting(target.parameter).iso
-    split = pushforward(target, iso)
-    fixed, built = [], {}
+    split = iso.target
+    # the coordinates of mu through the splitting, one integer matrix-vector
+    # product each, reduced as iso(mu) reduces them
+    m_iso, orders = iso.map.matrix, split.carrier.orders
+
+    def through(mu):
+        return [s % o if o else s for s, o in zip([sum(map(mul, r, mu.coords)) for r in m_iso], orders)]
+
+    plan = search.Plan(n, _mu_parts(split, mat, [through(mu) for mu in target.mu_basis]))
+    values, distinct = [], {}
     for d, mu in enumerate(mus):
-        if mu.coords not in built:
-            rows = _mu_constraints(split, iso(mu))
-            if any(search.unsolvable(c) for c in rows):
-                return [], f"column {d}: mu(x) = {mu} has no integer solution"
-            built[mu.coords] = search.Plan(target.rank, rows)
-        fixed.append(built[mu.coords])
-    return fixed, ""
+        if mu.coords not in distinct:
+            distinct[mu.coords] = _mu_values(split, through(mu))
+            if not plan.solvable(distinct[mu.coords]):
+                return [], [], f"column {d}: mu(x) = {mu} has no integer solution"
+        values.append(distinct[mu.coords])
+    passes = []
+    seen = set()
+    blocks = [idx for idx in _orthogonal_blocks(mat) if k <= len(idx) < n]
+    least = 2 * k - _intmat.rank(lam) if blocks else 0  # no nondegenerate block of lower rank fits
+    for idx in blocks:
+        sub = tuple(tuple(mat[i][j] for j in idx) for i in idx)
+        key = (sub, tuple(target.mu_basis[i] for i in idx))
+        if key in seen:
+            continue
+        seen.add(key)
+        if len(idx) < least and _intmat.determinant(sub):
+            continue
+        block = search.Plan(len(idx), [_restrict(part, idx) for part in plan.parts])
+        if all(block.solvable(c) for c in distinct.values()):
+            passes.append((idx, _intmat.transpose(sub), block))
+    passes.append((range(n), _intmat.transpose(mat), plan))
+    return passes, values, ""
 
 
-def _restrict(constraint, idx: Sequence[int]):
-    """A constraint on the target's coordinates, restricted to those at
-    `idx`: the rows and columns of A (if any) and the entries of l at idx."""
-    a, l, c, m = constraint
-    return [[a[i][j] for j in idx] for i in idx] if a else a, [l[i] for i in idx], c, m
+def _restrict(part: search.Part, idx: Sequence[int]) -> search.Part:
+    """A row on the target's coordinates, restricted to those at `idx`: the
+    rows and columns of A (if any) and the entries of l at idx."""
+    a, l, m = part
+    return [[a[i][j] for j in idx] for i in idx] if a else a, [l[i] for i in idx], m
+
+
+def _annihilator(rows: List[List[int]], dots: List[int]) -> List[List[int]]:
+    """Integer rows spanning {y in the span of rows : y . c = 0}, where the
+    rows are independent and dots[i] = rows[i] . c is not all zero: with
+    the pivot p, a least non-zero |dots[p]|, each other row r_i becomes
+    dots[p] r_i - dots[i] r_p, fraction-free, divided by the gcd of its
+    entries."""
+    p = min((i for i, s in enumerate(dots) if s), key=lambda i: abs(dots[i]))
+    sp, rp = dots[p], rows[p]
+    out = []
+    for i, (r, s) in enumerate(zip(rows, dots)):
+        if i == p:
+            continue
+        if s:
+            r = [sp * x - s * y for x, y in zip(r, rp)]
+            g = gcd(*r)
+            if g != 1:
+                r = [x // g for x in r]
+        out.append(r)
+    return out
 
 
 def _orthogonal_blocks(mat: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -489,7 +590,11 @@ def _column_search(
     before it ends its subtree there: every witness has independent
     columns, so no witness lies below it.  `leaf` therefore sees
     independent columns only; the block rule and the symmetry cuts below
-    rest on that.
+    rest on that.  The span test is incremental: with columns chosen, the
+    driver keeps integer rows spanning their annihilator, updated once per
+    chosen column (`_annihilator`, fraction-free), and a vector is in
+    their span exactly when every row kills it; with none chosen, exactly
+    when it is zero.  No rank is taken per vector.
 
     Depth limit: a nested call stacks a few Python frames on the one it is
     nested in (its own, on_result's and the driver's), and the innermost
@@ -512,15 +617,15 @@ def _column_search(
     |x_i| <= b, for b = 1, 2, ..., bound (bound 0, no column or a rank-0
     target: one pass at `bound`), each pass in the kernel's enumeration
     order, except that after each pass the next one is at the least larger
-    box that the root rules of the whole target's first-column plan admit
-    (`search.Plan.least_bound`).  A box they reject holds no first column,
-    in the whole target or in a block (a block's interval lies inside the
-    whole target's, and the whole target's gcd divides the block's), so
-    its pass would cost 0 nodes and find nothing.  A pass runs only after
-    the one before ran to the end without a witness, so a found tuple has
-    the least entry bound of any tuple that `leaf` accepts: none exists in
-    a smaller box.  Only a complete pass at `bound` itself ends with
-    "nothing in the box".
+    box that the root rules of the whole target's plan admit with the
+    first column's constants (`search.Plan.least_bound`).  A box they
+    reject holds no first column, in the whole target or in a block (a
+    block's interval lies inside the whole target's, and the whole target's
+    gcd divides the block's), so its pass would cost 0 nodes and find
+    nothing.  A pass runs only after the one before ran to the end without
+    a witness, so a found tuple has the least entry bound of any tuple that
+    `leaf` accepts: none exists in a smaller box.  Only a complete pass at
+    `bound` itself ends with "nothing in the box".
 
     Orthogonal blocks first: the target's basis splits into orthogonal
     blocks, the connected components of the graph of non-zero
@@ -532,33 +637,29 @@ def _column_search(
     is one into the whole form.  Each distinct block is searched once: a
     block with the same lambda submatrix and mu values as an earlier one
     gives the same answers.  A block whose own column constraints are
-    unsolvable (below) is skipped, and so is a nondegenerate block (det !=
-    0) of rank r < 2k - rank(lam): k independent columns whose Gram matrix
-    lam has rank rho span a space whose radical, of dimension k - rho, is
-    isotropic, and the columns lie in its orthogonal complement, of
-    dimension r - (k - rho), so r >= 2k - rho.  Box b - 1 of the whole
-    target was searched before any block at b, so a witness still has the
-    least entry bound.  In the whole-target pass over an orthogonal sum such
-    as f + f, whose blocks are runs of consecutive coordinates, each
-    column's constraints split at the block boundaries: the kernel walks a
-    later block's subtree once per distinct key and replays it after that
-    (see `qwitt.search`).
+    unsolvable (below) is skipped, and so is a nondegenerate block of rank
+    r < 2k - rank(lam) (see `_column_constraints`, which picks the blocks
+    before the first pass).  Box b - 1 of the whole target was searched
+    before any block at b, so a witness still has the least entry bound.
+    In the whole-target pass over an orthogonal sum such as f + f, whose
+    blocks are runs of consecutive coordinates, each column's constraints
+    split at the block boundaries: the kernel walks a later block's subtree
+    once per distinct key and replays it after that (see `qwitt.search`).
 
-    Each depth's own constraints, the mu rows of `_column_constraints` (which
-    imply lambda(x, x) = lam[d][d]), are built once, for the whole target,
-    and depths with the same mus[d] share them; a block's are their
-    restrictions to its coordinates (`_restrict`), and no form is built per
-    block.  Each (block or target, depth) has one `search.Plan`, built before
-    the first pass and shared by every call at that depth (and at depths
-    that share its constraints), in every pass; the kernel sets a plan up
-    once per box.  The pair row M^t c of a column is built once, when the
-    next column is searched for, and each call passes its pair rows
-    lambda(c_j, x) = lam[j][depth] to the kernel beside the depth's plan.
+    One set-up per search: before the first pass, `_column_constraints`
+    builds the columns' own constraints, the mu rows (which imply
+    lambda(x, x) = lam[d][d]), as one `search.Plan` of coefficients for the
+    whole target and one per distinct block, each shared by every call on
+    that block or target, at every depth and in every pass, and each
+    depth's constants, which its calls pass beside the plan; the kernel
+    sets a plan up once per box.  The pair row M^t c of a column is built
+    once, when the next column is searched for, and each call passes its
+    pair rows lambda(c_j, x) = lam[j][depth] to the kernel beside the plan.
 
-    Root certificate: before any kernel call, each depth's mu rows on the
-    whole target go through `search.unsolvable`, the gcd rule.  A depth
-    with a row that fails has no integer column at any bound, so the
-    verdict is "no" at 0 nodes, its reason naming the depth and mus[d].
+    Root certificate: a depth whose constants fail the gcd rule of a row
+    (see `_column_constraints`) has no integer column at any bound, so the
+    verdict is "no" at 0 nodes, before any kernel call, its reason naming
+    the depth and mus[d].
 
     Budget rule: the passes, blocks and nested calls included, share one
     node count, the sum of every call's own nodes.  Each kernel call gets
@@ -581,42 +682,22 @@ def _column_search(
     if node_budget < 0:
         raise ValueError(f"node budget {node_budget} is negative")
     n, k = target.rank, len(mus)
-    fixed, certificate = _column_constraints(target, mus)
+    passes, values, certificate = _column_constraints(target, lam, mus)
     if certificate:
         return SearchOutcome("no", bound=bound, reason=certificate)
     cut = not any(map(any, lam)) and all(m.is_zero for m in mus)
-    # what each pass searches, in turn: every distinct block, then the whole
-    # target, as (basis indices, lambda transposed, each depth's plan);
-    # depths with the same constraints share one plan
-    mat = target.lambda_matrix
-    plans = []
-    seen = set()
-    least = 2 * k - _intmat.rank(lam)  # no nondegenerate block of lower rank fits
-    for idx in _orthogonal_blocks(mat):
-        if not k <= len(idx) < n:
-            continue
-        sub = tuple(tuple(mat[i][j] for j in idx) for i in idx)
-        key = (sub, tuple(target.mu_basis[i] for i in idx))
-        if key in seen:
-            continue
-        seen.add(key)
-        if len(idx) < least and _intmat.determinant(sub):
-            continue
-        block = {p: search.Plan(len(idx), [_restrict(c, idx) for c in p.constraints]) for p in fixed}
-        if not any(search.unsolvable(c) for p in block.values() for c in p.constraints):
-            plans.append((idx, _intmat.transpose(sub), [block[p] for p in fixed]))
-    plans.append((range(n), _intmat.transpose(mat), fixed))
     cols: List[List[int]] = []
     rows: List[List[int]] = []
     nodes = 0
     witness = None
 
-    def column(plan, depth: int, box: int, budget: int) -> int:
+    def column(pass_, depth: int, box: int, budget: int, ann: List[List[int]]) -> int:
         # searches column `depth` within `budget` nodes, and each tuple below
         # every vector the kernel finds as it finds it; returns the nodes
-        # that this call and its nested ones used
+        # that this call and its nested ones used.  ann: integer rows
+        # spanning the annihilator of the columns chosen
         nonlocal nodes
-        idx, mt, depth_plans = plan
+        idx, mt, plan = pass_
         if depth:
             rows[depth - 1:] = [_intmat.mat_vec(mt, [cols[-1][i] for i in idx])]
         else:
@@ -629,20 +710,25 @@ def _column_search(
                 col[i] = x
             if cut and cols and col <= cols[-1]:
                 return False, 0
-            if _intmat.rank(cols + [col]) == depth:
-                return False, 0  # in the span of the columns chosen: no witness below
+            # in the span of the columns chosen exactly when every row of
+            # their annihilator kills it (the zero vector, with none chosen):
+            # no witness below it then
+            if not (any(sum(map(mul, r, col)) for r in ann) if depth else any(col)):
+                return False, 0
             cols.append(col)
             if depth + 1 == k:
                 witness, used = leaf(cols), 0
             else:
-                used = column(plan, depth + 1, box, remaining)
+                dots = [sum(map(mul, r, col)) for r in ann] if depth else col
+                used = column(pass_, depth + 1, box, remaining, _annihilator(ann, dots))
             cols.pop()
             return witness is not None, used
 
         before = nodes
         _, own, _ = search.search_vectors(
-            len(idx), depth_plans[depth], box, 1 << 30, budget, cut,
+            len(idx), plan, box, 1 << 30, budget, cut,
             rows=[(row, -lam[j][depth]) for j, row in enumerate(rows)], on_result=extend,
+            constants=values[depth],
         )
         nodes += own
         return nodes - before
@@ -650,20 +736,21 @@ def _column_search(
     def boxes():
         # no column or a rank-0 target (one box, {()}, at every bound): one
         # pass; else the next box is the least that the whole target's
-        # depth-0 plan admits, asked for only when a pass ends without a
+        # depth-0 constants admit, asked for only when a pass ends without a
         # witness and within the budget, since bound may be huge
         box = min(bound, 1) if n and k else bound
         while box is not None:
             yield box
             if box == bound:
                 return
-            box = fixed[0].least_bound(box + 1, bound)
+            box = passes[-1][2].least_bound(box + 1, bound, values[0])
 
+    unit = _intmat.identity(n)  # the annihilator of no column
     deep = False
     try:
-        for box, plan in ((box, plan) for box in boxes() for plan in plans):
+        for box, pass_ in ((box, pass_) for box in boxes() for pass_ in passes):
             if k:
-                column(plan, 0, box, node_budget - nodes)
+                column(pass_, 0, box, node_budget - nodes, unit)
             else:
                 witness = leaf(cols)
             if witness is not None or nodes > node_budget:
@@ -683,10 +770,19 @@ def _column_search(
 
 
 def isometry_verify(f: QForm, g: QForm, b: Sequence[Sequence[int]]) -> bool:
-    """Whether b (columns = images of f's basis) is an isometry f -> g."""
+    """Whether b (columns = images of f's basis) is an isometry f -> g:
+    det(b) = +-1, b^T G b = F, and mu of g at each column is mu of f at its
+    basis vector.  The matrices are compared as they are; no form is
+    built."""
     if f.parameter != g.parameter or f.rank != g.rank:
         return False
-    return _intmat.determinant(b) in (1, -1) and pullback(g, b) == f
+    if _intmat.determinant(b) not in (1, -1):
+        return False
+    cols = _intmat.transpose(b)
+    pulled = _intmat.mat_mul(cols, _intmat.mat_mul(g.lambda_matrix, b)) if cols else []
+    return pulled == [list(r) for r in f.lambda_matrix] and all(
+        mu_eval(g, c) == m for c, m in zip(cols, f.mu_basis)
+    )
 
 
 def isometry_search(
@@ -700,11 +796,17 @@ def isometry_search(
         return SearchOutcome("no", reason="different form parameters", bound=bound)
     if f.rank != g.rank:
         return SearchOutcome("no", reason="different ranks", bound=bound)
-    if abs(f.det()) != abs(g.det()):
+    if f.parameter.is_symmetric:
+        # one elimination per form gives its determinant and its inertia
+        (det_f, (pos, neg)), (det_g, (pos_g, neg_g)) = map(
+            _det_and_inertia, (f.lambda_matrix, g.lambda_matrix)
+        )
+        signatures = pos - neg, pos_g - neg_g
+    else:
+        det_f, det_g, signatures = f.det(), g.det(), (0, 0)
+    if abs(det_f) != abs(det_g):
         return SearchOutcome("no", reason="different determinants", bound=bound)
-    if f.parameter.is_symmetric and signature_of_matrix(
-        f.lambda_matrix
-    ) != signature_of_matrix(g.lambda_matrix):
+    if signatures[0] != signatures[1]:
         return SearchOutcome("no", reason="different signatures", bound=bound)
 
     def unimodular(cols):
@@ -859,12 +961,19 @@ def _embedding_obstruction(eta: QForm, target: QForm) -> str:
     from . import witt
 
     if eta.parameter.is_symmetric:
-        have, need = inertia(target.lambda_matrix), inertia(eta.lambda_matrix)
+        # one elimination per form gives its inertia and its determinant
+        (det_target, have), (det_eta, need) = map(
+            _det_and_inertia, (target.lambda_matrix, eta.lambda_matrix)
+        )
         if have[0] < need[0] or have[1] < need[1]:
             return f"target inertia {have} lacks the source's {need}"
-    if eta.rank < target.rank or not is_nonsingular(eta):
+    if eta.rank < target.rank:
         return ""
-    if not is_nonsingular(target):
+    if not eta.parameter.is_symmetric:
+        det_eta, det_target = eta.det(), target.det()
+    if det_eta not in (1, -1):
+        return ""
+    if det_target not in (1, -1):
         return "equal ranks, singular target"
     try:
         if witt.witt_class(target) != witt.witt_class(eta):

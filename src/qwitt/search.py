@@ -67,15 +67,21 @@ looked up, so only splits before it are kept; a call whose constraints
 have none records nothing.
 
 At the root the gcd rule does not depend on the bound: a constraint that
-`unsolvable` rejects has no integer solution at all, and the search costs
-0 nodes.  With normalize_first_positive, a negative value of the first
-non-zero coordinate is never visited.
+`unsolvable` rejects has no integer solution at all.  A call that a root
+rule rejects costs 0 nodes, whatever its rank.  With
+normalize_first_positive, a negative value of the first non-zero
+coordinate is never visited.
 
-The per-depth set-up (the symmetrised rows, the gcds, the intervals and
-reaches, the root rules) depends only on the constraints and the bound,
-so a `Plan` keeps it for the bound last asked for and the calls that
-share the plan build it once; a call's own pair rows are its `rows`
-argument, and only they are set up per call.
+A plan is coefficients; a column depth of the search driver is only its
+constants.  Every set-up (the symmetrised rows, the splits, the gcds, the
+intervals and reaches) depends only on the coefficient parts (A, l, m) of
+the constraints and the bound, never on their constants c, so a `Plan`
+holds the parts and keeps their set-up for the bound last asked for, and
+each call supplies the constants of the plan's rows: the driver's depths
+share one plan and the calls that share it build its set-up once per
+bound.  A call's root rules are read off the plan's per-row root data
+with the call's constants, without a set-up.  A call's own pair rows are
+its `rows` argument, and only they are set up per call.
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple
 
 Constraint = Tuple[Sequence[Sequence[int]], Sequence[int], int, int]
+# a constraint without its constant: (A, l, m)
+Part = Tuple[Sequence[Sequence[int]], Sequence[int], int]
 
 # The benchmark (perfbench/run.py, perfbench/kernels.py) reads BACKEND and
 # available_backends(); there is one kernel, so both name only this one.
@@ -123,101 +131,134 @@ def _add_linear(n: int, l: Sequence[int], m: int, bound: int, lin_steps: List[li
     return g, t
 
 
-def _add_steps(n: int, constraints: Sequence[Constraint], bound: int, steps: tuple) -> bool:
-    """Add what the search of the box |x_i| <= bound needs of each
-    constraint to steps = (lin_steps, quad_steps, lin_values, quad_values,
-    coefs, splits); False, at the first constraint that a root rule shows no
-    vector of the box satisfies."""
-    b2 = bound * bound
-    # Per depth d, what setting x_d needs.  For a linear constraint
-    # (A symmetrised is zero; its open coefficients never change):
-    # lin_steps[d] holds l_d, g_d = gcd(m, l_j for j > d), t_d =
+def _add_steps(plan: "Plan", bound: int) -> tuple:
+    """What the search of the box |x_i| <= bound needs of each of the plan's
+    rows, per depth d: (lin_steps, quad_steps)."""
+    n, b2 = plan.n, bound * bound
+    # For a linear row (A symmetrised is zero; its open coefficients never
+    # change): lin_steps[d] holds l_d, g_d = gcd(m, l_j for j > d), t_d =
     # bound * sum(|l_j| for j > d), the reach of the open part, and whether
-    # the constraint is exact.  For a quadratic one: quad_steps[d] holds
-    # S_dd; the row S_dj, j > d, reversed; the gcd g (with m) and the
-    # interval lo..hi of the open quadratic part at depth d + 1; whether the
-    # constraint is exact.
-    lin_steps, quad_steps, lin_values, quad_values, coefs, splits = steps
-    # coupled[i]: the last j with S_ij != 0 in some quadratic constraint
-    coupled = list(range(n))
-    for a, l, c, m in constraints:
-        # an empty or zero A is linear at a glance; an antisymmetric A only
-        # once symmetrised
-        entries = [_quadratic_entries(a, n, d) for d in range(n)] if any(map(any, a)) else []
-        lo = hi = 0
-        if not any(map(any, entries)):
-            g, t = _add_linear(n, l, m, bound, lin_steps)
-            lin_values.append(c)
-        else:
-            g = m
-            for d in range(n - 1, -1, -1):
-                sdd, *row = entries[d]
-                quad_steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
-                g = gcd(g, sdd, *row)
-                t = sum(map(abs, row)) * b2
-                lo += min(sdd * b2, 0) - t
-                hi += max(sdd * b2, 0) + t
-                while row and not row[-1]:
-                    row.pop()
-                coupled[d] = max(coupled[d], d + len(row))
-            g = gcd(g, *l)
-            t = sum(map(abs, l)) * bound
-            quad_values.append(c)
-            # open linear coefficients, last coordinate first
-            coefs.append(list(l)[::-1])
-        # the root rules: g is the gcd of m and every coefficient
-        if _gcd_rejects(c, g) or m == 0 and (c + lo - t > 0 or c + hi + t < 0):
-            return False
-    # depth d splits the constraints when no S_ij couples i < d with j >= d;
-    # the last coordinate's subtree is one loop, cheaper walked than looked
-    # up, so only the splits before it are kept
-    reach = 0
-    for d in range(1, n - 1):
-        if coupled[d - 1] > reach:
-            reach = coupled[d - 1]
-        if reach < d:
-            splits.append(d)
-    return True
+    # the row is exact.  For a quadratic one: quad_steps[d] holds S_dd; the
+    # row S_dj, j > d, reversed; the gcd g (with m) and the interval lo..hi
+    # of the open quadratic part at depth d + 1; whether the row is exact.
+    lin_steps, quad_steps = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i in plan.lin:
+        _, l, m = plan.parts[i]
+        _add_linear(n, l, m, bound, lin_steps)
+    for i, entries in zip(plan.quad, plan.entries):
+        m = plan.parts[i][2]
+        g, lo, hi = m, 0, 0
+        for d in range(n - 1, -1, -1):
+            sdd, *row = entries[d]
+            quad_steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
+            g = gcd(g, sdd, *row)
+            t = sum(map(abs, row)) * b2
+            lo += min(sdd * b2, 0) - t
+            hi += max(sdd * b2, 0) + t
+    return lin_steps, quad_steps
 
 
 class Plan:
-    """One depth's constraints, set up once for every call that shares them.
+    """The coefficient parts (A, l, m) of a list of rows, set up once for
+    every call that shares them; each call supplies the rows' constants c.
 
-    The set-up (`_add_steps`) for a bound is built when a call first asks
-    for that bound, and the one last asked for is kept: the driver searches
-    one bound per pass.
+    What does not depend on the bound is read once, here: the symmetrised
+    quadratic rows, which rows are linear, the splits, and each row's root
+    data, the gcd of m and every coefficient with the interval and reach of
+    the row over the box of bound 1 (over the box of bound b the interval
+    is b^2 times it and the reach b times it).  So the root rules of any
+    bound and any constants cost O(1) per row (`rejects`, `least_bound`),
+    and a row's gcd rule, `unsolvable` of the row with its constant, is read
+    without a set-up (`solvable`).  The per-depth steps (`_add_steps`) for a
+    bound are built when a call first asks for that bound, and the one last
+    asked for is kept: the driver searches one bound per pass.
     """
 
-    __slots__ = ("n", "constraints", "_bound", "_steps")
+    __slots__ = ("n", "parts", "lin", "quad", "entries", "coefs", "splits", "_root", "_bound", "_steps")
 
-    def __init__(self, n: int, constraints: Sequence[Constraint]):
+    def __init__(self, n: int, parts: Sequence[Part]):
         self.n = n
-        self.constraints = constraints
+        self.parts = parts
+        # the indices of the linear and of the quadratic rows, and of each
+        # quadratic one its symmetrised rows and its open linear
+        # coefficients at the root, last coordinate first
+        self.lin: List[int] = []
+        self.quad: List[int] = []
+        self.entries: List[List[List[int]]] = []
+        self.coefs: List[List[int]] = []
+        # per row: (g, lo, hi, t, exact) at bound 1
+        self._root = []
+        # coupled[i]: the last j with S_ij != 0 in some quadratic row
+        coupled = list(range(n))
+        for i, (a, l, m) in enumerate(parts):
+            # an empty or zero A is linear at a glance; an antisymmetric A
+            # only once symmetrised
+            entries = [_quadratic_entries(a, n, d) for d in range(n)] if any(map(any, a)) else []
+            g, lo, hi = gcd(m, *l), 0, 0
+            if any(map(any, entries)):
+                self.quad.append(i)
+                self.entries.append(entries)
+                self.coefs.append(list(l)[::-1])
+                for d, (sdd, *row) in enumerate(entries):
+                    g = gcd(g, sdd, *row)
+                    t = sum(map(abs, row))
+                    lo += min(sdd, 0) - t
+                    hi += max(sdd, 0) + t
+                    while row and not row[-1]:
+                        row.pop()
+                    coupled[d] = max(coupled[d], d + len(row))
+            else:
+                self.lin.append(i)
+            self._root.append((g, lo, hi, sum(map(abs, l)), m == 0))
+        # depth d splits the rows when no S_ij couples i < d with j >= d;
+        # the last coordinate's subtree is one loop, cheaper walked than
+        # looked up, so only the splits before it are kept
+        self.splits: List[int] = []
+        reach = 0
+        for d in range(1, n - 1):
+            if coupled[d - 1] > reach:
+                reach = coupled[d - 1]
+            if reach < d:
+                self.splits.append(d)
         self._bound: Optional[int] = None  # _steps is the set-up of this bound
         self._steps = None
 
-    def setup(self, bound: int):
-        """The steps of the plan's own constraints for the box of `bound`,
-        or None when a root rule rejects one."""
+    def setup(self, bound: int) -> tuple:
+        """The steps of the plan's rows for the box of `bound`."""
         if bound != self._bound:
-            n = self.n
-            steps = ([[] for _ in range(n)], [[] for _ in range(n)], [], [], [], [])
-            ok = _add_steps(n, self.constraints, bound, steps)
-            self._bound, self._steps = bound, steps if ok else None
+            self._bound, self._steps = bound, _add_steps(self, bound)
         return self._steps
 
-    def least_bound(self, first: int, last: int) -> Optional[int]:
-        """The least bound in first..last whose box no root rule rejects,
-        or None.  The gcd rule does not depend on the bound, and the interval
-        rule is monotone in it (lo falls, hi and t grow with the bound), so
-        the rejected bounds are a prefix: bisect for its end."""
-        if self.setup(first) is not None:
+    def solvable(self, constants: Sequence[int]) -> bool:
+        """Whether the gcd rule admits every row with its constant: a row
+        whose gcd does not divide its constant has no integer solution at
+        any bound."""
+        return not any(_gcd_rejects(c, root[0]) for root, c in zip(self._root, constants))
+
+    def rejects(self, bound: int, constants: Sequence[int]) -> bool:
+        """Whether a root rule shows that no vector of the box |x_i| <= bound
+        satisfies the rows with these constants: the gcd rule, or for an
+        exact row the interval rule (the open part at the root, the whole
+        row but its constant, cannot bring the constant to 0)."""
+        b2 = bound * bound
+        for (g, lo, hi, t, exact), c in zip(self._root, constants):
+            if _gcd_rejects(c, g) or exact and (c + b2 * lo - bound * t > 0 or c + b2 * hi + bound * t < 0):
+                return True
+        return False
+
+    def least_bound(self, first: int, last: int, constants: Sequence[int]) -> Optional[int]:
+        """The least bound in first..last whose box no root rule rejects
+        with these constants, or None.  The gcd rule does not depend on the
+        bound, and the interval rule is monotone in it (lo falls, hi and t
+        grow with the bound), so the rejected bounds are a prefix: bisect
+        for its end."""
+        if not self.rejects(first, constants):
             return first
-        if self.setup(last) is None:
+        if self.rejects(last, constants):
             return None
         while last - first > 1:  # first is rejected, last is not
             mid = (first + last) // 2
-            if self.setup(mid) is None:
+            if self.rejects(mid, constants):
                 first = mid
             else:
                 last = mid
@@ -233,18 +274,22 @@ def search_vectors(
     normalize_first_positive: bool = False,
     rows: Sequence[Tuple[Sequence[int], int]] = (),
     on_result: Optional[Callable[[Tuple[int, ...], int], Tuple[bool, int]]] = None,
+    constants: Sequence[int] = (),
 ) -> Tuple[List[Tuple[int, ...]], int, bool]:
     """Enumerate box vectors satisfying every constraint.
 
-    `plan` is a `Plan` or a list of quadruples, searched as the plan of that
-    list.  Each of `rows` is an exact linear constraint (l, c), a call's own
-    pair row: searching them is searching the plan's constraints followed by
+    `plan` is a `Plan` with the constants c of its rows in `constants`, one
+    per row in the plan's order, or a list of quadruples (A, l, c, m),
+    searched as the plan of their parts (A, l, m) with their constants.
+    Each of `rows` is an exact linear constraint (l, c), a call's own pair
+    row: searching them is searching the plan's constraints followed by
     ((), l, c, 0) for each row.  Returns (results, nodes_visited,
     exhausted).  A node is one value tried for one coordinate, counted
     whether its subtree is walked or replayed from the table of a split
     (see the module docstring), so every result and node count is the one
-    walking every subtree gives; a rank-0 call visits one node, the empty
-    vector.
+    walking every subtree gives.  A call that a root rule rejects costs 0
+    nodes and is exhausted, whatever its rank; a rank-0 call that none
+    rejects visits one node, the empty vector.
 
     With `on_result`, each result is handed to on_result(vec, remaining) as
     soon as it is found, before the walk goes on; remaining is what is left
@@ -260,7 +305,21 @@ def search_vectors(
     max_results and its nodes and every used add up to at most max_nodes.
     """
     if not isinstance(plan, Plan):
-        plan = Plan(n, plan)
+        constants = [c for _, _, c, _ in plan]
+        plan = Plan(n, [(a, l, m) for a, l, _, m in plan])
+    if len(constants) != len(plan.parts):
+        raise ValueError("one constant is needed per row of the plan")
+    if plan.rejects(bound, constants):
+        return [], 0, True
+    lin_steps, quad_steps = plan.setup(bound)
+    if rows:
+        # each row is an exact linear constraint: its steps go after the
+        # plan's own, in copies of the plan's lists
+        lin_steps = [list(depth) for depth in lin_steps]
+        for l, c in rows:
+            g, t = _add_linear(n, l, 0, bound, lin_steps)
+            if _gcd_rejects(c, g) or c > t or c < -t:
+                return [], 0, True
     x = [0] * n
     nodes = 0
     # the last node within the budget: max_nodes less every used so far
@@ -363,25 +422,11 @@ def search_vectors(
         nodes = min(start + total, limit + 1)
 
     if n == 0:
-        # one node, the empty vector: a result when every constraint holds there
+        # one node, the empty vector, a result: the root rules at rank 0 are
+        # the constraints themselves, and they admitted it
         nodes = 1
-        ok = all((c % m == 0) if m else (c == 0) for _, _, c, m in plan.constraints)
-        ok = ok and all(c == 0 for _, c in rows)
-        walk = iter([()] if ok and nodes <= limit else [])
+        walk = iter([()] if nodes <= limit else [])
     else:
-        steps = plan.setup(bound)
-        if steps is None:
-            return [], 0, True
-        lin_steps, quad_steps, lin_values, quad_values, coefs, splits = steps
-        if rows:
-            # each row is an exact linear constraint: its steps go after the
-            # plan's own, in copies of the plan's lists
-            lin_steps = [list(depth) for depth in lin_steps]
-            for l, c in rows:
-                g, t = _add_linear(n, l, 0, bound, lin_steps)
-                if _gcd_rejects(c, g) or c > t or c < -t:
-                    return [], 0, True
-            lin_values = lin_values + [c for _, c in rows]
         last = n - 1
         # at the last coordinate the open part is empty: g == m, and the rule
         # is the constraint itself
@@ -389,9 +434,11 @@ def search_vectors(
         quad_last = [(sdd, g) for sdd, _, g, _, _, _ in quad_steps[last]]
         # what searching x_d .. x_{n-1} is, per depth d
         enter = [rec] * n
-        for d in splits:
+        for d in plan.splits:
             enter[d] = replay
-        walk = rec(0, lin_values, quad_values, coefs, normalize_first_positive)
+        lin_values = [constants[i] for i in plan.lin] + [c for _, c in rows]
+        quad_values = [constants[i] for i in plan.quad]
+        walk = rec(0, lin_values, quad_values, plan.coefs, normalize_first_positive)
     # the one loop: it keeps the results, applies max_results and hands each
     # result to on_result, whose used lowers the limit the walkers stop at
     results: List[Tuple[int, ...]] = []

@@ -310,12 +310,11 @@ def library_calls(name: str):
 
 
 def test_kernel_plans_come_from_the_driver():
-    # the driver builds one plan per (block or target, depth) and passes it,
-    # with the call's pair rows, to every call at that depth; the kernel
-    # wraps a plain list in a plan
-    assert library_calls("Plan") == {
-        ("qform.py", "_column_constraints"), ("qform.py", "_column_search"), ("search.py", "search_vectors")
-    }
+    # the driver builds one plan of coefficients for the whole target and
+    # one per distinct block, and passes it, with the call's pair rows and
+    # its depth's constants, to every call on that block or target; the
+    # kernel wraps a plain list in a plan
+    assert library_calls("Plan") == {("qform.py", "_column_constraints"), ("search.py", "search_vectors")}
 
 
 def test_driver_builds_no_lambda_square_row():
@@ -326,12 +325,31 @@ def test_driver_builds_no_lambda_square_row():
 
 
 def test_kernel_set_up_lives_in_one_function():
-    # search._add_steps builds every depth's steps and root rules; its
+    # a Plan symmetrises its rows once and reads their root rules and
+    # splits; search._add_steps builds every depth's steps for a bound; its
     # linear rule, _add_linear, also sets up a call's pair rows, and
     # unsolvable reads the symmetrised rows for the gcd rule only
-    assert library_calls("_quadratic_entries") == {("search.py", "_add_steps"), ("search.py", "unsolvable")}
+    assert library_calls("_quadratic_entries") == {("search.py", "Plan"), ("search.py", "unsolvable")}
     assert library_calls("_add_steps") == {("search.py", "Plan")}
     assert library_calls("_add_linear") == {("search.py", "_add_steps"), ("search.py", "search_vectors")}
+
+
+def test_span_test_is_incremental():
+    # the driver tests each column against the rows of the annihilator of
+    # the columns chosen before it, updated once per chosen column, and
+    # reads the block rules in _column_constraints, before the first pass:
+    # no rank or determinant is taken per vector
+    source = (SRC / "qform.py").read_text()
+    for name in ("rank", "determinant", "det"):
+        assert "_column_search" not in {scope for _, scope in calls_to(source, name)}, name
+
+
+def test_column_constraints_push_no_form_forward():
+    # the target's mu rows are read through the splitting, one coordinate
+    # row per basis vector, and no pushed-forward QForm is built
+    source = (SRC / "qform.py").read_text()
+    assert "_column_constraints" not in {scope for _, scope in calls_to(source, "pushforward")}
+    assert constructions(source, "QForm")["_column_constraints"] == 0
 
 
 def test_one_quotient_routine():
@@ -855,6 +873,10 @@ TEST_FACING = {
     # every element of a finite group, for the tests' brute-force
     # references; the library never enumerates a group
     ("abelian.py", "FinAbGroup.elements"),
+    # the gcd rule on one constraint, which the tests check brute force and
+    # a plan's per-row root certificate (`Plan.solvable`) against; the
+    # driver reads each row's gcd off its plan, computed once
+    ("search.py", "unsolvable"),
 }
 
 

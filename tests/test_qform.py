@@ -286,6 +286,125 @@ def test_inertia_matches_fraction_elimination():
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}, kinds
 
 
+def test_det_and_inertia_from_one_elimination():
+    """`_det_and_inertia` against `_intmat.determinant` and the congruence
+    diagonalization over Fraction that `inertia` is checked against: on
+    singular matrices, matrices with a zero diagonal (the congruence step)
+    and matrices with entries beyond 2**70."""
+    rng = random.Random(1213)
+    kinds = set()
+    for i in range(300):
+        n = rng.randint(0, 6)
+        big = [2**70 + rng.randint(-9, 9), -(2**71) + rng.randint(-9, 9)] if i % 4 == 3 else []
+        if i % 4 == 0:
+            # B^t D B with fewer rows than n: singular
+            k = rng.randint(0, max(n - 1, 0))
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            d = [rng.choice([-2, -1, 1, 3]) for _ in range(k)]
+            mat = [[sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+        else:
+            mat = [[0] * n for _ in range(n)]
+            for r in range(n):
+                mat[r][r] = 0 if i % 4 == 1 else rng.choice([-3, -1, 0, 2, 5] + big)
+                for c in range(r + 1, n):
+                    mat[r][c] = mat[c][r] = rng.choice([0, 0, 1, -1, 2, -5] + big)
+        det, signs = qf._det_and_inertia(mat)
+        assert det == _intmat.determinant(mat), mat
+        assert signs == _fraction_inertia(mat) == qf.inertia(mat), mat
+        zero_diagonal = n > 0 and all(mat[j][j] == 0 for j in range(n))
+        kinds.add((det == 0, zero_diagonal, any(abs(x) > 2**64 for row in mat for x in row)))
+    # singular and nonsingular, with and without a zero diagonal, with and
+    # without large entries
+    assert {(s, z, False) for s in (False, True) for z in (False, True)} <= kinds, kinds
+    assert {(False, False, True), (True, False, True)} <= kinds, kinds
+
+
+def test_span_test_matches_rank():
+    """The driver's incremental span test against `_intmat.rank`: along
+    seeded tuples of columns (zero, dependent and 2**70-sized candidates
+    among them), a candidate is in the span of the columns chosen so far
+    exactly when every row of their annihilator kills it.  The rows that
+    `_annihilator` returns for each chosen column span the annihilator of
+    one more column: n - d independent rows, each primitive and killing
+    every chosen column."""
+    from operator import mul
+
+    rng = random.Random(1217)
+    seen = set()
+    for i in range(200):
+        n = rng.randint(1, 6)
+        scale = 2**70 if i % 3 == 0 else 1
+        chosen, ann = [], _intmat.identity(n)
+        for _ in range(3 * n):
+            kind = rng.choice(["zero", "dependent", "free"]) if chosen else rng.choice(["zero", "free"])
+            if kind == "zero":
+                cand = [0] * n
+            elif kind == "dependent":
+                coefs = [rng.randint(-2, 2) * rng.choice([1, scale]) for _ in chosen]
+                cand = [sum(c * col[j] for c, col in zip(coefs, chosen)) for j in range(n)]
+            else:
+                cand = [rng.randint(-2, 2) * rng.choice([1, scale]) + rng.randint(-1, 1) for _ in range(n)]
+            dots = [sum(map(mul, r, cand)) for r in ann]
+            in_span = not any(dots)
+            assert in_span == (_intmat.rank(chosen + [cand]) == len(chosen)), (chosen, cand)
+            seen.add((kind, in_span, scale > 1))
+            if not in_span:
+                ann = qf._annihilator(ann, dots)
+                chosen.append(cand)
+                assert len(ann) == n - len(chosen)
+                assert not ann or _intmat.rank(ann) == len(ann)
+                assert all(math.gcd(*r) == 1 for r in ann)
+                assert all(sum(map(mul, r, col)) == 0 for r in ann for col in chosen)
+    for scale in (False, True):
+        assert {("zero", True, scale), ("dependent", True, scale), ("free", False, scale)} <= seen, seen
+
+
+def test_root_certificate_matches_unsolvable():
+    """The driver's root certificate, each row's gcd computed once by the
+    whole target's plan and tested against a depth's constants
+    (`Plan.solvable`), against `search.unsolvable` on the full quadruples
+    of `_mu_constraints` over the target pushed to its splitting: for every
+    distinct mu value (the target's own, zero, p(1), each generator and
+    small combinations) of seeded targets over the five criterion-10
+    parameters and split ZP / ZL parameters.  The plan's parts with the
+    depth's constants are those quadruples, and `_column_constraints`
+    answers with a certificate exactly when the depth is unsolvable."""
+    from qwitt import search
+    from qwitt.formparam import maximal_splitting
+
+    params = [
+        QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
+        split_sum(standard("ZP"), FinAbGroup((2,))), split_sum(standard("ZP_2"), FinAbGroup((4,))),
+        split_sum(standard("ZL_3"), FinAbGroup((2,))),
+    ]
+    rng = random.Random(1223)
+    verdicts = {}
+    for i in range(160):
+        p = params[i % len(params)]
+        target = random_nonsingular_form(rng, p, max_rank=4)
+        if i % 3 == 0:
+            k = rng.randint(1, 4)
+            target = qf.pullback(target, [[rng.randint(-2, 2) for _ in range(k)] for _ in range(target.rank)])
+        iso = maximal_splitting(p).iso
+        split = qf.pushforward(target, iso)
+        gens = p.carrier.gens()
+        values = [p.carrier.zero(), p.p_one, *gens, *target.mu_basis]
+        values += [p.carrier.combination([rng.randint(-3, 3) for _ in gens], gens) for _ in range(3)]
+        passes, _, certificate = qf._column_constraints(target, [[0]], [p.carrier.zero()])
+        assert certificate == ""
+        plan = passes[-1][2]
+        for mu in {m.coords: m for m in values}.values():
+            rows = qf._mu_constraints(split, iso(mu))
+            constants = qf._mu_values(iso.target, iso(mu).coords)
+            assert [(a, l, c, m) for (a, l, m), c in zip(plan.parts, constants)] == rows
+            solvable = not any(search.unsolvable(row) for row in rows)
+            assert plan.solvable(constants) == solvable
+            _, _, certificate = qf._column_constraints(target, [[p.h_of(mu)]], [mu])
+            assert (certificate == "") == solvable, (p, mu, certificate)
+            verdicts[solvable] = verdicts.get(solvable, 0) + 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 50, verdicts
+
+
 def test_characteristic_check():
     from qwitt.formparam import quasi_wu
 
@@ -759,6 +878,7 @@ class _KernelCall(tuple):
     n: int
     args: tuple
     rows: list
+    constants: list
     out: tuple
     answers: list
     ended: int
@@ -774,7 +894,7 @@ def _record_kernel_calls(monkeypatch) -> list:
     calls = []
     kernel = search.search_vectors
 
-    def counted(*args, rows=(), on_result=None):
+    def counted(*args, rows=(), on_result=None, constants=()):
         i = len(calls)
         calls.append(None)  # its place in the start order
         answers = []
@@ -783,9 +903,9 @@ def _record_kernel_calls(monkeypatch) -> list:
             answers.append(on_result(vec, remaining))
             return answers[-1]
 
-        out = kernel(*args, rows=rows, on_result=answer if on_result else None)
+        out = kernel(*args, rows=rows, on_result=answer if on_result else None, constants=constants)
         call = _KernelCall((args[2],) + out[1:])
-        call.n, call.args, call.rows, call.out = args[0], args, rows, out
+        call.n, call.args, call.rows, call.constants, call.out = args[0], args, rows, constants, out
         call.answers, call.ended = answers, len(calls)
         calls[i] = call
         return out
@@ -811,8 +931,9 @@ def _assert_budget_kept(calls, out, budget):
 def test_driver_plans_match_raw_constraints(monkeypatch):
     """Every kernel call of a seeded mix of metabolic, isometry and
     embedding searches, replayed with its plan flattened to the raw
-    quadruples (the plan's constraints, then ((), l, c, 0) for each pair
-    row), returns the same (results, nodes, exhausted)."""
+    quadruples (the plan's parts with the call's constants, then ((), l,
+    c, 0) for each pair row), returns the same (results, nodes,
+    exhausted)."""
     from qwitt import search
 
     kernel = search.search_vectors
@@ -839,12 +960,13 @@ def test_driver_plans_match_raw_constraints(monkeypatch):
             qf.embedding_search(eta, f, bound=2, node_budget=budget)
     assert len(calls) >= 300
     assert sum(bool(c.rows) for c in calls) >= 200  # calls with pair rows
-    # the calls at one (block or target, depth) share its plan
+    # the calls on one block or target share its plan, at every depth
     assert len({id(c.args[1]) for c in calls}) <= len(calls) // 2
     for call in calls:
         n, plan, *rest = call.args
         assert isinstance(plan, search.Plan)
-        flat = list(plan.constraints) + [((), l, c, 0) for l, c in call.rows]
+        flat = [(a, l, c, m) for (a, l, m), c in zip(plan.parts, call.constants)]
+        flat += [((), l, c, 0) for l, c in call.rows]
         answers = iter(call.answers)  # the driver's, result by result
         assert kernel(n, flat, *rest, on_result=lambda vec, remaining: next(answers)) == call.out
 
@@ -898,10 +1020,10 @@ def _eager_kernel(kernel):
     A call given less than nothing (its parent spent the budget) visits no
     node and stops, as the eager driver made no deeper call then."""
 
-    def eager(n, plan, bound, max_results, max_nodes, norm=False, rows=(), on_result=None):
+    def eager(n, plan, bound, max_results, max_nodes, norm=False, rows=(), on_result=None, constants=()):
         if max_nodes < 0:
             return [], 0, False
-        results, nodes, done = kernel(n, plan, bound, max_results, max_nodes, norm, rows=rows)
+        results, nodes, done = kernel(n, plan, bound, max_results, max_nodes, norm, rows=rows, constants=constants)
         left = max_nodes - nodes
         for vec in results:
             stop, used = on_result(vec, left)
@@ -1057,8 +1179,10 @@ def _a2():
 def test_block_constraints_are_restrictions_of_the_targets():
     """Each block's column constraints, as the driver restricts them from
     the target's, against `_column_constraints` of the block as a form of
-    its own; a block whose own constraints fail has a restricted one that
-    `search.unsolvable` rejects."""
+    its own: the same parts and the same constants per depth; a block whose
+    own constraints fail has a restricted row that `search.unsolvable`
+    rejects with some depth's constant.  Every block that the driver
+    searches is one of these, with the restricted plan."""
     from qwitt import search
 
     params = [
@@ -1079,23 +1203,30 @@ def test_block_constraints_are_restrictions_of_the_targets():
         else:
             q = rng.choice([p.carrier.zero(), p.p_one] + p.carrier.gens())
             eta = qf.QForm(p, [[0, 1], [p.symmetry, p.h_of(q)]], [p.carrier.zero(), q])
-        mus = eta.mu_basis
-        fixed, certificate = qf._column_constraints(target, mus)
+        lam, mus = eta.lambda_matrix, eta.mu_basis
+        passes, values, certificate = qf._column_constraints(target, lam, mus)
         if certificate:
             continue
+        plan = passes[-1][2]
+        restricted = {}
         for idx in qf._orthogonal_blocks(target.lambda_matrix):
             block = qf.QForm(
                 p,
                 [[target.lambda_matrix[i][j] for j in idx] for i in idx],
                 [target.mu_basis[i] for i in idx],
             )
-            want, unsolvable = qf._column_constraints(block, mus)
-            got = [[qf._restrict(c, idx) for c in p.constraints] for p in fixed]
+            want, want_values, unsolvable = qf._column_constraints(block, lam, mus)
+            got = [qf._restrict(part, idx) for part in plan.parts]
             if unsolvable:
-                assert any(search.unsolvable(c) for cons in got for c in cons), (i, idx)
+                assert any(
+                    search.unsolvable((a, l, c, m)) for cs in values for (a, l, m), c in zip(got, cs)
+                ), (i, idx)
             else:
-                assert got == [p.constraints for p in want], (i, idx)
+                assert (got, want_values) == (want[-1][2].parts, values), (i, idx)
+            restricted[tuple(idx)] = got
             kinds.add(bool(unsolvable))
+        for idx, _, block_plan in passes[:-1]:
+            assert block_plan.parts == restricted[tuple(idx)]
     assert kinds == {True, False}
 
 
@@ -1117,12 +1248,13 @@ def _scrambled_column_query(rng, symmetric):
 
 
 def test_lambda_square_row_prunes_nothing_more():
-    """Over seeded scrambled symmetric parameters, each depth's plan from
-    `_column_constraints` and that plan with the row lambda(x, x) = h(mu_d)
-    appended give the kernel the same (results, nodes, exhausted) at boxes
-    1 and 2, with and without the normalisation, with and without a pair
-    row: in the splitting's coordinates the mu row of coordinate 0 is p(1)_0
-    times the lambda(x, x) row."""
+    """Over seeded scrambled symmetric parameters, the whole target's plan
+    from `_column_constraints` with each depth's constants, and those rows
+    with the row lambda(x, x) = h(mu_d) appended, give the kernel the same
+    (results, nodes, exhausted) at boxes 1 and 2, with and without the
+    normalisation, with and without a pair row: in the splitting's
+    coordinates the mu row of coordinate 0 is p(1)_0 times the lambda(x, x)
+    row."""
     from qwitt import search
     from qwitt.formparam import maximal_splitting
 
@@ -1131,17 +1263,18 @@ def test_lambda_square_row_prunes_nothing_more():
     compared = found = 0
     for _ in range(60):
         p, target, mus = _scrambled_column_query(rng, True)
-        fixed, certificate = qf._column_constraints(target, mus)
+        passes, values, certificate = qf._column_constraints(target, [[0, 0], [0, 0]], mus)
         if certificate or not target.rank:
             continue
         split = qf.pushforward(target, maximal_splitting(p).iso)
-        n = target.rank
-        for plan, mu in zip(fixed, mus):
-            square = list(plan.constraints) + qf._lambda_square_constraint(split, p.h_of(mu))
+        n, plan = target.rank, passes[-1][2]
+        for constants, mu in zip(values, mus):
+            square = [(a, l, c, m) for (a, l, m), c in zip(plan.parts, constants)]
+            square += qf._lambda_square_constraint(split, p.h_of(mu))
             row = ([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
             for box, first_positive, rows in itertools.product((1, 2), (False, True), ((), [row])):
                 args = (box, 10**6, 10**6, first_positive)
-                out = kernel(n, plan, *args, rows=rows)
+                out = kernel(n, plan, *args, rows=rows, constants=constants)
                 assert out == kernel(n, square, *args, rows=rows)
                 compared += 1
                 found += bool(out[0])
@@ -1216,9 +1349,11 @@ def test_set_up_count_is_pinned(monkeypatch):
     """The kernel's set-ups (calls to `search._add_steps`) of two searches
     over orthogonal sums, pinned with their kernel calls and nodes: an
     isometry onto A2 + A2 whose witness needs box 2, and an embedding into
-    A2 + A2 + A2 that the distinct block holds at box 2.  A depth's plan is
-    set up once per box and shared by every call at that depth, so a
-    set-up per call, per block copy or per depth would move the count."""
+    A2 + A2 + A2 that the distinct block holds at box 2.  The plan of a
+    block or of the target is set up once per box that its root rules
+    admit (the block's box 1 cannot reach lambda(x, x) = 14, so it costs
+    no set-up) and shared by the calls at every depth, so a set-up per
+    call, per block copy or per depth would move the count."""
     from qwitt import search
 
     setups = 0
@@ -1235,8 +1370,8 @@ def test_set_up_count_is_pinned(monkeypatch):
     source = qf.pullback(f2, [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 1, 0, 1]])
     eta = qf.pullback(_a2(), [[2, 0], [1, 1]])
     for run, want in (
-        (lambda: qf.isometry_search(source, f2, bound=3), (198, 17, 5)),
-        (lambda: qf.embedding_search(eta, qf.direct_sum(f2, _a2()), bound=3), (10850, 76, 6)),
+        (lambda: qf.isometry_search(source, f2, bound=3), (198, 17, 2)),
+        (lambda: qf.embedding_search(eta, qf.direct_sum(f2, _a2()), bound=3), (10850, 76, 2)),
     ):
         setups = 0
         calls.clear()

@@ -29,6 +29,11 @@ def brute(n, constraints, bound, norm):
     return out
 
 
+def plan_of(n, constraints):
+    """The plan of the constraints' parts (A, l, m), and their constants."""
+    return Plan(n, [(a, l, m) for a, l, _, m in constraints]), [c for _, _, c, _ in constraints]
+
+
 def random_constraints(rng, n, scale=1):
     cons = []
     for _ in range(rng.randint(0, 3)):
@@ -104,6 +109,30 @@ def test_rank_zero_visits_its_node_against_the_budget():
     assert search_vectors(0, [], 3, 10, 1, on_result=take) == ([()], 1, True)
     assert handed == [0]
     assert search_vectors(0, [], 3, 10, 1, on_result=lambda vec, remaining: (False, 1)) == ([()], 1, False)
+
+
+def test_rank_zero_rejected_at_the_root_costs_no_node():
+    """A rank-0 call whose constraints or pair rows fail at the empty vector
+    is rejected at the root, as a call of any other rank whose root rules
+    fail is: 0 nodes, exhausted, and no call of on_result, at any budget.
+    A rank-0 plan takes its constants per call."""
+
+    def never(vec, remaining):
+        raise AssertionError("a rejected call hands nothing over")
+
+    rejected = (
+        (0, [([], [], 1, 0)], ()),  # 1 == 0
+        (0, [([], [], 3, 2)], ()),  # 3 == 0 (mod 2)
+        (0, [([], [], 4, 2)], [([], 1)]),  # the constraint holds, the pair row not
+        (1, [([[0]], [0], 1, 0)], ()),  # a rank-1 call that the gcd rule rejects
+    )
+    for budget in (0, 1, 10):
+        for n, cons, rows in rejected:
+            assert search_vectors(n, cons, 3, 10, budget, rows=rows, on_result=never) == ([], 0, True)
+    plan = Plan(0, [([], [], 2)])
+    assert search_vectors(0, plan, 3, 10, 10, constants=[4]) == ([()], 1, True)
+    assert search_vectors(0, plan, 3, 10, 10, constants=[3]) == ([], 0, True)
+    assert search_vectors(0, plan, 3, 10, 0, constants=[4]) == ([], 1, False)
 
 
 def mu_style_constraint(rng, n):
@@ -271,9 +300,10 @@ def test_kernel_node_counts_are_pinned():
         # the one stop rule: stopped by neither max_results nor the budget
         assert exhausted == (len(res) < cap and nodes <= budget)
     n, cons, rows = block_call_constraints()
-    assert Plan(n, cons).setup(2)[5] == [2, 4]
+    plan, constants = plan_of(n, cons)
+    assert plan.splits == [2, 4]
     for cap, budget in BLOCK_CALLS:
-        res, nodes, exhausted = search_vectors(n, Plan(n, cons), 2, cap, budget, rows=rows)
+        res, nodes, exhausted = search_vectors(n, plan, 2, cap, budget, rows=rows, constants=constants)
         got.append((len(res), nodes, exhausted))
         assert exhausted == (len(res) < cap and nodes <= budget)
     assert got == KERNEL_PINNED
@@ -289,7 +319,7 @@ def test_plan_views_match_flat_constraints():
     complete = 0
     for i in range(150):
         n, fixed, _, _ = mixed_case(rng, ("linear", "quadratic", "mixed")[i % 3])
-        plan = Plan(n, fixed)
+        plan, constants = plan_of(n, fixed)
         for _ in range(6):
             rows = [
                 ([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 2))
@@ -300,33 +330,36 @@ def test_plan_views_match_flat_constraints():
             budget = rng.choice([10**7, 10**7, 1, 5, 40])
             cap = rng.choice([10**6, 1])
             norm = rng.random() < 0.5
-            got = search_vectors(n, plan, b, cap, budget, norm, rows=rows)
+            got = search_vectors(n, plan, b, cap, budget, norm, rows=rows, constants=constants)
             assert got == search_vectors(n, flat, b, cap, budget, norm), (i, rows, b)
             if got[2] and cap > 1:
                 zero = [[0] * n for _ in range(n)]
                 assert got[0] == brute(n, fixed + [(zero, l, c, 0) for l, c in rows], b, norm)
                 complete += 1
         # without rows, a plan searches its own constraints
-        assert search_vectors(n, plan, 2, 10**6, 10**7) == search_vectors(n, fixed, 2, 10**6, 10**7)
+        assert search_vectors(n, plan, 2, 10**6, 10**7, constants=constants) == search_vectors(n, fixed, 2, 10**6, 10**7)
     assert complete >= 300
 
 
 def test_least_bound_is_the_least_box_the_root_admits():
-    """`Plan.least_bound(first, last)` against a scan of every bound: the
-    least bound in first..last whose set-up is not None, or None.  The
-    constants are large, so that the root's interval rule rejects the
-    small boxes; the gcd rule rejects every box or none."""
+    """`Plan.least_bound(first, last, constants)` against a scan of every
+    bound: the least bound in first..last at which a kernel call at budget
+    0 visits its first node (a call that a root rule rejects visits none),
+    or None.  The constants are large, so that the root's interval rule
+    rejects the small boxes; the gcd rule rejects every box or none."""
     rng = random.Random(59)
     shapes = set()
     for i in range(300):
         n, cons, _, _ = mixed_case(rng, ("linear", "quadratic", "mixed")[i % 3], 3)
         cons = [(a, l, c * rng.randint(1, 15), m) for a, l, c, m in cons]
-        admitted = [b for b in range(13) if Plan(n, cons).setup(b) is not None]
+        admitted = [b for b in range(13) if search_vectors(n, cons, b, 1, 0)[1]]
+        plan, constants = plan_of(n, cons)
+        assert admitted == [b for b in range(13) if not plan.rejects(b, constants)]
         # the rejected bounds are a prefix
         assert admitted == list(range(13 - len(admitted), 13))
         for first, last in ((0, 12), (1, 12), (3, 7), (5, 5)):
             want = next((b for b in admitted if first <= b <= last), None)
-            assert Plan(n, cons).least_bound(first, last) == want, (i, first, last)
+            assert plan.least_bound(first, last, constants) == want, (i, first, last)
         shapes.add(min(admitted, default=None) if len(admitted) < 12 else 0)
     assert None in shapes and len(shapes) >= 5
 
@@ -375,20 +408,19 @@ def test_replay_matches_the_walk():
         n, cons, rows = block_diagonal_case(rng)
         b = rng.randint(0, 2 if n <= 5 else 1)
         norm = i % 2 == 0
-        split, walk = Plan(n, cons), Plan(n, cons + [coupling(n)])
-        if walk.setup(b) is not None:
-            assert walk.setup(b)[5] == []
-            split_cases += bool(split.setup(b)[5])
-        full = search_vectors(n, walk, b, 10**6, 10**7, norm, rows=rows)
-        assert search_vectors(n, split, b, 10**6, 10**7, norm, rows=rows) == full, i
+        (split, constants), (walk, walk_constants) = plan_of(n, cons), plan_of(n, cons + [coupling(n)])
+        assert walk.splits == []
+        split_cases += bool(split.splits and not split.rejects(b, constants))
+        full = search_vectors(n, walk, b, 10**6, 10**7, norm, rows=rows, constants=walk_constants)
+        assert search_vectors(n, split, b, 10**6, 10**7, norm, rows=rows, constants=constants) == full, i
         if (2 * b + 1) ** n <= 3**5:
             zero = [[0] * n for _ in range(n)]
             assert full[0] == brute(n, cons + [(zero, l, c, 0) for l, c in rows], b, norm)
             brute_checked += 1
         budgets = [rng.randint(1, full[1]) for _ in range(3)] if full[1] else [0]
         for cap, budget in [(10**6, budget) for budget in budgets] + [(1, 10**7), (3, 10**7), (3, budgets[0])]:
-            want = search_vectors(n, walk, b, cap, budget, norm, rows=rows)
-            assert search_vectors(n, split, b, cap, budget, norm, rows=rows) == want, (i, cap, budget)
+            want = search_vectors(n, walk, b, cap, budget, norm, rows=rows, constants=walk_constants)
+            assert search_vectors(n, split, b, cap, budget, norm, rows=rows, constants=constants) == want, (i, cap, budget)
     assert split_cases >= 180 and brute_checked >= 150
 
 
@@ -409,16 +441,16 @@ def test_on_result_sees_each_result_as_the_walk_finds_it():
         n, cons, rows = block_diagonal_case(rng)
         b = rng.randint(0, 2 if n <= 5 else 1)
         norm = i % 2 == 0
-        split, walk = Plan(n, cons), Plan(n, cons + [coupling(n)])
-        full = search_vectors(n, walk, b, 10**6, 10**7, norm, rows=rows)
+        (split, constants), (walk, walk_constants) = plan_of(n, cons), plan_of(n, cons + [coupling(n)])
+        full = search_vectors(n, walk, b, 10**6, 10**7, norm, rows=rows, constants=walk_constants)
         seen = []
-        out = search_vectors(n, split, b, 10**6, 10**7, norm, rows=rows,
+        out = search_vectors(n, split, b, 10**6, 10**7, norm, rows=rows, constants=constants,
                              on_result=lambda vec, remaining: (seen.append(vec), (False, 0))[1])
         assert out == full and seen == full[0]
         budget = rng.randint(0, full[1] + 5)
         stop_at, over_at = rng.randint(1, len(full[0]) + 1), rng.randint(1, len(full[0]) + 1)
         runs = []
-        for plan in (split, walk):
+        for plan, cs in ((split, constants), (walk, walk_constants)):
             handed = []
 
             def take(vec, remaining):
@@ -428,7 +460,7 @@ def test_on_result_sees_each_result_as_the_walk_finds_it():
                 handed.append((vec, remaining, used))
                 return len(handed) == stop_at, used
 
-            out = search_vectors(n, plan, b, 10**6, budget, norm, rows=rows, on_result=take)
+            out = search_vectors(n, plan, b, 10**6, budget, norm, rows=rows, on_result=take, constants=cs)
             assert all(remaining >= 0 for _, remaining, _ in handed)
             assert out[0] == [vec for vec, _, _ in handed]
             spent = out[1] + sum(used for _, _, used in handed)
@@ -437,7 +469,7 @@ def test_on_result_sees_each_result_as_the_walk_finds_it():
             runs.append((out, handed))
         assert runs[0] == runs[1], i
         stopped += not runs[0][0][2]
-        replayed += bool(split.setup(b) and split.setup(b)[5])
+        replayed += bool(split.splits and not split.rejects(b, constants))
     assert stopped >= 100 and replayed >= 100, (stopped, replayed)
 
 def _inner_calls(call):
@@ -474,7 +506,7 @@ def test_replay_skips_repeated_subtrees():
     skew[1][6], skew[6][1] = 3, -3
     cons = [(a, [0] * n, -4, 0), (a, [1, 0, 0, 1, 1, 0, 0, 1], 0, 3)]
     skewed = [(skew, l, c, m) for _, l, c, m in cons]
-    assert Plan(n, cons).setup(2)[5] == Plan(n, skewed).setup(2)[5] == [2, 4, 6]
+    assert plan_of(n, cons)[0].splits == plan_of(n, skewed)[0].splits == [2, 4, 6]
     runs = [
         _inner_calls(lambda: search_vectors(n, c, 2, 10**6, 10**7))
         for c in (cons, skewed, cons + [coupling(n)])
@@ -501,7 +533,7 @@ def test_splits_read_the_symmetrised_matrix():
         for (i, j), e in entries.items():
             a[i][j] = e
         cons = [(a, [0, 1, 0, -1], -3, 0), (a, [1, 0, 2, 0], 1, 3)]
-        assert Plan(n, cons).setup(2)[5] == splits, entries
+        assert plan_of(n, cons)[0].splits == splits, entries
         for norm in (False, True):
             got, _, exhausted = search_vectors(n, cons, 2, 10**6, 10**7, norm)
             assert exhausted and got == brute(n, cons, 2, norm)
