@@ -769,13 +769,14 @@ def split_off_cyclic(g: GroupElement) -> Tuple[GroupElement, List[GroupElement]]
     summand.
 
     g must have prime order.  Returns h and generators of a complement.
-    """
+    Each non-zero g_i is (n_i / p) u_i with p prime to u_i, so a is the
+    least v_p(n_i) - 1, v_p of the gcd t of the coordinates: p^a = gcd(t,
+    p^L) for any p^L > t."""
     p = g.order()
     if p == 0 or _factorint(p) != {p: 1}:
         raise ValueError(f"element order {p} is not prime")
-    h, q = g, p
-    while (cand := _divide_by(g, q)) is not None:
-        h, q = cand, q * p
+    t = gcd(*g.coords)
+    h = _divide_by(g, gcd(t, p ** t.bit_length()))
     return h, _complement(h, lambda z: None)
 
 

@@ -324,8 +324,8 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         payload = json.loads(args.payload)
-    except json.JSONDecodeError as exc:
-        print(f"error: payload is not valid JSON: {exc}", file=sys.stderr)
+    except ValueError as exc:  # not JSON, or an integer past Python's digit limit
+        print(f"error: payload cannot be read: {exc}", file=sys.stderr)
         return 3
     try:
         result = COMMANDS[args.command](payload, args)
@@ -339,15 +339,20 @@ def main(argv: Optional[list] = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
-    if args.format == "pretty":
-        if args.command != "verify-suite":
-            print(_render_pretty(result))
+    # an exact answer is printed in full, past Python's 4300-digit default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            print(json.dumps(result, sort_keys=True, separators=(",", ":")))
+        elif args.command == "verify-suite":
+            print(f"passed {result['passed']} / {result['total']} criteria")
         else:
-            print(
-                f"passed {result['passed']} / {result['total']} criteria"
-            )
-    else:
-        print(json.dumps(result, sort_keys=True, separators=(",", ":")))
+            print(_render_pretty(result))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if args.command == "verify-suite" and result["passed"] != result["total"]:
         return 1
     return 0

@@ -137,10 +137,7 @@ class Embedding:
 
     @property
     def is_primitive(self) -> bool:
-        if self.source.rank == 0:
-            return True
-        s = _intmat.SNF(self.matrix)
-        return all(s.d[i][i] == 1 for i in range(self.source.rank))
+        return _saturation(self.matrix, self.source.rank)[0]
 
 
 @dataclass(frozen=True)
@@ -320,6 +317,15 @@ def _det_and_inertia(mat: Sequence[Sequence[int]]) -> Tuple[int, Tuple[int, int]
     return prev, (pos, neg)
 
 
+def _det_and_inertia_of(f: QForm) -> Tuple[int, Tuple[int, int]]:
+    """The determinant and the inertia (n+, n-) of f's bilinear form, from
+    one elimination: `_det_and_inertia` if f is symmetric, else the
+    determinant and (0, 0): every vector is isotropic, none definite."""
+    if f.parameter.is_symmetric:
+        return _det_and_inertia(f.lambda_matrix)
+    return f.det(), (0, 0)
+
+
 def signature_of_matrix(mat: Sequence[Sequence[int]]) -> int:
     """Signature n+ - n- of a symmetric matrix (see `inertia`)."""
     pos, neg = inertia(mat)
@@ -374,10 +380,7 @@ def lagrangian_verify(f: QForm, basis: Sequence[Sequence[int]]) -> bool:
     if 2 * len(vecs) != f.rank:
         return False
     cols = _intmat.transpose(vecs)
-    s = _intmat.SNF(cols)
-    if s.rank != len(vecs) or any(
-        s.d[i][i] != 1 for i in range(len(vecs))
-    ):
+    if not _saturation(cols, len(vecs))[0]:
         return False
     pulled = pullback(f, cols)
     return not any(map(any, pulled.lambda_matrix)) and all(
@@ -796,17 +799,11 @@ def isometry_search(
         return SearchOutcome("no", reason="different form parameters", bound=bound)
     if f.rank != g.rank:
         return SearchOutcome("no", reason="different ranks", bound=bound)
-    if f.parameter.is_symmetric:
-        # one elimination per form gives its determinant and its inertia
-        (det_f, (pos, neg)), (det_g, (pos_g, neg_g)) = map(
-            _det_and_inertia, (f.lambda_matrix, g.lambda_matrix)
-        )
-        signatures = pos - neg, pos_g - neg_g
-    else:
-        det_f, det_g, signatures = f.det(), g.det(), (0, 0)
+    # one elimination per form gives its determinant and its signature
+    (det_f, (pos, neg)), (det_g, (pos_g, neg_g)) = map(_det_and_inertia_of, (f, g))
     if abs(det_f) != abs(det_g):
         return SearchOutcome("no", reason="different determinants", bound=bound)
-    if signatures[0] != signatures[1]:
+    if pos - neg != pos_g - neg_g:
         return SearchOutcome("no", reason="different signatures", bound=bound)
 
     def unimodular(cols):
@@ -858,39 +855,41 @@ def metabolic_search(
 
 
 def _metabolic_obstruction(f: QForm) -> str:
-    """A certified reason why f cannot be metabolic, or ''. """
+    """A certified reason why f cannot be metabolic, or '': a non-zero Witt
+    class (`witt_class` inverts the matrix, which is the nonsingularity
+    check: a singular form, or one whose class cannot be computed,
+    certifies nothing), or Arf invariant 1 through an injective quasi-Wu
+    class: if every mu value lies in the image of v', a faithful copy of
+    Z2, f lifts to a Z2-valued quadratic refinement, read off f's matrix
+    and the 0/1 rows of its mu values, and a lagrangian of f would be one
+    of the lift."""
     from . import witt
 
-    if is_nonsingular(f):
+    try:
         if not witt.witt_class(f).is_zero:
             return "non-zero Witt class"
-        arf_reason = _arf_lift_obstruction(f)
-        if arf_reason:
-            return arf_reason
-    return ""
-
-
-def _arf_lift_obstruction(f: QForm) -> str:
-    """Arf obstruction through an injective quasi-Wu class.
-
-    If every mu value lies in the image of v' and that image is a faithful
-    copy of Z2, the form lifts to a quadratic refinement with Z2 values; a
-    lagrangian of f would be a lagrangian of the lift, so Arf = 1 rules
-    metabolicity out.  The lift's Arf invariant is read off f's matrix and
-    the 0/1 rows of its mu values; f is nonsingular here (see
-    `_metabolic_obstruction`).
-    """
-    from . import witt
-
+    except ValueError:
+        return ""
     q = f.parameter
-    if q.is_symmetric or q.p_one.is_zero:
-        return ""
-    image_elts = {q.carrier.zero().coords, q.p_one.coords}
-    if any(m.coords not in image_elts for m in f.mu_basis):
-        return ""
-    if witt._arf(f.lambda_matrix, [[0 if m.is_zero else 1] for m in f.mu_basis]) == 1:
+    image = {q.carrier.zero().coords, q.p_one.coords}
+    if (
+        not q.is_symmetric and not q.p_one.is_zero
+        and all(m.coords in image for m in f.mu_basis)
+        and witt._arf(f.lambda_matrix, [[0 if m.is_zero else 1] for m in f.mu_basis]) == 1
+    ):
         return "Arf invariant 1 of the quadratic lift"
     return ""
+
+
+def _saturation(mat: Sequence[Sequence[int]], k: int) -> Tuple[bool, List[Tuple[int, ...]]]:
+    """Of the k columns of the integer matrix `mat`, from one Smith form U
+    mat V = D: whether they are primitive (independent, every d_ii 1: they
+    span a summand), and a basis of the saturation of their span (the
+    vectors some non-zero multiple of which lies in it), the first rank(D)
+    columns of U^-1; its length is their rank."""
+    s = _intmat.SNF(mat)
+    primitive = s.rank == k and all(s.d[i][i] == 1 for i in range(k))
+    return primitive, [tuple(row[j] for row in s.uinv) for j in range(s.rank)]
 
 
 def _saturate_if_needed(
@@ -899,16 +898,10 @@ def _saturate_if_needed(
     """Upgrade an isotropic sublattice to a lagrangian when possible; the
     driver passes independent columns only, so the basis has full rank."""
     vecs = [tuple(v) for v in basis]
-    cols = [[v[i] for v in vecs] for i in range(f.rank)]
-    s = _intmat.SNF(cols)
-    if all(s.d[i][i] == 1 for i in range(len(vecs))):
+    primitive, sat = _saturation(_intmat.transpose(vecs), len(vecs))
+    if primitive:
         return tuple(vecs)
-    sat = tuple(
-        tuple(s.uinv[i][j] for i in range(f.rank)) for j in range(len(vecs))
-    )
-    if lagrangian_verify(f, sat):
-        return sat
-    return None
+    return tuple(sat) if lagrangian_verify(f, sat) else None
 
 
 def embedding_search(
@@ -960,18 +953,13 @@ def _embedding_obstruction(eta: QForm, target: QForm) -> str:
     parameter, eta.rank <= target.rank), or ''; see `embedding_search`."""
     from . import witt
 
-    if eta.parameter.is_symmetric:
-        # one elimination per form gives its inertia and its determinant
-        (det_target, have), (det_eta, need) = map(
-            _det_and_inertia, (target.lambda_matrix, eta.lambda_matrix)
-        )
-        if have[0] < need[0] or have[1] < need[1]:
-            return f"target inertia {have} lacks the source's {need}"
-    if eta.rank < target.rank:
-        return ""
-    if not eta.parameter.is_symmetric:
-        det_eta, det_target = eta.det(), target.det()
-    if det_eta not in (1, -1):
+    if eta.rank < target.rank and not eta.parameter.is_symmetric:
+        return ""  # only the inertia would certify, and it is (0, 0)
+    # one elimination per form gives its inertia and its determinant
+    (det_target, have), (det_eta, need) = map(_det_and_inertia_of, (target, eta))
+    if have[0] < need[0] or have[1] < need[1]:
+        return f"target inertia {have} lacks the source's {need}"
+    if eta.rank < target.rank or det_eta not in (1, -1):
         return ""
     if det_target not in (1, -1):
         return "equal ranks, singular target"
@@ -1005,10 +993,13 @@ def full_metabolic(q: FormParameter) -> QForm:
 
 
 def is_absorbing(f: QForm) -> bool:
-    """Absorbing = indefinite and full (nonsingular forms only)."""
-    if not is_nonsingular(f):
+    """Absorbing = indefinite (see `is_indefinite`) and full, for
+    nonsingular forms only; one elimination gives det and inertia."""
+    det, (pos, neg) = _det_and_inertia_of(f)
+    if det not in (1, -1):
         raise ValueError("absorbing is defined for nonsingular forms")
-    return is_indefinite(f) and is_full(f)
+    indefinite = min(pos, neg) >= 1 if f.parameter.is_symmetric else f.rank >= 2
+    return indefinite and is_full(f)
 
 
 class IsotropicVectorNotFound(RuntimeError):

@@ -76,12 +76,13 @@ A plan is coefficients; a column depth of the search driver is only its
 constants.  Every set-up (the symmetrised rows, the splits, the gcds, the
 intervals and reaches) depends only on the coefficient parts (A, l, m) of
 the constraints and the bound, never on their constants c, so a `Plan`
-holds the parts and keeps their set-up for the bound last asked for, and
-each call supplies the constants of the plan's rows: the driver's depths
-share one plan and the calls that share it build its set-up once per
-bound.  A call's root rules are read off the plan's per-row root data
-with the call's constants, without a set-up.  A call's own pair rows are
-its `rows` argument, and only they are set up per call.
+holds the parts with their steps at bound 1, read once by one recurrence
+per row, and each call supplies the constants of the plan's rows.  Over
+the box of bound b a gcd stays the same, a reach is b times its value at
+bound 1 and an interval b^2 times it: a bound's steps are those scaled,
+kept for the bound last asked for, and a call's root rules are read off
+the recurrence's final values without a set-up.  A call's own pair rows
+are its `rows` argument, and only they are set up per call.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ def unsolvable(constraint: Constraint) -> bool:
     return _gcd_rejects(c, g)
 
 
+def _root_rejects(c: int, g: int, low: int, high: int, exact: bool) -> bool:
+    """The root rules for a row with constant c whose open part (the whole
+    row but c) takes only multiples of g, within low..high: the gcd rule,
+    and for an exact row the interval rule (the open part cannot bring c
+    to 0)."""
+    return _gcd_rejects(c, g) or exact and not low <= -c <= high
+
+
 def _add_linear(n: int, l: Sequence[int], m: int, bound: int, lin_steps: List[list]):
     """Add the steps of a linear constraint with coefficients l and modulus
     m to lin_steps, and return the root's (g, t): the gcd of m and l, and
@@ -133,59 +142,49 @@ def _add_linear(n: int, l: Sequence[int], m: int, bound: int, lin_steps: List[li
 
 def _add_steps(plan: "Plan", bound: int) -> tuple:
     """What the search of the box |x_i| <= bound needs of each of the plan's
-    rows, per depth d: (lin_steps, quad_steps)."""
-    n, b2 = plan.n, bound * bound
-    # For a linear row (A symmetrised is zero; its open coefficients never
-    # change): lin_steps[d] holds l_d, g_d = gcd(m, l_j for j > d), t_d =
-    # bound * sum(|l_j| for j > d), the reach of the open part, and whether
-    # the row is exact.  For a quadratic one: quad_steps[d] holds S_dd; the
-    # row S_dj, j > d, reversed; the gcd g (with m) and the interval lo..hi
-    # of the open quadratic part at depth d + 1; whether the row is exact.
-    lin_steps, quad_steps = [[] for _ in range(n)], [[] for _ in range(n)]
-    for i in plan.lin:
-        _, l, m = plan.parts[i]
-        _add_linear(n, l, m, bound, lin_steps)
-    for i, entries in zip(plan.quad, plan.entries):
-        m = plan.parts[i][2]
-        g, lo, hi = m, 0, 0
-        for d in range(n - 1, -1, -1):
-            sdd, *row = entries[d]
-            quad_steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
-            g = gcd(g, sdd, *row)
-            t = sum(map(abs, row)) * b2
-            lo += min(sdd * b2, 0) - t
-            hi += max(sdd * b2, 0) + t
-    return lin_steps, quad_steps
+    rows, per depth d: (lin_steps, quad_steps), its `unit_steps` scaled (a
+    gcd stays, a reach grows by bound and an interval by bound^2).  For a
+    linear row (A symmetrised is zero; its open coefficients never
+    change): lin_steps[d] holds l_d, g_d = gcd(m, l_j for j > d), t_d =
+    bound * sum(|l_j| for j > d), the reach of the open part, and whether
+    the row is exact.  For a quadratic one: quad_steps[d] holds S_dd; the
+    row S_dj, j > d, reversed; the gcd g (with m) and the interval lo..hi
+    of the open quadratic part at depth d + 1; whether the row is exact."""
+    b2 = bound * bound
+    lin_steps, quad_steps = plan.unit_steps
+    return (
+        [[(ld, g, t * bound, exact) for ld, g, t, exact in depth] for depth in lin_steps],
+        [[(sdd, row, g, lo * b2, hi * b2, exact) for sdd, row, g, lo, hi, exact in depth] for depth in quad_steps],
+    )
 
 
 class Plan:
     """The coefficient parts (A, l, m) of a list of rows, set up once for
     every call that shares them; each call supplies the rows' constants c.
 
-    What does not depend on the bound is read once, here: the symmetrised
-    quadratic rows, which rows are linear, the splits, and each row's root
-    data, the gcd of m and every coefficient with the interval and reach of
-    the row over the box of bound 1 (over the box of bound b the interval
-    is b^2 times it and the reach b times it).  So the root rules of any
-    bound and any constants cost O(1) per row (`rejects`, `least_bound`),
-    and a row's gcd rule, `unsolvable` of the row with its constant, is read
-    without a set-up (`solvable`).  The per-depth steps (`_add_steps`) for a
-    bound are built when a call first asks for that bound, and the one last
-    asked for is kept: the driver searches one bound per pass.
+    One recurrence per row over the depths reads, once, what does not
+    depend on the bound: the symmetrised quadratic rows, which rows are
+    linear, the splits, the steps at bound 1 (`unit_steps`) and, as its
+    final values, each row's root data: the gcd of m and every coefficient
+    with the row's interval and reach over the box of bound 1.  So the root
+    rules of any bound and constants cost O(1) per row (`rejects`,
+    `least_bound`, `solvable`: the gcd rule of `unsolvable`).  A bound's
+    steps, `unit_steps` scaled (`_add_steps`), are kept for the bound last
+    asked for: `qform._column_search` searches one bound per pass.
     """
 
-    __slots__ = ("n", "parts", "lin", "quad", "entries", "coefs", "splits", "_root", "_bound", "_steps")
+    __slots__ = ("n", "parts", "lin", "quad", "coefs", "splits", "unit_steps", "_root", "_bound", "_steps")
 
     def __init__(self, n: int, parts: Sequence[Part]):
         self.n = n
         self.parts = parts
         # the indices of the linear and of the quadratic rows, and of each
-        # quadratic one its symmetrised rows and its open linear
-        # coefficients at the root, last coordinate first
+        # quadratic one its open linear coefficients, last coordinate first
         self.lin: List[int] = []
         self.quad: List[int] = []
-        self.entries: List[List[List[int]]] = []
         self.coefs: List[List[int]] = []
+        lin_steps, quad_steps = [[] for _ in range(n)], [[] for _ in range(n)]
+        self.unit_steps = lin_steps, quad_steps
         # per row: (g, lo, hi, t, exact) at bound 1
         self._root = []
         # coupled[i]: the last j with S_ij != 0 in some quadratic row
@@ -194,12 +193,13 @@ class Plan:
             # an empty or zero A is linear at a glance; an antisymmetric A
             # only once symmetrised
             entries = [_quadratic_entries(a, n, d) for d in range(n)] if any(map(any, a)) else []
-            g, lo, hi = gcd(m, *l), 0, 0
             if any(map(any, entries)):
                 self.quad.append(i)
-                self.entries.append(entries)
                 self.coefs.append(list(l)[::-1])
-                for d, (sdd, *row) in enumerate(entries):
+                g, lo, hi = m, 0, 0
+                for d in range(n - 1, -1, -1):
+                    sdd, *row = entries[d]
+                    quad_steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
                     g = gcd(g, sdd, *row)
                     t = sum(map(abs, row))
                     lo += min(sdd, 0) - t
@@ -207,9 +207,11 @@ class Plan:
                     while row and not row[-1]:
                         row.pop()
                     coupled[d] = max(coupled[d], d + len(row))
+                g, t = gcd(g, *l), sum(map(abs, l))
             else:
                 self.lin.append(i)
-            self._root.append((g, lo, hi, sum(map(abs, l)), m == 0))
+                (g, t), lo, hi = _add_linear(n, l, m, 1, lin_steps), 0, 0
+            self._root.append((g, lo, hi, t, m == 0))
         # depth d splits the rows when no S_ij couples i < d with j >= d;
         # the last coordinate's subtree is one loop, cheaper walked than
         # looked up, so only the splits before it are kept
@@ -236,13 +238,11 @@ class Plan:
         return not any(_gcd_rejects(c, root[0]) for root, c in zip(self._root, constants))
 
     def rejects(self, bound: int, constants: Sequence[int]) -> bool:
-        """Whether a root rule shows that no vector of the box |x_i| <= bound
-        satisfies the rows with these constants: the gcd rule, or for an
-        exact row the interval rule (the open part at the root, the whole
-        row but its constant, cannot bring the constant to 0)."""
+        """Whether a root rule (`_root_rejects`) shows that no vector of the
+        box |x_i| <= bound satisfies the rows with these constants."""
         b2 = bound * bound
         for (g, lo, hi, t, exact), c in zip(self._root, constants):
-            if _gcd_rejects(c, g) or exact and (c + b2 * lo - bound * t > 0 or c + b2 * hi + bound * t < 0):
+            if _root_rejects(c, g, b2 * lo - bound * t, b2 * hi + bound * t, exact):
                 return True
         return False
 
@@ -318,7 +318,7 @@ def search_vectors(
         lin_steps = [list(depth) for depth in lin_steps]
         for l, c in rows:
             g, t = _add_linear(n, l, 0, bound, lin_steps)
-            if _gcd_rejects(c, g) or c > t or c < -t:
+            if _root_rejects(c, g, -t, t, True):
                 return [], 0, True
     x = [0] * n
     nodes = 0

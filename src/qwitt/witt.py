@@ -57,6 +57,7 @@ from .formparam import (
 )
 from .qform import (
     QForm,
+    _det_and_inertia_of,
     _mu_scalar,
     is_nonsingular,
     pushforward,
@@ -94,9 +95,10 @@ __all__ = [
 def signature(f: QForm) -> int:
     if not f.parameter.is_symmetric:
         raise ValueError("signature needs a symmetric parameter")
-    if not is_nonsingular(f):
+    det, (pos, neg) = _det_and_inertia_of(f)  # one elimination
+    if det not in (1, -1):
         raise ValueError("signature of a singular form")
-    return signature_of_matrix(f.lambda_matrix)
+    return pos - neg
 
 
 def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):

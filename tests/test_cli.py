@@ -210,6 +210,32 @@ def test_exit_codes(capsys):
     assert "h(p(1))" in err  # the violated axiom is named
 
 
+def test_integer_past_the_digit_limit_in_the_payload(capsys):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError: a malformed payload, not a traceback
+    payload = '{"param": {"carrier": [1%s], "h": [0], "pOne": [0]}}' % ("0" * 5000)
+    code, out, err = run_cli(capsys, "classify", payload)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: payload cannot be read: ") and "4300" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_answer_integer_past_the_digit_limit_is_printed_in_full(capsys, fmt):
+    # W(ZP_15000) = Z/2^14999 + Z: 4516 digits, past Python's default limit
+    # of 4300 for int-to-str conversion, which is lifted only while printing
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "witt-group", '"ZP_15000"', "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        order = str(2**14999)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(order) == 4516
+    assert (f'"group":[{order},0]' if fmt == "json" else f"group: [{order}, 0]") in out
+
+
 def test_order_one_factors(capsys):
     # a raw carrier gives h and pOne one coordinate per factor, so an
     # order-1 factor is refused rather than dropped with its coordinates

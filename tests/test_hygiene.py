@@ -325,13 +325,49 @@ def test_driver_builds_no_lambda_square_row():
 
 
 def test_kernel_set_up_lives_in_one_function():
-    # a Plan symmetrises its rows once and reads their root rules and
-    # splits; search._add_steps builds every depth's steps for a bound; its
-    # linear rule, _add_linear, also sets up a call's pair rows, and
-    # unsolvable reads the symmetrised rows for the gcd rule only
+    # a Plan symmetrises its rows once and runs one recurrence per row for
+    # its steps at bound 1, its root data and its splits; the linear
+    # recurrence, _add_linear, also sets up a call's pair rows, and
+    # unsolvable reads the symmetrised rows for the gcd rule only;
+    # search._add_steps only scales the plan's steps to a bound; the root
+    # rules of a plan's rows and of pair rows are one function, whose gcd
+    # rule Plan.solvable and unsolvable share
     assert library_calls("_quadratic_entries") == {("search.py", "Plan"), ("search.py", "unsolvable")}
     assert library_calls("_add_steps") == {("search.py", "Plan")}
-    assert library_calls("_add_linear") == {("search.py", "_add_steps"), ("search.py", "search_vectors")}
+    assert library_calls("_add_linear") == {("search.py", "Plan"), ("search.py", "search_vectors")}
+    assert library_calls("_root_rejects") == {("search.py", "Plan"), ("search.py", "search_vectors")}
+    assert library_calls("_gcd_rejects") == {
+        ("search.py", "_root_rejects"), ("search.py", "Plan"), ("search.py", "unsolvable")
+    }
+    source = (SRC / "search.py").read_text()
+    for name in ("gcd", "sum", "abs", "_add_linear", "_quadratic_entries"):
+        assert "_add_steps" not in {scope for _, scope in calls_to(source, name)}, name
+
+
+def test_pre_checks_take_one_elimination_per_form():
+    # the searches' pre-checks read a form's determinant and inertia off
+    # one elimination, `_det_and_inertia_of`, for either symmetry; the
+    # metabolic obstruction takes no determinant before witt_class, whose
+    # inversion of the matrix is the nonsingularity check
+    assert library_calls("_det_and_inertia") == {("qform.py", "inertia"), ("qform.py", "_det_and_inertia_of")}
+    source = (SRC / "qform.py").read_text()
+    pre_checks = {"_metabolic_obstruction", "isometry_search", "_embedding_obstruction", "is_absorbing"}
+    for name in ("is_nonsingular", "determinant", "det", "inertia", "_det_and_inertia"):
+        scopes = {scope for _, scope in calls_to(source, name)}
+        # isometry_search's leaf takes the determinant of a witness matrix
+        assert not scopes & (pre_checks - {"isometry_search"} if name == "determinant" else pre_checks), name
+    witt_source = (SRC / "witt.py").read_text()
+    assert "signature" not in {scope for _, scope in calls_to(witt_source, "is_nonsingular")}
+
+
+def test_one_saturation_routine():
+    # Embedding.is_primitive, lagrangian_verify and _saturate_if_needed
+    # read the rank, primitivity and saturated basis of their columns off
+    # one Smith form, built by `_saturation` alone
+    source = (SRC / "qform.py").read_text()
+    assert {scope for _, scope in calls_to(source, "SNF")} == {"_saturation"}
+    users = {scope for _, scope in calls_to(source, "_saturation")}
+    assert users == {"Embedding", "lagrangian_verify", "_saturate_if_needed"}
 
 
 def test_span_test_is_incremental():

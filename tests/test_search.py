@@ -537,3 +537,83 @@ def test_splits_read_the_symmetrised_matrix():
         for norm in (False, True):
             got, _, exhausted = search_vectors(n, cons, 2, 10**6, 10**7, norm)
             assert exhausted and got == brute(n, cons, 2, norm)
+
+
+def steps_from_scratch(n, parts, bound):
+    """Reference for `search._add_steps`: every depth's steps of the box of
+    `bound`, each row's recurrence run from scratch at that bound.  A row
+    is linear when A symmetrised is zero; a linear row's steps are (l_d,
+    gcd(m, l_j for j > d), bound * sum(|l_j| for j > d), exact), a
+    quadratic row's (S_dd, the row S_dj for j > d reversed, the gcd of m
+    and every S_ij for i > d, the interval of the open quadratic part over
+    the box, exact)."""
+    from math import gcd
+
+    b2 = bound * bound
+    lin_steps, quad_steps = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, l, m in parts:
+        sym = [[a[i][j] + a[j][i] if a else 0 for j in range(n)] for i in range(n)]
+        if not any(map(any, sym)):
+            g, t = m, 0
+            for d in range(n - 1, -1, -1):
+                lin_steps[d].append((l[d], g, t, m == 0))
+                g, t = gcd(g, l[d]), t + abs(l[d]) * bound
+            continue
+        g, lo, hi = m, 0, 0
+        for d in range(n - 1, -1, -1):
+            sdd, row = sym[d][d] // 2, sym[d][d + 1:]
+            quad_steps[d].append((sdd, row[::-1], g, lo, hi, m == 0))
+            g = gcd(g, sdd, *row)
+            t = sum(map(abs, row)) * b2
+            lo, hi = lo + min(sdd * b2, 0) - t, hi + max(sdd * b2, 0) + t
+    return lin_steps, quad_steps
+
+
+def test_scaled_steps_match_the_recurrence_at_each_bound():
+    """A plan reads its rows' steps at bound 1 once; `_add_steps(plan, b)`
+    scales them (a gcd stays, a reach grows by b, an interval by b^2).
+    Seeded rows, exact and modular, quadratic, linear, empty and
+    anti-symmetric A (linear once symmetrised), with coefficients near
+    2**70, give at every bound 0..5 the steps that the recurrence run at
+    that bound gives, and each row's root data is that recurrence's final
+    values at bound 1."""
+    from math import gcd
+
+    from qwitt import search
+
+    rng = random.Random(4040)
+    big = 2**70
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(["quadratic", "linear", "empty", "anti"])
+            scale = rng.choice([1, big])
+
+            def entry():
+                return rng.choice([0, 0, 1, -1, 2, -3]) * scale + rng.choice([0, rng.randint(-9, 9)])
+
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            if kind == "anti":
+                a = [[a[i][j] - a[j][i] for j in range(n)] for i in range(n)]
+            elif kind == "empty":
+                a = ()
+            elif kind == "linear":
+                a = [[0] * n for _ in range(n)]
+            m = rng.choice([0, 0, 2, 6, big + 1])
+            parts.append((a, [entry() for _ in range(n)], m))
+            kinds.add((kind, m == 0, scale == big))
+        plan = Plan(n, parts)
+        for b in range(6):
+            assert search._add_steps(plan, b) == steps_from_scratch(n, parts, b), (n, parts, b)
+        # the root data: the recurrence's final values at bound 1, with l
+        lin, quad = iter(plan.lin), iter(plan.quad)
+        for i, (a, l, m) in enumerate(parts):
+            sym = [[a[r][c] + a[c][r] if a else 0 for c in range(n)] for r in range(n)]
+            entries = [sym[d][d] // 2 for d in range(n)] + [sym[r][c] for r in range(n) for c in range(r + 1, n)]
+            lo = sum(min(sym[d][d] // 2, 0) for d in range(n)) - sum(abs(e) for e in entries[n:])
+            hi = sum(max(sym[d][d] // 2, 0) for d in range(n)) + sum(abs(e) for e in entries[n:])
+            assert next(quad if any(map(any, sym)) else lin) == i
+            assert plan._root[i] == (gcd(m, *l, *entries), lo, hi, sum(map(abs, l)), m == 0)
+    assert {(k, exact, large) for k in ("quadratic", "linear", "empty", "anti") for exact in (True, False) for large in (True, False)} <= kinds, kinds
