@@ -7,15 +7,22 @@ free factors; two groups are isomorphic iff their canonical forms coincide.
 
 Elements carry one coordinate per factor, reduced into [0, n) on finite
 factors.  Homomorphisms are integer matrices whose column j is the image of
-source generator j in target coordinates.  All values are immutable.
+source generator j in target coordinates.  All values are immutable, and
+each is a slotted dataclass with no per-instance dict.  A group is interned:
+there is one object per orders tuple, so `x.group is g` is the common case
+of `x.group == g`, but groups are still compared with `==`, which is
+value-based.  Orders, coordinates and matrix entries must be integers
+(`operator.index`); anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import mul
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from operator import index, mul
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+)
 
 from . import _intmat
 from ._intmat import Matrix
@@ -60,17 +67,61 @@ def _factorint(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
+def _integer(value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer") from None
+
+
+def _integers(values: Iterable) -> Tuple[int, ...]:
+    """The values as a tuple of ints, through `operator.index`: a float, a
+    string or any other value that is not an integer raises ValueError
+    naming it, where int() would truncate or parse it."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple(map(_integer, values))  # raises at the first non-integer
+
+
+# the interned groups, one per orders tuple (see FinAbGroup.__new__), kept
+# for the life of the process like the library's caches
+_GROUPS: Dict[Tuple[int, ...], "FinAbGroup"] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class FinAbGroup:
-    """Direct sum of cyclic groups with a fixed factor ordering."""
+    """Direct sum of cyclic groups with a fixed factor ordering.
+
+    There is one object per orders tuple: FinAbGroup(orders) returns the
+    group first built with those orders, so a group built again costs no
+    memory and `x.group is g` holds in the common case.  Equality, hash and
+    repr stay value-based: compare groups with `==`."""
 
     orders: Tuple[int, ...]
 
-    def __init__(self, orders: Sequence[int]):
-        orders = tuple(int(n) for n in orders)
-        if any(n < 0 or n == 1 for n in orders):
-            raise ValueError(f"invalid cyclic orders {orders}")
-        object.__setattr__(self, "orders", orders)
+    def __new__(cls, orders: Iterable[int]) -> "FinAbGroup":
+        orders = _integers(orders)
+        group = _GROUPS.get(orders)
+        if group is None:
+            # validated once, when first built; an invalid tuple is not kept
+            if any(n < 0 or n == 1 for n in orders):
+                raise ValueError(f"invalid cyclic orders {orders}")
+            group = object.__new__(cls)
+            object.__setattr__(group, "orders", orders)
+            # setdefault is atomic: of two threads building one group, both
+            # return the object stored first
+            group = _GROUPS.setdefault(orders, group)
+        return group
+
+    def __init__(self, orders: Iterable[int]):
+        """Nothing to do: __new__ returns the built group."""
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __new__, so they return
+        # the interned group
+        return FinAbGroup, (self.orders,)
 
     # -- structure -----------------------------------------------------------
 
@@ -184,7 +235,9 @@ class FinAbGroup:
             raise ValueError(
                 f"expected {self.ngens} coordinates, got {len(coords)}"
             )
-        return tuple([c % n if n else c for c, n in zip(coords, self.orders)])
+        return tuple([
+            c % n if n else c for c, n in zip(_integers(coords), self.orders)
+        ])
 
     def __repr__(self) -> str:
         if not self.orders:
@@ -197,7 +250,7 @@ Z2 = FinAbGroup((2,))
 TRIVIAL = FinAbGroup(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     group: FinAbGroup
     coords: Tuple[int, ...]
@@ -251,15 +304,16 @@ class GroupElement:
 
 def _reduced(group: FinAbGroup, coords: Tuple[int, ...]) -> GroupElement:
     """The element with coordinates the group's own arithmetic has already
-    reduced: no length check and no second reduction.  Caller input goes
-    through GroupElement(...) or FinAbGroup.element, which check both."""
+    reduced: no length or integer check and no second reduction.  Caller
+    input goes through GroupElement(...) or FinAbGroup.element, which check
+    the length and that every coordinate is an integer, and reduce."""
     x = object.__new__(GroupElement)
     object.__setattr__(x, "group", group)
     object.__setattr__(x, "coords", coords)
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbHom:
     """Homomorphism given on generators; column j = image of source gen j."""
 
@@ -275,7 +329,7 @@ class AbHom:
     ):
         # convert and reduce entries into target coordinates, row by row
         red = tuple(
-            tuple([int(x) % m for x in row]) if m else tuple(map(int, row))
+            tuple([x % m for x in _integers(row)]) if m else _integers(row)
             for row, m in zip(matrix, target.orders)
         )
         if len(matrix) != target.ngens or any(

@@ -7,7 +7,8 @@ height and complement classify parameters up to isomorphism.
 
 p is stored as the single element p(1); the full homomorphism n -> n*p(1)
 is reconstructed on demand.  The symmetry h(p(1)) - 1 is computed once, when
-the parameter is built, and kept outside the dataclass fields.
+the parameter is built, and kept in a field that equality, hash and repr
+leave out.
 """
 
 from __future__ import annotations
@@ -58,11 +59,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormParameter:
     carrier: FinAbGroup
     h: AbHom
     p_one: GroupElement
+    # h(p(1)) - 1, set by __post_init__; equality, hash and repr see only
+    # carrier, h and p(1)
+    _symmetry: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h.source != self.carrier or self.h.target != Z:
@@ -78,7 +82,6 @@ class FormParameter:
         # h p h = 2h on generators: h(x) * (h(p(1)) - 2) = 0
         if hp == 0 and not self.h.is_zero():
             raise ValueError("anti-symmetric parameter must have h = 0")
-        # not a field: equality, hash and repr see only carrier, h and p(1)
         object.__setattr__(self, "_symmetry", hp - 1)
 
     @property
@@ -104,7 +107,7 @@ class FormParameter:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FPMorphism:
     source: FormParameter
     target: FormParameter
@@ -145,7 +148,7 @@ class FPMorphism:
         return cls(q, q, AbHom.identity(q.carrier))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceHom:
     """A homomorphism v: A -> Z2 (an object of the slice over Z2); its
     domain A is v.source."""
@@ -168,7 +171,7 @@ class SliceHom:
         return self.v.is_zero()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CosliceHom:
     """A homomorphism v': Z2 -> A, stored as the image v'(1) of order <= 2;
     its codomain A is v'(1)'s group."""
@@ -191,7 +194,7 @@ class CosliceHom:
 Height = Union[int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FPClassification:
     symmetry: int
     height: Height
@@ -202,7 +205,7 @@ class FPClassification:
         return f"(sym={self.symmetry:+d}, ht={h}, G={list(self.complement)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaximalSplitting:
     standard_kind: str
     k: Optional[int]  # level within the ZP_k / ZL_k families, else None

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import _intmat, search
 from ._intmat import _binom2
-from .abelian import AbHom, FinAbGroup, GroupElement
+from .abelian import AbHom, FinAbGroup, GroupElement, _integers
 from .formparam import (
     FormParameter, FPMorphism, linearisation, maximal_splitting, terminal_morphism
 )
@@ -58,7 +58,7 @@ BUDGET_EXHAUSTED = "node budget exhausted"
 STACK_EXHAUSTED = "search nested deeper than the Python stack allows"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QForm:
     parameter: FormParameter
     lambda_matrix: Tuple[Tuple[int, ...], ...]
@@ -70,7 +70,7 @@ class QForm:
         lambda_matrix: Sequence[Sequence[int]],
         mu_basis: Sequence[GroupElement],
     ):
-        mat = tuple(tuple(map(int, row)) for row in lambda_matrix)
+        mat = tuple(map(_integers, lambda_matrix))
         mus = tuple(mu_basis)
         k = len(mat)
         if any(len(r) != k for r in mat) or len(mus) != k:
@@ -119,7 +119,7 @@ class QForm:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     source: QForm
     target: QForm
@@ -140,7 +140,7 @@ class Embedding:
         return _saturation(self.matrix, self.source.rank)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchOutcome:
     """Three-valued verdict of a bounded search.
 

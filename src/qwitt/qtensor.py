@@ -19,10 +19,10 @@ into a caller's list instead, so that the sum is reduced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ._intmat import _binom2
 from .abelian import (
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorPresentation:
     g: FinAbGroup
     q: FormParameter
@@ -64,9 +64,13 @@ class TensorPresentation:
     basis_map: Tuple[GroupElement, ...]
     # integer lift of each canonical generator over the abstract symbols
     section: Tuple[Tuple[int, ...], ...]
+    # symbol -> its index, set by __post_init__; equality, hash and repr see
+    # only the fields above
+    _position: Dict[Tuple[str, int, int], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        # not a field: equality, hash and repr see only the fields above
         object.__setattr__(
             self, "_position", {s: a for a, s in enumerate(self.symbols)}
         )

@@ -349,7 +349,7 @@ class WittGroupDescription:
         return WittClass(self, (0,) * len(self.orders))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WittClass:
     description: WittGroupDescription
     coords: Tuple[int, ...]
@@ -533,7 +533,7 @@ def _witt_class(
 # -- the natural description ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SigmaSubgroup:
     """Sigma(v) inside Z + Gamma(A), with generators and canonical form.
 
@@ -590,7 +590,7 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LambdaQuotient:
     """Generators of K(v') and Lambda(v') = (Z2 + Lambda1(A)) / K(v')."""
 
@@ -979,7 +979,7 @@ def lambda_diagram(v: CosliceHom) -> dict:
 # -- Grothendieck-Witt ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GWClass:
     rank: int
     witt: WittClass

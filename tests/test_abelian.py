@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -7,6 +8,7 @@ import pytest
 
 from qwitt import _intmat
 from qwitt.abelian import (
+    _GROUPS,
     _complement,
     _divide_by,
     _factorint,
@@ -79,6 +81,57 @@ def test_canonical_orders_match_factoring_reference():
 def test_order_one_factor_rejected():
     with pytest.raises(ValueError):
         FinAbGroup((1, 2))
+
+
+def test_one_object_per_group():
+    g = FinAbGroup([2, 0])
+    assert FinAbGroup((2, 0)) is g and FinAbGroup(iter([2, 0])) is g
+    assert _GROUPS[(2, 0)] is g
+    assert _GROUPS[(0,)] is Z and _GROUPS[(2,)] is Z2 and _GROUPS[()] is TRIVIAL
+    assert FinAbGroup([0]) is Z and FinAbGroup(()) is TRIVIAL
+    # building a group again adds nothing to the table
+    h = FinAbGroup((4, 6, 0))
+    size = len(_GROUPS)
+    for orders in ([2, 0], (0,), [4, 6, 0], (4, 6, 0), iter([4, 6, 0])):
+        FinAbGroup(orders)
+    assert len(_GROUPS) == size
+    # equality, hash and repr stay those of the orders
+    assert h == FinAbGroup([4, 6, 0]) and h != FinAbGroup((6, 4, 0))
+    assert hash(h) == hash(((4, 6, 0),)) and repr(h) == "Z4 + Z6 + Z"
+    assert h.gen(0).group is h and h.zero().group is FinAbGroup([4, 6, 0])
+
+
+def test_invalid_orders_raise_on_every_call_and_are_not_kept():
+    size = len(_GROUPS)
+    for orders in ([1], [-2], (3, 1), (0, -5)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="invalid cyclic orders"):
+                FinAbGroup(orders)
+        assert tuple(orders) not in _GROUPS
+    assert len(_GROUPS) == size
+
+
+def test_non_integer_input_is_refused():
+    class Two:
+        def __index__(self):
+            return 2
+
+    # any integer type is read through operator.index
+    assert FinAbGroup([Two()]) == Z2 and Z.element((Two(),)).coords == (2,)
+    for orders in ([2.7], [2.0], ["2"], [0, Fraction(4, 2)], [None]):
+        with pytest.raises(ValueError, match="is not an integer"):
+            FinAbGroup(orders)
+    with pytest.raises(ValueError, match="0.5 is not an integer"):
+        AbHom(Z, Z, [[0.5]])
+    with pytest.raises(ValueError, match="1.0 is not an integer"):
+        AbHom(Z, Z2, [[1.0]])
+    g = FinAbGroup((0, 4))
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        Z.element((1.5,))
+    with pytest.raises(ValueError, match="'3' is not an integer"):
+        GroupElement(g, (0, "3"))
+    with pytest.raises(ValueError, match="2.0 is not an integer"):
+        g.reduce_coords([1, 2.0])
 
 
 def test_element_reduction_idempotent():

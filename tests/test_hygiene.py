@@ -673,6 +673,56 @@ def test_formparam_reads_the_kind_only_in_its_table():
     assert not found, found
 
 
+def unslotted_dataclasses(source: str):
+    """The classes a module declares with @dataclass but without
+    slots=True."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            func = call.func if call else dec
+            if getattr(func, "id", getattr(func, "attr", None)) != "dataclass":
+                continue
+            if not any(
+                k.arg == "slots" and getattr(k.value, "value", None) is True
+                for k in (call.keywords if call else [])
+            ):
+                found.append(node.name)
+    return found
+
+
+def test_unslotted_dataclasses_detected():
+    src = (
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True, slots=False)\nclass C:\n    x: int\n"
+        "@dataclass(frozen=True, slots=True)\nclass D:\n    x: int\n"
+        "@dataclasses.dataclass(slots=True)\nclass E:\n    x: int\n"
+        "@total_ordering\nclass F:\n    pass\n"
+    )
+    assert unslotted_dataclasses(src) == ["A", "B", "C"]
+
+
+# the dataclasses that keep a per-instance dict, each with its reason
+UNSLOTTED = {
+    # its cached_property `group` is stored in the instance dict
+    ("witt.py", "WittGroupDescription"),
+}
+
+
+def test_value_dataclasses_keep_their_slots():
+    # a value object keeps no per-instance dict: a workload builds tens of
+    # thousands of them
+    found = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in unslotted_dataclasses(path.read_text())
+    }
+    assert found == UNSLOTTED, found
+
+
 def package_imports(source: str):
     """(module, at top level) for each package module a relative import
     names: `from . import a, b` names a and b, `from .a import x` names a."""

@@ -61,6 +61,14 @@ def test_qform_refuses_a_matrix_that_is_not_eps_symmetric():
         qf.QForm(QPLUS, [[0]], [zm])
 
 
+def test_qform_refuses_a_non_integer_matrix():
+    one = QP.carrier.element((1,))
+    with pytest.raises(ValueError, match="1.9 is not an integer"):
+        qf.QForm(QP, [[1.9]], [one])
+    with pytest.raises(ValueError, match="is not an integer"):
+        qf.QForm(QP, [[1, Fraction(0)], [0, 1]], [one, one])
+
+
 def test_mu_eval_examples():
     f = unit_form()
     assert qf.mu_eval(f, [2]).coords == (4,)
