@@ -12,7 +12,26 @@ each is a slotted dataclass with no per-instance dict.  A group is interned:
 there is one object per orders tuple, so `x.group is g` is the common case
 of `x.group == g`, but groups are still compared with `==`, which is
 value-based.  Orders, coordinates and matrix entries must be integers
-(`operator.index`); anything else raises ValueError.
+(`operator.index`); anything else raises ValueError.  An element that the
+group's own arithmetic produces (`zero`, `gen`, `combination`, `+`, `-`,
+`k *`, a map's value and its columns) is built from coordinates already
+reduced, through the private `_reduced`; `GroupElement(...)` and
+`FinAbGroup.element` reduce a caller's coordinates.  `combination` adds on
+coordinates and reduces once.
+
+One routine per job: every quotient is read off `free_quotient` (integer
+relation columns over a free group in; the group, the value of each free
+generator and an integer section out), which `quotient_with_lift`, the
+spans of `subgroup` and `generated_group` and the summand complement read;
+every membership question goes through `member_solver`, which
+`AbHom.solver` and `AbHom.inverse` use and which keeps only the U,
+diagonal, V and rank of its Smith form (`_intmat.Solver`).
+`AbHom.is_isomorphism` is one Smith form (a surjection between isomorphic
+groups, exact because finitely generated abelian groups are Hopfian), and
+`is_surjective` reads only the cokernel group.  `tensor_map(f, g)` is
+f (x) g between the groups of `tensor_with_generators`.  Summands are
+split off by coordinate arithmetic on the cyclic factors through one
+complement loop, `_complement`; no group is enumerated.
 """
 
 from __future__ import annotations

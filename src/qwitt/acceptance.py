@@ -130,70 +130,31 @@ def criterion_3_split_examples(rng) -> Tuple[bool, str]:
         g = FinAbGroup(()) if l == 1 else FinAbGroup((l,))
         dbar = 2 if l % 2 == 0 else 1
         delta = dbar * l
-
-        def chk(name, expect_orders, form=None):
+        # (family, expected orders of W0, lambda and mu rows of the generator
+        # form of the torsion summand); the form is checked where W0 has
+        # that summand, that is where two orders are expected
+        table = [
+            ("Q+", (0,) if l == 1 else (l, 0), [[0, 1], [1, 0]], [(0, 1), (0, 1)]),
+            ("Q^+", (0,) if delta == 1 else (delta, 0), [[1, 0], [0, -1]], [(1, 0), (-1, 1)]),
+            ("Q-", (2,) if dbar == 1 else (2, 2), [[0, 1], [-1, 0]], [(0, 1), (0, 1)]),
+            ("Q^-", (), None, None),
+        ]
+        for name, expect, lam, mus in table:
             p = split_sum(standard(name), g)
             d = witt.witt_group(p)
-            if d.canonical_orders() != tuple(expect_orders):
-                bad.append(
-                    f"W0({name}+Z_{l}) = {d.canonical_orders()}, expected {tuple(expect_orders)}"
-                )
-                return
-            if form is None:
-                return
-            cls = witt.witt_class(form(p))
-            tensor_coords = cls.coords[d.n_indec:]
-            indec_coords = cls.coords[: d.n_indec]
-            if any(indec_coords):
+            if d.canonical_orders() != expect:
+                bad.append(f"W0({name}+Z_{l}) = {d.canonical_orders()}, expected {expect}")
+                continue
+            if len(expect) < 2:
+                continue
+            cls = witt.witt_class(qf.QForm(p, lam, [p.carrier.element(m) for m in mus]))
+            if any(cls.coords[: d.n_indec]):
                 bad.append(f"{name}+Z_{l}: generator form has nonzero indecomposable part")
-                return
+                continue
             tgrp = FinAbGroup(d.orders[d.n_indec:])
-            elem = tgrp.element(tensor_coords)
-            sub, _ = subgroup(tgrp, [elem])
+            sub, _ = subgroup(tgrp, [tgrp.element(cls.coords[d.n_indec:])])
             if sub.canonical_orders() != tgrp.canonical_orders():
-                bad.append(
-                    f"{name}+Z_{l}: listed form does not generate the torsion summand"
-                )
-
-        def q_plus_form(p):
-            c = p.carrier
-            one = (0, 1) if l > 1 else (0,)
-            return qf.QForm(
-                p, [[0, 1], [1, 0]], [c.element(one), c.element(one)]
-            )
-
-        def q_sup_plus_form(p):
-            c = p.carrier
-            m1 = (1, 0) if l > 1 else (1,)
-            m2 = (-1, 1) if l > 1 else (-1,)
-            return qf.direct_sum(
-                qf.QForm(p, [[1]], [c.element(m1)]),
-                qf.QForm(p, [[-1]], [c.element(m2)]),
-            )
-
-        def q_minus_form(p):
-            c = p.carrier
-            one = (0, 1) if l > 1 else (0,)
-            return qf.QForm(
-                p, [[0, 1], [-1, 0]], [c.element(one), c.element(one)]
-            )
-
-        chk(
-            "Q+",
-            (0,) if l == 1 else (l, 0),
-            None if l == 1 else q_plus_form,
-        )
-        chk(
-            "Q^+",
-            (0,) if delta == 1 else (delta, 0),
-            None if delta == 1 else q_sup_plus_form,
-        )
-        chk(
-            "Q-",
-            (2,) if dbar == 1 else (2, 2),
-            None if dbar == 1 else q_minus_form,
-        )
-        chk("Q^-", ())
+                bad.append(f"{name}+Z_{l}: listed form does not generate the torsion summand")
     return not bad, "; ".join(bad[:4]) or "l = 1..12 exact with generators"
 
 

@@ -9,6 +9,22 @@ p is stored as the single element p(1); the full homomorphism n -> n*p(1)
 is reconstructed on demand.  The symmetry h(p(1)) - 1 is computed once, when
 the parameter is built, and kept in a field that equality, hash and repr
 leave out.
+
+The seven standard kinds are one table, `_kind_data` (carrier, h, p(1),
+height and Aut generators of each), read by `standard`, `height_of`,
+`aut_generators` and `parse_name`; a standard parameter's kind and level
+are read off its maximal splitting.  `standard_morphism` is one rule: the
+arrow out of the initial Q+/Q- or into the terminal Q^+/Q^-, else the
+ZP-family map [[1, 0], [n, 2n+1]] or the ZL-family map [[2^(l-k)]].  The
+linearisation SQ = Q_e / <p(1)> comes with its projection and a section
+from one Smith form, cached per parameter like the quasi-Wu class;
+`quasi_wu`, `S_of`, the splitting and `morphism_from_slice` read every lift
+off that section.  A maximal splitting takes one path per symmetry: each
+case returns its kind, level, complement and one morphism Q + G -> P onto
+the splitting's basis, and `maximal_splitting` alone inverts it (one Smith
+form, which also checks both compositions) and builds the
+`MaximalSplitting`; a case map that does not invert is an AssertionError,
+a library fault.
 """
 
 from __future__ import annotations

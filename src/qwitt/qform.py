@@ -7,6 +7,8 @@ X = Z^k together with a quadratic refinement mu: X -> Q_e satisfying
 
 mu is stored on the basis only; every other value is computed through the
 addition and scalar rules, never cached, so equality stays structural.
+`QForm.lam` is one matrix-vector product, `mu_eval` gives mu at a vector,
+and a pullback is B^T M B by two integer matrix products.
 """
 
 from __future__ import annotations
@@ -380,8 +382,12 @@ def lagrangian_verify(f: QForm, basis: Sequence[Sequence[int]]) -> bool:
     if 2 * len(vecs) != f.rank:
         return False
     cols = _intmat.transpose(vecs)
-    if not _saturation(cols, len(vecs))[0]:
-        return False
+    return _saturation(cols, len(vecs))[0] and _pulls_back_to_zero(f, cols)
+
+
+def _pulls_back_to_zero(f: QForm, cols: Sequence[Sequence[int]]) -> bool:
+    """Whether the pullback of f along the columns of `cols` is the zero
+    form: lambda vanishes on them and mu is zero at each."""
     pulled = pullback(f, cols)
     return not any(map(any, pulled.lambda_matrix)) and all(
         m.is_zero for m in pulled.mu_basis
@@ -896,12 +902,14 @@ def _saturate_if_needed(
     f: QForm, basis: Sequence[Sequence[int]]
 ) -> Optional[Tuple[Tuple[int, ...], ...]]:
     """Upgrade an isotropic sublattice to a lagrangian when possible; the
-    driver passes independent columns only, so the basis has full rank."""
+    driver passes independent columns only, so the basis has full rank.  A
+    saturated basis, the first columns of a unimodular U^-1, is primitive,
+    so only its isotropy is tested."""
     vecs = [tuple(v) for v in basis]
     primitive, sat = _saturation(_intmat.transpose(vecs), len(vecs))
     if primitive:
         return tuple(vecs)
-    return tuple(sat) if lagrangian_verify(f, sat) else None
+    return tuple(sat) if _pulls_back_to_zero(f, _intmat.transpose(sat)) else None
 
 
 def embedding_search(

@@ -17,12 +17,34 @@ Z + Gamma(SP) with image Sigma(v_P); the extended quadratic lift maps
 Z2 + Lambda1(P_e) onto W0(P) with kernel K(v'_P).  `_model` builds both
 ambient groups and their tensor presentations, and every function of the
 natural description reads them there.
+
+The per-kind Witt data (name, order, representative, invariant and the
+representative's signature of each generator) are one cached table,
+`_indecomposables`, read by `witt_group`, `witt_class` and
+`WittClass.signature`.  `witt_class` inverts the form's matrix once, which
+is also its nonsingularity check, takes the signature at most once and
+maps each mu value once through the maximal splitting; the tensor
+invariant's bracket sum is the integer product m^T U m over G's
+generators.  `tensor_invariant(f, pres)` and `form_from_tensor(pres, t)`
+read Q0 and G off the presentation, and `form_from_tensor` fills one
+block-diagonal matrix and one mu list.  A description builds its group
+once, when it is built.  `induced_witt_map` goes through the natural
+models: `_natural(p)`, cached per parameter, gives a map into the model of
+W0(P) and one out of it.
+
+The structure diagrams are checked in straight lines, every
+image-equals-kernel step an `is_kernel` call: `sigma_diagram` splits on
+v = 0 in one place, which sets Upsilon(v), C(v), the images of the Z
+summand and the columns of C(v) -> Upsilon(v) -> A (x) Z2 after one
+quotient of Gamma(A) by Psi(v), and builds u_v from its formula on the
+symbols; `lambda_diagram` reads the pieces of K(v') off `lambda_quotient`
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _intmat
@@ -328,7 +350,7 @@ def _block_matrix(diag: Sequence[int], eps: int) -> List[List[int]]:
 # -- Witt classes and groups ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WittGroupDescription:
     parameter: FormParameter
     splitting: MaximalSplitting
@@ -337,10 +359,12 @@ class WittGroupDescription:
     representatives: Tuple[QForm, ...]  # forms over the original parameter
     tensor_pres: TensorPresentation
     n_indec: int
+    # FinAbGroup(orders), set by __post_init__; equality, hash and repr see
+    # only the fields above
+    group: FinAbGroup = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def group(self) -> FinAbGroup:
-        return FinAbGroup(self.orders)
+    def __post_init__(self):
+        object.__setattr__(self, "group", FinAbGroup(self.orders))
 
     def canonical_orders(self) -> Tuple[int, ...]:
         return self.group.canonical_orders()
@@ -759,122 +783,76 @@ def sigma_diagram(v: SliceHom) -> dict:
     """
     a = v.domain
     sig = sigma_subgroup(v)
-    pres = sig.pres
-    gam = pres.group
-    amb = sig.ambient
-    psi_gens = list(sig.psi)
-    phi_gens = psi_gens if v.is_zero else [sig.base] + psi_gens
-
+    pres, gam = sig.pres, sig.pres.group
+    psi = list(sig.psi)
+    phi_gens = psi if v.is_zero else [sig.base] + psi
     phi_grp, phi_incl = subgroup(gam, phi_gens)
     in_phi = phi_incl.solver()
-    report: dict = {"v_zero": v.is_zero}
 
-    # u_v on abstract symbols, then transported to canonical coordinates
+    # u_v: Gamma(A) -> A (x) Z2 on the symbols, x (x) 1 -> (1 + v(x)) x (x) 1
+    # and [x, y] (x) 1 -> v(y) x (x) 1 + v(x) y (x) 1; v_2 = v (x) Id_Z2
     az2, az2_gen = tensor_with_generators(a, Z2)
-
-    def u_sym(sym) -> GroupElement:
-        kind, i, j = sym
-        if kind == "s":
-            x = a.gen(i)
-            out = az2_gen[i][0]
-            if v(x):
-                out = out + az2_gen[i][0]
-            return out
-        x, y = a.gen(i), a.gen(j)
-        out = az2.zero()
-        if v(y):
-            out = out + az2_gen[i][0]
-        if v(x):
-            out = out + az2_gen[j][0]
-        return out
-
-    u_images = [u_sym(sym) for sym in pres.symbols]
+    e = [row[0] for row in az2_gen]
+    vx = [v(x) for x in a.gens()]
+    u_images = [
+        (1 + vx[i]) * e[i] if s == "s" else vx[j] * e[i] + vx[i] * e[j]
+        for s, i, j in pres.symbols
+    ]
     u_v = pres.hom(u_images, az2)
-    report["u_well_defined"] = all(
-        u_v(x) == img for x, img in zip(pres.basis_map, u_images)
-    )
-
-    # v_2 = v (x) Id_Z2: A (x) Z2 -> Z2
     v2 = tensor_map(v.v, AbHom.identity(Z2))
-    report["phi_is_kernel_of_u"] = is_kernel(u_v, phi_gens)
-    report["u_image_is_ker_v2"] = is_kernel(v2, u_v.columns())
 
-    # C(v) and Upsilon(v), with a preimage of each of their generators
+    # Upsilon(v) and C(v), the images of the Z summand in each, and the
+    # columns of C(v) -> Upsilon(v) -> A (x) Z2; for v = 0, Phi(v) = Psi(v)
+    # and a Z8 summand carries the image of Z
+    quot, proj, lifts = quotient_with_lift(psi, gam)
     if v.is_zero:
         c_grp = FinAbGroup((8,))
-        ups_quot, ups_proj, ups_lifts = quotient_with_lift(psi_gens, gam)
-        ups = FinAbGroup((8,) + ups_quot.orders)
+        ups = FinAbGroup((8,) + quot.orders)
+        z_ups, z_c = ups.gen(0), c_grp.gen(0)
+        gam_cols = [ups.element((0,) + x.coords) for x in proj.columns()]
+        phi_cols = [c_grp.zero()] * phi_grp.ngens
+        c_to_ups_cols = [z_ups]
+        ut_cols = [az2.zero()] + [u_v(z) for z in lifts]
     else:
-        psi_in_phi = []
-        for w in psi_gens:
-            coords = in_phi(w)
-            assert coords is not None
-            psi_in_phi.append(coords)
+        psi_in_phi = [in_phi(w) for w in psi]
+        assert all(x is not None for x in psi_in_phi)
         c_grp, c_proj, c_lifts = quotient_with_lift(psi_in_phi, phi_grp)
-        ups, ups_proj, ups_lifts = quotient_with_lift(psi_gens, gam)
-    report["c_orders"] = c_grp.canonical_orders()
-    kind, kk = _slice_kind(v)
-    report["slice_kind"] = f"{kind}{kk if kind == '1_k' else ''}"
-    expected_c = (4,) if (kind == "1_k" and kk == 1) else (8,)
-    report["c_matches_classification"] = report["c_orders"] == expected_c
+        ups = quot
+        z_ups, z_c = proj(sig.base), c_proj(in_phi(sig.base))
+        gam_cols, phi_cols = proj.columns(), c_proj.columns()
+        c_to_ups_cols = [proj(phi_incl(z)) for z in c_lifts]
+        ut_cols = [u_v(z) for z in lifts]
 
-    # row 2: kernel of (iota - qbar): Z + Gamma -> Upsilon equals Sigma(v)
-    if v.is_zero:
-        iota_img = ups.element((1,) + (0,) * ups_quot.ngens)
+    kind, k = _slice_kind(v)
+    c_orders = c_grp.canonical_orders()
+    report: dict = {
+        "v_zero": v.is_zero,
+        "u_well_defined": all(
+            u_v(x) == img for x, img in zip(pres.basis_map, u_images)
+        ),
+        "phi_is_kernel_of_u": is_kernel(u_v, phi_gens),
+        "u_image_is_ker_v2": is_kernel(v2, u_v.columns()),
+        "c_orders": c_orders,
+        "slice_kind": f"{kind}{k if kind == '1_k' else ''}",
+        "c_matches_classification": c_orders == ((4,) if (kind, k) == ("1_k", 1) else (8,)),
+    }
 
-        def qbar(x: GroupElement) -> GroupElement:
-            img = ups_proj(x)
-            return ups.element((0,) + tuple(img.coords))
-
-    else:
-        iota_img = ups_proj(sig.base)
-        qbar = ups_proj
-
-    cols = [iota_img] + [-qbar(gam.gen(t)) for t in range(gam.ngens)]
-    row2 = AbHom.from_columns(amb, ups, cols)
-    report["row2_exact"] = row2.is_surjective() and is_kernel(
-        row2, sig.generators
-    )
+    # row 2: (n, t) -> n z - qbar(t) on Z + Gamma(A) has kernel Sigma(v)
+    row2 = AbHom.from_columns(sig.ambient, ups, [z_ups] + [-x for x in gam_cols])
+    report["row2_exact"] = row2.is_surjective() and is_kernel(row2, sig.generators)
 
     # row 1: the same with Phi(v) in place of Gamma(A)
     zphi = FinAbGroup((0,) + phi_grp.orders)
-    if v.is_zero:
-        c_of = lambda x: c_grp.element((0,))
-        iota_c = c_grp.element((1,))
-    else:
-        iota_c = c_proj(in_phi(sig.base))
-        c_of = c_proj
-
-    cols = [iota_c] + [
-        -c_of(phi_grp.gen(t)) for t in range(phi_grp.ngens)
-    ]
-    row1 = AbHom.from_columns(zphi, c_grp, cols)
-    sigma_in_zphi = []
-    ok_inside = True
-    for gen in sig.generators:
-        gpart = gam.element(gen.coords[1:])
-        coords = in_phi(gpart)
-        if coords is None:
-            ok_inside = False
-            break
-        sigma_in_zphi.append(
-            zphi.element((gen.coords[0],) + tuple(coords.coords))
-        )
-    report["sigma_inside_z_phi"] = ok_inside
-    if ok_inside:
-        report["row1_exact"] = row1.is_surjective() and is_kernel(
-            row1, sigma_in_zphi
-        )
-    else:
-        report["row1_exact"] = False
+    row1 = AbHom.from_columns(zphi, c_grp, [z_c] + [-x for x in phi_cols])
+    sigma_in_phi = [in_phi(gam.element(g.coords[1:])) for g in sig.generators]
+    inside = all(x is not None for x in sigma_in_phi)
+    report["sigma_inside_z_phi"] = inside
+    report["row1_exact"] = inside and row1.is_surjective() and is_kernel(
+        row1,
+        [zphi.element(g.coords[:1] + x.coords) for g, x in zip(sig.generators, sigma_in_phi)],
+    )
 
     # right column: C(v) -> Upsilon(v) -> Ker(v_2) exact
-    if v.is_zero:
-        c_to_ups_cols = [iota_img]
-        ut_cols = [az2.zero()] + [u_v(z) for z in ups_lifts]
-    else:
-        c_to_ups_cols = [ups_proj(phi_incl(z)) for z in c_lifts]
-        ut_cols = [u_v(z) for z in ups_lifts]
     ut = AbHom.from_columns(ups, az2, ut_cols)
     c_to_ups = AbHom.from_columns(c_grp, ups, c_to_ups_cols)
     report["col_right_exact"] = (
@@ -900,78 +878,53 @@ def lambda_diagram(v: CosliceHom) -> dict:
           0 -> Z2 -> Z2 + Xi(v') -> Lambda(v') -> 0;
     left column: 0 -> Coker(v'_2) -> K(v') -> Z2 -> 0.
     """
-    a = v.codomain
     lq = lambda_quotient(v)
-    pres = lq.pres
-    amb = lq.ambient
-    report: dict = {"v_zero": v.is_zero}
-
-    # K(v') is generated by (1, [v'(1), v'(1)]) and the (0, e(x)) of
-    # lambda_quotient; Xi(v') = Lambda1(A) / <e(x)>
-    vv = pres.group.element(lq.k_generators[0].coords[1:])
+    lam1, amb, to_lam = lq.pres.group, lq.ambient, lq.projection
+    # K(v') is generated by (1, vv), vv = [v'(1), v'(1)], and the (0, e(x))
+    # of lambda_quotient; Xi(v') = Lambda1(A) / <e(x)>
+    vv, *l_gens = [lam1.element(k.coords[1:]) for k in lq.k_generators]
     e_gens = lq.k_generators[1:]
-    l_gens = [pres.group.element(k.coords[1:]) for k in e_gens]
-    xi, xi_proj, xi_lifts = quotient_with_lift(l_gens, pres.group)
-
-    # middle row is exact by construction; verify anyway
-    report["row_mid_exact"] = lq.projection.is_surjective() and is_kernel(
-        lq.projection, lq.k_generators
-    )
-
-    # bottom row: Z2 -> Z2 + Xi -> Lambda(v')
+    xi, xi_proj, xi_lifts = quotient_with_lift(l_gens, lam1)
     z2xi = FinAbGroup((2,) + xi.orders)
-    iota_img = z2xi.element((1,) + tuple(xi_proj(vv).coords))
-    iota = AbHom.from_columns(Z2, z2xi, [iota_img])
-    bot_cols = [lq.projection(amb.element((1,) + (0,) * pres.group.ngens))]
-    for z in xi_lifts:
-        bot_cols.append(lq.projection(amb.element((0,) + z.coords)))
-    bot = AbHom.from_columns(z2xi, lq.group, bot_cols)
-    report["row_bot_exact"] = bot.is_surjective() and is_kernel(
-        bot, iota.columns()
-    )
+    report: dict = {
+        "v_zero": v.is_zero,
+        # exact by construction; verified anyway
+        "row_mid_exact": to_lam.is_surjective() and is_kernel(to_lam, lq.k_generators),
+        "xi_orders": xi.canonical_orders(),
+    }
 
-    # left column: Coker(v'_2) -> K(v') -> Z2
-    az2, az2_gen = tensor_with_generators(a, Z2)
-    v2 = tensor_map(AbHom.from_columns(Z2, a, [v.v_one]), AbHom.identity(Z2))
+    # bottom row: Z2 -> Z2 + Xi -> Lambda(v'), through lifts of Z2 + Xi's
+    # generators to Z2 + Lambda1(A)
+    iota = AbHom.from_columns(Z2, z2xi, [z2xi.element((1,) + xi_proj(vv).coords)])
+    lifts = [amb.gen(0)] + [amb.element((0,) + z.coords) for z in xi_lifts]
+    bot = AbHom.from_columns(z2xi, lq.group, [to_lam(x) for x in lifts])
+    report["row_bot_exact"] = bot.is_surjective() and is_kernel(bot, iota.columns())
+
+    # left column: Coker(v'_2) -> K(v') -> Z2, r the Z2 coordinate
+    az2, az2_gen = tensor_with_generators(v.codomain, Z2)
+    v2 = tensor_map(AbHom.from_columns(Z2, v.codomain, [v.v_one]), AbHom.identity(Z2))
     cok, _, cok_lifts = quotient_with_lift(v2.columns(), az2)
     e_hom = AbHom.from_columns(
         az2, amb, [e for e, gen in zip(e_gens, az2_gen) if not gen[0].is_zero]
     )
     uprime = AbHom.from_columns(cok, amb, [e_hom(x) for x in cok_lifts])
-    # r: K -> Z2, first coordinate; build on K's canonical generators
     kgrp, kincl = subgroup(amb, lq.k_generators)
-    r = AbHom.from_columns(
-        kgrp,
-        Z2,
-        [Z2.element((kincl(g).coords[0],)) for g in kgrp.gens()],
-    )
+    kelts = kincl.columns()
+    r = AbHom.from_columns(kgrp, Z2, [Z2.element(k.coords[:1]) for k in kelts])
     in_k = kincl.solver()
     uprime_in_k = [in_k(x) for x in uprime.columns()]
-    ok_inside = all(x is not None for x in uprime_in_k)
-    report["uprime_lands_in_k"] = ok_inside
-    if ok_inside:
-        uk = AbHom.from_columns(cok, kgrp, uprime_in_k)
-        report["col_left_exact"] = (
-            uk.is_injective()
-            and is_kernel(r, uk.columns())
-            and r.is_surjective()
-        )
-    else:
-        report["col_left_exact"] = False
+    inside = all(x is not None for x in uprime_in_k)
+    report["uprime_lands_in_k"] = inside
+    uk = AbHom.from_columns(cok, kgrp, uprime_in_k) if inside else None
+    report["col_left_exact"] = inside and (
+        uk.is_injective() and is_kernel(r, uk.columns()) and r.is_surjective()
+    )
 
-    # commutativity of the connecting square on K generators
-    comm = True
-    for g in kgrp.gens():
-        kelt = kincl(g)
-        left = iota(r(g))
-        right = z2xi.element(
-            (kelt.coords[0],)
-            + tuple(xi_proj(pres.group.element(kelt.coords[1:])).coords)
-        )
-        if left != right:
-            comm = False
-    report["square_commutes"] = comm
-    report["xi_orders"] = xi.canonical_orders()
+    # the connecting square commutes on K's generators
+    report["square_commutes"] = all(
+        iota(r(g)) == z2xi.element(k.coords[:1] + xi_proj(lam1.element(k.coords[1:])).coords)
+        for g, k in zip(kgrp.gens(), kelts)
+    )
     report["ok"] = _all_checks_pass(report)
     return report
 

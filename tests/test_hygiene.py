@@ -615,6 +615,38 @@ def test_search_driver_builds_no_form():
     assert constructions((SRC / "qform.py").read_text(), "QForm")["_column_search"] == 0
 
 
+def nested_functions(source: str, function: str):
+    """The nested `def`s and `lambda`s of the top-level function `function`,
+    as (line, name); a lambda is named "<lambda>"."""
+    top = next(n for n in ast.parse(source).body if getattr(n, "name", None) == function)
+    return [
+        (node.lineno, getattr(node, "name", "<lambda>"))
+        for node in ast.walk(top)
+        if node is not top and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+
+
+def test_nested_functions_detected():
+    src = (
+        "def f(v):\n    def qbar(x):\n        return x\n"
+        "    c_of = lambda x: 0\n    return [qbar(y) for y in v], c_of\n"
+        "def g(v):\n    return [y for y in v]\n"
+    )
+    assert nested_functions(src, "f") == [(2, "qbar"), (4, "<lambda>")]
+    assert nested_functions(src, "g") == []
+
+
+def test_structure_diagrams_are_checked_in_straight_lines():
+    # each verifier states its diagram once: its one case split sets the
+    # groups and columns directly, with no closure standing for a map
+    for module, function in (
+        ("witt.py", "sigma_diagram"),
+        ("witt.py", "lambda_diagram"),
+        ("qtensor.py", "check_sequences"),
+    ):
+        assert nested_functions((SRC / module).read_text(), function) == [], function
+
+
 STANDARD_KINDS = {"Q+", "Q^+", "ZP", "ZP_k", "Q-", "Q^-", "ZL_k"}
 
 
@@ -706,10 +738,7 @@ def test_unslotted_dataclasses_detected():
 
 
 # the dataclasses that keep a per-instance dict, each with its reason
-UNSLOTTED = {
-    # its cached_property `group` is stored in the instance dict
-    ("witt.py", "WittGroupDescription"),
-}
+UNSLOTTED = set()
 
 
 def test_value_dataclasses_keep_their_slots():

@@ -56,6 +56,7 @@ def slotted_values():
         present(FinAbGroup((2, 4)), QP),
         witt.sigma_subgroup(quasi_wu(split_sum(QP, FinAbGroup((2,))))),
         witt.lambda_quotient(quasi_wu(split_sum(QM, FinAbGroup((2,))))),
+        witt.witt_group(QP),
     ]
 
 
@@ -94,9 +95,8 @@ def test_values_survive_copy_and_pickle(rebuild):
 
 def test_slotted_values_have_no_instance_dict():
     values = slotted_values()
-    # every dataclass of the library but WittGroupDescription, whose cached
-    # group lives in its instance dict
-    assert {type(x) for x in values} == library_dataclasses() - {witt.WittGroupDescription}
+    # every dataclass of the library
+    assert {type(x) for x in values} == library_dataclasses()
     for x in values:
         assert not hasattr(x, "__dict__"), type(x).__name__
         with pytest.raises(AttributeError):
