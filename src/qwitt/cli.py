@@ -257,10 +257,7 @@ def cmd_verify_suite(payload, args) -> dict:
     return {
         "passed": sum(1 for r in results.values() if r["ok"]),
         "total": len(results),
-        "criteria": {
-            name: {"ok": r["ok"], "detail": r["detail"], "seconds": r["seconds"]}
-            for name, r in results.items()
-        },
+        "criteria": results,
     }
 
 

@@ -474,7 +474,6 @@ def es(p: FormParameter) -> FPMorphism:
     return FPMorphism(p, target, AbHom(p.carrier, target.carrier, rows))
 
 
-@lru_cache(maxsize=None)
 def eql(p: FormParameter) -> FPMorphism:
     """Extended quadratic lift Q- + P_e -> P, carrier map v' + Id."""
     if p.is_symmetric:

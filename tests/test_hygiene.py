@@ -705,6 +705,63 @@ def test_formparam_reads_the_kind_only_in_its_table():
     assert not found, found
 
 
+def private_names(source: str):
+    """The underscore names a module takes from the package's other
+    modules, as "module.name": by a relative import (`from .m import _x`,
+    or `from . import _m`), or as an attribute read through a module bound
+    by `from . import m [as n]`."""
+    tree = ast.parse(source)
+    modules, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module:
+                    if a.name.startswith("_"):
+                        found.add(f"{node.module}.{a.name}")
+                elif a.name.startswith("_"):
+                    found.add(a.name)
+                else:
+                    modules[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.add(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_names_detected():
+    src = (
+        "from . import qform as qf, witt\nfrom . import _intmat\n"
+        "from .formparam import _recognise_standard, standard\n"
+        "def f(x, other):\n"
+        "    return qf._det_and_inertia(x), witt.witt_group(x), other._y, x.__class__\n"
+        "y = witt._omega_data\n"
+    )
+    assert private_names(src) == [
+        "_intmat", "formparam._recognise_standard", "qform._det_and_inertia", "witt._omega_data",
+    ]
+
+
+# the private names the acceptance suite takes from the library, each with
+# its reason
+ACCEPTANCE_PRIVATE = {
+    # criterion 11 compares sigma with omega-hat^2 mod 8, and no public
+    # function returns the two
+    "witt._omega_data",
+}
+
+
+def test_acceptance_takes_no_private_name():
+    # the suite checks the library through its public functions, so a
+    # check cannot lean on a helper the library is free to change
+    found = private_names((SRC / "acceptance.py").read_text())
+    assert set(found) == ACCEPTANCE_PRIVATE, found
+
+
 def unslotted_dataclasses(source: str):
     """The classes a module declares with @dataclass but without
     slots=True."""
