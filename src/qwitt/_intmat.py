@@ -103,7 +103,11 @@ class SNF:
     """Smith normal form with transforms: U @ A @ V == D.
 
     U, V are unimodular; D is diagonal with d1 | d2 | ... >= 0.  Uinv is
-    maintained alongside so presentations can be lifted back.
+    maintained alongside so presentations can be lifted back.  `keep` names
+    the transforms the caller reads, of "u", "uinv" and "v"; one not named
+    is tracked as an empty matrix, which every step leaves as it is, and is
+    None once the form is built.  The steps, and so D and the kept
+    transforms, do not depend on `keep`.
 
     Step t moves the least non-zero |entry| of the remaining block to (t, t)
     and sweeps its column and row once with nearest-integer quotients (a tie
@@ -116,13 +120,19 @@ class SNF:
 
     __slots__ = ("d", "u", "v", "uinv", "rank")
 
-    def __init__(self, mat: Sequence[Sequence[int]]):
+    def __init__(
+        self, mat: Sequence[Sequence[int]], keep: Sequence[str] = ("u", "uinv", "v")
+    ):
         a = copy(mat)
         m, n = shape(a)
-        self.u = identity(m)
-        self.uinv = identity(m)
-        self.v = identity(n)
+        # a transform not kept: U with rows of width 0, Uinv and V with no rows
+        self.u = identity(m) if "u" in keep else [[] for _ in range(m)]
+        self.uinv = identity(m) if "uinv" in keep else []
+        self.v = identity(n) if "v" in keep else []
         self._reduce(a, m, n)
+        for name in ("u", "uinv", "v"):
+            if name not in keep:
+                setattr(self, name, None)
         self.d = a
         self.rank = sum(1 for i in range(min(m, n)) if a[i][i] != 0)
 
@@ -210,6 +220,8 @@ class Solver:
     right-hand side, and it holds neither D nor Uinv."""
 
     __slots__ = ("u", "diag", "v", "rank")
+    # the transforms of the SNF it reads
+    KEEP = ("u", "v")
 
     def __init__(self, snf: SNF):
         self.u, self.v, self.rank = snf.u, snf.v, snf.rank
@@ -245,7 +257,7 @@ def kernel_basis(mat: Sequence[Sequence[int]]) -> List[List[int]]:
     m, n = shape(mat)
     if n == 0:
         return []
-    s = SNF(mat)
+    s = SNF(mat, keep=("v",))
     return [[s.v[i][j] for i in range(n)] for j in range(s.rank, n)]
 
 
@@ -253,7 +265,7 @@ def solve(
     mat: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[List[int]]:
     """One integer solution x of mat @ x == rhs, or None."""
-    return Solver(SNF(mat)).solve(rhs)
+    return Solver(SNF(mat, keep=Solver.KEEP)).solve(rhs)
 
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:

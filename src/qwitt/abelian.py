@@ -443,7 +443,9 @@ class AbHom:
         """Whether the cokernel is trivial, read off the Smith form of the
         columns and the target's relations; no projection or lift is built."""
         b = self.target
-        return not b.ngens or _cokernel(_with_relations(b, self.matrix))[2].is_trivial
+        if not b.ngens:
+            return True
+        return _cokernel(_with_relations(b, self.matrix), ())[2].is_trivial
 
     def is_injective(self) -> bool:
         return all(k.is_zero for k in kernel_generators(self))
@@ -491,12 +493,12 @@ def _with_relations(group: FinAbGroup, mat: Sequence[Sequence[int]]) -> Matrix:
 
 
 def _cokernel(
-    rel: Sequence[Sequence[int]],
+    rel: Sequence[Sequence[int]], keep: Sequence[str]
 ) -> Tuple[_intmat.SNF, List[int], FinAbGroup]:
     """Z^n / (span of the columns of rel), rel having n >= 1 rows: the Smith
-    form of rel, the rows of its U that the group keeps (those of a
-    diagonal entry 0 or >= 2) and the group."""
-    s = _intmat.SNF([list(row) or [0] for row in rel])
+    form of rel with the transforms named in `keep`, the rows of its U that
+    the group keeps (those of a diagonal entry 0 or >= 2) and the group."""
+    s = _intmat.SNF([list(row) or [0] for row in rel], keep=keep)
     ds = [s.d[i][i] for i in range(s.rank)]
     kept = [i for i in range(s.rank) if ds[i] >= 2] + list(
         range(s.rank, len(rel))
@@ -514,7 +516,7 @@ def free_quotient(
     if ngens == 0:
         return TRIVIAL, (), ()
     s, kept, group = _cokernel(
-        [[col[i] for col in relations] for i in range(ngens)]
+        [[col[i] for col in relations] for i in range(ngens)], ("u", "uinv")
     )
     proj, section = [], []
     for i, n in zip(kept, group.orders):
@@ -617,7 +619,9 @@ def member_solver(
     def member(x: GroupElement) -> Optional[List[int]]:
         nonlocal solver, gmat
         if solver is None:
-            solver = _intmat.Solver(_intmat.SNF(_with_relations(ambient, gmat)))
+            solver = _intmat.Solver(
+                _intmat.SNF(_with_relations(ambient, gmat), keep=_intmat.Solver.KEEP)
+            )
             gmat = None
         sol = solver.solve(x.coords)
         return None if sol is None else sol[:s]

@@ -177,7 +177,7 @@ def criterion_4_induced_maps(rng) -> Tuple[bool, str]:
         got = witt.induced_witt_map(f).matrix
         if got != expect:
             bad.append(f"{label}: {got} != {expect}")
-    return not bad, "; ".join(bad[:4]) or "all matrices exact"
+    return not bad, "; ".join(bad[:4]) or f"{len(cases)} matrices exact"
 
 
 def criterion_5_natural_description(rng) -> Tuple[bool, str]:

@@ -6,9 +6,10 @@ parameter splits as (standard indecomposable) + (abelian group); symmetry,
 height and complement classify parameters up to isomorphism.
 
 p is stored as the single element p(1); the full homomorphism n -> n*p(1)
-is reconstructed on demand.  The symmetry h(p(1)) - 1 is computed once, when
-the parameter is built, and kept in a field that equality, hash and repr
-leave out.
+is reconstructed on demand.  A parameter is interned like a group: there is
+one object per value, validated once, when it is first built, and its
+symmetry h(p(1)) - 1 is computed then and kept in a field that equality,
+hash and repr leave out.
 
 The seven standard kinds are one table, `_kind_data` (carrier, h, p(1),
 height and Aut generators of each), read by `standard`, `height_of`,
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import inf
 from operator import mul
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import (
     Z,
@@ -75,30 +76,53 @@ __all__ = [
 ]
 
 
+# the interned parameters, one per value (see FormParameter.__new__), kept
+# for the life of the process like the library's caches
+_PARAMETERS: Dict[Tuple[FinAbGroup, AbHom, GroupElement], "FormParameter"] = {}
+
+
 @dataclass(frozen=True, slots=True)
 class FormParameter:
+    """The form parameter (Q_e, h, p), p given by p(1).
+
+    There is one object per value: FormParameter(carrier, h, p_one) returns
+    the parameter first built with that value, and validated then, so a
+    parameter parsed again costs no memory and a cache keyed on it finds
+    its entry by identity.  Equality, hash and repr stay value-based:
+    compare parameters with `==`."""
+
     carrier: FinAbGroup
     h: AbHom
     p_one: GroupElement
-    # h(p(1)) - 1, set by __post_init__; equality, hash and repr see only
-    # carrier, h and p(1)
+    # h(p(1)) - 1, set when the parameter is first built; equality, hash and
+    # repr see only carrier, h and p(1)
     _symmetry: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.h.source != self.carrier or self.h.target != Z:
-            raise ValueError("h must be a homomorphism carrier -> Z")
-        if self.p_one.group != self.carrier:
-            raise ValueError("p(1) must lie in the carrier")
-        hp = self.h(self.p_one).coords[0]
-        if hp not in (0, 2):
-            raise ValueError(f"h(p(1)) = {hp}, expected 0 or 2")
-        # p h p = 2p reduces to h(p(1)) * p(1) = 2 p(1)
-        if hp * self.p_one != 2 * self.p_one:
-            raise ValueError("p h p = 2p fails")
-        # h p h = 2h on generators: h(x) * (h(p(1)) - 2) = 0
-        if hp == 0 and not self.h.is_zero():
-            raise ValueError("anti-symmetric parameter must have h = 0")
-        object.__setattr__(self, "_symmetry", hp - 1)
+    def __new__(
+        cls, carrier: FinAbGroup, h: AbHom, p_one: GroupElement
+    ) -> "FormParameter":
+        key = (carrier, h, p_one)
+        param = _PARAMETERS.get(key)
+        if param is None:
+            # validated once, when first built; an invalid value is not kept
+            symmetry = _symmetry_of(carrier, h, p_one)
+            param = object.__new__(cls)
+            object.__setattr__(param, "carrier", carrier)
+            object.__setattr__(param, "h", h)
+            object.__setattr__(param, "p_one", p_one)
+            object.__setattr__(param, "_symmetry", symmetry)
+            # setdefault is atomic: of two threads building one parameter,
+            # both return the object stored first
+            param = _PARAMETERS.setdefault(key, param)
+        return param
+
+    def __init__(self, carrier: FinAbGroup, h: AbHom, p_one: GroupElement):
+        """Nothing to do: __new__ returns the built parameter."""
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __new__, so they return
+        # the interned parameter
+        return FormParameter, (self.carrier, self.h, self.p_one)
 
     @property
     def symmetry(self) -> int:
@@ -121,6 +145,25 @@ class FormParameter:
             f"FormParameter({self.carrier}, h={list(self.h.matrix[0]) if self.h.matrix else []},"
             f" p1={self.p_one})"
         )
+
+
+def _symmetry_of(carrier: FinAbGroup, h: AbHom, p_one: GroupElement) -> int:
+    """h(p(1)) - 1 of the parameter (carrier, h, p(1)), after checking its
+    axioms; ValueError names the one that fails."""
+    if h.source != carrier or h.target != Z:
+        raise ValueError("h must be a homomorphism carrier -> Z")
+    if p_one.group != carrier:
+        raise ValueError("p(1) must lie in the carrier")
+    hp = h(p_one).coords[0]
+    if hp not in (0, 2):
+        raise ValueError(f"h(p(1)) = {hp}, expected 0 or 2")
+    # p h p = 2p reduces to h(p(1)) * p(1) = 2 p(1)
+    if hp * p_one != 2 * p_one:
+        raise ValueError("p h p = 2p fails")
+    # h p h = 2h on generators: h(x) * (h(p(1)) - 2) = 0
+    if hp == 0 and not h.is_zero():
+        raise ValueError("anti-symmetric parameter must have h = 0")
+    return hp - 1
 
 
 @dataclass(frozen=True, slots=True)

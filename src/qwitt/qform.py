@@ -893,7 +893,7 @@ def _saturation(mat: Sequence[Sequence[int]], k: int) -> Tuple[bool, List[Tuple[
     span a summand), and a basis of the saturation of their span (the
     vectors some non-zero multiple of which lies in it), the first rank(D)
     columns of U^-1; its length is their rank."""
-    s = _intmat.SNF(mat)
+    s = _intmat.SNF(mat, keep=("uinv",))
     primitive = s.rank == k and all(s.d[i][i] == 1 for i in range(k))
     return primitive, [tuple(row[j] for row in s.uinv) for j in range(s.rank)]
 

@@ -7,9 +7,11 @@ G (x) Q is generated by symbols g (x) q and [g, h] (x) a subject to
 
 with g (x) q linear in q and [g, h] (x) a linear in each slot.  We present
 it on the finite generator set {g_i (x) e_j, [g_i, g_j] (x) 1 (i <= j)}
-drawn from the fixed cyclic decompositions of G and Q_e; every symbol
-rewrites into that set by bilinear expansion, the addition rule and the
-scalar rule (n g) (x) q = n (g (x) q) + C(n,2) [g, g] (x) h(q).
+drawn from the fixed cyclic decompositions of G and Q_e (one table of
+symbols and their indices per shape, the generator counts of G and Q_e,
+shared by every presentation of that shape); every symbol rewrites into
+that set by bilinear expansion, the addition rule and the scalar rule
+(n g) (x) q = n (g (x) q) + C(n,2) [g, g] (x) h(q).
 `TensorPresentation.simple(x, q)` and `TensorPresentation.bracket(x, y, a)`
 return the value of x (x) q and of [x, y] (x) a in the presented group;
 `add_simples` and `add_brackets` add the abstract coefficients of a sum of
@@ -65,21 +67,22 @@ class TensorPresentation:
     g: FinAbGroup
     q: FormParameter
     group: FinAbGroup
-    # abstract generators: ("s", i, j) for g_i (x) e_j, ("b", i, j) i <= j
-    symbols: Tuple[Tuple[str, int, int], ...]
+    # abstract generators: ("s", i, j) for g_i (x) e_j, ("b", i, j) i <= j;
+    # with _position (symbol -> its index), the one table of this shape,
+    # set by __post_init__
+    symbols: Tuple[Tuple[str, int, int], ...] = field(init=False)
     basis_map: Tuple[GroupElement, ...]
     # integer lift of each canonical generator over the abstract symbols
     section: Tuple[Tuple[int, ...], ...]
-    # symbol -> its index, set by __post_init__; equality, hash and repr see
-    # only the fields above
+    # equality, hash and repr see only the fields above
     _position: Dict[Tuple[str, int, int], int] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_position", {s: a for a, s in enumerate(self.symbols)}
-        )
+        symbols, position = _symbol_table(self.g.ngens, self.q.carrier.ngens)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "_position", position)
 
     def index(self, kind: str, i: int, j: int) -> int:
         return self._position[(kind, i, j)]
@@ -160,6 +163,19 @@ class TensorPresentation:
 
 
 @lru_cache(maxsize=None)
+def _symbol_table(
+    m: int, n: int
+) -> Tuple[Tuple[Tuple[str, int, int], ...], Dict[Tuple[str, int, int], int]]:
+    """The canonical symbols of G (x) Q for m generators of G and n of Q_e,
+    and each symbol's index: one table per shape, shared by every
+    presentation of that shape."""
+    symbols = tuple(("s", i, j) for i in range(m) for j in range(n)) + tuple(
+        ("b", i, j) for i in range(m) for j in range(i, m)
+    )
+    return symbols, {s: a for a, s in enumerate(symbols)}
+
+
+@lru_cache(maxsize=None)
 def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
     """Presentation of G (x) Q on the canonical symbol set.
 
@@ -174,14 +190,7 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
     m = g.ngens
     qe = q.carrier
     hrow = q.h.matrix[0]
-    symbols: List[Tuple[str, int, int]] = []
-    for i in range(m):
-        for j in range(qe.ngens):
-            symbols.append(("s", i, j))
-    for i in range(m):
-        for j in range(i, m):
-            symbols.append(("b", i, j))
-    sym_index = {s: a for a, s in enumerate(symbols)}
+    symbols, sym_index = _symbol_table(m, qe.ngens)
     n_abs = len(symbols)
 
     def col() -> List[int]:
@@ -216,9 +225,7 @@ def present(g: FinAbGroup, q: FormParameter) -> TensorPresentation:
         rels.append(c)
 
     group, basis_map, section = free_quotient(n_abs, rels)
-    return TensorPresentation(
-        g, q, group, tuple(symbols), basis_map, section
-    )
+    return TensorPresentation(g, q, group, basis_map, section)
 
 
 def induced_map(f: AbHom, alpha: FPMorphism) -> AbHom:

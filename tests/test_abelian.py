@@ -406,9 +406,9 @@ def test_tensor(monkeypatch):
     built = []
     snf = _intmat.SNF
 
-    def counted(mat):
+    def counted(mat, keep):
         built.append(mat)
-        return snf(mat)
+        return snf(mat, keep)
 
     monkeypatch.setattr(_intmat, "SNF", counted)
     grp, genmap = tensor_with_generators(FinAbGroup((4, 0)), FinAbGroup((6,)))
@@ -485,9 +485,9 @@ def test_one_snf_per_matrix(monkeypatch):
     built = []
     snf = _intmat.SNF
 
-    def counted(mat):
+    def counted(mat, keep):
         built.append(mat)
-        return snf(mat)
+        return snf(mat, keep)
 
     monkeypatch.setattr(_intmat, "SNF", counted)
     g = FinAbGroup((4, 2, 0))

@@ -53,7 +53,7 @@ DETAILS = {
     "1 indecomposable Witt groups": (True, "16 groups exact"),
     "2 quadratic tensor table": (True, "1052 tensor values exact"),
     "3 split-parameter examples": (True, "l = 1..12 exact with generators"),
-    "4 induced-map matrices": (True, "all matrices exact"),
+    "4 induced-map matrices": (True, "38 matrices exact"),
     "5 natural description": (True, "25 random parameters exact"),
     "6 structure diagrams": (True, "13+7 diagrams verified"),
     "7 F/gamma round trip": (True, "200 round trips, 0 failures"),
@@ -96,7 +96,7 @@ def test_structure_diagrams_are_computed_once(monkeypatch):
 
 def test_induced_maps_check_every_case(monkeypatch):
     # Q+ -> ZP, 5 arrows ZP_k -> ZP_l and ZP -> ZP at n = -2..2, beta, and
-    # beta_k, gamma_k for k = 2, 3, 4: the detail names no count
+    # beta_k, gamma_k for k = 2, 3, 4, as many as the detail names
     calls = []
     orig = witt.induced_witt_map
 
@@ -108,6 +108,7 @@ def test_induced_maps_check_every_case(monkeypatch):
     ok, detail = acceptance.criterion_4_induced_maps(random.Random(DEFAULT_SEED))
     assert ok, detail
     assert len(calls) == 1 + 6 * 5 + 1 + 3 * 2
+    assert detail == f"{len(calls)} matrices exact"
 
 
 # each injected fault fails its criterion, which names the faulty case

@@ -57,6 +57,17 @@ def test_standard_parameters():
     assert zpk.p_one.coords == (2, 3)
 
 
+def test_one_object_per_standard_parameter():
+    # the name with and without its default level, and a composite name
+    # against its family and level, give the one interned parameter
+    assert standard("Q+") is standard("Q+", None)
+    assert standard("ZP_2") is standard("ZP_k", 2)
+    assert standard("ZL_3") is standard("ZL_k", 3)
+    g = FinAbGroup((0,))
+    assert FormParameter(g, AbHom(g, Z, [[2]]), g.element((1,))) is standard("Q+")
+    assert split_sum(standard("Q-"), TRIVIAL) is standard("Q-")
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         # h(p(1)) = 1 is not allowed

@@ -809,6 +809,87 @@ def test_value_dataclasses_keep_their_slots():
     assert found == UNSLOTTED, found
 
 
+def interning_faults(source: str, names):
+    """(class, fault) for each interned value class of `names` that a module
+    defines without a `__new__`, a `__reduce__` or an `__init__` whose body
+    is only a docstring, and ("object.__new__", line) for each
+    `object.__new__` call on one of `names`, or in the body of such a class,
+    outside that class's own `__new__`."""
+    tree = ast.parse(source)
+    faults, inside, allowed = [], set(), set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name in names):
+            continue
+        methods = {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+        faults += [
+            (node.name, f"no {m}")
+            for m in ("__new__", "__reduce__", "__init__")
+            if m not in methods
+        ]
+        init = methods.get("__init__")
+        if init is not None and not all(
+            isinstance(st, ast.Pass)
+            or isinstance(st, ast.Expr) and isinstance(st.value, ast.Constant)
+            for st in init.body
+        ):
+            faults.append((node.name, "__init__ does work"))
+        inside.update(map(id, ast.walk(node)))
+        if "__new__" in methods:
+            allowed.update(map(id, ast.walk(methods["__new__"])))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and getattr(node.func.value, "id", None) == "object"
+            and id(node) not in allowed
+            and (id(node) in inside or any(getattr(a, "id", None) in names for a in node.args))
+        ):
+            faults.append(("object.__new__", node.lineno))
+    return faults
+
+
+def test_interning_faults_detected():
+    src = (
+        "class A:\n"
+        "    def __new__(cls, x):\n        return object.__new__(cls)\n"
+        "    def __init__(self, x):\n        'Nothing to do.'\n"
+        "    def __reduce__(self):\n        return A, ()\n"
+        "class B:\n"
+        "    def __new__(cls, x):\n        return object.__new__(cls)\n"
+        "    def __init__(self, x):\n        self.x = x\n"
+        "    def copy(self):\n        return object.__new__(type(self))\n"
+        "class C:\n    pass\n"
+        "def f():\n    return object.__new__(A), object.__new__(C)\n"
+    )
+    assert interning_faults(src, {"A", "B"}) == [
+        ("B", "no __reduce__"), ("B", "__init__ does work"),
+        ("object.__new__", 14), ("object.__new__", 18),
+    ]
+
+
+# the interned value classes: one object per value, built in __new__
+INTERNED = {"FinAbGroup", "FormParameter"}
+
+
+def test_interned_values_are_built_only_in_their_new():
+    # a value built past its class's __new__ would be a second object for
+    # one value, or one never validated; copy, deepcopy and pickle rebuild
+    # through __new__ (__reduce__), and __init__, which runs on the object
+    # __new__ returns, must leave the interned value as it is
+    faults, defined = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        faults += [(path.name, *f) for f in interning_faults(source, INTERNED)]
+        defined |= {
+            node.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name in INTERNED
+        }
+    assert defined == INTERNED
+    assert faults == []
+
+
 def package_imports(source: str):
     """(module, at top level) for each package module a relative import
     names: `from . import a, b` names a and b, `from .a import x` names a."""

@@ -62,6 +62,38 @@ def test_snf_transform_inverses():
         assert mat_mul(s.u, s.uinv) == identity(m)
 
 
+def test_snf_keeps_only_the_named_transforms():
+    # every step is taken whatever is kept, so D, the rank, each kept
+    # transform and the sequence of row and column operations are those of
+    # the full form; a transform not named is None
+    steps = []
+
+    class Recording(SNF):
+        __slots__ = ()
+
+        def _add_row(self, a, src, dst, c):
+            steps.append(("row", src, dst, c))
+            SNF._add_row(self, a, src, dst, c)
+
+        def _add_col(self, a, src, dst, c):
+            steps.append(("col", src, dst, c))
+            SNF._add_col(self, a, src, dst, c)
+
+    rng = random.Random(4)
+    names = ("u", "uinv", "v")
+    for _ in range(60):
+        mat = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -20, 20)
+        full = Recording(mat)
+        full_steps, steps[:] = steps[:], []
+        for keep in [(), ("u", "uinv"), ("u", "v"), ("v",), ("uinv",)]:
+            s = Recording(mat, keep)
+            assert steps == full_steps
+            steps.clear()
+            assert (s.d, s.rank) == (full.d, full.rank)
+            for name in names:
+                assert getattr(s, name) == (getattr(full, name) if name in keep else None)
+
+
 def test_snf_random():
     rng = random.Random(2)
     for _ in range(120):

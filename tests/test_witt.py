@@ -785,16 +785,16 @@ def test_structure_snfs_go_through_the_installed_class(monkeypatch):
     counts = {"built": 0, "guarded": 0, "rows": 0, "cols": 0}
     base_init = base.__init__
 
-    def counted_init(self, mat):
+    def counted_init(self, mat, keep):
         counts["built"] += 1
-        base_init(self, mat)
+        base_init(self, mat, keep)
 
     class Counting(base):
         __slots__ = ()
 
-        def __init__(self, mat):
+        def __init__(self, mat, keep):
             counts["guarded"] += 1
-            super().__init__(mat)
+            super().__init__(mat, keep)
 
         def _add_row(self, a, src, dst, c):
             counts["rows"] += 1
