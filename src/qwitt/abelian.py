@@ -73,19 +73,6 @@ __all__ = [
 ]
 
 
-def _factorint(n: int) -> dict:
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _integer(value) -> int:
     try:
         return index(value)
@@ -160,19 +147,6 @@ class FinAbGroup:
     def is_trivial(self) -> bool:
         return not self.orders
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> Optional[int]:
-        """Group order, or None if infinite."""
-        if not self.is_finite:
-            return None
-        out = 1
-        for n in self.orders:
-            out *= n
-        return out
-
     def canonical_orders(self) -> Tuple[int, ...]:
         """Ascending invariant factors, then zeros for the free part.
 
@@ -224,7 +198,7 @@ class FinAbGroup:
 
     def elements(self) -> Iterator["GroupElement"]:
         """All elements; only valid for finite groups."""
-        if not self.is_finite:
+        if self.free_rank:
             raise ValueError("cannot enumerate an infinite group")
         coords = [0] * self.ngens
         while True:
@@ -420,12 +394,9 @@ class AbHom:
             for j in range(self.source.ngens)
         ]
 
-    def solve(self, y: GroupElement) -> Optional[GroupElement]:
-        """Some x with self(x) == y, or None."""
-        return self.solver()(y)
-
     def solver(self) -> Callable[[GroupElement], Optional[GroupElement]]:
-        """`solve` for many right-hand sides, from one SNF."""
+        """A function taking y to some x with self(x) == y, or None, for
+        many right-hand sides from one SNF."""
         coeffs = member_solver(self.target, self.columns())
 
         def solve(y: GroupElement) -> Optional[GroupElement]:
@@ -842,18 +813,18 @@ def split_off_free(f: AbHom) -> Tuple[GroupElement, List[GroupElement]]:
 
 
 def split_off_cyclic(g: GroupElement) -> Tuple[GroupElement, List[GroupElement]]:
-    """Write g = p^a * h with a maximal in g.group; <h> is then a direct
+    """Write g = 2^a * h with a maximal in g.group; <h> is then a direct
     summand.
 
-    g must have prime order.  Returns h and generators of a complement.
-    Each non-zero g_i is (n_i / p) u_i with p prime to u_i, so a is the
-    least v_p(n_i) - 1, v_p of the gcd t of the coordinates: p^a = gcd(t,
-    p^L) for any p^L > t."""
-    p = g.order()
-    if p == 0 or _factorint(p) != {p: 1}:
-        raise ValueError(f"element order {p} is not prime")
+    g must have order 2, as p(1) of an anti-symmetric parameter does
+    (2 p(1) = h(p(1)) p(1) = 0); any other element raises ValueError.
+    Returns h and generators of a complement.  Each non-zero g_i is
+    (n_i / 2) u_i with u_i odd, so a is the least v_2(n_i) - 1, v_2 of
+    the gcd t of the coordinates: 2^a = t & -t, the 2-part of t."""
+    if g.order() != 2:
+        raise ValueError(f"element order {g.order()} is not 2")
     t = gcd(*g.coords)
-    h = _divide_by(g, gcd(t, p ** t.bit_length()))
+    h = _divide_by(g, t & -t)
     return h, _complement(h, lambda z: None)
 
 

@@ -114,10 +114,9 @@ def parse_form(param: FormParameter, data) -> qform.QForm:
 
 
 def _param_of(payload) -> FormParameter:
-    if isinstance(payload, dict):
-        for key in ("param", "parameter", "Q"):
-            if key in payload:
-                return parse_parameter(payload[key])
+    """The parameter under "param", or else the payload itself."""
+    if isinstance(payload, dict) and "param" in payload:
+        return parse_parameter(payload["param"])
     return parse_parameter(payload)
 
 

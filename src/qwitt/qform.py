@@ -1070,7 +1070,7 @@ def try_rank2_embedding(
     _, proj, _ = linearisation(q)
     smu = f.s_mu()
     rhs = proj(qval) - smu(smu.source.element(y))
-    z_el = smu.solve(rhs)
+    z_el = smu.solver()(rhs)
     if z_el is None:
         return None
     z = list(z_el.coords)

@@ -84,6 +84,11 @@ class TensorPresentation:
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "_position", position)
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, so the
+        # copy holds its shape's one symbol table
+        return TensorPresentation, (self.g, self.q, self.group, self.basis_map, self.section)
+
     def index(self, kind: str, i: int, j: int) -> int:
         return self._position[(kind, i, j)]
 

@@ -369,9 +369,6 @@ class WittGroupDescription:
     def canonical_orders(self) -> Tuple[int, ...]:
         return self.group.canonical_orders()
 
-    def zero(self) -> "WittClass":
-        return WittClass(self, (0,) * len(self.orders))
-
 
 @dataclass(frozen=True, slots=True)
 class WittClass:
@@ -411,12 +408,6 @@ class WittClass:
             self.description,
             tuple(a + b for a, b in zip(self.coords, other.coords)),
         )
-
-    def __neg__(self) -> "WittClass":
-        return WittClass(self.description, tuple(-a for a in self.coords))
-
-    def __sub__(self, other: "WittClass") -> "WittClass":
-        return self + (-other)
 
 
 def _e8_matrix() -> List[List[int]]:
@@ -566,7 +557,6 @@ class SigmaSubgroup:
     are (8, 0), (1, base) and (0, w) for w in psi.
     """
 
-    v: SliceHom
     ambient: FinAbGroup
     pres: TensorPresentation
     generators: Tuple[GroupElement, ...]
@@ -609,16 +599,13 @@ def sigma_subgroup(v: SliceHom) -> SigmaSubgroup:
     pairs += [(0, w) for w in psi]
     gens = [ambient.element((n,) + t.coords) for n, t in pairs]
     grp = generated_group(ambient, gens)
-    return SigmaSubgroup(
-        v, ambient, pres, tuple(gens), grp, base, tuple(psi)
-    )
+    return SigmaSubgroup(ambient, pres, tuple(gens), grp, base, tuple(psi))
 
 
 @dataclass(frozen=True, slots=True)
 class LambdaQuotient:
     """Generators of K(v') and Lambda(v') = (Z2 + Lambda1(A)) / K(v')."""
 
-    v: CosliceHom
     ambient: FinAbGroup
     pres: TensorPresentation
     k_generators: Tuple[GroupElement, ...]
@@ -637,7 +624,7 @@ def lambda_quotient(v: CosliceHom) -> LambdaQuotient:
     ]
     kgens = [ambient.element((n,) + t.coords) for n, t in pairs]
     lam, proj, _ = quotient_with_lift(kgens, ambient)
-    return LambdaQuotient(v, ambient, pres, tuple(kgens), lam, proj)
+    return LambdaQuotient(ambient, pres, tuple(kgens), lam, proj)
 
 
 def es_witt(f: QForm) -> GroupElement:
@@ -953,16 +940,8 @@ def gw_group(q: FormParameter) -> dict:
     """GW0(Q) = 2Z + W0(Q): canonical orders, generators, and the image
     constraint of (rank, class) inside Z + W0(Q)."""
     desc = witt_group(q)
-    names = ("2rk*",) + desc.names
-    orders = (0,) + desc.orders
-    constraint = (
-        "rank = signature mod 2" if q.is_symmetric else "rank even"
-    )
     return {
-        "parameter": q,
-        "names": names,
-        "orders": orders,
-        "canonical_orders": FinAbGroup(orders).canonical_orders(),
-        "image_constraint": constraint,
-        "witt": desc,
+        "names": ("2rk*",) + desc.names,
+        "canonical_orders": FinAbGroup((0,) + desc.orders).canonical_orders(),
+        "image_constraint": "rank = signature mod 2" if q.is_symmetric else "rank even",
     }

@@ -300,6 +300,14 @@ def test_malformed_payload_is_a_schema_error(capsys, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key", ["parameter", "Q"])
+def test_a_parameter_goes_under_param(capsys, key):
+    # a verb reads its parameter under "param", or else the payload is the
+    # parameter; "Q" is a key of `tensor` alone
+    code, out, err = run_cli(capsys, "classify", json.dumps({key: "Q+"}))
+    assert (code, out, err) == (3, "", "error: missing key 'carrier'\n")
+
+
 @pytest.mark.parametrize("name", ["foo", "ZP_x", "ZP_ 2", "ZL_-3", "ZP_"])
 def test_unknown_parameter_name(capsys, name):
     # a level is ASCII digits only

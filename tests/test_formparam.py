@@ -1,7 +1,7 @@
 import random
 import re
 from itertools import product
-from math import inf
+from math import inf, prod
 
 import pytest
 
@@ -392,7 +392,7 @@ def all_antisymmetric_parameters(lo, hi):
     any finite group with any p(1) of order dividing 2 (h must vanish)."""
     ps = []
     for g in all_canonical_groups(hi):
-        if (g.order() or 1) < lo:
+        if prod(g.orders) < lo:
             continue
         seen = set()
         for x in g.elements():
@@ -467,7 +467,7 @@ def test_span_size_matches_the_walk():
                 assert len(span) * coset_count(span, y.coords, g.orders) == size, (g, x, y)
                 assert len(extend_span(span, y.coords, g.orders)) == size
                 assert span_size(g, [x, y]) == size
-        assert span_size(g, elems) == walk_span_size(g, g.gens()) == g.order()
+        assert span_size(g, elems) == walk_span_size(g, g.gens()) == prod(g.orders)
 
 
 def brute_force_isomorphic(p1, p2):
@@ -479,7 +479,7 @@ def brute_force_isomorphic(p1, p2):
     to an isomorphism, so a False answer is a proof of non-isomorphism.
     """
     c1, c2 = p1.carrier, p2.carrier
-    if c1.order() != c2.order() or p1.p_one.order() != p2.p_one.order():
+    if prod(c1.orders) != prod(c2.orders) or p1.p_one.order() != p2.p_one.order():
         return False
     n = c1.ngens
     if n == 0:
@@ -532,7 +532,7 @@ def test_classify_vs_brute_force_sweep():
     pairs = 0
     for i, p1 in enumerate(params):
         for p2 in params[i:]:
-            if p1.carrier.order() != p2.carrier.order():
+            if prod(p1.carrier.orders) != prod(p2.carrier.orders):
                 continue
             pairs += 1
             assert (classify(p1) == classify(p2)) == brute_force_isomorphic(p1, p2)
@@ -545,7 +545,7 @@ def test_classify_vs_brute_force_sampled_to_32():
     sampled = 0
     while sampled < 10:
         p1, p2 = rng.choice(big), rng.choice(big)
-        if p1.carrier.order() != p2.carrier.order():
+        if prod(p1.carrier.orders) != prod(p2.carrier.orders):
             continue
         sampled += 1
         assert (classify(p1) == classify(p2)) == brute_force_isomorphic(p1, p2)

@@ -1142,3 +1142,67 @@ def test_every_library_definition_has_a_caller():
     found = uncalled(library, callers)
     assert set(found) - TEST_FACING == set(), found
     assert TEST_FACING <= set(found), TEST_FACING - set(found)
+
+
+# the arithmetic operators and the syntax that calls each
+ARITHMETIC = {
+    "__add__": ast.Add, "__sub__": ast.Sub, "__neg__": ast.USub,
+    "__mul__": ast.Mult, "__rmul__": ast.Mult,
+}
+
+
+def operators(source: str):
+    """`Class.op` for each arithmetic operator that a top-level class of
+    the module defines."""
+    return [
+        f"{node.name}.{m.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for m in node.body
+        if isinstance(m, ast.FunctionDef) and m.name in ARITHMETIC
+    ]
+
+
+def operator_uses(source: str, function: str):
+    """The operator types (ast.Add, ast.USub, ...) that the definitions
+    named `function` apply, augmented assignments included."""
+    return {
+        type(node.op)
+        for top in ast.walk(ast.parse(source))
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.AugAssign))
+    }
+
+
+def test_operators_detected():
+    src = (
+        "class K:\n    def __add__(self, o):\n        return -o\n"
+        "    def __eq__(self, o):\n        return o\n    def __rmul__(self, k):\n        pass\n"
+        "def f(x, y):\n    x += 1\n    return 2 * x - y\n"
+    )
+    assert operators(src) == ["K.__add__", "K.__rmul__"]
+    assert operator_uses(src, "__add__") == {ast.USub}
+    assert operator_uses(src, "f") == {ast.Add, ast.Mult, ast.Sub}
+
+
+# every arithmetic operator of the library, with a caller that applies it
+# ((file under the repository root, function)): an operator is called
+# without its name, so `test_every_library_definition_has_a_caller` cannot
+# see its callers
+OPERATORS = {
+    ("abelian.py", "GroupElement.__add__"): ("src/qwitt/witt.py", "sigma_subgroup"),
+    ("abelian.py", "GroupElement.__sub__"): ("src/qwitt/witt.py", "sigma_subgroup"),
+    ("abelian.py", "GroupElement.__neg__"): ("src/qwitt/abelian.py", "__sub__"),
+    ("abelian.py", "GroupElement.__rmul__"): ("src/qwitt/abelian.py", "_dlog_in_cyclic"),
+    ("abelian.py", "AbHom.__neg__"): ("src/qwitt/qtensor.py", "check_sequences"),
+    ("witt.py", "WittClass.__add__"): ("perfbench/worker.py", "check_groups"),
+}
+
+
+def test_every_operator_has_a_declared_caller():
+    found = {(path.name, op) for path in sorted(SRC.glob("*.py")) for op in operators(path.read_text())}
+    assert found == set(OPERATORS), found ^ set(OPERATORS)
+    for (_, op), (caller, function) in OPERATORS.items():
+        uses = operator_uses((SRC.parent.parent / caller).read_text(), function)
+        assert ARITHMETIC[op.split(".")[1]] in uses, (op, caller, function)

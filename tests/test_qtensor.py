@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -478,10 +478,10 @@ def test_check_sequences_order_bookkeeping():
     # |S2| * |Z4 (x) S(ZP_2)| == |Z4 (x) ZP_2|
     g = FinAbGroup((4,))
     q = standard("ZP_2")
-    s2 = present(g, standard("Q+")).group.order()
-    whole = present(g, q).group.order()
+    s2 = prod(present(g, standard("Q+")).group.orders)
+    whole = prod(present(g, q).group.orders)
     sq, _, _ = linearisation(q)
     from qwitt.abelian import tensor
 
-    lin = tensor(g, sq).order()
+    lin = prod(tensor(g, sq).orders)
     assert s2 * lin == whole

@@ -97,6 +97,11 @@ def test_values_survive_copy_and_pickle(rebuild):
     assert rebuild(q) is q and rebuild(q).symmetry == -1
     assert rebuild(QP) is QP
     assert rebuild(FPMorphism.identity(q)).source is q
+    # a presentation comes back holding its shape's one symbol table
+    pres = present(FinAbGroup((2, 4)), QP)
+    copied = rebuild(pres)
+    assert copied == pres
+    assert copied.symbols is pres.symbols and copied._position is pres._position
 
 
 def test_one_object_per_parameter():
