@@ -50,9 +50,12 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    if a and len(a[0]) != len(v):
+    """a @ v; `shape` refuses a ragged matrix, in its one pass over the
+    row lengths."""
+    m, n = shape(a)
+    if m and n != len(v):
         raise ValueError("dimension mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def _bareiss(mat: Sequence[Sequence[int]]) -> Tuple[int, int]:
@@ -270,35 +273,51 @@ def solve(
 
 def unimodular_inverse(mat: Sequence[Sequence[int]]) -> Matrix:
     """Inverse of a matrix with determinant +-1, by fraction-free (Bareiss)
-    Gauss-Jordan elimination on [mat | I].
+    elimination on [mat | I] and back substitution.
 
-    Each column's pivot clears that column in every other row, above and
-    below, so every entry stays a minor of [mat | I] and each division by
-    the previous pivot is exact.  The left half ends as d * I, d being the
-    last pivot, +-det(mat), and the right half as d * mat^-1: at d = +-1
-    the inverse is d times the right half.  A row with a zero in the pivot
-    column is left as it is when the pivot equals the previous one: its
-    update (x * p - 0 * y) / p is the identity.
+    Each column's pivot clears that column in the rows below it, so every
+    entry stays a minor of [mat | I] and each division by the previous
+    pivot is exact; the last pivot is +-det(mat).  The rows end as [U | R]
+    = L [mat | I] with U upper triangular, so U mat^-1 = R, and at det =
+    +-1 the rows X_j of the integer inverse come out from the last up,
+    X_j = (R_j - sum_{k>j} U_jk X_k) / U_jj, each division exact.  A row
+    with a zero in the pivot column is left as it is when the pivot equals
+    the previous one: its update (x * p - 0 * y) / p is the identity.
     """
     n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("matrix is not unimodular")
-    a = [list(row) + e for row, e in zip(mat, identity(n))]
+    a = []
+    for i, row in enumerate(mat):
+        if len(row) != n:
+            raise ValueError("matrix is not unimodular")
+        e = [0] * n
+        e[i] = 1
+        a.append([*row, *e])
     prev = 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is not unimodular")
-        a[c], a[piv] = a[piv], a[c]
+        if not a[c][c]:  # a zero diagonal entry takes the next row below
+            piv = next((i for i in range(c + 1, n) if a[i][c]), None)
+            if piv is None:
+                raise ValueError("matrix is not unimodular")
+            a[c], a[piv] = a[piv], a[c]
         prow, p = a[c], a[c][c]
-        for i in range(n):
+        for i in range(c + 1, n):
             q = a[i][c]
-            if i != c and (q or p != prev):
+            if q or p != prev:
                 a[i] = [(x * p - q * y) // prev for x, y in zip(a[i], prow)]
         prev = p
     if prev not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[prev * x for x in row[n:]] for row in a]
+    inv: Matrix = [[]] * n
+    for j in range(n - 1, -1, -1):
+        row = a[j]
+        acc = row[n:]
+        for k in range(j + 1, n):
+            u = row[k]
+            if u:
+                acc = [x - u * y for x, y in zip(acc, inv[k])]
+        d = row[j]
+        inv[j] = acc if d == 1 else [x // d for x in acc]
+    return inv
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:

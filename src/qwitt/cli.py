@@ -19,6 +19,7 @@ from typing import Optional
 from . import qform, witt
 from .abelian import AbHom, FinAbGroup
 from .formparam import (
+    MAX_LEVEL,
     FormParameter,
     FPMorphism,
     classify,
@@ -88,6 +89,8 @@ def parse_parameter(data) -> FormParameter:
         if not isinstance(data["name"], str):
             raise SchemaError("a parameter name must be a string")
         kind, k = parse_name(data["name"])
+        if k is not None and k > MAX_LEVEL:
+            raise SchemaError(f"level {k} is above the maximum level {MAX_LEVEL}")
         p = standard(kind, k)
         if data.get("sum"):
             p = split_sum(p, parse_group(data["sum"]))

@@ -275,10 +275,6 @@ class MaximalSplitting:
     # not part of repr or ==
     inverse: FPMorphism = field(repr=False, compare=False)
 
-    @property
-    def split_parameter(self) -> FormParameter:
-        return self.iso.target
-
 
 _BETA = [[1, 0], [-1, -1]]
 # The one list of the standard kinds.  Each kind with no level maps to
@@ -292,6 +288,10 @@ _FIXED_KINDS = {
     "ZP": ((0, 0), (1, 0), (2, -1), inf, [_BETA]),
 }
 _FAMILIES = {"ZP_k": 1, "ZL_k": 2}
+# The highest level of the ZP_k and ZL_k families: a level k puts 2^k in the
+# carrier, a number that a short name asks for without writing it out, so
+# the level is checked before 2^k is built.
+MAX_LEVEL = 100_000
 
 
 def _kind_data(kind: str, k: Optional[int]):
@@ -305,6 +305,8 @@ def _kind_data(kind: str, k: Optional[int]):
         raise ValueError(f"unknown standard parameter {kind!r}")
     if k is None or k < _FAMILIES[kind]:
         raise ValueError(f"{kind} requires k >= {_FAMILIES[kind]}")
+    if k > MAX_LEVEL:
+        raise ValueError(f"{kind} level {k} is above the maximum level {MAX_LEVEL}")
     if kind == "ZP_k":
         gens = [_BETA] + ([[[1, 0], [1, 3]]] if k >= 2 else [])
         return (0, 2**k), (1, 0), (2, -1), k + 1, gens
@@ -317,8 +319,9 @@ def standard(name: str, k: Optional[int] = None) -> FormParameter:
     """Standard indecomposable parameters by name.
 
     ZP_k requires k >= 1 and ZL_k requires k >= 2, also when the family
-    name comes with no level; plain "ZP" is the infinite member of the ZP
-    family.  Composite names like "ZP_2" also parse.
+    name comes with no level, and a level is at most MAX_LEVEL; plain "ZP"
+    is the infinite member of the ZP family.  Composite names like "ZP_2"
+    also parse.
     """
     if k is None and "_" in name and name not in _FAMILIES:
         name, k = parse_name(name)

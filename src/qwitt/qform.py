@@ -185,7 +185,7 @@ class SearchOutcome:
 def mu_eval(f: QForm, x: Sequence[int]) -> GroupElement:
     """mu at an arbitrary vector, by the scalar and addition rules:
     mu(sum_i x_i b_i) = sum_i x_i mu(b_i) + p(s), with
-    s = sum_i C(x_i, 2) lambda_ii + sum_{j<i} x_j x_i lambda_ji, since
+    s = sum_i C(x_i, 2) lambda_ii + sum_{i<j} x_i x_j lambda_ij, since
     p(n) = n p(1) collects every p term into one."""
     if len(x) != f.rank:
         raise ValueError("vector length does not match the rank")
@@ -194,9 +194,11 @@ def mu_eval(f: QForm, x: Sequence[int]) -> GroupElement:
 
 
 def _mu_scalar(m: Sequence[Sequence[int]], x: Sequence[int]) -> int:
-    """The s of mu_eval: sum_i C(x_i, 2) m_ii + sum_{j<i} x_j x_i m_ji."""
+    """The s of mu_eval: sum_i C(x_i, 2) m_ii + sum_{i<j} x_i x_j m_ij,
+    one row product per non-zero x_i, over the row of m right of its
+    diagonal."""
     return sum(
-        _binom2(xi) * m[i][i] + xi * sum(x[j] * m[j][i] for j in range(i))
+        _binom2(xi) * m[i][i] + xi * sum(map(mul, m[i][i + 1:], x[i + 1:]))
         for i, xi in enumerate(x)
         if xi
     )
@@ -867,7 +869,7 @@ def _metabolic_obstruction(f: QForm) -> str:
     certifies nothing), or Arf invariant 1 through an injective quasi-Wu
     class: if every mu value lies in the image of v', a faithful copy of
     Z2, f lifts to a Z2-valued quadratic refinement, read off f's matrix
-    and the 0/1 rows of its mu values, and a lagrangian of f would be one
+    and the 0/1 column of its mu values, and a lagrangian of f would be one
     of the lift."""
     from . import witt
 
@@ -881,7 +883,7 @@ def _metabolic_obstruction(f: QForm) -> str:
     if (
         not q.is_symmetric and not q.p_one.is_zero
         and all(m.coords in image for m in f.mu_basis)
-        and witt._arf(f.lambda_matrix, [[0 if m.is_zero else 1] for m in f.mu_basis]) == 1
+        and witt._arf(f.lambda_matrix, [[0 if m.is_zero else 1 for m in f.mu_basis]]) == 1
     ):
         return "Arf invariant 1 of the quadratic lift"
     return ""

@@ -16,7 +16,10 @@ that set by bilinear expansion, the addition rule and the scalar rule
 return the value of x (x) q and of [x, y] (x) a in the presented group;
 `add_simples` and `add_brackets` add the abstract coefficients of a sum of
 symbols, given by integer coordinates and a matrix of bracket coefficients,
-into a caller's list instead, so that the sum is reduced once.  `present`
+into a caller's list instead, so that the sum is reduced once: each
+coefficient is one row product over the whole sum, and a symbol is found
+by its position (g_i (x) e_j at i * n + j, n the generator count of Q_e,
+then the brackets [g_i, g_k], i <= k, in row order), with no lookup.  `present`
 hands integer relation columns to `abelian.free_quotient`, so no element of
 a free group is built.  `check_sequences` verifies the defining exact
 sequence and square through `abelian`'s kernel tests, direct-sum maps and
@@ -115,36 +118,45 @@ class TensorPresentation:
         q_r being coordinates of G and Q_e.  The symbol is linear in the
         q-slot, and the addition and scalar rules expand the x-slot:
         x (x) q = sum_i x_i g_i (x) q + sum_i C(x_i, 2) [g_i, g_i] (x) h(q)
-        + sum_{i<k} x_i x_k [g_i, g_k] (x) h(q)."""
+        + sum_{i<k} x_i x_k [g_i, g_k] (x) h(q).
+
+        Summed over r, with X the matrix of rows x_r, Q that of rows q_r and
+        H the diagonal of the h(q_r), the g_i (x) e_j coefficient (symbol
+        i * nq + j) is (X^T Q)_ij, the [g_i, g_k] one (i < k) is
+        (X^T H X)_ik, and the [g_i, g_i] one is ((X^T H X)_ii - sum_r
+        h(q_r) x_ri) / 2: one row product per entry."""
+        nq = self.q.carrier.ngens
         hrow = self.q.h.matrix[0]
-        n = self.g.ngens
-        b = [[0] * n for _ in range(n)]
-        for x, q in zip(xs, qs):
-            idxs = [i for i, xi in enumerate(x) if xi]
-            for j, qj in enumerate(q):
-                if qj:
-                    for i in idxs:
-                        c[self.index("s", i, j)] += qj * x[i]
-            h = sum(map(mul, hrow, q))
-            if h:
-                for a, i in enumerate(idxs):
-                    b[i][i] += h * _binom2(x[i])
-                    for k in idxs[a + 1 :]:
-                        b[i][k] += h * x[i] * x[k]
-        self.add_brackets(c, b)
+        xcols = list(zip(*xs))
+        qcols = list(zip(*qs))
+        for i, xc in enumerate(xcols):
+            for j, qc in enumerate(qcols, i * nq):
+                c[j] += sum(map(mul, xc, qc))
+        hs = [sum(map(mul, hrow, q)) for q in qs]
+        if any(hs):
+            hx = [list(map(mul, hs, xc)) for xc in xcols]
+            b = [
+                [sum(map(mul, xc, hxk)) if k >= i else 0 for k, hxk in enumerate(hx)]
+                for i, xc in enumerate(xcols)
+            ]
+            for i, hxi in enumerate(hx):
+                b[i][i] = (b[i][i] - sum(hxi)) // 2
+            self.add_brackets(c, b)
 
     def add_brackets(self, c: List[int], b: Sequence[Sequence[int]]) -> None:
         """Add sum_{i,k} [g_i, g_k] (x) b[i][k] into c, g_i being G's
         generators; [g_k, g_i] = eps [g_i, g_k] for i < k, with eps the
-        parameter's symmetry."""
+        parameter's symmetry.  The bracket symbols follow the simple ones,
+        [g_i, g_k] (i <= k) in row order."""
         eps = self.q.symmetry
+        m = len(b)
+        a = m * self.q.carrier.ngens
         for i, row in enumerate(b):
-            for k, v in enumerate(row):
-                if v:
-                    if i <= k:
-                        c[self.index("b", i, k)] += v
-                    else:
-                        c[self.index("b", k, i)] += eps * v
+            c[a] += row[i]
+            a += 1
+            for k in range(i + 1, m):
+                c[a] += row[k] + eps * b[k][i]
+                a += 1
 
     def hom(self, images: Sequence[GroupElement], target: FinAbGroup) -> AbHom:
         """The homomorphism group -> target sending abstract symbol a to

@@ -7,8 +7,8 @@ invariant over the rank-one anti-symmetric parameter, and zero otherwise.
 A general parameter is split as Q + G; the reduced part of a class is the
 tensor invariant F with values in G (x) Q, and (the classical invariants,
 F) is a complete Witt invariant.  Inside this module a form is its matrix
-and the coordinate rows of its mu values over Q + G: the classical
-invariants read the Q coordinates and F reads both, so no form over Q or
+and the coordinate columns of its mu values over Q + G: the classical
+invariants read the Q columns and F reads both, so no form over Q or
 Q + G is built to compute a class.  QForm is the validated type at the
 module's boundary.
 
@@ -22,10 +22,15 @@ The per-kind Witt data (name, order, representative, invariant and the
 representative's signature of each generator) are one cached table,
 `_indecomposables`, read by `witt_group`, `witt_class` and
 `WittClass.signature`.  `witt_class` inverts the form's matrix once, which
-is also its nonsingularity check, takes the signature at most once and
-maps each mu value once through the maximal splitting; the tensor
-invariant's bracket sum is the integer product m^T U m over G's
-generators.  `tensor_invariant(f, pres)` and `form_from_tensor(pres, t)`
+is also its nonsingularity check, and takes the signature at most once;
+every other step is an integer product over whole rows.  The mu values go
+through the maximal splitting as one product of its matrix with their
+coordinates, kept as one column per coordinate of Q + G.  The tensor
+invariant's bracket sum is the product m^T U m over G's generators, U the
+strict upper triangle of M^-T; its simple symbols take the values
+mu(y_j), y_j column j of M^-1, whose scalar part over a symmetric
+parameter is s_j = (M^-1[j][j] - sum_i M_ii M^-1[i][j]) / 2, because
+y_j^T M y_j = M^-1[j][j].  `tensor_invariant(f, pres)` and `form_from_tensor(pres, t)`
 read Q0 and G off the presentation, and `form_from_tensor` fills one
 block-diagonal matrix and one mu list.  A description builds its group
 once, when it is built.  `induced_witt_map` goes through the natural
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import mul
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import _intmat
@@ -142,14 +148,14 @@ def _omega_data(f: QForm, shift: Optional[Sequence[int]] = None):
         raise ValueError(f"shift has {len(shift)} entries, the form has rank {f.rank}")
     lam, k = f.lambda_matrix, k or 0
     minv = _intmat.unimodular_inverse(lam)
-    mus = [m.coords for m in f.mu_basis]
+    mus = _columns(f.mu_basis, 2)
     return signature_of_matrix(lam), _omega_square(mus, minv, k, shift), k
 
 
 def _omega_square(mus, minv, k: int, shift=None) -> int:
     """omega-hat squared, where omega lifts the linearised mu, read off the
-    first two coordinates of each mu row, and omega-hat = M^-1 omega."""
-    omega = [m[0] + 2 * m[1] for m in mus]
+    first two mu columns, and omega-hat = M^-1 omega."""
+    omega = [a + 2 * b for a, b in zip(mus[0], mus[1])]
     if k:
         omega = [w % 2 ** (k + 1) for w in omega]
     if shift is not None:
@@ -196,12 +202,12 @@ def arf(f: QForm) -> int:
         raise ValueError("Arf invariant lives over the rank-one anti-symmetric parameter")
     if not is_nonsingular(f):
         raise ValueError("Arf invariant of a singular form")
-    return _arf(f.lambda_matrix, [m.coords for m in f.mu_basis])
+    return _arf(f.lambda_matrix, _columns(f.mu_basis, 1))
 
 
 def _arf(lam, mus, _minv=None, _sig=None) -> int:
-    """`arf` of a nonsingular matrix whose mu rows hold the Q- coordinate
-    first; that coordinate of mu(x) is sum_i x_i mu(b_i) + s, as in
+    """`arf` of a nonsingular matrix whose first mu column holds the Q-
+    coordinate; that coordinate of mu(x) is sum_i x_i mu(b_i) + s, as in
     qform.mu_eval with p(1) = 1."""
 
     def times_m(v: Sequence[int]) -> List[int]:
@@ -211,7 +217,7 @@ def _arf(lam, mus, _minv=None, _sig=None) -> int:
         return sum(a * b for a, b in zip(v, w)) % 2
 
     def mu(v: Sequence[int]) -> int:
-        return (sum(a * m[0] for a, m in zip(v, mus)) + _mu_scalar(lam, v)) % 2
+        return (sum(map(mul, v, mus[0])) + _mu_scalar(lam, v)) % 2
 
     rem = _intmat.identity(len(lam))
     total = 0
@@ -249,8 +255,9 @@ def tensor_invariant(f: QForm, pres: TensorPresentation) -> GroupElement:
     B = m^T U m over G's generator pairs, U being the strict upper triangle
     of M^-T (U_ij = M^-1[j][i] for i < j).  The values mu_Q(y_j) =
     sum_i M^-1[i][j] mu_Q(x_i) + p(s_j) (see qform.mu_eval) are the rows of
-    M^-T times the matrix of Q0 coordinates of the mu(x_i), plus s_j p(1),
-    reduced once.
+    M^-T times the matrix of Q0 coordinates of the mu(x_i), plus s_j p(1);
+    the abstract coefficients are reduced once, in the presented group
+    (see `_tensor_invariant` for the product forms).
     """
     q0, p, pad = pres.q, f.parameter, (0,) * pres.g.ngens
     if (
@@ -260,8 +267,14 @@ def tensor_invariant(f: QForm, pres: TensorPresentation) -> GroupElement:
     ):
         raise ValueError("form is not over the expected split parameter")
     lam = f.lambda_matrix
-    mus = [m.coords for m in f.mu_basis]
+    mus = _columns(f.mu_basis, p.carrier.ngens)
     return _tensor_invariant(lam, mus, pres, _intmat.unimodular_inverse(lam))
+
+
+def _columns(xs: Sequence[GroupElement], width: int) -> List[List[int]]:
+    """The first `width` coordinate columns of the elements xs: column t
+    holds coordinate t of each."""
+    return [[x.coords[t] for x in xs] for t in range(width)]
 
 
 def _tensor_invariant(
@@ -271,26 +284,39 @@ def _tensor_invariant(
     minv: Sequence[Sequence[int]],
 ) -> GroupElement:
     """`tensor_invariant` of the form with matrix `lam`, inverse `minv` and
-    mu values with coordinate rows `mus` over Q0 + G."""
+    mu values with coordinate columns `mus` over Q0 + G.
+
+    Every step is a row product over whole columns.  With y_j row j of
+    M^-T and m_a the column of G coordinate a of the mu(x_i), the bracket
+    matrix is B_ab = m_a . (U m_b), (U m_b)_i = y_i[i+1:] . m_b[i+1:].
+    The scalar s_j of mu(y_j) (qform.mu_eval) over a symmetric parameter
+    is (M^-1[j][j] - sum_i M_ii M^-1[i][j]) / 2: x^T M x = sum_i x_i^2 M_ii
+    + 2 sum_{i<k} x_i x_k M_ik, and y_j^T M y_j = M^-1[j][j] since M^-1 is
+    symmetric; over an anti-symmetric one it is qform._mu_scalar(M, y_j)."""
     if pres.group.is_trivial:
         return pres.group.zero()
     q0 = pres.q
-    n, nq = len(lam), q0.carrier.ngens
-    mg = [m[nq:] for m in mus]
-    y = _intmat.transpose(minv)  # row j is y_j
+    nq = q0.carrier.ngens
+    y = list(zip(*minv))
+    qcols, gcols = mus[:nq], mus[nq:]
+    upper = [(yi[i + 1:], i + 1) for i, yi in enumerate(y)]
+    ucols = [[sum(map(mul, yu, gc[i:])) for yu, i in upper] for gc in gcols]
     c = [0] * len(pres.symbols)
-    u = [[y[i][j] if i < j else 0 for j in range(n)] for i in range(n)]
-    mat_mul = _intmat.mat_mul
-    pres.add_brackets(c, mat_mul(_intmat.transpose(mg), mat_mul(u, mg)))
-    # mu(y_j) = sum_i y_ji mu(x_i) + p(s_j), as in qform.mu_eval
-    p1 = q0.p_one.coords
-    muq = [
-        q0.carrier.reduce_coords([a + s * b for a, b in zip(row, p1)])
-        for row, s in zip(
-            mat_mul(y, [m[:nq] for m in mus]), [_mu_scalar(lam, v) for v in y]
-        )
-    ]
-    pres.add_simples(c, mg, muq)
+    pres.add_brackets(c, [[sum(map(mul, ga, ub)) for ub in ucols] for ga in gcols])
+    if nq:
+        if q0.is_symmetric:
+            diag = [row[i] for i, row in enumerate(lam)]
+            s = [(yj[j] - sum(map(mul, diag, yj))) // 2 for j, yj in enumerate(y)]
+        else:
+            s = [_mu_scalar(lam, yj) for yj in y]
+        # mu(y_j) = sum_i y_ji mu(x_i) + p(s_j), as in qform.mu_eval, on
+        # integer lifts: the relations of G (x) Q0 kill the torsion of Q0
+        p1 = q0.p_one.coords
+        muq = [
+            [sum(map(mul, yj, qc)) + sj * pk for qc, pk in zip(qcols, p1)]
+            for yj, sj in zip(y, s)
+        ]
+        pres.add_simples(c, list(zip(*gcols)), muq)
     return pres.group.combination(c, pres.basis_map)
 
 
@@ -433,11 +459,11 @@ def _sigma_over_8(lam, mus, minv, sig: int) -> int:
 
 class _Indecomposable(NamedTuple):
     """A generator of W0 of a standard parameter Q.  The invariant takes a
-    nonsingular form over Q + G as its matrix, the coordinate rows of its
-    mu values (the Q coordinates first), the inverse of its matrix and, over
-    a symmetric parameter, its signature (else None); it reads only the Q
-    coordinates and is the form's coordinate on this generator, so it maps
-    the representatives to the unit vectors."""
+    nonsingular form over Q + G as its matrix, the coordinate columns of
+    its mu values (the Q coordinates first), the inverse of its matrix and,
+    over a symmetric parameter, its signature (else None); it reads only the
+    Q coordinates and is the form's coordinate on this generator, so it
+    maps the representatives to the unit vectors."""
 
     name: str
     order: int
@@ -514,12 +540,25 @@ def witt_group(p: FormParameter) -> WittGroupDescription:
 def witt_class(f: QForm) -> WittClass:
     """The complete Witt invariant of a nonsingular form.
 
-    The mu values are mapped once through the maximal splitting into
-    coordinate rows over Q + G, which every invariant reads with the form's
-    matrix (see `_witt_class`)."""
+    The mu values are mapped through the maximal splitting in one matrix
+    product into coordinate columns over Q + G, which every invariant reads
+    with the form's matrix (see `_witt_class`)."""
     desc = witt_group(f.parameter)
-    iso = desc.splitting.iso
-    return _witt_class(desc, f.lambda_matrix, [iso(m).coords for m in f.mu_basis])
+    mus = _columns_through(desc.splitting.iso.map, [m.coords for m in f.mu_basis])
+    return _witt_class(desc, f.lambda_matrix, mus)
+
+
+def _columns_through(hom: AbHom, rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The coordinate columns of hom's values at the coordinate rows: one
+    row product of hom's matrix with each row, and each column reduced by
+    its target order."""
+    return [
+        [x % n for x in col] if n else col
+        for col, n in zip(
+            [[sum(map(mul, h, r)) for r in rows] for h in hom.matrix],
+            hom.target.orders,
+        )
+    ]
 
 
 def _witt_class(
@@ -528,7 +567,7 @@ def _witt_class(
     mus: Sequence[Sequence[int]],
 ) -> WittClass:
     """The class in desc of the form with matrix `lam` whose mu values have
-    the coordinate rows `mus` over Q + G.  The inverse of the matrix is its
+    the coordinate columns `mus` over Q + G.  The inverse of the matrix is its
     nonsingularity check; it and the signature, taken once and only over a
     symmetric parameter with indecomposables, serve every invariant."""
     try:
@@ -636,8 +675,8 @@ def es_witt(f: QForm) -> GroupElement:
     lam = f.lambda_matrix
     minv = _intmat.unimodular_inverse(lam)  # refuses a singular form
     pres, ambient = _model(linearisation(p)[0], True)
-    to_split = es(p)
-    t = _tensor_invariant(lam, [to_split(m).coords for m in f.mu_basis], pres, minv)
+    mus = _columns_through(es(p).map, [m.coords for m in f.mu_basis])
+    t = _tensor_invariant(lam, mus, pres, minv)
     return ambient.element((signature_of_matrix(lam),) + t.coords)
 
 
@@ -657,18 +696,15 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
     if c % 2:
         arf_mu = [1] + [0] * p.carrier.ngens
         diag, rows = [0] + diag, [arf_mu, arf_mu] + rows
-    desc = witt_group(p)
-    reduce = desc.splitting.split_parameter.carrier.reduce_coords
-    to_split = _eql_to_split(p)
-    mus = [reduce(_intmat.mat_vec(to_split, r)) for r in rows]
-    return _witt_class(desc, _block_matrix(diag, -1), mus)
+    mus = _columns_through(_eql_to_split(p), rows)
+    return _witt_class(witt_group(p), _block_matrix(diag, -1), mus)
 
 
 @lru_cache(maxsize=None)
-def _eql_to_split(p: FormParameter) -> Tuple[Tuple[int, ...], ...]:
-    """The matrix of Q- + P_e -> P -> Q + G, eql(p) followed by the maximal
-    splitting of P: every eql_witt over p maps its mu rows through it."""
-    return maximal_splitting(p).iso.map.compose(eql(p).map).matrix
+def _eql_to_split(p: FormParameter) -> AbHom:
+    """Q- + P_e -> P -> Q + G, eql(p) followed by the maximal splitting of
+    P: every eql_witt over p maps its mu rows through it."""
+    return maximal_splitting(p).iso.map.compose(eql(p).map)
 
 
 def eql_witt_hom(p: FormParameter) -> AbHom:

@@ -315,6 +315,32 @@ def test_unknown_parameter_name(capsys, name):
     assert (code, out, err) == (2, "", f"error: unknown parameter name {name!r}\n")
 
 
+def test_a_level_above_the_maximum_exits_3(capsys, monkeypatch):
+    """`classify '"ZP_99999999999"'` names a carrier holding 2^99999999999;
+    the CLI refuses the level as a malformed payload, naming the limit,
+    before any 2**k: the level it reads is one whose power is refused."""
+    import time
+
+    from qwitt import cli
+
+    class Level(int):
+        def __rpow__(self, base, mod=None):
+            raise AssertionError(f"{base}**{int(self)} was built")
+
+    code, out, err = run_cli(capsys, "classify", '"ZP_100000"')
+    assert (code, out, err) == (0, '{"complement":[],"height":100001,"symmetry":1}\n', "")
+    parse_name = cli.parse_name
+    monkeypatch.setattr(
+        cli, "parse_name", lambda text: (lambda kind, k: (kind, Level(k)))(*parse_name(text))
+    )
+    start = time.process_time()
+    for name in ("ZP_99999999999", "ZL_100001"):
+        code, out, err = run_cli(capsys, "classify", json.dumps(name))
+        assert (code, out) == (3, "")
+        assert err == f"error: level {name[3:]} is above the maximum level 100000\n"
+    assert time.process_time() - start < 1
+
+
 def test_output_deterministic(capsys):
     a = run_cli(capsys, "witt-group", '{"name":"ZP_2"}')
     b = run_cli(capsys, "witt-group", '{"name":"ZP_2"}')

@@ -224,6 +224,30 @@ def test_standard_morphisms_reference():
         standard_morphism("ZL_3", "ZL_2")
 
 
+class Level(int):
+    """A level whose power 2**k is refused instead of built, so that a
+    missing level check fails the test rather than allocating 2^k."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"{base}**{int(self)} was built")
+
+
+def test_a_level_above_the_maximum_is_refused_before_2_to_the_k():
+    from qwitt import formparam
+
+    top = formparam.MAX_LEVEL
+    assert top == 100_000
+    for family in ("ZP_k", "ZL_k"):
+        for k in (top + 1, 10**11):
+            with pytest.raises(ValueError, match=f"above the maximum level {top}"):
+                standard(family, Level(k))
+        with pytest.raises(ValueError, match=f"above the maximum level {top}"):
+            standard(f"{family[:2]}_{top + 1}")
+    # the maximum itself is a level: its carrier holds 2^100000
+    assert standard("ZL_k", top).carrier.orders == (2**top,)
+    assert standard("ZP_k", top).carrier.orders == (0, 2**top)
+
+
 def test_standard_morphisms_join_the_named_parameters():
     names = ["Q+", "Q^+", "Q-", "Q^-", "ZP", "ZP_1", "ZP_2", "ZP_3", "ZL_2", "ZL_3", "ZL_4"]
     for src, dst, n in product(names, names, (-1, 0, 2)):
@@ -660,10 +684,10 @@ def test_morphism_from_slice_matches_the_pullback_rule():
     for p in params:
         ms = maximal_splitting(p)
         pairs = [
-            (p, ms.split_parameter, S_of(ms.iso)),
-            (ms.split_parameter, p, S_of(ms.inverse)),
+            (p, ms.iso.target, S_of(ms.iso)),
+            (ms.iso.target, p, S_of(ms.inverse)),
         ]
-        for q in (p, ms.split_parameter, rng.choice(params)):
+        for q in (p, ms.iso.target, rng.choice(params)):
             pairs.append((p, q) + random_slice_maps(rng, p, q)[:1])
             _, bad = random_slice_maps(rng, p, q)
             if bad is not None:
@@ -838,9 +862,9 @@ def test_maximal_splitting_roundtrip_random():
         # with iso to the identity both ways, so it is the inverse
         back = ms.inverse
         assert back.compose(ms.iso) == FPMorphism.identity(p)
-        assert ms.iso.compose(back) == FPMorphism.identity(ms.split_parameter)
+        assert ms.iso.compose(back) == FPMorphism.identity(ms.iso.target)
         assert back == ms.iso.inverse()
-        assert classify(p) == classify(ms.split_parameter)
+        assert classify(p) == classify(ms.iso.target)
 
 
 def test_maximal_splitting_inverts_its_case_map(monkeypatch):

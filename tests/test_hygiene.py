@@ -1120,7 +1120,7 @@ TEST_FACING = {
     # lambda(x, y) of a form at two vectors, which the tests check searches
     # and pullbacks against, and the Arf invariant of a form over Q-, which
     # they check the c* coordinate against; the library reads matrices and
-    # mu rows (witt._arf)
+    # mu columns (witt._arf)
     ("qform.py", "QForm.lam"),
     ("witt.py", "arf"),
     # every element of a finite group, for the tests' brute-force

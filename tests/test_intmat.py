@@ -333,6 +333,18 @@ def test_ragged_rows_are_refused():
             fn([[1], [0, 1]])
 
 
+def test_mat_vec_checks_every_row():
+    # a short row after the first used to drop the vector's last entry
+    with pytest.raises(ValueError, match="rows differ in length"):
+        mat_vec([[1, 2], [3]], [1, 1])
+    with pytest.raises(ValueError, match="rows differ in length"):
+        mat_vec([[1], [2, 3]], [1])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_vec([[1], [2]], [1, 1])
+    assert mat_vec([[1, 2], [3, 4]], [1, -1]) == [-1, -1]
+    assert mat_vec([], [1, 2]) == [] and mat_vec([[], []], []) == [0, 0]
+
+
 def test_unimodular_inverse_builds_no_snf(monkeypatch):
     def no_snf(mat):
         raise AssertionError("unimodular_inverse built an SNF")

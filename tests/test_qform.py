@@ -93,6 +93,30 @@ def test_mu_addition_and_trace_rules(data):
     assert p.h_of(qf.mu_eval(f, x)) == f.lam(x, x)
 
 
+def _nested_mu_scalar(m, x):
+    """qform._mu_scalar as a nested generator over the column above each
+    diagonal entry, as it was written before its row products."""
+    return sum(
+        (xi * (xi - 1) // 2) * m[i][i] + xi * sum(x[j] * m[j][i] for j in range(i))
+        for i, xi in enumerate(x)
+        if xi
+    )
+
+
+def test_mu_scalar_row_products_equal_the_nested_formula():
+    # any square matrix, not only eps-symmetric ones, and vectors with zeros
+    rng = random.Random(46)
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        x = [rng.choice([0, rng.randint(-30, 30)]) for _ in range(n)]
+        assert qf._mu_scalar(m, x) == _nested_mu_scalar(m, x)
+    for p in PARAMS:
+        f = random_nonsingular_form(rng, p, max_rank=8)
+        x = [rng.randint(-5, 5) for _ in range(f.rank)]
+        assert qf._mu_scalar(f.lambda_matrix, x) == _nested_mu_scalar(f.lambda_matrix, x)
+
+
 def test_mu_eval_order_independent():
     rng = random.Random(5)
     for _ in range(30):

@@ -15,6 +15,7 @@ from qwitt.abelian import (
     tensor_with_generators,
 )
 from qwitt.formparam import (
+    FormParameter,
     FPMorphism,
     aut_generators,
     maximal_splitting,
@@ -25,6 +26,7 @@ from qwitt.formparam import (
 )
 from qwitt.qtensor import present
 from qwitt.sampling import (
+    random_automorphism,
     random_form_parameter,
     random_group,
     random_morphism,
@@ -402,6 +404,110 @@ def test_witt_class_takes_one_inverse_and_at_most_one_signature(monkeypatch):
             assert "determinant" not in counts and "is_nonsingular" not in counts
             assert counts.get("inertia", 0) <= 1 and counts.get("signature_of_matrix", 0) <= 1
             assert "QForm" not in counts, (call, f, counts)
+
+
+def test_witt_class_maps_no_element_and_looks_up_no_symbol(monkeypatch):
+    """On warm caches one witt_class call maps its mu values through the
+    splitting as one matrix product and adds the tensor invariant's symbols
+    by position: no AbHom is applied to an element and no symbol index is
+    looked up."""
+    rng = random.Random(8)
+    params = [standard(n) for n in ("Q+", "Q^+", "ZP", "ZP_2", "Q-", "Q^-", "ZL_2")]
+    params += [random_form_parameter(rng, symmetric=s) for s in (True, False) * 4]
+    forms = [random_nonsingular_form(rng, p, max_rank=6) for p in params]
+    for f in forms:
+        witt.witt_class(f)
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(AbHom, "__call__", counted("AbHom.__call__", AbHom.__call__))
+    monkeypatch.setattr(
+        qtensor.TensorPresentation, "index",
+        counted("index", qtensor.TensorPresentation.index),
+    )
+    for f in forms:
+        counts.clear()
+        witt.witt_class(f)
+        assert counts == {}, (f, counts)
+
+
+# every standard kind (one level of each family), without a complement and
+# with one, at ranks 1 to 8
+SWEEP_KINDS = ("Q+", "Q^+", "ZP", "ZP_2", "Q-", "Q^-", "ZL_2")
+SWEEP_COMPLEMENTS = ((), (4, 0))
+# recorded before the per-form computation became whole-matrix products
+SWEEP_FORMS = 240
+SWEEP_DIGEST = "b9f0214ef6bab26ff540ce0b0704de1590269d6b157d6651f0a5479d8e628246"
+
+
+def witt_sweep():
+    """Seeded forms over every standard kind with and without a complement,
+    the parameter conjugated by a random carrier automorphism, at each rank
+    1 to 8 that its blocks reach: sums of the representatives of the Witt
+    group, their negatives and the hyperbolic plane, scrambled by
+    random_unimodular."""
+    rng = random.Random(46)
+    forms = []
+    for name in SWEEP_KINDS:
+        for comp in SWEEP_COMPLEMENTS:
+            p = split_sum(standard(name), FinAbGroup(comp))
+            theta = random_automorphism(rng, p.carrier)
+            p = FormParameter(p.carrier, p.h.compose(theta.inverse()), theta(p.p_one))
+            reps = witt.witt_group(p).representatives
+            pool = [qf.hyperbolic(p, 1)] + [g for r in reps for g in (r, qf.negate(r))]
+            for rank in range(1, 9):
+                for _ in range(3):
+                    f = qf.QForm(p, [], [])
+                    while f.rank < rank:
+                        fits = [b for b in pool if 0 < b.rank <= rank - f.rank]
+                        if not fits:
+                            break
+                        f = qf.direct_sum(f, rng.choice(fits))
+                    if f.rank == rank:
+                        forms.append(qf.pullback(f, random_unimodular(rng, rank, ops=8)))
+    return forms
+
+
+def test_witt_class_answers_of_the_sweep_are_pinned():
+    """One sha256 over the witt_class and gw_class answers of the sweep:
+    the per-form computation may change, its answers may not."""
+    forms = witt_sweep()
+    seen = {(f.parameter.is_symmetric, f.rank) for f in forms}
+    assert {r for s, r in seen if s} == set(range(1, 9))
+    assert {r for s, r in seen if not s} == {2, 4, 6, 8}
+    digest = hashlib.sha256()
+    for f in forms:
+        w, g = witt.witt_class(f), witt.gw_class(f)
+        digest.update(repr((w.description.names, w.coords, g.rank, g.witt.coords)).encode())
+    assert len(forms) == SWEEP_FORMS
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def test_closed_form_of_s_j_is_the_mu_scalar():
+    """Over a symmetric parameter the scalar s_j of mu(y_j), y_j column j of
+    M^-1, is (M^-1[j][j] - sum_i M_ii M^-1[i][j]) / 2, since y_j^T M y_j =
+    M^-1[j][j]: checked against qform._mu_scalar on every symmetric form of
+    the sweep."""
+    from qwitt._intmat import unimodular_inverse
+
+    checked = 0
+    for f in witt_sweep():
+        if not f.parameter.is_symmetric:
+            continue
+        lam = f.lambda_matrix
+        minv = unimodular_inverse(lam)
+        for j in range(f.rank):
+            y = [row[j] for row in minv]
+            twice = minv[j][j] - sum(lam[i][i] * y[i] for i in range(f.rank))
+            assert twice % 2 == 0 and twice // 2 == qf._mu_scalar(lam, y)
+            checked += 1
+    assert checked > 300, checked
 
 
 def test_witt_group_builds_its_group_once():
