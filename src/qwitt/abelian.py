@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import index, mul
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 )
 
 from . import _intmat
@@ -195,23 +195,6 @@ class FinAbGroup:
         return _reduced(
             self, tuple([a % n if n else a for a, n in zip(acc, self.orders)])
         )
-
-    def elements(self) -> Iterator["GroupElement"]:
-        """All elements; only valid for finite groups."""
-        if self.free_rank:
-            raise ValueError("cannot enumerate an infinite group")
-        coords = [0] * self.ngens
-        while True:
-            yield self.element(coords)
-            i = 0
-            while i < self.ngens:
-                coords[i] += 1
-                if coords[i] < self.orders[i]:
-                    break
-                coords[i] = 0
-                i += 1
-            else:
-                return
 
     def relation_columns(self) -> List[List[int]]:
         """Columns n_i * e_i over the finite factors (the defining relations)."""
@@ -372,6 +355,16 @@ class AbHom:
         return _reduced(self.target, tuple([
             s % n if n else s for s, n in zip(sums, self.target.orders)
         ]))
+
+    def map_rows(self, rows: Sequence[Sequence[int]]) -> List[List[int]]:
+        """The coordinate columns of the values at source elements given by
+        their coordinate rows, as `__call__` computes them but building no
+        element: one row product of the matrix with each row, each column
+        reduced by its target order."""
+        return [
+            [x % n for x in col] if n else col
+            for col, n in zip([[sum(map(mul, h, r)) for r in rows] for h in self.matrix], self.target.orders)
+        ]
 
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other."""

@@ -7,7 +7,10 @@ CLI verb `verify-suite` and tests/test_acceptance.py both drive it.
 Each check is stated once.  Criteria 2 and 9 take their parameters from one
 list of (kind, level) pairs, `_standard_kinds`, and build each parameter
 from its pair.  Table 1 is one formula per kind (`_table1_orders`), which
-also holds at n = 0, where Z_0 is Z.  Criterion 4 is one table of (label,
+also holds at n = 0, where Z_0 is Z.  Criterion 2 also runs
+`qtensor.check_sequences`, the defining exact sequences and square of
+G (x) Q, on every (Z_n, Q) of its Table 1 loop and on 25 random (G, Q),
+and names each (G, Q, key) that fails.  Criterion 4 is one table of (label,
 morphism, expected matrix).  Criterion 6 computes each structure diagram
 once and reads the corner orders off its reports.  The suite takes no
 private name from another module, except `witt._omega_data` in criterion
@@ -26,9 +29,10 @@ from . import qform as qf
 from . import witt
 from .abelian import FinAbGroup, is_kernel, subgroup, subgroup_equal, tensor
 from .formparam import aut_generators, quasi_wu, split_sum, standard, standard_morphism
-from .qtensor import present
+from .qtensor import check_sequences, present
 from .sampling import (
     random_form_parameter,
+    random_group,
     random_nonsingular_form,
     random_tensor_element,
     random_zp_form,
@@ -85,14 +89,18 @@ def _table1_orders(kind: str, k: Optional[int], n: int) -> Tuple[int, ...]:
 
 
 def criterion_2_table1(rng) -> Tuple[bool, str]:
-    """Z_n (x) Q against the closed forms (n <= 16), and the two-variable
-    direct-sum decomposition for cyclic pairs of order <= 12."""
+    """Z_n (x) Q against the closed forms (n <= 16), the two-variable
+    direct-sum decomposition for cyclic pairs of order <= 12, and the
+    defining exact sequences and square of G (x) Q for each (Z_n, Q) of the
+    first loop and for 25 random (G, Q)."""
     bad = []
     count = 0
+    pairs = []
     for kind, k in _standard_kinds():
         q = standard(kind, k)
         for n in range(0, 17):
-            got = present(_cyclic(n), q).group.canonical_orders()
+            pairs.append((_cyclic(n), q))
+            got = present(*pairs[-1]).group.canonical_orders()
             expect = _table1_orders(kind, k, n)
             count += 1
             if got != expect:
@@ -114,7 +122,15 @@ def criterion_2_table1(rng) -> Tuple[bool, str]:
                 count += 1
                 if whole != expect:
                     bad.append(f"({n1},{n2})x{q}: {whole} != {expect}")
-    return not bad, "; ".join(bad[:4]) or f"{count} tensor values exact"
+    for _ in range(25):
+        g = random_group(rng, max_torsion=8, max_free=1)
+        pairs.append((g, random_form_parameter(rng, max_torsion=16, max_free=2)))
+    failed = [
+        f"{g} (x) {q}: {key}" for g, q in pairs for key in check_sequences(g, q).get("witness", ())
+    ]
+    return not (bad or failed), "; ".join(bad[:4] + failed) or (
+        f"{count} tensor values and {len(pairs)} defining sequences exact"
+    )
 
 
 def criterion_3_split_examples(rng) -> Tuple[bool, str]:

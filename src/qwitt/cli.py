@@ -19,9 +19,9 @@ from typing import Optional
 from . import qform, witt
 from .abelian import AbHom, FinAbGroup
 from .formparam import (
-    MAX_LEVEL,
     FormParameter,
     FPMorphism,
+    LevelError,
     classify,
     maximal_splitting,
     parse_name,
@@ -88,10 +88,10 @@ def parse_parameter(data) -> FormParameter:
     if "name" in data:
         if not isinstance(data["name"], str):
             raise SchemaError("a parameter name must be a string")
-        kind, k = parse_name(data["name"])
-        if k is not None and k > MAX_LEVEL:
-            raise SchemaError(f"level {k} is above the maximum level {MAX_LEVEL}")
-        p = standard(kind, k)
+        try:
+            p = standard(*parse_name(data["name"]))
+        except LevelError as exc:  # the carrier would hold 2^k
+            raise SchemaError(str(exc)) from None
         if data.get("sum"):
             p = split_sum(p, parse_group(data["sum"]))
         return p

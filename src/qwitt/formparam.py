@@ -57,6 +57,7 @@ __all__ = [
     "FPClassification",
     "MaximalSplitting",
     "standard",
+    "LevelError",
     "parse_name",
     "split_sum",
     "linearisation",
@@ -294,6 +295,10 @@ _FAMILIES = {"ZP_k": 1, "ZL_k": 2}
 MAX_LEVEL = 100_000
 
 
+class LevelError(ValueError):
+    """A ZP_k or ZL_k level above MAX_LEVEL."""
+
+
 def _kind_data(kind: str, k: Optional[int]):
     """(carrier orders, h row, p(1), height, Aut generator matrices) of the
     standard `kind` at level k; k is None for a kind with no level."""
@@ -306,7 +311,7 @@ def _kind_data(kind: str, k: Optional[int]):
     if k is None or k < _FAMILIES[kind]:
         raise ValueError(f"{kind} requires k >= {_FAMILIES[kind]}")
     if k > MAX_LEVEL:
-        raise ValueError(f"{kind} level {k} is above the maximum level {MAX_LEVEL}")
+        raise LevelError(f"level {k} is above the maximum level {MAX_LEVEL}")
     if kind == "ZP_k":
         gens = [_BETA] + ([[[1, 0], [1, 3]]] if k >= 2 else [])
         return (0, 2**k), (1, 0), (2, -1), k + 1, gens
@@ -331,11 +336,17 @@ def standard(name: str, k: Optional[int] = None) -> FormParameter:
 
 
 def parse_name(text: str) -> Tuple[str, Optional[int]]:
+    """(kind, level) of a standard name.  A level with more digits than
+    MAX_LEVEL, leading zeros aside, is refused before it is read as an
+    integer: Python reads none of more than 4300 digits."""
     if text in _FIXED_KINDS:
         return text, None
     family, _, level = text.partition("_")
     if family + "_k" in _FAMILIES and level.isascii() and level.isdigit():
-        return family + "_k", int(level)
+        digits = level.lstrip("0")
+        if len(digits) > len(str(MAX_LEVEL)):
+            raise LevelError(f"level {digits} is above the maximum level {MAX_LEVEL}")
+        return family + "_k", int(digits or "0")
     raise ValueError(f"unknown parameter name {text!r}")
 
 

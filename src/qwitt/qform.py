@@ -7,8 +7,8 @@ X = Z^k together with a quadratic refinement mu: X -> Q_e satisfying
 
 mu is stored on the basis only; every other value is computed through the
 addition and scalar rules, never cached, so equality stays structural.
-`QForm.lam` is one matrix-vector product, `mu_eval` gives mu at a vector,
-and a pullback is B^T M B by two integer matrix products.
+`mu_eval` gives mu at a vector, and a pullback is B^T M B by two integer
+matrix products.
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ __all__ = [
     "pullback",
     "pushforward",
     "hyperbolic",
-    "is_nonsingular",
     "is_full",
     "is_indefinite",
     "inertia",
     "signature_of_matrix",
-    "characteristic_check",
     "lagrangian_verify",
     "metabolic_search",
     "isometry_verify",
@@ -97,11 +95,6 @@ class QForm:
     @property
     def rank(self) -> int:
         return len(self.lambda_matrix)
-
-    def lam(self, x: Sequence[int], y: Sequence[int]) -> int:
-        if len(x) != self.rank or len(y) != self.rank:
-            raise ValueError("vector length does not match the rank")
-        return sum(a * b for a, b in zip(x, _intmat.mat_vec(self.lambda_matrix, y)))
 
     def det(self) -> int:
         return _intmat.determinant(self.lambda_matrix)
@@ -254,10 +247,6 @@ def hyperbolic(q: FormParameter, m: int) -> QForm:
     return QForm(q, mat, [q.carrier.zero()] * (2 * m))
 
 
-def is_nonsingular(f: QForm) -> bool:
-    return f.det() in (1, -1)
-
-
 def is_full(f: QForm) -> bool:
     return f.s_mu().is_surjective()
 
@@ -350,27 +339,6 @@ def is_indefinite(f: QForm) -> bool:
     return f.rank >= 2
 
 
-def characteristic_check(f: QForm, c: AbHom) -> bool:
-    """Whether c: X -> C (cyclic) is characteristic for lambda.
-
-    Checks lambda(x, x) = c(x) mod 2 on the basis, which suffices: both
-    sides are homomorphisms X -> Z2, as lambda(x + y, x + y) =
-    lambda(x, x) + lambda(y, y) + 2 lambda(x, y).
-    """
-    if not f.parameter.is_symmetric:
-        raise ValueError("characteristic maps live over symmetric parameters")
-    if c.target.ngens > 1:
-        raise ValueError("target must be cyclic")
-    # C/2C is Z2 for an even or infinite cyclic C, and trivial otherwise
-    even = c.target.ngens == 1 and c.target.orders[0] % 2 == 0
-    k = f.rank
-    images = [c(c.source.element([int(i == j) for j in range(k)])) for i in range(k)]
-    return all(
-        f.lambda_matrix[i][i] % 2 == (img.coords[0] % 2 if even else 0)
-        for i, img in enumerate(images)
-    )
-
-
 def lagrangian_verify(f: QForm, basis: Sequence[Sequence[int]]) -> bool:
     """Whether the given vectors span a lagrangian of f: a primitive
     half-rank summand on which the pullback of f is the zero form.  mu is
@@ -403,7 +371,7 @@ def _mu_parts(
     q: FormParameter, m: Sequence[Sequence[int]], mus: Sequence[Sequence[int]]
 ) -> List[search.Part]:
     """The coefficient parts (A, l, modulus) of the kernel's rows for
-    mu(x) == t on the form with matrix m and mu coordinate rows mus over
+    mu(x) == t on the form with matrix m and mu coordinate columns mus over
     the split parameter q (the target of a maximal splitting, as `Q^+`
     is): one per coordinate c of the carrier, doubled to clear the binomial
     denominators.  They do not depend on t, whose constants are
@@ -415,7 +383,7 @@ def _mu_parts(
     n = len(m)
     out = []
     for c, (pc, order) in enumerate(zip(q.p_one.coords, q.carrier.orders)):
-        l = [2 * mus[i][c] - pc * m[i][i] for i in range(n)]
+        l = [2 * mus[c][i] - pc * m[i][i] for i in range(n)]
         if c:
             out.append(((), l, 2 * order))
             continue
@@ -445,7 +413,8 @@ def _mu_constraints(
     f: QForm, target: GroupElement
 ) -> List[Tuple[List[List[int]], List[int], int, int]]:
     q = f.parameter
-    parts = _mu_parts(q, f.lambda_matrix, [mu.coords for mu in f.mu_basis])
+    mus = [[mu.coords[c] for mu in f.mu_basis] for c in range(q.carrier.ngens)]
+    parts = _mu_parts(q, f.lambda_matrix, mus)
     return [(a, l, c, m) for (a, l, m), c in zip(parts, _mu_values(q, target.coords))]
 
 
@@ -476,8 +445,8 @@ def _column_constraints(
 
     Root certificate: the gcd of each row is computed once, by the plan,
     and tested against each distinct depth's constants (`Plan.solvable`,
-    the gcd rule of `search.unsolvable`).  A depth with a row that fails
-    has no integer column at any bound.
+    the gcd rule).  A depth with a row that fails has no integer column at
+    any bound.
 
     Blocks: the orthogonal blocks of rank r, k <= r < n, each distinct
     one (the same lambda submatrix and mu values as an earlier one give
@@ -491,18 +460,14 @@ def _column_constraints(
     n, k, mat = target.rank, len(mus), target.lambda_matrix
     iso = maximal_splitting(target.parameter).iso
     split = iso.target
-    # the coordinates of mu through the splitting, one integer matrix-vector
-    # product each, reduced as iso(mu) reduces them
-    m_iso, orders = iso.map.matrix, split.carrier.orders
-
-    def through(mu):
-        return [s % o if o else s for s, o in zip([sum(map(mul, r, mu.coords)) for r in m_iso], orders)]
-
-    plan = search.Plan(n, _mu_parts(split, mat, [through(mu) for mu in target.mu_basis]))
+    # the coordinate columns of the mu values through the splitting, one
+    # integer row product each, reduced as iso(mu) reduces them
+    plan = search.Plan(n, _mu_parts(split, mat, iso.map.map_rows([mu.coords for mu in target.mu_basis])))
+    ts = iso.map.map_rows([mu.coords for mu in mus])
     values, distinct = [], {}
     for d, mu in enumerate(mus):
         if mu.coords not in distinct:
-            distinct[mu.coords] = _mu_values(split, through(mu))
+            distinct[mu.coords] = _mu_values(split, [t[d] for t in ts])
             if not plan.solvable(distinct[mu.coords]):
                 return [], [], f"column {d}: mu(x) = {mu} has no integer solution"
         values.append(distinct[mu.coords])

@@ -25,7 +25,10 @@ a free group is built.  `check_sequences` verifies the defining exact
 sequence and square through `abelian`'s kernel tests, direct-sum maps and
 `tensor_map`: it splits on the symmetry once, to set the row's inclusion
 and projection and to check the square, and reads the row's three
-exactness keys off that pair for both symmetries.
+exactness keys off that pair for both symmetries.  Criterion 2 of the
+acceptance suite (`acceptance.criterion_2_table1`, run by `qwitt
+verify-suite`) calls it on every (Z_n, Q) of its Table 1 loop and on 25
+random (G, Q).
 """
 
 from __future__ import annotations

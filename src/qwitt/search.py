@@ -66,11 +66,11 @@ The subtree of the last coordinate is one loop, cheaper walked than
 looked up, so only splits before it are kept; a call whose constraints
 have none records nothing.
 
-At the root the gcd rule does not depend on the bound: a constraint that
-`unsolvable` rejects has no integer solution at all.  A call that a root
-rule rejects costs 0 nodes, whatever its rank.  With
-normalize_first_positive, a negative value of the first non-zero
-coordinate is never visited.
+At the root the gcd rule does not depend on the bound: a constraint whose
+gcd of m and every coefficient (A symmetrised) does not divide c has no
+integer solution at all.  A call that a root rule rejects costs 0 nodes,
+whatever its rank.  With normalize_first_positive, a negative value of the
+first non-zero coordinate is never visited.
 
 A plan is coefficients; a column depth of the search driver is only its
 constants.  Every set-up (the symmetrised rows, the splits, the gcds, the
@@ -108,16 +108,6 @@ def _gcd_rejects(c: int, g: int) -> bool:
     """The gcd rule at the root: every value of the open part is a multiple
     of g, so c must be one too (g == 0: c must be 0)."""
     return c % g != 0 if g else c != 0
-
-
-def unsolvable(constraint: Constraint) -> bool:
-    """Whether the gcd rule shows that no integer vector satisfies the
-    constraint, at any bound: the gcd of m and every coefficient (A
-    symmetrised) does not divide c."""
-    a, l, c, m = constraint
-    n = len(l)
-    g = gcd(m, *l, *(e for i in range(len(a)) for e in _quadratic_entries(a, n, i)))
-    return _gcd_rejects(c, g)
 
 
 def _root_rejects(c: int, g: int, low: int, high: int, exact: bool) -> bool:
@@ -168,7 +158,7 @@ class Plan:
     final values, each row's root data: the gcd of m and every coefficient
     with the row's interval and reach over the box of bound 1.  So the root
     rules of any bound and constants cost O(1) per row (`rejects`,
-    `least_bound`, `solvable`: the gcd rule of `unsolvable`).  A bound's
+    `least_bound`, `solvable`: the gcd rule at any bound).  A bound's
     steps, `unit_steps` scaled (`_add_steps`), are kept for the bound last
     asked for: `qform._column_search` searches one bound per pass.
     """

@@ -87,7 +87,6 @@ from .qform import (
     QForm,
     _det_and_inertia_of,
     _mu_scalar,
-    is_nonsingular,
     pushforward,
     signature_of_matrix,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "GWClass",
     "signature",
     "signature_defect",
-    "arf",
     "tensor_invariant",
     "form_from_tensor",
     "witt_class",
@@ -188,27 +186,18 @@ def _rho(k: int, lam, mus, minv, sig: int) -> int:
     return _defect(sig, _omega_square(mus, minv, k), k)
 
 
-def arf(f: QForm) -> int:
-    """Arf invariant of a nonsingular form over the order-two parameter.
-
-    lambda mod 2 is nonsingular (det = +-1) and mu depends only on x mod 2
-    (mu(2y) = 2 mu(y) + p(lambda(y, y)) = 0 in Z2), so the Arf invariant is
-    sum_i mu(e_i) mu(f_i) over any symplectic basis of lambda over F2.  Each
-    pair takes the first remaining e and the first remaining f with
-    lambda(e, f) = 1, then projects the rest onto their complement,
-    w -> w + lambda(w, f) e + lambda(w, e) f (mod 2).
-    """
-    if f.parameter != standard("Q-"):
-        raise ValueError("Arf invariant lives over the rank-one anti-symmetric parameter")
-    if not is_nonsingular(f):
-        raise ValueError("Arf invariant of a singular form")
-    return _arf(f.lambda_matrix, _columns(f.mu_basis, 1))
-
-
 def _arf(lam, mus, _minv=None, _sig=None) -> int:
-    """`arf` of a nonsingular matrix whose first mu column holds the Q-
-    coordinate; that coordinate of mu(x) is sum_i x_i mu(b_i) + s, as in
-    qform.mu_eval with p(1) = 1."""
+    """The Arf invariant, the c* coordinate of a Witt class over Q-, of a
+    nonsingular matrix whose first mu column holds the Q- coordinate; that
+    coordinate of mu(x) is sum_i x_i mu(b_i) + s, as in qform.mu_eval with
+    p(1) = 1.
+
+    lambda mod 2 is nonsingular and mu depends only on x mod 2 (mu(2y) =
+    2 mu(y) + p(lambda(y, y)) = 0 in Z2), so the Arf invariant is sum_i
+    mu(e_i) mu(f_i) over any symplectic basis of lambda over F2.  Each pair
+    takes the first remaining e and the first remaining f with lambda(e, f)
+    = 1, then projects the rest onto their complement, w -> w + lambda(w,
+    f) e + lambda(w, e) f (mod 2)."""
 
     def times_m(v: Sequence[int]) -> List[int]:
         return [x % 2 for x in _intmat.mat_vec(lam, v)]
@@ -544,21 +533,8 @@ def witt_class(f: QForm) -> WittClass:
     product into coordinate columns over Q + G, which every invariant reads
     with the form's matrix (see `_witt_class`)."""
     desc = witt_group(f.parameter)
-    mus = _columns_through(desc.splitting.iso.map, [m.coords for m in f.mu_basis])
+    mus = desc.splitting.iso.map.map_rows([m.coords for m in f.mu_basis])
     return _witt_class(desc, f.lambda_matrix, mus)
-
-
-def _columns_through(hom: AbHom, rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """The coordinate columns of hom's values at the coordinate rows: one
-    row product of hom's matrix with each row, and each column reduced by
-    its target order."""
-    return [
-        [x % n for x in col] if n else col
-        for col, n in zip(
-            [[sum(map(mul, h, r)) for r in rows] for h in hom.matrix],
-            hom.target.orders,
-        )
-    ]
 
 
 def _witt_class(
@@ -675,7 +651,7 @@ def es_witt(f: QForm) -> GroupElement:
     lam = f.lambda_matrix
     minv = _intmat.unimodular_inverse(lam)  # refuses a singular form
     pres, ambient = _model(linearisation(p)[0], True)
-    mus = _columns_through(es(p).map, [m.coords for m in f.mu_basis])
+    mus = es(p).map.map_rows([m.coords for m in f.mu_basis])
     t = _tensor_invariant(lam, mus, pres, minv)
     return ambient.element((signature_of_matrix(lam),) + t.coords)
 
@@ -696,7 +672,7 @@ def eql_witt(p: FormParameter, c: int, t: GroupElement) -> WittClass:
     if c % 2:
         arf_mu = [1] + [0] * p.carrier.ngens
         diag, rows = [0] + diag, [arf_mu, arf_mu] + rows
-    mus = _columns_through(_eql_to_split(p), rows)
+    mus = _eql_to_split(p).map_rows(rows)
     return _witt_class(witt_group(p), _block_matrix(diag, -1), mus)
 
 

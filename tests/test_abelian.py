@@ -33,6 +33,7 @@ from qwitt.abelian import (
     tensor_map,
     tensor_with_generators,
 )
+from reference import elements
 
 
 def test_canonical_orders():
@@ -361,7 +362,7 @@ def test_kernel_examples():
 
 
 def brute_kernel_elements(f):
-    return {x.coords for x in f.source.elements() if f(x).is_zero}
+    return {x.coords for x in elements(f.source) if f(x).is_zero}
 
 
 def brute_subgroup_elements(ambient, gens):
@@ -763,7 +764,7 @@ def brute_torsion_elements(group):
     """Every torsion element of the group, enumerated once per group."""
     idx = [i for i, n in enumerate(group.orders) if n]
     out = []
-    for x in FinAbGroup([group.orders[i] for i in idx]).elements():
+    for x in elements(FinAbGroup([group.orders[i] for i in idx])):
         full = [0] * group.ngens
         for i, c in zip(idx, x.coords):
             full[i] = c
@@ -949,3 +950,18 @@ def test_split_off_cyclic_at_a_high_two_adic_exponent():
     ms = maximal_splitting(q)
     assert time.process_time() - start < 1
     assert (ms.standard_kind, ms.k) == ("ZL_k", 20000)
+
+
+def test_map_rows_are_the_values_of_the_map():
+    # the columns of map_rows at coordinate rows are f(x) at those elements,
+    # unreduced rows (large and negative) included, for no row too
+    from qwitt.sampling import random_group
+
+    rng = random.Random(47)
+    for _ in range(200):
+        a = random_group(rng, max_torsion=12, max_free=2)
+        b = random_group(rng, max_torsion=12, max_free=2)
+        f = random_hom_between(rng, a, b)
+        rows = [[rng.randint(-40, 40) for _ in a.orders] for _ in range(rng.randint(0, 4))]
+        want = [f(a.element(r)).coords for r in rows]
+        assert f.map_rows(rows) == [[v[t] for v in want] for t in range(b.ngens)], (f, rows)

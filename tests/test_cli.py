@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import random
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,27 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def readme_examples():
+    """(argv, output) of each `qwitt ...` line of the README's sh blocks
+    that a `#   ...` line, its output, follows."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    found = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        lines = block.splitlines()
+        for line, shown in zip(lines, lines[1:]):
+            if line.startswith("qwitt ") and shown.startswith("#   "):
+                found.append((shlex.split(line)[1:], shown[4:] + "\n"))
+    return found
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = readme_examples()
+    assert len(examples) == 9
+    for argv, shown in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, shown, ""), argv
 
 
 def test_classify(capsys):
@@ -339,6 +363,18 @@ def test_a_level_above_the_maximum_exits_3(capsys, monkeypatch):
         assert (code, out) == (3, "")
         assert err == f"error: level {name[3:]} is above the maximum level 100000\n"
     assert time.process_time() - start < 1
+
+
+def test_a_level_of_more_than_4300_digits_exits_3(capsys):
+    # the level is refused by its digit count before it is read, since
+    # Python reads no integer of more than 4300 digits; leading zeros do
+    # not count
+    level = "9" * 5000
+    code, out, err = run_cli(capsys, "classify", json.dumps("ZP_" + level))
+    assert (code, out, err) == (3, "", f"error: level {level} is above the maximum level 100000\n")
+    code, out, err = run_cli(capsys, "classify", json.dumps("ZL_" + "0" * 5000 + "2"))
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "classify", '"ZL_2"')[1]
 
 
 def test_output_deterministic(capsys):

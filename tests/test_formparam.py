@@ -28,6 +28,7 @@ from qwitt.formparam import (
     standard_name,
 )
 from qwitt.sampling import random_automorphism, random_group
+from reference import elements
 
 
 ALL_STANDARD = (
@@ -248,6 +249,19 @@ def test_a_level_above_the_maximum_is_refused_before_2_to_the_k():
     assert standard("ZP_k", top).carrier.orders == (0, 2**top)
 
 
+def test_a_level_is_refused_by_its_digit_count_before_it_is_read():
+    from qwitt.formparam import LevelError, parse_name
+
+    assert parse_name("ZP_0002") == ("ZP_k", 2)
+    assert parse_name("ZL_" + "0" * 5000 + "100000") == ("ZL_k", 100000)
+    for name, level in (("ZP_" + "9" * 5000, "9" * 5000), ("ZL_0001000000", "1000000")):
+        with pytest.raises(LevelError, match=f"^level {level} is above the maximum level 100000$"):
+            standard(name)
+    # a level of as many digits as the maximum is read, and its value checked
+    with pytest.raises(ValueError, match="level 999999 is above the maximum level 100000"):
+        standard("ZP_999999")
+
+
 def test_standard_morphisms_join_the_named_parameters():
     names = ["Q+", "Q^+", "Q-", "Q^-", "ZP", "ZP_1", "ZP_2", "ZP_3", "ZL_2", "ZL_3", "ZL_4"]
     for src, dst, n in product(names, names, (-1, 0, 2)):
@@ -419,7 +433,7 @@ def all_antisymmetric_parameters(lo, hi):
         if prod(g.orders) < lo:
             continue
         seen = set()
-        for x in g.elements():
+        for x in elements(g):
             if (2 * x).is_zero and x.coords not in seen:
                 seen.add(x.coords)
                 ps.append(FormParameter(g, AbHom.zero(g, Z), x))
@@ -479,7 +493,7 @@ def test_span_size_matches_the_walk():
     # every carrier of order <= 16, every one or two generators: the span
     # and the coset count that brute_force_isomorphic prunes by
     for g in all_canonical_groups(16):
-        elems = list(g.elements())
+        elems = list(elements(g))
         zero = {(0,) * g.ngens}
         assert span_size(g, []) == walk_span_size(g, []) == 1
         for x in elems:
@@ -512,7 +526,7 @@ def brute_force_isomorphic(p1, p2):
     support_end = sum(1 for j in range(n) if p1.p_one.coords[j])
     if support_end == 0 and not p2.p_one.is_zero:
         return False
-    elems = list(c2.elements())
+    elems = list(elements(c2))
     partial_sizes = [
         span_size(c1, [c1.gen(order_idx[t]) for t in range(d + 1)])
         for d in range(n)

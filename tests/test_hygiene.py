@@ -327,18 +327,15 @@ def test_driver_builds_no_lambda_square_row():
 def test_kernel_set_up_lives_in_one_function():
     # a Plan symmetrises its rows once and runs one recurrence per row for
     # its steps at bound 1, its root data and its splits; the linear
-    # recurrence, _add_linear, also sets up a call's pair rows, and
-    # unsolvable reads the symmetrised rows for the gcd rule only;
+    # recurrence, _add_linear, also sets up a call's pair rows;
     # search._add_steps only scales the plan's steps to a bound; the root
     # rules of a plan's rows and of pair rows are one function, whose gcd
-    # rule Plan.solvable and unsolvable share
-    assert library_calls("_quadratic_entries") == {("search.py", "Plan"), ("search.py", "unsolvable")}
+    # rule Plan.solvable shares
+    assert library_calls("_quadratic_entries") == {("search.py", "Plan")}
     assert library_calls("_add_steps") == {("search.py", "Plan")}
     assert library_calls("_add_linear") == {("search.py", "Plan"), ("search.py", "search_vectors")}
     assert library_calls("_root_rejects") == {("search.py", "Plan"), ("search.py", "search_vectors")}
-    assert library_calls("_gcd_rejects") == {
-        ("search.py", "_root_rejects"), ("search.py", "Plan"), ("search.py", "unsolvable")
-    }
+    assert library_calls("_gcd_rejects") == {("search.py", "_root_rejects"), ("search.py", "Plan")}
     source = (SRC / "search.py").read_text()
     for name in ("gcd", "sum", "abs", "_add_linear", "_quadratic_entries"):
         assert "_add_steps" not in {scope for _, scope in calls_to(source, name)}, name
@@ -352,12 +349,14 @@ def test_pre_checks_take_one_elimination_per_form():
     assert library_calls("_det_and_inertia") == {("qform.py", "inertia"), ("qform.py", "_det_and_inertia_of")}
     source = (SRC / "qform.py").read_text()
     pre_checks = {"_metabolic_obstruction", "isometry_search", "_embedding_obstruction", "is_absorbing"}
-    for name in ("is_nonsingular", "determinant", "det", "inertia", "_det_and_inertia"):
+    for name in ("determinant", "det", "inertia", "_det_and_inertia"):
         scopes = {scope for _, scope in calls_to(source, name)}
         # isometry_search's leaf takes the determinant of a witness matrix
         assert not scopes & (pre_checks - {"isometry_search"} if name == "determinant" else pre_checks), name
     witt_source = (SRC / "witt.py").read_text()
-    assert "signature" not in {scope for _, scope in calls_to(witt_source, "is_nonsingular")}
+    # signature reads its nonsingularity check off the same elimination
+    for name in ("determinant", "det"):
+        assert "signature" not in {scope for _, scope in calls_to(witt_source, name)}, name
 
 
 def test_one_saturation_routine():
@@ -1110,38 +1109,13 @@ def test_uncalled_definitions_detected():
     ]
 
 
-# the verification API and the test-facing reads of a value: each has tests
-# as its callers, and the library has no use for it
-TEST_FACING = {
-    # brute-force checks of a form's characteristic element and of the exact
-    # sequences and squares of G (x) Q
-    ("qform.py", "characteristic_check"),
-    ("qtensor.py", "check_sequences"),
-    # lambda(x, y) of a form at two vectors, which the tests check searches
-    # and pullbacks against, and the Arf invariant of a form over Q-, which
-    # they check the c* coordinate against; the library reads matrices and
-    # mu columns (witt._arf)
-    ("qform.py", "QForm.lam"),
-    ("witt.py", "arf"),
-    # every element of a finite group, for the tests' brute-force
-    # references; the library never enumerates a group
-    ("abelian.py", "FinAbGroup.elements"),
-    # the gcd rule on one constraint, which the tests check brute force and
-    # a plan's per-row root certificate (`Plan.solvable`) against; the
-    # driver reads each row's gcd off its plan, computed once
-    ("search.py", "unsolvable"),
-}
-
-
 def test_every_library_definition_has_a_caller():
     # a function or method whose only callers are tests is a second entry
     # point to nothing; the library and the benchmark under perfbench/ are
     # the callers that count
     library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     callers = [*library.values(), *(p.read_text() for p in sorted(PERFBENCH.rglob("*.py")))]
-    found = uncalled(library, callers)
-    assert set(found) - TEST_FACING == set(), found
-    assert TEST_FACING <= set(found), TEST_FACING - set(found)
+    assert uncalled(library, callers) == []
 
 
 # the arithmetic operators and the syntax that calls each

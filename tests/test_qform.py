@@ -13,6 +13,7 @@ from qwitt import _intmat
 from qwitt.abelian import AbHom, FinAbGroup
 from qwitt.formparam import split_sum, standard, standard_morphism
 from qwitt.sampling import random_nonsingular_form, random_unimodular
+import reference
 
 QP = standard("Q^+")
 QPLUS = standard("Q+")
@@ -88,9 +89,9 @@ def test_mu_addition_and_trace_rules(data):
     y = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     both = [a + b for a, b in zip(x, y)]
     lhs = qf.mu_eval(f, both)
-    rhs = qf.mu_eval(f, x) + qf.mu_eval(f, y) + p.p(f.lam(x, y))
+    rhs = qf.mu_eval(f, x) + qf.mu_eval(f, y) + p.p(reference.lam(f, x, y))
     assert lhs == rhs
-    assert p.h_of(qf.mu_eval(f, x)) == f.lam(x, x)
+    assert p.h_of(qf.mu_eval(f, x)) == reference.lam(f, x, x)
 
 
 def _nested_mu_scalar(m, x):
@@ -202,7 +203,7 @@ def test_hyperbolic():
 
 def test_nonsingular_full_indefinite():
     h = qf.hyperbolic(QP, 1)
-    assert qf.is_nonsingular(h)
+    assert h.det() in (1, -1)
     assert not qf.is_full(h)  # S(Q^+) = Z2 but mu = 0
     assert qf.is_indefinite(h)
 
@@ -217,7 +218,7 @@ def test_nonsingular_full_indefinite():
     assert qf.is_indefinite(hm) and qf.is_absorbing(hm)
 
     singular = qf.QForm(QP, [[2]], [QP.carrier.element((2,))])
-    assert not qf.is_nonsingular(singular)
+    assert singular.det() not in (1, -1)
     # semidefinite: |signature| 1 is below the rank 2, but no negative square
     semi = qf.QForm(QP, [[1, 0], [0, 0]], [QP.carrier.element((1,)), QP.carrier.zero()])
     assert not qf.is_indefinite(semi)
@@ -394,14 +395,13 @@ def test_span_test_matches_rank():
 def test_root_certificate_matches_unsolvable():
     """The driver's root certificate, each row's gcd computed once by the
     whole target's plan and tested against a depth's constants
-    (`Plan.solvable`), against `search.unsolvable` on the full quadruples
+    (`Plan.solvable`), against `reference.unsolvable` on the full quadruples
     of `_mu_constraints` over the target pushed to its splitting: for every
     distinct mu value (the target's own, zero, p(1), each generator and
     small combinations) of seeded targets over the five criterion-10
     parameters and split ZP / ZL parameters.  The plan's parts with the
     depth's constants are those quadruples, and `_column_constraints`
     answers with a certificate exactly when the depth is unsolvable."""
-    from qwitt import search
     from qwitt.formparam import maximal_splitting
 
     params = [
@@ -429,7 +429,7 @@ def test_root_certificate_matches_unsolvable():
             rows = qf._mu_constraints(split, iso(mu))
             constants = qf._mu_values(iso.target, iso(mu).coords)
             assert [(a, l, c, m) for (a, l, m), c in zip(plan.parts, constants)] == rows
-            solvable = not any(search.unsolvable(row) for row in rows)
+            solvable = not any(reference.unsolvable(row) for row in rows)
             assert plan.solvable(constants) == solvable
             _, _, certificate = qf._column_constraints(target, [[p.h_of(mu)]], [mu])
             assert (certificate == "") == solvable, (p, mu, certificate)
@@ -437,56 +437,32 @@ def test_root_certificate_matches_unsolvable():
     assert verdicts[True] >= 300 and verdicts[False] >= 50, verdicts
 
 
-def test_characteristic_check():
-    from qwitt.formparam import quasi_wu
+def test_quasi_wu_class_is_characteristic_on_the_cube():
+    """The quasi-Wu property of a symmetric parameter: lambda(x, x) =
+    v(S mu(x)) mod 2 for every x in {0, 1}^k, v = v_Q: SQ -> Z2 and S the
+    linearisation Q_e -> SQ, on seeded forms (singular ones too) over the
+    standard and split parameters and random symmetric ones, with the
+    hyperbolic form over Q+ (even, mu = 0) and the odd unit form."""
+    from qwitt.formparam import linearisation, quasi_wu
+    from qwitt.sampling import random_form_parameter
 
-    rng = random.Random(17)
-    # v_Q o S(mu) is characteristic for every symmetric form
-    for p in [QP, QPLUS, standard("ZP_2"), split_sum(QP, FinAbGroup((3,)))]:
-        v = quasi_wu(p)
-        for _ in range(6):
-            f = random_nonsingular_form(rng, p, max_rank=4)
-            c = v.v.compose(f.s_mu())
-            assert qf.characteristic_check(f, c)
-    # the zero map is characteristic for even forms
-    h = qf.hyperbolic(QPLUS, 2)
-    zero = AbHom.zero(FinAbGroup((0,) * 4), FinAbGroup((2,)))
-    assert qf.characteristic_check(h, zero)
-    one_form = unit_form()
-    zero1 = AbHom.zero(FinAbGroup((0,)), FinAbGroup((2,)))
-    assert not qf.characteristic_check(one_form, zero1)
-
-
-def test_characteristic_check_matches_every_vector_of_the_cube():
-    """The basis check against lambda(x, x) = c(x) mod 2 for every x in
-    {0, 1}^k, on seeded forms (singular ones too) and maps into Z, into
-    even and odd cyclic groups and into the trivial group."""
-    params = [QP, QPLUS, standard("ZP_2"), split_sum(QP, FinAbGroup((3,)))]
     rng = random.Random(1301)
-    seen = set()
+    params = [QP, QPLUS, standard("ZP_2"), split_sum(QP, FinAbGroup((3,)))]
+    params += [random_form_parameter(rng, symmetric=True) for _ in range(4)]
+    forms = [qf.hyperbolic(QPLUS, 2), unit_form()]
     for i in range(80):
         f = random_nonsingular_form(rng, params[i % len(params)], max_rank=4)
-        k = f.rank
         if i % 3 == 0:
-            f = qf.pullback(f, [[rng.randint(-1, 1) for _ in range(k)] for _ in range(k)])
-        orders = rng.choice([(), (0,), (2,), (3,), (4,), (6,)])
-        target = FinAbGroup(orders)
-        c = AbHom.from_columns(
-            FinAbGroup((0,) * k), target,
-            [target.element([rng.randint(-3, 3) for _ in orders]) for _ in range(k)],
-        )
-
-        def c2(x):
-            if not orders or orders[0] % 2:
-                return 0  # C/2C is trivial
-            return c(c.source.element(x)).coords[0] % 2
-
-        expect = all(
-            f.lam(x, x) % 2 == c2(x) for x in itertools.product((0, 1), repeat=k)
-        )
-        assert qf.characteristic_check(f, c) == expect, (i, f, c)
-        seen.add(expect)
-    assert seen == {True, False}
+            f = qf.pullback(f, [[rng.randint(-1, 1) for _ in range(f.rank)] for _ in range(f.rank)])
+        forms.append(f)
+    parities = set()
+    for f in forms:
+        v, (_, proj, _) = quasi_wu(f.parameter), linearisation(f.parameter)
+        for x in itertools.product((0, 1), repeat=f.rank):
+            square = reference.lam(f, x, x) % 2
+            assert square == v(proj(qf.mu_eval(f, x))), (f, x)
+            parities.add(square)
+    assert parities == {0, 1}
 
 
 def test_lagrangian_verify():
@@ -528,10 +504,10 @@ def test_isometry_verify_refuses_a_ragged_matrix():
 
 def test_lam_refuses_a_vector_of_another_length():
     h = qf.hyperbolic(QP, 1)
-    assert h.lam([1, 1], [1, 1]) == 2
+    assert reference.lam(h, [1, 1], [1, 1]) == 2
     for x, y in (([1, 1, 5], [1, 1]), ([1], [1, 1]), ([1, 1], [1]), ([1, 1], [1, 1, 0])):
         with pytest.raises(ValueError, match="vector length"):
-            h.lam(x, y)
+            reference.lam(h, x, y)
 
 
 def test_hyperbolic_refuses_a_negative_count():
@@ -630,7 +606,7 @@ def test_full_metabolic():
     fm = qf.full_metabolic(QP)
     assert fm.lambda_matrix == ((0, 1), (1, 1))
     assert fm.mu_basis[1].coords == (1,)
-    assert qf.is_full(fm) and qf.is_nonsingular(fm)
+    assert qf.is_full(fm) and fm.det() in (1, -1)
     assert qf.lagrangian_verify(fm, [[1, 0]])
 
     fm = qf.full_metabolic(standard("Q^-"))
@@ -1212,11 +1188,9 @@ def test_block_constraints_are_restrictions_of_the_targets():
     """Each block's column constraints, as the driver restricts them from
     the target's, against `_column_constraints` of the block as a form of
     its own: the same parts and the same constants per depth; a block whose
-    own constraints fail has a restricted row that `search.unsolvable`
+    own constraints fail has a restricted row that `reference.unsolvable`
     rejects with some depth's constant.  Every block that the driver
     searches is one of these, with the restricted plan."""
-    from qwitt import search
-
     params = [
         QP, QM, split_sum(QP, FinAbGroup((2,))), split_sum(QM, FinAbGroup((3,))), standard("ZL_2"),
     ]
@@ -1251,7 +1225,7 @@ def test_block_constraints_are_restrictions_of_the_targets():
             got = [qf._restrict(part, idx) for part in plan.parts]
             if unsolvable:
                 assert any(
-                    search.unsolvable((a, l, c, m)) for cs in values for (a, l, m), c in zip(got, cs)
+                    reference.unsolvable((a, l, c, m)) for cs in values for (a, l, m), c in zip(got, cs)
                 ), (i, idx)
             else:
                 assert (got, want_values) == (want[-1][2].parts, values), (i, idx)
@@ -1586,13 +1560,13 @@ def _brute_least_entry(target, lam, mus, accept, bound):
     or None when there is none."""
     box = list(itertools.product(range(-bound, bound + 1), repeat=target.rank))
     cands = [
-        [v for v in box if target.lam(v, v) == lam[d][d] and qf.mu_eval(target, v) == m]
+        [v for v in box if reference.lam(target, v, v) == lam[d][d] and qf.mu_eval(target, v) == m]
         for d, m in enumerate(mus)
     ]
     best = None
     for cols in itertools.product(*cands):
         if all(
-            target.lam(cols[i], cols[j]) == lam[i][j]
+            reference.lam(target, cols[i], cols[j]) == lam[i][j]
             for i in range(len(cols)) for j in range(i + 1, len(cols))
         ) and accept(cols):
             entry = _entry_bound(cols)
@@ -1797,14 +1771,14 @@ def test_primitive_isotropic_has_least_entry_bound():
     for f in forms:
         box = itertools.product(range(-2, 3), repeat=f.rank)
         best = min(
-            (_entry_bound([v]) for v in box if f.lam(v, v) == 0 and math.gcd(*v) == 1),
+            (_entry_bound([v]) for v in box if reference.lam(f, v, v) == 0 and math.gcd(*v) == 1),
             default=None,
         )
         x = qf._primitive_isotropic(f, 2, 10**6)
         if x is None:
             assert best is None, f
         else:
-            assert f.lam(x, x) == 0 and math.gcd(*x) == 1
+            assert reference.lam(f, x, x) == 0 and math.gcd(*x) == 1
             assert _entry_bound([x]) == best, (f, x)
         seen.add((f.rank, best))
     assert {(2, None), (3, None), (2, 1), (3, 1), (3, 2)} <= seen, seen

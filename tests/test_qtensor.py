@@ -15,6 +15,7 @@ from qwitt.formparam import (
 )
 from qwitt.qtensor import check_sequences, induced_map, present
 from qwitt.sampling import random_form_parameter, random_group
+from reference import elements
 
 STANDARD = (
     [standard(n) for n in ("Q+", "Q^+", "Q-", "Q^-", "ZP")]
@@ -93,8 +94,8 @@ def test_table1_all_cyclic():
 def brute_force_tensor(g, q):
     """Presentation on all element-level symbols and relation instances."""
     qe = q.carrier
-    gels = list(g.elements())
-    qels = list(qe.elements())
+    gels = list(elements(g))
+    qels = list(elements(qe))
     gi = {x.coords: i for i, x in enumerate(gels)}
     qi = {x.coords: i for i, x in enumerate(qels)}
     ns = len(gels) * len(qels)

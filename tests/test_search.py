@@ -1,7 +1,8 @@
 import random
 import sys
 
-from qwitt.search import Plan, search_vectors, unsolvable
+from qwitt.search import Plan, search_vectors
+from reference import unsolvable
 
 
 def brute(n, constraints, bound, norm):

@@ -127,9 +127,17 @@ def test_tensor_invariant_refuses_a_form_over_another_split_parameter():
 
 
 def test_arf():
-    assert witt.arf(qf.hyperbolic(QM, 1)) == 0
-    assert witt.arf(arf1()) == 1
-    assert witt.arf(qf.direct_sum(arf1(), arf1())) == 0
+    """The c* coordinate of a Witt class over Q-, which `witt._arf` reads,
+    against the Arf invariant by brute force: the value mu takes on the
+    majority of F2^k."""
+
+    def c_star(f):
+        (arf,) = witt.witt_class(f).coords
+        return arf
+
+    assert c_star(qf.hyperbolic(QM, 1)) == 0
+    assert c_star(arf1()) == 1
+    assert c_star(qf.direct_sum(arf1(), arf1())) == 0
 
     def democratic(f):
         from itertools import product
@@ -145,7 +153,7 @@ def test_arf():
             continue
         f = qf.pullback(f, random_unimodular(rng, f.rank, ops=20))
         ranks.add(f.rank)
-        assert witt.arf(f) == democratic(f)
+        assert c_star(f) == democratic(f)
     assert max(ranks) == 8
 
 
@@ -389,8 +397,8 @@ def test_witt_class_takes_one_inverse_and_at_most_one_signature(monkeypatch):
 
     for module, names in (
         (_intmat, ("unimodular_inverse", "determinant")),
-        (qf, ("inertia", "signature_of_matrix", "is_nonsingular")),
-        (witt, ("unimodular_inverse", "determinant", "inertia", "signature_of_matrix", "is_nonsingular")),
+        (qf, ("inertia", "signature_of_matrix")),
+        (witt, ("unimodular_inverse", "determinant", "inertia", "signature_of_matrix")),
     ):
         for name in names:
             if hasattr(module, name):
@@ -401,7 +409,7 @@ def test_witt_class_takes_one_inverse_and_at_most_one_signature(monkeypatch):
             counts.clear()
             call(f)
             assert counts.get("unimodular_inverse") == 1, (f, counts)
-            assert "determinant" not in counts and "is_nonsingular" not in counts
+            assert "determinant" not in counts
             assert counts.get("inertia", 0) <= 1 and counts.get("signature_of_matrix", 0) <= 1
             assert "QForm" not in counts, (call, f, counts)
 
